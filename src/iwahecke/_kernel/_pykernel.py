@@ -24,7 +24,10 @@ class Kernel:
     * ``rank`` - lattice rank;
     * ``act`` - per finite element, its rank x rank action matrix (row tuples);
     * ``inv`` - per finite element, the index of its inverse;
-    * ``findex`` - dict: action matrix -> finite element index;
+    * ``findex`` - dict: action matrix -> finite element index (read by the
+      compiled kernel only);
+    * ``word`` - per finite element, a reduced word in the finite simple
+      reflections, 0-based (read by this kernel only);
     * ``roots`` - positive roots as character tuples;
     * ``root_sign`` - per finite element w, tuple over roots a of the sign
       (+1/-1) of w^{-1}(a);
@@ -39,10 +42,12 @@ class Kernel:
         self.rank = spec["rank"]
         self.act = spec["act"]
         self.inv_table = spec["inv"]
-        self.findex = spec["findex"]
+        self.word = spec["word"]
         self.roots = spec["roots"]
         self.root_sign = spec["root_sign"]
         self.gens = spec["gens"]
+        # finite simple reflection i sits in generator slot i
+        self._rrow = tuple(g[7] for g in self.gens)
 
     def apply(self, w: int, vec):
         return tuple(sum(row[j] * vec[j] for j in range(self.rank))
@@ -54,8 +59,11 @@ class Kernel:
         n = self.rank
         t = tuple(t1[i] + sum(a1[i][j] * t2[j] for j in range(n))
                   for i in range(n))
-        w = self.findex[_mat_mul(a1, self.act[w2])]
-        return t, w
+        # w1 w2 by folding right multiplications over a word of w2
+        rrow = self._rrow
+        for i in self.word[w2]:
+            w1 = rrow[i][w1]
+        return t, w1
 
     def inv(self, t, w):
         wi = self.inv_table[w]
@@ -102,9 +110,3 @@ class Kernel:
         s = self.root_sign[w][ridx]
         return s > 0 if flip else s < 0
 
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))

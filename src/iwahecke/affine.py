@@ -208,6 +208,7 @@ class AffineWeylGroup:
             "act": w.mats,
             "inv": w.inv,
             "findex": w.index,
+            "word": w.word,
             "roots": rd.pos_roots,
             "root_sign": w.root_sign,
             "gens": tuple(gens),
@@ -247,18 +248,19 @@ class AffineWeylGroup:
 
     def finite_element(self, word) -> AffineWeylElement:
         """Product of finite simple reflections, 1-based labels."""
-        x = self._identity
+        word = tuple(word)
         for lab in word:
             if not 1 <= lab <= self.rd.n_simple:
                 raise ValueError(f"not a finite reflection label: {lab}")
-            x = x * self.simple_reflection(lab)
-        return x
+        return self.from_word(word)
 
     def from_word(self, word, omega: "OmegaElement | None" = None):
         """Evaluate an affine word (labels) times an optional Omega part."""
-        x = self._identity
+        k = self.kernel
+        t, w = self._zero, 0
         for lab in word:
-            x = x * self.simple_reflection(lab)
+            t, w = k.rmul_gen(t, w, self.label_slot[lab])
+        x = AffineWeylElement(self, t, w)
         if omega is not None:
             x = x * omega.element
         return x

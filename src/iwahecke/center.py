@@ -15,7 +15,7 @@ whose T_{t_mu} coefficient is exactly v^{-l(t_mu)}.
 from __future__ import annotations
 
 from .hecke import HeckeElement
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, accumulate
 from .rootdata import (RootDatum, RootDatumError, levi_sub_datum, weyl_orbit)
 
 __all__ = [
@@ -86,11 +86,7 @@ class SymmetricFunction:
             return NotImplemented
         out = dict(self.terms)
         for la, c in other.terms.items():
-            s = out.get(la, LaurentPoly()) + c
-            if s:
-                out[la] = s
-            else:
-                out.pop(la, None)
+            accumulate(out, la, c)
         return SymmetricFunction(self.rd, out, check=False)
 
     def __neg__(self):
@@ -112,12 +108,7 @@ class SymmetricFunction:
         out: dict = {}
         for la, c in self.terms.items():
             for nu, d in other.terms.items():
-                key = tuple(a + b for a, b in zip(la, nu))
-                s = out.get(key, LaurentPoly()) + c * d
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, tuple(a + b for a, b in zip(la, nu)), c * d)
         return SymmetricFunction(self.rd, out, check=False)
 
     __rmul__ = __mul__
@@ -172,10 +163,12 @@ def bernstein_iso(f: SymmetricFunction, W=None) -> HeckeElement:
     if W is None:
         W = f.rd.affine_weyl()
     H = W.hecke()
-    out = H.zero()
+    out: dict = {}
     for la in sorted(f.terms):
-        out = out + H.theta(la).scale(f.terms[la])
-    return out
+        c = f.terms[la]
+        for x, p in H.theta(la).terms.items():
+            accumulate(out, x, c * p)
+    return HeckeElement(H, out)
 
 
 def bernstein_iso_inverse(z: HeckeElement, height_bound: int,
@@ -211,11 +204,7 @@ def bernstein_iso_inverse(z: HeckeElement, height_bound: int,
         c = work[best].shift(lt)  # strip the v^{-l(t_mu)} of theta_mu
         out[mu] = c
         for x, p in H.bernstein_function(mu).scale(c).terms.items():
-            s = work.get(x, LaurentPoly()) - p
-            if s:
-                work[x] = s
-            else:
-                work.pop(x, None)
+            accumulate(work, x, -p)
     return SymmetricFunction.from_dominant(rd, out)
 
 

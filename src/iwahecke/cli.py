@@ -103,8 +103,13 @@ def poly_json(p: LaurentPoly, q_value=None):
     if q_value is None:
         return {str(e): c for e, c in sorted(p.c.items())}
     even, odd = p.even_odd_parts()
-    out = {"q": q_value, "value": _rat_str(even.eval_q(q_value))}
-    oval = odd.eval_q(q_value)
+    try:
+        value, oval = even.eval_q(q_value), odd.eval_q(q_value)
+    except ZeroDivisionError:
+        raise PreconditionError(
+            f"cannot specialize q to {q_value}: {p} has a negative power "
+            "of q") from None
+    out = {"q": q_value, "value": _rat_str(value)}
     if oval:
         out["sqrt_q_coeff"] = _rat_str(oval)
     return out
@@ -173,8 +178,11 @@ def parse_mu(text: str, rd):
 
 def emit(args, text: str):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -322,6 +330,16 @@ def _gl_n(rd):
     return _gl_size(rd)
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _parse_q(text: str):
     q = int(text)
     p, r = q, 1
@@ -443,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="corpus file path")
     p.add_argument("--count", type=int, default=200,
                    help="corpus size when generating (no --corpus)")
-    p.add_argument("--precision", type=int, default=None,
+    p.add_argument("--precision", type=_nonnegative_int, default=None,
                    help="truncate corpus entries to this absolute precision")
     p.add_argument("--pairs", type=int, default=2,
                    help="bi-invariance sample pairs per corpus point")

@@ -21,7 +21,7 @@ from math import gcd
 
 from .affine import AffineWeylElement, AffineWeylGroup
 from .intlinalg import dot, solve_underdetermined
-from .laurent import ONE, QM1, LaurentPoly
+from .laurent import ONE, QM1, LaurentPoly, accumulate
 from .rootdata import RootDatumError, weyl_orbit
 
 __all__ = [
@@ -67,7 +67,7 @@ class HeckeElement:
             return NotImplemented
         out = dict(self.terms)
         for x, c in other.terms.items():
-            _acc(out, x, c)
+            accumulate(out, x, c)
         return HeckeElement(self.algebra, out)
 
     def __neg__(self):
@@ -110,15 +110,6 @@ class HeckeElement:
         return "HeckeElement(" + " + ".join(bits) + ")"
 
 
-def _acc(out: dict, x, c):
-    cur = out.get(x)
-    s = c if cur is None else cur + c
-    if s:
-        out[x] = s
-    else:
-        out.pop(x, None)
-
-
 class HeckeAlgebra:
     """T-basis arithmetic bound to one affine Weyl group context."""
 
@@ -148,35 +139,58 @@ class HeckeAlgebra:
 
     def lmul_gen(self, label: int, h: HeckeElement) -> HeckeElement:
         """T_s * h for the affine simple reflection with this label."""
-        s = self.W.simple_reflection(label)
+        W = self.W
+        k = W.kernel
+        slot = W.label_slot[label]
         out: dict = {}
         for y, c in h.terms.items():
-            sy = s * y
-            if sy.length() > y.length():
-                _acc(out, sy, c)
+            ly = y.length()
+            sy = AffineWeylElement(W, *k.lmul_gen(slot, y.trans, y.fin))
+            if k.left_descent(slot, y.trans, y.fin):
+                sy._len = ly - 1
+                accumulate(out, y, QM1 * c)
+                accumulate(out, sy, _Q * c)
             else:
-                _acc(out, y, QM1 * c)
-                _acc(out, sy, _Q * c)
+                sy._len = ly + 1
+                accumulate(out, sy, c)
         return HeckeElement(self, out)
 
     def rmul_gen(self, h: HeckeElement, label: int) -> HeckeElement:
         """h * T_s."""
-        s = self.W.simple_reflection(label)
+        W = self.W
+        k = W.kernel
+        slot = W.label_slot[label]
         out: dict = {}
         for y, c in h.terms.items():
-            ys = y * s
-            if ys.length() > y.length():
-                _acc(out, ys, c)
+            ly = y.length()
+            ys = AffineWeylElement(W, *k.rmul_gen(y.trans, y.fin, slot))
+            # ys < y exactly when s is a left descent of y^{-1}
+            if k.left_descent(slot, *k.inv(y.trans, y.fin)):
+                ys._len = ly - 1
+                accumulate(out, y, QM1 * c)
+                accumulate(out, ys, _Q * c)
             else:
-                _acc(out, y, QM1 * c)
-                _acc(out, ys, _Q * c)
+                ys._len = ly + 1
+                accumulate(out, ys, c)
         return HeckeElement(self, out)
 
     def lmul_omega(self, om: AffineWeylElement, h: HeckeElement):
-        return HeckeElement(self, {om * y: c for y, c in h.terms.items()})
+        """T_om * h for om of length zero."""
+        return self._omega_fold(h, om, left=True)
 
     def rmul_omega(self, h: HeckeElement, om: AffineWeylElement):
-        return HeckeElement(self, {y * om: c for y, c in h.terms.items()})
+        """h * T_om for om of length zero."""
+        return self._omega_fold(h, om, left=False)
+
+    def _omega_fold(self, h, om, left):
+        if om.length():
+            raise ValueError(f"{om!r} does not have length zero")
+        out = {}
+        for y, c in h.terms.items():
+            z = om * y if left else y * om
+            z._len = y._len  # l(om y) = l(y om) = l(y)
+            out[z] = c
+        return HeckeElement(self, out)
 
     # -- products ------------------------------------------------------------
 
@@ -189,10 +203,11 @@ class HeckeAlgebra:
         return r
 
     def multiply(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
-        out = self.zero()
+        out: dict = {}
         for x, c in a.terms.items():
-            out = out + self.t_times(x, b).scale(c)
-        return out
+            for y, p in self.t_times(x, b).terms.items():
+                accumulate(out, y, c * p)
+        return HeckeElement(self, out)
 
     def t_inverse(self, x: AffineWeylElement) -> HeckeElement:
         """The inverse of the basis element T_x.
@@ -248,9 +263,11 @@ class HeckeAlgebra:
             raise RootDatumError(f"{mu} is not dominant")
         cached = self._z.get(mu)
         if cached is None:
-            cached = self.zero()
+            out: dict = {}
             for la in sorted(weyl_orbit(self.W.rd, mu)):
-                cached = cached + self.theta(la)
+                for x, c in self.theta(la).terms.items():
+                    accumulate(out, x, c)
+            cached = HeckeElement(self, out)
             self._z[mu] = cached
         return cached
 

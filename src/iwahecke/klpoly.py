@@ -54,33 +54,31 @@ class RPolynomials:
         self._memo: dict = {}
 
     def r(self, x: AffineWeylElement, y: AffineWeylElement) -> LaurentPoly:
-        return self._r(x, y)
+        return self._r(x.trans, x.fin, x.length(), y.trans, y.fin, y.length())
 
-    def _r(self, x, y) -> LaurentPoly:
-        if x == y:
+    def _r(self, tx, wx, lx, ty, wy, ly) -> LaurentPoly:
+        if tx == ty and wx == wy:
             return _ONE
-        lx, ly = x.length(), y.length()
         if lx >= ly:
             return _ZERO
-        key = (x.key, y.key)
+        key = (tx, wx, ty, wy)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         W = self.W
         k = W.kernel
         for slot in W._gen_order:
-            if k.left_descent(slot, y.trans, y.fin):
+            if k.left_descent(slot, ty, wy):
                 break
         else:  # l(y) = 0 and x != y
             return _ZERO
-        label = W.gen_labels[slot]
-        s = W.simple_reflection(label)
-        sy = s * y
-        sx = s * x
-        if sx.length() < lx:
-            res = self._r(sx, sy)
+        sty, swy = k.lmul_gen(slot, ty, wy)
+        stx, swx = k.lmul_gen(slot, tx, wx)
+        if k.left_descent(slot, tx, wx):
+            res = self._r(stx, swx, lx - 1, sty, swy, ly - 1)
         else:
-            res = _QM1 * self._r(x, sy) + _Q * self._r(sx, sy)
+            res = (_QM1 * self._r(tx, wx, lx, sty, swy, ly - 1)
+                   + _Q * self._r(stx, swx, lx + 1, sty, swy, ly - 1))
         self._memo[key] = res
         return res
 

@@ -17,7 +17,7 @@ LaurentPoly({0: 1})
 
 from __future__ import annotations
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QM1"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QM1", "accumulate"]
 
 
 class LaurentPoly:
@@ -205,6 +205,23 @@ class LaurentPoly:
         for sign, term in parts[1:]:
             out += f" {sign} {term}"
         return out
+
+
+def accumulate(out: dict, key, c):
+    """out[key] += c in a sparse dict: absent means zero, zeros are dropped.
+
+    >>> d = {}
+    >>> accumulate(d, "x", LaurentPoly.v(1))
+    >>> accumulate(d, "x", -LaurentPoly.v(1))
+    >>> d
+    {}
+    """
+    cur = out.get(key)
+    s = c if cur is None else cur + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def _coerce(x):

@@ -26,7 +26,7 @@ from .affine import OmegaElement
 from .center import SymmetricFunction
 from .hecke import HeckeElement
 from .intlinalg import dot
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, accumulate
 from .rootdata import RootDatumError
 
 __all__ = ["GradedFunction", "normalized_transfer", "kottwitz_fiber_integrate",
@@ -91,12 +91,7 @@ def normalized_transfer(f: SymmetricFunction) -> GradedFunction:
     out: dict = {}
     for la, c in f.terms.items():
         rep = rd.kappa_reduce(la)
-        g = c * LaurentPoly.v(dot(la, rd.two_rho))
-        s = out.get(rep, LaurentPoly()) + g
-        if s:
-            out[rep] = s
-        else:
-            out.pop(rep, None)
+        accumulate(out, rep, c * LaurentPoly.v(dot(la, rd.two_rho)))
     gf = GradedFunction.__new__(GradedFunction)
     gf.rd = rd
     gf.terms = out
@@ -110,12 +105,7 @@ def kottwitz_fiber_integrate(z: HeckeElement) -> GradedFunction:
     out: dict = {}
     for x, c in z.terms.items():
         rep = rd.kappa_reduce(x.trans)
-        g = c * LaurentPoly.q(x.length())
-        s = out.get(rep, LaurentPoly()) + g
-        if s:
-            out[rep] = s
-        else:
-            out.pop(rep, None)
+        accumulate(out, rep, c * LaurentPoly.q(x.length()))
     gf = GradedFunction.__new__(GradedFunction)
     gf.rd = rd
     gf.terms = out

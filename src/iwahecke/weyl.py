@@ -26,19 +26,16 @@ __all__ = ["IndexedWeyl", "FiniteWeylElement"]
 _MAX_GROUP = 500_000
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
-
-
 def _mat_apply(m, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def _transpose(m):
-    return tuple(tuple(m[j][i] for j in range(len(m))) for i in range(len(m)))
+def _reflect_right(m, coroot, root):
+    """M s for the reflection s = 1 - coroot (x) root: the rank-1 update
+    M - (M coroot) root."""
+    mc = _mat_apply(m, coroot)
+    return tuple(tuple(x - c * a for x, a in zip(row, root))
+                 for row, c in zip(m, mc))
 
 
 class IndexedWeyl:
@@ -47,27 +44,46 @@ class IndexedWeyl:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         rank, m = rd.rank, rd.n_simple
+        coroots, roots = rd.simple_coroots, rd.simple_roots
         ident = tuple(tuple(1 if i == j else 0 for j in range(rank))
                       for i in range(rank))
-        gen_mats = []
-        for i in range(m):
-            av, a = rd.simple_coroots[i], rd.simple_roots[i]
-            gen_mats.append(tuple(
-                tuple((1 if r == c else 0) - av[r] * a[c] for c in range(rank))
-                for r in range(rank)))
-        self.gen_mats = tuple(gen_mats)
+        self.gen_mats = tuple(_reflect_right(ident, coroots[i], roots[i])
+                              for i in range(m))
 
-        # breadth-first enumeration; level order gives the length function
+        # s_i^T permutes the roots: alpha -> alpha - <alpha, a_i^vee> a_i.
+        # Positive roots get ids 0..npos-1, their negatives npos..2npos-1.
+        npos = len(rd.pos_roots)
+        all_roots = tuple(rd.pos_roots) + tuple(
+            tuple(-x for x in a) for a in rd.pos_roots)
+        root_id = {a: k for k, a in enumerate(all_roots)}
+        root_perm = []
+        for i in range(m):
+            av, ai = coroots[i], roots[i]
+            row = []
+            for a in all_roots:
+                p = sum(x * y for x, y in zip(a, av))
+                b = tuple(x - p * y for x, y in zip(a, ai))
+                if b not in root_id:  # pragma: no cover - closure guarantees this
+                    raise RootDatumError(f"image {b} of a root is not a root")
+                row.append(root_id[b])
+            root_perm.append(row)
+
+        # breadth-first enumeration; level order gives the length function.
+        # bfs_word[w] is a reduced word of w, and images[w] lists the ids of
+        # w^{-1}(alpha) = w^T(alpha) over the positive roots alpha.
         mats = [ident]
         index = {ident: 0}
         length = [0]
         rmul = [[0] * m]
+        bfs_word = [()]
+        images = [tuple(range(npos))]
         frontier = [0]
         while frontier:
             new = []
             for w in frontier:
+                mw = mats[w]
                 for i in range(m):
-                    p = _mat_mul(mats[w], gen_mats[i])
+                    p = _reflect_right(mw, coroots[i], roots[i])
                     j = index.get(p)
                     if j is None:
                         j = len(mats)
@@ -77,6 +93,9 @@ class IndexedWeyl:
                         index[p] = j
                         length.append(length[w] + 1)
                         rmul.append([0] * m)
+                        bfs_word.append(bfs_word[w] + (i,))
+                        perm = root_perm[i]
+                        images.append(tuple(perm[k] for k in images[w]))
                         new.append(j)
                     rmul[w][i] = j
             frontier = new
@@ -85,12 +104,18 @@ class IndexedWeyl:
         self.mats = tuple(mats)
         self.index = index
         self.length = tuple(length)
-        self.rmul = tuple(tuple(r) for r in rmul)
-        self.lmul = tuple(
-            tuple(index[_mat_mul(gen_mats[i], mats[w])] for i in range(m))
-            for w in range(self.size))
-        self.inv = tuple(index[_mat_inverse(mt)] for mt in mats)
-        self.gen_index = tuple(index[g] for g in gen_mats)
+        self.rmul = rmul = tuple(tuple(r) for r in rmul)
+        # w^{-1} is the product of the reversed word; s_i w = (w^{-1} s_i)^{-1}
+        inv = []
+        for bw in bfs_word:
+            u = 0
+            for i in reversed(bw):
+                u = rmul[u][i]
+            inv.append(u)
+        self.inv = inv = tuple(inv)
+        self.lmul = tuple(tuple(inv[rmul[inv[w]][i]] for i in range(m))
+                          for w in range(self.size))
+        self.gen_index = rmul[0]
         self.longest = max(range(self.size), key=lambda w: self.length[w])
 
         # canonical reduced word: repeatedly strip the smallest left descent
@@ -107,27 +132,17 @@ class IndexedWeyl:
         self.word = tuple(word)
 
         # root_sign[w][a]: is w^{-1}(alpha_a) positive?
-        pos_set = set(rd.pos_roots)
-        signs = []
-        for mt in self.mats:
-            tr = _transpose(mt)
-            row = []
-            for a in rd.pos_roots:
-                b = _mat_apply(tr, a)
-                if b in pos_set:
-                    row.append(1)
-                elif tuple(-x for x in b) in pos_set:
-                    row.append(-1)
-                else:  # pragma: no cover - closure guarantees this
-                    raise RootDatumError(f"image {b} of a root is not a root")
-            signs.append(tuple(row))
-        self.root_sign = tuple(signs)
+        self.root_sign = tuple(tuple(1 if k < npos else -1 for k in img)
+                               for img in images)
 
     def apply(self, w: int, vec):
         return _mat_apply(self.mats[w], vec)
 
     def mul(self, w1: int, w2: int) -> int:
-        return self.index[_mat_mul(self.mats[w1], self.mats[w2])]
+        rmul = self.rmul
+        for i in self.word[w2]:
+            w1 = rmul[w1][i]
+        return w1
 
     def reflection_index(self, coroot, root) -> int:
         """Index of the reflection with the given (co)root pair."""
@@ -138,21 +153,6 @@ class IndexedWeyl:
 
     def element(self, w: int) -> "FiniteWeylElement":
         return FiniteWeylElement(self, w)
-
-
-def _mat_inverse(m):
-    # Weyl action matrices are orthogonal with respect to the root pairing
-    # so invert honestly: the inverse of an
-    # integer matrix of determinant +-1 via adjugate would be overkill here;
-    # these matrices have finite order, so iterate.
-    n = len(m)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    acc = m
-    prev = ident
-    while acc != ident:
-        prev = acc
-        acc = _mat_mul(acc, m)
-    return prev
 
 
 class FiniteWeylElement:

@@ -209,3 +209,26 @@ def test_scholze_generated_corpus_gf9(tmp_path):
                    "--count", "5", "--pairs", "1")
     assert rc == 0
     assert len(data.decode().strip().splitlines()) == 6
+
+
+def test_zmu_levi_q0_is_a_precondition_error(tmp_path, capsys):
+    # c^G_L(z_mu) has negative powers of q, so q = 0 cannot be substituted
+    rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "1,0,0",
+                   "--levi", "1", "--q", "0")
+    assert rc == 3 and data == b""
+    assert "negative power of q" in capsys.readouterr().err
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.json"
+    rc = main(["adm", "--group", "GL:2", "--mu", "1,0", "--out", str(out)])
+    assert rc == 3 and not out.exists()
+    assert "cannot write output" in capsys.readouterr().err
+
+
+def test_scholze_negative_precision_rejected(tmp_path, capsys):
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
+                   "--count", "3", "--precision", "-5")
+    assert rc == 2 and data == b""
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out + captured.err

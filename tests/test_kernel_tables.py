@@ -1,0 +1,204 @@
+"""
+The finite Weyl group tables and the table-driven group arithmetic built on
+them, checked against plain action-matrix products.
+
+`oracle_tables` rebuilds every table of `IndexedWeyl` the direct way: a
+breadth-first search multiplying full matrices, inverses by iterated powers,
+left multiplication by matrix products and root signs by applying transposed
+matrices.  The Hecke folds, which read the kernel's generator tables and
+carry lengths, are compared with folds through generic products and
+`kernel.length` on random elements, on the pure kernel always and on the
+compiled kernel when it is built.
+"""
+
+import random
+
+import pytest
+
+from iwahecke._kernel import available_impls
+from iwahecke.affine import AffineWeylGroup
+from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
+from iwahecke.rootdata import build_root_datum, load_root_datum
+from iwahecke.weyl import IndexedWeyl
+
+from conftest import DATA
+
+GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
+          ("Sp", 6), ("GSp", 4), ("GSp", 6)]
+CONFIGS = ["gsp4.cfg", "gl2xgl2.cfg", "pgl2.cfg"]
+_Q = LaurentPoly.q()
+
+
+def _datum(case):
+    if case in CONFIGS:
+        return load_root_datum(DATA / case)
+    return build_root_datum(*case)
+
+
+def _ids(case):
+    return case if isinstance(case, str) else f"{case[0]}{case[1]}"
+
+
+CASES = pytest.mark.parametrize("case", GROUPS + CONFIGS, ids=_ids)
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n))
+
+
+def _mat_apply(m, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+
+
+def _transpose(m):
+    return tuple(tuple(m[j][i] for j in range(len(m))) for i in range(len(m)))
+
+
+def oracle_tables(rd):
+    rank, m = rd.rank, rd.n_simple
+    ident = tuple(tuple(1 if i == j else 0 for j in range(rank))
+                  for i in range(rank))
+    gen_mats = []
+    for i in range(m):
+        av, a = rd.simple_coroots[i], rd.simple_roots[i]
+        gen_mats.append(tuple(
+            tuple((1 if r == c else 0) - av[r] * a[c] for c in range(rank))
+            for r in range(rank)))
+
+    mats, index, length, rmul = [ident], {ident: 0}, [0], [[0] * m]
+    frontier = [0]
+    while frontier:
+        new = []
+        for w in frontier:
+            for i in range(m):
+                p = _mat_mul(mats[w], gen_mats[i])
+                j = index.get(p)
+                if j is None:
+                    j = len(mats)
+                    mats.append(p)
+                    index[p] = j
+                    length.append(length[w] + 1)
+                    rmul.append([0] * m)
+                    new.append(j)
+                rmul[w][i] = j
+        frontier = new
+
+    def inverse(mt):
+        acc, prev = mt, ident
+        while acc != ident:
+            prev, acc = acc, _mat_mul(acc, mt)
+        return prev
+
+    size = len(mats)
+    lmul = [[index[_mat_mul(gen_mats[i], mats[w])] for i in range(m)]
+            for w in range(size)]
+    word = [None] * size
+    word[0] = ()
+    for w in sorted(range(1, size), key=lambda w: length[w]):
+        for i in range(m):
+            u = lmul[w][i]
+            if length[u] < length[w]:
+                word[w] = (i,) + word[u]
+                break
+    pos = set(rd.pos_roots)
+    root_sign = [tuple(1 if _mat_apply(_transpose(mt), a) in pos else -1
+                       for a in rd.pos_roots) for mt in mats]
+    return {
+        "mats": mats, "index": index, "length": length,
+        "rmul": [tuple(r) for r in rmul], "lmul": [tuple(r) for r in lmul],
+        "inv": [index[inverse(mt)] for mt in mats], "word": word,
+        "root_sign": root_sign,
+        "gen_index": tuple(index[g] for g in gen_mats),
+    }
+
+
+@CASES
+def test_weyl_tables_match_matrix_products(case):
+    rd = _datum(case)
+    want = oracle_tables(rd)
+    got = IndexedWeyl(rd)
+    assert got.size == len(want["mats"])
+    for name in ("mats", "length", "rmul", "lmul", "inv", "word",
+                 "root_sign"):
+        assert list(getattr(got, name)) == want[name], name
+    assert got.index == want["index"]
+    assert tuple(got.gen_index) == want["gen_index"]
+    assert got.length[got.longest] == max(want["length"])
+    for w1 in range(got.size):
+        for w2 in range(0, got.size, max(1, got.size // 7)):
+            prod = _mat_mul(want["mats"][w1], want["mats"][w2])
+            assert got.mul(w1, w2) == want["index"][prod]
+
+
+@CASES
+def test_affine_generator_rows_match_matrix_products(case):
+    rd = _datum(case)
+    W = AffineWeylGroup(rd, kernel="python")
+    mats, index = W.weyl.mats, W.weyl.index
+    for _, _, _, _, _, fin, lrow, rrow in W.kernel.gens:
+        g = mats[fin]
+        assert lrow == tuple(index[_mat_mul(g, u)] for u in mats)
+        assert rrow == tuple(index[_mat_mul(u, g)] for u in mats)
+
+
+@CASES
+@pytest.mark.parametrize("impl", available_impls())
+def test_kernel_mul_matches_matrix_products(case, impl):
+    rd = _datum(case)
+    W = AffineWeylGroup(rd, kernel=impl)
+    k, mats, index = W.kernel, W.weyl.mats, W.weyl.index
+    rng = random.Random(f"mul-{_ids(case)}")
+    for _ in range(200):
+        t1 = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
+        t2 = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
+        w1, w2 = rng.randrange(len(mats)), rng.randrange(len(mats))
+        t = tuple(a + b for a, b in zip(t1, _mat_apply(mats[w1], t2)))
+        assert k.mul(t1, w1, t2, w2) == (t, index[_mat_mul(mats[w1],
+                                                           mats[w2])])
+
+
+def _generic_fold(W, label, h, left):
+    """T_s h (left) or h T_s through generic products and kernel.length."""
+    s = W.simple_reflection(label)
+    k = W.kernel
+    out = {}
+    for y, c in h.terms.items():
+        sy = s * y if left else y * s
+        if k.length(sy.trans, sy.fin) > k.length(y.trans, y.fin):
+            accumulate(out, sy, c)
+        else:
+            accumulate(out, y, QM1 * c)
+            accumulate(out, sy, _Q * c)
+    return out
+
+
+@CASES
+@pytest.mark.parametrize("impl", available_impls())
+def test_hecke_folds_and_carried_lengths(case, impl):
+    rd = _datum(case)
+    W = AffineWeylGroup(rd, kernel=impl)
+    H = W.hecke()
+    k = W.kernel
+    rng = random.Random(f"fold-{_ids(case)}")
+    nw = W.weyl.size
+    for _ in range(12):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            t = tuple(rng.randint(-3, 3) for _ in range(rd.rank))
+            terms[W.element(t, rng.randrange(nw))] = ONE
+        h = H.from_terms(terms)
+        for label in W.gen_labels:
+            for left in (True, False):
+                got = (H.lmul_gen(label, h) if left
+                       else H.rmul_gen(h, label))
+                assert got.terms == _generic_fold(W, label, h, left)
+                for x in got.terms:
+                    assert x._len == k.length(x.trans, x.fin)
+                # a second fold starts from the carried lengths
+                again = (H.lmul_gen(label, got) if left
+                         else H.rmul_gen(got, label))
+                for x in again.terms:
+                    assert x._len == k.length(x.trans, x.fin)
