@@ -15,13 +15,9 @@ algebra:
 >>> rd = build_root_datum("GL", 2)
 >>> H = rd.affine_weyl().hecke()
 >>> z = H.bernstein_function((1, 0))
-
-A compiled kernel accelerates the group arithmetic when built; the
-pure-Python fallback is selected automatically otherwise (or when
-IWAHECKE_PURE=1 is set).
 """
 
-from ._kernel import available_impls, default_impl
+from ._kernel import default_impl
 from .affine import (AffineWeylElement, AffineWeylGroup, OmegaElement,
                      admissible_set, bruhat_leq, critical_indices,
                      kottwitz_image)

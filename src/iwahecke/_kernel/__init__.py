@@ -1,39 +1,10 @@
 """
-Kernel selection: compiled extension if built, pure Python otherwise.
-
-Force the fallback with ``IWAHECKE_PURE=1`` (useful for benchmarking and for
-the parity test suite).
+The group-arithmetic kernel, :mod:`iwahecke._kernel._pykernel`.
 """
 
-import os
-
-from . import _pykernel
-
-__all__ = ["get_kernel_module", "default_impl", "available_impls"]
-
-try:
-    from . import _speedups  # compiled; optional
-except ImportError:  # pragma: no cover
-    _speedups = None
-
-
-def available_impls():
-    return ("python",) if _speedups is None else ("python", "c")
+__all__ = ["default_impl"]
 
 
 def default_impl() -> str:
-    if _speedups is None or os.environ.get("IWAHECKE_PURE"):
-        return "python"
-    return "c"
-
-
-def get_kernel_module(impl: str = "auto"):
-    if impl == "auto":
-        impl = default_impl()
-    if impl == "python":
-        return _pykernel
-    if impl == "c":
-        if _speedups is None:
-            raise RuntimeError("compiled kernel is not available")
-        return _speedups
-    raise ValueError(f"unknown kernel implementation {impl!r}")
+    """Name of the kernel implementation, as recorded in benchmark runs."""
+    return "python"

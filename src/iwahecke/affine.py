@@ -28,7 +28,7 @@ reducible data) get labels m+1, m+2, ...
 
 from __future__ import annotations
 
-from ._kernel import get_kernel_module
+from ._kernel._pykernel import Kernel
 from .rootdata import RootDatum, RootDatumError, weyl_orbit
 from .weyl import FiniteWeylElement, IndexedWeyl
 
@@ -38,19 +38,17 @@ __all__ = [
     "admissible_set", "kottwitz_image", "critical_indices",
 ]
 
-# One group per (root datum value, kernel implementation): equal-valued data
-# loaded through different paths (builtin vs config file vs Levi) share all
-# tables and caches, and element equality is value-based.
+# One group per root datum value: equal-valued data loaded through different
+# paths (builtin vs config file vs Levi) share all tables and caches, and
+# element equality is value-based.
 _REGISTRY: dict = {}
 
 
-def shared_group(rd: RootDatum, kernel: str = "auto") -> "AffineWeylGroup":
-    impl = get_kernel_module(kernel).IMPL
-    key = (rd, impl)
-    grp = _REGISTRY.get(key)
+def shared_group(rd: RootDatum) -> "AffineWeylGroup":
+    grp = _REGISTRY.get(rd)
     if grp is None:
-        grp = AffineWeylGroup(rd, kernel=impl)
-        _REGISTRY[key] = grp
+        grp = AffineWeylGroup(rd)
+        _REGISTRY[rd] = grp
     return grp
 
 
@@ -173,48 +171,59 @@ class AffineWeylGroup:
     worst redo an idempotent insert; results never depend on cache state.
     """
 
-    def __init__(self, rd: RootDatum, kernel: str = "auto"):
+    def __init__(self, rd: RootDatum):
         self.rd = rd
         self.weyl = IndexedWeyl(rd)
         w = self.weyl
         rank, m = rd.rank, rd.n_simple
         zero = (0,) * rank
 
+        # Generator slots: the finite simple reflections, then one affine
+        # reflection per irreducible component.  For each: the affine root
+        # (vec, k) paired in descent tests with its coroot cvec (signed like
+        # vec), the root id and flip of the tie-break sign test, the
+        # reflection (trans, fin) as a group element, and per finite element
+        # u the tables lrow[u] = s u, rrow[u] = u s, wvec[u] = u(vec) and
+        # wtrans[u] = u(trans) (None for finite reflections, trans = 0).
         root_index = {a: i for i, a in enumerate(rd.pos_roots)}
+        roots, coroots, images = w.roots, w.coroots, w.root_image
+        npos = w.npos
         gens = []
         labels = []
         for i in range(m):
-            fin = w.gen_index[i]
+            r = root_index[rd.simple_roots[i]]
             gens.append((
-                rd.simple_roots[i], 0, root_index[rd.simple_roots[i]], False,
-                zero, fin,
+                rd.simple_roots[i], 0, rd.simple_coroots[i], r, False,
+                zero, w.gen_index[i],
                 tuple(w.lmul[u][i] for u in range(w.size)),
                 tuple(w.rmul[u][i] for u in range(w.size)),
+                tuple(roots[img[r]] for img in images),
+                None,
             ))
             labels.append(i + 1)
         for c, hr in enumerate(rd.highest_roots):
             theta, theta_vee = hr
+            r = root_index[theta]
             fin = w.reflection_index(theta_vee, theta)
             gens.append((
-                tuple(-x for x in theta), 1, root_index[theta], True,
-                theta_vee, fin,
+                tuple(-x for x in theta), 1, tuple(-x for x in theta_vee), r,
+                True, theta_vee, fin,
                 tuple(w.mul(fin, u) for u in range(w.size)),
                 tuple(w.mul(u, fin) for u in range(w.size)),
+                tuple(roots[(img[r] + npos) % (2 * npos)] for img in images),
+                tuple(coroots[img[r]] for img in images),
             ))
             labels.append(0 if c == 0 else m + c)
 
-        spec = {
+        self.kernel = Kernel({
             "rank": rank,
             "act": w.mats,
             "inv": w.inv,
-            "findex": w.index,
             "word": w.word,
             "roots": rd.pos_roots,
             "root_sign": w.root_sign,
             "gens": tuple(gens),
-        }
-        self.kernel = get_kernel_module(kernel).Kernel(spec)
-        self.kernel_impl = get_kernel_module(kernel).IMPL
+        })
         self.gen_labels = tuple(labels)
         self.label_slot = {lab: slot for slot, lab in enumerate(labels)}
         self._gen_order = tuple(sorted(range(len(gens)),
@@ -244,7 +253,7 @@ class AffineWeylGroup:
         """The affine simple reflection with the given label (0..m, ...)."""
         slot = self.label_slot[label]
         g = self.kernel.gens[slot]
-        return AffineWeylElement(self, g[4], g[5])
+        return AffineWeylElement(self, g[5], g[6])
 
     def finite_element(self, word) -> AffineWeylElement:
         """Product of finite simple reflections, 1-based labels."""
@@ -390,7 +399,7 @@ class AffineWeylGroup:
         return (x.length(), x.trans, self.weyl.word[x.fin])
 
     def __repr__(self):
-        return f"AffineWeylGroup({self.rd.family}, kernel={self.kernel_impl})"
+        return f"AffineWeylGroup({self.rd.family})"
 
 
 def _gl_size(rd: RootDatum):

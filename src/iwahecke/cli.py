@@ -26,7 +26,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .center import bernstein_iso, constant_term, monomial_symmetric
@@ -53,47 +52,6 @@ _INVARIANCE_SEED = 271828
 
 class PreconditionError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """A parsed invocation, kept round-trippable through its dict form so
-    reports can embed exactly what was asked for."""
-
-    command: str
-    group: str | None = None
-    mu: str | None = None
-    q: int | None = None
-    out: str | None = None
-    format: str = "json"
-    extras: tuple = ()
-
-    @staticmethod
-    def from_args(args) -> "JobSpec":
-        extra_keys = sorted(k for k in vars(args)
-                            if k not in JobSpec.__dataclass_fields__)
-        return JobSpec(
-            command=args.command,
-            group=getattr(args, "group", None),
-            mu=getattr(args, "mu", None),
-            q=int(args.q) if getattr(args, "q", None) is not None else None,
-            out=args.out,
-            format=args.format,
-            extras=tuple((k, getattr(args, k)) for k in extra_keys),
-        )
-
-    def to_dict(self) -> dict:
-        d = {"command": self.command, "group": self.group, "mu": self.mu,
-             "q": self.q, "out": self.out, "format": self.format}
-        d.update(self.extras)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "JobSpec":
-        base = {k: d[k] for k in ("command", "group", "mu", "q", "out",
-                                  "format")}
-        extras = tuple(sorted((k, v) for k, v in d.items() if k not in base))
-        return JobSpec(extras=extras, **base)
 
 
 # -- serialization helpers -------------------------------------------------------
@@ -238,13 +196,13 @@ def cmd_zmu(args) -> int:
     lt = W.translation(mu).length()
 
     f = monomial_symmetric(rd, mu)
-    if args.r and args.r > 1:
+    if args.r > 1:
         from .transfer import base_change
         f = base_change(f, args.r)
         mu_used = tuple(args.r * x for x in mu)
         lt = W.translation(mu_used).length()
     if args.method == "closed":
-        if args.r and args.r > 1:
+        if args.r > 1:
             raise PreconditionError("--r is a theta-route option")
         if not is_minuscule(rd, mu):
             raise PreconditionError(
@@ -272,7 +230,7 @@ def cmd_zmu(args) -> int:
         "group": rd.family,
         "mu": list(mu),
         "method": args.method,
-        "base_change_r": args.r or 1,
+        "base_change_r": args.r,
         "normalization": "v^l(t_mu) * z_mu",
         "terms": hecke_json(vz, args.q),
     }))
@@ -330,18 +288,25 @@ def _gl_n(rd):
     return _gl_size(rd)
 
 
-def _nonnegative_int(text: str) -> int:
+def _int_at_least(text: str, lo: int) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    if n < lo:
+        raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
     return n
 
 
-def _parse_q(text: str):
-    q = int(text)
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _parse_q(q: int):
     p, r = q, 1
     for cand in range(2, q + 1):
         if q % cand == 0:
@@ -410,7 +375,12 @@ def cmd_scholze(args) -> int:
         "compatibility": {"checked": compat_checked, "passed": compat_passed},
     }
     ok = inv_passed == inv_checked and compat_passed == compat_checked
-    report["status"] = "PASS" if ok else "FAIL"
+    if not ok:
+        report["status"] = "FAIL"
+    elif inv_checked or compat_checked:
+        report["status"] = "PASS"
+    else:  # nothing was checked, so nothing passed
+        report["status"] = "UNCHECKED"
     stream = sys.stdout if args.out else sys.stderr
     stream.write(dumps(report))
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -448,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levi", default=None,
                    help="comma-separated simple-root labels; output the "
                         "constant term c^G_L(z_mu) instead")
-    p.add_argument("--r", type=int, default=1,
+    p.add_argument("--r", type=_positive_int, default=1,
                    help="base-change degree applied to the monomial function")
 
     p = sub.add_parser("transfer",
@@ -457,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scholze", help="GL_2 deep-level family phi_n / z_n")
     p.add_argument("--n", type=int, required=True, help="congruence level")
-    p.add_argument("--q", required=True, help="residue field size")
+    p.add_argument("--q", type=int, required=True, help="residue field size")
     p.add_argument("--corpus", default=None, help="corpus file path")
     p.add_argument("--count", type=int, default=200,
                    help="corpus size when generating (no --corpus)")
     p.add_argument("--precision", type=_nonnegative_int, default=None,
                    help="truncate corpus entries to this absolute precision")
-    p.add_argument("--pairs", type=int, default=2,
+    p.add_argument("--pairs", type=_nonnegative_int, default=2,
                    help="bi-invariance sample pairs per corpus point")
     p.add_argument("--compat", action="store_true",
                    help="run the change-of-level coset-sum check per point")

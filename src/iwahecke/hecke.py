@@ -164,8 +164,7 @@ class HeckeAlgebra:
         for y, c in h.terms.items():
             ly = y.length()
             ys = AffineWeylElement(W, *k.rmul_gen(y.trans, y.fin, slot))
-            # ys < y exactly when s is a left descent of y^{-1}
-            if k.left_descent(slot, *k.inv(y.trans, y.fin)):
+            if k.right_descent(y.trans, y.fin, slot):
                 ys._len = ly - 1
                 accumulate(out, y, QM1 * c)
                 accumulate(out, ys, _Q * c)

@@ -214,9 +214,9 @@ class RootDatum:
 
     # -- affine Weyl group handle --------------------------------------------
 
-    def affine_weyl(self, kernel: str = "auto"):
+    def affine_weyl(self):
         from .affine import shared_group
-        return shared_group(self, kernel=kernel)
+        return shared_group(self)
 
     def __repr__(self):
         return f"RootDatum({self.family}, rank={self.rank})"

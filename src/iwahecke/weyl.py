@@ -5,7 +5,7 @@ The finite Weyl group of a root datum is enumerated once, breadth-first from
 the identity, and every element is stored as its action matrix on the
 cocharacter lattice.  All group operations used downstream (by the affine
 Weyl group and the Hecke algebra) then become table lookups keyed by element
-index, which is what the compiled kernel consumes.
+index, which is what the kernel consumes.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> w = IndexedWeyl(build_root_datum("GL", 3))
@@ -55,6 +55,8 @@ class IndexedWeyl:
         npos = len(rd.pos_roots)
         all_roots = tuple(rd.pos_roots) + tuple(
             tuple(-x for x in a) for a in rd.pos_roots)
+        all_coroots = tuple(rd.pos_coroots) + tuple(
+            tuple(-x for x in av) for av in rd.pos_coroots)
         root_id = {a: k for k, a in enumerate(all_roots)}
         root_perm = []
         for i in range(m):
@@ -134,6 +136,13 @@ class IndexedWeyl:
         # root_sign[w][a]: is w^{-1}(alpha_a) positive?
         self.root_sign = tuple(tuple(1 if k < npos else -1 for k in img)
                                for img in images)
+        # Root ids: roots[k] (coroots[k]) is the k-th positive root (coroot)
+        # for k < npos and the negative of root (coroot) k - npos above;
+        # root_image[w][a] = images[w^{-1}][a] is the id of w(alpha_a).
+        self.npos = npos
+        self.roots = all_roots
+        self.coroots = all_coroots
+        self.root_image = tuple(images[u] for u in inv)
 
     def apply(self, w: int, vec):
         return _mat_apply(self.mats[w], vec)

@@ -167,20 +167,6 @@ def test_zmu_golden(tmp_path):
     assert data == golden
 
 
-def test_jobspec_round_trip():
-    from iwahecke.cli import JobSpec, build_parser
-    args = build_parser().parse_args(
-        ["zmu", "--group", "GL:3", "--mu", "1,0,0", "--q", "4",
-         "--method", "closed"])
-    spec = JobSpec.from_args(args)
-    assert JobSpec.from_dict(spec.to_dict()) == spec
-    args2 = build_parser().parse_args(
-        ["scholze", "--n", "2", "--q", "3", "--pairs", "5"])
-    spec2 = JobSpec.from_args(args2)
-    assert JobSpec.from_dict(spec2.to_dict()) == spec2
-    assert spec2 != spec
-
-
 def test_transfer_report_embeds_function(tmp_path):
     rc, data = run(tmp_path, "transfer", "--group", "GL:2", "--mu", "1,0")
     doc = json.loads(data)
@@ -232,3 +218,52 @@ def test_scholze_negative_precision_rejected(tmp_path, capsys):
     assert rc == 2 and data == b""
     captured = capsys.readouterr()
     assert "PASS" not in captured.out + captured.err
+
+
+def test_scholze_malformed_q_is_a_parse_error(tmp_path):
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "abc",
+                   "--count", "3")
+    assert rc == 2 and data == b""
+
+
+def test_zmu_base_change_degree_must_be_positive(tmp_path):
+    for r in ("0", "-2", "x"):
+        rc, data = run(tmp_path, "zmu", "--group", "GL:2", "--mu", "1,0",
+                       "--r", r)
+        assert rc == 2 and data == b"", r
+
+
+def test_scholze_negative_pairs_rejected(tmp_path):
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
+                   "--count", "3", "--pairs", "-1")
+    assert rc == 2 and data == b""
+
+
+def test_scholze_nothing_checked_is_not_pass(tmp_path, capsys):
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
+                   "--count", "3", "--pairs", "0")
+    assert rc == 0 and len(data.decode().strip().splitlines()) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["invariance"] == {"checked": 0, "passed": 0}
+    assert report["compatibility"] == {"checked": 0, "passed": 0}
+    assert report["status"] == "UNCHECKED"
+
+
+def test_scholze_all_rows_indeterminate_is_not_pass(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("1:1 | z | z | 0:1\n1:1 | 0 | z | 0:1\n")
+    rc, data = run(tmp_path, "scholze", "--n", "3", "--q", "2",
+                   "--corpus", str(corpus), "--precision", "2", "--compat")
+    assert rc == 0
+    rows = data.decode().strip().splitlines()[1:]
+    assert len(rows) == 2 and all(r.endswith("INDETERMINATE") for r in rows)
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "UNCHECKED"
+
+
+def test_scholze_checked_rows_pass(tmp_path, capsys):
+    rc, _ = run(tmp_path, "scholze", "--n", "1", "--q", "2",
+                "--count", "3", "--pairs", "1")
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["invariance"]["checked"] == 3
+    assert report["status"] == "PASS"

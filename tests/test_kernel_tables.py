@@ -5,17 +5,18 @@ them, checked against plain action-matrix products.
 `oracle_tables` rebuilds every table of `IndexedWeyl` the direct way: a
 breadth-first search multiplying full matrices, inverses by iterated powers,
 left multiplication by matrix products and root signs by applying transposed
-matrices.  The Hecke folds, which read the kernel's generator tables and
-carry lengths, are compared with folds through generic products and
-`kernel.length` on random elements, on the pure kernel always and on the
-compiled kernel when it is built.
+matrices.  The kernel's element operations are checked one by one on random
+elements against the same products and `kernel.length`, with the affine
+generators built from the root datum, and the Hecke folds, which read the
+kernel's generator tables and carry lengths, against folds through generic
+products and `kernel.length`.
 """
 
 import random
 
 import pytest
 
-from iwahecke._kernel import available_impls
+from iwahecke import default_impl
 from iwahecke.affine import AffineWeylGroup
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
 from iwahecke.rootdata import build_root_datum, load_root_datum
@@ -40,6 +41,10 @@ def _ids(case):
 
 
 CASES = pytest.mark.parametrize("case", GROUPS + CONFIGS, ids=_ids)
+# ids of the tests that run kernel operations also name the kernel, as the
+# benchmark records do
+KERNEL_CASES = pytest.mark.parametrize(
+    "case", GROUPS + CONFIGS, ids=lambda c: f"{default_impl()}-{_ids(c)}")
 
 
 def _mat_mul(a, b):
@@ -57,16 +62,29 @@ def _transpose(m):
     return tuple(tuple(m[j][i] for j in range(len(m))) for i in range(len(m)))
 
 
+def _mat_inverse(m):
+    """The inverse of a finite-order matrix: its last power before 1."""
+    ident = tuple(tuple(1 if i == j else 0 for j in range(len(m)))
+                  for i in range(len(m)))
+    acc, prev = m, ident
+    while acc != ident:
+        prev, acc = acc, _mat_mul(acc, m)
+    return prev
+
+
+def _reflection(coroot, root):
+    """The matrix of v -> v - <v, root> coroot."""
+    n = len(root)
+    return tuple(tuple((1 if r == c else 0) - coroot[r] * root[c]
+                       for c in range(n)) for r in range(n))
+
+
 def oracle_tables(rd):
     rank, m = rd.rank, rd.n_simple
     ident = tuple(tuple(1 if i == j else 0 for j in range(rank))
                   for i in range(rank))
-    gen_mats = []
-    for i in range(m):
-        av, a = rd.simple_coroots[i], rd.simple_roots[i]
-        gen_mats.append(tuple(
-            tuple((1 if r == c else 0) - av[r] * a[c] for c in range(rank))
-            for r in range(rank)))
+    gen_mats = [_reflection(av, a)
+                for av, a in zip(rd.simple_coroots, rd.simple_roots)]
 
     mats, index, length, rmul = [ident], {ident: 0}, [0], [[0] * m]
     frontier = [0]
@@ -86,12 +104,6 @@ def oracle_tables(rd):
                 rmul[w][i] = j
         frontier = new
 
-    def inverse(mt):
-        acc, prev = mt, ident
-        while acc != ident:
-            prev, acc = acc, _mat_mul(acc, mt)
-        return prev
-
     size = len(mats)
     lmul = [[index[_mat_mul(gen_mats[i], mats[w])] for i in range(m)]
             for w in range(size)]
@@ -109,7 +121,7 @@ def oracle_tables(rd):
     return {
         "mats": mats, "index": index, "length": length,
         "rmul": [tuple(r) for r in rmul], "lmul": [tuple(r) for r in lmul],
-        "inv": [index[inverse(mt)] for mt in mats], "word": word,
+        "inv": [index[_mat_inverse(mt)] for mt in mats], "word": word,
         "root_sign": root_sign,
         "gen_index": tuple(index[g] for g in gen_mats),
     }
@@ -136,19 +148,70 @@ def test_weyl_tables_match_matrix_products(case):
 @CASES
 def test_affine_generator_rows_match_matrix_products(case):
     rd = _datum(case)
-    W = AffineWeylGroup(rd, kernel="python")
+    W = AffineWeylGroup(rd)
     mats, index = W.weyl.mats, W.weyl.index
-    for _, _, _, _, _, fin, lrow, rrow in W.kernel.gens:
+    gens = W.kernel.gens
+    assert [(g[5], g[6]) for g in gens] == _affine_generators(rd, index)
+    # u acts on a character (row vector) by multiplying with u^{-1}
+    dual = [_transpose(_mat_inverse(u)) for u in mats]
+    for vec, _, cvec, _, _, trans, fin, lrow, rrow, wvec, wtrans in gens:
         g = mats[fin]
         assert lrow == tuple(index[_mat_mul(g, u)] for u in mats)
         assert rrow == tuple(index[_mat_mul(u, g)] for u in mats)
+        assert wvec == tuple(_mat_apply(d, vec) for d in dual)
+        if wtrans is None:
+            assert not any(trans)
+        else:
+            assert wtrans == tuple(_mat_apply(u, trans) for u in mats)
+        assert g == _reflection(cvec, vec)
 
 
-@CASES
-@pytest.mark.parametrize("impl", available_impls())
-def test_kernel_mul_matches_matrix_products(case, impl):
+def _affine_generators(rd, index):
+    """The affine simple reflections (trans, finite index) in slot order,
+    from the root datum: s_i = (0, s_{a_i}), then s_0 = t_{theta^vee}
+    s_theta per irreducible component with highest root theta."""
+    zero = (0,) * rd.rank
+    out = [(zero, index[_reflection(av, a)])
+           for av, a in zip(rd.simple_coroots, rd.simple_roots)]
+    out += [(tv, index[_reflection(tv, th)]) for th, tv in rd.highest_roots]
+    return out
+
+
+@KERNEL_CASES
+def test_kernel_ops_match_matrix_products(case):
+    """lmul_gen, rmul_gen, left_descent, right_descent, inv and apply on
+    random (t, w, g), against action-matrix products and kernel.length."""
     rd = _datum(case)
-    W = AffineWeylGroup(rd, kernel=impl)
+    W = AffineWeylGroup(rd)
+    k, mats, index = W.kernel, W.weyl.mats, W.weyl.index
+    gens = _affine_generators(rd, index)
+
+    def product(t1, w1, t2, w2):
+        t = tuple(a + b for a, b in zip(t1, _mat_apply(mats[w1], t2)))
+        return t, index[_mat_mul(mats[w1], mats[w2])]
+
+    rng = random.Random(f"ops-{_ids(case)}")
+    for _ in range(300):
+        t = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
+        w = rng.randrange(len(mats))
+        g = rng.randrange(len(gens))
+        lx = k.length(t, w)
+        sx = product(*gens[g], t, w)
+        xs = product(t, w, *gens[g])
+        assert k.lmul_gen(g, t, w) == sx
+        assert k.rmul_gen(t, w, g) == xs
+        assert k.left_descent(g, t, w) == (k.length(*sx) < lx)
+        assert k.right_descent(t, w, g) == (k.length(*xs) < lx)
+        wi = _mat_inverse(mats[w])
+        assert k.inv(t, w) == (tuple(-x for x in _mat_apply(wi, t)),
+                               index[wi])
+        assert k.apply(w, t) == _mat_apply(mats[w], t)
+
+
+@KERNEL_CASES
+def test_kernel_mul_matches_matrix_products(case):
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
     k, mats, index = W.kernel, W.weyl.mats, W.weyl.index
     rng = random.Random(f"mul-{_ids(case)}")
     for _ in range(200):
@@ -175,11 +238,10 @@ def _generic_fold(W, label, h, left):
     return out
 
 
-@CASES
-@pytest.mark.parametrize("impl", available_impls())
-def test_hecke_folds_and_carried_lengths(case, impl):
+@KERNEL_CASES
+def test_hecke_folds_and_carried_lengths(case):
     rd = _datum(case)
-    W = AffineWeylGroup(rd, kernel=impl)
+    W = AffineWeylGroup(rd)
     H = W.hecke()
     k = W.kernel
     rng = random.Random(f"fold-{_ids(case)}")
