@@ -212,13 +212,12 @@ def cmd_zmu(args) -> int:
         vz = bernstein_iso(f, W).scale(LaurentPoly.v(lt))
 
     if args.levi is not None:
-        labels = [int(t) for t in args.levi.split(",")] if args.levi else []
         z = vz.scale(LaurentPoly.v(-lt))
-        ct = constant_term(z, labels)
+        ct = constant_term(z, args.levi)
         emit(args, dumps({
             "schema": "iwahecke/hecke-element/1",
             "group": rd.family,
-            "levi": labels,
+            "levi": args.levi,
             "mu": list(mu),
             "normalization": "c^G_L(z_mu)",
             "terms": hecke_json(ct, args.q),
@@ -306,6 +305,13 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _int_list(text: str) -> list:
+    try:
+        return [int(t) for t in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed label list {text!r}")
+
+
 def _parse_q(q: int):
     p, r = q, 1
     for cand in range(2, q + 1):
@@ -325,8 +331,6 @@ def _parse_q(q: int):
 def cmd_scholze(args) -> int:
     field = _parse_q(args.q)
     n = args.n
-    if n < 1:
-        raise PreconditionError("level n must be >= 1")
     if args.format == "json":
         raise PreconditionError("scholze output is CSV only")
     if args.corpus:
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zmu", help="Bernstein function v^l(t_mu) z_mu")
     common(p)
     p.add_argument("--method", choices=["theta", "closed"], default="theta")
-    p.add_argument("--levi", default=None,
+    p.add_argument("--levi", type=_int_list, default=None,
                    help="comma-separated simple-root labels; output the "
                         "constant term c^G_L(z_mu) instead")
     p.add_argument("--r", type=_positive_int, default=1,
@@ -426,10 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("scholze", help="GL_2 deep-level family phi_n / z_n")
-    p.add_argument("--n", type=int, required=True, help="congruence level")
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help="congruence level")
     p.add_argument("--q", type=int, required=True, help="residue field size")
     p.add_argument("--corpus", default=None, help="corpus file path")
-    p.add_argument("--count", type=int, default=200,
+    p.add_argument("--count", type=_nonnegative_int, default=200,
                    help="corpus size when generating (no --corpus)")
     p.add_argument("--precision", type=_nonnegative_int, default=None,
                    help="truncate corpus entries to this absolute precision")

@@ -139,38 +139,34 @@ class HeckeAlgebra:
 
     def lmul_gen(self, label: int, h: HeckeElement) -> HeckeElement:
         """T_s * h for the affine simple reflection with this label."""
-        W = self.W
-        k = W.kernel
-        slot = W.label_slot[label]
-        out: dict = {}
-        for y, c in h.terms.items():
-            ly = y.length()
-            sy = AffineWeylElement(W, *k.lmul_gen(slot, y.trans, y.fin))
-            if k.left_descent(slot, y.trans, y.fin):
-                sy._len = ly - 1
-                accumulate(out, y, QM1 * c)
-                accumulate(out, sy, _Q * c)
-            else:
-                sy._len = ly + 1
-                accumulate(out, sy, c)
-        return HeckeElement(self, out)
+        return self._fold(h, self.W.label_slot[label], True, False)
 
     def rmul_gen(self, h: HeckeElement, label: int) -> HeckeElement:
         """h * T_s."""
+        return self._fold(h, self.W.label_slot[label], False, False)
+
+    def _fold(self, h, slot, left, inverse):
+        """T_s h (left) or h T_s for the reflection in kernel slot `slot`, or
+        the same with T_s^{-1}.  With sy = s y or y s: T_s maps an ascent T_y
+        to T_{sy} and a descent to q T_{sy} + (q-1) T_y; T_s^{-1} maps a
+        descent to T_{sy} and an ascent to q^{-1} T_{sy} + (q^{-1}-1) T_y."""
         W = self.W
         k = W.kernel
-        slot = W.label_slot[label]
+        far, near = (_QINV, _QINV_M1) if inverse else (_Q, QM1)
         out: dict = {}
         for y, c in h.terms.items():
-            ly = y.length()
-            ys = AffineWeylElement(W, *k.rmul_gen(y.trans, y.fin, slot))
-            if k.right_descent(y.trans, y.fin, slot):
-                ys._len = ly - 1
-                accumulate(out, y, QM1 * c)
-                accumulate(out, ys, _Q * c)
+            if left:
+                sy = AffineWeylElement(W, *k.lmul_gen(slot, y.trans, y.fin))
+                down = k.left_descent(slot, y.trans, y.fin)
             else:
-                ys._len = ly + 1
-                accumulate(out, ys, c)
+                sy = AffineWeylElement(W, *k.rmul_gen(y.trans, y.fin, slot))
+                down = k.right_descent(y.trans, y.fin, slot)
+            sy._len = y.length() - 1 if down else y.length() + 1
+            if down == inverse:
+                accumulate(out, sy, c)
+            else:
+                accumulate(out, y, near * c)
+                accumulate(out, sy, far * c)
         return HeckeElement(self, out)
 
     def lmul_omega(self, om: AffineWeylElement, h: HeckeElement):
@@ -187,7 +183,7 @@ class HeckeAlgebra:
         out = {}
         for y, c in h.terms.items():
             z = om * y if left else y * om
-            z._len = y._len  # l(om y) = l(y om) = l(y)
+            z._len = y.length()  # l(om y) = l(y om) = l(y)
             out[z] = c
         return HeckeElement(self, out)
 
@@ -209,19 +205,19 @@ class HeckeAlgebra:
         return HeckeElement(self, out)
 
     def t_inverse(self, x: AffineWeylElement) -> HeckeElement:
-        """The inverse of the basis element T_x.
-
-        With x = s_1...s_k * omega reduced, T_x^{-1} = T_{omega^{-1}} *
-        T_{s_k}^{-1} ... T_{s_1}^{-1} and T_s^{-1} = q^{-1} T_s + (q^{-1}-1) T_e.
-        """
+        """The inverse of the basis element T_x."""
         cached = self._tinv.get(x.key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._tinv[x.key] = self._rmul_t_inverse(self.unit(), x)
+        return cached
+
+    def _rmul_t_inverse(self, h: HeckeElement, x: AffineWeylElement):
+        """h * T_x^{-1}: with x = s_1...s_k * omega reduced, T_x^{-1} =
+        T_{omega^{-1}} T_{s_k}^{-1} ... T_{s_1}^{-1}, one factor at a time."""
         word, om = self.W.reduced_word(x)
-        h = self.t(om.element.inverse())
+        h = self.rmul_omega(h, om.element.inverse())
         for label in reversed(word):
-            h = self.rmul_gen(h, label).scale(_QINV) + h.scale(_QINV_M1)
-        self._tinv[x.key] = h
+            h = self._fold(h, self.W.label_slot[label], False, True)
         return h
 
     # -- Bernstein elements ----------------------------------------------------
@@ -232,7 +228,7 @@ class HeckeAlgebra:
         Dominant lam: v^{-l(t_lam)} T_{t_lam}.  In general theta_lam =
         theta_{lam1} * theta_{lam2}^{-1} for any decomposition lam = lam1 -
         lam2 into dominant coweights; the result is independent of the
-        decomposition.
+        decomposition.  T_{t_lam1} is right-folded by T_s^{-1} along t_lam2.
         """
         lam = tuple(lam)
         cached = self._theta.get(lam)
@@ -251,9 +247,8 @@ class HeckeAlgebra:
         lam1 = tuple(a + b for a, b in zip(lam, lam2))
         if not (rd.is_dominant(lam1) and rd.is_dominant(lam2)):
             raise RootDatumError("decomposition is not dominant")
-        prod = self.t_times(self.W.translation(lam1),
-                            self.t_inverse(self.W.translation(lam2)))
-        return prod.scale(vpow)
+        return self._rmul_t_inverse(self.t(self.W.translation(lam1), vpow),
+                                    self.W.translation(lam2))
 
     def bernstein_function(self, mu) -> HeckeElement:
         """z_mu = sum of theta_la over the finite Weyl orbit of dominant mu."""

@@ -167,6 +167,15 @@ def test_zmu_golden(tmp_path):
     assert data == golden
 
 
+def test_zmu_golden_non_minuscule(tmp_path):
+    # theta route only: the closed formula does not apply to these mu
+    for group, mu, name in (("GL:3", "2,1,0", "golden_zmu_gl3_210.json"),
+                            ("Sp:4", "1,1", "golden_zmu_sp4_11.json")):
+        rc, data = run(tmp_path, "zmu", "--group", group, "--mu", mu)
+        assert rc == 0
+        assert data == (DATA / name).read_bytes(), name
+
+
 def test_transfer_report_embeds_function(tmp_path):
     rc, data = run(tmp_path, "transfer", "--group", "GL:2", "--mu", "1,0")
     doc = json.loads(data)
@@ -267,3 +276,33 @@ def test_scholze_checked_rows_pass(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert rc == 0 and report["invariance"]["checked"] == 3
     assert report["status"] == "PASS"
+
+
+def test_scholze_negative_count_rejected(tmp_path):
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
+                   "--count", "-1")
+    assert rc == 2 and data == b""
+
+
+def test_scholze_level_must_be_positive(tmp_path, capsys):
+    for n in ("0", "-3"):
+        rc, data = run(tmp_path, "scholze", "--n", n, "--q", "2",
+                       "--count", "3")
+        assert rc == 2 and data == b"", n
+        assert "--n" in capsys.readouterr().err
+
+
+def test_zmu_malformed_levi_is_a_parse_error(tmp_path, capsys):
+    for levi in ("abc", "1,,2"):
+        rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "2,1,0",
+                       "--levi", levi)
+        assert rc == 2 and data == b"", levi
+        err = capsys.readouterr().err
+        assert "--levi" in err and "invalid literal" not in err
+
+
+def test_zmu_levi_label_out_of_range(tmp_path, capsys):
+    rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "2,1,0",
+                   "--levi", "5")
+    assert rc == 3 and data == b""
+    assert "not a simple root label" in capsys.readouterr().err

@@ -9,7 +9,9 @@ matrices.  The kernel's element operations are checked one by one on random
 elements against the same products and `kernel.length`, with the affine
 generators built from the root datum, and the Hecke folds, which read the
 kernel's generator tables and carry lengths, against folds through generic
-products and `kernel.length`.
+products and `kernel.length`.  The T_s^{-1} folds are checked as inverses of
+the T_s folds, and theta_lam, folded one T_s^{-1} at a time, against the
+inverse-then-multiply product T_{t_lam1} T_{t_lam2}^{-1}.
 """
 
 import random
@@ -18,6 +20,8 @@ import pytest
 
 from iwahecke import default_impl
 from iwahecke.affine import AffineWeylGroup
+from iwahecke.hecke import _dominant_cover
+from iwahecke.intlinalg import dot
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
 from iwahecke.rootdata import build_root_datum, load_root_datum
 from iwahecke.weyl import IndexedWeyl
@@ -264,3 +268,75 @@ def test_hecke_folds_and_carried_lengths(case):
                          else H.rmul_gen(got, label))
                 for x in again.terms:
                     assert x._len == k.length(x.trans, x.fin)
+
+
+def _random_element(H, rng):
+    W = H.W
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        t = tuple(rng.randint(-3, 3) for _ in range(W.rd.rank))
+        c = LaurentPoly.v(rng.randint(-3, 3)) * rng.choice((1, -2, 3))
+        terms[W.element(t, rng.randrange(W.weyl.size))] = c
+    return H.from_terms(terms)
+
+
+def _assert_lengths_carried(h):
+    k = h.algebra.W.kernel
+    for x in h.terms:
+        assert x._len == k.length(x.trans, x.fin)
+
+
+@KERNEL_CASES
+def test_inverse_folds_undo_folds(case):
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    H = W.hecke()
+    rng = random.Random(f"inverse-fold-{_ids(case)}")
+    for _ in range(8):
+        h = _random_element(H, rng)
+        for slot in range(len(W.gen_labels)):
+            for left in (True, False):
+                there = H._fold(h, slot, left, False)
+                back = H._fold(there, slot, left, True)
+                assert back == h
+                _assert_lengths_carried(back)
+                assert H._fold(H._fold(h, slot, left, True),
+                               slot, left, False) == h
+
+
+def _old_t_inverse(H, x):
+    """T_x^{-1} expanded on its own: with x = s_1...s_k omega reduced, fold
+    T_{omega^{-1}} by T_s^{-1} = q^{-1} T_s + (q^{-1}-1) T_e for s_k..s_1."""
+    word, om = H.W.reduced_word(x)
+    h = H.t(om.element.inverse())
+    for label in reversed(word):
+        h = (H.rmul_gen(h, label).scale(LaurentPoly.q(-1))
+             + h.scale(LaurentPoly.q(-1) - 1))
+    return h
+
+
+@KERNEL_CASES
+def test_t_inverse_and_theta_match_inverse_then_multiply(case):
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    H = W.hecke()
+    rng = random.Random(f"theta-{_ids(case)}")
+    for _ in range(6):
+        t = tuple(rng.randint(-1, 1) for _ in range(rd.rank))
+        x = W.element(t, rng.randrange(W.weyl.size))
+        got = H.t_inverse(x)
+        assert got == _old_t_inverse(H, x)
+        _assert_lengths_carried(got)
+    tried = 0
+    while tried < 3:
+        lam = tuple(rng.randint(-1, 1) for _ in range(rd.rank))
+        if rd.is_dominant(lam):
+            continue
+        tried += 1
+        lam2 = _dominant_cover(rd, lam)
+        lam1 = tuple(a + b for a, b in zip(lam, lam2))
+        want = H.t_times(W.translation(lam1),
+                         _old_t_inverse(H, W.translation(lam2)))
+        got = H.theta(lam)
+        assert got == want.scale(LaurentPoly.v(-dot(lam, rd.two_rho)))
+        _assert_lengths_carried(got)
