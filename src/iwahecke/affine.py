@@ -276,9 +276,6 @@ class AffineWeylGroup:
 
     # -- core operations --------------------------------------------------------
 
-    def length_of(self, trans, fin) -> int:
-        return self.kernel.length(trans, fin)
-
     def reduced_word(self, x: AffineWeylElement):
         """(word, omega) with x = (product of word) * omega, len(word) = l(x).
 

@@ -120,11 +120,6 @@ class SymmetricFunction:
                                  {la: c * p for la, p in self.terms.items()},
                                  check=False)
 
-    def map_coefficients(self, fn) -> "SymmetricFunction":
-        return SymmetricFunction(self.rd,
-                                 {la: fn(c) for la, c in self.terms.items()},
-                                 check=False)
-
     def to_json_obj(self):
         """Dominant-representative serialization: a sorted list of
         {"coweight": [...], "coeff": {v-exponent: int}} entries."""

@@ -28,6 +28,7 @@ import random
 import sys
 from fractions import Fraction
 
+from .affine import _gl_size
 from .center import bernstein_iso, constant_term, monomial_symmetric
 from .deeplevel import (IndeterminatePrecisionError, build_reference_corpus,
                         gl2_level_index, level_compatibility_check,
@@ -262,7 +263,7 @@ def cmd_transfer(args) -> int:
         "routes_match": "PASS" if routes_match else "FAIL",
     }
 
-    n = _gl_n(rd)
+    n = _gl_size(rd)
     m = sum(mu)
     if (n is not None and 0 < m < n
             and sorted(mu, reverse=True) == [1] * m + [0] * (n - m)
@@ -280,11 +281,6 @@ def cmd_transfer(args) -> int:
 
     emit(args, dumps(report))
     return EXIT_OK if routes_match else EXIT_MISMATCH
-
-
-def _gl_n(rd):
-    from .affine import _gl_size
-    return _gl_size(rd)
 
 
 def _int_at_least(text: str, lo: int) -> int:

@@ -168,10 +168,6 @@ class _Field:
     def units(self):
         return range(1, self.q)
 
-    def lift_int(self, n: int) -> int:
-        """Image of an integer under Z -> GF(p) subfield."""
-        return n % self.p
-
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
 

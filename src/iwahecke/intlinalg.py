@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = ["hermite_basis", "reduce_mod_lattice", "smith_normal_form",
-           "solve_rational", "solve_underdetermined", "dot"]
+           "solve_underdetermined", "dot"]
 
 
 def dot(a, b) -> int:
@@ -40,7 +40,6 @@ def hermite_basis(rows):
                 f = r[col] // piv[col]
                 for j in range(n):
                     r[j] -= f * piv[j]
-            live = [r for r in live if r[col]] + [r for r in live[1:] if not r[col]]
             live, extra = [r for r in live if r[col]], [r for r in live if not r[col]]
             rest.extend(extra)
         if live:
@@ -77,14 +76,11 @@ def reduce_mod_lattice(vec, hnf_rows):
 def smith_normal_form(rows, n_cols):
     """Smith normal form D = U*A*V of the integer matrix A (list of rows).
 
-    Returns (diag, U) where diag is the list of diagonal entries of D
-    (length min(#rows, n_cols), possibly with trailing zeros) and U is the
-    unimodular row transform, so that the quotient Z^n_cols / rowspan(A) is
-    read off columnwise from V; only U and diag are needed by callers:
-    the quotient is Z^n / A^T-image and the class of x is determined by
-    (x * V) mod diag.  We return V as well.
-
-    Returns (diag, V) with V the column transform (n_cols x n_cols).
+    Returns (diag, V): diag lists the nonzero diagonal entries of D (at
+    most min(#rows, n_cols) of them) and V is the unimodular column
+    transform (n_cols x n_cols).  The quotient Z^n_cols / rowspan(A) is read
+    off from V: the class of x is determined by (x * V) mod diag, with the
+    columns past len(diag) free.
     """
     a = [list(r) for r in rows]
     m = len(a)
@@ -191,36 +187,3 @@ def solve_underdetermined(rows, target):
     for i, c in enumerate(pivots):
         x[c] = aug[i][n]
     return tuple(x)
-
-
-def solve_rational(matrix_cols, target):
-    """Solve sum_j x_j * matrix_cols[j] = target exactly over Q.
-
-    `matrix_cols` is a list of column vectors (tuples).  Returns the tuple of
-    Fractions x, or None if the system is inconsistent.  The columns must be
-    linearly independent.
-    """
-    n_rows = len(target)
-    n_cols = len(matrix_cols)
-    aug = [[Fraction(matrix_cols[j][i]) for j in range(n_cols)] +
-           [Fraction(target[i])] for i in range(n_rows)]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if aug[i][c]), None)
-        if pr is None:
-            return None  # dependent columns
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    # consistency of the remaining rows
-    for i in range(r, n_rows):
-        if aug[i][n_cols]:
-            return None
-    return tuple(aug[i][n_cols] for i in range(r))

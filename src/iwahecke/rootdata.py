@@ -21,14 +21,27 @@ Custom data come from a small key/value config file, see
 
 Dominance convention everywhere: la is dominant iff <la, a_i> >= 0 for all
 simple roots a_i (upper-triangular Borel for GL(n)).
+
+Positive roots are listed by height, with their integer coordinates in the
+simple roots, both read off the closure of the simple roots under the
+simple reflections:
+
+>>> sp4 = build_root_datum("Sp", 4)
+>>> sp4.simple_roots
+((1, -1), (0, 2))
+>>> sp4.pos_roots
+((0, 2), (1, -1), (1, 1), (2, 0))
+>>> sp4.pos_root_coords
+((0, 1), (1, 0), (1, 1), (2, 1))
+>>> sp4.highest_roots   # (root, coroot) per simple factor
+(((2, 0), (1, 0)),)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import (dot, hermite_basis, reduce_mod_lattice,
-                        smith_normal_form, solve_rational)
+from .intlinalg import dot, hermite_basis, reduce_mod_lattice, smith_normal_form
 
 __all__ = [
     "RootDatum", "RootDatumError", "build_root_datum", "load_root_datum",
@@ -57,6 +70,7 @@ class RootDatum:
     pos_roots: tuple = field(default=(), compare=False)
     pos_coroots: tuple = field(default=(), compare=False)
     two_rho: tuple = field(default=(), compare=False)
+    pos_root_coords: tuple = field(default=(), compare=False)  # in simple roots
 
     # -- basic pairings ------------------------------------------------------
 
@@ -74,13 +88,6 @@ class RootDatum:
             return tuple(la)
         av = self.simple_coroots[i]
         return tuple(x - c * y for x, y in zip(la, av))
-
-    def reflect_char(self, i: int, a) -> tuple:
-        c = dot(self.simple_coroots[i], a)
-        if not c:
-            return tuple(a)
-        ar = self.simple_roots[i]
-        return tuple(x - c * y for x, y in zip(a, ar))
 
     def is_dominant(self, la) -> bool:
         return all(dot(la, a) >= 0 for a in self.simple_roots)
@@ -142,8 +149,8 @@ class RootDatum:
             out = []
             for comp in self.components:
                 best, best_h = None, -1
-                for a, av in zip(self.pos_roots, self.pos_coroots):
-                    coeffs = self._simple_coords(a)
+                for a, av, coeffs in zip(self.pos_roots, self.pos_coroots,
+                                         self.pos_root_coords):
                     if any(coeffs[i] and i not in comp for i in range(self.n_simple)):
                         continue
                     h = sum(coeffs)
@@ -152,15 +159,6 @@ class RootDatum:
                 out.append(best)
             c["highest"] = tuple(out)
         return c["highest"]
-
-    def _simple_coords(self, a):
-        """Integer coordinates of the character `a` in the simple-root basis."""
-        sol = solve_rational([tuple(r) for r in self.simple_roots], a)
-        if sol is None:
-            raise RootDatumError(f"{a} is not in the root lattice span")
-        if any(x.denominator != 1 for x in sol):
-            raise RootDatumError(f"{a} has non-integral root coordinates")
-        return tuple(int(x) for x in sol)
 
     @property
     def coroot_hnf(self):
@@ -226,20 +224,24 @@ class RootDatum:
 
 
 def _close_roots(simple_roots, simple_coroots):
-    """All (root, coroot) pairs, by closing simples under simple reflections."""
-    pairs = {tuple(a): tuple(av) for a, av in zip(simple_roots, simple_coroots)}
+    """root -> (coroot, simple-root coordinates), closing the simple roots
+    under simple reflections: s_i subtracts <a_i^vee, a> from coordinate i."""
+    m = len(simple_roots)
+    pairs = {a: (av, tuple(int(j == i) for j in range(m)))
+             for i, (a, av) in enumerate(zip(simple_roots, simple_coroots))}
     frontier = list(pairs)
     while frontier:
         new = []
         for a in frontier:
-            av = pairs[a]
-            for ai, avi in zip(simple_roots, simple_coroots):
+            av, coords = pairs[a]
+            for i, (ai, avi) in enumerate(zip(simple_roots, simple_coroots)):
                 c = dot(avi, a)
                 ra = tuple(x - c * y for x, y in zip(a, ai))
                 if ra not in pairs:
                     d = dot(av, ai)
                     rav = tuple(x - d * y for x, y in zip(av, avi))
-                    pairs[ra] = rav
+                    rc = coords[:i] + (coords[i] - c,) + coords[i + 1:]
+                    pairs[ra] = (rav, rc)
                     new.append(ra)
                     if len(pairs) > _MAX_ROOTS:
                         raise RootDatumError(
@@ -270,31 +272,25 @@ def _validate_and_build(family, rank, simple_roots, simple_coroots):
                     raise RootDatumError("positive off-diagonal Cartan entry")
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise RootDatumError("asymmetric zero pattern in Cartan matrix")
+    # independent simple roots make the closure's coordinates unique
+    if len(hermite_basis(simple_roots)) < m:
+        raise RootDatumError("simple roots are linearly dependent")
 
-    rd = RootDatum(family, rank, simple_roots, simple_coroots)
-
-    if m:
-        pairs = _close_roots(simple_roots, simple_coroots)
-        pos = []
-        for a, av in pairs.items():
-            coords = rd._simple_coords(a)
-            if all(x >= 0 for x in coords):
-                pos.append((a, av))
-            elif not all(x <= 0 for x in coords):
-                raise RootDatumError(f"root {a} is neither positive nor negative")
-        pos.sort(key=lambda p: (sum(rd._simple_coords(p[0])), p[0]))
-        pos_roots = tuple(a for a, _ in pos)
-        pos_coroots = tuple(av for _, av in pos)
-    else:
-        pos_roots = pos_coroots = ()
+    pos = []
+    for a, (av, coords) in _close_roots(simple_roots, simple_coroots).items():
+        if all(x >= 0 for x in coords):
+            pos.append((sum(coords), a, av, coords))
+        elif not all(x <= 0 for x in coords):
+            raise RootDatumError(f"root {a} is neither positive nor negative")
+    pos.sort()  # by height, then root vector
+    pos_roots = tuple(p[1] for p in pos)
 
     two_rho = tuple(sum(col) for col in zip(*pos_roots)) if pos_roots \
         else (0,) * rank
 
-    rd = RootDatum(family, rank, simple_roots, simple_coroots,
-                   pos_roots, pos_coroots, two_rho)
-    rd.highest_roots  # fail fast on malformed component data
-    return rd
+    return RootDatum(family, rank, simple_roots, simple_coroots, pos_roots,
+                     tuple(p[2] for p in pos), two_rho,
+                     tuple(p[3] for p in pos))
 
 
 def build_root_datum(family: str, n: int) -> RootDatum:

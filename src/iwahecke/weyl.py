@@ -2,10 +2,12 @@
 Indexed finite Weyl groups.
 
 The finite Weyl group of a root datum is enumerated once, breadth-first from
-the identity, and every element is stored as its action matrix on the
-cocharacter lattice.  All group operations used downstream (by the affine
-Weyl group and the Hecke algebra) then become table lookups keyed by element
-index, which is what the kernel consumes.
+the identity, each element told apart by how it permutes the roots (W_0 acts
+faithfully on them).  Every element gets an index, a reduced word, its root
+permutation and its action matrix on the cocharacter lattice.  All group
+operations used downstream (by the affine Weyl group and the Hecke algebra)
+then become table lookups keyed by element index, which is what the kernel
+consumes.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> w = IndexedWeyl(build_root_datum("GL", 3))
@@ -72,39 +74,41 @@ class IndexedWeyl:
 
         # breadth-first enumeration; level order gives the length function.
         # bfs_word[w] is a reduced word of w, and images[w] lists the ids of
-        # w^{-1}(alpha) = w^T(alpha) over the positive roots alpha.
+        # w^{-1}(alpha) = w^T(alpha) over the positive roots alpha: a
+        # faithful key, since the Cartan matrix of finite type is
+        # nondegenerate.  The action matrix of w s_i is built once, when it
+        # is first reached.
+        images = [tuple(range(npos))]
+        by_image = {images[0]: 0}
         mats = [ident]
-        index = {ident: 0}
         length = [0]
         rmul = [[0] * m]
         bfs_word = [()]
-        images = [tuple(range(npos))]
         frontier = [0]
         while frontier:
             new = []
             for w in frontier:
-                mw = mats[w]
+                img = images[w]
                 for i in range(m):
-                    p = _reflect_right(mw, coroots[i], roots[i])
-                    j = index.get(p)
+                    p = tuple(map(root_perm[i].__getitem__, img))
+                    j = by_image.get(p)
                     if j is None:
                         j = len(mats)
                         if j >= _MAX_GROUP:
                             raise RootDatumError("finite Weyl group too large")
-                        mats.append(p)
-                        index[p] = j
+                        by_image[p] = j
+                        images.append(p)
+                        mats.append(_reflect_right(mats[w], coroots[i], roots[i]))
                         length.append(length[w] + 1)
                         rmul.append([0] * m)
                         bfs_word.append(bfs_word[w] + (i,))
-                        perm = root_perm[i]
-                        images.append(tuple(perm[k] for k in images[w]))
                         new.append(j)
                     rmul[w][i] = j
             frontier = new
 
         self.size = len(mats)
         self.mats = tuple(mats)
-        self.index = index
+        self.index = {mat: j for j, mat in enumerate(mats)}
         self.length = tuple(length)
         self.rmul = rmul = tuple(tuple(r) for r in rmul)
         # w^{-1} is the product of the reversed word; s_i w = (w^{-1} s_i)^{-1}

@@ -2,8 +2,7 @@ import random
 from fractions import Fraction
 
 from iwahecke.intlinalg import (dot, hermite_basis, reduce_mod_lattice,
-                                smith_normal_form, solve_rational,
-                                solve_underdetermined)
+                                smith_normal_form, solve_underdetermined)
 
 
 def test_hermite_gl_coroot_lattice():
@@ -41,13 +40,6 @@ def test_smith_normal_form_quotients():
     # GL(3) coroot lattice: quotient Z (one zero column)
     diag, v = smith_normal_form([[1, -1, 0], [0, 1, -1]], 3)
     assert diag == [1, 1]
-
-
-def test_solve_rational():
-    cols = [(1, 0), (1, 1)]
-    x = solve_rational(cols, (3, 2))
-    assert x == (Fraction(1), Fraction(2))
-    assert solve_rational([(1, 1)], (1, 2)) is None  # inconsistent
 
 
 def test_solve_underdetermined():

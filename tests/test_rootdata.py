@@ -8,6 +8,7 @@ from iwahecke.rootdata import (RootDatumError, build_root_datum,
                                pair_two_rho, weyl_orbit)
 
 from conftest import DATA
+from test_kernel_tables import CONFIGS, GROUPS, _datum
 
 
 def test_gl_two_rho(gl2, gl3):
@@ -33,11 +34,19 @@ def test_rejects_bad_rank():
         build_root_datum("E", 8)
 
 
-def test_positive_roots_are_nonneg_combinations(gl4, sp4, gsp4):
-    for rd in (gl4, sp4, gsp4):
-        for a in rd.pos_roots:
-            coords = rd._simple_coords(a)
-            assert all(x >= 0 for x in coords)
+def test_positive_roots_are_nonneg_combinations():
+    for case in GROUPS + CONFIGS:
+        rd = _datum(case)
+        assert len(rd.pos_root_coords) == len(rd.pos_roots), case
+        heights = []
+        for a, coords in zip(rd.pos_roots, rd.pos_root_coords):
+            assert len(coords) == rd.n_simple
+            assert all(type(x) is int and x >= 0 for x in coords), (case, a)
+            assert a == tuple(
+                sum(c * ai[k] for c, ai in zip(coords, rd.simple_roots))
+                for k in range(rd.rank)), (case, a)
+            heights.append(sum(coords))
+        assert heights == sorted(heights), case
         assert rd.two_rho == tuple(sum(col) for col in zip(*rd.pos_roots))
 
 
@@ -137,16 +146,26 @@ def test_custom_config_torsion_omega():
     assert pgl2.kappa_reduce((3,)) == (1,)
 
 
+def _cfg(tmp_path, rank, roots, coroots):
+    path = tmp_path / "datum.cfg"
+    path.write_text(f"rank {rank}\nsimple_roots\n" + "\n".join(roots)
+                    + "\nend\nsimple_coroots\n" + "\n".join(coroots) + "\nend\n")
+    return path
+
+
 def test_config_validation(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("rank 1\nsimple_roots\n1\nend\nsimple_coroots\n1\nend\n")
-    with pytest.raises(RootDatumError):  # <a^vee, a> = 1 != 2
-        load_root_datum(bad)
-    affine = tmp_path / "affine.cfg"
-    affine.write_text(
-        "rank 2\nsimple_roots\n2 -2\n-2 2\nend\nsimple_coroots\n1 -1\n-1 1\nend\n")
-    with pytest.raises(RootDatumError):  # affine A_1^(1) Cartan matrix
-        load_root_datum(affine)
+    with pytest.raises(RootDatumError, match=r"<a_0\^vee, a_0> = 1 != 2"):
+        load_root_datum(_cfg(tmp_path, 1, ["1"], ["1"]))
+    # <a_0^vee, a_0> = 4: rejected before any closure
+    with pytest.raises(RootDatumError, match=r"<a_0\^vee, a_0> = 4 != 2"):
+        load_root_datum(_cfg(tmp_path, 2, ["2 -2", "-2 2"], ["1 -1", "-1 1"]))
+    # affine A_1^(1): Cartan matrix ((2, -2), (-2, 2)), an infinite closure
+    with pytest.raises(RootDatumError, match="not of finite type"):
+        load_root_datum(_cfg(tmp_path, 2, ["1 0", "0 1"], ["2 -2", "-2 2"]))
+    # a_1 = -a_0: the same affine Cartan matrix, but the dependent simple
+    # roots close up to just {a_0, -a_0}
+    with pytest.raises(RootDatumError, match="linearly dependent"):
+        load_root_datum(_cfg(tmp_path, 1, ["1", "-1"], ["2", "-2"]))
 
 
 def test_levi_sub_datum(gl3):
