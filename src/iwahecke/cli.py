@@ -49,6 +49,10 @@ EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
 _INVARIANCE_SEED = 271828
+# CPython's default limit on int <-> str conversion: scholze rows print
+# phi_n and z_n in decimal, so no value may have more digits than this
+_MAX_VALUE_DIGITS = 4300
+_MAX_VALUE_BITS = (10 ** _MAX_VALUE_DIGITS).bit_length()
 
 
 class PreconditionError(ValueError):
@@ -324,15 +328,33 @@ def _parse_q(q: int):
     return GF(p, r)
 
 
+def _check_level_size(n: int, q: int):
+    """Refuse a level whose rows could not be printed.
+
+    On the support k(g) <= 0, so |phi_n| <= 1 + q^(2n-1), and the
+    denominator of z_n divides [K:K_n] = q^(4(n-1))(q^2-1)(q^2-q), the
+    larger of the two.  Both are printed in decimal.
+    """
+    # q^(4(n-1)) >= 2^(4(n-1)(bits(q)-1)): refuse the hopeless levels
+    # without building their numbers
+    too_large = (4 * (n - 1) * (q.bit_length() - 1) >= _MAX_VALUE_BITS
+                 or gl2_level_index(n, q) >= 10 ** _MAX_VALUE_DIGITS)
+    if too_large:
+        raise PreconditionError(
+            f"--n {n} is too large for q = {q}: [K:K_n] would have more "
+            f"than {_MAX_VALUE_DIGITS} decimal digits")
+
+
 def cmd_scholze(args) -> int:
     field = _parse_q(args.q)
     n = args.n
     if args.format == "json":
         raise PreconditionError("scholze output is CSV only")
+    _check_level_size(n, field.q)
     if args.corpus:
         mats = load_corpus(args.corpus, field, precision=args.precision)
     else:
-        mats = [g.truncate(args.precision) if args.precision else g
+        mats = [g if args.precision is None else g.truncate(args.precision)
                 for g in build_reference_corpus(field, count=args.count)]
 
     buf = io.StringIO()

@@ -55,7 +55,7 @@ class IndeterminatePrecisionError(ValueError):
 def ell_invariant(g: Matrix2):
     """val det(1 - g); 'inf' (with exactness certificate) when 1 - g is
     exactly singular.  Raises when precision cannot resolve the valuation."""
-    d = (Matrix2.identity(g.field) - g).det()
+    d = _one_minus(g).det()
     v = d.valuation()
     if v is None:
         raise IndeterminatePrecisionError(
@@ -77,6 +77,14 @@ def k_invariant(g: Matrix2) -> int:
         raise IndeterminatePrecisionError(
             "an unresolved entry could have smaller valuation")
     return k
+
+
+def _one_minus(g: Matrix2) -> Matrix2:
+    """1 - g, entry by entry.  Its determinant is taken as a product, never
+    as 1 - tr g + det g: for a = d = 1 + O(t^2), b = c = 0 the product
+    keeps O(t^4) where that identity keeps only O(t^2)."""
+    one = TruncatedSeries.one(g.field)
+    return Matrix2(one - g.a, -g.b, -g.c, one - g.d)
 
 
 # -- the GL_2 family -----------------------------------------------------------
@@ -128,7 +136,7 @@ def scholze_phi(n: int, g: Matrix2) -> int:
         return -1 - q
 
     # unit trace: compare l(g) with n + k(g)
-    d1g = (Matrix2.identity(f) - g).det()
+    d1g = _one_minus(g).det()
     res = d1g.resolve_val_below(n + k)
     if res is None:
         raise IndeterminatePrecisionError(
@@ -154,18 +162,37 @@ def scholze_z(n: int, g: Matrix2) -> Fraction:
 
 def kn_coset_reps(field, n: int):
     """Representatives 1 + t^n * lift(M), M over M_2(F_q), of K_n/K_{n+1}."""
-    for quad in itertools.product(field.elements(), repeat=4):
-        m = Matrix2(*(TruncatedSeries.monomial(field, n, c) if c
-                      else TruncatedSeries.zero(field) for c in quad))
-        yield Matrix2.identity(field) + m
+    elts = field.elements()
+    # the entries 1 + c t^n and c t^n, one per field element c
+    one_plus = [TruncatedSeries(field, 0, (1,) + (0,) * (n - 1) + (c,))
+                for c in elts]
+    mono = [TruncatedSeries.monomial(field, n, c) for c in elts]
+    for m11, m12, m21, m22 in itertools.product(elts, repeat=4):
+        yield Matrix2(one_plus[m11], mono[m12], mono[m21], one_plus[m22])
 
 
 def level_compatibility_check(n: int, g: Matrix2) -> bool:
-    """Does sum over K_n/K_{n+1} of z_{n+1}(g k) equal z_n(g) at this g?"""
+    """Does sum over K_n/K_{n+1} of z_{n+1}(g k) equal z_n(g) at this g?
+
+    For k = 1 + t^n M the product is g k = g + t^n (g M), and an entry of
+    g M pairs a row of g with a column (x, y) of M.  So every entry of g k
+    is looked up in a table over the q^2 columns, built by `scale` and
+    `shift`; no series product is formed per coset.
+    """
     field = g.field
+    a, b, c, d = g.entries
+    cols = list(itertools.product(field.elements(), repeat=2))
+    top = {(x, y): (a.scale(x) + b.scale(y)).shift(n) for x, y in cols}
+    bottom = {(x, y): (c.scale(x) + d.scale(y)).shift(n) for x, y in cols}
+    ga = {col: a + s for col, s in top.items()}
+    gb = {col: b + s for col, s in top.items()}
+    gc = {col: c + s for col, s in bottom.items()}
+    gd = {col: d + s for col, s in bottom.items()}
     total = Fraction(0)
     for k in kn_coset_reps(field, n):
-        total += scholze_z(n + 1, g * k)
+        m11, m12, m21, m22 = (e.coeff_at(n) for e in k.entries)
+        gk = Matrix2(ga[m11, m21], gb[m12, m22], gc[m11, m21], gd[m12, m22])
+        total += scholze_z(n + 1, gk)
     return total == scholze_z(n, g)
 
 

@@ -12,9 +12,37 @@ than guess.
 Representation invariants: `coeffs` has no leading or trailing zeros and
 covers t^val .. t^(val + len - 1); a series with no known-nonzero coefficient
 has val=None (exact -> the true zero; inexact -> zero modulo t^prec).
+
+Arithmetic is dense over a prime field GF(p) (`field.r == 1`), whose
+elements are the ints 0..p-1: a sum adds the two aligned coefficient
+windows as ints and reduces mod p once, and a product is one big-int
+multiply by Kronecker substitution, reduced mod p once per coefficient.
+Over GF(p^r) with r > 1 the same loops look sums and products up in the
+field's `add_table` and `mul_table`.  The precision rule is the same for
+both: a sum is known below the smaller precision, and a product below
+min(val a + prec b, val b + prec a), an unknown zero O(t^k) counting k as
+its valuation.
+
+>>> from iwahecke.ffield import GF
+>>> f = GF(3)
+>>> a = TruncatedSeries(f, 0, [1, 1, 1], prec=3)    # 1 + t + t^2 + O(t^3)
+>>> b = TruncatedSeries.monomial(f, 2)              # t^2, exact
+>>> a + b
+<1*t^0 + 1*t^1 + 2*t^2 + O(t^3)>
+>>> a * b
+<1*t^2 + 1*t^3 + 1*t^4 + O(t^5)>
+>>> (a - a).valuation() is None                     # zero modulo t^3 only
+True
+>>> f4 = GF(2, 2)                                   # the table path
+>>> c = TruncatedSeries(f4, 0, [1, 2])              # 1 + x t, x^2 = x + 1
+>>> c * c
+<1*t^0 + 3*t^2>
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 __all__ = ["TruncatedSeries", "Matrix2"]
 
@@ -109,29 +137,54 @@ class TruncatedSeries:
         if other.field is not self.field:
             raise ValueError("series over different fields")
 
-    def __add__(self, other):
+    def _add(self, other, negate):
+        """self + other, or self - other when `negate`: the two coefficient
+        windows are aligned and combined slot by slot."""
         self._check(other)
         f = self.field
         prec = _min_prec(self.prec, other.prec)
-        if self.val is None and other.val is None:
-            return TruncatedSeries(f, 0, (), prec)
-        lo = min(v for v in (self.val, other.val) if v is not None)
-        hi = max((v + len(s.coeffs)) for v, s in
-                 ((self.val, self), (other.val, other)) if v is not None)
-        out = []
-        for k in range(lo, hi):
-            a = self.coeff_at(k) or 0
-            b = other.coeff_at(k) or 0
-            out.append(f.add(a, b))
-        return TruncatedSeries(f, lo, out, prec)
+        va, vb = self.val, other.val
+        a, b = self.coeffs, other.coeffs
+        if vb is None:
+            if va is None:
+                return TruncatedSeries(f, 0, (), prec)
+            vb = va  # an empty window may sit anywhere
+        elif va is None:
+            va = vb
+        prime = f.r == 1
+        if negate:  # over GF(p), p - y is reduced with the sum below
+            b = [f.p - y for y in b] if prime else [f.neg_table[y] for y in b]
+        if vb < va:
+            a, va, b, vb = b, vb, a, va
+        out = list(a)
+        off = vb - va
+        out += [0] * (off + len(b) - len(out))
+        if prime:
+            for k, y in enumerate(b, off):
+                out[k] += y
+            p = f.p
+            out = [c % p for c in out]
+        else:
+            add_t = f.add_table
+            for k, y in enumerate(b, off):
+                out[k] = add_t[out[k]][y]
+        return TruncatedSeries(f, va, out, prec)
+
+    def __add__(self, other):
+        return self._add(other, False)
+
+    def __sub__(self, other):
+        return self._add(other, True)
 
     def __neg__(self):
         f = self.field
-        return TruncatedSeries(f, self.val or 0,
-                               [f.neg(c) for c in self.coeffs], self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
+        if f.r == 1:
+            p = f.p
+            out = [-c % p for c in self.coeffs]
+        else:
+            neg = f.neg_table
+            out = [neg[c] for c in self.coeffs]
+        return TruncatedSeries(f, self.val or 0, out, self.prec)
 
     def __mul__(self, other):
         self._check(other)
@@ -151,20 +204,30 @@ class TruncatedSeries:
         if self.val is None or other.val is None:
             # a factor with no known coefficient: product has none either
             return TruncatedSeries(f, 0, (), prec)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] = f.add(out[i + j], f.mul(x, y))
+        a, b = self.coeffs, other.coeffs
+        if f.r == 1:
+            out = _kronecker(a, b, f.p)
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            add_t, mul_t = f.add_table, f.mul_table
+            for i, x in enumerate(a):
+                if x:
+                    row = mul_t[x]
+                    for k, y in enumerate(b, i):
+                        out[k] = add_t[out[k]][row[y]]
         return TruncatedSeries(f, self.val + other.val, out, prec)
 
     def scale(self, c: int) -> "TruncatedSeries":
         f = self.field
         if c == 0:
             return TruncatedSeries(f, 0, ())  # exact: 0 * unknown = 0
-        return TruncatedSeries(f, self.val or 0,
-                               [f.mul(c, x) for x in self.coeffs], self.prec)
+        if f.r == 1:
+            p = f.p
+            out = [c * x % p for x in self.coeffs]
+        else:
+            row = f.mul_table[c]
+            out = [row[x] for x in self.coeffs]
+        return TruncatedSeries(f, self.val or 0, out, self.prec)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k."""
@@ -187,6 +250,32 @@ class TruncatedSeries:
                               for i, c in enumerate(self.coeffs) if c)
         tail = "" if self.prec is None else f" + O(t^{self.prec})"
         return f"<{body}{tail}>"
+
+
+_ORDER = sys.byteorder
+# (exclusive bound, width in bytes, array typecode) for each slot width
+_SLOTS = sorted((1 << 8 * array(code).itemsize, array(code).itemsize, code)
+                for code in "BHIQ")
+
+
+def _kronecker(a, b, p: int) -> list:
+    """The product of two coefficient sequences over GF(p), by Kronecker
+    substitution (Harvey, J. Symb. Comp. 2009): each sequence is packed
+    into one int, one slot per coefficient, the two ints are multiplied
+    once, and the slots of the product are read back and reduced mod p.
+
+    A slot must hold a raw coefficient of the product, at most
+    min(len a, len b) (p-1)^2, so it is the narrowest of 1, 2, 4 and 8
+    bytes that does; 8 bytes hold it for any p the field tables allow.
+    """
+    top = min(len(a), len(b)) * (p - 1) ** 2
+    for bound, width, code in _SLOTS:
+        if top < bound:
+            break
+    x = int.from_bytes(array(code, a), _ORDER) * \
+        int.from_bytes(array(code, b), _ORDER)
+    slots = array(code, x.to_bytes(width * (len(a) + len(b) - 1), _ORDER))
+    return [c % p for c in slots]
 
 
 def _min_prec(a, b):

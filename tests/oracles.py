@@ -4,12 +4,17 @@ Independent test-side oracles.
 These deliberately avoid the production code paths they check: shortest
 words come from breadth-first search over generator products, Bruhat order
 from brute-force subword enumeration, admissible sets from the subword
-closure of the maximal translations.
+closure of the maximal translations; truncated-series arithmetic goes one
+coefficient at a time through the field's tables, and the change-of-level
+coset sum through full 2x2 products.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
+from iwahecke.deeplevel import scholze_z
 from iwahecke.rootdata import weyl_orbit
+from iwahecke.series import Matrix2, TruncatedSeries
 
 
 def all_elements_up_to_length(W, max_len, omega_grades=(0,)):
@@ -90,8 +95,6 @@ def admissible_set_subwords(W, mu):
 
 def dominant_minuscule_in_box(rd, lo=-1, hi=1):
     """All dominant minuscule coweights with coordinates in [lo, hi]."""
-    from itertools import product
-
     from iwahecke.rootdata import is_minuscule
     out = []
     for mu in product(range(hi, lo - 1, -1), repeat=rd.rank):
@@ -117,3 +120,74 @@ def random_hecke_element(H, rng, size=3, coord_span=2):
         c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) or 1})
         terms[x] = terms.get(x, LaurentPoly()) + c
     return H.from_terms(terms)
+
+
+# -- truncated series, one coefficient at a time ------------------------------
+
+
+def _min_prec(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def series_add(a, b):
+    """a + b by `coeff_at` and `field.add`, coefficient by coefficient."""
+    f = a.field
+    prec = _min_prec(a.prec, b.prec)
+    if a.val is None and b.val is None:
+        return TruncatedSeries(f, 0, (), prec)
+    lo = min(s.val for s in (a, b) if s.val is not None)
+    hi = max(s.val + len(s.coeffs) for s in (a, b) if s.val is not None)
+    out = [f.add(a.coeff_at(k) or 0, b.coeff_at(k) or 0)
+           for k in range(lo, hi)]
+    return TruncatedSeries(f, lo, out, prec)
+
+
+def series_neg(a):
+    return TruncatedSeries(a.field, a.val or 0,
+                           [a.field.neg(c) for c in a.coeffs], a.prec)
+
+
+def series_sub(a, b):
+    return series_add(a, series_neg(b))
+
+
+def series_scale(a, c):
+    f = a.field
+    if c == 0:
+        return TruncatedSeries(f, 0, ())
+    return TruncatedSeries(f, a.val or 0, [f.mul(c, x) for x in a.coeffs],
+                           a.prec)
+
+
+def series_mul(a, b):
+    """a * b by schoolbook `field.add`/`field.mul`; the product is known
+    below min(val a + prec b, val b + prec a), an unknown zero O(t^k)
+    counting k as its valuation, and an exact zero annihilates."""
+    f = a.field
+    if a.is_known_zero() or b.is_known_zero():
+        return TruncatedSeries(f, 0, ())
+
+    def eff_val(s):
+        return s.val if s.val is not None else (s.prec or 0)
+    cands = [eff_val(x) + y.prec for x, y in ((a, b), (b, a))
+             if y.prec is not None]
+    prec = min(cands) if cands else None
+    if a.val is None or b.val is None:
+        return TruncatedSeries(f, 0, (), prec)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return TruncatedSeries(f, a.val + b.val, out, prec)
+
+
+def level_compatibility_by_products(n, g):
+    """sum over K_n/K_{n+1} of z_{n+1}(g k) == z_n(g), each representative
+    built as identity + t^n M and each g k a full 2x2 product."""
+    f = g.field
+    total = Fraction(0)
+    for quad in product(f.elements(), repeat=4):
+        m = Matrix2(*(TruncatedSeries.monomial(f, n, c) if c
+                      else TruncatedSeries.zero(f) for c in quad))
+        total += scholze_z(n + 1, g * (Matrix2.identity(f) + m))
+    return total == scholze_z(n, g)

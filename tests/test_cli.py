@@ -278,6 +278,47 @@ def test_scholze_checked_rows_pass(tmp_path, capsys):
     assert report["status"] == "PASS"
 
 
+def test_scholze_precision_zero_truncates_generated_corpus(tmp_path, capsys):
+    # O(t^0) decides nothing: every row is undecided, so nothing passes
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
+                   "--count", "3", "--precision", "0")
+    assert rc == 0
+    rows = data.decode().strip().splitlines()[1:]
+    assert len(rows) == 3 and all(r.endswith("INDETERMINATE") for r in rows)
+    assert json.loads(capsys.readouterr().out)["status"] == "UNCHECKED"
+
+
+def _largest_printable_level(q):
+    # [K:K_n] = q^(4(n-1)) (q^2-1)(q^2-q) must print in at most 4300 digits
+    n = 1
+    while q ** (4 * n) * (q * q - 1) * (q * q - q) < 10 ** 4300:
+        n += 1
+    return n
+
+
+def test_scholze_level_size_guard_boundary(tmp_path, capsys, monkeypatch):
+    n = _largest_printable_level(2)
+    rc, data = run(tmp_path, "scholze", "--n", str(n), "--q", "2",
+                   "--count", "1", "--pairs", "0", name="edge")
+    assert rc == 0
+    phi, z = data.decode().splitlines()[1].split(",")[2:4]
+    assert int(phi) == 1 + 2 ** (2 * n - 1)       # the largest value of phi_n
+    assert len(z.split("/")[1]) > 4290
+    capsys.readouterr()
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+    monkeypatch.setattr("iwahecke.cli.build_reference_corpus", no_rows)
+    monkeypatch.setattr("iwahecke.cli.scholze_phi", no_rows)
+    for q, level in ((2, n + 1), (3, _largest_printable_level(3) + 1),
+                     (2, 10 ** 9)):
+        rc, data = run(tmp_path, "scholze", "--n", str(level), "--q", str(q),
+                       "--count", "1", name="over")
+        assert rc == 3 and data == b""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --n ")
+
+
 def test_scholze_negative_count_rejected(tmp_path):
     rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
                    "--count", "-1")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +19,13 @@ from iwahecke.ffield import GF
 from iwahecke.rootdata import build_root_datum
 from iwahecke.series import Matrix2, TruncatedSeries
 
-from oracles import all_elements_up_to_length, bruhat_leq_subwords
+from oracles import (all_elements_up_to_length, bruhat_leq_subwords,
+                     level_compatibility_by_products)
 
 F2 = GF(2)
 F3 = GF(3)
+CORPUS = {2: Path("src/iwahecke/data/scholze_corpus_q2.txt"),
+          3: Path("src/iwahecke/data/scholze_corpus_q3.txt")}
 
 
 def mono(f, k, c=1):
@@ -177,6 +181,43 @@ def test_level_compatibility_reference_points():
     assert level_compatibility_check(1, g_anti)
     assert level_compatibility_check(1, g_diag)
     assert level_compatibility_check(1, g_off)  # 0 = 0
+
+
+def _outcome(check, n, g):
+    try:
+        return check(n, g)
+    except IndeterminatePrecisionError as exc:
+        return str(exc)
+
+
+# every 4th matrix of the q=2 corpus and every 10th of the q=3 one: the
+# full-product oracle is q^4 products per check
+@pytest.mark.parametrize("q,stride", [(2, 4), (3, 10)])
+@pytest.mark.parametrize("precision", [None, 2, 3, 12])
+def test_level_compatibility_matches_full_products(q, stride, precision):
+    mats = load_corpus(CORPUS[q], GF(q), precision)[::stride]
+    seen = set()
+    for g in mats:
+        for n in (1, 2):
+            got = _outcome(level_compatibility_check, n, g)
+            assert got == _outcome(level_compatibility_by_products, n, g)
+            seen.add(type(got))
+    # truncation to O(t^2) leaves some rows undecided, and the rest decided
+    assert seen == ({bool, str} if precision == 2 else {bool})
+
+
+def test_det_one_minus_g_keeps_product_precision():
+    # a = d = 1 + O(t^2), b = c = 0: (1-a)(1-d) is known to O(t^4), where
+    # 1 - tr g + det g would be known to O(t^2) only
+    for f in (F2, F3):
+        one = TruncatedSeries.one(f, prec=2)
+        g = diag(f, one, one)
+        with pytest.raises(IndeterminatePrecisionError, match=r"O\(t\^4\)"):
+            ell_invariant(g)
+        # a = d = 1 + t^2 + O(t^3): the product pins val det(1-g) = 4, and
+        # 1 - tr g + det g = O(t^3) would leave it undecided
+        a = (mono(f, 0) + mono(f, 2)).truncate(3)
+        assert ell_invariant(diag(f, a, a)) == 4
 
 
 def test_level_compatibility_independent_of_representatives():

@@ -3,7 +3,10 @@ import random
 import pytest
 
 from iwahecke.ffield import GF
-from iwahecke.series import Matrix2, TruncatedSeries
+from iwahecke.series import Matrix2, TruncatedSeries, _kronecker
+
+from oracles import (series_add, series_mul, series_neg, series_scale,
+                     series_sub)
 
 
 def mono(f, k, c=1, prec=None):
@@ -147,3 +150,53 @@ def test_exact_zero_annihilates():
     assert (zero * fuzzy).is_known_zero()
     assert (fuzzy * zero).is_known_zero()
     assert fuzzy.scale(0).is_known_zero()
+
+
+def _random_series(f, rng):
+    """Exact zeros, unknown zeros O(t^k), negative valuations, exact and
+    inexact series with interior zeros."""
+    kind = rng.random()
+    if kind < 0.1:
+        return TruncatedSeries.zero(f)
+    if kind < 0.2:
+        return TruncatedSeries(f, 0, [], rng.randrange(-3, 7))
+    coeffs = [rng.randrange(f.q) for _ in range(rng.randrange(1, 9))]
+    prec = None if rng.random() < 0.5 else rng.randrange(-2, 12)
+    return TruncatedSeries(f, rng.randrange(-3, 4), coeffs, prec)
+
+
+def _state(s):
+    return s.val, s.coeffs, s.prec
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_dense_arithmetic_matches_table_oracle(p, r):
+    # the prime-field windows and Kronecker product, and the GF(p^r)
+    # table loops, against one coefficient at a time through the tables
+    f = GF(p, r)
+    rng = random.Random(100 * p + r)
+    kinds = set()
+    for _ in range(600):
+        a, b = _random_series(f, rng), _random_series(f, rng)
+        kinds.add((a.val is None, a.exact, b.val is None, b.exact))
+        c = rng.randrange(f.q)
+        assert _state(a + b) == _state(series_add(a, b))
+        assert _state(a - b) == _state(series_sub(a, b))
+        assert _state(a * b) == _state(series_mul(a, b))
+        assert _state(-a) == _state(series_neg(a))
+        assert _state(a.scale(c)) == _state(series_scale(a, c))
+    assert len(kinds) == 16  # every pairing of zero/nonzero, exact/inexact
+
+
+def test_kronecker_slot_widths():
+    # all-(p-1) inputs make the largest raw coefficients, min(len) (p-1)^2;
+    # these cases cross from 1- to 2-, 4- and 8-byte slots (4093 is the
+    # largest prime the field tables allow)
+    for p, n in [(2, 255), (2, 256), (3, 64), (17, 1), (257, 2), (4093, 300)]:
+        a = [p - 1] * n
+        b = [p - 1] * (n + 3)
+        raw = [0] * (2 * n + 2)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                raw[i + j] += x * y
+        assert _kronecker(a, b, p) == [c % p for c in raw], (p, n)
