@@ -5,8 +5,9 @@ Elements are pairs ``(t, w)`` with ``t`` the translation coweight (a tuple of
 ints) and ``w`` an index into the finite Weyl group tables.  These functions
 are the innermost loops of everything downstream (Bruhat order, admissible
 sets, R-polynomials, Hecke folds).  A generator acts in O(rank) through
-tables built once per group; only `mul`, `inv` and `apply` read the full
-action matrices.
+tables built once per group; `mul`, `inv` and `apply` fold a finite word
+one generator at a time, with no action matrices (Casselman, "Computation
+in Coxeter groups I. Multiplication", Electron. J. Combin. 9, 2002).
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ class Kernel:
 
     The `spec` bundle is built by :class:`iwahecke.affine.AffineWeylGroup`:
 
-    * ``rank`` - lattice rank;
-    * ``act`` - per finite element, its rank x rank action matrix (row tuples);
     * ``inv`` - per finite element, the index of its inverse;
     * ``word`` - per finite element, a reduced word in the finite simple
       reflections, 0-based;
@@ -39,8 +38,6 @@ class Kernel:
     """
 
     def __init__(self, spec: dict):
-        self.rank = spec["rank"]
-        self.act = spec["act"]
         self.inv_table = spec["inv"]
         self.word = spec["word"]
         self.roots = spec["roots"]
@@ -51,31 +48,32 @@ class Kernel:
         self._right = tuple((g[10], g[8]) for g in gens)
         self._ldesc = tuple((g[0], g[1], g[3], g[4]) for g in gens)
         self._rdesc = tuple((g[9], g[1], g[3], g[4]) for g in gens)
-        # finite simple reflection i sits in generator slot i
-        self._rrow = tuple(g[8] for g in gens)
+
+    def _fold(self, letters, t, w):
+        """`lmul_gen` for each finite simple reflection in `letters`, in
+        that order (finite reflection i sits in generator slot i)."""
+        left = self._left
+        for i in letters:
+            vec, _, cvec, lrow = left[i]
+            m = sum(map(mul, t, vec))
+            if m:
+                t = tuple([x - m * c for x, c in zip(t, cvec)])
+            w = lrow[w]
+        return t, w
 
     def apply(self, w: int, vec):
-        return tuple(sum(row[j] * vec[j] for j in range(self.rank))
-                     for row in self.act[w])
+        """w(vec) on a coweight."""
+        return self._fold(reversed(self.word[w]), tuple(vec), 0)[0]
 
     def mul(self, t1, w1, t2, w2):
-        """(t1 w1)(t2 w2) = (t1 + w1(t2), w1 w2)."""
-        a1 = self.act[w1]
-        n = self.rank
-        t = tuple(t1[i] + sum(a1[i][j] * t2[j] for j in range(n))
-                  for i in range(n))
-        # w1 w2 by folding right multiplications over a word of w2
-        rrow = self._rrow
-        for i in self.word[w2]:
-            w1 = rrow[i][w1]
-        return t, w1
+        """(t1 w1)(t2 w2) = (t1 + w1(t2), w1 w2): w1's word folded onto
+        (t2, w2), plus t1."""
+        t, w = self._fold(reversed(self.word[w1]), t2, w2)
+        return tuple(map(add, t1, t)), w
 
     def inv(self, t, w):
-        wi = self.inv_table[w]
-        ai = self.act[wi]
-        n = self.rank
-        ti = tuple(-sum(ai[i][j] * t[j] for j in range(n)) for i in range(n))
-        return ti, wi
+        """(t w)^{-1} = (-w^{-1}(t), w^{-1}): w^{-1}'s word is w's reversed."""
+        return self._fold(self.word[w], tuple([-x for x in t]), 0)
 
     def length(self, t, w) -> int:
         """Iwahori-Matsumoto length of t_t * w."""

@@ -216,8 +216,6 @@ class AffineWeylGroup:
             labels.append(0 if c == 0 else m + c)
 
         self.kernel = Kernel({
-            "rank": rank,
-            "act": w.mats,
             "inv": w.inv,
             "word": w.word,
             "roots": rd.pos_roots,
@@ -285,19 +283,23 @@ class AffineWeylGroup:
         k = self.kernel
         t, w = x.trans, x.fin
         word = []
-        remaining = x.length()
-        while remaining:
-            for slot in self._gen_order:
-                if k.left_descent(slot, t, w):
-                    word.append(self.gen_labels[slot])
-                    t, w = k.lmul_gen(slot, t, w)
-                    remaining -= 1
-                    break
-            else:  # pragma: no cover
-                raise AssertionError("positive-length element with no descent")
+        for _ in range(x.length()):
+            slot = self._first_descent(t, w)
+            word.append(self.gen_labels[slot])
+            t, w = k.lmul_gen(slot, t, w)
         om = OmegaElement(self, self.rd.kappa_reduce(t))
         self._omega_cache.setdefault(om.rep, AffineWeylElement(self, t, w))
         return tuple(word), om
+
+    def _first_descent(self, t, w) -> int:
+        """Slot of the smallest-labelled left descent of a positive-length
+        element (t, w)."""
+        k = self.kernel
+        for slot in self._gen_order:
+            if k.left_descent(slot, t, w):
+                return slot
+        raise AssertionError(  # pragma: no cover
+            "positive-length element with no descent")
 
     def _omega_element(self, rep: tuple) -> AffineWeylElement:
         el = self._omega_cache.get(rep)
@@ -328,9 +330,7 @@ class AffineWeylGroup:
         if cached is not None:
             return cached
         k = self.kernel
-        for slot in self._gen_order:
-            if k.left_descent(slot, ty, wy):
-                break
+        slot = self._first_descent(ty, wy)
         sty, swy = k.lmul_gen(slot, ty, wy)
         if k.left_descent(slot, tx, wx):
             stx, swx = k.lmul_gen(slot, tx, wx)
@@ -342,23 +342,32 @@ class AffineWeylGroup:
 
     def admissible_set(self, mu) -> frozenset:
         """Adm(mu): the downward Bruhat closure of the translations t_la for
-        la in the finite Weyl orbit of the dominant coweight mu."""
+        la in the finite Weyl orbit of the dominant coweight mu.  Deleting
+        letter i of x = s_1...s_k omega leaves s_1...s_{i-1} applied to
+        the tail s_i...s_1 x that stripping left descents has reached."""
         mu = tuple(mu)
         if not self.rd.is_dominant(mu):
             raise RootDatumError(f"{mu} is not dominant")
         cached = self._adm.get(mu)
         if cached is not None:
             return cached
+        k = self.kernel
         maximals = [self.translation(la) for la in weyl_orbit(self.rd, mu)]
         seen = set(maximals)
         frontier = list(maximals)
         while frontier:
             new = []
             for x in frontier:
-                word, om = self.reduced_word(x)
-                base = om.element
-                for i in range(len(word)):
-                    z = self.from_word(word[:i] + word[i + 1:]) * base
+                t, w = x.trans, x.fin
+                prefix = []
+                for _ in range(x.length()):
+                    slot = self._first_descent(t, w)
+                    t, w = k.lmul_gen(slot, t, w)
+                    zt, zw = t, w
+                    for s in reversed(prefix):
+                        zt, zw = k.lmul_gen(s, zt, zw)
+                    prefix.append(slot)
+                    z = AffineWeylElement(self, zt, zw)
                     if z not in seen:
                         seen.add(z)
                         new.append(z)

@@ -34,7 +34,7 @@ from .deeplevel import (IndeterminatePrecisionError, build_reference_corpus,
                         gl2_level_index, level_compatibility_check,
                         load_corpus, matrix_column_text, random_kn_element,
                         scholze_phi)
-from .ffield import GF
+from .ffield import _MAX_Q, GF
 from .hecke import HeckeElement
 from .klpoly import closed_form_bernstein
 from .laurent import LaurentPoly
@@ -313,6 +313,11 @@ def _int_list(text: str) -> list:
 
 
 def _parse_q(q: int):
+    # GF builds q^2-entry tables, so refuse a q they cannot hold before
+    # trial division, which takes time linear in q
+    if not 2 <= q <= _MAX_Q:
+        raise PreconditionError(
+            f"q = {q} is out of supported range 2..{_MAX_Q}")
     p, r = q, 1
     for cand in range(2, q + 1):
         if q % cand == 0:

@@ -67,11 +67,7 @@ class RPolynomials:
             return cached
         W = self.W
         k = W.kernel
-        for slot in W._gen_order:
-            if k.left_descent(slot, ty, wy):
-                break
-        else:  # l(y) = 0 and x != y
-            return _ZERO
+        slot = W._first_descent(ty, wy)
         sty, swy = k.lmul_gen(slot, ty, wy)
         stx, swx = k.lmul_gen(slot, tx, wx)
         if k.left_descent(slot, tx, wx):

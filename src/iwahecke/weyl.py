@@ -3,11 +3,12 @@ Indexed finite Weyl groups.
 
 The finite Weyl group of a root datum is enumerated once, breadth-first from
 the identity, each element told apart by how it permutes the roots (W_0 acts
-faithfully on them).  Every element gets an index, a reduced word, its root
-permutation and its action matrix on the cocharacter lattice.  All group
-operations used downstream (by the affine Weyl group and the Hecke algebra)
-then become table lookups keyed by element index, which is what the kernel
-consumes.
+faithfully on them).  Every element gets an index, a reduced word and its
+root permutation; no action matrix is stored.  All group operations used
+downstream (by the affine Weyl group and the Hecke algebra) then become
+table lookups keyed by element index, which is what the kernel consumes,
+and an element acts on a coweight by folding the simple reflections
+v -> v - <a_i, v> a_i^vee over its word.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> w = IndexedWeyl(build_root_datum("GL", 3))
@@ -17,70 +18,62 @@ consumes.
 3
 >>> w.word[w.longest]   # canonical reduced word, 0-based indices
 (0, 1, 0)
+>>> w.apply(w.longest, (1, 2, 3))
+(3, 2, 1)
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from math import prod
+
 from .rootdata import RootDatum, RootDatumError
 
-__all__ = ["IndexedWeyl", "FiniteWeylElement"]
+__all__ = ["IndexedWeyl", "FiniteWeylElement", "weyl_order"]
 
 _MAX_GROUP = 500_000
 
 
-def _mat_apply(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+def weyl_order(rd: RootDatum) -> int:
+    """|W_0| = prod (m_i + 1) over the exponents m_i, where #{i : m_i >= k}
+    is the number of positive roots of height k (Kostant).
 
-
-def _reflect_right(m, coroot, root):
-    """M s for the reflection s = 1 - coroot (x) root: the rank-1 update
-    M - (M coroot) root."""
-    mc = _mat_apply(m, coroot)
-    return tuple(tuple(x - c * a for x, a in zip(row, root))
-                 for row, c in zip(m, mc))
+    >>> from iwahecke.rootdata import build_root_datum
+    >>> weyl_order(build_root_datum("GL", 10))
+    3628800
+    """
+    heights = Counter(sum(c) for c in rd.pos_root_coords)
+    return prod((k + 1) ** (heights[k] - heights[k + 1]) for k in heights)
 
 
 class IndexedWeyl:
     """Fully enumerated finite Weyl group with lookup tables."""
 
     def __init__(self, rd: RootDatum):
+        if weyl_order(rd) > _MAX_GROUP:
+            raise RootDatumError("finite Weyl group too large")
         self.rd = rd
-        rank, m = rd.rank, rd.n_simple
-        coroots, roots = rd.simple_coroots, rd.simple_roots
-        ident = tuple(tuple(1 if i == j else 0 for j in range(rank))
-                      for i in range(rank))
-        self.gen_mats = tuple(_reflect_right(ident, coroots[i], roots[i])
-                              for i in range(m))
+        m = rd.n_simple
 
-        # s_i^T permutes the roots: alpha -> alpha - <alpha, a_i^vee> a_i.
-        # Positive roots get ids 0..npos-1, their negatives npos..2npos-1.
-        npos = len(rd.pos_roots)
-        all_roots = tuple(rd.pos_roots) + tuple(
+        # Root ids: roots[k] (coroots[k]) is the k-th positive root (coroot)
+        # for k < npos and the negative of root (coroot) k - npos above.
+        # s_i^T permutes them: alpha -> alpha - <alpha, a_i^vee> a_i.
+        self.npos = npos = len(rd.pos_roots)
+        self.roots = tuple(rd.pos_roots) + tuple(
             tuple(-x for x in a) for a in rd.pos_roots)
-        all_coroots = tuple(rd.pos_coroots) + tuple(
+        self.coroots = tuple(rd.pos_coroots) + tuple(
             tuple(-x for x in av) for av in rd.pos_coroots)
-        root_id = {a: k for k, a in enumerate(all_roots)}
-        root_perm = []
-        for i in range(m):
-            av, ai = coroots[i], roots[i]
-            row = []
-            for a in all_roots:
-                p = sum(x * y for x, y in zip(a, av))
-                b = tuple(x - p * y for x, y in zip(a, ai))
-                if b not in root_id:  # pragma: no cover - closure guarantees this
-                    raise RootDatumError(f"image {b} of a root is not a root")
-                row.append(root_id[b])
-            root_perm.append(row)
+        self._root_id = {a: k for k, a in enumerate(self.roots)}
+        root_perm = [self._root_reflection(av, a)
+                     for av, a in zip(rd.simple_coroots, rd.simple_roots)]
 
         # breadth-first enumeration; level order gives the length function.
         # bfs_word[w] is a reduced word of w, and images[w] lists the ids of
         # w^{-1}(alpha) = w^T(alpha) over the positive roots alpha: a
         # faithful key, since the Cartan matrix of finite type is
-        # nondegenerate.  The action matrix of w s_i is built once, when it
-        # is first reached.
+        # nondegenerate.
         images = [tuple(range(npos))]
-        by_image = {images[0]: 0}
-        mats = [ident]
+        self._by_image = by_image = {images[0]: 0}
         length = [0]
         rmul = [[0] * m]
         bfs_word = [()]
@@ -93,12 +86,9 @@ class IndexedWeyl:
                     p = tuple(map(root_perm[i].__getitem__, img))
                     j = by_image.get(p)
                     if j is None:
-                        j = len(mats)
-                        if j >= _MAX_GROUP:
-                            raise RootDatumError("finite Weyl group too large")
+                        j = len(images)
                         by_image[p] = j
                         images.append(p)
-                        mats.append(_reflect_right(mats[w], coroots[i], roots[i]))
                         length.append(length[w] + 1)
                         rmul.append([0] * m)
                         bfs_word.append(bfs_word[w] + (i,))
@@ -106,9 +96,7 @@ class IndexedWeyl:
                     rmul[w][i] = j
             frontier = new
 
-        self.size = len(mats)
-        self.mats = tuple(mats)
-        self.index = {mat: j for j, mat in enumerate(mats)}
+        self.size = len(images)
         self.length = tuple(length)
         self.rmul = rmul = tuple(tuple(r) for r in rmul)
         # w^{-1} is the product of the reversed word; s_i w = (w^{-1} s_i)^{-1}
@@ -125,31 +113,38 @@ class IndexedWeyl:
         self.longest = max(range(self.size), key=lambda w: self.length[w])
 
         # canonical reduced word: repeatedly strip the smallest left descent
-        word = [None] * self.size
-        word[0] = ()
-        for w in sorted(range(self.size), key=lambda w: self.length[w]):
-            if w == 0:
-                continue
+        # (indices are in level order, so s_i w was reached before w)
+        word = [()]
+        for w in range(1, self.size):
             for i in range(m):
                 u = self.lmul[w][i]
                 if self.length[u] < self.length[w]:
-                    word[w] = (i,) + word[u]
+                    word.append((i,) + word[u])
                     break
         self.word = tuple(word)
 
         # root_sign[w][a]: is w^{-1}(alpha_a) positive?
         self.root_sign = tuple(tuple(1 if k < npos else -1 for k in img)
                                for img in images)
-        # Root ids: roots[k] (coroots[k]) is the k-th positive root (coroot)
-        # for k < npos and the negative of root (coroot) k - npos above;
-        # root_image[w][a] = images[w^{-1}][a] is the id of w(alpha_a).
-        self.npos = npos
-        self.roots = all_roots
-        self.coroots = all_coroots
+        # root_image[w][a] = images[w^{-1}][a] is the id of w(alpha_a)
         self.root_image = tuple(images[u] for u in inv)
 
+    def _root_reflection(self, coroot, root):
+        """Ids of alpha - <alpha, coroot> root over the roots alpha (the
+        closure of the roots guarantees every image is a root)."""
+        ids = []
+        for a in self.roots:
+            p = sum(x * y for x, y in zip(a, coroot))
+            ids.append(self._root_id[tuple(x - p * y
+                                           for x, y in zip(a, root))])
+        return ids
+
     def apply(self, w: int, vec):
-        return _mat_apply(self.mats[w], vec)
+        """w(vec): the simple reflections of w's word, last letter first."""
+        vec = tuple(vec)
+        for i in reversed(self.word[w]):
+            vec = self.rd.reflect(i, vec)
+        return vec
 
     def mul(self, w1: int, w2: int) -> int:
         rmul = self.rmul
@@ -158,11 +153,10 @@ class IndexedWeyl:
         return w1
 
     def reflection_index(self, coroot, root) -> int:
-        """Index of the reflection with the given (co)root pair."""
-        rank = self.rd.rank
-        mat = tuple(tuple((1 if r == c else 0) - coroot[r] * root[c]
-                          for c in range(rank)) for r in range(rank))
-        return self.index[mat]
+        """Index of the reflection with the given (co)root pair, keyed (as
+        its own inverse) by its images of the positive roots."""
+        key = self._root_reflection(coroot, root)[:self.npos]
+        return self._by_image[tuple(key)]
 
     def element(self, w: int) -> "FiniteWeylElement":
         return FiniteWeylElement(self, w)
@@ -181,10 +175,6 @@ class FiniteWeylElement:
     def word(self):
         """Canonical reduced word, 0-based simple reflection indices."""
         return self.group.word[self.idx]
-
-    @property
-    def matrix(self):
-        return self.group.mats[self.idx]
 
     def length(self) -> int:
         return self.group.length[self.idx]

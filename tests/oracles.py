@@ -4,7 +4,8 @@ Independent test-side oracles.
 These deliberately avoid the production code paths they check: shortest
 words come from breadth-first search over generator products, Bruhat order
 from brute-force subword enumeration, admissible sets from the subword
-closure of the maximal translations; truncated-series arithmetic goes one
+closure of the maximal translations or by deleting one letter at a time
+from evaluated words; truncated-series arithmetic goes one
 coefficient at a time through the field's tables, and the change-of-level
 coset sum through full 2x2 products.
 """
@@ -91,6 +92,26 @@ def admissible_set_subwords(W, mu):
                 sub = tuple(word[i] for i in picks)
                 out.add(W.from_word(sub) * om_el)
     return out
+
+
+def admissible_set_by_deletion(W, mu):
+    """Adm(mu) as the closure of the maximal translations under deleting one
+    letter of a reduced word, each candidate evaluated from its shortened
+    word and multiplied by the Omega part."""
+    seen = {W.translation(la) for la in weyl_orbit(W.rd, mu)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            word, om = W.reduced_word(x)
+            base = om.element
+            for i in range(len(word)):
+                z = W.from_word(word[:i] + word[i + 1:]) * base
+                if z not in seen:
+                    seen.add(z)
+                    new.append(z)
+        frontier = new
+    return seen
 
 
 def dominant_minuscule_in_box(rd, lo=-1, hi=1):

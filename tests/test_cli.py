@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from iwahecke.cli import main
@@ -197,6 +198,17 @@ def test_unsupported_formats_exit_3(tmp_path):
 def test_scholze_rejects_non_prime_power(tmp_path):
     rc, _ = run(tmp_path, "scholze", "--n", "1", "--q", "6")
     assert rc == 3
+
+
+def test_scholze_q_out_of_range_exits_3_before_trial_division(tmp_path,
+                                                              capsys):
+    # trial division up to a prime near 10^9 would take over a minute
+    for q in ("1000000007", "4097", "1", "0", "-4"):
+        start = time.perf_counter()
+        rc, data = run(tmp_path, "scholze", "--n", "1", "--q", q)
+        assert time.perf_counter() - start < 2, q
+        assert rc == 3 and data == b"", q
+        assert "out of supported range" in capsys.readouterr().err, q
 
 
 def test_scholze_generated_corpus_gf9(tmp_path):

@@ -5,8 +5,10 @@ them, checked against plain action-matrix products.
 `oracle_tables` rebuilds every table of `IndexedWeyl` the direct way: a
 breadth-first search multiplying full matrices, inverses by iterated powers,
 left multiplication by matrix products and root signs by applying transposed
-matrices.  The kernel's element operations are checked one by one on random
-elements against the same products and `kernel.length`, with the affine
+matrices.  The group itself keeps no matrices, so its `apply` is checked on a basis
+against the oracle's, and its reflection lookup against the oracle's
+matrix-keyed index.  The kernel's element operations are checked one by
+one on random elements against the same products and `kernel.length`, with the affine
 generators built from the root datum, and the Hecke folds, which read the
 kernel's generator tables and carry lengths, against folds through generic
 products and `kernel.length`.  The T_s^{-1} folds are checked as inverses of
@@ -23,10 +25,11 @@ from iwahecke.affine import AffineWeylGroup
 from iwahecke.hecke import _dominant_cover
 from iwahecke.intlinalg import dot
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
-from iwahecke.rootdata import build_root_datum, load_root_datum
+from iwahecke.rootdata import build_root_datum, is_minuscule, load_root_datum
 from iwahecke.weyl import IndexedWeyl
 
 from conftest import DATA
+from oracles import admissible_set_by_deletion
 
 GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
           ("Sp", 6), ("GSp", 4), ("GSp", 6)]
@@ -137,10 +140,15 @@ def test_weyl_tables_match_matrix_products(case):
     want = oracle_tables(rd)
     got = IndexedWeyl(rd)
     assert got.size == len(want["mats"])
-    for name in ("mats", "length", "rmul", "lmul", "inv", "word",
-                 "root_sign"):
+    for name in ("length", "rmul", "lmul", "inv", "word", "root_sign"):
         assert list(getattr(got, name)) == want[name], name
-    assert got.index == want["index"]
+    # the columns of w's matrix are the images of the basis vectors
+    basis = want["mats"][0]  # the identity: its rows are the basis
+    for w, mat in enumerate(want["mats"]):
+        assert _transpose([got.apply(w, e) for e in basis]) == mat
+    for a, av in zip(rd.pos_roots, rd.pos_coroots):
+        assert (got.reflection_index(av, a)
+                == want["index"][_reflection(av, a)])
     assert tuple(got.gen_index) == want["gen_index"]
     assert got.length[got.longest] == max(want["length"])
     for w1 in range(got.size):
@@ -153,7 +161,8 @@ def test_weyl_tables_match_matrix_products(case):
 def test_affine_generator_rows_match_matrix_products(case):
     rd = _datum(case)
     W = AffineWeylGroup(rd)
-    mats, index = W.weyl.mats, W.weyl.index
+    want = oracle_tables(rd)
+    mats, index = want["mats"], want["index"]
     gens = W.kernel.gens
     assert [(g[5], g[6]) for g in gens] == _affine_generators(rd, index)
     # u acts on a character (row vector) by multiplying with u^{-1}
@@ -187,7 +196,8 @@ def test_kernel_ops_match_matrix_products(case):
     random (t, w, g), against action-matrix products and kernel.length."""
     rd = _datum(case)
     W = AffineWeylGroup(rd)
-    k, mats, index = W.kernel, W.weyl.mats, W.weyl.index
+    want = oracle_tables(rd)
+    k, mats, index = W.kernel, want["mats"], want["index"]
     gens = _affine_generators(rd, index)
 
     def product(t1, w1, t2, w2):
@@ -210,13 +220,17 @@ def test_kernel_ops_match_matrix_products(case):
         assert k.inv(t, w) == (tuple(-x for x in _mat_apply(wi, t)),
                                index[wi])
         assert k.apply(w, t) == _mat_apply(mats[w], t)
+    basis = mats[0]
+    for w, mat in enumerate(mats):
+        assert _transpose([k.apply(w, e) for e in basis]) == mat
 
 
 @KERNEL_CASES
 def test_kernel_mul_matches_matrix_products(case):
     rd = _datum(case)
     W = AffineWeylGroup(rd)
-    k, mats, index = W.kernel, W.weyl.mats, W.weyl.index
+    want = oracle_tables(rd)
+    k, mats, index = W.kernel, want["mats"], want["index"]
     rng = random.Random(f"mul-{_ids(case)}")
     for _ in range(200):
         t1 = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
@@ -225,6 +239,36 @@ def test_kernel_mul_matches_matrix_products(case):
         t = tuple(a + b for a, b in zip(t1, _mat_apply(mats[w1], t2)))
         assert k.mul(t1, w1, t2, w2) == (t, index[_mat_mul(mats[w1],
                                                            mats[w2])])
+
+
+# per datum a dominant minuscule and a non-minuscule coweight; the
+# cocharacter lattices of SL(3) and Sp are coroot lattices, whose only
+# minuscule coweight is 0
+ADM_MUS = {
+    ("GL", 2): [(1, 0), (2, 0)], ("GL", 3): [(1, 0, 0), (2, 1, 0)],
+    ("GL", 4): [(1, 1, 0, 0), (2, 0, 0, 0)],
+    ("GL", 5): [(1, 0, 0, 0, 0), (2, 1, 0, 0, 0)],
+    ("SL", 3): [(0, 0), (1, 1)], ("Sp", 4): [(0, 0), (1, 0)],
+    ("Sp", 6): [(0, 0, 0), (1, 1, 0)],
+    ("GSp", 4): [(0, 0, -1), (1, 0, 0)],
+    ("GSp", 6): [(0, 0, 0, -1), (1, 0, 0, 0)],
+    "gsp4.cfg": [(0, 0, -1), (1, 0, 0)],
+    "gl2xgl2.cfg": [(1, 0, 0, 0), (2, 0, 1, 0)],
+    "pgl2.cfg": [(1,), (2,)],
+}
+
+
+@CASES
+def test_admissible_set_matches_word_deletion(case):
+    """admissible_set strips each word with generator steps; the oracle
+    evaluates every shortened word and multiplies by the Omega part."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    minuscule, other = ADM_MUS[case]
+    assert rd.is_dominant(minuscule) and is_minuscule(rd, minuscule)
+    assert rd.is_dominant(other) and not is_minuscule(rd, other)
+    for mu in (minuscule, other):
+        assert W.admissible_set(mu) == admissible_set_by_deletion(W, mu)
 
 
 def _generic_fold(W, label, h, left):

@@ -1,7 +1,10 @@
 import pytest
 
-from iwahecke.rootdata import build_root_datum
-from iwahecke.weyl import IndexedWeyl
+from iwahecke.cli import main
+from iwahecke.rootdata import RootDatumError, build_root_datum, load_root_datum
+from iwahecke.weyl import _MAX_GROUP, IndexedWeyl, weyl_order
+
+from conftest import DATA
 
 
 @pytest.mark.parametrize("family,n,order", [
@@ -56,3 +59,28 @@ def test_finite_element_wrapper(gl3):
     assert s.length() == 1
     assert s.word == (0,)
     assert s.apply((1, 0, 0)) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("case", [
+    ("GL", 1), ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("GL", 6),
+    ("GL", 7), ("SL", 4), ("Sp", 6), ("Sp", 8), ("GSp", 6),
+    "gsp4.cfg", "gl2xgl2.cfg", "pgl2.cfg",
+], ids=str)
+def test_weyl_order_from_root_heights(case):
+    rd = (load_root_datum(DATA / case) if isinstance(case, str)
+          else build_root_datum(*case))
+    assert weyl_order(rd) == IndexedWeyl(rd).size
+
+
+def test_oversized_weyl_group_refused_before_enumeration(monkeypatch,
+                                                         capsys):
+    assert weyl_order(build_root_datum("GL", 10)) == 3628800 > _MAX_GROUP
+    # with the cap just below |W_0(GL(5))| = 120 the guard must refuse
+    # GL(5), which an enumeration would finish without complaint
+    monkeypatch.setattr("iwahecke.weyl._MAX_GROUP", 119)
+    monkeypatch.setattr("iwahecke.affine._REGISTRY", {})  # no cached GL(5)
+    with pytest.raises(RootDatumError, match="too large"):
+        IndexedWeyl(build_root_datum("GL", 5))
+    assert IndexedWeyl(build_root_datum("GL", 4)).size == 24
+    assert main(["adm", "--group", "GL:5", "--mu", "1,0,0,0,0"]) == 3
+    assert "finite Weyl group too large" in capsys.readouterr().err
