@@ -17,8 +17,12 @@ is compatible with change of level:
 
     sum over K_n/K_{n+1} cosets of z_{n+1}(g k)  =  z_n(g),
 
-which :func:`level_compatibility_check` verifies pointwise by the finite
-q^4-term coset sum.
+which :func:`level_compatibility_check` verifies pointwise.  The finite
+sum runs over q^4 cosets, but g k has one of q^2 first columns and one of
+q^2 second columns: the entries come from per-column tables, the products
+in det(g k) and det(1 - g k) from one Kronecker multiply per factor pair
+(`series.product_grid`), and the integer values phi_{n+1}(g k) are summed
+exactly.  scholze_phi and the coset sum share one body of the formula.
 
 Every evaluator is precision-honest: when the tracked precision of the input
 cannot decide a case split, IndeterminatePrecisionError is raised rather
@@ -27,12 +31,13 @@ than a value guessed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import AffineWeylElement
-from .series import Matrix2, TruncatedSeries
+from .series import Matrix2, TruncatedSeries, product_grid
 
 __all__ = [
     "IndeterminatePrecisionError", "DiagonalTorusPoint",
@@ -65,8 +70,12 @@ def ell_invariant(g: Matrix2):
 
 def k_invariant(g: Matrix2) -> int:
     """The unique k with g in t^k M_2(O) \\ t^(k+1) M_2(O) (min entry val)."""
-    known = [e.val for e in g.entries if e.val is not None]
-    bounds = [e.prec for e in g.entries
+    return _k_of_entries(g.entries)
+
+
+def _k_of_entries(entries) -> int:
+    known = [e.val for e in entries if e.val is not None]
+    bounds = [e.prec for e in entries
               if e.val is None and e.prec is not None]
     if not known:
         if bounds:
@@ -94,12 +103,16 @@ def scholze_phi(n: int, g: Matrix2) -> int:
     """phi_n(g) by the three-case formula; 0 off the support."""
     if n < 1:
         raise ValueError("level n must be >= 1")
-    f = g.field
-    q = f.q
+    return _phi(n, g.field.q, g.entries, g.det(), g.trace,
+                lambda: _one_minus(g).det())
 
+
+def _phi(n: int, q: int, entries, det, trace, det_one_minus) -> int:
+    """phi_n at the g with these entries (a, b, c, d) and det g = `det`.
+    `trace()` and `det_one_minus()` give tr g and det(1 - g), and are
+    called only when the case split reaches them."""
     # support condition 1: val det(g) = 1 (entries may have negative val,
     # so "below order 1" really does mean every order, not just 0)
-    det = g.det()
     ge1 = det.val_ge(1)
     if ge1 is None:
         raise IndeterminatePrecisionError("det(g) valuation unresolved")
@@ -112,7 +125,7 @@ def scholze_phi(n: int, g: Matrix2) -> int:
         return 0
 
     # support condition 2: tr(g) integral
-    tr = g.trace()
+    tr = trace()
     tr_int = tr.val_ge(0)
     if tr_int is None:
         raise IndeterminatePrecisionError("tr(g) valuation unresolved")
@@ -120,14 +133,14 @@ def scholze_phi(n: int, g: Matrix2) -> int:
         return 0
 
     # support condition 3: g in B_{1-n}
-    for e in g.entries:
+    for e in entries:
         ok = e.val_ge(1 - n)
         if ok is None:
             raise IndeterminatePrecisionError("entry valuation unresolved")
         if not ok:
             return 0
 
-    k = k_invariant(g)
+    k = _k_of_entries(entries)
 
     t0 = tr.coeff_at(0)
     if t0 is None:
@@ -136,8 +149,7 @@ def scholze_phi(n: int, g: Matrix2) -> int:
         return -1 - q
 
     # unit trace: compare l(g) with n + k(g)
-    d1g = _one_minus(g).det()
-    res = d1g.resolve_val_below(n + k)
+    res = det_one_minus().resolve_val_below(n + k)
     if res is None:
         raise IndeterminatePrecisionError(
             f"val det(1-g) unresolved below {n + k}")
@@ -174,26 +186,50 @@ def kn_coset_reps(field, n: int):
 def level_compatibility_check(n: int, g: Matrix2) -> bool:
     """Does sum over K_n/K_{n+1} of z_{n+1}(g k) equal z_n(g) at this g?
 
-    For k = 1 + t^n M the product is g k = g + t^n (g M), and an entry of
-    g M pairs a row of g with a column (x, y) of M.  So every entry of g k
-    is looked up in a table over the q^2 columns, built by `scale` and
-    `shift`; no series product is formed per coset.
+    For k = 1 + t^n M the product is g k = g + t^n (g M): its first column
+    depends only on the first column (m11, m21) of M, its second only on
+    (m12, m22).  So the entries of g k come from tables over the q^2
+    columns, built by `scale` and `shift`, and the q^4 products in
+    det(g k) = a d - b c, and in det(1 - g k) = (1-a)(1-d) - b c when a
+    unit trace needs it, come from `product_grid` over a first-column
+    table and a second-column table.  The cosets are visited in
+    `kn_coset_reps` order, and the integer phi_{n+1} values are summed.
     """
+    if n < 1:
+        raise ValueError("level n must be >= 1")
     field = g.field
+    q = field.q
     a, b, c, d = g.entries
     cols = list(itertools.product(field.elements(), repeat=2))
-    top = {(x, y): (a.scale(x) + b.scale(y)).shift(n) for x, y in cols}
-    bottom = {(x, y): (c.scale(x) + d.scale(y)).shift(n) for x, y in cols}
-    ga = {col: a + s for col, s in top.items()}
-    gb = {col: b + s for col, s in top.items()}
-    gc = {col: c + s for col, s in bottom.items()}
-    gd = {col: d + s for col, s in bottom.items()}
-    total = Fraction(0)
-    for k in kn_coset_reps(field, n):
-        m11, m12, m21, m22 = (e.coeff_at(n) for e in k.entries)
-        gk = Matrix2(ga[m11, m21], gb[m12, m22], gc[m11, m21], gd[m12, m22])
-        total += scholze_z(n + 1, gk)
-    return total == scholze_z(n, g)
+    top = [(a.scale(x) + b.scale(y)).shift(n) for x, y in cols]
+    bottom = [(c.scale(x) + d.scale(y)).shift(n) for x, y in cols]
+    ga = [a + s for s in top]
+    gb = [b + s for s in top]
+    gc = [c + s for s in bottom]
+    gd = [d + s for s in bottom]
+    ad = product_grid(ga, gd)
+    cb = product_grid(gc, gb)
+
+    @functools.cache  # formed once, when the first unit trace needs it
+    def one_minus_ad():
+        one = TruncatedSeries.one(field)
+        return product_grid([one - x for x in ga], [one - x for x in gd])
+
+    # the two deferred parts of phi_{n+1}, at the coset (i, j) of the loop
+    def trace():
+        return ga[i] + gd[j]
+
+    def det_one_minus():  # (1-a)(1-d) - (-b)(-c), and (-b)(-c) is b c
+        return one_minus_ad()[i][j] - bc
+
+    total = 0
+    for m11, m12, m21, m22 in itertools.product(field.elements(), repeat=4):
+        i, j = m11 * q + m21, m12 * q + m22  # the columns of g k
+        bc = cb[i][j]
+        total += _phi(n + 1, q, (ga[i], gb[j], gc[i], gd[j]),
+                      ad[i][j] - bc, trace, det_one_minus)
+    return (Fraction(q - 1, gl2_level_index(n + 1, q)) * total
+            == scholze_z(n, g))
 
 
 def random_kn_element(field, n: int, rng, depth: int = 8) -> Matrix2:

@@ -1,10 +1,13 @@
 """
-Small finite fields GF(p^r) with table-based arithmetic.
+Small finite fields GF(p^r).
 
-Elements are ints in [0, q) encoding polynomial coefficients base p
-(little-endian) over GF(p), modulo a monic irreducible found by search.  All
-tables are precomputed, so q is capped at a small bound; the deep-level
-evaluators need q in {2, 3, 4, 9} and similar.
+Elements are ints in [0, q).  A prime field GF(p) computes with them
+directly, `% p`, and has no tables.  For r > 1 an element encodes its
+polynomial coefficients base p (little-endian) over GF(p), modulo a monic
+irreducible found by search, and every operation is a lookup in q x q
+tables built with the field; so such q are capped where that build still
+takes well under a second.  The deep-level evaluators need q in
+{2, 3, 4, 9} and similar.
 """
 
 from __future__ import annotations
@@ -14,10 +17,22 @@ from functools import lru_cache
 __all__ = ["GF"]
 
 _MAX_Q = 4096
+# the largest q = p^r, r > 1, whose tables GF builds: GF(2^8) takes about
+# 0.4 s on a 2-core x86-64 VM (Python 3.11), GF(2^10) 9 s
+_MAX_TABLE_Q = 256
 
 
 @lru_cache(maxsize=None)
 def GF(p: int, r: int = 1) -> "_Field":
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if r < 1 or p ** r > _MAX_Q:
+        raise ValueError(f"GF({p}^{r}) is out of supported range")
+    if r == 1:
+        return _PrimeField(p)
+    if p ** r > _MAX_TABLE_Q:
+        raise ValueError(f"GF({p}^{r}) is too large: fields with r > 1 "
+                         f"use q x q tables and stop at q = {_MAX_TABLE_Q}")
     return _Field(p, r)
 
 
@@ -33,15 +48,13 @@ def _is_prime(p: int) -> bool:
 
 
 class _Field:
+    """GF(p^r), r > 1, by add, mul, neg and inv tables."""
+
     def __init__(self, p: int, r: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if r < 1 or p ** r > _MAX_Q:
-            raise ValueError(f"GF({p}^{r}) is out of supported range")
         self.p = p
         self.r = r
         self.q = p ** r
-        self.modulus = self._find_irreducible() if r > 1 else (0, 1)
+        self.modulus = self._find_irreducible()
         self._build_tables()
 
     # polynomials over GF(p) as little-endian coefficient tuples
@@ -176,3 +189,33 @@ class _Field:
 
     def __eq__(self, other):
         return isinstance(other, _Field) and (other.p, other.r) == (self.p, self.r)
+
+
+class _PrimeField(_Field):
+    """GF(p): the ints 0..p-1 with arithmetic mod p, and no tables."""
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+        self.r = 1
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return pow(a, self.p - 2, self.p)
+
+    def pow(self, a: int, n: int) -> int:
+        if n < 0:
+            a, n = self.inv(a), -n
+        return pow(a, n, self.p)

@@ -23,6 +23,12 @@ both: a sum is known below the smaller precision, and a product below
 min(val a + prec b, val b + prec a), an unknown zero O(t^k) counting k as
 its valuation.
 
+`product_grid(xs, ys)` gives every product x * y of two lists at once, as
+rows.  Over GF(p) it is one Kronecker multiply for the whole grid: each x
+sits in its own block of slots, wide enough for any product, the ys sit
+at strides of len(xs) blocks, so block i + j len(xs) of the one big
+product holds xs[i] * ys[j].  Each cell equals x * y, precision included.
+
 >>> from iwahecke.ffield import GF
 >>> f = GF(3)
 >>> a = TruncatedSeries(f, 0, [1, 1, 1], prec=3)    # 1 + t + t^2 + O(t^3)
@@ -33,6 +39,8 @@ its valuation.
 <1*t^2 + 1*t^3 + 1*t^4 + O(t^5)>
 >>> (a - a).valuation() is None                     # zero modulo t^3 only
 True
+>>> product_grid([a, b], [b, a]) == [[a * b, a * a], [b * b, b * a]]
+True
 >>> f4 = GF(2, 2)                                   # the table path
 >>> c = TruncatedSeries(f4, 0, [1, 2])              # 1 + x t, x^2 = x + 1
 >>> c * c
@@ -41,10 +49,11 @@ True
 
 from __future__ import annotations
 
+import itertools
 import sys
 from array import array
 
-__all__ = ["TruncatedSeries", "Matrix2"]
+__all__ = ["TruncatedSeries", "Matrix2", "product_grid"]
 
 
 class TruncatedSeries:
@@ -191,16 +200,7 @@ class TruncatedSeries:
         f = self.field
         if self.is_known_zero() or other.is_known_zero():
             return TruncatedSeries(f, 0, ())  # exactly zero times anything
-        # precision of a product: min(val_a + prec_b, val_b + prec_a), where
-        # an unknown-zero factor contributes its own precision as valuation
-        pa = _eff_val(self)
-        pb = _eff_val(other)
-        cands = []
-        if other.prec is not None:
-            cands.append(pa + other.prec)
-        if self.prec is not None:
-            cands.append(pb + self.prec)
-        prec = min(cands) if cands else None
+        prec = _mul_prec(self, other)
         if self.val is None or other.val is None:
             # a factor with no known coefficient: product has none either
             return TruncatedSeries(f, 0, (), prec)
@@ -258,6 +258,14 @@ _SLOTS = sorted((1 << 8 * array(code).itemsize, array(code).itemsize, code)
                 for code in "BHIQ")
 
 
+def _slot(top: int):
+    """(width in bytes, array typecode) of the narrowest slot holding top."""
+    for bound, width, code in _SLOTS:
+        if top < bound:
+            return width, code
+    raise OverflowError("coefficient too large for an 8-byte slot")
+
+
 def _kronecker(a, b, p: int) -> list:
     """The product of two coefficient sequences over GF(p), by Kronecker
     substitution (Harvey, J. Symb. Comp. 2009): each sequence is packed
@@ -266,16 +274,65 @@ def _kronecker(a, b, p: int) -> list:
 
     A slot must hold a raw coefficient of the product, at most
     min(len a, len b) (p-1)^2, so it is the narrowest of 1, 2, 4 and 8
-    bytes that does; 8 bytes hold it for any p the field tables allow.
+    bytes that does; 8 bytes hold it for any p that GF allows.
     """
-    top = min(len(a), len(b)) * (p - 1) ** 2
-    for bound, width, code in _SLOTS:
-        if top < bound:
-            break
+    width, code = _slot(min(len(a), len(b)) * (p - 1) ** 2)
     x = int.from_bytes(array(code, a), _ORDER) * \
         int.from_bytes(array(code, b), _ORDER)
     slots = array(code, x.to_bytes(width * (len(a) + len(b) - 1), _ORDER))
     return [c % p for c in slots]
+
+
+def product_grid(xs, ys) -> list:
+    """The products x * y for all x in xs and y in ys, as rows:
+    product_grid(xs, ys)[i][j] == xs[i] * ys[j], val, coeffs and prec alike.
+
+    Over GF(p) one Kronecker multiply forms them all.  Each x is packed
+    into its own block of maxlen(xs) + maxlen(ys) - 1 slots and the ys at
+    strides of len(xs) blocks, so block i + j len(xs) of the product holds
+    the coefficients of xs[i] * ys[j] and no two products meet in a slot.
+    A slot holds at most min(maxlen) (p-1)^2, as in `_kronecker`.  Each
+    precision comes from the factors' (val, prec) by the rule of `*`.
+    A factor with no known coefficient, and every factor over GF(p^r),
+    r > 1, goes through `*`.
+    """
+    if not xs or not ys:
+        return [[] for _ in xs]
+    f = xs[0].field
+    if any(s.field is not f for s in itertools.chain(xs, ys)):
+        raise ValueError("series over different fields")
+    lx = max(len(x.coeffs) for x in xs)
+    ly = max(len(y.coeffs) for y in ys)
+    if not lx or not ly or f.r > 1:
+        return [[x * y for y in ys] for x in xs]
+    p = f.p
+    block = lx + ly - 1
+    stride = len(xs) * block
+    width, code = _slot(min(lx, ly) * (p - 1) ** 2)
+    packed_x = [0] * stride
+    for i, x in enumerate(xs):
+        packed_x[i * block:i * block + len(x.coeffs)] = x.coeffs
+    packed_y = [0] * ((len(ys) - 1) * stride + ly)
+    for j, y in enumerate(ys):
+        packed_y[j * stride:j * stride + len(y.coeffs)] = y.coeffs
+    prod = int.from_bytes(array(code, packed_x), _ORDER) * \
+        int.from_bytes(array(code, packed_y), _ORDER)
+    slots = [c % p for c in array(
+        code, prod.to_bytes(width * len(ys) * stride, _ORDER))]
+    grid = []
+    for i, x in enumerate(xs):
+        row = []
+        for j, y in enumerate(ys):
+            if x.val is None or y.val is None:
+                row.append(x * y)
+                continue
+            at = i * block + j * stride
+            row.append(TruncatedSeries(
+                f, x.val + y.val,
+                slots[at:at + len(x.coeffs) + len(y.coeffs) - 1],
+                _mul_prec(x, y)))
+        grid.append(row)
+    return grid
 
 
 def _min_prec(a, b):
@@ -291,6 +348,18 @@ def _eff_val(s: TruncatedSeries) -> int:
         return s.val
     # no known coefficient: every coefficient below prec is zero
     return s.prec if s.prec is not None else 0
+
+
+def _mul_prec(x: TruncatedSeries, y: TruncatedSeries):
+    """The precision of x * y from the factors' val and prec alone:
+    min(val x + prec y, val y + prec x), an unknown-zero factor O(t^k)
+    counting k as its valuation; None when both factors are exact."""
+    cands = []
+    if y.prec is not None:
+        cands.append(_eff_val(x) + y.prec)
+    if x.prec is not None:
+        cands.append(_eff_val(y) + x.prec)
+    return min(cands) if cands else None
 
 
 class Matrix2:

@@ -2,6 +2,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from iwahecke.cli import main
 
 from conftest import DATA
@@ -161,6 +163,19 @@ def test_scholze_golden(tmp_path):
     assert data == golden
 
 
+@pytest.mark.parametrize("argv,name", [
+    # rows and change-of-level checks left INDETERMINATE at O(t^2)
+    (("--n", "2", "--q", "3", "--precision", "2"),
+     "golden_scholze_compat_q3_n2_p2"),
+    (("--n", "1", "--q", "4", "--count", "60"), "golden_scholze_compat_q4_n1"),
+])
+def test_scholze_compat_golden(tmp_path, capsys, argv, name):
+    rc, data = run(tmp_path, "scholze", *argv, "--compat")
+    assert rc == 0
+    assert data == (DATA / f"{name}.csv").read_bytes()
+    assert capsys.readouterr().out == (DATA / f"{name}.json").read_text()
+
+
 def test_zmu_golden(tmp_path):
     rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "1,0,0")
     assert rc == 0
@@ -209,6 +224,39 @@ def test_scholze_q_out_of_range_exits_3_before_trial_division(tmp_path,
         assert time.perf_counter() - start < 2, q
         assert rc == 3 and data == b"", q
         assert "out of supported range" in capsys.readouterr().err, q
+
+
+def test_scholze_table_field_too_large_exits_3(tmp_path, capsys,
+                                              monkeypatch):
+    # 4096 = 2^12 is in range, but its q x q tables would take minutes
+    def no_tables(self):
+        raise AssertionError("field tables were built")
+    monkeypatch.setattr("iwahecke.ffield._Field._build_tables", no_tables)
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "4096")
+    assert rc == 3 and data == b""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: GF(2^12) is too large")
+
+
+def test_scholze_compat_size_guard_boundary(tmp_path, capsys, monkeypatch):
+    # q = 13 has 28,561 cosets a row and is the largest q --compat takes
+    def no_check(*args, **kwargs):
+        raise AssertionError("a coset sum was run")
+    monkeypatch.setattr("iwahecke.cli.level_compatibility_check", no_check)
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "13",
+                   "--count", "0", "--compat")
+    assert rc == 0 and data.decode().strip() == "index,matrix,phi,z,flag"
+    capsys.readouterr()
+    for q in ("16", "17", "256"):
+        rc, data = run(tmp_path, "scholze", "--n", "1", "--q", q,
+                       "--count", "1", "--compat", name=f"q{q}")
+        assert rc == 3 and data == b"", q
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --compat "), q
+    # without --compat the same q is accepted
+    rc, _ = run(tmp_path, "scholze", "--n", "1", "--q", "16", "--count", "1",
+                "--pairs", "0")
+    assert rc == 0
 
 
 def test_scholze_generated_corpus_gf9(tmp_path):

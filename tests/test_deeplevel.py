@@ -190,12 +190,25 @@ def _outcome(check, n, g):
         return str(exc)
 
 
-# every 4th matrix of the q=2 corpus and every 10th of the q=3 one: the
-# full-product oracle is q^4 products per check
-@pytest.mark.parametrize("q,stride", [(2, 4), (3, 10)])
-@pytest.mark.parametrize("precision", [None, 2, 3, 12])
+def _corpus(q, precision):
+    """The bundled corpus for q = 2, 3; a generated one for q = 4, 5."""
+    if q in CORPUS:
+        return load_corpus(CORPUS[q], GF(q), precision)
+    field = GF(2, 2) if q == 4 else GF(q)
+    return [g if precision is None else g.truncate(precision)
+            for g in build_reference_corpus(field)]
+
+
+# every 4th matrix of the q=2 corpus, every 10th of the q=3 one, every 20th
+# and 40th of generated q=4, 5 ones: the full-product oracle is q^4
+# products per check
+@pytest.mark.parametrize("precision,q,stride", [
+    (precision, q, stride) for q, stride in [(2, 4), (3, 10)]
+    for precision in (None, 2, 3, 12)] + [
+    (precision, q, stride) for q, stride in [(4, 20), (5, 40)]
+    for precision in (None, 2)])
 def test_level_compatibility_matches_full_products(q, stride, precision):
-    mats = load_corpus(CORPUS[q], GF(q), precision)[::stride]
+    mats = _corpus(q, precision)[::stride]
     seen = set()
     for g in mats:
         for n in (1, 2):
@@ -204,6 +217,32 @@ def test_level_compatibility_matches_full_products(q, stride, precision):
             seen.add(type(got))
     # truncation to O(t^2) leaves some rows undecided, and the rest decided
     assert seen == ({bool, str} if precision == 2 else {bool})
+
+
+def _entry_states(entries):
+    return tuple((e.val, e.coeffs, e.prec) for e in entries)
+
+
+def test_coset_sum_visits_kn_coset_reps_in_order(monkeypatch):
+    # the coset sum evaluates phi_{n+1} at each g k in `kn_coset_reps`
+    # order, so the first undecided coset, whose message is raised, is the
+    # same as with a loop over the representatives
+    import iwahecke.deeplevel as deeplevel
+    seen = []
+    real_phi = deeplevel._phi
+
+    def recording_phi(n, q, entries, *rest):
+        seen.append(_entry_states(entries))
+        return real_phi(n, q, entries, *rest)
+    monkeypatch.setattr(deeplevel, "_phi", recording_phi)
+    for g in load_corpus(CORPUS[3], F3)[:3]:
+        for n in (1, 2):
+            seen.clear()
+            level_compatibility_check(n, g)
+            # the q^4 cosets, then z_n(g) itself
+            assert seen == [_entry_states((g * k).entries)
+                            for k in kn_coset_reps(F3, n)] + [
+                _entry_states(g.entries)]
 
 
 def test_det_one_minus_g_keeps_product_precision():

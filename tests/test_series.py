@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
-from iwahecke.ffield import GF
-from iwahecke.series import Matrix2, TruncatedSeries, _kronecker
+from iwahecke.ffield import GF, _Field
+from iwahecke.series import (Matrix2, TruncatedSeries, _kronecker, _slot,
+                             product_grid)
 
 from oracles import (series_add, series_mul, series_neg, series_scale,
                      series_sub)
@@ -36,6 +38,45 @@ def test_gf_associativity_distributivity():
         a, b, c = (rng.randrange(F.q) for _ in range(3))
         assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+def test_gf_prime_field_without_tables():
+    # GF(p) computes mod p and builds no q x q tables, so the largest
+    # prime below the range limit comes at once
+    start = time.perf_counter()
+    F = GF(4093)
+    assert time.perf_counter() - start < 0.5
+    assert not hasattr(F, "add_table") and not hasattr(F, "mul_table")
+    rng = random.Random(4093)
+    for _ in range(300):
+        a, b, c = (rng.randrange(F.q) for _ in range(3))
+        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert F.add(F.sub(a, b), b) == a and F.add(a, F.neg(a)) == 0
+        for x in (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b),
+                  F.pow(a, b)):
+            assert 0 <= x < F.q
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
+            assert F.pow(a, F.q - 1) == 1
+            assert F.mul(F.pow(a, -3), F.pow(a, 3)) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+def test_table_field_size_cap(monkeypatch):
+    # fields with r > 1 stop at q = 256, and a larger q is refused before
+    # any table is built (GF(2^10) took 9 s, GF(2^12) over a minute)
+    built = []
+    monkeypatch.setattr(_Field, "_build_tables",
+                        lambda self: built.append(self.q))
+    make = GF.__wrapped__  # past the cache: these fields have no tables
+    assert make(2, 8).q == 256 and built == [256]
+    for p, r in ((2, 9), (17, 2), (3, 6), (2, 12)):
+        with pytest.raises(ValueError, match="too large"):
+            make(p, r)
+    assert built == [256]
 
 
 def test_gf_norm():
@@ -200,3 +241,47 @@ def test_kronecker_slot_widths():
             for j, y in enumerate(b):
                 raw[i + j] += x * y
         assert _kronecker(a, b, p) == [c % p for c in raw], (p, n)
+
+
+def _grid_states(xs, ys):
+    return [[_state(xy) for xy in row] for row in product_grid(xs, ys)]
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_product_grid_matches_products(p, r):
+    # every cell of the one-multiply grid against `*` and the table oracle:
+    # exact zeros, unknown zeros O(t^k), negative valuations and mixed
+    # precisions in one grid
+    f = GF(p, r)
+    rng = random.Random(200 * p + r)
+    kinds = set()
+    for _ in range(40):
+        xs = [_random_series(f, rng) for _ in range(rng.randrange(1, 8))]
+        ys = [_random_series(f, rng) for _ in range(rng.randrange(1, 8))]
+        kinds |= {(x.val is None, x.exact, y.val is None, y.exact)
+                  for x in xs for y in ys}
+        assert _grid_states(xs, ys) == [[_state(x * y) for y in ys]
+                                        for x in xs]
+        assert _grid_states(xs, ys) == [[_state(series_mul(x, y))
+                                         for y in ys] for x in xs]
+    assert len(kinds) == 16  # every pairing of zero/nonzero, exact/inexact
+    assert product_grid([], xs) == [] and product_grid(xs, []) == [[]] * len(xs)
+    with pytest.raises(ValueError):
+        product_grid(xs, [TruncatedSeries.one(GF(7))])
+
+
+def test_product_grid_slot_widths():
+    # all-(p-1) factors make the largest raw coefficients, min(maxlen)
+    # (p-1)^2; these grids use 1-, 2-, 4- and 8-byte slots
+    widths = set()
+    for p, n in [(2, 200), (2, 256), (17, 1), (257, 2), (4093, 300)]:
+        f = GF(p)
+        xs = [TruncatedSeries(f, -2, [p - 1] * n),
+              TruncatedSeries(f, 1, [p - 1], prec=n),
+              TruncatedSeries.zero(f, prec=3)]
+        ys = [TruncatedSeries(f, 0, [p - 1] * (n + 3), prec=n + 1),
+              TruncatedSeries(f, 5, [1, 0, p - 1])]
+        widths.add(_slot(n * (p - 1) ** 2)[0])
+        assert _grid_states(xs, ys) == [[_state(series_mul(x, y))
+                                         for y in ys] for x in xs], p
+    assert widths == {1, 2, 4, 8}
