@@ -365,7 +365,10 @@ def cmd_scholze(args) -> int:
             f"--compat needs q^4 = {field.q ** 4} cosets a row for q = "
             f"{field.q}, more than {_MAX_COMPAT_COSETS}")
     if args.corpus:
-        mats = load_corpus(args.corpus, field, precision=args.precision)
+        try:
+            mats = load_corpus(args.corpus, field, precision=args.precision)
+        except OSError as exc:
+            raise PreconditionError(f"cannot read corpus: {exc}") from None
     else:
         mats = [g if args.precision is None else g.truncate(args.precision)
                 for g in build_reference_corpus(field, count=args.count)]

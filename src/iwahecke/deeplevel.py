@@ -19,10 +19,12 @@ is compatible with change of level:
 
 which :func:`level_compatibility_check` verifies pointwise.  The finite
 sum runs over q^4 cosets, but g k has one of q^2 first columns and one of
-q^2 second columns: the entries come from per-column tables, the products
-in det(g k) and det(1 - g k) from one Kronecker multiply per factor pair
-(`series.product_grid`), and the integer values phi_{n+1}(g k) are summed
-exactly.  scholze_phi and the coset sum share one body of the formula.
+q^2 second columns.  The columns are one `series.product_grid` of g
+against the columns of k, and det(g k), tr(g k) and det(1 - g k) are each
+one two-term grid over a first-column and a second-column table, so the
+coset loop does no series arithmetic; the integer values phi_{n+1}(g k)
+are summed exactly.  scholze_phi and the coset sum share one body of the
+formula.
 
 Every evaluator is precision-honest: when the tracked precision of the input
 cannot decide a case split, IndeterminatePrecisionError is raised rather
@@ -174,13 +176,18 @@ def scholze_z(n: int, g: Matrix2) -> Fraction:
 
 def kn_coset_reps(field, n: int):
     """Representatives 1 + t^n * lift(M), M over M_2(F_q), of K_n/K_{n+1}."""
-    elts = field.elements()
-    # the entries 1 + c t^n and c t^n, one per field element c
-    one_plus = [TruncatedSeries(field, 0, (1,) + (0,) * (n - 1) + (c,))
-                for c in elts]
-    mono = [TruncatedSeries.monomial(field, n, c) for c in elts]
-    for m11, m12, m21, m22 in itertools.product(elts, repeat=4):
+    one_plus, mono = _kn_entries(field, n)
+    for m11, m12, m21, m22 in itertools.product(field.elements(), repeat=4):
         yield Matrix2(one_plus[m11], mono[m12], mono[m21], one_plus[m22])
+
+
+def _kn_entries(field, n: int):
+    """The entries 1 + c t^n and c t^n of the representatives of
+    K_n/K_{n+1}, as two lists indexed by the field element c."""
+    elts = field.elements()
+    return ([TruncatedSeries(field, 0, (1,) + (0,) * (n - 1) + (c,))
+             for c in elts],
+            [TruncatedSeries.monomial(field, n, c) for c in elts])
 
 
 def level_compatibility_check(n: int, g: Matrix2) -> bool:
@@ -188,11 +195,18 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
 
     For k = 1 + t^n M the product is g k = g + t^n (g M): its first column
     depends only on the first column (m11, m21) of M, its second only on
-    (m12, m22).  So the entries of g k come from tables over the q^2
-    columns, built by `scale` and `shift`, and the q^4 products in
-    det(g k) = a d - b c, and in det(1 - g k) = (1-a)(1-d) - b c when a
-    unit trace needs it, come from `product_grid` over a first-column
-    table and a second-column table.  The cosets are visited in
+    (m12, m22).  So the entries a, b, c, d of g k come from one
+    `product_grid` of g against the q^2 first and q^2 second columns of
+    k, and the three series the formula reads are each one two-term
+    `product_grid` over a first-column table and a second-column table:
+
+        det(g k)     = a d + c (-b),
+        tr(g k)      = a 1 + 1 d,
+        det(1 - g k) = (1-a)(1-d) + c (-b),
+
+    the last two formed only when some coset reaches them, so the coset
+    loop does no series arithmetic.  det(1 - g k) is a product, never
+    1 - tr + det (see `_one_minus`).  The cosets are visited in
     `kn_coset_reps` order, and the integer phi_{n+1} values are summed.
     """
     if n < 1:
@@ -200,34 +214,42 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
     field = g.field
     q = field.q
     a, b, c, d = g.entries
+    one_plus, mono = _kn_entries(field, n)
     cols = list(itertools.product(field.elements(), repeat=2))
-    top = [(a.scale(x) + b.scale(y)).shift(n) for x, y in cols]
-    bottom = [(c.scale(x) + d.scale(y)).shift(n) for x, y in cols]
-    ga = [a + s for s in top]
-    gb = [b + s for s in top]
-    gc = [c + s for s in bottom]
-    gd = [d + s for s in bottom]
-    ad = product_grid(ga, gd)
-    cb = product_grid(gc, gb)
+    # g times the first columns (1 + x t^n, y t^n) of k, then times its
+    # second columns (x t^n, 1 + y t^n): the columns of g k
+    ks = [(one_plus[x], mono[y]) for x, y in cols] + \
+        [(mono[x], one_plus[y]) for x, y in cols]
+    top, bottom = product_grid([a, c], [u for u, _ in ks],
+                               [b, d], [v for _, v in ks])
+    ga, gb = top[:len(cols)], top[len(cols):]
+    gc, gd = bottom[:len(cols)], bottom[len(cols):]
+    minus_gb = [-x for x in gb]
+    one = TruncatedSeries.one(field)
+    ones = [one] * len(cols)
+    det = product_grid(ga, gd, gc, minus_gb)
 
-    @functools.cache  # formed once, when the first unit trace needs it
-    def one_minus_ad():
-        one = TruncatedSeries.one(field)
-        return product_grid([one - x for x in ga], [one - x for x in gd])
+    @functools.cache  # formed once, when the first coset needs it
+    def trace_grid():
+        return product_grid(ga, ones, ones, gd)
+
+    @functools.cache
+    def one_minus_grid():
+        return product_grid([one - x for x in ga], [one - x for x in gd],
+                            gc, minus_gb)
 
     # the two deferred parts of phi_{n+1}, at the coset (i, j) of the loop
     def trace():
-        return ga[i] + gd[j]
+        return trace_grid()[i][j]
 
-    def det_one_minus():  # (1-a)(1-d) - (-b)(-c), and (-b)(-c) is b c
-        return one_minus_ad()[i][j] - bc
+    def det_one_minus():
+        return one_minus_grid()[i][j]
 
     total = 0
     for m11, m12, m21, m22 in itertools.product(field.elements(), repeat=4):
         i, j = m11 * q + m21, m12 * q + m22  # the columns of g k
-        bc = cb[i][j]
-        total += _phi(n + 1, q, (ga[i], gb[j], gc[i], gd[j]),
-                      ad[i][j] - bc, trace, det_one_minus)
+        total += _phi(n + 1, q, (ga[i], gb[j], gc[i], gd[j]), det[i][j],
+                      trace, det_one_minus)
     return (Fraction(q - 1, gl2_level_index(n + 1, q)) * total
             == scholze_z(n, g))
 

@@ -23,11 +23,16 @@ both: a sum is known below the smaller precision, and a product below
 min(val a + prec b, val b + prec a), an unknown zero O(t^k) counting k as
 its valuation.
 
-`product_grid(xs, ys)` gives every product x * y of two lists at once, as
-rows.  Over GF(p) it is one Kronecker multiply for the whole grid: each x
-sits in its own block of slots, wide enough for any product, the ys sit
-at strides of len(xs) blocks, so block i + j len(xs) of the one big
-product holds xs[i] * ys[j].  Each cell equals x * y, precision included.
+`product_grid(xs, ys, xs2, ys2)` gives the two-term bilinear form
+x * y + x2 * y2 at every pair of indices at once, as rows (without xs2
+and ys2, every product x * y).  Over GF(p) it is one Kronecker multiply
+per product for the whole grid: each x sits in its own block of slots,
+wide enough for any product, the ys sit at strides of len(xs) blocks, so
+block i + j len(xs) of the big product holds cell (i, j); the factors of
+both products sit at their offsets from the smallest valuation of their
+side, so the two big products add slot by slot.  Each cell equals
+x * y + x2 * y2, precision included, and is read straight from its slots.
+A 2x2 `Matrix2` product is one such grid.
 
 >>> from iwahecke.ffield import GF
 >>> f = GF(3)
@@ -41,6 +46,8 @@ product holds xs[i] * ys[j].  Each cell equals x * y, precision included.
 True
 >>> product_grid([a, b], [b, a]) == [[a * b, a * a], [b * b, b * a]]
 True
+>>> product_grid([a], [b], [b], [a]) == [[a * b + b * a]]
+True
 >>> f4 = GF(2, 2)                                   # the table path
 >>> c = TruncatedSeries(f4, 0, [1, 2])              # 1 + x t, x^2 = x + 1
 >>> c * c
@@ -49,6 +56,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from array import array
@@ -60,24 +68,25 @@ class TruncatedSeries:
     __slots__ = ("field", "val", "coeffs", "prec")
 
     def __init__(self, field, val, coeffs, prec=None):
+        """The series sum of coeffs[k] t^(val + k), known below `prec`
+        (None: exact).  One scan keeps the window from the first to the
+        last nonzero coefficient below `prec`."""
         self.field = field
-        coeffs = list(coeffs)
-        # strip leading zeros
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            val += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if prec is not None:
-            if coeffs and val + len(coeffs) > prec:
-                coeffs = coeffs[:max(0, prec - val)]
-                while coeffs and coeffs[-1] == 0:
-                    coeffs.pop()
-            while coeffs and coeffs[0] == 0:
-                coeffs.pop(0)
-                val += 1
-        self.val = val if coeffs else None
-        self.coeffs = tuple(coeffs)
+        coeffs = tuple(coeffs)
+        end = len(coeffs)
+        if prec is not None and val + end > prec:
+            end = max(0, prec - val)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not coeffs[start]:
+            start += 1
+        if start < end:
+            self.val = val + start
+            self.coeffs = coeffs[start:end]
+        else:
+            self.val = None
+            self.coeffs = ()
         self.prec = prec
 
     # -- constructors -------------------------------------------------------
@@ -283,56 +292,107 @@ def _kronecker(a, b, p: int) -> list:
     return [c % p for c in slots]
 
 
-def product_grid(xs, ys) -> list:
-    """The products x * y for all x in xs and y in ys, as rows:
-    product_grid(xs, ys)[i][j] == xs[i] * ys[j], val, coeffs and prec alike.
+def product_grid(xs, ys, xs2=None, ys2=None) -> list:
+    """The bilinear form x * y + x2 * y2 at every pair of indices, as
+    rows: product_grid(xs, ys, xs2, ys2)[i][j] == xs[i] * ys[j] +
+    xs2[i] * ys2[j], val, coeffs and prec alike.  Without xs2 and ys2
+    the cells are the products xs[i] * ys[j].
 
-    Over GF(p) one Kronecker multiply forms them all.  Each x is packed
-    into its own block of maxlen(xs) + maxlen(ys) - 1 slots and the ys at
-    strides of len(xs) blocks, so block i + j len(xs) of the product holds
-    the coefficients of xs[i] * ys[j] and no two products meet in a slot.
-    A slot holds at most min(maxlen) (p-1)^2, as in `_kronecker`.  Each
-    precision comes from the factors' (val, prec) by the rule of `*`.
-    A factor with no known coefficient, and every factor over GF(p^r),
-    r > 1, goes through `*`.
+    Over GF(p) one Kronecker multiply per product forms every cell.  On
+    each side a factor is packed at its offset val - base from the
+    smallest known valuation `base` of that side, so the two products of
+    a cell land in the same slots, and the two big products are added.
+    Each x takes its own block of slots, wide enough for any product, and
+    the ys sit at strides of len(xs) blocks, so block i + j len(xs) holds
+    cell (i, j) and no two cells meet in a slot.  A slot holds at most
+    min(len x, len y) (p-1)^2 from each product, as in `_kronecker`, so
+    twice that for the pair.  The slots are reduced mod p once, and a
+    cell is read straight from the slots its factors can reach: the
+    constructor keeps the first to the last nonzero one below the cell's
+    precision, the smaller of its two products' precisions by the rule
+    of `*` (an exact-zero factor makes its product exact).  Over GF(p^r),
+    r > 1, each cell is formed by `*` and `+`.
     """
     if not xs or not ys:
         return [[] for _ in xs]
     f = xs[0].field
-    if any(s.field is not f for s in itertools.chain(xs, ys)):
+    if xs2 is None and ys2 is None:  # x * y + 0 * 0
+        zero = TruncatedSeries.zero(f)
+        xs2, ys2 = [zero] * len(xs), [zero] * len(ys)
+    elif xs2 is None or ys2 is None or len(xs2) != len(xs) \
+            or len(ys2) != len(ys):
+        raise ValueError("the two product grids differ in shape")
+    if f.r > 1:  # `*` and `+` check the fields
+        return [[x * y + x2 * y2 for y, y2 in zip(ys, ys2)]
+                for x, x2 in zip(xs, xs2)]
+    if any(s.field is not f for s in itertools.chain(xs, ys, xs2, ys2)):
         raise ValueError("series over different fields")
-    lx = max(len(x.coeffs) for x in xs)
-    ly = max(len(y.coeffs) for y in ys)
-    if not lx or not ly or f.r > 1:
-        return [[x * y for y in ys] for x in xs]
     p = f.p
-    block = lx + ly - 1
+    base_x, rows, lx, lx2 = _side(xs, xs2)
+    base_y, cols, ly, ly2 = _side(ys, ys2)
+    block = max(0, max(hi for _, hi, *_ in rows)
+                + max(hi for _, hi, *_ in cols) - 1)
     stride = len(xs) * block
-    width, code = _slot(min(lx, ly) * (p - 1) ** 2)
-    packed_x = [0] * stride
-    for i, x in enumerate(xs):
-        packed_x[i * block:i * block + len(x.coeffs)] = x.coeffs
-    packed_y = [0] * ((len(ys) - 1) * stride + ly)
-    for j, y in enumerate(ys):
-        packed_y[j * stride:j * stride + len(y.coeffs)] = y.coeffs
-    prod = int.from_bytes(array(code, packed_x), _ORDER) * \
-        int.from_bytes(array(code, packed_y), _ORDER)
-    slots = [c % p for c in array(
-        code, prod.to_bytes(width * len(ys) * stride, _ORDER))]
+    m, m2 = min(lx, ly), min(lx2, ly2)
+    width, code = _slot((m + m2) * (p - 1) ** 2)
+    total = 0
+    for xs_, ys_, m_ in ((xs, ys, m), (xs2, ys2, m2)):
+        if m_:  # else a side has no known coefficient: the product is 0
+            total += _packed(xs_, base_x, block, width, code) * \
+                _packed(ys_, base_y, stride, width, code)
+    raw = total.to_bytes(width * len(ys) * stride, _ORDER)
+    slots = raw.translate(_residues(p)) if width == 1 else \
+        [c % p for c in array(code, raw)]
+    base = base_x + base_y
     grid = []
-    for i, x in enumerate(xs):
+    for i, (lo_x, hi_x, v, r, v2, r2) in enumerate(rows):
         row = []
-        for j, y in enumerate(ys):
-            if x.val is None or y.val is None:
-                row.append(x * y)
-                continue
+        for j, (lo_y, hi_y, w, s, w2, s2) in enumerate(cols):
+            prec = min(v + s, w + r, v2 + s2, w2 + r2)
             at = i * block + j * stride
             row.append(TruncatedSeries(
-                f, x.val + y.val,
-                slots[at:at + len(x.coeffs) + len(y.coeffs) - 1],
-                _mul_prec(x, y)))
+                f, base + lo_x + lo_y,
+                slots[at + lo_x + lo_y:at + hi_x + hi_y - 1]
+                if hi_x and hi_y else (),
+                None if prec == _INF else prec))
         grid.append(row)
     return grid
+
+
+def _side(side, side2):
+    """One side of a grid: the smallest known valuation `base`; at each
+    index the slots [lo, hi) its two factors take when packed at their
+    offsets val - base ((0, 0) when neither has a known coefficient)
+    and their `_prec_ends`; and the longest factor of each list."""
+    vals = [s.val for s in itertools.chain(side, side2) if s.val is not None]
+    base = min(vals) if vals else 0
+    out = []
+    for s, s2 in zip(side, side2):
+        lo, hi = _INF, 0
+        for t in (s, s2):
+            if t.val is not None:
+                lo = min(lo, t.val - base)
+                hi = max(hi, t.val - base + len(t.coeffs))
+        out.append((lo if hi else 0, hi) + _prec_ends(s) + _prec_ends(s2))
+    return (base, out, max(len(s.coeffs) for s in side),
+            max(len(s.coeffs) for s in side2))
+
+
+def _packed(series, base, step, width, code) -> int:
+    """One int holding the coefficients of series[k] from slot
+    k step + (val - base) on, in slots of `width` bytes."""
+    total = 0
+    for k, s in enumerate(series):
+        if s.val is not None:
+            total |= int.from_bytes(array(code, s.coeffs), _ORDER) << \
+                8 * width * (k * step + s.val - base)
+    return total
+
+
+@functools.cache
+def _residues(p: int) -> bytes:
+    """The table taking a byte to its residue mod p, for bytes.translate."""
+    return bytes(c % p for c in range(256))
 
 
 def _min_prec(a, b):
@@ -343,23 +403,28 @@ def _min_prec(a, b):
     return min(a, b)
 
 
-def _eff_val(s: TruncatedSeries) -> int:
-    if s.val is not None:
-        return s.val
-    # no known coefficient: every coefficient below prec is zero
-    return s.prec if s.prec is not None else 0
+_INF = float("inf")
+
+
+def _prec_ends(s: TruncatedSeries):
+    """(v, r) with x * y known below min(v_x + r_y, v_y + r_x): r is the
+    precision, inf when exact, and v the valuation, an unknown zero
+    O(t^k) counting k.  So the exact zero, O(t^inf), makes every product
+    with it exact."""
+    r = _INF if s.prec is None else s.prec
+    return (r if s.val is None else s.val), r
 
 
 def _mul_prec(x: TruncatedSeries, y: TruncatedSeries):
     """The precision of x * y from the factors' val and prec alone:
     min(val x + prec y, val y + prec x), an unknown-zero factor O(t^k)
-    counting k as its valuation; None when both factors are exact."""
-    cands = []
-    if y.prec is not None:
-        cands.append(_eff_val(x) + y.prec)
-    if x.prec is not None:
-        cands.append(_eff_val(y) + x.prec)
-    return min(cands) if cands else None
+    counting k as its valuation; None when the product is exact."""
+    if x.prec is None and y.prec is None:
+        return None
+    vx, rx = _prec_ends(x)
+    vy, ry = _prec_ends(y)
+    prec = min(vx + ry, vy + rx)
+    return None if prec == _INF else prec
 
 
 class Matrix2:
@@ -387,12 +452,9 @@ class Matrix2:
     def __mul__(self, other):
         if not isinstance(other, Matrix2):
             return NotImplemented
-        return Matrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        (a, b), (c, d) = product_grid([self.a, self.c], [other.a, other.b],
+                                      [self.b, self.d], [other.c, other.d])
+        return Matrix2(a, b, c, d)
 
     def __add__(self, other):
         return Matrix2(self.a + other.a, self.b + other.b,

@@ -144,6 +144,16 @@ def test_scholze_empty_corpus(tmp_path):
     assert data.decode().strip() == "index,matrix,phi,z,flag"
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_scholze_unreadable_corpus_exits_3(tmp_path, capsys, kind):
+    corpus = tmp_path / "nonexistent" / "x" if kind == "missing" else tmp_path
+    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
+                   "--corpus", str(corpus))
+    assert rc == 3 and data == b""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read corpus: ")
+
+
 def test_scholze_precision_starved_row(tmp_path):
     corpus = tmp_path / "c.txt"
     corpus.write_text("1:1 | z | z | 0:1\n")

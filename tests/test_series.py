@@ -285,3 +285,77 @@ def test_product_grid_slot_widths():
         assert _grid_states(xs, ys) == [[_state(series_mul(x, y))
                                          for y in ys] for x in xs], p
     assert widths == {1, 2, 4, 8}
+
+
+FIELDS = pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2),
+                                         (3, 2)],
+                                 ids=["GF(2)", "GF(3)", "GF(5)", "GF(4)",
+                                      "GF(9)"])
+
+
+@FIELDS
+def test_product_grid_sums_match_series_ops(p, r):
+    # every cell of the two-term grid against x * y + x2 * y2, by `*` and
+    # `+` and by the table oracle: exact zeros, unknown zeros O(t^k),
+    # negative valuations and mixed precisions in one grid, and cells whose
+    # two products start at different valuations
+    f = GF(p, r)
+    rng = random.Random(300 * p + r)
+    kinds, staggered = set(), 0
+    for _ in range(60):
+        xs = [_random_series(f, rng) for _ in range(rng.randrange(1, 6))]
+        ys = [_random_series(f, rng) for _ in range(rng.randrange(1, 6))]
+        xs2 = [_random_series(f, rng) for _ in xs]
+        ys2 = [_random_series(f, rng) for _ in ys]
+        grid = product_grid(xs, ys, xs2, ys2)
+        for x, x2, row in zip(xs, xs2, grid):
+            for y, y2, cell in zip(ys, ys2, row):
+                kinds.add(tuple(s.val is None for s in (x, y, x2, y2)))
+                if None not in (x.val, y.val, x2.val, y2.val):
+                    staggered += x.val + y.val != x2.val + y2.val
+                assert _state(cell) == _state(x * y + x2 * y2)
+                assert _state(cell) == _state(series_add(
+                    series_mul(x, y), series_mul(x2, y2)))
+    assert len(kinds) == 16 and staggered > 20
+    with pytest.raises(ValueError):
+        product_grid(xs, ys, xs2, ys2[:-1] + [TruncatedSeries.one(GF(7))])
+    with pytest.raises(ValueError):
+        product_grid(xs, ys, xs2 + xs2, ys2)
+    with pytest.raises(ValueError):
+        product_grid(xs, ys, xs2)
+
+
+def test_product_grid_sum_slot_width():
+    # all-(p-1) factors make each product's raw coefficient reach
+    # min(len) (p-1)^2, which fits one byte here, but the two products of
+    # a cell add up to twice that, which does not
+    for p, n in [(2, 200), (3, 40), (7, 4), (11, 2)]:
+        assert _slot(n * (p - 1) ** 2)[0] == 1
+        assert _slot(2 * n * (p - 1) ** 2)[0] == 2
+        f = GF(p)
+        full = TruncatedSeries(f, 0, [p - 1] * n)
+        xs = [full, TruncatedSeries(f, -1, [p - 1] * n, prec=n)]
+        ys = [full, TruncatedSeries(f, 2, [p - 1] * n)]
+        grid = product_grid(xs, ys, xs, ys)
+        assert [[_state(c) for c in row] for row in grid] == \
+            [[_state(series_add(series_mul(x, y), series_mul(x, y)))
+              for y in ys] for x in xs], p
+
+
+@FIELDS
+def test_matrix2_product_matches_entrywise(p, r):
+    # g * h is one two-term grid; each entry against the table oracle's
+    # x * y + x2 * y2 over the same random entries as above
+    f = GF(p, r)
+    rng = random.Random(400 * p + r)
+
+    def rmat():
+        return Matrix2(*(_random_series(f, rng) for _ in range(4)))
+    for _ in range(150):
+        g, h = rmat(), rmat()
+        want = [series_add(series_mul(g.a, h.a), series_mul(g.b, h.c)),
+                series_add(series_mul(g.a, h.b), series_mul(g.b, h.d)),
+                series_add(series_mul(g.c, h.a), series_mul(g.d, h.c)),
+                series_add(series_mul(g.c, h.b), series_mul(g.d, h.d))]
+        assert [_state(e) for e in (g * h).entries] == \
+            [_state(e) for e in want]
