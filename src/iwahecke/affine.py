@@ -253,14 +253,6 @@ class AffineWeylGroup:
         g = self.kernel.gens[slot]
         return AffineWeylElement(self, g[5], g[6])
 
-    def finite_element(self, word) -> AffineWeylElement:
-        """Product of finite simple reflections, 1-based labels."""
-        word = tuple(word)
-        for lab in word:
-            if not 1 <= lab <= self.rd.n_simple:
-                raise ValueError(f"not a finite reflection label: {lab}")
-        return self.from_word(word)
-
     def from_word(self, word, omega: "OmegaElement | None" = None):
         """Evaluate an affine word (labels) times an optional Omega part."""
         k = self.kernel

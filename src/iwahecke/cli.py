@@ -38,8 +38,7 @@ from .ffield import _MAX_Q, GF
 from .hecke import HeckeElement
 from .klpoly import closed_form_bernstein
 from .laurent import LaurentPoly
-from .rootdata import (RootDatumError, build_root_datum, is_minuscule,
-                       load_root_datum)
+from .rootdata import build_root_datum, is_minuscule, load_root_datum
 from .transfer import (grassmannian_count, kottwitz_fiber_integrate,
                        normalized_transfer)
 
@@ -123,9 +122,11 @@ def parse_group(text: str):
     if ":" in text:
         fam, _, n = text.partition(":")
         try:
-            return build_root_datum(fam, int(n))
-        except ValueError as exc:
-            raise PreconditionError(str(exc)) from exc
+            n = int(n)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"malformed group {text!r}") from None
+        return build_root_datum(fam, n)
     try:
         return load_root_datum(text)
     except OSError as exc:
@@ -497,9 +498,6 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_PARSE
     try:
         return _COMMANDS[args.command](args)
-    except (PreconditionError, RootDatumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

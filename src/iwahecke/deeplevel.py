@@ -259,14 +259,11 @@ def random_kn_element(field, n: int, rng, depth: int = 8) -> Matrix2:
     def entry():
         coeffs = [rng.randrange(field.q) for _ in range(depth)]
         return TruncatedSeries(field, n, coeffs)
-    return Matrix2.identity(field) + Matrix2(entry(), entry(), entry(), entry())
+    one = TruncatedSeries.one(field)
+    return Matrix2(one + entry(), entry(), entry(), one + entry())
 
 
 # -- corpus ---------------------------------------------------------------------
-
-
-def _series(field, val, coeffs):
-    return TruncatedSeries(field, val, coeffs)
 
 
 def build_reference_corpus(field, count: int = 200, seed: int = 20130405):
@@ -286,7 +283,8 @@ def build_reference_corpus(field, count: int = 200, seed: int = 20130405):
         return rng.randrange(1, q)
 
     def rpoly(val, deg):
-        return _series(field, val, [rng.randrange(q) for _ in range(deg)])
+        return TruncatedSeries(field, val,
+                               [rng.randrange(q) for _ in range(deg)])
 
     def z():
         return TruncatedSeries.zero(field)
@@ -330,15 +328,9 @@ def build_reference_corpus(field, count: int = 200, seed: int = 20130405):
 
 
 def matrix_to_text(g: Matrix2) -> str:
-    parts = []
-    for e in g.entries:
-        if not e.exact:
-            raise ValueError("corpus entries must be exact")
-        if e.val is None:
-            parts.append("z")
-        else:
-            parts.append(f"{e.val}:" + ",".join(str(c) for c in e.coeffs))
-    return " | ".join(parts)
+    if not all(e.exact for e in g.entries):
+        raise ValueError("corpus entries must be exact")
+    return matrix_column_text(g)
 
 
 def matrix_column_text(g: Matrix2) -> str:

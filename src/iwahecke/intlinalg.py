@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["hermite_basis", "reduce_mod_lattice", "smith_normal_form",
-           "solve_underdetermined", "dot"]
+__all__ = ["hermite_basis", "reduce_mod_lattice", "solve_underdetermined",
+           "dot"]
 
 
 def dot(a, b) -> int:
@@ -71,85 +71,6 @@ def reduce_mod_lattice(vec, hnf_rows):
             for j in range(len(v)):
                 v[j] -= f * row[j]
     return tuple(v)
-
-
-def smith_normal_form(rows, n_cols):
-    """Smith normal form D = U*A*V of the integer matrix A (list of rows).
-
-    Returns (diag, V): diag lists the nonzero diagonal entries of D (at
-    most min(#rows, n_cols) of them) and V is the unimodular column
-    transform (n_cols x n_cols).  The quotient Z^n_cols / rowspan(A) is read
-    off from V: the class of x is determined by (x * V) mod diag, with the
-    columns past len(diag) free.
-    """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = n_cols
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_op(j1, j2, f):
-        # col_{j2} -= f * col_{j1}
-        for i in range(m):
-            a[i][j2] -= f * a[i][j1]
-        for i in range(n):
-            v[i][j2] -= f * v[i][j1]
-
-    def col_swap(j1, j2):
-        for i in range(m):
-            a[i][j1], a[i][j2] = a[i][j2], a[i][j1]
-        for i in range(n):
-            v[i][j1], v[i][j2] = v[i][j2], v[i][j1]
-
-    def row_op(i1, i2, f):
-        for j in range(n):
-            a[i2][j] -= f * a[i1][j]
-
-    def row_swap(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-
-    diag = []
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot in the submatrix
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j]:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        # eliminate; repeat until row and column are clear
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    row_op(t, i, a[i][t] // a[t][t])
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    col_op(t, j, a[t][j] // a[t][t])
-            if all(a[i][t] == 0 for i in range(t + 1, m)) and \
-               all(a[t][j] == 0 for j in range(t + 1, n)):
-                break
-            # a smaller pivot may have appeared; restart the elimination
-            piv = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] and (piv is None or
-                                    abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
-            row_swap(t, piv[0])
-            col_swap(t, piv[1])
-        if a[t][t] < 0:
-            for i in range(m):
-                a[i][t] = -a[i][t]
-            for i in range(n):
-                v[i][t] = -v[i][t]
-        diag.append(a[t][t])
-        t += 1
-    # (divisibility normalization is not needed by callers)
-    return diag, [tuple(r) for r in v]
 
 
 def solve_underdetermined(rows, target):

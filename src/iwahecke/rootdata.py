@@ -35,13 +35,23 @@ simple reflections:
 ((0, 1), (1, 0), (1, 1), (2, 1))
 >>> sp4.highest_roots   # (root, coroot) per simple factor
 (((2, 0), (1, 0)),)
+
+The Kottwitz quotient Omega = X_* / (coroot lattice) is Z for GL(n), graded
+by the coordinate sum, and trivial for Sp(n):
+
+>>> build_root_datum("GL", 3).omega_grade((2, 1, 1))
+4
+>>> sp4.omega_grade((3, 2))
+0
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd, prod
 
-from .intlinalg import dot, hermite_basis, reduce_mod_lattice, smith_normal_form
+from .intlinalg import dot, hermite_basis, reduce_mod_lattice
 
 __all__ = [
     "RootDatum", "RootDatumError", "build_root_datum", "load_root_datum",
@@ -78,9 +88,6 @@ class RootDatum:
     def n_simple(self) -> int:
         return len(self.simple_roots)
 
-    def pairing(self, coweight, char) -> int:
-        return dot(coweight, char)
-
     def reflect(self, i: int, la) -> tuple:
         """Apply the simple reflection s_i (0-based) to a coweight."""
         c = dot(la, self.simple_roots[i])
@@ -104,111 +111,94 @@ class RootDatum:
 
     # -- derived structure (computed once, cached on the instance) -----------
 
-    def _cache(self) -> dict:
-        d = self.__dict__.get("_derived")
-        if d is None:
-            d = {}
-            object.__setattr__(self, "_derived", d)
-        return d
-
     @property
     def cartan_matrix(self):
         """C[i][j] = <a_i^vee, a_j>."""
         return tuple(tuple(dot(av, a) for a in self.simple_roots)
                      for av in self.simple_coroots)
 
-    @property
+    @cached_property
     def components(self):
         """Connected components of the Dynkin diagram, as index lists."""
-        c = self._cache()
-        if "components" not in c:
-            m = self.n_simple
-            cm = self.cartan_matrix
-            seen, comps = set(), []
-            for start in range(m):
-                if start in seen:
+        m = self.n_simple
+        cm = self.cartan_matrix
+        seen, comps = set(), []
+        for start in range(m):
+            if start in seen:
+                continue
+            comp, todo = [], [start]
+            while todo:
+                i = todo.pop()
+                if i in seen:
                     continue
-                comp, todo = [], [start]
-                while todo:
-                    i = todo.pop()
-                    if i in seen:
-                        continue
-                    seen.add(i)
-                    comp.append(i)
-                    todo.extend(j for j in range(m)
-                                if j not in seen and cm[i][j])
-                comps.append(tuple(sorted(comp)))
-            c["components"] = tuple(comps)
-        return c["components"]
+                seen.add(i)
+                comp.append(i)
+                todo.extend(j for j in range(m) if j not in seen and cm[i][j])
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
-    @property
+    @cached_property
     def highest_roots(self):
         """Per component: (root char vector, its coroot), the highest root."""
-        c = self._cache()
-        if "highest" not in c:
-            out = []
-            for comp in self.components:
-                best, best_h = None, -1
-                for a, av, coeffs in zip(self.pos_roots, self.pos_coroots,
-                                         self.pos_root_coords):
-                    if any(coeffs[i] and i not in comp for i in range(self.n_simple)):
-                        continue
-                    h = sum(coeffs)
-                    if h > best_h:
-                        best, best_h = (a, av), h
-                out.append(best)
-            c["highest"] = tuple(out)
-        return c["highest"]
+        out = []
+        for comp in self.components:
+            best, best_h = None, -1
+            for a, av, coeffs in zip(self.pos_roots, self.pos_coroots,
+                                     self.pos_root_coords):
+                if any(coeffs[i] and i not in comp for i in range(self.n_simple)):
+                    continue
+                h = sum(coeffs)
+                if h > best_h:
+                    best, best_h = (a, av), h
+            out.append(best)
+        return tuple(out)
 
-    @property
+    @cached_property
     def coroot_hnf(self):
         """HNF basis of the coroot lattice, for Kottwitz reduction."""
-        c = self._cache()
-        if "hnf" not in c:
-            c["hnf"] = tuple(hermite_basis(list(self.simple_coroots)))
-        return c["hnf"]
+        return tuple(hermite_basis(self.simple_coroots))
 
     def kappa_reduce(self, vec) -> tuple:
         """Canonical representative of a coweight modulo the coroot lattice."""
         return reduce_mod_lattice(vec, self.coroot_hnf)
 
-    @property
-    def _omega_grading(self):
-        """(V, free_cols, torsion) from the Smith form of the coroot matrix."""
-        c = self._cache()
-        if "snf" not in c:
-            rows = [list(r) for r in self.simple_coroots]
-            diag, v = smith_normal_form(rows, self.rank)
-            r = len(diag)
-            torsion = tuple((j, diag[j]) for j in range(r) if diag[j] > 1)
-            free_cols = tuple(range(r, self.rank))
-            sign = 1
-            if len(free_cols) == 1 and not torsion:
-                j = free_cols[0]
-                for k in range(self.rank):
-                    e_k = tuple(1 if t == k else 0 for t in range(self.rank))
-                    g = dot(e_k, tuple(row[j] for row in v))
-                    if g:
-                        sign = 1 if g > 0 else -1
-                        break
-            c["snf"] = (v, free_cols, torsion, sign)
-        return c["snf"]
+    @cached_property
+    def _grade_form(self):
+        """Covector f with grade = <v, f> when Omega = X_* / coroots is 0 or
+        Z, else None.
+
+        With one non-pivot column c in the coroot HNF B, f_c is the product
+        of the pivots and B f = 0 fixes the rest bottom-up; f is then the
+        vector of maximal minors of B, so every division is exact and Omega
+        is torsion-free iff gcd(f) = 1.  The sign makes f's first nonzero
+        entry positive.
+        """
+        hnf = self.coroot_hnf
+        pivots = [next(j for j, x in enumerate(row) if x) for row in hnf]
+        det = prod(row[p] for row, p in zip(hnf, pivots))
+        free = [j for j in range(self.rank) if j not in pivots]
+        if not free:
+            return (0,) * self.rank if det == 1 else None
+        if len(free) > 1:
+            return None
+        f = [0] * self.rank
+        f[free[0]] = det
+        for row, p in reversed(tuple(zip(hnf, pivots))):
+            f[p] = -dot(row, f) // row[p]
+        if gcd(*f) != 1:
+            return None
+        sign = 1 if next(x for x in f if x) > 0 else -1
+        return tuple(sign * x for x in f)
 
     @property
     def omega_is_free_cyclic(self) -> bool:
         """True iff X_* / coroot lattice is 0 or Z (then grades are ints)."""
-        _, free_cols, torsion, _ = self._omega_grading
-        return not torsion and len(free_cols) <= 1
+        return self._grade_form is not None
 
     def omega_grade(self, vec):
         """Integer grade of a coweight class when Omega is 0 or Z (else None)."""
-        v, free_cols, torsion, sign = self._omega_grading
-        if torsion or len(free_cols) > 1:
-            return None
-        if not free_cols:
-            return 0
-        j = free_cols[0]
-        return sign * dot(vec, tuple(row[j] for row in v))
+        f = self._grade_form
+        return None if f is None else dot(vec, f)
 
     # -- affine Weyl group handle --------------------------------------------
 

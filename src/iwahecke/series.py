@@ -238,11 +238,6 @@ class TruncatedSeries:
             out = [row[x] for x in self.coeffs]
         return TruncatedSeries(f, self.val or 0, out, self.prec)
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k."""
-        return TruncatedSeries(self.field, (self.val or 0) + k, self.coeffs,
-                               None if self.prec is None else self.prec + k)
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
                 and other.field is self.field and other.val == self.val

@@ -74,10 +74,8 @@ class GradedFunction:
     def scale(self, c) -> "GradedFunction":
         if isinstance(c, int):
             c = LaurentPoly.const(c)
-        out = GradedFunction.__new__(GradedFunction)
-        out.rd = self.rd
-        out.terms = {rep: c * p for rep, p in self.terms.items()}
-        return out
+        return GradedFunction(self.rd,
+                              {rep: c * p for rep, p in self.terms.items()})
 
     def __repr__(self):
         bits = [f"{g}: {c}" for g, c in self.grades()]
@@ -92,10 +90,7 @@ def normalized_transfer(f: SymmetricFunction) -> GradedFunction:
     for la, c in f.terms.items():
         rep = rd.kappa_reduce(la)
         accumulate(out, rep, c * LaurentPoly.v(dot(la, rd.two_rho)))
-    gf = GradedFunction.__new__(GradedFunction)
-    gf.rd = rd
-    gf.terms = out
-    return gf
+    return GradedFunction(rd, out)
 
 
 def kottwitz_fiber_integrate(z: HeckeElement) -> GradedFunction:
@@ -106,10 +101,7 @@ def kottwitz_fiber_integrate(z: HeckeElement) -> GradedFunction:
     for x, c in z.terms.items():
         rep = rd.kappa_reduce(x.trans)
         accumulate(out, rep, c * LaurentPoly.q(x.length()))
-    gf = GradedFunction.__new__(GradedFunction)
-    gf.rd = rd
-    gf.terms = out
-    return gf
+    return GradedFunction(rd, out)
 
 
 def grassmannian_count(n: int, m: int) -> LaurentPoly:

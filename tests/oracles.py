@@ -7,7 +7,9 @@ from brute-force subword enumeration, admissible sets from the subword
 closure of the maximal translations or by deleting one letter at a time
 from evaluated words; truncated-series arithmetic goes one
 coefficient at a time through the field's tables, and the change-of-level
-coset sum through full 2x2 products.
+coset sum through full 2x2 products.  The Kottwitz grading reads
+Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
+matrix instead of its Hermite normal form.
 """
 
 from fractions import Fraction
@@ -212,3 +214,98 @@ def level_compatibility_by_products(n, g):
                       else TruncatedSeries.zero(f) for c in quad))
         total += scholze_z(n + 1, g * (Matrix2.identity(f) + m))
     return total == scholze_z(n, g)
+
+
+def random_kn_element_by_sum(field, n, rng, depth=8):
+    """1 + t^n M drawn as random_kn_element draws it, formed as a matrix sum."""
+    def entry():
+        coeffs = [rng.randrange(field.q) for _ in range(depth)]
+        return TruncatedSeries(field, n, coeffs)
+    return Matrix2.identity(field) + Matrix2(entry(), entry(), entry(), entry())
+
+
+def smith_normal_form(rows, n_cols):
+    """Smith normal form D = U*A*V of the integer matrix A (list of rows).
+
+    Returns (diag, V): diag lists the nonzero diagonal entries of D (at
+    most min(#rows, n_cols) of them) and V is the unimodular column
+    transform (n_cols x n_cols).  The quotient Z^n_cols / rowspan(A) is read
+    off from V: the class of x is determined by (x * V) mod diag, with the
+    columns past len(diag) free.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = n_cols
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_op(j1, j2, f):
+        # col_{j2} -= f * col_{j1}
+        for i in range(m):
+            a[i][j2] -= f * a[i][j1]
+        for i in range(n):
+            v[i][j2] -= f * v[i][j1]
+
+    def col_swap(j1, j2):
+        for i in range(m):
+            a[i][j1], a[i][j2] = a[i][j2], a[i][j1]
+        for i in range(n):
+            v[i][j1], v[i][j2] = v[i][j2], v[i][j1]
+
+    def row_op(i1, i2, f):
+        for j in range(n):
+            a[i2][j] -= f * a[i1][j]
+
+    def smallest_pivot(t):
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] and (piv is None
+                                or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        return piv
+
+    diag = []
+    t = 0
+    while t < min(m, n):
+        piv = smallest_pivot(t)
+        if piv is None:
+            break
+        while True:
+            a[t], a[piv[0]] = a[piv[0]], a[t]
+            col_swap(t, piv[1])
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    row_op(t, i, a[i][t] // a[t][t])
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    col_op(t, j, a[t][j] // a[t][t])
+            if all(a[i][t] == 0 for i in range(t + 1, m)) and \
+               all(a[t][j] == 0 for j in range(t + 1, n)):
+                break
+            # a smaller pivot appeared: move it to (t, t) and eliminate again
+            piv = smallest_pivot(t)
+        if a[t][t] < 0:
+            for i in range(m):
+                a[i][t] = -a[i][t]
+            for i in range(n):
+                v[i][t] = -v[i][t]
+        diag.append(a[t][t])
+        t += 1
+    return diag, [tuple(r) for r in v]
+
+
+def smith_omega_grading(rd):
+    """(free_cyclic, grade) for Omega = X_* / (coroot lattice), from the
+    Smith form of the coroot matrix: with no torsion and one free column j,
+    the grade of v is <v, V[:, j]>, signed so that V[:, j]'s first nonzero
+    entry is positive; with no free column it is 0; otherwise None."""
+    diag, v = smith_normal_form(rd.simple_coroots, rd.rank)
+    torsion = any(d > 1 for d in diag)
+    free_cols = range(len(diag), rd.rank)
+    if torsion or len(free_cols) > 1:
+        return False, lambda vec: None
+    if not free_cols:
+        return True, lambda vec: 0
+    col = [row[free_cols[0]] for row in v]
+    sign = 1 if next(x for x in col if x) > 0 else -1
+    return True, lambda vec: sign * sum(x * y for x, y in zip(vec, col))

@@ -35,6 +35,19 @@ def test_adm_malformed_mu(tmp_path, capsys):
     assert main(["adm", "--group", "GL:2", "--mu", "x,y"]) == 2
 
 
+def test_malformed_group_rank_is_a_parse_error(tmp_path, capsys):
+    for cmd, group in (("zmu", "GL:abc"), ("adm", "GL:")):
+        rc, data = run(tmp_path, cmd, "--group", group, "--mu", "1")
+        assert rc == 2 and data == b"", group
+        err = capsys.readouterr().err
+        assert err == f"error: malformed group {group!r}\n"
+    # a well-formed rank the family rejects stays a precondition error
+    for group in ("GL:0", "XX:2"):
+        rc, _ = run(tmp_path, "adm", "--group", group, "--mu", "1")
+        assert rc == 3, group
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_adm_wrong_length_mu(tmp_path):
     rc, _ = run(tmp_path, "adm", "--group", "GL:3", "--mu", "1,0")
     assert rc == 3

@@ -20,7 +20,8 @@ from iwahecke.rootdata import build_root_datum
 from iwahecke.series import Matrix2, TruncatedSeries
 
 from oracles import (all_elements_up_to_length, bruhat_leq_subwords,
-                     level_compatibility_by_products)
+                     level_compatibility_by_products,
+                     random_kn_element_by_sum)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -74,6 +75,20 @@ def test_k_unit_invariance():
         u = random_kn_element(F3, 1, rng)
         assert k_invariant(g * u) == k_invariant(g)
         assert k_invariant(u * g) == k_invariant(g)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (3, 2)],
+                         ids=["GF(2)", "GF(3)", "GF(4)", "GF(9)"])
+def test_random_kn_element_matches_matrix_sum(p, r):
+    # same draws, same matrix as 1 + M formed by a Matrix2 sum
+    f = GF(p, r)
+    for n in (1, 2, 3):
+        rng, ref = random.Random(n), random.Random(n)
+        for depth in (1, 4, 8):
+            for _ in range(20):
+                assert (random_kn_element(f, n, rng, depth)
+                        == random_kn_element_by_sum(f, n, ref, depth))
+        assert rng.random() == ref.random()
 
 
 # -- the three-case formula -----------------------------------------------------

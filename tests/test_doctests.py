@@ -1,4 +1,6 @@
 import doctest
+import re
+from pathlib import Path
 
 import iwahecke
 import iwahecke.affine
@@ -14,3 +16,11 @@ def test_module_doctests():
         result = doctest.testmod(mod, verbose=False)
         assert result.failed == 0, mod.__name__
         assert result.attempted > 0, mod.__name__
+
+
+def test_readme_quick_start():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

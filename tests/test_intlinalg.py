@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from iwahecke.intlinalg import (dot, hermite_basis, reduce_mod_lattice,
-                                smith_normal_form, solve_underdetermined)
+                                solve_underdetermined)
 
 
 def test_hermite_gl_coroot_lattice():
@@ -31,15 +31,6 @@ def test_reduction_is_well_defined_on_classes():
         shift = tuple(a + 3 * rows[0][i] - 2 * rows[1][i]
                       for i, a in enumerate(v))
         assert reduce_mod_lattice(v, h) == reduce_mod_lattice(shift, h)
-
-
-def test_smith_normal_form_quotients():
-    # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3
-    diag, v = smith_normal_form([[2, 0], [0, 3]], 2)
-    assert sorted(diag) == [1, 6] or sorted(diag) == [2, 3]
-    # GL(3) coroot lattice: quotient Z (one zero column)
-    diag, v = smith_normal_form([[1, -1, 0], [0, 1, -1]], 3)
-    assert diag == [1, 1]
 
 
 def test_solve_underdetermined():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +9,8 @@ from iwahecke.rootdata import (RootDatumError, build_root_datum,
                                pair_two_rho, weyl_orbit)
 
 from conftest import DATA
-from test_kernel_tables import CONFIGS, GROUPS, _datum
+from oracles import smith_omega_grading
+from test_kernel_tables import CONFIGS, GROUPS, _datum, _ids
 
 
 def test_gl_two_rho(gl2, gl3):
@@ -184,3 +186,36 @@ def test_gl1_torus():
     assert gl1.pos_roots == ()
     assert weyl_orbit(gl1, (4,)) == {(4,)}
     assert gl1.omega_grade((4,)) == 4
+
+
+def _check_grading(rd, rng):
+    free_cyclic, grade = smith_omega_grading(rd)
+    assert rd.omega_is_free_cyclic == free_cyclic, rd
+    for _ in range(20):
+        v = tuple(rng.randint(-6, 6) for _ in range(rd.rank))
+        assert rd.omega_grade(v) == grade(v), (rd, v)
+
+
+@pytest.mark.parametrize("case", GROUPS + CONFIGS, ids=_ids)
+def test_omega_grade_matches_smith_reference(case):
+    rd = _datum(case)
+    rng = random.Random(_ids(case))
+    _check_grading(rd, rng)
+    labels = range(1, rd.n_simple + 1)
+    for k in range(rd.n_simple):
+        for sub in combinations(labels, k):
+            _check_grading(levi_sub_datum(rd, sub), rng)
+
+
+@pytest.mark.parametrize("root, coroot, form", [
+    ("1 0", "2 1", (1, -2)),  # torsion-free although the HNF pivot is 2
+    ("1 0", "2 0", None),     # Omega = Z/2 + Z
+    ("1 1", "1 1", (1, -1)),
+], ids=["coroot21", "coroot20", "coroot11"])
+def test_omega_grade_hand_made_lattices(tmp_path, root, coroot, form):
+    rd = load_root_datum(_cfg(tmp_path, 2, [root], [coroot]))
+    free_cyclic, grade = smith_omega_grading(rd)
+    assert rd.omega_is_free_cyclic == free_cyclic == (form is not None)
+    for v in product(range(-3, 4), repeat=2):
+        want = None if form is None else dot(v, form)
+        assert rd.omega_grade(v) == grade(v) == want

@@ -6,8 +6,9 @@ from iwahecke.center import (SymmetricFunction, bernstein_iso,
                              monomial_symmetric)
 from iwahecke.laurent import ONE, Q, LaurentPoly
 from iwahecke.rootdata import weyl_orbit
-from iwahecke.transfer import (base_change, grassmannian_count,
-                               kottwitz_fiber_integrate, normalized_transfer)
+from iwahecke.transfer import (GradedFunction, base_change,
+                               grassmannian_count, kottwitz_fiber_integrate,
+                               normalized_transfer)
 
 v = LaurentPoly.v
 
@@ -40,6 +41,15 @@ def test_fiber_integrate_examples(gl2):
     assert kottwitz_fiber_integrate(H.t(x)).coeff(1) == Q
     vz = H.bernstein_function((1, 0)).scale(v(1))
     assert kottwitz_fiber_integrate(vz).coeff(1) == Q + 1
+
+
+def test_scale_by_zero_is_the_zero_function(gl2):
+    zero = GradedFunction(gl2, {})
+    tf = normalized_transfer(monomial_symmetric(gl2, (1, 0)))
+    assert tf.scale(0) == zero
+    assert tf.scale(LaurentPoly()).terms == {}
+    H = gl2.affine_weyl().hecke()
+    assert kottwitz_fiber_integrate(H.unit()).scale(0) == zero
 
 
 def test_two_routes_agree(gl2, gl3, gl4):
