@@ -16,6 +16,11 @@ Exit codes: 0 success, 2 argument/parse error, 3 precondition violation,
 4 internal consistency failure (oracle mismatch).  All output is
 deterministic: element lists are sorted by (length, translation, finite
 word) and JSON keys are sorted.
+
+``main(argv)`` returns the exit code and may be called repeatedly in one
+process; each call writes the same bytes to stdout and stderr as the
+``iwahecke`` console script run with the same arguments.  The argument
+parser is built on the first call and reused by later ones.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .laurent import LaurentPoly
 from .rootdata import build_root_datum, is_minuscule, load_root_datum
 from .transfer import (grassmannian_count, kottwitz_fiber_integrate,
                        normalized_transfer)
+from .weyl import _MAX_GROUP
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -56,6 +62,8 @@ _MAX_VALUE_BITS = (10 ** _MAX_VALUE_DIGITS).bit_length()
 # (28,561 cosets) takes 0.7 s a row on average and 1.0 s at most over
 # generated rows, q = 16 2.2 s on average (2-core x86-64 VM, Python 3.11)
 _MAX_COMPAT_COSETS = 30_000
+
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 class PreconditionError(ValueError):
@@ -126,11 +134,34 @@ def parse_group(text: str):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"malformed group {text!r}") from None
+        _check_weyl_size(text, fam, n)
         return build_root_datum(fam, n)
     try:
         return load_root_datum(text)
     except OSError as exc:
         raise PreconditionError(f"cannot read group config: {exc}") from exc
+
+
+def _check_weyl_size(text, family, n):
+    """Refuse a builtin group whose |W_0| is above the cap of IndexedWeyl
+    before its root datum is built: |W_0| = n! for GL(n) and SL(n) and
+    2^k k! = 2 * 4 * ... * 2k for Sp(2k) and GSp(2k).  Other ranks are
+    left to build_root_datum, which refuses them."""
+    family = family.upper()
+    if family in ("GL", "SL"):
+        factors, order_text = range(2, n + 1), f"{n}!"
+    elif family in ("SP", "GSP") and n % 2 == 0:
+        k = n // 2
+        factors, order_text = range(2, n + 1, 2), f"2^{k} {k}!"
+    else:
+        return
+    order = 1
+    for f in factors:  # stops at the cap, so n! is never formed for large n
+        order *= f
+        if order > _MAX_GROUP:
+            raise PreconditionError(
+                f"group {text!r} is too large: |W_0| = {order_text}, more "
+                f"than the {_MAX_GROUP} elements the package enumerates")
 
 
 def parse_mu(text: str, rd):
@@ -156,7 +187,54 @@ def emit(args, text: str):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, in one pass.
+
+    The C encoder behind ``json.dumps`` cannot indent, so an indented dump
+    runs the stdlib's pure-Python encoder.  This writer covers what the
+    commands emit: dicts with ``str`` keys, lists and tuples, ``str``
+    (through the same C escaper) and exact ``int``; it hands anything else
+    to ``json.dumps`` and indents the result to its depth.
+    """
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(obj, nl, out):
+    # nl is the newline plus the indent of obj's own line
+    t = type(obj)
+    if t is str:
+        out(_encode_str(obj))
+    elif t is int:
+        out(int.__repr__(obj))
+    elif t is dict and all(type(k) is str for k in obj):
+        if not obj:
+            out("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for k in sorted(obj):
+            out(sep)
+            out(_encode_str(k))
+            out(": ")
+            _write_json(obj[k], inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for v in obj:
+            out(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    else:
+        # a JSON string holds no raw newline, so every "\n" is a line break
+        out(json.dumps(obj, sort_keys=True, indent=1).replace("\n", nl))
 
 
 # -- commands ---------------------------------------------------------------------
@@ -490,10 +568,17 @@ _COMMANDS = {
 }
 
 
+# main's parser, built on its first call: argparse keeps no state between
+# parse_args calls, and building the tree costs more than a cached command
+_parser = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARSE
     try:

@@ -58,7 +58,9 @@ __all__ = [
     "levi_sub_datum", "weyl_orbit", "pair_two_rho", "is_minuscule",
 ]
 
-_MAX_ROOTS = 10_000  # closure cap; exceeding it means the GCM is not finite type
+# closure cap: a builtin family with more roots is refused before its
+# closure runs; a config that exceeds it is not of finite type
+_MAX_ROOTS = 10_000
 
 
 class RootDatumError(ValueError):
@@ -283,15 +285,30 @@ def _validate_and_build(family, rank, simple_roots, simple_coroots):
                      tuple(p[3] for p in pos))
 
 
+def _check_root_count(name, count):
+    if count > _MAX_ROOTS:
+        raise RootDatumError(
+            f"{name} has {count} roots, more than the {_MAX_ROOTS} the root "
+            "closure allows")
+
+
 def build_root_datum(family: str, n: int) -> RootDatum:
     """Standard based root datum of GL(n), SL(n), Sp(n) or GSp(n).
 
     For Sp and GSp, `n` is the matrix size and must be even (type C_{n/2}).
+    A datum with more than 10,000 roots is refused before it is built:
+
+    >>> try:
+    ...     build_root_datum("GL", 101)
+    ... except RootDatumError as exc:
+    ...     print(exc)
+    GL(101) has 10100 roots, more than the 10000 the root closure allows
     """
     family = family.upper()
     if family == "GL":
         if n < 1:
             raise RootDatumError("GL(n) needs n >= 1")
+        _check_root_count(f"GL({n})", n * (n - 1))
         e = lambda i: tuple(1 if j == i else 0 for j in range(n))
         diff = [tuple(a - b for a, b in zip(e(i), e(i + 1)))
                 for i in range(n - 1)]
@@ -300,6 +317,7 @@ def build_root_datum(family: str, n: int) -> RootDatum:
     if family == "SL":
         if n < 2:
             raise RootDatumError("SL(n) needs n >= 2")
+        _check_root_count(f"SL({n})", n * (n - 1))
         rank = n - 1
         cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
                    for j in range(rank)] for i in range(rank)]
@@ -312,6 +330,8 @@ def build_root_datum(family: str, n: int) -> RootDatum:
         if n < 2 or n % 2:
             raise RootDatumError(f"{family}(n) needs even n >= 2")
         k = n // 2
+        name = f"{'Sp' if family == 'SP' else 'GSp'}({n})"
+        _check_root_count(name, 2 * k * k)
         rank = k if family == "SP" else k + 1
         pad = () if family == "SP" else (0,)
 
@@ -326,7 +346,6 @@ def build_root_datum(family: str, n: int) -> RootDatum:
         long_root = tuple(2 if j == k - 1 else 0 for j in range(k))
         roots.append(long_root + ((-1,) if family == "GSP" else ()))
         coroots.append(e(k - 1) + pad)
-        name = f"{'Sp' if family == 'SP' else 'GSp'}({n})"
         return _validate_and_build(name, rank, roots, coroots)
 
     raise RootDatumError(f"unsupported family {family!r}")

@@ -1,10 +1,11 @@
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from iwahecke.cli import main
+from iwahecke.cli import PreconditionError, dumps, main
 
 from conftest import DATA
 
@@ -430,3 +431,177 @@ def test_zmu_levi_label_out_of_range(tmp_path, capsys):
                    "--levi", "5")
     assert rc == 3 and data == b""
     assert "not a simple root label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group,order", [
+    ("GL:200", "200!"), ("GL:140", "140!"), ("GL:100", "100!"),
+    ("GL:10", "10!"), ("SL:10", "10!"), ("GL:99999999999", "99999999999!"),
+    ("Sp:14", "2^7 7!"), ("GSp:200", "2^100 100!"),
+])
+def test_oversized_builtin_group_exits_3_before_building(tmp_path, capsys,
+                                                         monkeypatch, group,
+                                                         order):
+    # GL(200) used to spend about a minute in the root closure, then exit 3
+    # with the wrong reason
+    def no_build(*args):
+        raise AssertionError("the root datum was built")
+    monkeypatch.setattr("iwahecke.cli.build_root_datum", no_build)
+    start = time.perf_counter()
+    rc, data = run(tmp_path, "adm", "--group", group, "--mu", "1")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 3 and data == b""
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: group {group!r} is too large: |W_0| = {order}, more than "
+        "the 500000 elements the package enumerates"]
+
+
+def test_weyl_size_guard_boundary(tmp_path, capsys, monkeypatch):
+    # |W_0| = 9! = 362,880 and 2^6 6! = 46,080 are within the cap
+    def stop(family, n):
+        raise PreconditionError(f"built {family}:{n}")
+    monkeypatch.setattr("iwahecke.cli.build_root_datum", stop)
+    for group in ("GL:9", "SL:9", "Sp:12", "GSp:12"):
+        rc, _ = run(tmp_path, "adm", "--group", group, "--mu", "1")
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: built {group}\n"
+
+
+# -- repeated in-process calls ------------------------------------------------
+
+# (argv, stdout golden, stderr golden) of every golden in tests/data; without
+# --out, scholze writes its CSV to stdout and its report to stderr
+GOLDEN_RUNS = [
+    (("zmu", "--group", "GL:3", "--mu", "1,0,0"), "golden_zmu_gl3.json", None),
+    (("zmu", "--group", "GL:3", "--mu", "2,1,0"), "golden_zmu_gl3_210.json",
+     None),
+    (("zmu", "--group", "Sp:4", "--mu", "1,1"), "golden_zmu_sp4_11.json",
+     None),
+    (("scholze", "--n", "1", "--q", "2", "--corpus", str(CORPUS_Q2),
+      "--precision", "12", "--pairs", "1"), "golden_scholze_q2_n1.csv", None),
+    (("scholze", "--n", "2", "--q", "3", "--precision", "2", "--compat"),
+     "golden_scholze_compat_q3_n2_p2.csv",
+     "golden_scholze_compat_q3_n2_p2.json"),
+    (("scholze", "--n", "1", "--q", "4", "--count", "60", "--compat"),
+     "golden_scholze_compat_q4_n1.csv", "golden_scholze_compat_q4_n1.json"),
+]
+
+# Calls run between the golden ones, each with its exit code.  Those that
+# succeed set options the golden calls leave at their defaults, so a value
+# that outlived its call would change a later golden's bytes.
+INTERLEAVED = [
+    (("zmu", "--group", "GL:3", "--mu", "1,0,0", "--levi", "1", "--q", "4"),
+     0),
+    (("adm", "--group", "GL:3", "--mu", "a,b,c"), 2),
+    (("scholze", "--n", "1", "--q", "abc"), 2),
+    (("frobnicate",), 2),
+    ((), 2),
+    (("zmu", "--group", "GL:2", "--mu", "1,0", "--r", "0"), 2),
+    (("zmu", "--group", "GL:3", "--mu", "0,1,0"), 3),
+    (("adm", "--group", "GL:200", "--mu", "1"), 3),
+    (("zmu", "--group", "GL:2", "--mu", "2,0", "--method", "closed"), 3),
+    (("--help",), 0),
+    (("zmu", "--help"), 0),
+    (("zmu", "--group", "Sp:4", "--mu", "1,1", "--method", "closed",
+      "--r", "2", "--format", "csv"), 3),
+    (("scholze", "--n", "2", "--q", "2", "--count", "2", "--pairs", "0",
+      "--precision", "1"), 0),
+    (("zmu", "--group", "GL:2", "--mu", "1,0", "--r", "2", "--q", "3"), 0),
+]
+
+
+def test_main_is_reentrant(capsys):
+    seen = {}
+
+    def call(argv):
+        rc = main(list(argv))
+        out, err = capsys.readouterr()
+        seen.setdefault(argv, []).append((rc, out, err))
+        return rc, out, err
+
+    for _ in range(2):
+        for i, (argv, out_name, err_name) in enumerate(GOLDEN_RUNS):
+            for extra, code in INTERLEAVED[i::len(GOLDEN_RUNS)]:
+                assert call(extra)[0] == code, extra
+            rc, out, err = call(argv)
+            assert rc == 0, argv
+            # read as bytes: the CSV goldens end their lines in \r\n
+            assert out == (DATA / out_name).read_bytes().decode(), argv
+            if err_name:
+                assert err == (DATA / err_name).read_bytes().decode(), argv
+    for argv, results in seen.items():
+        assert len(results) == 2 and results[0] == results[1], argv
+
+
+# -- the JSON writer against json.dumps ----------------------------------------
+
+
+def _reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+class _Label(int):
+    pass
+
+
+HAND_CORPUS = [
+    {}, [], (), "", 0, -1, 7, -(2 ** 70), 2 ** 64, 2 ** 64 + 1, 3 ** 200,
+    True, False, None, 1.5, -0.0, 1e300, float("inf"),
+    {"a": {}, "b": [], "c": [[], {}], "d": [{}], "e": ([], ())},
+    [[[[]]]], {"x": {"y": {"z": {}}}},
+    {"t": (1, (2, ()), ("s", None))}, [("a", "b"), (True, False)],
+    "café", "日本", "\U0001f600", "\"\\/\n\r\t\b\f\x00\x1f\x7f",
+    {"é": 1, "\n": 2, "a\"b": 3, "": 4, "\U0001f600": [None]},
+    {"b": 1, "a": 2, "10": 3, "9": 4, "B": 5, "-1": -1},
+    {"neg": [-5, 0, 5], "big": [2 ** 64 + 1, -(2 ** 64) - 1]},
+    # handed to json.dumps whole, then indented to their depth
+    {"ints": {2: "b", 1: [1, {}], 10: {"k": ()}}}, [{1.5: "x"}],
+    {"sub": _Label(3)}, [_Label(-4), {"f": 0.1}],
+]
+
+
+@pytest.mark.parametrize("obj", HAND_CORPUS, ids=range(len(HAND_CORPUS)))
+def test_dumps_matches_json_dumps_on_hand_corpus(obj):
+    assert dumps(obj) == _reference_dumps(obj)
+
+
+def test_dumps_refuses_what_json_dumps_refuses():
+    for obj in ({"x": Fraction(1, 2)}, [{"a": 1, 2: "b"}]):
+        with pytest.raises(TypeError):
+            _reference_dumps(obj)
+        with pytest.raises(TypeError):
+            dumps(obj)
+
+
+def test_dumps_matches_json_dumps_on_goldens():
+    names = sorted(p.name for p in DATA.glob("*.json"))
+    assert len(names) == 5
+    for name in names:
+        text = (DATA / name).read_text()
+        obj = json.loads(text)
+        assert dumps(obj) == _reference_dumps(obj) == text, name
+
+
+def test_dumps_matches_json_dumps_on_command_outputs(tmp_path, monkeypatch):
+    written = []
+
+    def spy(obj):
+        written.append(obj)
+        return _reference_dumps(obj)
+    monkeypatch.setattr("iwahecke.cli.dumps", spy)
+    for argv in (
+            ("adm", "--group", "GL:3", "--mu", "2,1,0"),
+            ("adm", "--group", str(DATA / "pgl2.cfg"), "--mu", "1"),
+            ("zmu", "--group", "GSp:4", "--mu", "1,1,1"),
+            ("zmu", "--group", "GL:3", "--mu", "2,1,0", "--levi", "1"),
+            ("zmu", "--group", "GL:3", "--mu", "1,0,0", "--levi", "2",
+             "--q", "3"),
+            ("zmu", "--group", "GL:2", "--mu", "1,0", "--q", "5"),
+            ("transfer", "--group", "GL:4", "--mu", "1,1,0,0"),
+            ("transfer", "--group", str(DATA / "gl2xgl2.cfg"),
+             "--mu", "1,0,0,0"),
+            ("scholze", "--n", "1", "--q", "2", "--count", "3",
+             "--compat")):
+        assert main(list(argv) + ["--out", str(tmp_path / "out")]) == 0, argv
+    assert len(written) == 9
+    for obj in written:
+        assert dumps(obj) == _reference_dumps(obj)

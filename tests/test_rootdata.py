@@ -36,6 +36,34 @@ def test_rejects_bad_rank():
         build_root_datum("E", 8)
 
 
+@pytest.mark.parametrize("family,n,count", [
+    ("GL", 101, 10100), ("SL", 101, 10100), ("GL", 200, 39800),
+    ("Sp", 142, 10082), ("GSp", 142, 10082),
+    ("GL", 10 ** 9, 10 ** 18 - 10 ** 9),
+])
+def test_oversized_family_refused_before_root_closure(monkeypatch, family, n,
+                                                      count):
+    # the closure of GL(200) would take about a minute, then fail with the
+    # wrong reason
+    def no_closure(*args):
+        raise AssertionError("the root closure ran")
+    monkeypatch.setattr("iwahecke.rootdata._close_roots", no_closure)
+    with pytest.raises(RootDatumError) as exc:
+        build_root_datum(family, n)
+    assert str(exc.value) == (f"{family}({n}) has {count} roots, more than "
+                              "the 10000 the root closure allows")
+
+
+def test_root_count_guard_boundary(monkeypatch):
+    # GL(100) has 9,900 roots and Sp(140) 9,800: both reach the closure
+    built = []
+    monkeypatch.setattr("iwahecke.rootdata._validate_and_build",
+                        lambda name, *args: built.append(name))
+    for family, n in (("GL", 100), ("SL", 100), ("Sp", 140), ("GSp", 140)):
+        build_root_datum(family, n)
+    assert built == ["GL(100)", "SL(100)", "Sp(140)", "GSp(140)"]
+
+
 def test_positive_roots_are_nonneg_combinations():
     for case in GROUPS + CONFIGS:
         rd = _datum(case)
