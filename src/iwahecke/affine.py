@@ -44,6 +44,13 @@ __all__ = [
 _REGISTRY: dict = {}
 
 
+class _Labels(dict):
+    """Generator slot by label; an unknown label is a RootDatumError."""
+
+    def __missing__(self, label):
+        raise RootDatumError(f"unknown reflection label {label}")
+
+
 def shared_group(rd: RootDatum) -> "AffineWeylGroup":
     grp = _REGISTRY.get(rd)
     if grp is None:
@@ -174,58 +181,17 @@ class AffineWeylGroup:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self.weyl = IndexedWeyl(rd)
-        w = self.weyl
-        rank, m = rd.rank, rd.n_simple
-        zero = (0,) * rank
-
-        # Generator slots: the finite simple reflections, then one affine
-        # reflection per irreducible component.  For each: the affine root
-        # (vec, k) paired in descent tests with its coroot cvec (signed like
-        # vec), the root id and flip of the tie-break sign test, the
-        # reflection (trans, fin) as a group element, and per finite element
-        # u the tables lrow[u] = s u, rrow[u] = u s, wvec[u] = u(vec) and
-        # wtrans[u] = u(trans) (None for finite reflections, trans = 0).
-        root_index = {a: i for i, a in enumerate(rd.pos_roots)}
-        roots, coroots, images = w.roots, w.coroots, w.root_image
-        npos = w.npos
-        gens = []
-        labels = []
-        for i in range(m):
-            r = root_index[rd.simple_roots[i]]
-            gens.append((
-                rd.simple_roots[i], 0, rd.simple_coroots[i], r, False,
-                zero, w.gen_index[i],
-                tuple(w.lmul[u][i] for u in range(w.size)),
-                tuple(w.rmul[u][i] for u in range(w.size)),
-                tuple(roots[img[r]] for img in images),
-                None,
-            ))
-            labels.append(i + 1)
-        for c, hr in enumerate(rd.highest_roots):
-            theta, theta_vee = hr
-            r = root_index[theta]
-            fin = w.reflection_index(theta_vee, theta)
-            gens.append((
-                tuple(-x for x in theta), 1, tuple(-x for x in theta_vee), r,
-                True, theta_vee, fin,
-                tuple(w.mul(fin, u) for u in range(w.size)),
-                tuple(w.mul(u, fin) for u in range(w.size)),
-                tuple(roots[(img[r] + npos) % (2 * npos)] for img in images),
-                tuple(coroots[img[r]] for img in images),
-            ))
-            labels.append(0 if c == 0 else m + c)
-
-        self.kernel = Kernel({
-            "inv": w.inv,
-            "word": w.word,
-            "roots": rd.pos_roots,
-            "root_sign": w.root_sign,
-            "gens": tuple(gens),
-        })
+        self.kernel = Kernel(self.weyl)
+        # slot i is the finite reflection s_{i+1}, then one affine
+        # reflection per irreducible component
+        m = rd.n_simple
+        labels = list(range(1, m + 1)) + [
+            0 if c == 0 else m + c for c in range(len(rd.highest_roots))]
         self.gen_labels = tuple(labels)
-        self.label_slot = {lab: slot for slot, lab in enumerate(labels)}
-        self._gen_order = tuple(sorted(range(len(gens)),
-                                       key=lambda s: labels[s]))
+        self.label_slot = _Labels((lab, s) for s, lab in enumerate(labels))
+        self._gen_order = tuple(sorted(range(len(labels)),
+                                       key=labels.__getitem__))
+        zero = (0,) * rd.rank
         self._zero = zero
         self._identity = AffineWeylElement(self, zero, 0)
         self._bruhat: dict = {}
@@ -242,6 +208,9 @@ class AffineWeylGroup:
         trans = tuple(trans)
         if len(trans) != self.rd.rank:
             raise ValueError("translation length differs from rank")
+        if not isinstance(fin, int) or not 0 <= fin < self.weyl.size:
+            raise ValueError(f"finite Weyl group index {fin!r} is not in "
+                             f"range({self.weyl.size})")
         return AffineWeylElement(self, trans, fin)
 
     def translation(self, la) -> AffineWeylElement:
@@ -249,9 +218,8 @@ class AffineWeylGroup:
 
     def simple_reflection(self, label: int) -> AffineWeylElement:
         """The affine simple reflection with the given label (0..m, ...)."""
-        slot = self.label_slot[label]
-        g = self.kernel.gens[slot]
-        return AffineWeylElement(self, g[5], g[6])
+        return AffineWeylElement(
+            self, *self.kernel.reflections[self.label_slot[label]])
 
     def from_word(self, word, omega: "OmegaElement | None" = None):
         """Evaluate an affine word (labels) times an optional Omega part."""

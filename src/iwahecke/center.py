@@ -84,6 +84,8 @@ class SymmetricFunction:
     def __add__(self, other):
         if not isinstance(other, SymmetricFunction):
             return NotImplemented
+        if other.rd != self.rd:
+            raise ValueError("functions on different root data")
         out = dict(self.terms)
         for la, c in other.terms.items():
             accumulate(out, la, c)
@@ -166,19 +168,18 @@ def bernstein_iso(f: SymmetricFunction, W=None) -> HeckeElement:
     return HeckeElement(H, out)
 
 
-def bernstein_iso_inverse(z: HeckeElement, height_bound: int,
-                          check_central: bool = True) -> SymmetricFunction:
+def bernstein_iso_inverse(z: HeckeElement,
+                          height_bound: int) -> SymmetricFunction:
     """The unique symmetric f with bernstein_iso(f) = z.
 
     `height_bound` caps <mu+, 2 rho> over the extracted dominant support;
     exceeding it raises HeightBoundError ("bound too small").  A non-central
-    z raises NotCentralError, either from the explicit check or when the
-    elimination cannot be driven to zero.
+    z raises NotCentralError.
     """
     H = z.algebra
     W = H.W
     rd = W.rd
-    if check_central and not H.is_central(z):
+    if not H.is_central(z):
         raise NotCentralError("element is not central")
     work = dict(z.terms)
     out: dict = {}

@@ -65,6 +65,9 @@ class HeckeElement:
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
+        if (other.algebra is not self.algebra
+                and other.algebra.W.rd != self.algebra.W.rd):
+            raise ValueError("elements of different Hecke algebras")
         out = dict(self.terms)
         for x, c in other.terms.items():
             accumulate(out, x, c)
@@ -293,9 +296,7 @@ class HeckeAlgebra:
         reflections in `labels`; raises unless J is of finite type."""
         labels = sorted(set(labels))
         W = self.W
-        for lab in labels:
-            if lab not in W.label_slot:
-                raise RootDatumError(f"unknown reflection label {lab}")
+        gens = [W.simple_reflection(lab) for lab in labels]
         # J is finite type iff it omits a node of each affine component
         m = W.rd.n_simple
         for c, comp in enumerate(W.rd.components):
@@ -308,8 +309,8 @@ class HeckeAlgebra:
         while frontier:
             new = []
             for x in frontier:
-                for lab in labels:
-                    y = x * W.simple_reflection(lab)
+                for s in gens:
+                    y = x * s
                     if y not in seen:
                         seen.add(y)
                         new.append(y)

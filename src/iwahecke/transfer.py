@@ -43,8 +43,7 @@ class GradedFunction:
         self.terms = {}
         for om, c in terms.items():
             rep = om.rep if isinstance(om, OmegaElement) else rd.kappa_reduce(om)
-            if c:
-                self.terms[rep] = c
+            accumulate(self.terms, rep, c)
 
     def coeff(self, grade) -> LaurentPoly:
         """Coefficient at an integer grade (Omega = Z cases) or class tuple."""

@@ -3,12 +3,13 @@ Indexed finite Weyl groups.
 
 The finite Weyl group of a root datum is enumerated once, breadth-first from
 the identity, each element told apart by how it permutes the roots (W_0 acts
-faithfully on them).  Every element gets an index, a reduced word and its
-root permutation; no action matrix is stored.  All group operations used
-downstream (by the affine Weyl group and the Hecke algebra) then become
-table lookups keyed by element index, which is what the kernel consumes,
-and an element acts on a coweight by folding the simple reflections
-v -> v - <a_i, v> a_i^vee over its word.
+faithfully on them).  Every element gets an index, an inverse, a reduced
+word and its root images; no action matrix is stored.  The group is one set
+of tables keyed by element index: per simple reflection s_i the rows
+lrow[i][u] = s_i u and rrow[i][u] = u s_i, which the kernel reads in place,
+and root_image[u], the ids of the roots u(alpha), a negative root's id
+being at least npos.  An element acts on a coweight by folding the simple
+reflections v -> v - <a_i, v> a_i^vee over its word.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> w = IndexedWeyl(build_root_datum("GL", 3))
@@ -63,7 +64,7 @@ class IndexedWeyl:
             tuple(-x for x in a) for a in rd.pos_roots)
         self.coroots = tuple(rd.pos_coroots) + tuple(
             tuple(-x for x in av) for av in rd.pos_coroots)
-        self._root_id = {a: k for k, a in enumerate(self.roots)}
+        self.root_id = {a: k for k, a in enumerate(self.roots)}
         root_perm = [self._root_reflection(av, a)
                      for av, a in zip(rd.simple_coroots, rd.simple_roots)]
 
@@ -71,11 +72,12 @@ class IndexedWeyl:
         # bfs_word[w] is a reduced word of w, and images[w] lists the ids of
         # w^{-1}(alpha) = w^T(alpha) over the positive roots alpha: a
         # faithful key, since the Cartan matrix of finite type is
-        # nondegenerate.
+        # nondegenerate.  Level order is index order, so rrow[i][w] = w s_i
+        # is appended for w = 0, 1, 2, ... in turn.
         images = [tuple(range(npos))]
         self._by_image = by_image = {images[0]: 0}
         length = [0]
-        rmul = [[0] * m]
+        rrow = [[] for _ in range(m)]
         bfs_word = [()]
         frontier = [0]
         while frontier:
@@ -90,26 +92,24 @@ class IndexedWeyl:
                         by_image[p] = j
                         images.append(p)
                         length.append(length[w] + 1)
-                        rmul.append([0] * m)
                         bfs_word.append(bfs_word[w] + (i,))
                         new.append(j)
-                    rmul[w][i] = j
+                    rrow[i].append(j)
             frontier = new
 
         self.size = len(images)
         self.length = tuple(length)
-        self.rmul = rmul = tuple(tuple(r) for r in rmul)
+        self.rrow = rrow = tuple(map(tuple, rrow))
         # w^{-1} is the product of the reversed word; s_i w = (w^{-1} s_i)^{-1}
         inv = []
         for bw in bfs_word:
             u = 0
             for i in reversed(bw):
-                u = rmul[u][i]
+                u = rrow[i][u]
             inv.append(u)
         self.inv = inv = tuple(inv)
-        self.lmul = tuple(tuple(inv[rmul[inv[w]][i]] for i in range(m))
-                          for w in range(self.size))
-        self.gen_index = rmul[0]
+        self.lrow = lrow = tuple(tuple([inv[r[u]] for u in inv]) for r in rrow)
+        self.gen_index = tuple(r[0] for r in rrow)
         self.longest = max(range(self.size), key=lambda w: self.length[w])
 
         # canonical reduced word: repeatedly strip the smallest left descent
@@ -117,16 +117,14 @@ class IndexedWeyl:
         word = [()]
         for w in range(1, self.size):
             for i in range(m):
-                u = self.lmul[w][i]
-                if self.length[u] < self.length[w]:
+                u = lrow[i][w]
+                if length[u] < length[w]:
                     word.append((i,) + word[u])
                     break
         self.word = tuple(word)
 
-        # root_sign[w][a]: is w^{-1}(alpha_a) positive?
-        self.root_sign = tuple(tuple(1 if k < npos else -1 for k in img)
-                               for img in images)
-        # root_image[w][a] = images[w^{-1}][a] is the id of w(alpha_a)
+        # root_image[w][a] = images[w^{-1}][a] is the id of w(alpha_a), a
+        # negative root exactly when the id is at least npos
         self.root_image = tuple(images[u] for u in inv)
 
     def _root_reflection(self, coroot, root):
@@ -135,7 +133,7 @@ class IndexedWeyl:
         ids = []
         for a in self.roots:
             p = sum(x * y for x, y in zip(a, coroot))
-            ids.append(self._root_id[tuple(x - p * y
+            ids.append(self.root_id[tuple(x - p * y
                                            for x, y in zip(a, root))])
         return ids
 
@@ -147,9 +145,9 @@ class IndexedWeyl:
         return vec
 
     def mul(self, w1: int, w2: int) -> int:
-        rmul = self.rmul
+        rrow = self.rrow
         for i in self.word[w2]:
-            w1 = rmul[w1][i]
+            w1 = rrow[i][w1]
         return w1
 
     def reflection_index(self, coroot, root) -> int:

@@ -84,6 +84,27 @@ def test_cross_group_multiplication_rejected(W2, W3):
         multiply(W2.identity, W3.identity)
 
 
+def test_element_refuses_finite_index_out_of_range(W3):
+    n = W3.weyl.size
+    for fin in (-1, n, 99):
+        with pytest.raises(ValueError, match="finite Weyl group index"):
+            W3.element((0, 0, 0), fin)
+    w0 = W3.element((0, 0, 0), W3.weyl.longest)
+    assert w0 == w0 * W3.identity and w0.length() == 3
+
+
+def test_unknown_generator_label_is_a_root_datum_error(W3):
+    H = W3.hecke()
+    calls = [lambda: W3.simple_reflection(7),
+             lambda: W3.from_word([1, 9]),
+             lambda: H.lmul_gen(5, H.unit()),
+             lambda: H.rmul_gen(H.unit(), -1),
+             lambda: H.parahoric_subgroup([1, 4])]
+    for call in calls:
+        with pytest.raises(RootDatumError, match="unknown reflection label"):
+            call()
+
+
 # -- reduced words ------------------------------------------------------------
 
 

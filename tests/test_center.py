@@ -1,3 +1,5 @@
+import dataclasses
+import operator
 import random
 from itertools import product
 
@@ -38,6 +40,18 @@ def test_symmetric_function_validation(gl2):
         SymmetricFunction(gl2, {(1, 0): ONE})  # orbit incomplete
     f = SymmetricFunction(gl2, {(1, 0): ONE, (0, 1): ONE})
     assert f == monomial_symmetric(gl2, (1, 0))
+
+
+def test_sums_across_root_data_rejected(gl2, gl3):
+    f2 = monomial_symmetric(gl2, (1, 0))
+    f3 = monomial_symmetric(gl3, (1, 0, 0))
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="different root data"):
+            op(f2, f3)
+    # an equal datum that is another object still adds
+    same = dataclasses.replace(gl2, family="GL(2) copy")
+    assert same is not gl2 and same == gl2
+    assert f2 + monomial_symmetric(same, (1, 0)) == f2.scale(2)
 
 
 def test_iso_sends_monomial_to_bernstein(gl3, H3):

@@ -1,7 +1,9 @@
+import operator
 import random
 
 import pytest
 
+from iwahecke.affine import AffineWeylGroup
 from iwahecke.hecke import (bernstein_function, is_central, parahoric_descent,
                             t_inverse, t_multiply, theta)
 from iwahecke.laurent import ONE, Q, QM1, LaurentPoly
@@ -32,6 +34,17 @@ def test_unit(H2):
         a = random_hecke_element(H2, rng)
         assert H2.unit() * a == a
         assert a * H2.unit() == a
+
+
+def test_sums_across_root_data_rejected(H2, H3, gl3):
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="different Hecke algebras"):
+            op(H2.unit(), H3.unit())
+    # the same datum in a context of its own still adds
+    other = AffineWeylGroup(gl3).hecke()
+    assert other is not H3
+    assert H3.unit() + other.unit() == H3.unit().scale(2)
+    assert not H3.unit() - other.unit()
 
 
 def test_translation_product(H2):

@@ -4,7 +4,8 @@ them, checked against plain action-matrix products.
 
 `oracle_tables` rebuilds every table of `IndexedWeyl` the direct way: a
 breadth-first search multiplying full matrices, inverses by iterated powers,
-left multiplication by matrix products and root signs by applying transposed
+the per-generator left and right rows by matrix products, root images by
+applying the dual matrices and root signs by applying transposed
 matrices.  The group itself keeps no matrices, so its `apply` is checked on a basis
 against the oracle's, and its reflection lookup against the oracle's
 matrix-keyed index.  The kernel's element operations are checked one by
@@ -114,6 +115,11 @@ def oracle_tables(rd):
     size = len(mats)
     lmul = [[index[_mat_mul(gen_mats[i], mats[w])] for i in range(m)]
             for w in range(size)]
+    # a root id is its position in rd.pos_roots, plus npos when negated
+    npos = len(rd.pos_roots)
+    root_id = {a: k for k, a in enumerate(rd.pos_roots)}
+    root_id.update({tuple(-x for x in a): k + npos
+                    for k, a in enumerate(rd.pos_roots)})
     word = [None] * size
     word[0] = ()
     for w in sorted(range(1, size), key=lambda w: length[w]):
@@ -125,11 +131,15 @@ def oracle_tables(rd):
     pos = set(rd.pos_roots)
     root_sign = [tuple(1 if _mat_apply(_transpose(mt), a) in pos else -1
                        for a in rd.pos_roots) for mt in mats]
+    # w acts on a character (row vector) by multiplying with w^{-1}
+    root_image = [tuple(root_id[_mat_apply(_transpose(_mat_inverse(mt)), a)]
+                        for a in rd.pos_roots) for mt in mats]
     return {
         "mats": mats, "index": index, "length": length,
-        "rmul": [tuple(r) for r in rmul], "lmul": [tuple(r) for r in lmul],
+        "rrow": [tuple(r[i] for r in rmul) for i in range(m)],
+        "lrow": [tuple(r[i] for r in lmul) for i in range(m)],
         "inv": [index[_mat_inverse(mt)] for mt in mats], "word": word,
-        "root_sign": root_sign,
+        "root_sign": root_sign, "root_image": root_image,
         "gen_index": tuple(index[g] for g in gen_mats),
     }
 
@@ -140,8 +150,12 @@ def test_weyl_tables_match_matrix_products(case):
     want = oracle_tables(rd)
     got = IndexedWeyl(rd)
     assert got.size == len(want["mats"])
-    for name in ("length", "rmul", "lmul", "inv", "word", "root_sign"):
+    for name in ("length", "rrow", "lrow", "inv", "word", "root_image"):
         assert list(getattr(got, name)) == want[name], name
+    # the sign of w^{-1}(a): negative exactly when its id is at least npos
+    assert [tuple(-1 if k >= got.npos else 1
+                  for k in got.root_image[got.inv[w]])
+            for w in range(got.size)] == want["root_sign"]
     # the columns of w's matrix are the images of the basis vectors
     basis = want["mats"][0]  # the identity: its rows are the basis
     for w, mat in enumerate(want["mats"]):
@@ -163,11 +177,17 @@ def test_affine_generator_rows_match_matrix_products(case):
     W = AffineWeylGroup(rd)
     want = oracle_tables(rd)
     mats, index = want["mats"], want["index"]
-    gens = W.kernel.gens
-    assert [(g[5], g[6]) for g in gens] == _affine_generators(rd, index)
+    k = W.kernel
+    assert list(k.reflections) == _affine_generators(rd, index)
     # u acts on a character (row vector) by multiplying with u^{-1}
     dual = [_transpose(_mat_inverse(u)) for u in mats]
-    for vec, _, cvec, _, _, trans, fin, lrow, rrow, wvec, wtrans in gens:
+    for slot, (trans, fin) in enumerate(k.reflections):
+        vec, _, cvec, lrow = k._left[slot]
+        wtrans, rrow = k._right[slot]
+        wvec = k._rdesc[slot][0]
+        if slot < rd.n_simple:
+            # the finite slots read the finite group's rows in place
+            assert lrow is W.weyl.lrow[slot] and rrow is W.weyl.rrow[slot]
         g = mats[fin]
         assert lrow == tuple(index[_mat_mul(g, u)] for u in mats)
         assert rrow == tuple(index[_mat_mul(u, g)] for u in mats)

@@ -52,6 +52,12 @@ def test_scale_by_zero_is_the_zero_function(gl2):
     assert kottwitz_fiber_integrate(H.unit()).scale(0) == zero
 
 
+def test_graded_function_accumulates_keys_of_one_class(gl2):
+    # (1, 0) and (0, 1) both lie in the Kottwitz class of grade 1
+    assert GradedFunction(gl2, {(1, 0): 1, (0, 1): 1}).coeff(1) == 2
+    assert GradedFunction(gl2, {(1, 0): 1, (0, 1): -1}).terms == {}
+
+
 def test_two_routes_agree(gl2, gl3, gl4):
     from oracles import dominant_minuscule_in_box
     for rd, extra in [(gl2, [(2, 1)]), (gl3, []), (gl4, [])]:

@@ -43,11 +43,12 @@ def test_inverse_table(sp4):
 
 
 def test_root_sign_counts_inversions(gl3):
-    # l(w) = #{positive roots a : w^{-1}(a) < 0} for w^{-1}, i.e. the number
-    # of -1 entries in row w equals l(w)
+    # l(w) = #{positive roots a : w(a) < 0}, i.e. the number of negative
+    # root ids (those at least npos) in row w of the root images equals l(w)
     w = IndexedWeyl(gl3)
     for idx in range(w.size):
-        assert sum(1 for s in w.root_sign[idx] if s < 0) == w.length[idx]
+        assert (sum(1 for k in w.root_image[idx] if k >= w.npos)
+                == w.length[idx])
 
 
 def test_finite_element_wrapper(gl3):
