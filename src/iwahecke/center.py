@@ -5,11 +5,12 @@ the constant-term homomorphism to standard Levi subgroups.
 
 A symmetric function is a finitely supported, finite-Weyl-invariant map from
 coweights to Z[v, 1/v]; the monomial basis is indexed by dominant coweights.
-The forward isomorphism sends e^la to theta_la (so the monomial function of
-mu to the Bernstein function z_mu).  The inverse is computed by exact
-triangular elimination: the translation elements in the support of a central
-element are, at each maximal length, reachable only from the matching z_mu,
-whose T_{t_mu} coefficient is exactly v^{-l(t_mu)}.
+The forward isomorphism sends e^la to theta_la, so the monomial function of
+mu to the Bernstein function z_mu; it is computed as sum_mu f(mu) z_mu over
+the dominant support, from the algebra's cached z_mu.  The inverse is
+computed by exact triangular elimination: the translation elements in the
+support of a central element are, at each maximal length, reachable only
+from the matching z_mu, whose T_{t_mu} coefficient is exactly v^{-l(t_mu)}.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ class SymmetricFunction:
             return self.scale(other)
         if not isinstance(other, SymmetricFunction):
             return NotImplemented
+        if other.rd != self.rd:
+            raise ValueError("functions on different root data")
         out: dict = {}
         for la, c in self.terms.items():
             for nu, d in other.terms.items():
@@ -156,14 +159,19 @@ def monomial_symmetric(rd: RootDatum, mu) -> SymmetricFunction:
 
 
 def bernstein_iso(f: SymmetricFunction, W=None) -> HeckeElement:
-    """sum_la f(la) theta_la, landing in the center of the Hecke algebra."""
+    """sum_la f(la) theta_la, landing in the center of the Hecke algebra.
+
+    f is constant on Weyl orbits, so this is sum_mu f(mu) z_mu over its
+    dominant support, each z_mu from the algebra's memo (the same z_mu that
+    bernstein_iso_inverse subtracts).
+    """
     if W is None:
         W = f.rd.affine_weyl()
     H = W.hecke()
     out: dict = {}
-    for la in sorted(f.terms):
-        c = f.terms[la]
-        for x, p in H.theta(la).terms.items():
+    for mu in f.dominant_support():
+        c = f.terms[mu]
+        for x, p in H.bernstein_function(mu).terms.items():
             accumulate(out, x, c * p)
     return HeckeElement(H, out)
 

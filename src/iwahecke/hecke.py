@@ -13,6 +13,12 @@ Bernstein elements theta_la (la any coweight) are normalized by
 theta_la = v^{-l(t_la)} T_{t_la} for dominant la, and the Bernstein function
 of a dominant mu is z_mu = sum of theta_la over the finite Weyl orbit of mu;
 z_mu is central.
+
+Both are computed as right folds.  For any dominant lam2 with la + lam2
+dominant, theta_la = v^{-<la, 2 rho>} T_{t_{la+lam2}} T_{t_lam2}^{-1}, and
+T_{t_lam2}^{-1} is applied one letter of a reduced word of t_lam2 at a time.
+z_mu takes one lam2 for its whole orbit, so the orbit sum of the
+T_{t_{la+lam2}} is folded once.
 """
 
 from __future__ import annotations
@@ -246,7 +252,8 @@ class HeckeAlgebra:
         if lam2 is None:
             if rd.is_dominant(lam):
                 return self.t(self.W.translation(lam), vpow)
-            lam2 = _dominant_cover(rd, lam)
+            lam2 = _dominant_cover(
+                rd, [max(0, -dot(lam, a)) for a in rd.simple_roots])
         lam1 = tuple(a + b for a, b in zip(lam, lam2))
         if not (rd.is_dominant(lam1) and rd.is_dominant(lam2)):
             raise RootDatumError("decomposition is not dominant")
@@ -254,17 +261,29 @@ class HeckeAlgebra:
                                     self.W.translation(lam2))
 
     def bernstein_function(self, mu) -> HeckeElement:
-        """z_mu = sum of theta_la over the finite Weyl orbit of dominant mu."""
+        """z_mu = sum of theta_la over the finite Weyl orbit of dominant mu.
+
+        One lam2 serves the whole orbit: <lam2, a_i> >= -<la, a_i> for every
+        la in it, so z_mu = (sum_la v^{-<la, 2 rho>} T_{t_{la+lam2}})
+        T_{t_lam2}^{-1}, one right fold.  When the whole orbit is dominant
+        (a central mu, or a torus) lam2 = 0 and nothing is folded.
+        """
         mu = tuple(mu)
-        if not self.W.rd.is_dominant(mu):
+        rd = self.W.rd
+        if not rd.is_dominant(mu):
             raise RootDatumError(f"{mu} is not dominant")
         cached = self._z.get(mu)
         if cached is None:
-            out: dict = {}
-            for la in sorted(weyl_orbit(self.W.rd, mu)):
-                for x, c in self.theta(la).terms.items():
-                    accumulate(out, x, c)
-            cached = HeckeElement(self, out)
+            orbit = sorted(weyl_orbit(rd, mu))
+            need = [max(0, -min(dot(la, a) for la in orbit))
+                    for a in rd.simple_roots]
+            fold = any(need)
+            lam2 = _dominant_cover(rd, need) if fold else (0,) * rd.rank
+            cached = HeckeElement(self, {
+                self.W.translation(tuple(a + b for a, b in zip(la, lam2))):
+                LaurentPoly.v(-dot(la, rd.two_rho)) for la in orbit})
+            if fold:
+                cached = self._rmul_t_inverse(cached, self.W.translation(lam2))
             self._z[mu] = cached
         return cached
 
@@ -335,10 +354,9 @@ class HeckeAlgebra:
 # -- decomposition helper -------------------------------------------------------
 
 
-def _dominant_cover(rd, lam) -> tuple:
-    """A dominant lattice vector lam2 with <lam2, a_i> >= max(0, -<lam, a_i>),
-    preferring small <lam2, 2 rho>."""
-    need = [max(0, -dot(lam, a)) for a in rd.simple_roots]
+def _dominant_cover(rd, need) -> tuple:
+    """A lattice vector lam2 with <lam2, a_i> >= need[i] >= 0 for every simple
+    root a_i (so dominant), preferring small <lam2, 2 rho>."""
     # exact fundamental-coweight combination when it is integral
     sol = solve_underdetermined([list(a) for a in rd.simple_roots], need)
     if sol is not None and all(x.denominator == 1 for x in sol):

@@ -157,6 +157,9 @@ class IndexedWeyl:
         return self._by_image[tuple(key)]
 
     def element(self, w: int) -> "FiniteWeylElement":
+        if not isinstance(w, int) or not 0 <= w < self.size:
+            raise ValueError(f"finite Weyl group index {w!r} is not in "
+                             f"range({self.size})")
         return FiniteWeylElement(self, w)
 
 

@@ -9,7 +9,8 @@ from evaluated words; truncated-series arithmetic goes one
 coefficient at a time through the field's tables, and the change-of-level
 coset sum through full 2x2 products.  The Kottwitz grading reads
 Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
-matrix instead of its Hermite normal form.
+matrix instead of its Hermite normal form.  The Bernstein isomorphism sums
+one theta_la per coweight of the support instead of one z_mu per orbit.
 """
 
 from fractions import Fraction
@@ -124,6 +125,19 @@ def dominant_minuscule_in_box(rd, lo=-1, hi=1):
         if rd.is_dominant(mu) and is_minuscule(rd, mu):
             out.append(mu)
     return sorted(set(out))
+
+
+def bernstein_iso_by_theta(f, W):
+    """sum_la f(la) theta_la in the Hecke algebra of W, coweight by coweight."""
+    from iwahecke.hecke import HeckeElement
+    from iwahecke.laurent import accumulate
+    H = W.hecke()
+    out = {}
+    for la in sorted(f.terms):
+        c = f.terms[la]
+        for x, p in H.theta(la).terms.items():
+            accumulate(out, x, c * p)
+    return HeckeElement(H, out)
 
 
 def random_element(W, rng, coord_span=2):

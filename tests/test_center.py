@@ -5,12 +5,16 @@ from itertools import product
 
 import pytest
 
+from iwahecke.affine import AffineWeylGroup
 from iwahecke.center import (HeightBoundError, NotCentralError,
                              SymmetricFunction, bernstein_iso,
                              bernstein_iso_inverse, constant_term,
                              monomial_symmetric)
 from iwahecke.laurent import ONE, LaurentPoly
-from iwahecke.rootdata import RootDatumError, levi_sub_datum
+from iwahecke.rootdata import (RootDatumError, build_root_datum,
+                               levi_sub_datum)
+
+from oracles import bernstein_iso_by_theta
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +49,14 @@ def test_symmetric_function_validation(gl2):
 def test_sums_across_root_data_rejected(gl2, gl3):
     f2 = monomial_symmetric(gl2, (1, 0))
     f3 = monomial_symmetric(gl3, (1, 0, 0))
-    for op in (operator.add, operator.sub):
+    for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(ValueError, match="different root data"):
             op(f2, f3)
-    # an equal datum that is another object still adds
+    # an equal datum that is another object still adds and multiplies
     same = dataclasses.replace(gl2, family="GL(2) copy")
     assert same is not gl2 and same == gl2
     assert f2 + monomial_symmetric(same, (1, 0)) == f2.scale(2)
+    assert f2 * monomial_symmetric(same, (1, 0)) == f2 * f2
 
 
 def test_iso_sends_monomial_to_bernstein(gl3, H3):
@@ -154,3 +159,36 @@ def test_symmetric_function_json_round_trip(gl3):
     assert all(gl3.is_dominant(e["coweight"]) for e in obj)
     back = SymmetricFunction.from_json_obj(gl3, obj)
     assert back == f
+
+
+def test_central_and_torus_bernstein_functions_need_no_fold(gl3, H3):
+    # every orbit element dominant: z_mu is the single theta_mu
+    W = H3.W
+    assert H3.bernstein_function((1, 1, 1)) == H3.t(W.translation((1, 1, 1)))
+    torus = levi_sub_datum(gl3, [])
+    HT = torus.affine_weyl().hecke()
+    for la in [(1, 0, -1), (0, 2, 1)]:
+        assert HT.bernstein_function(la) == HT.t(HT.W.translation(la))
+    z = H3.bernstein_function((2, 1, 0))
+    f = SymmetricFunction(torus, bernstein_iso_inverse(z, 8).terms)
+    assert constant_term(z, []) == bernstein_iso_by_theta(
+        f, AffineWeylGroup(torus))
+
+
+@pytest.mark.parametrize("family,n,levi", [
+    ("GL", 3, None), ("GL", 3, [1]), ("GL", 3, []), ("GL", 4, [1, 3]),
+    ("GSp", 4, None), ("GSp", 4, [2]), ("Sp", 4, None),
+], ids=str)
+def test_iso_matches_theta_by_theta_sum(family, n, levi):
+    rd = build_root_datum(family, n)
+    if levi is not None:
+        rd = levi_sub_datum(rd, levi)
+    mus = dominant_box(rd, -1, 2)
+    rng = random.Random(f"{family}{n}{levi}")
+    for _ in range(4):
+        f = SymmetricFunction(rd, {})
+        for mu in rng.sample(mus, 3):
+            c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) or 1})
+            f = f + monomial_symmetric(rd, mu).scale(c)
+        got = bernstein_iso(f, AffineWeylGroup(rd))
+        assert got == bernstein_iso_by_theta(f, AffineWeylGroup(rd))

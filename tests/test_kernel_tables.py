@@ -14,15 +14,18 @@ generators built from the root datum, and the Hecke folds, which read the
 kernel's generator tables and carry lengths, against folds through generic
 products and `kernel.length`.  The T_s^{-1} folds are checked as inverses of
 the T_s folds, and theta_lam, folded one T_s^{-1} at a time, against the
-inverse-then-multiply product T_{t_lam1} T_{t_lam2}^{-1}.
+inverse-then-multiply product T_{t_lam1} T_{t_lam2}^{-1}.  z_mu, one fold
+of its orbit sum, is checked against the sum of the orbit's theta_la.
 """
 
 import random
+from itertools import product
 
 import pytest
 
 from iwahecke import default_impl
 from iwahecke.affine import AffineWeylGroup
+from iwahecke.center import SymmetricFunction
 from iwahecke.hecke import _dominant_cover
 from iwahecke.intlinalg import dot
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
@@ -30,7 +33,7 @@ from iwahecke.rootdata import build_root_datum, is_minuscule, load_root_datum
 from iwahecke.weyl import IndexedWeyl
 
 from conftest import DATA
-from oracles import admissible_set_by_deletion
+from oracles import admissible_set_by_deletion, bernstein_iso_by_theta
 
 GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
           ("Sp", 6), ("GSp", 4), ("GSp", 6)]
@@ -397,10 +400,36 @@ def test_t_inverse_and_theta_match_inverse_then_multiply(case):
         if rd.is_dominant(lam):
             continue
         tried += 1
-        lam2 = _dominant_cover(rd, lam)
+        lam2 = _dominant_cover(rd, [max(0, -dot(lam, a))
+                                    for a in rd.simple_roots])
         lam1 = tuple(a + b for a, b in zip(lam, lam2))
         want = H.t_times(W.translation(lam1),
                          _old_t_inverse(H, W.translation(lam2)))
         got = H.theta(lam)
         assert got == want.scale(LaurentPoly.v(-dot(lam, rd.two_rho)))
         _assert_lengths_carried(got)
+
+
+@KERNEL_CASES
+def test_bernstein_function_is_the_orbit_theta_sum(case):
+    # one fold over a cover shared by the orbit against one fold per theta_la,
+    # each side in a fresh context; mu runs over a central coweight (nothing
+    # to fold), the lowest and highest minuscule ones and the two lowest
+    # non-minuscule ones in a box (Sp and SL(3) have no minuscule coweight
+    # but 0)
+    rd = _datum(case)
+    box = sorted((dot(mu, rd.two_rho), mu)
+                 for mu in product(range(-1, 3), repeat=rd.rank)
+                 if rd.is_dominant(mu))
+    central = [mu for h, mu in box if h == 0 and any(mu)]
+    minuscule = [mu for h, mu in box if h and is_minuscule(rd, mu)]
+    other = [mu for h, mu in box if not is_minuscule(rd, mu)]
+    picks = central[:1] + minuscule[:1] + minuscule[1:][-1:] + other[:2]
+    assert other
+    for mu in picks:
+        got = AffineWeylGroup(rd).hecke().bernstein_function(mu)
+        f = SymmetricFunction.from_dominant(rd, {mu: ONE})
+        want = bernstein_iso_by_theta(f, AffineWeylGroup(rd))
+        assert got.terms == want.terms, mu
+        if mu not in central:  # folded, so lengths are carried
+            _assert_lengths_carried(got)

@@ -62,6 +62,14 @@ def test_finite_element_wrapper(gl3):
     assert s.apply((1, 0, 0)) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("bad", [-1, 6, 99, 1.0, "0", None])
+def test_finite_index_out_of_range_refused(gl3, bad):
+    w = IndexedWeyl(gl3)
+    with pytest.raises(ValueError, match="not in range"):
+        w.element(bad)
+    assert w.element(5).length() == w.length[5]
+
+
 @pytest.mark.parametrize("case", [
     ("GL", 1), ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("GL", 6),
     ("GL", 7), ("SL", 4), ("Sp", 6), ("Sp", 8), ("GSp", 6),
