@@ -30,7 +30,12 @@ class Kernel:
     (-theta, 1), is paired in descent tests, and with its coroot cvec
     (signed like vec) the generator acts on the left as
     t -> t - (<t, vec> + k) cvec.  ``reflections[g]`` is the reflection of
-    slot g as a ``(trans, fin)`` group element.
+    slot g as a ``(trans, fin)`` group element.  The Hecke fold
+    (:meth:`iwahecke.hecke.HeckeAlgebra._fold`) applies a letter to every
+    term of an element at once, so it unpacks slot g's tuples ``_left[g]``
+    and ``_ldesc[g]`` (or ``_right[g]`` and ``_rdesc[g]``) once per letter
+    and inlines `lmul_gen` with `left_descent` (or `rmul_gen` with
+    `right_descent`).
     """
 
     def __init__(self, weyl):

@@ -16,18 +16,40 @@ z_mu is central.
 
 Both are computed as right folds.  For any dominant lam2 with la + lam2
 dominant, theta_la = v^{-<la, 2 rho>} T_{t_{la+lam2}} T_{t_lam2}^{-1}, and
-T_{t_lam2}^{-1} is applied one letter of a reduced word of t_lam2 at a time.
-z_mu takes one lam2 for its whole orbit, so the orbit sum of the
-T_{t_{la+lam2}} is folded once.
+T_{t_lam2}^{-1} is applied along a reduced word of t_lam2.  z_mu takes one
+lam2 for its whole orbit, so the orbit sum of the T_{t_{la+lam2}} is folded
+once.
+
+Every product with generators, T_x h and h T_x^{-1} included, is one fold
+over a whole word.  The fold packs each Laurent coefficient into one int
+(Kronecker substitution, v -> 2^b), runs every letter on raw (trans, fin,
+length) keys, where q^{+-1} is a shift and accumulating is int addition,
+and unpacks once at the end.  T_s only raises v-exponents and T_s^{-1}
+only lowers them, so the digits need no offset, and a letter at most
+triples the sum of |coefficients|, so b = bitlength(that sum * 3^letters)
++ 1 bits per signed digit never overflow.
+
+>>> from iwahecke.rootdata import build_root_datum
+>>> H = build_root_datum("GL", 2).affine_weyl().hecke()
+>>> s = H.W.simple_reflection(1)
+>>> H.t_inverse(s)
+HeckeElement((-1 + v^-2)*T<e> + (v^-2)*T<s1>)
+>>> H.t(s) * H.t_inverse(s) == H.unit()
+True
+>>> H.theta((0, 1))
+HeckeElement((-v + v^-1)*T<t[1, 0]*s1> + (v^-1)*T<t[0, 1]>)
+>>> H.theta((1, 0)) * H.theta((0, 1)) == H.theta((1, 1))
+True
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add, mul
 
 from .affine import AffineWeylElement, AffineWeylGroup
 from .intlinalg import dot, solve_underdetermined
-from .laurent import ONE, QM1, LaurentPoly, accumulate
+from .laurent import ONE, LaurentPoly, accumulate
 from .rootdata import RootDatumError, weyl_orbit
 
 __all__ = [
@@ -35,10 +57,6 @@ __all__ = [
     "t_multiply", "t_inverse", "theta", "bernstein_function",
     "is_central", "parahoric_descent",
 ]
-
-_Q = LaurentPoly.q()
-_QINV = LaurentPoly.q(-1)
-_QINV_M1 = _QINV - 1
 
 
 class HeckeElement:
@@ -71,13 +89,25 @@ class HeckeElement:
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        if (other.algebra is not self.algebra
-                and other.algebra.W.rd != self.algebra.W.rd):
-            raise ValueError("elements of different Hecke algebras")
         out = dict(self.terms)
-        for x, c in other.terms.items():
+        for x, c in self._rebind(other).terms.items():
             accumulate(out, x, c)
         return HeckeElement(self.algebra, out)
+
+    def _rebind(self, other: "HeckeElement") -> "HeckeElement":
+        """other, its terms rebound into this element's group when it comes
+        from another context on an equal root datum."""
+        if other.algebra is self.algebra:
+            return other
+        W = self.algebra.W
+        if other.algebra.W.rd != W.rd:
+            raise ValueError("elements of different Hecke algebras")
+        terms = {}
+        for x, c in other.terms.items():
+            y = AffineWeylElement(W, x.trans, x.fin)
+            y._len = x._len
+            terms[y] = c
+        return HeckeElement(self.algebra, terms)
 
     def __neg__(self):
         return HeckeElement(self.algebra,
@@ -90,9 +120,7 @@ class HeckeElement:
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
-            if other.algebra is not self.algebra:
-                raise ValueError("elements of different Hecke algebras")
-            return self.algebra.multiply(self, other)
+            return self.algebra.multiply(self, self._rebind(other))
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
         return NotImplemented
@@ -148,35 +176,105 @@ class HeckeAlgebra:
 
     def lmul_gen(self, label: int, h: HeckeElement) -> HeckeElement:
         """T_s * h for the affine simple reflection with this label."""
-        return self._fold(h, self.W.label_slot[label], True, False)
+        return self._fold(h, (self.W.label_slot[label],), True, False)
 
     def rmul_gen(self, h: HeckeElement, label: int) -> HeckeElement:
         """h * T_s."""
-        return self._fold(h, self.W.label_slot[label], False, False)
+        return self._fold(h, (self.W.label_slot[label],), False, False)
 
-    def _fold(self, h, slot, left, inverse):
-        """T_s h (left) or h T_s for the reflection in kernel slot `slot`, or
-        the same with T_s^{-1}.  With sy = s y or y s: T_s maps an ascent T_y
-        to T_{sy} and a descent to q T_{sy} + (q-1) T_y; T_s^{-1} maps a
-        descent to T_{sy} and an ascent to q^{-1} T_{sy} + (q^{-1}-1) T_y."""
+    def _fold(self, h, slots, left, inverse):
+        """T_{s_k} ... T_{s_1} h (left) or h T_{s_1} ... T_{s_k} (right) for
+        the reflections in kernel slots s_1, ..., s_k, or the same with every
+        T_s replaced by T_s^{-1}.  With sy = s y or y s: T_s maps an ascent
+        T_y to T_{sy} and a descent to q T_{sy} + (q-1) T_y; T_s^{-1} maps a
+        descent to T_{sy} and an ascent to q^{-1} T_{sy} + (q^{-1}-1) T_y.
+
+        The word runs on raw keys (trans, fin, length), each coefficient
+        Kronecker-packed into one int, converted in once and out once.  T_s
+        only raises v-exponents and T_s^{-1} only lowers them, so digit i of
+        the packed int, in base 2^b with signed digits, is the coefficient
+        of v^(base + stride * i): base is the least exponent of h and the
+        stride 1, or 2 when all exponents of h have one parity (base the
+        greatest and the stride negative, for T_s^{-1}).  Then q^{+-1} is a
+        shift by 2 / |stride| digits, the q^{+-1} - 1 term is that shift
+        minus the value, and accumulating is int addition.
+        """
         W = self.W
         k = W.kernel
-        far, near = (_QINV, _QINV_M1) if inverse else (_Q, QM1)
-        out: dict = {}
+        images, inv_table, npos = k.root_image, k.inv_table, k.npos
+        exps = [e for c in h.terms.values() for e in c.c]
+        base = (max if inverse else min)(exps, default=0)
+        # A letter maps a term c T_y to c T_sy, or to (q^{+-1} - 1) c T_y +
+        # q^{+-1} c T_sy, so it at most triples the sum of |coefficients|
+        # over the whole element.  That sum, and so every digit, stays below
+        # l1 * 3^len(slots) < 2^(b-1): no digit overflows into the next.
+        l1 = sum([abs(n) for c in h.terms.values() for n in c.c.values()])
+        b = (l1 * 3 ** len(slots)).bit_length() + 1
+        stride = 2 if len({e & 1 for e in exps}) < 2 else 1
+        if inverse:
+            stride = -stride
+        cur: dict = {}
         for y, c in h.terms.items():
+            p = 0
+            for e, n in c.c.items():
+                p += n << b * ((e - base) // stride)
+            cur[(y.trans, y.fin, y.length())] = p
+        shift = 2 * b // abs(stride)
+        for slot in slots:
+            out: dict = {}
+            get = out.get
             if left:
-                sy = AffineWeylElement(W, *k.lmul_gen(slot, y.trans, y.fin))
-                down = k.left_descent(slot, y.trans, y.fin)
+                vec, k0, cvec, lrow = k._left[slot]
+                r, flip = k._ldesc[slot][2:]
             else:
-                sy = AffineWeylElement(W, *k.rmul_gen(y.trans, y.fin, slot))
-                down = k.right_descent(y.trans, y.fin, slot)
-            sy._len = y.length() - 1 if down else y.length() + 1
-            if down == inverse:
-                accumulate(out, sy, c)
-            else:
-                accumulate(out, y, near * c)
-                accumulate(out, sy, far * c)
-        return HeckeElement(self, out)
+                wtrans, rrow = k._right[slot]
+                wvecs, k0, r, flip = k._rdesc[slot]
+            for key, p in cur.items():
+                if not p:
+                    continue
+                t, w, ln = key
+                if left:
+                    m = k0 + sum(map(mul, t, vec))
+                    if m:
+                        down = m < 0
+                        t = tuple([x - m * c for x, c in zip(t, cvec)])
+                    else:
+                        down = (images[inv_table[w]][r] >= npos) != flip
+                    w = lrow[w]
+                else:
+                    m = k0 - sum(map(mul, t, wvecs[w]))
+                    down = m < 0 if m else (images[w][r] >= npos) != flip
+                    if wtrans is not None:
+                        t = tuple(map(add, t, wtrans[w]))
+                    w = rrow[w]
+                sx = (t, w, ln - 1 if down else ln + 1)
+                if down == inverse:
+                    out[sx] = get(sx, 0) + p
+                else:
+                    far = p << shift
+                    out[key] = get(key, 0) + far - p
+                    out[sx] = get(sx, 0) + far
+            cur = out
+        # unpack the balanced digits, least significant first
+        full = 1 << b
+        half, mask = full >> 1, full - 1
+        terms = {}
+        for (t, w, ln), p in cur.items():
+            if not p:
+                continue
+            c, e = {}, base
+            while p:
+                d = p & mask
+                if d >= half:
+                    d -= full
+                if d:
+                    c[e] = d
+                p = (p - d) >> b
+                e += stride
+            x = AffineWeylElement(W, t, w)
+            x._len = ln
+            terms[x] = LaurentPoly(c)
+        return HeckeElement(self, terms)
 
     def lmul_omega(self, om: AffineWeylElement, h: HeckeElement):
         """T_om * h for om of length zero."""
@@ -199,12 +297,12 @@ class HeckeAlgebra:
     # -- products ------------------------------------------------------------
 
     def t_times(self, x: AffineWeylElement, h: HeckeElement) -> HeckeElement:
-        """T_x * h via the reduced word of x."""
-        word, om = self.W.reduced_word(x)
-        r = self.lmul_omega(om.element, h)
-        for label in reversed(word):
-            r = self.lmul_gen(label, r)
-        return r
+        """T_x * h: T_omega h folded by the reduced word of x in one pass."""
+        W = self.W
+        word, om = W.reduced_word(x)
+        return self._fold(self.lmul_omega(om.element, h),
+                          [W.label_slot[lab] for lab in reversed(word)],
+                          True, False)
 
     def multiply(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         out: dict = {}
@@ -222,12 +320,12 @@ class HeckeAlgebra:
 
     def _rmul_t_inverse(self, h: HeckeElement, x: AffineWeylElement):
         """h * T_x^{-1}: with x = s_1...s_k * omega reduced, T_x^{-1} =
-        T_{omega^{-1}} T_{s_k}^{-1} ... T_{s_1}^{-1}, one factor at a time."""
-        word, om = self.W.reduced_word(x)
-        h = self.rmul_omega(h, om.element.inverse())
-        for label in reversed(word):
-            h = self._fold(h, self.W.label_slot[label], False, True)
-        return h
+        T_{omega^{-1}} T_{s_k}^{-1} ... T_{s_1}^{-1}, folded in one pass."""
+        W = self.W
+        word, om = W.reduced_word(x)
+        return self._fold(self.rmul_omega(h, om.element.inverse()),
+                          [W.label_slot[lab] for lab in reversed(word)],
+                          False, True)
 
     # -- Bernstein elements ----------------------------------------------------
 

@@ -11,6 +11,8 @@ coset sum through full 2x2 products.  The Kottwitz grading reads
 Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
 matrix instead of its Hermite normal form.  The Bernstein isomorphism sums
 one theta_la per coweight of the support instead of one z_mu per orbit.
+Hecke folds go one letter at a time in Laurent-polynomial arithmetic
+instead of over a whole word on packed integer coefficients.
 """
 
 from fractions import Fraction
@@ -138,6 +140,36 @@ def bernstein_iso_by_theta(f, W):
         for x, p in H.theta(la).terms.items():
             accumulate(out, x, c * p)
     return HeckeElement(H, out)
+
+
+def fold_by_letters(H, h, slots, left, inverse):
+    """The Hecke fold `H._fold(h, slots, left, inverse)` one letter at a
+    time in Laurent-polynomial arithmetic, each image element built by the
+    kernel's generator products and carrying its length."""
+    from iwahecke.affine import AffineWeylElement
+    from iwahecke.hecke import HeckeElement
+    from iwahecke.laurent import QM1, LaurentPoly, accumulate
+    W = H.W
+    k = W.kernel
+    q, qinv = LaurentPoly.q(), LaurentPoly.q(-1)
+    far, near = (qinv, qinv - 1) if inverse else (q, QM1)
+    for slot in slots:
+        out = {}
+        for y, c in h.terms.items():
+            if left:
+                sy = AffineWeylElement(W, *k.lmul_gen(slot, y.trans, y.fin))
+                down = k.left_descent(slot, y.trans, y.fin)
+            else:
+                sy = AffineWeylElement(W, *k.rmul_gen(y.trans, y.fin, slot))
+                down = k.right_descent(y.trans, y.fin, slot)
+            sy._len = y.length() - 1 if down else y.length() + 1
+            if down == inverse:
+                accumulate(out, sy, c)
+            else:
+                accumulate(out, y, near * c)
+                accumulate(out, sy, far * c)
+        h = HeckeElement(H, out)
+    return h
 
 
 def random_element(W, rng, coord_span=2):

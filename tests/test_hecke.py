@@ -37,14 +37,23 @@ def test_unit(H2):
 
 
 def test_sums_across_root_data_rejected(H2, H3, gl3):
-    for op in (operator.add, operator.sub):
+    for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(ValueError, match="different Hecke algebras"):
             op(H2.unit(), H3.unit())
-    # the same datum in a context of its own still adds
+    # the same datum in a context of its own still adds and multiplies,
+    # its terms rebound into the left operand's group
     other = AffineWeylGroup(gl3).hecke()
     assert other is not H3
     assert H3.unit() + other.unit() == H3.unit().scale(2)
     assert not H3.unit() - other.unit()
+    for la, nu in [((1, 0, 0), (1, 0, 0)), ((0, 0, 1), (1, -1, 0))]:
+        a, b = theta(H3, la), theta(H3, nu)
+        for x, y in ((a, b), (a, other.theta(nu)), (other.theta(la), b)):
+            got = x * y
+            assert got == a * b
+            assert all(z.group is x.algebra.W for z in got.terms)
+        mixed = H3.t(H3.W.simple_reflection(1)) + other.theta(nu)
+        assert all(z.group is H3.W for z in mixed.terms)
 
 
 def test_translation_product(H2):

@@ -12,8 +12,10 @@ matrix-keyed index.  The kernel's element operations are checked one by
 one on random elements against the same products and `kernel.length`, with the affine
 generators built from the root datum, and the Hecke folds, which read the
 kernel's generator tables and carry lengths, against folds through generic
-products and `kernel.length`.  The T_s^{-1} folds are checked as inverses of
-the T_s folds, and theta_lam, folded one T_s^{-1} at a time, against the
+products and `kernel.length`.  Whole-word folds on packed coefficients are
+checked against Laurent-polynomial folds one letter at a time, and the
+T_s^{-1} folds as inverses of the T_s folds; theta_lam, folded by the
+T_s^{-1} of a reduced word, is checked against the
 inverse-then-multiply product T_{t_lam1} T_{t_lam2}^{-1}.  z_mu, one fold
 of its orbit sum, is checked against the sum of the orbit's theta_la.
 """
@@ -33,7 +35,8 @@ from iwahecke.rootdata import build_root_datum, is_minuscule, load_root_datum
 from iwahecke.weyl import IndexedWeyl
 
 from conftest import DATA
-from oracles import admissible_set_by_deletion, bernstein_iso_by_theta
+from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
+                     fold_by_letters)
 
 GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
           ("Sp", 6), ("GSp", 4), ("GSp", 6)]
@@ -363,12 +366,60 @@ def test_inverse_folds_undo_folds(case):
         h = _random_element(H, rng)
         for slot in range(len(W.gen_labels)):
             for left in (True, False):
-                there = H._fold(h, slot, left, False)
-                back = H._fold(there, slot, left, True)
+                there = H._fold(h, (slot,), left, False)
+                back = H._fold(there, (slot,), left, True)
                 assert back == h
                 _assert_lengths_carried(back)
-                assert H._fold(H._fold(h, slot, left, True),
-                               slot, left, False) == h
+                assert H._fold(H._fold(h, (slot,), left, True),
+                               (slot,), left, False) == h
+
+
+def _wide_element(H, rng, parity, size, monomials):
+    """`size` random terms, each with up to `monomials` monomials of mixed
+    signs and magnitudes up to 10^30, v-exponents in [-20, 20], all of one
+    parity unless parity is None."""
+    W = H.W
+    terms = {}
+    for _ in range(size):
+        t = tuple(rng.randint(-3, 3) for _ in range(W.rd.rank))
+        coeffs = {}
+        for _ in range(rng.randint(1, monomials)):
+            e = (rng.randint(-20, 20) if parity is None
+                 else 2 * rng.randint(-10, 9) + parity)
+            coeffs[e] = rng.choice((1, -1)) * rng.randint(
+                1, 10 ** rng.randint(0, 30))
+        terms[W.element(t, rng.randrange(W.weyl.size))] = LaurentPoly(coeffs)
+    return H.from_terms(terms)
+
+
+@KERNEL_CASES
+def test_packed_fold_matches_letter_by_letter_oracle(case):
+    """Words of 0-12 letters over every affine generator, T_s and T_s^{-1}
+    on either side: the packed fold against Laurent-polynomial folds one
+    letter at a time, term for term, with lengths carried.  A lone monomial
+    needs its full digit width, and a word followed by its inverse cancels
+    back to its input (zero to zero) through keys that cancel on the way."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    H = W.hecke()
+    rng = random.Random(f"packed-fold-{_ids(case)}")
+    nslots = len(W.gen_labels)
+    words = [[], [rng.randrange(nslots)]] + [
+        [rng.randrange(nslots) for _ in range(rng.randint(0, 12))]
+        for _ in range(6)]
+    for i, slots in enumerate(words):
+        n = 1 if i < 2 else 3
+        h = _wide_element(H, rng, (None, 0, 1)[i % 3], n, n)
+        for left, inverse in product((True, False), repeat=2):
+            got = H._fold(h, slots, left, inverse)
+            want = fold_by_letters(H, h, slots, left, inverse)
+            assert got.terms == want.terms, (slots, left, inverse)
+            _assert_lengths_carried(got)
+            for g in (h, H.zero()):
+                there = fold_by_letters(H, g, slots, left, not inverse)
+                back = H._fold(there, slots[::-1], left, inverse)
+                assert back.terms == g.terms
+                _assert_lengths_carried(back)
 
 
 def _old_t_inverse(H, x):
