@@ -12,6 +12,13 @@ s_1, s_2, ... of the finite Weyl group); the extra reflection of the first
 irreducible component is 0, and further components (only possible for custom
 reducible data) get labels m+1, m+2, ...
 
+Adm(mu) is built from inversion sets: the elements one letter below x in a
+reduced word are the s_beta x over the affine roots beta that x^{-1}
+makes negative, listed from the pairings of x's translation with the
+positive roots.  Bruhat order and the R-polynomials of
+:mod:`iwahecke.klpoly` peel the smallest-labelled left descent off y, read
+from one cache per group, (t, w) -> (slot, s t, s w).
+
 >>> from iwahecke.rootdata import build_root_datum
 >>> W = build_root_datum("GL", 2).affine_weyl()
 >>> t = W.translation((1, 0))
@@ -27,6 +34,8 @@ reducible data) get labels m+1, m+2, ...
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from ._kernel._pykernel import Kernel
 from .rootdata import RootDatum, RootDatumError, weyl_orbit
@@ -195,6 +204,7 @@ class AffineWeylGroup:
         self._zero = zero
         self._identity = AffineWeylElement(self, zero, 0)
         self._bruhat: dict = {}
+        self._steps: dict = {}
         self._adm: dict = {}
         self._omega_cache: dict = {}
 
@@ -274,13 +284,31 @@ class AffineWeylGroup:
     def omega_of(self, vec) -> OmegaElement:
         return OmegaElement(self, self.rd.kappa_reduce(tuple(vec)))
 
+    def _check_member(self, x: AffineWeylElement):
+        """Raise ValueError unless x comes from a group on this root datum
+        (this context or another one on equal data)."""
+        if x.group is not self and x.group.rd != self.rd:
+            raise ValueError("elements of different affine Weyl groups")
+
+    def _descent_step(self, t, w):
+        """(slot, s t, s w) for the smallest-labelled left descent s of the
+        positive-length element (t, w); cached, so that the Bruhat and
+        R-polynomial recursions scan each element for it once per context."""
+        slot = self._first_descent(t, w)
+        step = self._steps[(t, w)] = (slot, *self.kernel.lmul_gen(slot, t, w))
+        return step
+
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
         """Bruhat order on W~: within a common Omega-class, the subword order
         of W_aff; False across classes."""
+        self._check_member(x)
+        self._check_member(y)
         return self._bruhat_leq(x.trans, x.fin, x.length(),
                                 y.trans, y.fin, y.length())
 
     def _bruhat_leq(self, tx, wx, lx, ty, wy, ly) -> bool:
+        """x <= y by peeling y's cached first descent s: for sy < y,
+        x <= y iff sx <= sy when sx < x, and x <= sy otherwise."""
         if tx == ty and wx == wy:
             return True
         if lx >= ly:
@@ -290,8 +318,8 @@ class AffineWeylGroup:
         if cached is not None:
             return cached
         k = self.kernel
-        slot = self._first_descent(ty, wy)
-        sty, swy = k.lmul_gen(slot, ty, wy)
+        slot, sty, swy = (self._steps.get((ty, wy))
+                          or self._descent_step(ty, wy))
         if k.left_descent(slot, tx, wx):
             stx, swx = k.lmul_gen(slot, tx, wx)
             res = self._bruhat_leq(stx, swx, lx - 1, sty, swy, ly - 1)
@@ -302,39 +330,88 @@ class AffineWeylGroup:
 
     def admissible_set(self, mu) -> frozenset:
         """Adm(mu): the downward Bruhat closure of the translations t_la for
-        la in the finite Weyl orbit of the dominant coweight mu.  Deleting
-        letter i of x = s_1...s_k omega leaves s_1...s_{i-1} applied to
-        the tail s_i...s_1 x that stripping left descents has reached."""
+        la in the finite Weyl orbit of the dominant coweight mu.
+
+        Deleting one letter of a reduced word of x = t_la w gives s_beta x,
+        where beta runs over the l(x) positive affine roots with
+        x^{-1} beta < 0 (the strong exchange property; Bjorner-Brenti,
+        *Combinatorics of Coxeter Groups*, GTM 231, ch. 1).  They are read
+        off the pairings p = <la, alpha> over the positive roots alpha, split
+        as in `Kernel.length`: for p <= 0 the roots (alpha, k), k = 0..-p-1,
+        and k = -p when w^{-1} alpha < 0; for p > 0 the roots (-alpha, k),
+        k = 1..p-1, and k = p when w^{-1} alpha > 0.  Then
+        s_beta x = t_{la - c alpha^vee} s_alpha w with c = p + k or p - k, so
+        c runs over [p, 0) or [1, p), widened to take in 0 by the sign test.
+        Each candidate costs an O(rank) translation update and a fold of a
+        word of s_alpha; nothing searches for a descent or replays a prefix.
+        The count of candidates is l(x), stored on every element returned.
+        """
         mu = tuple(mu)
         if not self.rd.is_dominant(mu):
             raise RootDatumError(f"{mu} is not dominant")
         cached = self._adm.get(mu)
         if cached is not None:
             return cached
-        k = self.kernel
-        maximals = [self.translation(la) for la in weyl_orbit(self.rd, mu)]
-        seen = set(maximals)
-        frontier = list(maximals)
+        weyl = self.weyl
+        lrow, inv, images, npos = weyl.lrow, weyl.inv, weyl.root_image, weyl.npos
+        pairs = tuple(zip(range(npos), self.rd.pos_roots, self.rd.pos_coroots,
+                          self._reflection_words()))
+        # (t, w) -> l(t w), None until the element leaves the frontier
+        seen = dict.fromkeys((la, 0) for la in weyl_orbit(self.rd, mu))
+        frontier = list(seen)
         while frontier:
             new = []
-            for x in frontier:
-                t, w = x.trans, x.fin
-                prefix = []
-                for _ in range(x.length()):
-                    slot = self._first_descent(t, w)
-                    t, w = k.lmul_gen(slot, t, w)
-                    zt, zw = t, w
-                    for s in reversed(prefix):
-                        zt, zw = k.lmul_gen(s, zt, zw)
-                    prefix.append(slot)
-                    z = AffineWeylElement(self, zt, zw)
-                    if z not in seen:
-                        seen.add(z)
-                        new.append(z)
+            for key in frontier:
+                t, w = key
+                img = images[inv[w]]
+                n = 0
+                for r, a, av, word in pairs:
+                    p = sum(map(mul, t, a))
+                    if p > 0:
+                        cs = range(1, p) if img[r] >= npos else range(0, p)
+                    elif img[r] >= npos:
+                        cs = range(p, 1)
+                    else:
+                        cs = range(p, 0)
+                    if not cs:
+                        continue
+                    n += len(cs)
+                    sw = w
+                    for i in word:
+                        sw = lrow[i][sw]
+                    for c in cs:
+                        z = (tuple([u - c * v for u, v in zip(t, av)])
+                             if c else t, sw)
+                        if z not in seen:
+                            seen[z] = None
+                            new.append(z)
+                seen[key] = n
             frontier = new
-        result = frozenset(seen)
+        elements = []
+        for (t, w), n in seen.items():
+            x = AffineWeylElement(self, t, w)
+            x._len = n
+            elements.append(x)
+        result = frozenset(elements)
         self._adm[mu] = result
         return result
+
+    def _reflection_words(self) -> list:
+        """A word of simple reflection indices for s_alpha, per positive root
+        alpha in `rd.pos_roots` order: s_alpha = s_i s_{s_i alpha} s_i for a
+        simple a_i with <alpha, a_i^vee> > 0, which lowers the height."""
+        rd = self.rd
+        words = {a: (i,) for i, a in enumerate(rd.simple_roots)}
+        for a in rd.pos_roots:  # listed by height
+            if a not in words:
+                for i, av in enumerate(rd.simple_coroots):
+                    m = sum(map(mul, a, av))
+                    if m > 0:
+                        lower = tuple([x - m * y for x, y
+                                       in zip(a, rd.simple_roots[i])])
+                        words[a] = (i,) + words[lower] + (i,)
+                        break
+        return [words[a] for a in rd.pos_roots]
 
     def kottwitz_image(self, x: AffineWeylElement) -> OmegaElement:
         return OmegaElement(self, self.rd.kappa_reduce(x.trans))
@@ -397,8 +474,6 @@ def reduced_word(x: AffineWeylElement):
 
 
 def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
-    if x.group is not y.group:
-        raise ValueError("elements of different affine Weyl groups")
     return x.group.bruhat_leq(x, y)
 
 

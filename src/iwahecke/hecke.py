@@ -131,8 +131,14 @@ class HeckeElement:
         return NotImplemented
 
     def scale(self, c) -> "HeckeElement":
+        """c times this element; a monic monomial v^k shifts exponents."""
         if isinstance(c, int):
             c = LaurentPoly.const(c)
+        if len(c.c) == 1:
+            (k, n), = c.c.items()
+            if n == 1:
+                return HeckeElement(self.algebra, {
+                    x: p.shift(k) for x, p in self.terms.items()})
         return HeckeElement(self.algebra,
                             {x: c * p for x, p in self.terms.items()})
 

@@ -10,14 +10,24 @@ Omega-classes R vanishes, and for an affine simple s with sy < y,
     R_{x,y} = R_{sx,sy}                       if sx < x,
     R_{x,y} = (q-1) R_{x,sy} + q R_{sx,sy}    if sx > x.
 
+The descent s of y is its smallest-labelled one, read from the group's
+descent-step cache (``AffineWeylGroup._steps``, (t, w) -> (slot, s t, s w)),
+which `bruhat_leq` fills and reads too: each y is scanned for a descent
+once per context, however many x it is paired with.  The memo is keyed on
+the pair (x, y) and shared by every y.  The second line is formed by
+shifting exponents, not by Laurent-polynomial products.
+
 For minuscule dominant mu the Bernstein function has the closed form
 
     q^{l(t_mu)/2} z_mu
         = (-1)^{l(t_mu)} sum_{x in Adm(mu)} (-1)^{l(x)} R_{x, t_{la(x)}}(q) T_x
 
 where x = t_{la(x)} w is the translation/finite normal form.  This is the
-independent oracle against the theta-sum route in :mod:`iwahecke.hecke`; in
-the Drinfeld case GL(n), mu = (1,0^{n-1}) every coefficient collapses to
+independent oracle against the theta-sum route in :mod:`iwahecke.hecke`: it
+never folds by T_s^{-1}.  Adm(mu) comes from the inversion sets of its
+elements (:meth:`AffineWeylGroup.admissible_set`), which also carry their
+lengths, and l(t_la) is computed once per translation.  In the Drinfeld
+case GL(n), mu = (1,0^{n-1}) every coefficient collapses to
 (1-q)^{l(t_mu)-l(x)}.
 
 R-polynomials here are plain :class:`~iwahecke.laurent.LaurentPoly` values in
@@ -37,8 +47,6 @@ __all__ = ["RPolynomials", "r_polynomial", "closed_form_bernstein",
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
-_Q = LaurentPoly({1: 1})      # the variable q itself
-_QM1 = LaurentPoly({1: 1, 0: -1})
 
 
 def q_poly_to_v(p: LaurentPoly) -> LaurentPoly:
@@ -54,6 +62,9 @@ class RPolynomials:
         self._memo: dict = {}
 
     def r(self, x: AffineWeylElement, y: AffineWeylElement) -> LaurentPoly:
+        W = self.W
+        W._check_member(x)
+        W._check_member(y)
         return self._r(x.trans, x.fin, x.length(), y.trans, y.fin, y.length())
 
     def _r(self, tx, wx, lx, ty, wy, ly) -> LaurentPoly:
@@ -67,14 +78,20 @@ class RPolynomials:
             return cached
         W = self.W
         k = W.kernel
-        slot = W._first_descent(ty, wy)
-        sty, swy = k.lmul_gen(slot, ty, wy)
+        slot, sty, swy = W._steps.get((ty, wy)) or W._descent_step(ty, wy)
         stx, swx = k.lmul_gen(slot, tx, wx)
         if k.left_descent(slot, tx, wx):
             res = self._r(stx, swx, lx - 1, sty, swy, ly - 1)
         else:
-            res = (_QM1 * self._r(tx, wx, lx, sty, swy, ly - 1)
-                   + _Q * self._r(stx, swx, lx + 1, sty, swy, ly - 1))
+            # (q-1) A + q B, by shifting exponents
+            a = self._r(tx, wx, lx, sty, swy, ly - 1).c
+            b = self._r(stx, swx, lx + 1, sty, swy, ly - 1).c
+            out = {e + 1: n for e, n in a.items()}
+            for e, n in b.items():
+                out[e + 1] = out.get(e + 1, 0) + n
+            for e, n in a.items():
+                out[e] = out.get(e, 0) - n
+            res = LaurentPoly(out)
         self._memo[key] = res
         return res
 
@@ -86,14 +103,18 @@ class RPolynomials:
         if not is_minuscule(W.rd, mu):
             raise RootDatumError(f"{mu} is not minuscule")
         lt = W.translation(mu).length()
-        H = W.hecke()
+        k = W.kernel
+        lengths = {}  # l(t_la) per translation part of Adm(mu)
         terms = {}
         for x in W.admissible_set(mu):
-            t_part = W.translation(x.trans)
-            rpoly = self.r(x, t_part)
-            sign = -1 if (lt + x.length()) % 2 else 1
-            terms[x] = q_poly_to_v(rpoly) * sign
-        return H.from_terms(terms)
+            la = x.trans
+            ll = lengths.get(la)
+            if ll is None:
+                ll = lengths[la] = k.length(la, 0)
+            lx = x.length()
+            c = q_poly_to_v(self._r(la, x.fin, lx, la, 0, ll))
+            terms[x] = -c if (lt + lx) % 2 else c
+        return W.hecke().from_terms(terms)
 
 
 def r_polynomial(x: AffineWeylElement, y: AffineWeylElement) -> LaurentPoly:

@@ -99,10 +99,12 @@ class RootDatum:
         return tuple(x - c * y for x, y in zip(la, av))
 
     def is_dominant(self, la) -> bool:
+        _check_rank(self, la)
         return all(dot(la, a) >= 0 for a in self.simple_roots)
 
     def dominant_rep(self, la) -> tuple:
         la = tuple(la)
+        _check_rank(self, la)
         while True:
             for i, a in enumerate(self.simple_roots):
                 if dot(la, a) < 0:
@@ -428,11 +430,15 @@ def levi_sub_datum(rd: RootDatum, labels) -> RootDatum:
 # -- the module-level operations ----------------------------------------------
 
 
+def _check_rank(rd: RootDatum, la):
+    if len(la) != rd.rank:
+        raise RootDatumError("coweight length differs from rank")
+
+
 def weyl_orbit(rd: RootDatum, mu) -> frozenset:
     """Full orbit of a coweight under the finite Weyl group."""
     mu = tuple(mu)
-    if len(mu) != rd.rank:
-        raise RootDatumError("coweight length differs from rank")
+    _check_rank(rd, mu)
     seen = {mu}
     frontier = [mu]
     while frontier:

@@ -5,7 +5,7 @@ These deliberately avoid the production code paths they check: shortest
 words come from breadth-first search over generator products, Bruhat order
 from brute-force subword enumeration, admissible sets from the subword
 closure of the maximal translations or by deleting one letter at a time
-from evaluated words; truncated-series arithmetic goes one
+from evaluated words (as are Bruhat intervals below an element); truncated-series arithmetic goes one
 coefficient at a time through the field's tables, and the change-of-level
 coset sum through full 2x2 products.  The Kottwitz grading reads
 Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
@@ -103,7 +103,15 @@ def admissible_set_by_deletion(W, mu):
     """Adm(mu) as the closure of the maximal translations under deleting one
     letter of a reduced word, each candidate evaluated from its shortened
     word and multiplied by the Omega part."""
-    seen = {W.translation(la) for la in weyl_orbit(W.rd, mu)}
+    return interval_below_by_deletion(
+        W, [W.translation(la) for la in weyl_orbit(W.rd, mu)])
+
+
+def interval_below_by_deletion(W, tops):
+    """{x : x <= y for some y in tops}: the closure of tops under deleting
+    one letter of a reduced word, each candidate evaluated from its
+    shortened word and multiplied by the Omega part."""
+    seen = set(tops)
     frontier = list(seen)
     while frontier:
         new = []

@@ -476,6 +476,10 @@ GOLDEN_RUNS = [
      None),
     (("zmu", "--group", "Sp:4", "--mu", "1,1"), "golden_zmu_sp4_11.json",
      None),
+    (("adm", "--group", "Sp:4", "--mu", "1,1"), "golden_adm_sp4_11.json",
+     None),
+    (("adm", "--group", "GL:3", "--mu", "2,1,0"), "golden_adm_gl3_210.json",
+     None),
     (("scholze", "--n", "1", "--q", "2", "--corpus", str(CORPUS_Q2),
       "--precision", "12", "--pairs", "1"), "golden_scholze_q2_n1.csv", None),
     (("scholze", "--n", "2", "--q", "3", "--precision", "2", "--compat"),
@@ -574,7 +578,7 @@ def test_dumps_refuses_what_json_dumps_refuses():
 
 def test_dumps_matches_json_dumps_on_goldens():
     names = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(names) == 5
+    assert len(names) == 7
     for name in names:
         text = (DATA / name).read_text()
         obj = json.loads(text)

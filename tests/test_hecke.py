@@ -56,6 +56,22 @@ def test_sums_across_root_data_rejected(H2, H3, gl3):
         assert all(z.group is H3.W for z in mixed.terms)
 
 
+def test_scale_by_monomial_shifts_exponents(H3):
+    # a monic v^k shifts every exponent; any other scalar multiplies; both
+    # give the product's terms in its order, lengths carried
+    z = bernstein_function(H3.W, (2, 1, 0))
+    assert all(x._len is not None for x in z.terms)
+    for c in (LaurentPoly.v(7), LaurentPoly.v(-3), LaurentPoly.v(0), 1, -1,
+              3, 0, LaurentPoly.v(2) * 5, LaurentPoly.v(2) - 1):
+        got = z.scale(c)
+        poly = LaurentPoly.const(c) if isinstance(c, int) else c
+        want = {x: poly * p for x, p in z.terms.items() if poly}
+        assert list(got.terms) == list(want)
+        assert [repr(p) for p in got.terms.values()] == [
+            repr(p) for p in want.values()]
+        assert all(x._len is not None for x in got.terms)
+
+
 def test_translation_product(H2):
     # non length-additive translation product: two independent derivations
     W = H2.W

@@ -18,6 +18,8 @@ T_s^{-1} folds as inverses of the T_s folds; theta_lam, folded by the
 T_s^{-1} of a reduced word, is checked against the
 inverse-then-multiply product T_{t_lam1} T_{t_lam2}^{-1}.  z_mu, one fold
 of its orbit sum, is checked against the sum of the orbit's theta_la.
+Adm(mu), built from inversion sets, is checked against the letter-deletion
+walk, and R-polynomials against the T-basis expansion of (T_{y^{-1}})^{-1}.
 """
 
 import random
@@ -30,13 +32,14 @@ from iwahecke.affine import AffineWeylGroup
 from iwahecke.center import SymmetricFunction
 from iwahecke.hecke import _dominant_cover
 from iwahecke.intlinalg import dot
+from iwahecke.klpoly import RPolynomials, q_poly_to_v
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
 from iwahecke.rootdata import build_root_datum, is_minuscule, load_root_datum
 from iwahecke.weyl import IndexedWeyl
 
 from conftest import DATA
 from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
-                     fold_by_letters)
+                     fold_by_letters, interval_below_by_deletion)
 
 GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
           ("Sp", 6), ("GSp", 4), ("GSp", 6)]
@@ -284,17 +287,57 @@ ADM_MUS = {
 }
 
 
+# coweights whose Adm(mu) is checked as well, one with 1,701 elements
+ADM_MORE = {("GL", 5): [(2, 2, 1, 0, 0)]}
+
+
 @CASES
 def test_admissible_set_matches_word_deletion(case):
-    """admissible_set strips each word with generator steps; the oracle
-    evaluates every shortened word and multiplies by the Omega part."""
+    """admissible_set reflects each element in its inversions; the oracle
+    evaluates every shortened word and multiplies by the Omega part.  The
+    lengths admissible_set stores, its inversion counts, are the kernel's."""
     rd = _datum(case)
     W = AffineWeylGroup(rd)
+    k = W.kernel
     minuscule, other = ADM_MUS[case]
     assert rd.is_dominant(minuscule) and is_minuscule(rd, minuscule)
     assert rd.is_dominant(other) and not is_minuscule(rd, other)
-    for mu in (minuscule, other):
-        assert W.admissible_set(mu) == admissible_set_by_deletion(W, mu)
+    for mu in (minuscule, other, *ADM_MORE.get(case, ())):
+        adm = W.admissible_set(mu)
+        assert adm == admissible_set_by_deletion(W, mu)
+        for x in adm:
+            assert x._len == k.length(x.trans, x.fin)
+
+
+@CASES
+def test_r_polynomials_match_t_inverse_expansion(case):
+    """R_{x,y} for every x <= y, read off the definition
+    (T_{y^{-1}})^{-1} = q^{-l(y)} sum_x (-1)^{l(x)+l(y)} R_{x,y} T_x with
+    T_{y^{-1}}^{-1} from the Hecke algebra's inverse fold, on the top
+    translation of a non-minuscule Adm(mu) and two random elements of it.
+    The support is the interval below y, found by word deletion; on the
+    rest of Adm(mu) R vanishes and the Bruhat order says no."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    H = AffineWeylGroup(rd).hecke()  # its own context: no shared caches
+    R = RPolynomials(W)
+    rng = random.Random(f"r-{_ids(case)}")
+    adm = sorted(W.admissible_set(ADM_MUS[case][1]), key=W.sort_key)
+    for y in [adm[-1]] + rng.sample(adm, 2):
+        ly = y.length()
+        expansion = H.t_inverse(H.W.element(*y.inverse().key))
+        below = interval_below_by_deletion(W, [y])
+        assert {x.key for x in expansion.terms} == {x.key for x in below}
+        for x in below:
+            assert W.bruhat_leq(x, y)
+            lx = x.length()
+            want = expansion.coeff(H.W.element(*x.key)).shift(2 * ly)
+            if (lx + ly) % 2:
+                want = -want
+            assert q_poly_to_v(R.r(x, y)) == want, (x, y)
+        for x in set(adm) - below:
+            assert not W.bruhat_leq(x, y)
+            assert not R.r(x, y)
 
 
 def _generic_fold(W, label, h, left):

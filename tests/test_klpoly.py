@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from iwahecke.affine import AffineWeylGroup, bruhat_leq
 from iwahecke.hecke import bernstein_function
 from iwahecke.klpoly import (RPolynomials, closed_form_bernstein,
                              q_poly_to_v, r_polynomial)
@@ -29,6 +30,29 @@ def test_r_examples(W2):
     assert r_polynomial(t10, t10) == 1
     assert r_polynomial(om, t10) == Q - 1
     assert r_polynomial(W2.identity, t10) == 0  # different Omega classes
+
+
+def test_r_and_bruhat_refuse_other_root_data(W2, W3, gl3):
+    x2, x3 = W2.translation((1, 0)), W3.translation((1, 0, 0))
+    calls = [lambda: r_polynomial(x2, x3), lambda: r_polynomial(x3, x2),
+             lambda: RPolynomials(W3).r(x3, x2),
+             lambda: W3.bruhat_leq(x3, x2), lambda: W3.bruhat_leq(x2, x3),
+             lambda: bruhat_leq(x3, x2)]
+    for call in calls:
+        with pytest.raises(ValueError, match="different affine Weyl groups"):
+            call()
+    # the same datum in a context of its own answers as the shared one
+    other = AffineWeylGroup(gl3)
+    assert other is not W3
+    y_other = other.translation((1, 0, 0))
+    for x in W3.admissible_set((1, 0, 0)):
+        x_other = other.element(x.trans, x.fin)
+        want = r_polynomial(x, x3)
+        assert r_polynomial(x_other, x3) == r_polynomial(x, y_other) == want
+        leq = W3.bruhat_leq(x, x3)
+        assert leq == bool(want)
+        assert (W3.bruhat_leq(x_other, x3) == bruhat_leq(x_other, x3)
+                == other.bruhat_leq(x, y_other) == leq)
 
 
 def test_r_vanishes_unless_leq(W3):

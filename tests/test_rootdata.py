@@ -129,6 +129,18 @@ def test_is_minuscule(gl2, gl3, gl4):
         is_minuscule(gl2, (0, 1))  # not dominant
 
 
+def test_coweight_of_wrong_length_refused(gl3):
+    calls = [lambda: gl3.is_dominant((1, 0)),
+             lambda: is_minuscule(gl3, (1, 1, 0, 5)),
+             lambda: gl3.dominant_rep((1, 1, 0, 5)),
+             lambda: gl3.dominant_rep(()),
+             lambda: weyl_orbit(gl3, (1, 0))]
+    for call in calls:
+        with pytest.raises(RootDatumError,
+                           match="coweight length differs from rank"):
+            call()
+
+
 def test_minuscule_orbit_pairings(gl4):
     for mu in [(1, 0, 0, 0), (1, 1, 0, 0)]:
         for la in weyl_orbit(gl4, mu):
