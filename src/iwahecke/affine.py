@@ -97,7 +97,7 @@ class AffineWeylElement:
             return NotImplemented
         g = self.group
         if other.group is not g:
-            raise ValueError("elements of different affine Weyl groups")
+            g._check_member(other)
         t, w = g.kernel.mul(self.trans, self.fin, other.trans, other.fin)
         return AffineWeylElement(g, t, w)
 
@@ -258,7 +258,8 @@ class AffineWeylGroup:
             word.append(self.gen_labels[slot])
             t, w = k.lmul_gen(slot, t, w)
         om = OmegaElement(self, self.rd.kappa_reduce(t))
-        self._omega_cache.setdefault(om.rep, AffineWeylElement(self, t, w))
+        if om.rep not in self._omega_cache:
+            self._omega_cache[om.rep] = AffineWeylElement(self, t, w)
         return tuple(word), om
 
     def _first_descent(self, t, w) -> int:

@@ -27,7 +27,17 @@ length) keys, where q^{+-1} is a shift and accumulating is int addition,
 and unpacks once at the end.  T_s only raises v-exponents and T_s^{-1}
 only lowers them, so the digits need no offset, and a letter at most
 triples the sum of |coefficients|, so b = bitlength(that sum * 3^letters)
-+ 1 bits per signed digit never overflow.
++ 1 bits per signed digit never overflow.  An Omega part T_om is a map of
+raw keys, (t, w) -> om (t, w) or (t, w) om with the length kept.
+
+The other operations share the fold's packing and unpacking, each with
+its own digit bound.  is_central packs h once and, per generator, folds
+T_s h - h T_s into one int dict (digits below 6 * sum of |coefficients|);
+an Omega generator is central to h when the key map x -> om x om^-1 fixes
+the packed dict.  multiply(a, b) packs b once; per term c T_x of a it maps
+b's keys through x's Omega part, folds x's reduced word and adds c times
+the result as packed ints (digits below L1(a) L1(b) 3^(longest word)),
+and it unpacks once.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> H = build_root_datum("GL", 2).affine_weyl().hecke()
@@ -102,12 +112,9 @@ class HeckeElement:
         W = self.algebra.W
         if other.algebra.W.rd != W.rd:
             raise ValueError("elements of different Hecke algebras")
-        terms = {}
-        for x, c in other.terms.items():
-            y = AffineWeylElement(W, x.trans, x.fin)
-            y._len = x._len
-            terms[y] = c
-        return HeckeElement(self.algebra, terms)
+        return HeckeElement(self.algebra, {
+            _element(W, x.trans, x.fin, x._len): c
+            for x, c in other.terms.items()})
 
     def __neg__(self):
         return HeckeElement(self.algebra,
@@ -188,12 +195,11 @@ class HeckeAlgebra:
         """h * T_s."""
         return self._fold(h, (self.W.label_slot[label],), False, False)
 
-    def _fold(self, h, slots, left, inverse):
+    def _fold(self, h, slots, left, inverse, om=None):
         """T_{s_k} ... T_{s_1} h (left) or h T_{s_1} ... T_{s_k} (right) for
         the reflections in kernel slots s_1, ..., s_k, or the same with every
-        T_s replaced by T_s^{-1}.  With sy = s y or y s: T_s maps an ascent
-        T_y to T_{sy} and a descent to q T_{sy} + (q-1) T_y; T_s^{-1} maps a
-        descent to T_{sy} and an ascent to q^{-1} T_{sy} + (q^{-1}-1) T_y.
+        T_s replaced by T_s^{-1}; with a raw length-zero om = (t, w), h is
+        first multiplied by T_om on the same side.
 
         The word runs on raw keys (trans, fin, length), each coefficient
         Kronecker-packed into one int, converted in once and out once.  T_s
@@ -205,63 +211,71 @@ class HeckeAlgebra:
         shift by 2 / |stride| digits, the q^{+-1} - 1 term is that shift
         minus the value, and accumulating is int addition.
         """
-        W = self.W
-        k = W.kernel
-        images, inv_table, npos = k.root_image, k.inv_table, k.npos
-        exps = [e for c in h.terms.values() for e in c.c]
+        exps, l1 = _measure(h)
         base = (max if inverse else min)(exps, default=0)
         # A letter maps a term c T_y to c T_sy, or to (q^{+-1} - 1) c T_y +
         # q^{+-1} c T_sy, so it at most triples the sum of |coefficients|
         # over the whole element.  That sum, and so every digit, stays below
         # l1 * 3^len(slots) < 2^(b-1): no digit overflows into the next.
-        l1 = sum([abs(n) for c in h.terms.values() for n in c.c.values()])
         b = (l1 * 3 ** len(slots)).bit_length() + 1
-        stride = 2 if len({e & 1 for e in exps}) < 2 else 1
+        stride = _stride(exps)
         if inverse:
             stride = -stride
-        cur: dict = {}
-        for y, c in h.terms.items():
-            p = 0
-            for e, n in c.c.items():
-                p += n << b * ((e - base) // stride)
-            cur[(y.trans, y.fin, y.length())] = p
+        cur = _pack(h, base, stride, b)
+        if om is not None:
+            cur = self._omega_fold(cur, om, left)
         shift = 2 * b // abs(stride)
         for slot in slots:
-            out: dict = {}
-            get = out.get
+            cur = self._step(cur, slot, left, inverse, shift, {})
+        return self._unpack(cur, base, stride, b)
+
+    def _step(self, cur, slot, left, inverse, shift, out):
+        """Add T_s cur (left) or cur T_s (right), or the same with T_s^{-1},
+        into out, for the reflection s in kernel slot `slot` and packed
+        dicts cur and out; q^{+-1} is a shift by `shift` bits.  With sy =
+        s y or y s: T_s maps an ascent T_y to T_{sy} and a descent to
+        q T_{sy} + (q-1) T_y; T_s^{-1} maps a descent to T_{sy} and an
+        ascent to q^{-1} T_{sy} + (q^{-1}-1) T_y."""
+        k = self.W.kernel
+        images, inv_table, npos = k.root_image, k.inv_table, k.npos
+        get = out.get
+        if left:
+            vec, k0, cvec, lrow = k._left[slot]
+            r, flip = k._ldesc[slot][2:]
+        else:
+            wtrans, rrow = k._right[slot]
+            wvecs, k0, r, flip = k._rdesc[slot]
+        for key, p in cur.items():
+            if not p:
+                continue
+            t, w, ln = key
             if left:
-                vec, k0, cvec, lrow = k._left[slot]
-                r, flip = k._ldesc[slot][2:]
+                m = k0 + sum(map(mul, t, vec))
+                if m:
+                    down = m < 0
+                    t = tuple([x - m * c for x, c in zip(t, cvec)])
+                else:
+                    down = (images[inv_table[w]][r] >= npos) != flip
+                w = lrow[w]
             else:
-                wtrans, rrow = k._right[slot]
-                wvecs, k0, r, flip = k._rdesc[slot]
-            for key, p in cur.items():
-                if not p:
-                    continue
-                t, w, ln = key
-                if left:
-                    m = k0 + sum(map(mul, t, vec))
-                    if m:
-                        down = m < 0
-                        t = tuple([x - m * c for x, c in zip(t, cvec)])
-                    else:
-                        down = (images[inv_table[w]][r] >= npos) != flip
-                    w = lrow[w]
-                else:
-                    m = k0 - sum(map(mul, t, wvecs[w]))
-                    down = m < 0 if m else (images[w][r] >= npos) != flip
-                    if wtrans is not None:
-                        t = tuple(map(add, t, wtrans[w]))
-                    w = rrow[w]
-                sx = (t, w, ln - 1 if down else ln + 1)
-                if down == inverse:
-                    out[sx] = get(sx, 0) + p
-                else:
-                    far = p << shift
-                    out[key] = get(key, 0) + far - p
-                    out[sx] = get(sx, 0) + far
-            cur = out
-        # unpack the balanced digits, least significant first
+                m = k0 - sum(map(mul, t, wvecs[w]))
+                down = m < 0 if m else (images[w][r] >= npos) != flip
+                if wtrans is not None:
+                    t = tuple(map(add, t, wtrans[w]))
+                w = rrow[w]
+            sx = (t, w, ln - 1 if down else ln + 1)
+            if down == inverse:
+                out[sx] = get(sx, 0) + p
+            else:
+                far = p << shift
+                out[key] = get(key, 0) + far - p
+                out[sx] = get(sx, 0) + far
+        return out
+
+    def _unpack(self, cur, base, stride, b) -> HeckeElement:
+        """The element of a packed dict: digit i of each int, in base 2^b
+        with signed digits, is the coefficient of v^(base + stride * i)."""
+        W = self.W
         full = 1 << b
         half, mask = full >> 1, full - 1
         terms = {}
@@ -277,28 +291,49 @@ class HeckeAlgebra:
                     c[e] = d
                 p = (p - d) >> b
                 e += stride
-            x = AffineWeylElement(W, t, w)
-            x._len = ln
-            terms[x] = LaurentPoly(c)
+            terms[_element(W, t, w, ln)] = LaurentPoly(c)
         return HeckeElement(self, terms)
+
+    def _omega_fold(self, cur, om, left):
+        """cur with every raw key (t, w, length) multiplied by the raw
+        length-zero om = (t, w) on the left or the right, values kept:
+        l(om y) = l(y om) = l(y), so the length is unchanged."""
+        ot, ow = om
+        if not ow and not any(ot):
+            return cur
+        kmul = self.W.kernel.mul
+        out = {}
+        if left:
+            for (t, w, ln), c in cur.items():
+                out[(*kmul(ot, ow, t, w), ln)] = c
+            return out
+        # (t, w) om = (t + w(ot), w ow): one kernel product per finite part
+        by_fin: dict = {}
+        zero = self.W._zero
+        for (t, w, ln), c in cur.items():
+            img = by_fin.get(w)
+            if img is None:
+                img = by_fin[w] = kmul(zero, w, ot, ow)
+            out[(tuple(map(add, t, img[0])), img[1], ln)] = c
+        return out
 
     def lmul_omega(self, om: AffineWeylElement, h: HeckeElement):
         """T_om * h for om of length zero."""
-        return self._omega_fold(h, om, left=True)
+        return self._omega_product(h, om, True)
 
     def rmul_omega(self, h: HeckeElement, om: AffineWeylElement):
         """h * T_om for om of length zero."""
-        return self._omega_fold(h, om, left=False)
+        return self._omega_product(h, om, False)
 
-    def _omega_fold(self, h, om, left):
+    def _omega_product(self, h, om, left):
         if om.length():
             raise ValueError(f"{om!r} does not have length zero")
-        out = {}
-        for y, c in h.terms.items():
-            z = om * y if left else y * om
-            z._len = y.length()  # l(om y) = l(y om) = l(y)
-            out[z] = c
-        return HeckeElement(self, out)
+        W = self.W
+        cur = self._omega_fold(
+            {(y.trans, y.fin, y.length()): c for y, c in h.terms.items()},
+            om.key, left)
+        return HeckeElement(self, {_element(W, t, w, ln): c
+                                   for (t, w, ln), c in cur.items()})
 
     # -- products ------------------------------------------------------------
 
@@ -306,16 +341,47 @@ class HeckeAlgebra:
         """T_x * h: T_omega h folded by the reduced word of x in one pass."""
         W = self.W
         word, om = W.reduced_word(x)
-        return self._fold(self.lmul_omega(om.element, h),
-                          [W.label_slot[lab] for lab in reversed(word)],
-                          True, False)
+        return self._fold(h, [W.label_slot[lab] for lab in reversed(word)],
+                          True, False, om.element.key)
 
     def multiply(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
+        """a * b with b packed once.  Each term c T_x of a, x = s_1...s_k om
+        reduced, maps b's raw keys through om (once per Omega class), folds
+        T_{s_1} ... T_{s_k} on them, multiplies by c as packed ints and adds
+        into one dict, unpacked once.  With a's digits from its least
+        exponent and b's from its own, the product's digit i is the
+        coefficient of v^(base_a + base_b + stride * i)."""
+        if not a.terms or not b.terms:
+            return self.zero()
+        W = self.W
+        slot = W.label_slot
+        terms = [(W.reduced_word(x), c) for x, c in a.terms.items()]
+        exps_a, l1_a = _measure(a)
+        exps_b, l1_b = _measure(b)
+        base_a, base_b = min(exps_a), min(exps_b)
+        stride = min(_stride(exps_a), _stride(exps_b))
+        # T_x at most multiplies the sum of |coefficients| of b by 3^l(x)
+        # (one factor 3 per letter), so every digit of the product, and of
+        # each partial sum, stays below l1(a) l1(b) 3^maxlen < 2^(bits-1)
+        maxlen = max(len(word) for (word, _), _ in terms)
+        bits = (l1_a * l1_b * 3 ** maxlen).bit_length() + 1
+        packed = _pack(b, base_b, stride, bits)
+        shift = 2 * bits // stride
+        by_class: dict = {}
         out: dict = {}
-        for x, c in a.terms.items():
-            for y, p in self.t_times(x, b).terms.items():
-                accumulate(out, y, c * p)
-        return HeckeElement(self, out)
+        get = out.get
+        for (word, om), c in terms:
+            cur = by_class.get(om.rep)
+            if cur is None:
+                cur = by_class[om.rep] = self._omega_fold(
+                    packed, om.element.key, True)
+            for lab in reversed(word):
+                cur = self._step(cur, slot[lab], True, False, shift, {})
+            pc = _pack_poly(c, base_a, stride, bits)
+            for key, p in cur.items():
+                if p:
+                    out[key] = get(key, 0) + p * pc
+        return self._unpack(out, base_a + base_b, stride, bits)
 
     def t_inverse(self, x: AffineWeylElement) -> HeckeElement:
         """The inverse of the basis element T_x."""
@@ -329,9 +395,8 @@ class HeckeAlgebra:
         T_{omega^{-1}} T_{s_k}^{-1} ... T_{s_1}^{-1}, folded in one pass."""
         W = self.W
         word, om = W.reduced_word(x)
-        return self._fold(self.rmul_omega(h, om.element.inverse()),
-                          [W.label_slot[lab] for lab in reversed(word)],
-                          False, True)
+        return self._fold(h, [W.label_slot[lab] for lab in reversed(word)],
+                          False, True, W.kernel.inv(*om.element.key))
 
     # -- Bernstein elements ----------------------------------------------------
 
@@ -406,11 +471,37 @@ class HeckeAlgebra:
         return out
 
     def is_central(self, h: HeckeElement) -> bool:
-        for label in self.W.gen_labels:
-            if self.lmul_gen(label, h) != self.rmul_gen(h, label):
+        """T_s h == h T_s for every affine simple reflection s, and
+        T_om h == h T_om for every generator om of Omega.
+
+        h is packed once (digits from its least exponent, as in `_fold`).
+        Per generator slot, T_s h - h T_s is accumulated in one int dict,
+        the right product folded from the negated packing.  T_om h = h T_om
+        says h[om x om^-1] = h[x] for every x: the packed dict mapped
+        through om on the left and om^-1 on the right equals itself.
+        """
+        exps, l1 = _measure(h)
+        base = min(exps, default=0)
+        stride = _stride(exps)
+        # T_s h and h T_s each at most triple the sum of |coefficients|, so
+        # every digit of the commutator stays below 6 * l1 < 2^(b-1)
+        b = (6 * l1).bit_length() + 1
+        cur = _pack(h, base, stride, b)
+        neg = {key: -p for key, p in cur.items()}
+        shift = 2 * b // stride
+        for slot in range(len(self.W.gen_labels)):
+            out = self._step(cur, slot, True, False, shift, {})
+            self._step(neg, slot, False, False, shift, out)
+            if any(out.values()):
                 return False
+        # Part of the definition, though it never decides: h commuting with
+        # every T_s commutes with every theta_la, la in the coroot lattice,
+        # so lies in Z[X]^{W_0} (W_0 acts faithfully on that lattice), which
+        # is the center (Lusztig 1989).
+        inv = self.W.kernel.inv
         for om in self.omega_generators():
-            if self.lmul_omega(om, h) != self.rmul_omega(h, om):
+            if self._omega_fold(self._omega_fold(cur, om.key, True),
+                                inv(*om.key), False) != cur:
                 return False
         return True
 
@@ -453,6 +544,44 @@ class HeckeAlgebra:
         for x in wj:
             poincare = poincare + LaurentPoly({2 * x.length(): 1})
         return self.multiply(h, sum_t), poincare
+
+
+# -- packed coefficients ------------------------------------------------------
+
+
+def _measure(h):
+    """The v-exponents of h's coefficients, and the sum of the absolute
+    values of all its coefficients (its L1 norm)."""
+    cs = [c.c for c in h.terms.values()]
+    return ([e for c in cs for e in c],
+            sum([abs(n) for c in cs for n in c.values()]))
+
+
+def _stride(exps) -> int:
+    """2 when all the exponents have one parity, else 1."""
+    return 2 if len({e & 1 for e in exps}) < 2 else 1
+
+
+def _pack_poly(c: LaurentPoly, base, stride, b) -> int:
+    """c as one int: the coefficient of v^e is digit (e - base) / stride,
+    in base 2^b with signed digits."""
+    p = 0
+    for e, n in c.c.items():
+        p += n << b * ((e - base) // stride)
+    return p
+
+
+def _pack(h, base, stride, b) -> dict:
+    """h as {(trans, fin, length): packed coefficient}."""
+    return {(y.trans, y.fin, y.length()): _pack_poly(c, base, stride, b)
+            for y, c in h.terms.items()}
+
+
+def _element(W, t, w, ln) -> AffineWeylElement:
+    """The element of W for a raw key, carrying its length."""
+    x = AffineWeylElement(W, t, w)
+    x._len = ln
+    return x
 
 
 # -- decomposition helper -------------------------------------------------------

@@ -92,6 +92,7 @@ class RootDatum:
 
     def reflect(self, i: int, la) -> tuple:
         """Apply the simple reflection s_i (0-based) to a coweight."""
+        _check_rank(self, la)
         c = dot(la, self.simple_roots[i])
         if not c:
             return tuple(la)
@@ -164,6 +165,7 @@ class RootDatum:
 
     def kappa_reduce(self, vec) -> tuple:
         """Canonical representative of a coweight modulo the coroot lattice."""
+        _check_rank(self, vec)
         return reduce_mod_lattice(vec, self.coroot_hnf)
 
     @cached_property
@@ -201,6 +203,7 @@ class RootDatum:
 
     def omega_grade(self, vec):
         """Integer grade of a coweight class when Omega is 0 or Z (else None)."""
+        _check_rank(self, vec)
         f = self._grade_form
         return None if f is None else dot(vec, f)
 
@@ -455,6 +458,7 @@ def weyl_orbit(rd: RootDatum, mu) -> frozenset:
 
 def pair_two_rho(rd: RootDatum, la) -> int:
     """<la, 2*rho>, the pairing against the sum of the positive roots."""
+    _check_rank(rd, la)
     return dot(la, rd.two_rho)
 
 

@@ -12,7 +12,10 @@ Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
 matrix instead of its Hermite normal form.  The Bernstein isomorphism sums
 one theta_la per coweight of the support instead of one z_mu per orbit.
 Hecke folds go one letter at a time in Laurent-polynomial arithmetic
-instead of over a whole word on packed integer coefficients.
+instead of over a whole word on packed integer coefficients; centrality
+compares whole products T_s h and h T_s instead of one packed commutator
+per generator, and a product of two elements is one T_x b per term of a,
+its Omega part by element products, instead of one packing of b.
 """
 
 from fractions import Fraction
@@ -178,6 +181,44 @@ def fold_by_letters(H, h, slots, left, inverse):
                 accumulate(out, sy, far * c)
         h = HeckeElement(H, out)
     return h
+
+
+def is_central_by_products(H, h):
+    """`H.is_central(h)` as whole products compared: T_s h against h T_s
+    through `lmul_gen` and `rmul_gen` for every affine simple reflection,
+    T_om h against h T_om through `lmul_omega` and `rmul_omega` for every
+    generator of Omega."""
+    for label in H.W.gen_labels:
+        if H.lmul_gen(label, h) != H.rmul_gen(h, label):
+            return False
+    for om in H.omega_generators():
+        if H.lmul_omega(om, h) != H.rmul_omega(h, om):
+            return False
+    return True
+
+
+def multiply_by_t_times(H, a, b):
+    """`H.multiply(a, b)` as sum_x a_x (T_x b), one T_x b per term of a:
+    with x = s_1...s_k om reduced, T_om b from element products om * y,
+    then T_{s_1}...T_{s_k} folded on it; the coefficients multiplied and
+    summed in Laurent-polynomial arithmetic."""
+    from iwahecke.hecke import HeckeElement
+    from iwahecke.laurent import accumulate
+    W = H.W
+    out = {}
+    for x, c in a.terms.items():
+        word, om = W.reduced_word(x)
+        moved = {}
+        for y, p in b.terms.items():
+            z = om.element * y
+            z._len = y.length()
+            moved[z] = p
+        tb = H._fold(HeckeElement(H, moved),
+                     [W.label_slot[lab] for lab in reversed(word)],
+                     True, False)
+        for y, p in tb.terms.items():
+            accumulate(out, y, c * p)
+    return HeckeElement(H, out)
 
 
 def random_element(W, rng, coord_span=2):

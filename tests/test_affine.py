@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from iwahecke.affine import (bruhat_leq, critical_indices, kottwitz_image,
-                             length, multiply, reduced_word)
+from iwahecke.affine import (AffineWeylGroup, bruhat_leq, critical_indices,
+                             kottwitz_image, length, multiply, reduced_word)
 from iwahecke.rootdata import RootDatumError, build_root_datum
 
 from oracles import (admissible_set_subwords, all_elements_up_to_length,
@@ -82,6 +82,15 @@ def test_group_axioms(W3):
 def test_cross_group_multiplication_rejected(W2, W3):
     with pytest.raises(ValueError):
         multiply(W2.identity, W3.identity)
+
+
+def test_multiplication_across_contexts_on_equal_data(gl3):
+    A, B = AffineWeylGroup(gl3), AffineWeylGroup(gl3)
+    x = A.translation((1, 0, 0)) * B.translation((1, 0, 0))
+    assert x == A.translation((2, 0, 0)) and x.group is A
+    s0, s1 = A.simple_reflection(0), B.simple_reflection(1)
+    assert (s0 * s1).key == (A.simple_reflection(0)
+                             * A.simple_reflection(1)).key
 
 
 def test_element_refuses_finite_index_out_of_range(W3):

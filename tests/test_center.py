@@ -73,6 +73,29 @@ def test_iso_is_algebra_homomorphism(gl3):
         assert bernstein_iso(f * g) == bernstein_iso(f) * bernstein_iso(g)
 
 
+# pairs (mu, nu) of dominant coweights per group; bernstein_iso(f) *
+# bernstein_iso(g) runs the packed product on the larger groups
+ISO_PAIRS = {
+    ("Sp", 6): [((1, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0))],
+    ("GL", 5): [((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)),
+                ((1, 0, 0, 0, 0), (0, 0, 0, 0, -1)),
+                ((1, 1, 0, 0, 0), (1, 1, 0, 0, 0))],
+    ("GSp", 6): [((1, 0, 0, 0), (1, 1, 0, 0)), ((0, 0, 0, -1), (1, 0, 0, 0)),
+                 ((1, 1, 1, 1), (1, 0, 0, 0))],
+}
+
+
+@pytest.mark.parametrize("group", list(ISO_PAIRS),
+                         ids=lambda g: f"{g[0]}{g[1]}")
+def test_iso_is_algebra_homomorphism_larger_groups(group):
+    rd = build_root_datum(*group)
+    W = AffineWeylGroup(rd)  # a context of its own: no cached z_mu
+    for mu, nu in ISO_PAIRS[group]:
+        f, g = monomial_symmetric(rd, mu), monomial_symmetric(rd, nu)
+        assert (bernstein_iso(f, W) * bernstein_iso(g, W)
+                == bernstein_iso(f * g, W)), (mu, nu)
+
+
 def test_iso_injective_on_grid(gl2):
     seen = {}
     for mu in dominant_box(gl2, -1, 1):

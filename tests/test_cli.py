@@ -216,6 +216,15 @@ def test_zmu_golden_non_minuscule(tmp_path):
         assert data == (DATA / name).read_bytes(), name
 
 
+def test_zmu_levi_golden(tmp_path):
+    # the constant term of z_mu checks centrality before inverting the
+    # Bernstein isomorphism, so this output runs through is_central
+    rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "2,1,0",
+                   "--levi", "2")
+    assert rc == 0
+    assert data == (DATA / "golden_zmu_gl3_210_levi2.json").read_bytes()
+
+
 def test_transfer_report_embeds_function(tmp_path):
     rc, data = run(tmp_path, "transfer", "--group", "GL:2", "--mu", "1,0")
     doc = json.loads(data)
@@ -476,6 +485,8 @@ GOLDEN_RUNS = [
      None),
     (("zmu", "--group", "Sp:4", "--mu", "1,1"), "golden_zmu_sp4_11.json",
      None),
+    (("zmu", "--group", "GL:3", "--mu", "2,1,0", "--levi", "2"),
+     "golden_zmu_gl3_210_levi2.json", None),
     (("adm", "--group", "Sp:4", "--mu", "1,1"), "golden_adm_sp4_11.json",
      None),
     (("adm", "--group", "GL:3", "--mu", "2,1,0"), "golden_adm_gl3_210.json",
@@ -578,7 +589,7 @@ def test_dumps_refuses_what_json_dumps_refuses():
 
 def test_dumps_matches_json_dumps_on_goldens():
     names = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(names) == 7
+    assert len(names) == 8
     for name in names:
         text = (DATA / name).read_text()
         obj = json.loads(text)

@@ -18,6 +18,9 @@ T_s^{-1} folds as inverses of the T_s folds; theta_lam, folded by the
 T_s^{-1} of a reduced word, is checked against the
 inverse-then-multiply product T_{t_lam1} T_{t_lam2}^{-1}.  z_mu, one fold
 of its orbit sum, is checked against the sum of the orbit's theta_la.
+Centrality, one packed commutator per generator, is checked against whole
+products compared, and the product with b packed once against one T_x b
+per term of a.
 Adm(mu), built from inversion sets, is checked against the letter-deletion
 walk, and R-polynomials against the T-basis expansion of (T_{y^{-1}})^{-1}.
 """
@@ -39,7 +42,9 @@ from iwahecke.weyl import IndexedWeyl
 
 from conftest import DATA
 from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
-                     fold_by_letters, interval_below_by_deletion)
+                     fold_by_letters, interval_below_by_deletion,
+                     is_central_by_products, multiply_by_t_times,
+                     random_hecke_element)
 
 GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
           ("Sp", 6), ("GSp", 4), ("GSp", 6)]
@@ -527,3 +532,49 @@ def test_bernstein_function_is_the_orbit_theta_sum(case):
         assert got.terms == want.terms, mu
         if mu not in central:  # folded, so lengths are carried
             _assert_lengths_carried(got)
+
+
+@KERNEL_CASES
+def test_packed_centrality_and_product_match_product_routes(case):
+    """is_central (one packed commutator per generator, Omega generators as
+    key maps) against whole products compared, and multiply (b packed once)
+    against one T_x b per term of a, on central z_mu and z_mu z_nu, random
+    elements, and z_mu plus one T_x at a finite, an affine and an Omega
+    generator; coefficients reach 10^30 and exponents mix parities."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    H = W.hecke()
+    rng = random.Random(f"central-{_ids(case)}")
+    big = LaurentPoly({0: 10 ** 30, 1: -(10 ** 29) - 7, -2: 3})
+    z_mu, z_nu = (H.bernstein_function(mu) for mu in ADM_MUS[case])
+    zz = H.multiply(z_mu, z_nu)
+    assert zz.terms == multiply_by_t_times(H, z_mu, z_nu).terms
+    _assert_lengths_carried(zz)
+    om = next((x for x in H.omega_generators() if x != W.identity),
+              W.identity)
+    finite, affine = W.simple_reflection(1), W.simple_reflection(0)
+    with_t = [z_mu + H.t(x, big) for x in (finite, affine, om)]
+    randoms = [random_hecke_element(H, rng),
+               random_hecke_element(H, rng).scale(big),
+               _wide_element(H, rng, None, 3, 3)]
+    for h in [z_mu, z_nu.scale(big), zz]:
+        assert H.is_central(h) and is_central_by_products(H, h)
+    for h in with_t[:2]:
+        assert not H.is_central(h) and not is_central_by_products(H, h)
+    for h in with_t[2:] + randoms:
+        assert H.is_central(h) == is_central_by_products(H, h)
+    # T_om h and h T_om as key maps against element products
+    for h in randoms:
+        for got, want in ((H.lmul_omega(om, h), {om * y: c for y, c
+                                                  in h.terms.items()}),
+                          (H.rmul_omega(h, om), {y * om: c for y, c
+                                                  in h.terms.items()})):
+            assert got.terms == want
+            _assert_lengths_carried(got)
+    pairs = [(randoms[0], randoms[1]), (randoms[2], z_mu),
+             (with_t[0], randoms[2]), (with_t[1], with_t[2]),
+             (with_t[2], randoms[0]), (H.zero(), z_mu), (z_mu, H.zero())]
+    for a, b in pairs:
+        got = H.multiply(a, b)
+        assert got.terms == multiply_by_t_times(H, a, b).terms
+        _assert_lengths_carried(got)

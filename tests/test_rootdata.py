@@ -141,6 +141,24 @@ def test_coweight_of_wrong_length_refused(gl3):
             call()
 
 
+WRONG_LENGTH_CALLS = {
+    "pair_two_rho": lambda rd, la: pair_two_rho(rd, la),
+    "reflect": lambda rd, la: rd.reflect(0, la),
+    "omega_grade": lambda rd, la: rd.omega_grade(la),
+    "kappa_reduce": lambda rd, la: rd.kappa_reduce(la),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_LENGTH_CALLS))
+def test_pairings_refuse_coweight_of_wrong_length(gl3, name):
+    call = WRONG_LENGTH_CALLS[name]
+    for la in ((1, 0), (1, 1, 0, 5), ()):
+        with pytest.raises(RootDatumError,
+                           match="coweight length differs from rank"):
+            call(gl3, la)
+    call(gl3, (1, 0, 0))  # the right length still passes
+
+
 def test_minuscule_orbit_pairings(gl4):
     for mu in [(1, 0, 0, 0), (1, 1, 0, 0)]:
         for la in weyl_orbit(gl4, mu):
