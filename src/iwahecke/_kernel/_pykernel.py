@@ -31,11 +31,11 @@ class Kernel:
     (signed like vec) the generator acts on the left as
     t -> t - (<t, vec> + k) cvec.  ``reflections[g]`` is the reflection of
     slot g as a ``(trans, fin)`` group element.  The Hecke fold
-    (:meth:`iwahecke.hecke.HeckeAlgebra._fold`) applies a letter to every
+    (:meth:`iwahecke.hecke.HeckeAlgebra._step`) applies a letter to every
     term of an element at once, so it unpacks slot g's tuples ``_left[g]``
     and ``_ldesc[g]`` (or ``_right[g]`` and ``_rdesc[g]``) once per letter
-    and inlines `lmul_gen` with `left_descent` (or `rmul_gen` with
-    `right_descent`).
+    and inlines `lmul_gen` with `left_descent` (or `rmul_gen` with the
+    right descent test, x^{-1}'s left one, read from ``_rdesc[g]``).
     """
 
     def __init__(self, weyl):
@@ -139,12 +139,3 @@ class Kernel:
         if m:
             return m < 0
         return (self.root_image[self.inv_table[w]][r] >= self.npos) != flip
-
-    def right_descent(self, t, w, g: int) -> bool:
-        """ell(x s_g) < ell(x): the left descent test of x^{-1} =
-        (-w^{-1}(t), w^{-1}), paired as <w^{-1}(t), vec> = <t, w(vec)>."""
-        wvec, k, r, flip = self._rdesc[g]
-        m = k - sum(map(mul, t, wvec[w]))
-        if m:
-            return m < 0
-        return (self.root_image[w][r] >= self.npos) != flip

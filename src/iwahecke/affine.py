@@ -38,7 +38,8 @@ from __future__ import annotations
 from operator import mul
 
 from ._kernel._pykernel import Kernel
-from .rootdata import RootDatum, RootDatumError, weyl_orbit
+from .rootdata import (RootDatum, RootDatumError, _check_rank, _same_datum,
+                       weyl_orbit)
 from .weyl import FiniteWeylElement, IndexedWeyl
 
 __all__ = [
@@ -47,9 +48,9 @@ __all__ = [
     "admissible_set", "kottwitz_image", "critical_indices",
 ]
 
-# One group per root datum value: equal-valued data loaded through different
-# paths (builtin vs config file vs Levi) share all tables and caches, and
-# element equality is value-based.
+# rd.affine_weyl() shares one context per datum value (builtin, config file
+# or Levi), so tables and caches are built once.  It is only a cache: an
+# element is a datum and a key, and two contexts on equal data interoperate.
 _REGISTRY: dict = {}
 
 
@@ -96,8 +97,7 @@ class AffineWeylElement:
         if not isinstance(other, AffineWeylElement):
             return NotImplemented
         g = self.group
-        if other.group is not g:
-            g._check_member(other)
+        _same_datum(g.rd, other.group.rd)
         t, w = g.kernel.mul(self.trans, self.fin, other.trans, other.fin)
         return AffineWeylElement(g, t, w)
 
@@ -115,7 +115,8 @@ class AffineWeylElement:
 
     def __eq__(self, other):
         return (isinstance(other, AffineWeylElement)
-                and (other.group is self.group or other.group.rd == self.group.rd)
+                and (other.group is self.group
+                     or _same_datum(other.group.rd, self.group.rd))
                 and other.trans == self.trans and other.fin == self.fin)
 
     def __hash__(self):
@@ -152,9 +153,10 @@ class OmegaElement:
         return self.group._omega_element(self.rep)
 
     def __add__(self, other):
-        if not isinstance(other, OmegaElement) or other.group is not self.group:
+        if not isinstance(other, OmegaElement):
             return NotImplemented
         rd = self.group.rd
+        _same_datum(rd, other.group.rd)
         return OmegaElement(self.group, rd.kappa_reduce(
             tuple(a + b for a, b in zip(self.rep, other.rep))))
 
@@ -168,7 +170,8 @@ class OmegaElement:
 
     def __eq__(self, other):
         return (isinstance(other, OmegaElement)
-                and (other.group is self.group or other.group.rd == self.group.rd)
+                and (other.group is self.group
+                     or _same_datum(other.group.rd, self.group.rd))
                 and other.rep == self.rep)
 
     def __hash__(self):
@@ -216,12 +219,8 @@ class AffineWeylGroup:
 
     def element(self, trans, fin: int = 0) -> AffineWeylElement:
         trans = tuple(trans)
-        if len(trans) != self.rd.rank:
-            raise ValueError("translation length differs from rank")
-        if not isinstance(fin, int) or not 0 <= fin < self.weyl.size:
-            raise ValueError(f"finite Weyl group index {fin!r} is not in "
-                             f"range({self.weyl.size})")
-        return AffineWeylElement(self, trans, fin)
+        _check_rank(self.rd, trans)
+        return AffineWeylElement(self, trans, self.weyl.element(fin).idx)
 
     def translation(self, la) -> AffineWeylElement:
         return self.element(la, 0)
@@ -250,6 +249,7 @@ class AffineWeylGroup:
         The word is canonical: at each step the smallest-labelled left
         descent is stripped.
         """
+        _same_datum(self.rd, x.group.rd)
         k = self.kernel
         t, w = x.trans, x.fin
         word = []
@@ -285,12 +285,6 @@ class AffineWeylGroup:
     def omega_of(self, vec) -> OmegaElement:
         return OmegaElement(self, self.rd.kappa_reduce(tuple(vec)))
 
-    def _check_member(self, x: AffineWeylElement):
-        """Raise ValueError unless x comes from a group on this root datum
-        (this context or another one on equal data)."""
-        if x.group is not self and x.group.rd != self.rd:
-            raise ValueError("elements of different affine Weyl groups")
-
     def _descent_step(self, t, w):
         """(slot, s t, s w) for the smallest-labelled left descent s of the
         positive-length element (t, w); cached, so that the Bruhat and
@@ -302,8 +296,7 @@ class AffineWeylGroup:
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
         """Bruhat order on W~: within a common Omega-class, the subword order
         of W_aff; False across classes."""
-        self._check_member(x)
-        self._check_member(y)
+        _same_datum(self.rd, x.group.rd, y.group.rd)
         return self._bruhat_leq(x.trans, x.fin, x.length(),
                                 y.trans, y.fin, y.length())
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from .hecke import HeckeElement
 from .laurent import ONE, LaurentPoly, accumulate
-from .rootdata import (RootDatum, RootDatumError, levi_sub_datum, weyl_orbit)
+from .rootdata import (RootDatum, RootDatumError, _check_rank, _same_datum,
+                       levi_sub_datum, weyl_orbit)
 
 __all__ = [
     "SymmetricFunction", "NotCentralError", "HeightBoundError",
@@ -47,8 +48,7 @@ class SymmetricFunction:
 
     def _validate(self):
         for la, c in self.terms.items():
-            if len(la) != self.rd.rank:
-                raise RootDatumError("coweight length differs from rank")
+            _check_rank(self.rd, la)
             for i in range(self.rd.n_simple):
                 if self.terms.get(self.rd.reflect(i, la)) != c:
                     raise RootDatumError(
@@ -77,7 +77,8 @@ class SymmetricFunction:
 
     def __eq__(self, other):
         return (isinstance(other, SymmetricFunction)
-                and other.rd == self.rd and other.terms == self.terms)
+                and _same_datum(other.rd, self.rd)
+                and other.terms == self.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -85,8 +86,7 @@ class SymmetricFunction:
     def __add__(self, other):
         if not isinstance(other, SymmetricFunction):
             return NotImplemented
-        if other.rd != self.rd:
-            raise ValueError("functions on different root data")
+        _same_datum(self.rd, other.rd)
         out = dict(self.terms)
         for la, c in other.terms.items():
             accumulate(out, la, c)
@@ -108,8 +108,7 @@ class SymmetricFunction:
             return self.scale(other)
         if not isinstance(other, SymmetricFunction):
             return NotImplemented
-        if other.rd != self.rd:
-            raise ValueError("functions on different root data")
+        _same_datum(self.rd, other.rd)
         out: dict = {}
         for la, c in self.terms.items():
             for nu, d in other.terms.items():
@@ -167,6 +166,7 @@ def bernstein_iso(f: SymmetricFunction, W=None) -> HeckeElement:
     """
     if W is None:
         W = f.rd.affine_weyl()
+    _same_datum(W.rd, f.rd)
     H = W.hecke()
     out: dict = {}
     for mu in f.dominant_support():

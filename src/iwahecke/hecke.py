@@ -60,7 +60,7 @@ from operator import add, mul
 from .affine import AffineWeylElement, AffineWeylGroup
 from .intlinalg import dot, solve_underdetermined
 from .laurent import ONE, LaurentPoly, accumulate
-from .rootdata import RootDatumError, weyl_orbit
+from .rootdata import RootDatumError, _same_datum, weyl_orbit
 
 __all__ = [
     "HeckeAlgebra", "HeckeElement",
@@ -90,7 +90,7 @@ class HeckeElement:
     def __eq__(self, other):
         return (isinstance(other, HeckeElement)
                 and (other.algebra is self.algebra
-                     or other.algebra.W.rd == self.algebra.W.rd)
+                     or _same_datum(other.algebra.W.rd, self.algebra.W.rd))
                 and other.terms == self.terms)
 
     def __hash__(self):
@@ -99,22 +99,11 @@ class HeckeElement:
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
+        _same_datum(self.algebra.W.rd, other.algebra.W.rd)
         out = dict(self.terms)
-        for x, c in self._rebind(other).terms.items():
+        for x, c in other.terms.items():
             accumulate(out, x, c)
         return HeckeElement(self.algebra, out)
-
-    def _rebind(self, other: "HeckeElement") -> "HeckeElement":
-        """other, its terms rebound into this element's group when it comes
-        from another context on an equal root datum."""
-        if other.algebra is self.algebra:
-            return other
-        W = self.algebra.W
-        if other.algebra.W.rd != W.rd:
-            raise ValueError("elements of different Hecke algebras")
-        return HeckeElement(self.algebra, {
-            _element(W, x.trans, x.fin, x._len): c
-            for x, c in other.terms.items()})
 
     def __neg__(self):
         return HeckeElement(self.algebra,
@@ -127,15 +116,12 @@ class HeckeElement:
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
-            return self.algebra.multiply(self, self._rebind(other))
+            return self.algebra.multiply(self, other)
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, c) -> "HeckeElement":
         """c times this element; a monic monomial v^k shifts exponents."""
@@ -178,11 +164,13 @@ class HeckeAlgebra:
         return HeckeElement(self, {self.W.identity: ONE})
 
     def t(self, x: AffineWeylElement, coeff=ONE) -> HeckeElement:
+        _same_datum(self.W.rd, x.group.rd)
         if isinstance(coeff, int):
             coeff = LaurentPoly.const(coeff)
         return HeckeElement(self, {x: coeff})
 
     def from_terms(self, terms: dict) -> HeckeElement:
+        _same_datum(self.W.rd, *[x.group.rd for x in terms])
         return HeckeElement(self, dict(terms))
 
     # -- generator folds ------------------------------------------------------
@@ -211,6 +199,7 @@ class HeckeAlgebra:
         shift by 2 / |stride| digits, the q^{+-1} - 1 term is that shift
         minus the value, and accumulating is int addition.
         """
+        _same_datum(self.W.rd, h.algebra.W.rd)
         exps, l1 = _measure(h)
         base = (max if inverse else min)(exps, default=0)
         # A letter maps a term c T_y to c T_sy, or to (q^{+-1} - 1) c T_y +
@@ -326,6 +315,7 @@ class HeckeAlgebra:
         return self._omega_product(h, om, False)
 
     def _omega_product(self, h, om, left):
+        _same_datum(self.W.rd, h.algebra.W.rd, om.group.rd)
         if om.length():
             raise ValueError(f"{om!r} does not have length zero")
         W = self.W
@@ -351,6 +341,7 @@ class HeckeAlgebra:
         into one dict, unpacked once.  With a's digits from its least
         exponent and b's from its own, the product's digit i is the
         coefficient of v^(base_a + base_b + stride * i)."""
+        _same_datum(self.W.rd, a.algebra.W.rd, b.algebra.W.rd)
         if not a.terms or not b.terms:
             return self.zero()
         W = self.W
@@ -385,6 +376,7 @@ class HeckeAlgebra:
 
     def t_inverse(self, x: AffineWeylElement) -> HeckeElement:
         """The inverse of the basis element T_x."""
+        _same_datum(self.W.rd, x.group.rd)
         cached = self._tinv.get(x.key)
         if cached is None:
             cached = self._tinv[x.key] = self._rmul_t_inverse(self.unit(), x)
@@ -480,6 +472,7 @@ class HeckeAlgebra:
         says h[om x om^-1] = h[x] for every x: the packed dict mapped
         through om on the left and om^-1 on the right equals itself.
         """
+        _same_datum(self.W.rd, h.algebra.W.rd)
         exps, l1 = _measure(h)
         base = min(exps, default=0)
         stride = _stride(exps)

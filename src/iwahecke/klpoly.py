@@ -40,7 +40,7 @@ from __future__ import annotations
 from .affine import AffineWeylElement, AffineWeylGroup
 from .hecke import HeckeElement
 from .laurent import LaurentPoly
-from .rootdata import RootDatumError, is_minuscule
+from .rootdata import RootDatumError, _same_datum, is_minuscule
 
 __all__ = ["RPolynomials", "r_polynomial", "closed_form_bernstein",
            "q_poly_to_v"]
@@ -62,9 +62,7 @@ class RPolynomials:
         self._memo: dict = {}
 
     def r(self, x: AffineWeylElement, y: AffineWeylElement) -> LaurentPoly:
-        W = self.W
-        W._check_member(x)
-        W._check_member(y)
+        _same_datum(self.W.rd, x.group.rd, y.group.rd)
         return self._r(x.trans, x.fin, x.length(), y.trans, y.fin, y.length())
 
     def _r(self, tx, wx, lx, ty, wy, ly) -> LaurentPoly:

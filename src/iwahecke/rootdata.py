@@ -438,6 +438,15 @@ def _check_rank(rd: RootDatum, la):
         raise RootDatumError("coweight length differs from rank")
 
 
+def _same_datum(rd: RootDatum, *others) -> bool:
+    """True when every datum in `others` is `rd`, the same object or an equal
+    value; else the one ValueError of every operation on two operands."""
+    for other in others:
+        if other is not rd and other != rd:
+            raise ValueError("operands on different root data")
+    return True
+
+
 def weyl_orbit(rd: RootDatum, mu) -> frozenset:
     """Full orbit of a coweight under the finite Weyl group."""
     mu = tuple(mu)

@@ -27,7 +27,7 @@ from .center import SymmetricFunction
 from .hecke import HeckeElement
 from .intlinalg import dot
 from .laurent import LaurentPoly, accumulate
-from .rootdata import RootDatumError
+from .rootdata import RootDatumError, _same_datum
 
 __all__ = ["GradedFunction", "normalized_transfer", "kottwitz_fiber_integrate",
            "grassmannian_count", "base_change"]
@@ -64,7 +64,8 @@ class GradedFunction:
                       else (1, t[0]))
 
     def __eq__(self, other):
-        return (isinstance(other, GradedFunction) and other.rd == self.rd
+        return (isinstance(other, GradedFunction)
+                and _same_datum(other.rd, self.rd)
                 and other.terms == self.terms)
 
     def __hash__(self):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from math import prod
 
-from .rootdata import RootDatum, RootDatumError
+from .rootdata import RootDatum, RootDatumError, _same_datum
 
 __all__ = ["IndexedWeyl", "FiniteWeylElement", "weyl_order"]
 
@@ -184,8 +184,9 @@ class FiniteWeylElement:
         return self.group.apply(self.idx, vec)
 
     def __mul__(self, other):
-        if not isinstance(other, FiniteWeylElement) or other.group is not self.group:
+        if not isinstance(other, FiniteWeylElement):
             return NotImplemented
+        _same_datum(self.group.rd, other.group.rd)
         return FiniteWeylElement(self.group, self.group.mul(self.idx, other.idx))
 
     def inverse(self):
@@ -193,7 +194,8 @@ class FiniteWeylElement:
 
     def __eq__(self, other):
         return (isinstance(other, FiniteWeylElement)
-                and (other.group is self.group or other.group.rd == self.group.rd)
+                and (other.group is self.group
+                     or _same_datum(other.group.rd, self.group.rd))
                 and other.idx == self.idx)
 
     def __hash__(self):

