@@ -408,7 +408,10 @@ class AffineWeylGroup:
         return [words[a] for a in rd.pos_roots]
 
     def kottwitz_image(self, x: AffineWeylElement) -> OmegaElement:
-        return OmegaElement(self, self.rd.kappa_reduce(x.trans))
+        rd = self.rd
+        if x.group.rd is not rd:
+            _same_datum(rd, x.group.rd)
+        return OmegaElement(self, rd.kappa_reduce(x.trans))
 
     def critical_indices(self, w: AffineWeylElement) -> frozenset:
         """{ j in 1..n : w <= t_{e_j} } for GL(n) (Drinfeld critical indices)."""
@@ -433,6 +436,8 @@ class AffineWeylGroup:
 
     def sort_key(self, x: AffineWeylElement):
         """Deterministic ordering: (length, translation, finite word)."""
+        if x.group.rd is not self.rd:
+            _same_datum(self.rd, x.group.rd)
         return (x.length(), x.trans, self.weyl.word[x.fin])
 
     def __repr__(self):

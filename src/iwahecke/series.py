@@ -9,9 +9,13 @@ valuation queries answer True/False when decidable and None when the tracked
 precision cannot decide, so callers (the evaluators) can fail loudly rather
 than guess.
 
-Representation invariants: `coeffs` has no leading or trailing zeros and
-covers t^val .. t^(val + len - 1); a series with no known-nonzero coefficient
-has val=None (exact -> the true zero; inexact -> zero modulo t^prec).
+Representation invariants: `coeffs` is a tuple of field elements, the ints
+0..q-1, with no leading or trailing zeros, and covers t^val ..
+t^(val + len - 1); a series with no known-nonzero coefficient has val=None
+(exact -> the true zero; inexact -> zero modulo t^prec).  The constructor
+and `scale` refuse any other coefficient with ValueError, since a Kronecker
+slot would carry it into its neighbour; arithmetic builds its results
+without that check, their coefficients being elements by construction.
 
 Arithmetic is dense over a prime field GF(p) (`field.r == 1`), whose
 elements are the ints 0..p-1: a sum adds the two aligned coefficient
@@ -31,8 +35,12 @@ wide enough for any product, the ys sit at strides of len(xs) blocks, so
 block i + j len(xs) of the big product holds cell (i, j); the factors of
 both products sit at their offsets from the smallest valuation of their
 side, so the two big products add slot by slot.  Each cell equals
-x * y + x2 * y2, precision included, and is read straight from its slots.
-A 2x2 `Matrix2` product is one such grid.
+x * y + x2 * y2, precision included.  When a slot fits in one byte, the
+slots reduced mod p are one `bytes` object, and a cell is a slice of it,
+cut at the cell's precision, with its zero bytes stripped from both
+ends; only the pairing of a row with a column, the precision rule and
+the cell object itself are left to Python.  A 2x2 `Matrix2` product is
+one such grid.
 
 >>> from iwahecke.ffield import GF
 >>> f = GF(3)
@@ -69,10 +77,17 @@ class TruncatedSeries:
 
     def __init__(self, field, val, coeffs, prec=None):
         """The series sum of coeffs[k] t^(val + k), known below `prec`
-        (None: exact).  One scan keeps the window from the first to the
-        last nonzero coefficient below `prec`."""
-        self.field = field
+        (None: exact).  Each coefficient is an element of `field`, an int
+        in range(q); anything else is a ValueError."""
         coeffs = tuple(coeffs)
+        _check_elements(field, coeffs)
+        self._fill(field, val, coeffs, prec)
+
+    def _fill(self, field, val, coeffs: tuple, prec):
+        """The constructor without its range check, for coefficients in
+        range by construction: one scan keeps the window from the first to
+        the last nonzero coefficient below `prec`."""
+        self.field = field
         end = len(coeffs)
         if prec is not None and val + end > prec:
             end = max(0, prec - val)
@@ -93,11 +108,11 @@ class TruncatedSeries:
 
     @staticmethod
     def zero(field, prec=None) -> "TruncatedSeries":
-        return TruncatedSeries(field, 0, (), prec)
+        return _series(field, 0, (), prec)
 
     @staticmethod
     def one(field, prec=None) -> "TruncatedSeries":
-        return TruncatedSeries(field, 0, (1,), prec)
+        return _series(field, 0, (1,), prec)
 
     @staticmethod
     def monomial(field, k: int, coeff: int = 1, prec=None) -> "TruncatedSeries":
@@ -109,7 +124,7 @@ class TruncatedSeries:
 
     def truncate(self, prec: int) -> "TruncatedSeries":
         newp = prec if self.prec is None else min(self.prec, prec)
-        return TruncatedSeries(self.field, self.val or 0, self.coeffs, newp)
+        return _series(self.field, self.val or 0, self.coeffs, newp)
 
     # -- queries -------------------------------------------------------------
 
@@ -165,7 +180,7 @@ class TruncatedSeries:
         a, b = self.coeffs, other.coeffs
         if vb is None:
             if va is None:
-                return TruncatedSeries(f, 0, (), prec)
+                return _series(f, 0, (), prec)
             vb = va  # an empty window may sit anywhere
         elif va is None:
             va = vb
@@ -186,7 +201,7 @@ class TruncatedSeries:
             add_t = f.add_table
             for k, y in enumerate(b, off):
                 out[k] = add_t[out[k]][y]
-        return TruncatedSeries(f, va, out, prec)
+        return _series(f, va, out, prec)
 
     def __add__(self, other):
         return self._add(other, False)
@@ -202,17 +217,17 @@ class TruncatedSeries:
         else:
             neg = f.neg_table
             out = [neg[c] for c in self.coeffs]
-        return TruncatedSeries(f, self.val or 0, out, self.prec)
+        return _series(f, self.val or 0, out, self.prec)
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
         if self.is_known_zero() or other.is_known_zero():
-            return TruncatedSeries(f, 0, ())  # exactly zero times anything
+            return _series(f, 0, ())  # exactly zero times anything
         prec = _mul_prec(self, other)
         if self.val is None or other.val is None:
             # a factor with no known coefficient: product has none either
-            return TruncatedSeries(f, 0, (), prec)
+            return _series(f, 0, (), prec)
         a, b = self.coeffs, other.coeffs
         if f.r == 1:
             out = _kronecker(a, b, f.p)
@@ -224,19 +239,20 @@ class TruncatedSeries:
                     row = mul_t[x]
                     for k, y in enumerate(b, i):
                         out[k] = add_t[out[k]][row[y]]
-        return TruncatedSeries(f, self.val + other.val, out, prec)
+        return _series(f, self.val + other.val, out, prec)
 
     def scale(self, c: int) -> "TruncatedSeries":
         f = self.field
+        _check_elements(f, (c,))
         if c == 0:
-            return TruncatedSeries(f, 0, ())  # exact: 0 * unknown = 0
+            return _series(f, 0, ())  # exact: 0 * unknown = 0
         if f.r == 1:
             p = f.p
             out = [c * x % p for x in self.coeffs]
         else:
             row = f.mul_table[c]
             out = [row[x] for x in self.coeffs]
-        return TruncatedSeries(f, self.val or 0, out, self.prec)
+        return _series(f, self.val or 0, out, self.prec)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
@@ -254,6 +270,25 @@ class TruncatedSeries:
                               for i, c in enumerate(self.coeffs) if c)
         tail = "" if self.prec is None else f" + O(t^{self.prec})"
         return f"<{body}{tail}>"
+
+
+def _series(field, val, coeffs, prec=None) -> TruncatedSeries:
+    """TruncatedSeries(field, val, coeffs, prec) for coefficients in range
+    by construction, such as the results of arithmetic: no range check."""
+    s = object.__new__(TruncatedSeries)
+    s._fill(field, val, tuple(coeffs), prec)
+    return s
+
+
+def _check_elements(field, coeffs) -> None:
+    """ValueError unless every coefficient is an element of `field`, an
+    int in range(q): a larger one would overflow its Kronecker slot into
+    the next coefficient, and a negative one cannot be packed at all."""
+    q = field.q
+    for c in coeffs:
+        if type(c) is not int or not 0 <= c < q:
+            raise ValueError(f"coefficient {c!r} is not an element of "
+                             f"{field}")
 
 
 _ORDER = sys.byteorder
@@ -301,12 +336,19 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     the ys sit at strides of len(xs) blocks, so block i + j len(xs) holds
     cell (i, j) and no two cells meet in a slot.  A slot holds at most
     min(len x, len y) (p-1)^2 from each product, as in `_kronecker`, so
-    twice that for the pair.  The slots are reduced mod p once, and a
-    cell is read straight from the slots its factors can reach: the
-    constructor keeps the first to the last nonzero one below the cell's
-    precision, the smaller of its two products' precisions by the rule
-    of `*` (an exact-zero factor makes its product exact).  Over GF(p^r),
-    r > 1, each cell is formed by `*` and `+`.
+    twice that for the pair.  Each list of factors is written into one
+    zeroed buffer of slots and read as one int.
+
+    The slots are reduced mod p once.  A cell's precision is the smaller
+    of its two products' precisions by the rule of `*` (an exact-zero
+    factor makes its product exact; a row and a column of exact factors
+    make an exact cell), and its window is the slots its factors can
+    reach, cut at that precision.  With 1-byte slots the reduced slots
+    are one `bytes` object: a window is a slice of it whose zero slots
+    are stripped from both ends, and the cell is assigned without the
+    constructor's scan.  Wider slots are reduced into a list, and the
+    constructor's scan trims each window.  Over GF(p^r), r > 1, each cell
+    is formed by `*` and `+`.
     """
     if not xs or not ys:
         return [[] for _ in xs]
@@ -320,13 +362,10 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     if f.r > 1:  # `*` and `+` check the fields
         return [[x * y + x2 * y2 for y, y2 in zip(ys, ys2)]
                 for x, x2 in zip(xs, xs2)]
-    if any(s.field is not f for s in itertools.chain(xs, ys, xs2, ys2)):
-        raise ValueError("series over different fields")
     p = f.p
-    base_x, rows, lx, lx2 = _side(xs, xs2)
-    base_y, cols, ly, ly2 = _side(ys, ys2)
-    block = max(0, max(hi for _, hi, *_ in rows)
-                + max(hi for _, hi, *_ in cols) - 1)
+    base_x, rows, top_x, lx, lx2 = _side(f, xs, xs2)
+    base_y, cols, top_y, ly, ly2 = _side(f, ys, ys2)
+    block = max(0, top_x + top_y - 1)
     stride = len(xs) * block
     m, m2 = min(lx, ly), min(lx2, ly2)
     width, code = _slot((m + m2) * (p - 1) ** 2)
@@ -336,52 +375,104 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
             total += _packed(xs_, base_x, block, width, code) * \
                 _packed(ys_, base_y, stride, width, code)
     raw = total.to_bytes(width * len(ys) * stride, _ORDER)
-    slots = raw.translate(_residues(p)) if width == 1 else \
-        [c % p for c in array(code, raw)]
+    if width == 1:
+        slots, cell = raw.translate(_residues(p)), _from_slots
+    else:
+        slots, cell = [c % p for c in array(code, raw)], _series
     base = base_x + base_y
     grid = []
-    for i, (lo_x, hi_x, v, r, v2, r2) in enumerate(rows):
+    for i, (lo_x, hi_x, v, r, v2, r2, ex) in enumerate(rows):
         row = []
-        for j, (lo_y, hi_y, w, s, w2, s2) in enumerate(cols):
-            prec = min(v + s, w + r, v2 + s2, w2 + r2)
-            at = i * block + j * stride
-            row.append(TruncatedSeries(
-                f, base + lo_x + lo_y,
-                slots[at + lo_x + lo_y:at + hi_x + hi_y - 1]
-                if hi_x and hi_y else (),
-                None if prec == _INF else prec))
+        at = i * block
+        for lo_y, hi_y, w, s, w2, s2, ey in cols:
+            lo, hi = lo_x + lo_y, hi_x + hi_y - 1
+            if ex and ey:
+                prec = None
+            else:
+                prec = min(v + s, w + r, v2 + s2, w2 + r2)
+                if prec == _INF:
+                    prec = None
+                elif prec - base < hi:  # the window ends at the precision
+                    hi = prec - base
+            if hi < lo:  # no slot: a negative end would count from the end
+                hi = lo
+            row.append(cell(f, base + lo, slots[at + lo:at + hi], prec))
+            at += stride
         grid.append(row)
     return grid
 
 
-def _side(side, side2):
-    """One side of a grid: the smallest known valuation `base`; at each
-    index the slots [lo, hi) its two factors take when packed at their
-    offsets val - base ((0, 0) when neither has a known coefficient)
-    and their `_prec_ends`; and the longest factor of each list."""
+def _from_slots(field, val, window: bytes, prec) -> TruncatedSeries:
+    """The series with coefficients `window` from t^val on, known below
+    `prec`, for a window of reduced 1-byte slots that already ends at
+    `prec`: the constructor's scan is two strips of zero bytes."""
+    s = object.__new__(TruncatedSeries)
+    s.field, s.prec = field, prec
+    tail = window.rstrip(b"\0")
+    if tail:
+        head = tail.lstrip(b"\0")
+        s.val, s.coeffs = val + len(tail) - len(head), tuple(head)
+    else:
+        s.val, s.coeffs = None, ()
+    return s
+
+
+def _side(field, side, side2):
+    """One side of a grid, in one pass over its indices after the
+    smallest known valuation `base`: at each index the slots [lo, hi)
+    its two factors take when packed at their offsets val - base
+    ((0, 0) when neither has a known coefficient), their `_prec_ends`
+    and whether both are exact; the largest hi; and the longest factor
+    of each list.  A factor over another field is a ValueError."""
     vals = [s.val for s in itertools.chain(side, side2) if s.val is not None]
     base = min(vals) if vals else 0
     out = []
+    top = long = long2 = 0
     for s, s2 in zip(side, side2):
-        lo, hi = _INF, 0
-        for t in (s, s2):
-            if t.val is not None:
-                lo = min(lo, t.val - base)
-                hi = max(hi, t.val - base + len(t.coeffs))
-        out.append((lo if hi else 0, hi) + _prec_ends(s) + _prec_ends(s2))
-    return (base, out, max(len(s.coeffs) for s in side),
-            max(len(s.coeffs) for s in side2))
+        if s.field is not field or s2.field is not field:
+            raise ValueError("series over different fields")
+        v, n, r = s.val, len(s.coeffs), s.prec
+        v2, n2, r2 = s2.val, len(s2.coeffs), s2.prec
+        if r is None:
+            r = _INF
+        if r2 is None:
+            r2 = _INF
+        if v is None:  # an unknown zero O(t^r) counts r as its valuation
+            v = r
+            lo, hi = (0, 0) if v2 is None else (v2 - base, v2 - base + n2)
+        else:
+            lo, hi = v - base, v - base + n
+            if v2 is not None:
+                if v2 - base < lo:
+                    lo = v2 - base
+                if v2 - base + n2 > hi:
+                    hi = v2 - base + n2
+        if v2 is None:
+            v2 = r2
+        out.append((lo, hi, v, r, v2, r2, r == r2 == _INF))
+        if hi > top:
+            top = hi
+        if n > long:
+            long = n
+        if n2 > long2:
+            long2 = n2
+    return base, out, top, long, long2
 
 
 def _packed(series, base, step, width, code) -> int:
     """One int holding the coefficients of series[k] from slot
-    k step + (val - base) on, in slots of `width` bytes."""
-    total = 0
-    for k, s in enumerate(series):
-        if s.val is not None:
-            total |= int.from_bytes(array(code, s.coeffs), _ORDER) << \
-                8 * width * (k * step + s.val - base)
-    return total
+    k step + (val - base) on, in slots of `width` bytes (array typecode
+    `code`), written into one zeroed buffer of len(series) steps."""
+    buf = bytearray(width * step * len(series))
+    slots = buf if width == 1 else memoryview(buf).cast(code)
+    at = -base
+    for s in series:
+        v = s.val
+        if v is not None:
+            c = s.coeffs
+            slots[at + v:at + v + len(c)] = c if width == 1 else array(code, c)
+        at += step
+    return int.from_bytes(buf, _ORDER)
 
 
 @functools.cache

@@ -72,6 +72,9 @@ ROWS = {
     "OmegaElement.__add__": (_omega, lambda W, y: W.omega_of(LA) + y),
     "OmegaElement.__sub__": (_omega, lambda W, y: W.omega_of(LA) - y),
     "OmegaElement.__eq__": (_omega, lambda W, y: W.omega_of(LA) == y),
+    "AffineWeylGroup.kottwitz_image": (
+        _translation, lambda W, x: W.kottwitz_image(x)),
+    "AffineWeylGroup.sort_key": (_translation, lambda W, x: W.sort_key(x)),
     "bruhat_leq.x": (
         _omega_element, lambda W, x: W.bruhat_leq(x, W.translation(LA))),
     "bruhat_leq.y": (

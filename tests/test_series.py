@@ -103,6 +103,29 @@ def test_series_normalization():
     assert zp.val is None and not zp.exact
 
 
+def test_coefficients_outside_the_field_refused():
+    # over GF(3), (200 + t)^2 came out as 1 + 2t, by `*` and by the grid,
+    # because 200^2 overflows a 1-byte slot into the next coefficient; the
+    # right answer is 1 + t + t^2.  A negative coefficient ended in
+    # OverflowError, and GF(4)'s scale(-1) multiplied by 3, scale(4)
+    # raised IndexError
+    f3, f4 = GF(3), GF(2, 2)
+    for coeffs in ([200, 1], [1, -1], [3], [1.5]):
+        with pytest.raises(ValueError, match="not an element of GF"):
+            TruncatedSeries(f3, 0, coeffs)
+    with pytest.raises(ValueError, match="not an element of GF"):
+        TruncatedSeries.monomial(f4, 2, 4)
+    x = TruncatedSeries(f4, 0, [1, 2])
+    for c in (-1, 4):
+        with pytest.raises(ValueError, match="not an element of GF"):
+            x.scale(c)
+    assert [x.scale(c) for c in range(4)] == [series_scale(x, c)
+                                               for c in range(4)]
+    y = TruncatedSeries(f3, 0, [2, 1])  # 200 = 2 mod 3
+    assert (y * y).coeffs == (1, 1, 1)
+    assert product_grid([y], [y]) == [[y * y]]
+
+
 def test_series_add_mul_exact():
     f = GF(2)
     one = TruncatedSeries.one(f)
@@ -359,3 +382,72 @@ def test_matrix2_product_matches_entrywise(p, r):
                 series_add(series_mul(g.c, h.b), series_mul(g.d, h.d))]
         assert [_state(e) for e in (g * h).entries] == \
             [_state(e) for e in want]
+
+
+def _cell_state(s):
+    return s.val, s.coeffs, type(s.coeffs) is tuple, s.prec, hash(s)
+
+
+@pytest.mark.parametrize("p,n,width", [(2, 1, 1), (3, 1, 1), (17, 1, 2),
+                                       (257, 1, 4), (4093, 130, 8)])
+def test_product_grid_cell_edges(p, n, width):
+    # cells that cancel to an exact zero and to a zero below their
+    # precision, cells whose first or last slot reduces to 0 mod p, and
+    # windows cut by precision in the middle and at their first slot, with
+    # unknown-zero factors O(t^k); every factor is multiplied by the exact
+    # L = -(1 + ... + t^(n-1)), which keeps each of these shapes and
+    # widens the slots to `width` bytes
+    f = GF(p)
+    T, e = TruncatedSeries, p - 1  # e = -1
+    L = T(f, 0, [e] * n)
+
+    def s(val, coeffs, prec=None):
+        x = T(f, val, coeffs) * L
+        return x if prec is None else x.truncate(prec)
+    a, b, ones = s(0, [1, 1]), s(0, [1, 2 % p]), s(0, [1] * 6)
+    cut, unknown = s(0, [1], 3), T(f, 0, [], 3)  # 1 + ... + O(t^3), O(t^3)
+    rows = [(a, a), (a.truncate(1), a.truncate(1)), (a, s(0, [1])),
+            (a, s(1, [1])), (ones, T(f, 0, [], 2)), (s(3, [1] * 6), unknown)]
+    cols = [(b, -b), (a, s(0, [e])), (a, s(1, [e])), (cut, s(0, [1]))]
+    xs, xs2 = zip(*rows)
+    ys, ys2 = zip(*cols)
+    grid = product_grid(xs, ys, xs2, ys2)
+    m = min(max(len(x.coeffs) for x in xs), max(len(y.coeffs) for y in ys))
+    m2 = min(max(len(x.coeffs) for x in xs2),
+             max(len(y.coeffs) for y in ys2))
+    assert _slot((m + m2) * (p - 1) ** 2)[0] == width
+    for (x, x2), row in zip(rows, grid):
+        for (y, y2), cell in zip(cols, row):
+            want = series_add(series_mul(x, y), series_mul(x2, y2))
+            assert _cell_state(cell) == _cell_state(x * y + x2 * y2)
+            assert _cell_state(cell) == _cell_state(want)
+
+    def window(i, j):  # [lo, hi): the exponents the cell's products reach
+        (x, x2), (y, y2) = rows[i], cols[j]
+        known = [(u, v) for u, v in ((x, y), (x2, y2))
+                 if None not in (u.val, v.val)]
+        return (min(u.val + v.val for u, v in known),
+                max(u.val + v.val + len(u.coeffs) + len(v.coeffs) - 1
+                    for u, v in known))
+    # the shapes occur: exact zero, and a zero known below t^1 only
+    assert (grid[0][0].val, grid[0][0].prec) == (None, None)
+    assert (grid[1][0].val, grid[1][0].prec) == (None, 1)
+    # 1 + 1 * -1 and t + t * -1 = 0: the first and last slots reduce to 0
+    assert grid[2][1].val > window(2, 1)[0]
+    cell = grid[3][2]
+    assert cell.val + len(cell.coeffs) < window(3, 2)[1]
+    # O(t^2) * 1 cuts the window of ones * cut in the middle, at t^2
+    lo, hi = window(4, 3)
+    assert lo == 0 and grid[4][3].prec == 2 < hi
+    assert grid[4][3].val == 0 and len(grid[4][3].coeffs) == 2
+    # O(t^3) * 1 cuts the window of t^3 (...) * cut at its first slot
+    assert grid[5][3].prec == window(5, 3)[0] == 3
+    assert grid[5][3].val is None
+    # cell (0, 0) an exact zero, then known below t^7 although the sides'
+    # smallest valuations add up to 8: its window ends before slot 0
+    zero, t3, t5 = T.zero(f), s(3, [1]), s(5, [1])
+    for xs, ys in (([zero, t3], [zero, t5, zero]),
+                   ([T(f, 0, [], 2), t3], [t5, T(f, 0, [], 1), zero])):
+        assert [[_cell_state(c) for c in row] for row in product_grid(
+            xs, ys)] == [[_cell_state(series_mul(x, y)) for y in ys]
+                         for x in xs]
