@@ -396,8 +396,8 @@ def _int_list(text: str) -> list:
 
 
 def _parse_q(q: int):
-    # GF builds q^2-entry tables, so refuse a q they cannot hold before
-    # trial division, which takes time linear in q
+    # trial division takes time linear in q, so refuse a q outside the
+    # supported range before it
     if not 2 <= q <= _MAX_Q:
         raise PreconditionError(
             f"q = {q} is out of supported range 2..{_MAX_Q}")

@@ -12,35 +12,40 @@ than guess.
 Representation invariants: `coeffs` is a tuple of field elements, the ints
 0..q-1, with no leading or trailing zeros, and covers t^val ..
 t^(val + len - 1); a series with no known-nonzero coefficient has val=None
-(exact -> the true zero; inexact -> zero modulo t^prec).  The constructor
-and `scale` refuse any other coefficient with ValueError, since a Kronecker
-slot would carry it into its neighbour; arithmetic builds its results
-without that check, their coefficients being elements by construction.
+(exact -> the true zero; inexact -> zero modulo t^prec).  The constructor,
+`monomial` and `scale` refuse any other coefficient with ValueError, since
+a Kronecker slot would carry it into its neighbour, and the constructor,
+`zero`, `one`, `monomial` and `truncate` refuse a `val` or `prec` that is
+not an int; arithmetic builds its results without those checks, their
+coefficients being elements and their exponents ints by construction.
 
-Arithmetic is dense over a prime field GF(p) (`field.r == 1`), whose
-elements are the ints 0..p-1: a sum adds the two aligned coefficient
-windows as ints and reduces mod p once, and a product is one big-int
-multiply by Kronecker substitution, reduced mod p once per coefficient.
-Over GF(p^r) with r > 1 the same loops look sums and products up in the
-field's `add_table` and `mul_table`.  The precision rule is the same for
-both: a sum is known below the smaller precision, and a product below
-min(val a + prec b, val b + prec a), an unknown zero O(t^k) counting k as
-its valuation.
+A sum aligns the two coefficient windows and combines them slot by slot:
+over a prime field GF(p) (`field.r == 1`), whose elements are the ints
+0..p-1, as ints reduced mod p once, and over GF(p^r) with r > 1 through
+the field's `add_table`.  A sum is known below the smaller precision.
 
-`product_grid(xs, ys, xs2, ys2)` gives the two-term bilinear form
-x * y + x2 * y2 at every pair of indices at once, as rows (without xs2
-and ys2, every product x * y).  Over GF(p) it is one Kronecker multiply
-per product for the whole grid: each x sits in its own block of slots,
-wide enough for any product, the ys sit at strides of len(xs) blocks, so
-block i + j len(xs) of the big product holds cell (i, j); the factors of
-both products sit at their offsets from the smallest valuation of their
-side, so the two big products add slot by slot.  Each cell equals
-x * y + x2 * y2, precision included.  When a slot fits in one byte, the
-slots reduced mod p are one `bytes` object, and a cell is a slice of it,
-cut at the cell's precision, with its zero bytes stripped from both
-ends; only the pairing of a row with a column, the precision rule and
-the cell object itself are left to Python.  A 2x2 `Matrix2` product is
-one such grid.
+Every product is a cell of `product_grid(xs, ys, xs2, ys2)`, which gives
+the two-term bilinear form x * y + x2 * y2 at every pair of indices at
+once, as rows (without xs2 and ys2, every product x * y): `*` is a 1x1
+grid, `scale(c)` a 1x1 grid against the exact constant c, a 2x2
+`Matrix2` product a 2x2 grid and its determinant the one cell
+a d + (-b) c.  So the zero rules and the precision rule of a product are
+written once: a product is known below min(val a + prec b, val b +
+prec a), an unknown zero O(t^k) counting k as its valuation, and the
+exact zero makes every product with it exact.
+
+The grid lays its products out as one Kronecker substitution (Harvey, J.
+Symb. Comp. 2009): each x sits in its own block of slots, wide enough
+for any product, the ys sit at strides of len(xs) blocks, so block
+i + j len(xs) of the big product holds cell (i, j); the factors of both
+products sit at their offsets from the smallest valuation of their side,
+so the two big products add slot by slot.  Over GF(p) the slots are one
+big-int multiply per product, reduced mod p once; over GF(p^r) a table
+convolution writes each x * y into the same slots.  A cell is a window of
+the slots cut at its precision.  When a GF(p) slot fits in one byte, the
+reduced slots are one `bytes` object, and a cell is a slice of it with
+its zero bytes stripped from both ends; only the pairing of a row with a
+column, the precision rule and the cell object itself are left to Python.
 
 >>> from iwahecke.ffield import GF
 >>> f = GF(3)
@@ -56,7 +61,7 @@ True
 True
 >>> product_grid([a], [b], [b], [a]) == [[a * b + b * a]]
 True
->>> f4 = GF(2, 2)                                   # the table path
+>>> f4 = GF(2, 2)                                   # table-filled slots
 >>> c = TruncatedSeries(f4, 0, [1, 2])              # 1 + x t, x^2 = x + 1
 >>> c * c
 <1*t^0 + 3*t^2>
@@ -78,9 +83,13 @@ class TruncatedSeries:
     def __init__(self, field, val, coeffs, prec=None):
         """The series sum of coeffs[k] t^(val + k), known below `prec`
         (None: exact).  Each coefficient is an element of `field`, an int
-        in range(q); anything else is a ValueError."""
+        in range(q), and val and prec are ints; anything else is a
+        ValueError."""
         coeffs = tuple(coeffs)
         _check_elements(field, coeffs)
+        _check_exponent(val)
+        if prec is not None:
+            _check_exponent(prec)
         self._fill(field, val, coeffs, prec)
 
     def _fill(self, field, val, coeffs: tuple, prec):
@@ -108,11 +117,11 @@ class TruncatedSeries:
 
     @staticmethod
     def zero(field, prec=None) -> "TruncatedSeries":
-        return _series(field, 0, (), prec)
+        return TruncatedSeries(field, 0, (), prec)
 
     @staticmethod
     def one(field, prec=None) -> "TruncatedSeries":
-        return _series(field, 0, (1,), prec)
+        return TruncatedSeries(field, 0, (1,), prec)
 
     @staticmethod
     def monomial(field, k: int, coeff: int = 1, prec=None) -> "TruncatedSeries":
@@ -123,6 +132,7 @@ class TruncatedSeries:
         return self.prec is None
 
     def truncate(self, prec: int) -> "TruncatedSeries":
+        _check_exponent(prec)
         newp = prec if self.prec is None else min(self.prec, prec)
         return _series(self.field, self.val or 0, self.coeffs, newp)
 
@@ -220,39 +230,12 @@ class TruncatedSeries:
         return _series(f, self.val or 0, out, self.prec)
 
     def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        if self.is_known_zero() or other.is_known_zero():
-            return _series(f, 0, ())  # exactly zero times anything
-        prec = _mul_prec(self, other)
-        if self.val is None or other.val is None:
-            # a factor with no known coefficient: product has none either
-            return _series(f, 0, (), prec)
-        a, b = self.coeffs, other.coeffs
-        if f.r == 1:
-            out = _kronecker(a, b, f.p)
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            add_t, mul_t = f.add_table, f.mul_table
-            for i, x in enumerate(a):
-                if x:
-                    row = mul_t[x]
-                    for k, y in enumerate(b, i):
-                        out[k] = add_t[out[k]][row[y]]
-        return _series(f, self.val + other.val, out, prec)
+        return product_grid((self,), (other,))[0][0]
 
     def scale(self, c: int) -> "TruncatedSeries":
-        f = self.field
-        _check_elements(f, (c,))
-        if c == 0:
-            return _series(f, 0, ())  # exact: 0 * unknown = 0
-        if f.r == 1:
-            p = f.p
-            out = [c * x % p for x in self.coeffs]
-        else:
-            row = f.mul_table[c]
-            out = [row[x] for x in self.coeffs]
-        return _series(f, self.val or 0, out, self.prec)
+        """self times the field element c, exactly zero when c is 0."""
+        _check_elements(self.field, (c,))
+        return product_grid((self,), (_series(self.field, 0, (c,)),))[0][0]
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
@@ -291,6 +274,12 @@ def _check_elements(field, coeffs) -> None:
                              f"{field}")
 
 
+def _check_exponent(k) -> None:
+    """ValueError unless k, a valuation or a precision, is an int."""
+    if type(k) is not int:
+        raise ValueError(f"exponent {k!r} is not an int")
+
+
 _ORDER = sys.byteorder
 # (exclusive bound, width in bytes, array typecode) for each slot width
 _SLOTS = sorted((1 << 8 * array(code).itemsize, array(code).itemsize, code)
@@ -305,80 +294,68 @@ def _slot(top: int):
     raise OverflowError("coefficient too large for an 8-byte slot")
 
 
-def _kronecker(a, b, p: int) -> list:
-    """The product of two coefficient sequences over GF(p), by Kronecker
-    substitution (Harvey, J. Symb. Comp. 2009): each sequence is packed
-    into one int, one slot per coefficient, the two ints are multiplied
-    once, and the slots of the product are read back and reduced mod p.
-
-    A slot must hold a raw coefficient of the product, at most
-    min(len a, len b) (p-1)^2, so it is the narrowest of 1, 2, 4 and 8
-    bytes that does; 8 bytes hold it for any p that GF allows.
-    """
-    width, code = _slot(min(len(a), len(b)) * (p - 1) ** 2)
-    x = int.from_bytes(array(code, a), _ORDER) * \
-        int.from_bytes(array(code, b), _ORDER)
-    slots = array(code, x.to_bytes(width * (len(a) + len(b) - 1), _ORDER))
-    return [c % p for c in slots]
-
-
 def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     """The bilinear form x * y + x2 * y2 at every pair of indices, as
     rows: product_grid(xs, ys, xs2, ys2)[i][j] == xs[i] * ys[j] +
     xs2[i] * ys2[j], val, coeffs and prec alike.  Without xs2 and ys2
-    the cells are the products xs[i] * ys[j].
+    the cells are the products xs[i] * ys[j].  This is the only code
+    that forms a product of series.
 
-    Over GF(p) one Kronecker multiply per product forms every cell.  On
-    each side a factor is packed at its offset val - base from the
-    smallest known valuation `base` of that side, so the two products of
-    a cell land in the same slots, and the two big products are added.
-    Each x takes its own block of slots, wide enough for any product, and
-    the ys sit at strides of len(xs) blocks, so block i + j len(xs) holds
-    cell (i, j) and no two cells meet in a slot.  A slot holds at most
-    min(len x, len y) (p-1)^2 from each product, as in `_kronecker`, so
-    twice that for the pair.  Each list of factors is written into one
-    zeroed buffer of slots and read as one int.
+    The products lie in one flat list of slots, laid out as a Kronecker
+    substitution.  On each side a factor sits at its offset val - base
+    from the smallest known valuation `base` of that side, so the two
+    products of a cell land in the same slots and add.  Each x takes its
+    own block of slots, wide enough for any product, and the ys sit at
+    strides of len(xs) blocks, so block i + j len(xs) holds cell (i, j)
+    and no two cells meet in a slot.  Over GF(p) one big-int multiply per
+    product fills the slots: each list of factors is written into one
+    zeroed buffer of slots and read as one int, a slot holds at most
+    min(len x, len y) (p-1)^2 from each product, so twice that for the
+    pair, and the slots are reduced mod p once.  Over GF(p^r), r > 1,
+    `_table_slots` convolves each x * y through the field's tables into
+    the same slots.
 
-    The slots are reduced mod p once.  A cell's precision is the smaller
-    of its two products' precisions by the rule of `*` (an exact-zero
-    factor makes its product exact; a row and a column of exact factors
-    make an exact cell), and its window is the slots its factors can
-    reach, cut at that precision.  With 1-byte slots the reduced slots
-    are one `bytes` object: a window is a slice of it whose zero slots
-    are stripped from both ends, and the cell is assigned without the
-    constructor's scan.  Wider slots are reduced into a list, and the
-    constructor's scan trims each window.  Over GF(p^r), r > 1, each cell
-    is formed by `*` and `+`.
+    A cell's precision is the smaller of its two products' precisions,
+    each min(val x + prec y, val y + prec x) with an unknown zero O(t^k)
+    counting k as its valuation (an exact-zero factor makes its product
+    exact; a row and a column of exact factors make an exact cell), and
+    its window is the slots its factors can reach, cut at that precision.
+    With 1-byte GF(p) slots the reduced slots are one `bytes` object: a
+    window is a slice of it whose zero slots are stripped from both ends,
+    and the cell is assigned without the constructor's scan.  Otherwise
+    the slots are a list, and the constructor's scan trims each window.
     """
     if not xs or not ys:
         return [[] for _ in xs]
     f = xs[0].field
     if xs2 is None and ys2 is None:  # x * y + 0 * 0
-        zero = TruncatedSeries.zero(f)
+        zero = _series(f, 0, ())
         xs2, ys2 = [zero] * len(xs), [zero] * len(ys)
     elif xs2 is None or ys2 is None or len(xs2) != len(xs) \
             or len(ys2) != len(ys):
         raise ValueError("the two product grids differ in shape")
-    if f.r > 1:  # `*` and `+` check the fields
-        return [[x * y + x2 * y2 for y, y2 in zip(ys, ys2)]
-                for x, x2 in zip(xs, xs2)]
-    p = f.p
     base_x, rows, top_x, lx, lx2 = _side(f, xs, xs2)
     base_y, cols, top_y, ly, ly2 = _side(f, ys, ys2)
     block = max(0, top_x + top_y - 1)
     stride = len(xs) * block
-    m, m2 = min(lx, ly), min(lx2, ly2)
-    width, code = _slot((m + m2) * (p - 1) ** 2)
-    total = 0
-    for xs_, ys_, m_ in ((xs, ys, m), (xs2, ys2, m2)):
-        if m_:  # else a side has no known coefficient: the product is 0
-            total += _packed(xs_, base_x, block, width, code) * \
-                _packed(ys_, base_y, stride, width, code)
-    raw = total.to_bytes(width * len(ys) * stride, _ORDER)
-    if width == 1:
-        slots, cell = raw.translate(_residues(p)), _from_slots
+    if f.r > 1:
+        slots = _table_slots(f, ((xs, ys), (xs2, ys2)), base_x, block,
+                             base_y, stride, len(ys) * stride)
+        cell = _series
     else:
-        slots, cell = [c % p for c in array(code, raw)], _series
+        p = f.p
+        m, m2 = min(lx, ly), min(lx2, ly2)
+        width, code = _slot((m + m2) * (p - 1) ** 2)
+        total = 0
+        for xs_, ys_, m_ in ((xs, ys, m), (xs2, ys2, m2)):
+            if m_:  # else a side has no known coefficient: the product is 0
+                total += _packed(xs_, base_x, block, width, code) * \
+                    _packed(ys_, base_y, stride, width, code)
+        raw = total.to_bytes(width * len(ys) * stride, _ORDER)
+        if width == 1:
+            slots, cell = raw.translate(_residues(p)), _from_slots
+        else:
+            slots, cell = [c % p for c in array(code, raw)], _series
     base = base_x + base_y
     grid = []
     for i, (lo_x, hi_x, v, r, v2, r2, ex) in enumerate(rows):
@@ -402,6 +379,31 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     return grid
 
 
+def _table_slots(field, pairs, base_x, block, base_y, stride, size) -> list:
+    """The grid's `size` slots over GF(p^r), r > 1: for each pair of
+    sides (xs, ys), each product xs[i] * ys[j] convolved through the
+    field's `add_table` and `mul_table` into the slots from
+    i block + (val x - base_x) + j stride + (val y - base_y) on, the
+    slots its Kronecker product would fill."""
+    out = [0] * size
+    add_t, mul_t = field.add_table, field.mul_table
+    for xs, ys in pairs:
+        for i, x in enumerate(xs):
+            if x.val is None:
+                continue
+            at_x = i * block + x.val - base_x - base_y
+            for j, y in enumerate(ys):
+                if y.val is None:
+                    continue
+                b = y.coeffs
+                for k, c in enumerate(x.coeffs, at_x + j * stride + y.val):
+                    if c:
+                        row = mul_t[c]
+                        for m, d in enumerate(b, k):
+                            out[m] = add_t[out[m]][row[d]]
+    return out
+
+
 def _from_slots(field, val, window: bytes, prec) -> TruncatedSeries:
     """The series with coefficients `window` from t^val on, known below
     `prec`, for a window of reduced 1-byte slots that already ends at
@@ -421,9 +423,11 @@ def _side(field, side, side2):
     """One side of a grid, in one pass over its indices after the
     smallest known valuation `base`: at each index the slots [lo, hi)
     its two factors take when packed at their offsets val - base
-    ((0, 0) when neither has a known coefficient), their `_prec_ends`
-    and whether both are exact; the largest hi; and the longest factor
-    of each list.  A factor over another field is a ValueError."""
+    ((0, 0) when neither has a known coefficient), the valuation and
+    precision of each for the precision rule (an unknown zero O(t^k)
+    counting k as its valuation, inf for an exact precision) and whether
+    both are exact; the largest hi; and the longest factor of each list.
+    A factor over another field is a ValueError."""
     vals = [s.val for s in itertools.chain(side, side2) if s.val is not None]
     base = min(vals) if vals else 0
     out = []
@@ -492,27 +496,6 @@ def _min_prec(a, b):
 _INF = float("inf")
 
 
-def _prec_ends(s: TruncatedSeries):
-    """(v, r) with x * y known below min(v_x + r_y, v_y + r_x): r is the
-    precision, inf when exact, and v the valuation, an unknown zero
-    O(t^k) counting k.  So the exact zero, O(t^inf), makes every product
-    with it exact."""
-    r = _INF if s.prec is None else s.prec
-    return (r if s.val is None else s.val), r
-
-
-def _mul_prec(x: TruncatedSeries, y: TruncatedSeries):
-    """The precision of x * y from the factors' val and prec alone:
-    min(val x + prec y, val y + prec x), an unknown-zero factor O(t^k)
-    counting k as its valuation; None when the product is exact."""
-    if x.prec is None and y.prec is None:
-        return None
-    vx, rx = _prec_ends(x)
-    vy, ry = _prec_ends(y)
-    prec = min(vx + ry, vy + rx)
-    return None if prec == _INF else prec
-
-
 class Matrix2:
     """A 2x2 matrix of truncated series (the deep-level GL_2 model)."""
 
@@ -551,10 +534,10 @@ class Matrix2:
                        self.c - other.c, self.d - other.d)
 
     def scale(self, s: TruncatedSeries) -> "Matrix2":
-        return Matrix2(s * self.a, s * self.b, s * self.c, s * self.d)
+        return Matrix2(*product_grid((s,), self.entries)[0])
 
     def det(self) -> TruncatedSeries:
-        return self.a * self.d - self.b * self.c
+        return product_grid((self.a,), (self.d,), (-self.b,), (self.c,))[0][0]
 
     def trace(self) -> TruncatedSeries:
         return self.a + self.d

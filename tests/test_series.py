@@ -4,8 +4,7 @@ import time
 import pytest
 
 from iwahecke.ffield import GF, _Field
-from iwahecke.series import (Matrix2, TruncatedSeries, _kronecker, _slot,
-                             product_grid)
+from iwahecke.series import Matrix2, TruncatedSeries, _slot, product_grid
 
 from oracles import (series_add, series_mul, series_neg, series_scale,
                      series_sub)
@@ -124,6 +123,28 @@ def test_coefficients_outside_the_field_refused():
     y = TruncatedSeries(f3, 0, [2, 1])  # 200 = 2 mod 3
     assert (y * y).coeffs == (1, 1, 1)
     assert product_grid([y], [y]) == [[y * y]]
+
+
+def test_exponents_other_than_ints_refused():
+    # val 0.5 gave <1*t^0.5 + 1*t^1.5> as a product, prec 1.5 or
+    # truncate(1.5) ended in TypeError from a tuple index, and zero(f, 1.5)
+    # was O(t^1.5)
+    f = GF(3)
+    x = TruncatedSeries(f, 0, [1, 1])
+    for val, prec in ((0.5, None), (0, 1.5), (True, None), (0, "3"),
+                      (None, None)):
+        with pytest.raises(ValueError, match="is not an int"):
+            TruncatedSeries(f, val, [1], prec)
+        with pytest.raises(ValueError, match="is not an int"):
+            TruncatedSeries.monomial(f, val, 1, prec)
+    for make in (TruncatedSeries.zero, TruncatedSeries.one):
+        with pytest.raises(ValueError, match="is not an int"):
+            make(f, 1.5)
+    for prec in (1.5, None, 2.0):
+        with pytest.raises(ValueError, match="is not an int"):
+            x.truncate(prec)
+    assert _state(TruncatedSeries(f, -2, [1], 3)) == (-2, (1,), 3)
+    assert _state(x.truncate(1)) == (0, (1,), 1)
 
 
 def test_series_add_mul_exact():
@@ -254,8 +275,9 @@ def test_dense_arithmetic_matches_table_oracle(p, r):
 
 def test_kronecker_slot_widths():
     # all-(p-1) inputs make the largest raw coefficients, min(len) (p-1)^2;
-    # these cases cross from 1- to 2-, 4- and 8-byte slots (4093 is the
-    # largest prime the field tables allow)
+    # these products of two series cross from 1- to 2-, 4- and 8-byte
+    # slots (4093 is the largest prime the field allows)
+    widths = set()
     for p, n in [(2, 255), (2, 256), (3, 64), (17, 1), (257, 2), (4093, 300)]:
         a = [p - 1] * n
         b = [p - 1] * (n + 3)
@@ -263,7 +285,11 @@ def test_kronecker_slot_widths():
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 raw[i + j] += x * y
-        assert _kronecker(a, b, p) == [c % p for c in raw], (p, n)
+        f = GF(p)
+        xy = TruncatedSeries(f, 0, a) * TruncatedSeries(f, 0, b)
+        assert _state(xy) == (0, tuple(c % p for c in raw), None), (p, n)
+        widths.add(_slot(n * (p - 1) ** 2)[0])
+    assert widths == {1, 2, 4, 8}
 
 
 def _grid_states(xs, ys):
@@ -382,22 +408,33 @@ def test_matrix2_product_matches_entrywise(p, r):
                 series_add(series_mul(g.c, h.b), series_mul(g.d, h.d))]
         assert [_state(e) for e in (g * h).entries] == \
             [_state(e) for e in want]
+        # det is the one cell a d + (-b) c, scale a 1x4 grid
+        s = _random_series(f, rng)
+        assert _state(g.det()) == _state(series_sub(series_mul(g.a, g.d),
+                                                    series_mul(g.b, g.c)))
+        assert [_state(e) for e in g.scale(s).entries] == \
+            [_state(series_mul(s, e)) for e in g.entries]
 
 
 def _cell_state(s):
     return s.val, s.coeffs, type(s.coeffs) is tuple, s.prec, hash(s)
 
 
-@pytest.mark.parametrize("p,n,width", [(2, 1, 1), (3, 1, 1), (17, 1, 2),
-                                       (257, 1, 4), (4093, 130, 8)])
-def test_product_grid_cell_edges(p, n, width):
+@pytest.mark.parametrize(
+    "p,r,n,width",
+    [(2, 1, 1, 1), (3, 1, 1, 1), (17, 1, 1, 2), (257, 1, 1, 4),
+     (4093, 1, 130, 8), (2, 2, 1, None), (3, 2, 1, None)],
+    ids=["2-1-1", "3-1-1", "17-1-2", "257-1-4", "4093-130-8", "GF(4)",
+         "GF(9)"])
+def test_product_grid_cell_edges(p, r, n, width):
     # cells that cancel to an exact zero and to a zero below their
-    # precision, cells whose first or last slot reduces to 0 mod p, and
-    # windows cut by precision in the middle and at their first slot, with
+    # precision, cells whose first or last slot reduces to 0, and windows
+    # cut by precision in the middle and at their first slot, with
     # unknown-zero factors O(t^k); every factor is multiplied by the exact
-    # L = -(1 + ... + t^(n-1)), which keeps each of these shapes and
-    # widens the slots to `width` bytes
-    f = GF(p)
+    # L = -(1 + ... + t^(n-1)), which keeps each of these shapes and, over
+    # GF(p), widens the slots to `width` bytes (GF(p^r) fills its slots
+    # from the field's tables, and p - 1 is -1 there too)
+    f = GF(p, r)
     T, e = TruncatedSeries, p - 1  # e = -1
     L = T(f, 0, [e] * n)
 
@@ -415,7 +452,8 @@ def test_product_grid_cell_edges(p, n, width):
     m = min(max(len(x.coeffs) for x in xs), max(len(y.coeffs) for y in ys))
     m2 = min(max(len(x.coeffs) for x in xs2),
              max(len(y.coeffs) for y in ys2))
-    assert _slot((m + m2) * (p - 1) ** 2)[0] == width
+    if width is not None:
+        assert _slot((m + m2) * (p - 1) ** 2)[0] == width
     for (x, x2), row in zip(rows, grid):
         for (y, y2), cell in zip(cols, row):
             want = series_add(series_mul(x, y), series_mul(x2, y2))
