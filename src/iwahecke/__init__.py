@@ -15,29 +15,59 @@ algebra:
 >>> rd = build_root_datum("GL", 2)
 >>> H = rd.affine_weyl().hecke()
 >>> z = H.bernstein_function((1, 0))
+
+Importing the package imports none of its submodules: each exported name
+and each submodule is imported on first access (PEP 562), so a run that
+only builds Hecke algebras never loads the deep-level or transfer layers.
 """
 
-from ._kernel import default_impl
-from .affine import (AffineWeylElement, AffineWeylGroup, OmegaElement,
-                     admissible_set, bruhat_leq, critical_indices,
-                     kottwitz_image)
-from .center import (HeightBoundError, NotCentralError, SymmetricFunction,
-                     bernstein_iso, bernstein_iso_inverse, constant_term,
-                     monomial_symmetric)
-from .deeplevel import (DiagonalTorusPoint, IndeterminatePrecisionError,
-                        drinfeld_propp_value, ell_invariant, gl2_level_index,
-                        k_invariant, level_compatibility_check, scholze_phi,
-                        scholze_z)
-from .ffield import GF
-from .hecke import HeckeAlgebra, HeckeElement, bernstein_function, is_central
-from .klpoly import RPolynomials, closed_form_bernstein, r_polynomial
-from .laurent import LaurentPoly
-from .rootdata import (RootDatum, RootDatumError, build_root_datum,
-                       is_minuscule, levi_sub_datum, load_root_datum,
-                       pair_two_rho, weyl_orbit)
-from .series import Matrix2, TruncatedSeries
-from .transfer import (GradedFunction, base_change, grassmannian_count,
-                       kottwitz_fiber_integrate, normalized_transfer)
-from .weyl import FiniteWeylElement, IndexedWeyl
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "_kernel": ("default_impl",),
+    "affine": ("AffineWeylElement", "AffineWeylGroup", "OmegaElement",
+               "admissible_set", "bruhat_leq", "critical_indices",
+               "kottwitz_image"),
+    "center": ("HeightBoundError", "NotCentralError", "SymmetricFunction",
+               "bernstein_iso", "bernstein_iso_inverse", "constant_term",
+               "monomial_symmetric"),
+    "deeplevel": ("DiagonalTorusPoint", "IndeterminatePrecisionError",
+                  "drinfeld_propp_value", "ell_invariant", "gl2_level_index",
+                  "k_invariant", "level_compatibility_check", "scholze_phi",
+                  "scholze_z"),
+    "ffield": ("GF",),
+    "hecke": ("HeckeAlgebra", "HeckeElement", "bernstein_function",
+              "is_central"),
+    "intlinalg": (),
+    "klpoly": ("RPolynomials", "closed_form_bernstein", "r_polynomial"),
+    "laurent": ("LaurentPoly",),
+    "rootdata": ("RootDatum", "RootDatumError", "build_root_datum",
+                 "is_minuscule", "levi_sub_datum", "load_root_datum",
+                 "pair_two_rho", "weyl_orbit"),
+    "series": ("Matrix2", "TruncatedSeries"),
+    "transfer": ("GradedFunction", "base_change", "grassmannian_count",
+                 "kottwitz_fiber_integrate", "normalized_transfer"),
+    "weyl": ("FiniteWeylElement", "IndexedWeyl"),
+}
+_OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(mod for mod in _EXPORTS if not mod.startswith("_"))
+
+__all__ = sorted(_SUBMODULES.union(_OWNER))
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:  # the import binds it as a package attribute
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()).union(__all__))

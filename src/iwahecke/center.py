@@ -67,7 +67,9 @@ class SymmetricFunction:
         return SymmetricFunction(rd, out, check=False)
 
     def coeff(self, la) -> LaurentPoly:
-        return self.terms.get(tuple(la), LaurentPoly())
+        la = tuple(la)
+        _check_rank(self.rd, la)
+        return self.terms.get(la, LaurentPoly())
 
     def dominant_support(self):
         return sorted(la for la in self.terms if self.rd.is_dominant(la))

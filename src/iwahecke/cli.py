@@ -21,6 +21,11 @@ word) and JSON keys are sorted.
 process; each call writes the same bytes to stdout and stderr as the
 ``iwahecke`` console script run with the same arguments.  The argument
 parser is built on the first call and reused by later ones.
+
+Only the algebra layers are imported with this module: ``transfer`` imports
+the transfer layer and ``scholze`` the deep-level layers (``deeplevel``,
+``series``, ``ffield``) on their first call, so an ``adm`` or ``zmu`` run
+never loads them.
 """
 
 from __future__ import annotations
@@ -29,23 +34,15 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 
 from .affine import _gl_size
 from .center import bernstein_iso, constant_term, monomial_symmetric
-from .deeplevel import (IndeterminatePrecisionError, build_reference_corpus,
-                        gl2_level_index, level_compatibility_check,
-                        load_corpus, matrix_column_text, random_kn_element,
-                        scholze_phi)
-from .ffield import _MAX_Q, GF
 from .hecke import HeckeElement
 from .klpoly import closed_form_bernstein
 from .laurent import LaurentPoly
 from .rootdata import build_root_datum, is_minuscule, load_root_datum
-from .transfer import (grassmannian_count, kottwitz_fiber_integrate,
-                       normalized_transfer)
 from .weyl import _MAX_GROUP
 
 EXIT_OK = 0
@@ -325,6 +322,8 @@ def cmd_zmu(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .transfer import (grassmannian_count, kottwitz_fiber_integrate,
+                           normalized_transfer)
     rd = parse_group(args.group)
     mu = parse_mu(args.mu, rd)
     if not rd.is_dominant(mu):
@@ -396,6 +395,7 @@ def _int_list(text: str) -> list:
 
 
 def _parse_q(q: int):
+    from .ffield import _MAX_Q, GF
     # trial division takes time linear in q, so refuse a q outside the
     # supported range before it
     if not 2 <= q <= _MAX_Q:
@@ -423,6 +423,7 @@ def _check_level_size(n: int, q: int):
     denominator of z_n divides [K:K_n] = q^(4(n-1))(q^2-1)(q^2-q), the
     larger of the two.  Both are printed in decimal.
     """
+    from .deeplevel import gl2_level_index
     # q^(4(n-1)) >= 2^(4(n-1)(bits(q)-1)): refuse the hopeless levels
     # without building their numbers
     too_large = (4 * (n - 1) * (q.bit_length() - 1) >= _MAX_VALUE_BITS
@@ -434,6 +435,13 @@ def _check_level_size(n: int, q: int):
 
 
 def cmd_scholze(args) -> int:
+    import random
+
+    from .deeplevel import (IndeterminatePrecisionError,
+                            build_reference_corpus, gl2_level_index,
+                            level_compatibility_check, load_corpus,
+                            matrix_column_text, random_kn_element,
+                            scholze_phi)
     field = _parse_q(args.q)
     n = args.n
     if args.format == "json":

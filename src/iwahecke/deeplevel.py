@@ -38,7 +38,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import AffineWeylElement
 from .series import Matrix2, TruncatedSeries, product_grid
 
 __all__ = [

@@ -79,6 +79,8 @@ class HeckeElement:
         self.terms = {x: c for x, c in terms.items() if c}
 
     def coeff(self, x: AffineWeylElement) -> LaurentPoly:
+        if x.group is not self.algebra.W:
+            _same_datum(self.algebra.W.rd, x.group.rd)
         return self.terms.get(x, LaurentPoly())
 
     def support(self) -> frozenset:

@@ -52,7 +52,7 @@ class GradedFunction:
                 if self.rd.omega_grade(rep) == grade:
                     return c
             return LaurentPoly()
-        return self.terms.get(tuple(grade), LaurentPoly())
+        return self.terms.get(self.rd.kappa_reduce(grade), LaurentPoly())
 
     def grades(self):
         """Sorted list of (grade-or-rep, coefficient)."""

@@ -46,6 +46,13 @@ def test_symmetric_function_validation(gl2):
     assert f == monomial_symmetric(gl2, (1, 0))
 
 
+def test_symmetric_function_coeff_checks_rank(gl2):
+    f = monomial_symmetric(gl2, (1, 0))
+    assert f.coeff([0, 1]) == 1 and f.coeff((1, 1)) == 0
+    with pytest.raises(RootDatumError, match="differs from rank"):
+        f.coeff((1, 0, 0))
+
+
 def test_sums_across_root_data_rejected(gl2, gl3):
     f2 = monomial_symmetric(gl2, (1, 0))
     f3 = monomial_symmetric(gl3, (1, 0, 0))

@@ -275,7 +275,8 @@ def test_scholze_compat_size_guard_boundary(tmp_path, capsys, monkeypatch):
     # q = 13 has 28,561 cosets a row and is the largest q --compat takes
     def no_check(*args, **kwargs):
         raise AssertionError("a coset sum was run")
-    monkeypatch.setattr("iwahecke.cli.level_compatibility_check", no_check)
+    monkeypatch.setattr("iwahecke.deeplevel.level_compatibility_check",
+                        no_check)
     rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "13",
                    "--count", "0", "--compat")
     assert rc == 0 and data.decode().strip() == "index,matrix,phi,z,flag"
@@ -401,8 +402,8 @@ def test_scholze_level_size_guard_boundary(tmp_path, capsys, monkeypatch):
 
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed")
-    monkeypatch.setattr("iwahecke.cli.build_reference_corpus", no_rows)
-    monkeypatch.setattr("iwahecke.cli.scholze_phi", no_rows)
+    monkeypatch.setattr("iwahecke.deeplevel.build_reference_corpus", no_rows)
+    monkeypatch.setattr("iwahecke.deeplevel.scholze_phi", no_rows)
     for q, level in ((2, n + 1), (3, _largest_printable_level(3) + 1),
                      (2, 10 ** 9)):
         rc, data = run(tmp_path, "scholze", "--n", str(level), "--q", str(q),

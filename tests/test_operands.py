@@ -34,6 +34,11 @@ def _translation(W, la):
     return W.translation(la)
 
 
+def _far_translation(W, la):
+    # off the support of z_(1,0), and its key is no key of a GL(2) z_(1,0)
+    return W.translation(tuple(7 * x for x in la))
+
+
 def _omega(W, la):
     return W.omega_of(la)
 
@@ -89,6 +94,9 @@ ROWS = {
     "HeckeElement.__sub__": (_z, lambda W, h: _ts(W) - h),
     "HeckeElement.__mul__": (_z, lambda W, h: _ts(W) * h),
     "HeckeElement.__eq__": (_z, lambda W, h: _z(W, LA) == h),
+    "HeckeElement.coeff": (_translation, lambda W, x: _z(W, LA).coeff(x)),
+    "HeckeElement.coeff.off_support": (
+        _far_translation, lambda W, x: _z(W, LA).coeff(x)),
     "HeckeAlgebra.t": (_translation, lambda W, x: W.hecke().t(x)),
     "HeckeAlgebra.from_terms": (
         _translation, lambda W, x: W.hecke().from_terms({x: ONE})),

@@ -1,0 +1,127 @@
+"""
+The package namespace: its public names, and which layers each entry point
+imports.  `import iwahecke` imports no submodule; an exported name imports
+its own submodule on first access, and each CLI subcommand imports only the
+layers it runs.  The import checks run in fresh interpreters, since this
+process has long since imported every layer.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import iwahecke
+
+# the package's public names, by the submodule that defines them
+EXPORTS = {
+    "_kernel": {"default_impl"},
+    "affine": {"AffineWeylElement", "AffineWeylGroup", "OmegaElement",
+               "admissible_set", "bruhat_leq", "critical_indices",
+               "kottwitz_image"},
+    "center": {"HeightBoundError", "NotCentralError", "SymmetricFunction",
+               "bernstein_iso", "bernstein_iso_inverse", "constant_term",
+               "monomial_symmetric"},
+    "deeplevel": {"DiagonalTorusPoint", "IndeterminatePrecisionError",
+                  "drinfeld_propp_value", "ell_invariant", "gl2_level_index",
+                  "k_invariant", "level_compatibility_check", "scholze_phi",
+                  "scholze_z"},
+    "ffield": {"GF"},
+    "hecke": {"HeckeAlgebra", "HeckeElement", "bernstein_function",
+              "is_central"},
+    "klpoly": {"RPolynomials", "closed_form_bernstein", "r_polynomial"},
+    "laurent": {"LaurentPoly"},
+    "rootdata": {"RootDatum", "RootDatumError", "build_root_datum",
+                 "is_minuscule", "levi_sub_datum", "load_root_datum",
+                 "pair_two_rho", "weyl_orbit"},
+    "series": {"Matrix2", "TruncatedSeries"},
+    "transfer": {"GradedFunction", "base_change", "grassmannian_count",
+                 "kottwitz_fiber_integrate", "normalized_transfer"},
+    "weyl": {"FiniteWeylElement", "IndexedWeyl"},
+}
+SUBMODULES = {"affine", "center", "deeplevel", "ffield", "hecke", "intlinalg",
+              "klpoly", "laurent", "rootdata", "series", "transfer", "weyl"}
+
+SRC = Path(iwahecke.__file__).resolve().parent.parent
+
+
+def test_star_import_names():
+    ns = {}
+    exec("from iwahecke import *", ns)
+    del ns["__builtins__"]
+    assert len(ns) == 62
+    assert set(ns) == SUBMODULES.union(*EXPORTS.values())
+    for mod, names in EXPORTS.items():
+        owner = importlib.import_module(f"iwahecke.{mod}")
+        for name in names:
+            assert ns[name] is getattr(owner, name), name
+            assert getattr(iwahecke, name) is ns[name], name
+    for mod in SUBMODULES:
+        assert ns[mod] is importlib.import_module(f"iwahecke.{mod}"), mod
+
+
+def test_dir_lists_every_public_name():
+    assert set(iwahecke.__all__) <= set(dir(iwahecke))
+    assert len(iwahecke.__all__) == 62
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        iwahecke.nope
+    with pytest.raises(ImportError):
+        exec("from iwahecke import nope", {})
+
+
+# printed at exit, so a run that ends in SystemExit reports too
+_REPORT = """import atexit, sys
+atexit.register(lambda: print(*sorted(
+    m.split(".")[1] for m in sys.modules if m.startswith("iwahecke.")),
+    file=sys.stderr))
+"""
+
+
+def _imported(code):
+    """The iwahecke submodules loaded by a fresh interpreter that runs
+    `code`; the run must succeed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _REPORT + code],
+                          capture_output=True, text=True, env=env,
+                          cwd=SRC, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_submodule_attribute_right_after_import():
+    assert _imported("import iwahecke") == set()
+    assert "hecke" in _imported(
+        "import iwahecke; iwahecke.hecke.HeckeAlgebra")
+
+
+def test_algebra_names_load_no_other_layer():
+    got = _imported(
+        "from iwahecke import build_root_datum, HeckeAlgebra, klpoly")
+    assert {"rootdata", "hecke", "klpoly"} <= got
+    assert not got & {"center", "deeplevel", "ffield", "series", "transfer",
+                      "cli"}
+
+
+def test_deep_level_names_load_no_algebra_layer():
+    got = _imported("from iwahecke import GF, scholze_phi")
+    assert {"ffield", "deeplevel", "series"} <= got
+    assert not got & {"affine", "rootdata", "hecke", "klpoly", "center",
+                      "transfer"}
+
+
+def test_zmu_run_loads_no_deep_level_or_transfer_layer():
+    # what python3 -m iwahecke zmu --group GL:3 --mu 2,1,0 runs
+    got = _imported(
+        "import runpy\n"
+        "sys.argv = ['iwahecke', 'zmu', '--group', 'GL:3', '--mu', '2,1,0']\n"
+        "runpy.run_module('iwahecke', run_name='__main__', alter_sys=True)")
+    assert {"cli", "hecke", "center"} <= got
+    assert not got & {"deeplevel", "series", "ffield", "transfer"}

@@ -5,7 +5,7 @@ import pytest
 from iwahecke.center import (SymmetricFunction, bernstein_iso,
                              monomial_symmetric)
 from iwahecke.laurent import ONE, Q, LaurentPoly
-from iwahecke.rootdata import weyl_orbit
+from iwahecke.rootdata import RootDatumError, weyl_orbit
 from iwahecke.transfer import (GradedFunction, base_change,
                                grassmannian_count, kottwitz_fiber_integrate,
                                normalized_transfer)
@@ -56,6 +56,15 @@ def test_graded_function_accumulates_keys_of_one_class(gl2):
     # (1, 0) and (0, 1) both lie in the Kottwitz class of grade 1
     assert GradedFunction(gl2, {(1, 0): 1, (0, 1): 1}).coeff(1) == 2
     assert GradedFunction(gl2, {(1, 0): 1, (0, 1): -1}).terms == {}
+
+
+def test_graded_function_coeff_reduces_class_tuples(gl2):
+    # the constructor stores the class of (1, 0) as its reduced rep (0, 1)
+    g = GradedFunction(gl2, {(1, 0): 1})
+    assert g.coeff((1, 0)) == g.coeff([0, 1]) == g.coeff(1) == 1
+    assert g.coeff((1, 1)) == 0
+    with pytest.raises(RootDatumError, match="differs from rank"):
+        g.coeff((1, 0, 0))
 
 
 def test_two_routes_agree(gl2, gl3, gl4):
