@@ -12,10 +12,18 @@ s_1, s_2, ... of the finite Weyl group); the extra reflection of the first
 irreducible component is 0, and further components (only possible for custom
 reducible data) get labels m+1, m+2, ...
 
-Adm(mu) is built from inversion sets: the elements one letter below x in a
-reduced word are the s_beta x over the affine roots beta that x^{-1}
-makes negative, listed from the pairings of x's translation with the
-positive roots.  Bruhat order and the R-polynomials of
+Every Bruhat ideal is one walk, `AffineWeylGroup.lower_closure`, built from
+inversion sets: the elements one letter below x in a reduced word are the
+s_beta x over the affine roots beta that x^{-1} makes negative, listed from
+the pairings of x's translation with the positive roots.  Adm(mu) is the
+ideal below the translations t_la, la in W_0 mu; a parahoric subgroup W_J
+the ideal below its longest element, reached from the identity by adding
+ascents in J on both sides, as is the top of any double coset W_J x W_J.
+The test-side oracles are letter deletion from reduced words
+(``interval_below_by_deletion``), breadth-first search over element
+products (``parahoric_subgroup_by_products``) and the product set
+W_J Adm(mu) W_J (``parahoric_admissible_set_by_products``), all in
+``tests/oracles.py``.  Bruhat order and the R-polynomials of
 :mod:`iwahecke.klpoly` peel the smallest-labelled left descent off y, read
 from one cache per group, (t, w) -> (slot, s t, s w).
 
@@ -31,6 +39,8 @@ from one cache per group, (t, w) -> (slot, s t, s w).
 1
 >>> len(W.admissible_set((1, 0)))
 3
+>>> sorted(x.length() for x in W.lower_closure([t]))
+[0, 1]
 """
 
 from __future__ import annotations
@@ -324,7 +334,25 @@ class AffineWeylGroup:
 
     def admissible_set(self, mu) -> frozenset:
         """Adm(mu): the downward Bruhat closure of the translations t_la for
-        la in the finite Weyl orbit of the dominant coweight mu.
+        la in the finite Weyl orbit of the dominant coweight mu, by
+        `lower_closure`."""
+        mu = tuple(mu)
+        if not self.rd.is_dominant(mu):
+            raise RootDatumError(f"{mu} is not dominant")
+        cached = self._adm.get(mu)
+        if cached is not None:
+            return cached
+        result = self.lower_closure([AffineWeylElement(self, la, 0)
+                                     for la in weyl_orbit(self.rd, mu)])
+        self._adm[mu] = result
+        return result
+
+    def lower_closure(self, tops) -> frozenset:
+        """{x : x <= y for some y in tops}, the Bruhat ideal generated by
+        `tops`, each element carrying its length.  The one walk behind
+        every Bruhat ideal of the package: Adm(mu), a parahoric subgroup
+        W_J (the ideal below its longest element) and W_J Adm(mu) W_J (the
+        ideal below the tops of the double cosets W_J t_la W_J).
 
         Deleting one letter of a reduced word of x = t_la w gives s_beta x,
         where beta runs over the l(x) positive affine roots with
@@ -340,18 +368,14 @@ class AffineWeylGroup:
         word of s_alpha; nothing searches for a descent or replays a prefix.
         The count of candidates is l(x), stored on every element returned.
         """
-        mu = tuple(mu)
-        if not self.rd.is_dominant(mu):
-            raise RootDatumError(f"{mu} is not dominant")
-        cached = self._adm.get(mu)
-        if cached is not None:
-            return cached
+        tops = list(tops)
+        _same_datum(self.rd, *[y.group.rd for y in tops])
         weyl = self.weyl
         lrow, inv, images, npos = weyl.lrow, weyl.inv, weyl.root_image, weyl.npos
         pairs = tuple(zip(range(npos), self.rd.pos_roots, self.rd.pos_coroots,
                           self._reflection_words()))
         # (t, w) -> l(t w), None until the element leaves the frontier
-        seen = dict.fromkeys((la, 0) for la in weyl_orbit(self.rd, mu))
+        seen = dict.fromkeys(y.key for y in tops)
         frontier = list(seen)
         while frontier:
             new = []
@@ -386,9 +410,36 @@ class AffineWeylGroup:
             x = AffineWeylElement(self, t, w)
             x._len = n
             elements.append(x)
-        result = frozenset(elements)
-        self._adm[mu] = result
-        return result
+        return frozenset(elements)
+
+    def _double_coset_top(self, labels, t, w):
+        """The key of the longest element of W_J (t, w) W_J, for J the affine
+        simple reflections in `labels`: left and right ascents in J are
+        added until there is none.  The right test is the left one of the
+        inverse.  A J that takes a whole component of the affine diagram
+        is refused, since W_J is then infinite and the ascents never stop;
+        an unknown label is refused first."""
+        labels = sorted(set(labels))
+        slots = [self.label_slot[lab] for lab in labels]
+        # J is finite type iff it omits a node of each affine component
+        m = self.rd.n_simple
+        for c, comp in enumerate(self.rd.components):
+            nodes = {i + 1 for i in comp} | {0 if c == 0 else m + c}
+            if nodes <= set(labels):
+                raise RootDatumError(
+                    f"J contains the whole affine diagram component {sorted(nodes)}")
+        k = self.kernel
+        grown = True
+        while grown:
+            grown = False
+            for g in slots:
+                if not k.left_descent(g, t, w):
+                    t, w = k.lmul_gen(g, t, w)
+                    grown = True
+                if not k.left_descent(g, *k.inv(t, w)):
+                    t, w = k.rmul_gen(t, w, g)
+                    grown = True
+        return t, w
 
     def _reflection_words(self) -> list:
         """A word of simple reflection indices for s_alpha, per positive root

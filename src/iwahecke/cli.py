@@ -527,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "root-datum config path")
         if mu:
             p.add_argument("--mu", required=True,
-                           help="comma-separated dominant coweight")
+                           help="comma-separated dominant coweight; one "
+                                "that starts with a minus sign needs the "
+                                "= form, e.g. --mu=0,0,-1")
         p.add_argument("--q", type=int, default=None,
                        help="specialize q to an integer (after exact "
                             "computation)")

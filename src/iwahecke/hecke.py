@@ -502,29 +502,12 @@ class HeckeAlgebra:
 
     def parahoric_subgroup(self, labels) -> list:
         """Elements of the finite subgroup W_J generated by the affine simple
-        reflections in `labels`; raises unless J is of finite type."""
-        labels = sorted(set(labels))
+        reflections in `labels`, sorted: the Bruhat ideal below its longest
+        element; raises unless J is of finite type."""
         W = self.W
-        gens = [W.simple_reflection(lab) for lab in labels]
-        # J is finite type iff it omits a node of each affine component
-        m = W.rd.n_simple
-        for c, comp in enumerate(W.rd.components):
-            nodes = {i + 1 for i in comp} | {0 if c == 0 else m + c}
-            if nodes <= set(labels):
-                raise RootDatumError(
-                    f"J contains the whole affine diagram component {sorted(nodes)}")
-        seen = {W.identity}
-        frontier = [W.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for s in gens:
-                    y = x * s
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return sorted(seen, key=W.sort_key)
+        w_j = W._double_coset_top(labels, *W.identity.key)
+        return sorted(W.lower_closure([AffineWeylElement(W, *w_j)]),
+                      key=W.sort_key)
 
     def parahoric_descent(self, h: HeckeElement, labels):
         """(h * sum_{w in W_J} T_w, P_J) with P_J the Poincare polynomial.

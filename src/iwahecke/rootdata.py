@@ -47,7 +47,6 @@ by the coordinate sum, and trivial for Sp(n):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 
@@ -67,22 +66,44 @@ class RootDatumError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """Immutable based root datum; construct via build/load functions.
 
-    Equality is structural (rank + simple roots + simple coroots); the
-    family string is a display name only.
+    Equality and hash are structural (rank + simple roots + simple
+    coroots); the family string is a display name only.  Assigning an
+    attribute raises AttributeError: a datum keys the shared group contexts,
+    so its value never changes.  The cached properties write to the
+    instance dict directly.
     """
 
-    family: str = field(compare=False)
-    rank: int = 0
-    simple_roots: tuple = ()   # character vectors
-    simple_coroots: tuple = ()  # coweight vectors
-    pos_roots: tuple = field(default=(), compare=False)
-    pos_coroots: tuple = field(default=(), compare=False)
-    two_rho: tuple = field(default=(), compare=False)
-    pos_root_coords: tuple = field(default=(), compare=False)  # in simple roots
+    def __init__(self, family: str, rank: int = 0, simple_roots: tuple = (),
+                 simple_coroots: tuple = (), pos_roots: tuple = (),
+                 pos_coroots: tuple = (), two_rho: tuple = (),
+                 pos_root_coords: tuple = ()):
+        # roots are character vectors, coroots coweight vectors, and
+        # pos_root_coords the positive roots' coordinates in the simple roots
+        self.__dict__.update(
+            family=family, rank=rank, simple_roots=simple_roots,
+            simple_coroots=simple_coroots, pos_roots=pos_roots,
+            pos_coroots=pos_coroots, two_rho=two_rho,
+            pos_root_coords=pos_root_coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a RootDatum")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a RootDatum")
+
+    def _key(self):
+        return (self.rank, self.simple_roots, self.simple_coroots)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- basic pairings ------------------------------------------------------
 

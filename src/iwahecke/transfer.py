@@ -46,8 +46,14 @@ class GradedFunction:
             accumulate(self.terms, rep, c)
 
     def coeff(self, grade) -> LaurentPoly:
-        """Coefficient at an integer grade (Omega = Z cases) or class tuple."""
+        """Coefficient at a class tuple, or at an integer grade when Omega is
+        0 or Z; an integer grade names no class of any other Omega, so it is
+        a ValueError there."""
         if isinstance(grade, int):
+            if not self.rd.omega_is_free_cyclic:
+                raise ValueError(
+                    f"integer grade {grade} on {self.rd.family}, whose Omega "
+                    "is not 0 or Z: give a class tuple")
             for rep, c in self.terms.items():
                 if self.rd.omega_grade(rep) == grade:
                     return c

@@ -5,7 +5,9 @@ These deliberately avoid the production code paths they check: shortest
 words come from breadth-first search over generator products, Bruhat order
 from brute-force subword enumeration, admissible sets from the subword
 closure of the maximal translations or by deleting one letter at a time
-from evaluated words (as are Bruhat intervals below an element); truncated-series arithmetic goes one
+from evaluated words (as are Bruhat intervals below an element), parahoric
+subgroups W_J by breadth-first search over products x * s_j and
+W_J Adm(mu) W_J as the set of products a x b; truncated-series arithmetic goes one
 coefficient at a time through the field's tables, and the change-of-level
 coset sum through full 2x2 products.  The Kottwitz grading reads
 Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
@@ -128,6 +130,41 @@ def interval_below_by_deletion(W, tops):
                     new.append(z)
         frontier = new
     return seen
+
+
+def parahoric_subgroup_by_products(W, labels):
+    """W_J by breadth-first search over element products x * s_j from the
+    identity, sorted as `HeckeAlgebra.parahoric_subgroup` sorts it; the
+    same errors, an unknown label first, then a J that takes a whole
+    component of the affine diagram."""
+    from iwahecke.rootdata import RootDatumError
+    labels = sorted(set(labels))
+    gens = [W.simple_reflection(lab) for lab in labels]
+    m = W.rd.n_simple
+    for c, comp in enumerate(W.rd.components):
+        nodes = {i + 1 for i in comp} | {0 if c == 0 else m + c}
+        if nodes <= set(labels):
+            raise RootDatumError(
+                f"J contains the whole affine diagram component {sorted(nodes)}")
+    seen = {W.identity}
+    frontier = [W.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in gens:
+                y = x * s
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return sorted(seen, key=W.sort_key)
+
+
+def parahoric_admissible_set_by_products(W, labels, mu):
+    """W_J Adm(mu) W_J as the set of products a x b over a, b in W_J and x
+    in Adm(mu)."""
+    wj = parahoric_subgroup_by_products(W, labels)
+    return {a * x * b for x in W.admissible_set(mu) for a in wj for b in wj}
 
 
 def dominant_minuscule_in_box(rd, lo=-1, hi=1):

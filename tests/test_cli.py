@@ -49,6 +49,23 @@ def test_malformed_group_rank_is_a_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_leading_minus_in_mu_needs_the_equals_form(tmp_path, capsys):
+    # argparse takes "-1,1,0" after a space for an option, not a value
+    rc, data = run(tmp_path, "adm", "--group", "GL:3", "--mu", "-1,1,0")
+    err = capsys.readouterr().err
+    assert rc == 2 and data == b""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "iwahecke adm: error: argument --mu: expected one argument"]
+    assert "Traceback" not in err
+    # the = form reaches the dominance check
+    rc, data = run(tmp_path, "adm", "--group", "GL:3", "--mu=-1,1,0")
+    assert rc == 3 and data == b""
+    assert capsys.readouterr().err == "error: (-1, 1, 0) is not dominant\n"
+    rc, data = run(tmp_path, "adm", "--group", "GL:3", "--mu=0,0,-1")
+    assert rc == 0 and json.loads(data)["count"] == 7
+    assert capsys.readouterr().err == ""
+
+
 def test_adm_wrong_length_mu(tmp_path):
     rc, _ = run(tmp_path, "adm", "--group", "GL:3", "--mu", "1,0")
     assert rc == 3

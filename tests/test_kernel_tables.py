@@ -23,28 +23,36 @@ products compared, and the product with b packed once against one T_x b
 per term of a.
 Adm(mu), built from inversion sets, is checked against the letter-deletion
 walk, and R-polynomials against the T-basis expansion of (T_{y^{-1}})^{-1}.
+The same walk from other tops is checked as well: from n_mu against letter
+deletion, from the longest element of W_J against the group that products
+x * s_j generate, and from the tops of the double cosets W_J t_la W_J
+against the product set W_J Adm(mu) W_J.
 """
 
 import random
-from itertools import product
+import re
+from itertools import combinations, product
 
 import pytest
 
 from iwahecke import default_impl
-from iwahecke.affine import AffineWeylGroup
+from iwahecke.affine import AffineWeylElement, AffineWeylGroup
 from iwahecke.center import SymmetricFunction
 from iwahecke.hecke import _dominant_cover
 from iwahecke.intlinalg import dot
 from iwahecke.klpoly import RPolynomials, q_poly_to_v
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
-from iwahecke.rootdata import build_root_datum, is_minuscule, load_root_datum
+from iwahecke.rootdata import (RootDatumError, build_root_datum, is_minuscule,
+                               load_root_datum, weyl_orbit)
 from iwahecke.weyl import IndexedWeyl
 
 from conftest import DATA
 from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
                      fold_by_letters, interval_below_by_deletion,
                      is_central_by_products, multiply_by_t_times,
-                     random_hecke_element, right_descent)
+                     parahoric_admissible_set_by_products,
+                     parahoric_subgroup_by_products, random_hecke_element,
+                     right_descent)
 
 GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
           ("Sp", 6), ("GSp", 4), ("GSp", 6)]
@@ -313,6 +321,89 @@ def test_admissible_set_matches_word_deletion(case):
         assert adm == admissible_set_by_deletion(W, mu)
         for x in adm:
             assert x._len == k.length(x.trans, x.fin)
+
+
+def _top(W, labels, x):
+    """The longest element of W_J x W_J."""
+    return AffineWeylElement(W, *W._double_coset_top(labels, *x.key))
+
+
+@CASES
+def test_parahoric_subgroup_matches_products(case):
+    """W_J, the Bruhat ideal below its longest element, is the group the
+    products x * s_j generate, in the same order, for every finite-type J;
+    every other J is refused with the same error, and so is an unknown
+    label, before the type is looked at."""
+    W = AffineWeylGroup(_datum(case))
+    H = W.hecke()
+    labels = W.gen_labels
+    for J in (J for n in range(len(labels) + 1)
+              for J in combinations(labels, n)):
+        try:
+            want = parahoric_subgroup_by_products(W, J)
+        except RootDatumError as exc:
+            with pytest.raises(RootDatumError, match=re.escape(str(exc))):
+                H.parahoric_subgroup(J)
+            continue
+        got = H.parahoric_subgroup(J)
+        assert [x.key for x in got] == [x.key for x in want], J
+        assert [x.length() for x in got] == [x.length() for x in want]
+    for bad in (labels + (99,), (99,)):
+        with pytest.raises(RootDatumError, match="unknown reflection label"):
+            H.parahoric_subgroup(bad)
+
+
+@CASES
+def test_lower_closure_below_n_mu_matches_word_deletion(case):
+    """The ideal below n_mu, the longest element of W_0 t_mu W_0, is
+    W_0 Adm(mu) W_0: the walk from n_mu against letter deletion from it."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    k = W.kernel
+    finite = range(1, rd.n_simple + 1)
+    w0 = W.element(rd.rank * (0,), W.weyl.longest)
+    for mu in ADM_MUS[case]:
+        n_mu = _top(W, finite, W.translation(mu))
+        # the longest element of W_0 t_mu W_0 is w_0 t_mu, mu dominant
+        assert n_mu == w0 * W.translation(mu)
+        assert n_mu.length() == W.translation(mu).length() + w0.length()
+        below = W.lower_closure([n_mu])
+        assert below == interval_below_by_deletion(W, [n_mu])
+        assert W.admissible_set(mu) <= below
+        for x in below:
+            assert x._len == k.length(x.trans, x.fin)
+
+
+# W_J Adm(mu) W_J, from the tops of the double cosets W_J t_la W_J
+PARAHORIC_ADM = [
+    (("GL", 3), (1, 0, 0), (1, 2)), (("GL", 3), (1, 0, 0), (0,)),
+    (("GL", 4), (1, 1, 0, 0), (0, 2)), (("Sp", 4), (1, 1), (0, 2)),
+    (("Sp", 4), (1, 1), (1,)), (("GL", 3), (2, 1, 0), (1, 2)),
+    (("GL", 4), (2, 1, 0, 0), (0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "case, mu, labels", PARAHORIC_ADM,
+    ids=[f"{_ids(c)}-{''.join(map(str, mu))}-J{''.join(map(str, J))}"
+         for c, mu, J in PARAHORIC_ADM])
+def test_parahoric_admissible_set_matches_products(case, mu, labels):
+    """Each top is the longest element of its double coset, formed by
+    products, and the ideal below the tops is the product set."""
+    W = AffineWeylGroup(_datum(case))
+    wj = parahoric_subgroup_by_products(W, labels)
+    tops = []
+    for la in weyl_orbit(W.rd, mu):
+        t_la = W.translation(la)
+        coset = {a * t_la * b for a in wj for b in wj}
+        top = _top(W, labels, t_la)
+        assert top in coset
+        assert top.length() == max(x.length() for x in coset)
+        tops.append(top)
+    got = W.lower_closure(tops)
+    assert got == parahoric_admissible_set_by_products(W, labels, mu)
+    for x in got:
+        assert x._len == W.kernel.length(x.trans, x.fin)
 
 
 @CASES

@@ -80,6 +80,8 @@ ROWS = {
     "AffineWeylGroup.kottwitz_image": (
         _translation, lambda W, x: W.kottwitz_image(x)),
     "AffineWeylGroup.sort_key": (_translation, lambda W, x: W.sort_key(x)),
+    "AffineWeylGroup.lower_closure": (
+        _translation, lambda W, y: W.lower_closure([W.identity, y])),
     "bruhat_leq.x": (
         _omega_element, lambda W, x: W.bruhat_leq(x, W.translation(LA))),
     "bruhat_leq.y": (

@@ -77,15 +77,13 @@ def test_unknown_name_raises_attribute_error():
 
 # printed at exit, so a run that ends in SystemExit reports too
 _REPORT = """import atexit, sys
-atexit.register(lambda: print(*sorted(
-    m.split(".")[1] for m in sys.modules if m.startswith("iwahecke.")),
-    file=sys.stderr))
+atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
 """
 
 
-def _imported(code):
-    """The iwahecke submodules loaded by a fresh interpreter that runs
-    `code`; the run must succeed."""
+def _loaded(code):
+    """The modules loaded by a fresh interpreter that runs `code`; the run
+    must succeed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -94,6 +92,13 @@ def _imported(code):
                           cwd=SRC, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
+
+
+def _imported(code):
+    """The iwahecke submodules loaded by a fresh interpreter that runs
+    `code`."""
+    return {m.split(".")[1] for m in _loaded(code)
+            if m.startswith("iwahecke.")}
 
 
 def test_submodule_attribute_right_after_import():
@@ -117,11 +122,22 @@ def test_deep_level_names_load_no_algebra_layer():
                       "transfer"}
 
 
+# what python3 -m iwahecke zmu --group GL:3 --mu 2,1,0 runs
+_ZMU_RUN = (
+    "import runpy\n"
+    "sys.argv = ['iwahecke', 'zmu', '--group', 'GL:3', '--mu', '2,1,0']\n"
+    "runpy.run_module('iwahecke', run_name='__main__', alter_sys=True)")
+
+
 def test_zmu_run_loads_no_deep_level_or_transfer_layer():
-    # what python3 -m iwahecke zmu --group GL:3 --mu 2,1,0 runs
-    got = _imported(
-        "import runpy\n"
-        "sys.argv = ['iwahecke', 'zmu', '--group', 'GL:3', '--mu', '2,1,0']\n"
-        "runpy.run_module('iwahecke', run_name='__main__', alter_sys=True)")
+    got = _imported(_ZMU_RUN)
     assert {"cli", "hecke", "center"} <= got
     assert not got & {"deeplevel", "series", "ffield", "transfer"}
+
+
+def test_root_datum_and_zmu_run_load_no_dataclasses():
+    # dataclasses would pull inspect, ast, dis and tokenize into every run
+    got = _loaded("import iwahecke.rootdata")
+    assert "iwahecke.rootdata" in got and "dataclasses" not in got
+    got = _loaded(_ZMU_RUN)
+    assert "iwahecke.hecke" in got and "dataclasses" not in got

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from iwahecke.intlinalg import dot
-from iwahecke.rootdata import (RootDatumError, build_root_datum,
+from iwahecke.rootdata import (RootDatum, RootDatumError, build_root_datum,
                                is_minuscule, levi_sub_datum, load_root_datum,
                                pair_two_rho, weyl_orbit)
 
@@ -189,6 +189,24 @@ def test_omega_quotients(gl3, sp4):
     assert sp4.omega_is_free_cyclic
     assert sp4.omega_grade((3, 2)) == 0
     assert gl3.kappa_reduce((2, 1, 1)) == (0, 0, 4)
+
+
+def test_datum_is_an_immutable_value():
+    """Equality and hash read rank, simple roots and simple coroots, not the
+    display name; no attribute can be assigned or deleted, since a datum
+    keys the shared group contexts, while the cached properties still fill."""
+    rd = build_root_datum("GL", 3)
+    copy = RootDatum("GL(3) copy", rd.rank, rd.simple_roots, rd.simple_coroots)
+    assert copy == rd and hash(copy) == hash(rd) and copy.family != rd.family
+    assert rd != build_root_datum("SL", 3) and rd != build_root_datum("GL", 2)
+    assert rd != rd.simple_roots
+    for name in ("rank", "family", "components", "new"):
+        with pytest.raises(AttributeError):
+            setattr(rd, name, 1)
+    with pytest.raises(AttributeError):
+        del rd.rank
+    assert rd.components == ((0, 1),) and "components" in vars(rd)
+    assert rd.rank == 3 and rd.affine_weyl() is rd.affine_weyl()
 
 
 def test_custom_config_matches_builtin(gsp4):

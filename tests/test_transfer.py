@@ -142,3 +142,25 @@ def test_graded_function_nonint_grades():
     # Omega = Z/2 has no integer grading; classes label the grades
     grades = tf.grades()
     assert grades == [((1,), v(1) + v(-1))]
+
+
+@pytest.mark.parametrize("config, key", [("pgl2.cfg", (1,)),
+                                         ("gl2xgl2.cfg", (1, 0, 0, 0))])
+def test_integer_grade_refused_where_omega_is_not_cyclic(config, key):
+    # Omega is Z/2 on PGL(2) and Z^2 on GL(2) x GL(2): no integer grade
+    # names a class, so one is refused instead of reading 0
+    from iwahecke.rootdata import load_root_datum
+    from conftest import DATA
+    rd = load_root_datum(DATA / config)
+    g = GradedFunction(rd, {key: ONE})
+    assert not rd.omega_is_free_cyclic
+    assert g.coeff(key) == ONE
+    for grade in (0, 1):
+        with pytest.raises(ValueError, match="integer grade"):
+            g.coeff(grade)
+
+
+def test_integer_grades_on_cyclic_omega(gl3, sp4):
+    assert GradedFunction(gl3, {(1, 1, 0): ONE}).coeff(2) == ONE
+    assert GradedFunction(gl3, {(1, 1, 0): ONE}).coeff(1) == 0
+    assert GradedFunction(sp4, {(1, 0): ONE}).coeff(0) == ONE
