@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import Matrix2, TruncatedSeries, product_grid
@@ -385,18 +384,39 @@ def load_corpus(path, field, precision=None):
 # -- pro-p Iwahori Drinfeld formula ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class DiagonalTorusPoint:
-    """A point of the diagonal torus T(F_{p^r}): n nonzero field elements."""
+    """A point of the diagonal torus T(F_{p^r}): n nonzero field elements.
 
-    field: object
-    entries: tuple
+    An immutable value: equality and hash on (field, entries), and
+    assigning an attribute raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if any(e == 0 for e in self.entries):
+    def __init__(self, field, entries: tuple):
+        if any(e == 0 for e in entries):
             raise ValueError("torus point entries must be nonzero")
-        if any(not 0 <= e < self.field.q for e in self.entries):
+        if any(not 0 <= e < field.q for e in entries):
             raise ValueError("entry out of field range")
+        self.__dict__.update(field=field, entries=entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r} of a DiagonalTorusPoint")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete field {name!r} of a DiagonalTorusPoint")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.entries) == (other.field, other.entries)
+
+    def __hash__(self):
+        return hash((self.field, self.entries))
+
+    def __repr__(self):
+        return (f"DiagonalTorusPoint(field={self.field!r}, "
+                f"entries={self.entries!r})")
 
     def norms(self) -> tuple:
         """Componentwise norm down to the prime field F_p."""

@@ -14,30 +14,30 @@ theta_la = v^{-l(t_la)} T_{t_la} for dominant la, and the Bernstein function
 of a dominant mu is z_mu = sum of theta_la over the finite Weyl orbit of mu;
 z_mu is central.
 
-Both are computed as right folds.  For any dominant lam2 with la + lam2
-dominant, theta_la = v^{-<la, 2 rho>} T_{t_{la+lam2}} T_{t_lam2}^{-1}, and
-T_{t_lam2}^{-1} is applied along a reduced word of t_lam2.  z_mu takes one
-lam2 for its whole orbit, so the orbit sum of the T_{t_{la+lam2}} is folded
-once.
+Both come from one orbit sum.  For lams = [lam], or the finite Weyl orbit
+of mu, one dominant lam2 has la + lam2 dominant for every la in lams, and
+sum_la theta_la = (sum_la v^{-<la, 2 rho>} T_{t_{la+lam2}}) T_{t_lam2}^{-1},
+with T_{t_lam2}^{-1} applied along a reduced word of t_lam2: one right fold.
 
-Every product with generators, T_x h and h T_x^{-1} included, is one fold
-over a whole word.  The fold packs each Laurent coefficient into one int
-(Kronecker substitution, v -> 2^b), runs every letter on raw (trans, fin,
+Every product in the T-basis is one fold.  The fold takes h and a list of
+multipliers (word, Omega part, c) on one side, and returns the sum of
+c T_word T_om h (or c h T_om T_word).  It packs each Laurent coefficient
+of h into one int (Kronecker substitution, v -> 2^b), maps the packing
+through each Omega part once, runs every letter on raw (trans, fin,
 length) keys, where q^{+-1} is a shift and accumulating is int addition,
-and unpacks once at the end.  T_s only raises v-exponents and T_s^{-1}
-only lowers them, so the digits need no offset, and a letter at most
-triples the sum of |coefficients|, so b = bitlength(that sum * 3^letters)
-+ 1 bits per signed digit never overflow.  An Omega part T_om is a map of
-raw keys, (t, w) -> om (t, w) or (t, w) om with the length kept.
+multiplies by c as packed ints after the word, and unpacks once at the
+end.  T_s only raises v-exponents and T_s^{-1} only lowers them, so the
+digits need no offset, and a letter at most triples the sum of
+|coefficients|, so b = bitlength(l1(h) l1(c's) 3^(longest word)) + 1 bits
+per signed digit never overflow.  An Omega part T_om is a map of raw
+keys, (t, w) -> om (t, w) or (t, w) om with the length kept.  multiply
+(a, b) folds b by one multiplier per term of a, T_x h and h T_x^{-1} by
+one whole word.
 
-The other operations share the fold's packing and unpacking, each with
-its own digit bound.  is_central packs h once and, per generator, folds
-T_s h - h T_s into one int dict (digits below 6 * sum of |coefficients|);
-an Omega generator is central to h when the key map x -> om x om^-1 fixes
-the packed dict.  multiply(a, b) packs b once; per term c T_x of a it maps
-b's keys through x's Omega part, folds x's reduced word and adds c times
-the result as packed ints (digits below L1(a) L1(b) 3^(longest word)),
-and it unpacks once.
+is_central shares the fold's packing and letter step, with its own digit
+bound: it packs h once and, per generator, folds T_s h - h T_s into
+one int dict (digits below 6 * sum of |coefficients|); an Omega generator
+is central to h when the key map x -> om x om^-1 fixes the packed dict.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> H = build_root_datum("GL", 2).affine_weyl().hecke()
@@ -60,7 +60,7 @@ from operator import add, mul
 from .affine import AffineWeylElement, AffineWeylGroup
 from .intlinalg import dot, solve_underdetermined
 from .laurent import ONE, LaurentPoly, accumulate
-from .rootdata import RootDatumError, _same_datum, weyl_orbit
+from .rootdata import RootDatumError, _check_rank, _same_datum, weyl_orbit
 
 __all__ = [
     "HeckeAlgebra", "HeckeElement",
@@ -175,50 +175,73 @@ class HeckeAlgebra:
         _same_datum(self.W.rd, *[x.group.rd for x in terms])
         return HeckeElement(self, dict(terms))
 
-    # -- generator folds ------------------------------------------------------
+    # -- the fold ---------------------------------------------------------------
 
     def lmul_gen(self, label: int, h: HeckeElement) -> HeckeElement:
         """T_s * h for the affine simple reflection with this label."""
-        return self._fold(h, (self.W.label_slot[label],), True, False)
+        return self._fold(h, True, False,
+                          [((self.W.label_slot[label],), None, ONE)])
 
     def rmul_gen(self, h: HeckeElement, label: int) -> HeckeElement:
         """h * T_s."""
-        return self._fold(h, (self.W.label_slot[label],), False, False)
+        return self._fold(h, False, False,
+                          [((self.W.label_slot[label],), None, ONE)])
 
-    def _fold(self, h, slots, left, inverse, om=None):
-        """T_{s_k} ... T_{s_1} h (left) or h T_{s_1} ... T_{s_k} (right) for
-        the reflections in kernel slots s_1, ..., s_k, or the same with every
-        T_s replaced by T_s^{-1}; with a raw length-zero om = (t, w), h is
-        first multiplied by T_om on the same side.
+    def _fold(self, h, left, inverse, mults) -> HeckeElement:
+        """The sum over the multipliers (slots, om, c) of c T_{s_k} ...
+        T_{s_1} T_om h (left) or c h T_om T_{s_1} ... T_{s_k} (right), for
+        the reflections in kernel slots s_1, ..., s_k and a raw length-zero
+        om = (t, w) or None; with every T_s replaced by T_s^{-1} when
+        `inverse`.
 
-        The word runs on raw keys (trans, fin, length), each coefficient
-        Kronecker-packed into one int, converted in once and out once.  T_s
-        only raises v-exponents and T_s^{-1} only lowers them, so digit i of
-        the packed int, in base 2^b with signed digits, is the coefficient
-        of v^(base + stride * i): base is the least exponent of h and the
-        stride 1, or 2 when all exponents of h have one parity (base the
-        greatest and the stride negative, for T_s^{-1}).  Then q^{+-1} is a
-        shift by 2 / |stride| digits, the q^{+-1} - 1 term is that shift
-        minus the value, and accumulating is int addition.
+        The words run on raw keys (trans, fin, length), each coefficient
+        Kronecker-packed into one int.  h is packed once and mapped through
+        each Omega part once; each word's result is multiplied by its packed
+        c and added into one dict, unpacked once.  T_s only raises
+        v-exponents and T_s^{-1} only lowers them, so digit i of a packed
+        int, in base 2^b with signed digits, is the coefficient of
+        v^(base + stride * i): base is the least exponent (the greatest,
+        and the stride negative, for T_s^{-1}), and the stride 2 when the
+        exponents of h and those of the c's each have one parity, else 1.
+        Then q^{+-1} is a shift by 2 / |stride| digits, the q^{+-1} - 1 term
+        is that shift minus the value, and accumulating is int addition.
+        With h's digits from its own base and the c's from theirs, digit i
+        of the sum is the coefficient of v^(base_h + base_c + stride * i).
         """
         _same_datum(self.W.rd, h.algebra.W.rd)
-        exps, l1 = _measure(h)
-        base = (max if inverse else min)(exps, default=0)
+        exps, l1 = _measure(h.terms.values())
+        cexps, cl1 = _measure([c for _, _, c in mults])
+        pick = max if inverse else min
+        base, cbase = pick(exps, default=0), pick(cexps, default=0)
         # A letter maps a term c T_y to c T_sy, or to (q^{+-1} - 1) c T_y +
         # q^{+-1} c T_sy, so it at most triples the sum of |coefficients|
-        # over the whole element.  That sum, and so every digit, stays below
-        # l1 * 3^len(slots) < 2^(b-1): no digit overflows into the next.
-        b = (l1 * 3 ** len(slots)).bit_length() + 1
-        stride = _stride(exps)
+        # over the whole element.  That sum over every word's result, each
+        # times its c, and so every digit of the sum and of each partial
+        # sum, stays below l1(h) l1(c's) 3^(longest word) < 2^(b-1).
+        longest = max([len(slots) for slots, _, _ in mults], default=0)
+        b = (l1 * cl1 * 3 ** longest).bit_length() + 1
+        stride = min(_stride(exps), _stride(cexps))
         if inverse:
             stride = -stride
-        cur = _pack(h, base, stride, b)
-        if om is not None:
-            cur = self._omega_fold(cur, om, left)
         shift = 2 * b // abs(stride)
-        for slot in slots:
-            cur = self._step(cur, slot, left, inverse, shift, {})
-        return self._unpack(cur, base, stride, b)
+        images = {None: _pack(h, base, stride, b)}
+        out: dict = {}
+        for slots, om, c in mults:
+            cur = images.get(om)
+            if cur is None:
+                cur = images[om] = self._omega_fold(images[None], om, left)
+            for slot in slots:
+                cur = self._step(cur, slot, left, inverse, shift, {})
+            pc = _pack_poly(c, cbase, stride, b)
+            if pc == 1 and not out:
+                # an empty word leaves cur the cached Omega image
+                out = cur if slots else dict(cur)
+                continue
+            get = out.get
+            for key, p in cur.items():
+                if p:
+                    out[key] = get(key, 0) + p * pc
+        return self._unpack(out, base + cbase, stride, b)
 
     def _step(self, cur, slot, left, inverse, shift, out):
         """Add T_s cur (left) or cur T_s (right), or the same with T_s^{-1},
@@ -320,61 +343,26 @@ class HeckeAlgebra:
         _same_datum(self.W.rd, h.algebra.W.rd, om.group.rd)
         if om.length():
             raise ValueError(f"{om!r} does not have length zero")
-        W = self.W
-        cur = self._omega_fold(
-            {(y.trans, y.fin, y.length()): c for y, c in h.terms.items()},
-            om.key, left)
-        return HeckeElement(self, {_element(W, t, w, ln): c
-                                   for (t, w, ln), c in cur.items()})
+        return self._fold(h, left, False, [((), om.key, ONE)])
 
     # -- products ------------------------------------------------------------
 
-    def t_times(self, x: AffineWeylElement, h: HeckeElement) -> HeckeElement:
-        """T_x * h: T_omega h folded by the reduced word of x in one pass."""
+    def _letters(self, x: AffineWeylElement):
+        """(kernel slots of the reduced word of x = s_1...s_k om, last letter
+        first; the raw key of om)."""
         W = self.W
         word, om = W.reduced_word(x)
-        return self._fold(h, [W.label_slot[lab] for lab in reversed(word)],
-                          True, False, om.element.key)
+        return [W.label_slot[lab] for lab in reversed(word)], om.element.key
+
+    def t_times(self, x: AffineWeylElement, h: HeckeElement) -> HeckeElement:
+        """T_x * h: T_omega h folded by the reduced word of x in one pass."""
+        return self._fold(h, True, False, [(*self._letters(x), ONE)])
 
     def multiply(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
-        """a * b with b packed once.  Each term c T_x of a, x = s_1...s_k om
-        reduced, maps b's raw keys through om (once per Omega class), folds
-        T_{s_1} ... T_{s_k} on them, multiplies by c as packed ints and adds
-        into one dict, unpacked once.  With a's digits from its least
-        exponent and b's from its own, the product's digit i is the
-        coefficient of v^(base_a + base_b + stride * i)."""
-        _same_datum(self.W.rd, a.algebra.W.rd, b.algebra.W.rd)
-        if not a.terms or not b.terms:
-            return self.zero()
-        W = self.W
-        slot = W.label_slot
-        terms = [(W.reduced_word(x), c) for x, c in a.terms.items()]
-        exps_a, l1_a = _measure(a)
-        exps_b, l1_b = _measure(b)
-        base_a, base_b = min(exps_a), min(exps_b)
-        stride = min(_stride(exps_a), _stride(exps_b))
-        # T_x at most multiplies the sum of |coefficients| of b by 3^l(x)
-        # (one factor 3 per letter), so every digit of the product, and of
-        # each partial sum, stays below l1(a) l1(b) 3^maxlen < 2^(bits-1)
-        maxlen = max(len(word) for (word, _), _ in terms)
-        bits = (l1_a * l1_b * 3 ** maxlen).bit_length() + 1
-        packed = _pack(b, base_b, stride, bits)
-        shift = 2 * bits // stride
-        by_class: dict = {}
-        out: dict = {}
-        get = out.get
-        for (word, om), c in terms:
-            cur = by_class.get(om.rep)
-            if cur is None:
-                cur = by_class[om.rep] = self._omega_fold(
-                    packed, om.element.key, True)
-            for lab in reversed(word):
-                cur = self._step(cur, slot[lab], True, False, shift, {})
-            pc = _pack_poly(c, base_a, stride, bits)
-            for key, p in cur.items():
-                if p:
-                    out[key] = get(key, 0) + p * pc
-        return self._unpack(out, base_a + base_b, stride, bits)
+        """a * b: b folded by T_x, times c, for each term c T_x of a."""
+        _same_datum(self.W.rd, a.algebra.W.rd)
+        return self._fold(b, True, False, [(*self._letters(x), c)
+                                           for x, c in a.terms.items()])
 
     def t_inverse(self, x: AffineWeylElement) -> HeckeElement:
         """The inverse of the basis element T_x."""
@@ -387,68 +375,50 @@ class HeckeAlgebra:
     def _rmul_t_inverse(self, h: HeckeElement, x: AffineWeylElement):
         """h * T_x^{-1}: with x = s_1...s_k * omega reduced, T_x^{-1} =
         T_{omega^{-1}} T_{s_k}^{-1} ... T_{s_1}^{-1}, folded in one pass."""
-        W = self.W
-        word, om = W.reduced_word(x)
-        return self._fold(h, [W.label_slot[lab] for lab in reversed(word)],
-                          False, True, W.kernel.inv(*om.element.key))
+        slots, om = self._letters(x)
+        return self._fold(h, False, True,
+                          [(slots, self.W.kernel.inv(*om), ONE)])
 
     # -- Bernstein elements ----------------------------------------------------
 
     def theta(self, lam) -> HeckeElement:
-        """theta_lam, for an arbitrary coweight lam.
-
-        Dominant lam: v^{-l(t_lam)} T_{t_lam}.  In general theta_lam =
-        theta_{lam1} * theta_{lam2}^{-1} for any decomposition lam = lam1 -
-        lam2 into dominant coweights; the result is independent of the
-        decomposition.  T_{t_lam1} is right-folded by T_s^{-1} along t_lam2.
-        """
+        """theta_lam, for an arbitrary coweight lam: v^{-l(t_lam)} T_{t_lam}
+        for dominant lam, else theta_{lam1} theta_{lam2}^{-1} for dominant
+        lam1 = lam + lam2 and lam2, which does not depend on lam2."""
         lam = tuple(lam)
         cached = self._theta.get(lam)
         if cached is None:
-            cached = self._theta_for(lam, None)
-            self._theta[lam] = cached
+            _check_rank(self.W.rd, lam)
+            cached = self._theta[lam] = self._theta_sum([lam])
         return cached
 
-    def _theta_for(self, lam, lam2) -> HeckeElement:
-        rd = self.W.rd
-        vpow = LaurentPoly.v(-dot(lam, rd.two_rho))
-        if lam2 is None:
-            if rd.is_dominant(lam):
-                return self.t(self.W.translation(lam), vpow)
-            lam2 = _dominant_cover(
-                rd, [max(0, -dot(lam, a)) for a in rd.simple_roots])
-        lam1 = tuple(a + b for a, b in zip(lam, lam2))
-        if not (rd.is_dominant(lam1) and rd.is_dominant(lam2)):
-            raise RootDatumError("decomposition is not dominant")
-        return self._rmul_t_inverse(self.t(self.W.translation(lam1), vpow),
-                                    self.W.translation(lam2))
-
     def bernstein_function(self, mu) -> HeckeElement:
-        """z_mu = sum of theta_la over the finite Weyl orbit of dominant mu.
-
-        One lam2 serves the whole orbit: <lam2, a_i> >= -<la, a_i> for every
-        la in it, so z_mu = (sum_la v^{-<la, 2 rho>} T_{t_{la+lam2}})
-        T_{t_lam2}^{-1}, one right fold.  When the whole orbit is dominant
-        (a central mu, or a torus) lam2 = 0 and nothing is folded.
-        """
+        """z_mu = sum of theta_la over the finite Weyl orbit of dominant mu."""
         mu = tuple(mu)
         rd = self.W.rd
         if not rd.is_dominant(mu):
             raise RootDatumError(f"{mu} is not dominant")
         cached = self._z.get(mu)
         if cached is None:
-            orbit = sorted(weyl_orbit(rd, mu))
-            need = [max(0, -min(dot(la, a) for la in orbit))
-                    for a in rd.simple_roots]
-            fold = any(need)
-            lam2 = _dominant_cover(rd, need) if fold else (0,) * rd.rank
-            cached = HeckeElement(self, {
-                self.W.translation(tuple(a + b for a, b in zip(la, lam2))):
-                LaurentPoly.v(-dot(la, rd.two_rho)) for la in orbit})
-            if fold:
-                cached = self._rmul_t_inverse(cached, self.W.translation(lam2))
-            self._z[mu] = cached
+            cached = self._z[mu] = self._theta_sum(sorted(weyl_orbit(rd, mu)))
         return cached
+
+    def _theta_sum(self, lams) -> HeckeElement:
+        """sum of theta_la over la in lams.  One lam2 serves them all:
+        <lam2, a_i> >= -<la, a_i> for every la, so the sum is (sum_la
+        v^{-<la, 2 rho>} T_{t_{la+lam2}}) T_{t_lam2}^{-1}, one right fold.
+        When every la is dominant lam2 = 0 and nothing is folded."""
+        rd = self.W.rd
+        need = [max(0, -min(dot(la, a) for la in lams))
+                for a in rd.simple_roots]
+        fold = any(need)
+        lam2 = _dominant_cover(rd, need) if fold else (0,) * rd.rank
+        h = HeckeElement(self, {
+            self.W.translation(tuple(map(add, la, lam2))):
+            LaurentPoly.v(-dot(la, rd.two_rho)) for la in lams})
+        if fold:
+            h = self._rmul_t_inverse(h, self.W.translation(lam2))
+        return h
 
     # -- centrality and descent ---------------------------------------------
 
@@ -475,7 +445,7 @@ class HeckeAlgebra:
         through om on the left and om^-1 on the right equals itself.
         """
         _same_datum(self.W.rd, h.algebra.W.rd)
-        exps, l1 = _measure(h)
+        exps, l1 = _measure(h.terms.values())
         base = min(exps, default=0)
         stride = _stride(exps)
         # T_s h and h T_s each at most triple the sum of |coefficients|, so
@@ -527,10 +497,10 @@ class HeckeAlgebra:
 # -- packed coefficients ------------------------------------------------------
 
 
-def _measure(h):
-    """The v-exponents of h's coefficients, and the sum of the absolute
-    values of all its coefficients (its L1 norm)."""
-    cs = [c.c for c in h.terms.values()]
+def _measure(coeffs):
+    """The v-exponents of the Laurent polynomials `coeffs`, and the sum of
+    the absolute values of all their coefficients (their L1 norm)."""
+    cs = [c.c for c in coeffs]
     return ([e for c in cs for e in c],
             sum([abs(n) for c in cs for n in c.values()]))
 

@@ -51,7 +51,7 @@ _ONE = LaurentPoly({0: 1})
 
 def q_poly_to_v(p: LaurentPoly) -> LaurentPoly:
     """Reinterpret a polynomial in q as a Laurent polynomial in v (q = v^2)."""
-    return LaurentPoly({2 * e: c for e, c in p.c.items()})
+    return p.subs_v_power(2)
 
 
 class RPolynomials:

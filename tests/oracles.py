@@ -202,8 +202,8 @@ def right_descent(k, t, w, g):
 
 
 def fold_by_letters(H, h, slots, left, inverse):
-    """The Hecke fold `H._fold(h, slots, left, inverse)` one letter at a
-    time in Laurent-polynomial arithmetic, each image element built by the
+    """The Hecke fold of h by one word, `H._fold(h, left, inverse,
+    [(slots, None, ONE)])`, one letter at a time in Laurent-polynomial arithmetic, each image element built by the
     kernel's generator products and carrying its length."""
     from iwahecke.affine import AffineWeylElement
     from iwahecke.hecke import HeckeElement
@@ -248,8 +248,8 @@ def is_central_by_products(H, h):
 def multiply_by_t_times(H, a, b):
     """`H.multiply(a, b)` as sum_x a_x (T_x b), one T_x b per term of a:
     with x = s_1...s_k om reduced, T_om b from element products om * y,
-    then T_{s_1}...T_{s_k} folded on it; the coefficients multiplied and
-    summed in Laurent-polynomial arithmetic."""
+    then T_{s_1}...T_{s_k} folded on it one letter at a time; the
+    coefficients multiplied and summed in Laurent-polynomial arithmetic."""
     from iwahecke.hecke import HeckeElement
     from iwahecke.laurent import accumulate
     W = H.W
@@ -261,9 +261,9 @@ def multiply_by_t_times(H, a, b):
             z = om.element * y
             z._len = y.length()
             moved[z] = p
-        tb = H._fold(HeckeElement(H, moved),
-                     [W.label_slot[lab] for lab in reversed(word)],
-                     True, False)
+        tb = fold_by_letters(H, HeckeElement(H, moved),
+                             [W.label_slot[lab] for lab in reversed(word)],
+                             True, False)
         for y, p in tb.terms.items():
             accumulate(out, y, c * p)
     return HeckeElement(H, out)

@@ -380,6 +380,24 @@ def test_drinfeld_validation():
         DiagonalTorusPoint(F3, (1, 0))
 
 
+def test_torus_point_is_an_immutable_value():
+    """Equality and hash read the field and the entries; no attribute can be
+    assigned or deleted."""
+    t = DiagonalTorusPoint(F3, (1, 2))
+    same = DiagonalTorusPoint(F3, (1, 2))
+    assert t == same and hash(t) == hash(same) and len({t, same}) == 1
+    assert t != DiagonalTorusPoint(F3, (2, 1))
+    assert t != DiagonalTorusPoint(GF(5), (1, 2)) and t != (F3, (1, 2))
+    assert t.norms() == (1, 2)
+    for name in ("field", "entries", "new"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, F2)
+    with pytest.raises(AttributeError):
+        del t.entries
+    assert t.field is F3 and t.entries == (1, 2)
+    with pytest.raises(ValueError):
+        DiagonalTorusPoint(F3, (1, 3))  # out of field range
+
 def test_phi_over_gf4():
     # q = 4 (non-prime prime power): the evaluators are generic in the field
     f4 = GF(2, 2)

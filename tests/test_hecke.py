@@ -8,7 +8,8 @@ from iwahecke.cli import hecke_json
 from iwahecke.hecke import (bernstein_function, is_central, parahoric_descent,
                             t_inverse, t_multiply, theta)
 from iwahecke.laurent import ONE, Q, QM1, LaurentPoly
-from iwahecke.rootdata import RootDatumError, build_root_datum
+from iwahecke.rootdata import (RootDatumError, build_root_datum,
+                               pair_two_rho)
 
 from oracles import random_element, random_hecke_element
 
@@ -148,10 +149,20 @@ def test_theta_multiplicative_grid(H2):
 
 
 def test_theta_independent_of_decomposition(H3):
-    # force two different dominant decompositions of the same coweight
+    # two different dominant decompositions la = lam1 - lam2 of one coweight,
+    # each v^{-<la, 2 rho>} T_{t_lam1} T_{t_lam2}^{-1} from public products
+    W = H3.W
     la = (0, 1, -1)
-    one = H3._theta_for(la, (1, 0, 0))         # lam2 = omega_1
-    two = H3._theta_for(la, (2, 1, 1))          # a fatter dominant cover
+    vpow = LaurentPoly.v(-pair_two_rho(W.rd, la))
+
+    def by_cover(lam2):
+        lam1 = tuple(a + b for a, b in zip(la, lam2))
+        assert W.rd.is_dominant(lam1) and W.rd.is_dominant(lam2)
+        return (H3.t(W.translation(lam1), vpow)
+                * H3.t_inverse(W.translation(lam2)))
+
+    one = by_cover((1, 0, 0))         # lam2 = omega_1
+    two = by_cover((2, 1, 1))         # a fatter dominant cover
     assert one == two
     assert theta(H3, la) == one
 

@@ -506,12 +506,12 @@ def test_inverse_folds_undo_folds(case):
         h = _random_element(H, rng)
         for slot in range(len(W.gen_labels)):
             for left in (True, False):
-                there = H._fold(h, (slot,), left, False)
-                back = H._fold(there, (slot,), left, True)
+                there = H._fold(h, left, False, [((slot,), None, ONE)])
+                back = H._fold(there, left, True, [((slot,), None, ONE)])
                 assert back == h
                 _assert_lengths_carried(back)
-                assert H._fold(H._fold(h, (slot,), left, True),
-                               (slot,), left, False) == h
+                assert H._fold(H._fold(h, left, True, [((slot,), None, ONE)]),
+                               left, False, [((slot,), None, ONE)]) == h
 
 
 def _wide_element(H, rng, parity, size, monomials):
@@ -551,13 +551,14 @@ def test_packed_fold_matches_letter_by_letter_oracle(case):
         n = 1 if i < 2 else 3
         h = _wide_element(H, rng, (None, 0, 1)[i % 3], n, n)
         for left, inverse in product((True, False), repeat=2):
-            got = H._fold(h, slots, left, inverse)
+            got = H._fold(h, left, inverse, [(slots, None, ONE)])
             want = fold_by_letters(H, h, slots, left, inverse)
             assert got.terms == want.terms, (slots, left, inverse)
             _assert_lengths_carried(got)
             for g in (h, H.zero()):
                 there = fold_by_letters(H, g, slots, left, not inverse)
-                back = H._fold(there, slots[::-1], left, inverse)
+                back = H._fold(there, left, inverse,
+                               [(slots[::-1], None, ONE)])
                 assert back.terms == g.terms
                 _assert_lengths_carried(back)
 
@@ -631,8 +632,9 @@ def test_packed_centrality_and_product_match_product_routes(case):
     """is_central (one packed commutator per generator, Omega generators as
     key maps) against whole products compared, and multiply (b packed once)
     against one T_x b per term of a, on central z_mu and z_mu z_nu, random
-    elements, and z_mu plus one T_x at a finite, an affine and an Omega
-    generator; coefficients reach 10^30 and exponents mix parities."""
+    elements, z_mu plus one T_x at a finite, an affine and an Omega
+    generator, and T_e + T_s + T_s' and T_om + T_s om + T_s' om (every
+    coefficient 1); coefficients reach 10^30 and exponents mix parities."""
     rd = _datum(case)
     W = AffineWeylGroup(rd)
     H = W.hecke()
@@ -663,9 +665,14 @@ def test_packed_centrality_and_product_match_product_routes(case):
                                                   in h.terms.items()})):
             assert got.terms == want
             _assert_lengths_carried(got)
+    # a leading T_e or T_om with coefficient 1, then terms that fold from
+    # the same Omega image
+    led = [H.unit() + H.t(finite) + H.t(affine),
+           H.t(om) + H.t(finite * om) + H.t(affine * om)]
     pairs = [(randoms[0], randoms[1]), (randoms[2], z_mu),
              (with_t[0], randoms[2]), (with_t[1], with_t[2]),
-             (with_t[2], randoms[0]), (H.zero(), z_mu), (z_mu, H.zero())]
+             (with_t[2], randoms[0]), (H.zero(), z_mu), (z_mu, H.zero()),
+             (led[0], randoms[1]), (led[1], randoms[2])]
     for a, b in pairs:
         got = H.multiply(a, b)
         assert got.terms == multiply_by_t_times(H, a, b).terms

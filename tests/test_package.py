@@ -141,3 +141,8 @@ def test_root_datum_and_zmu_run_load_no_dataclasses():
     assert "iwahecke.rootdata" in got and "dataclasses" not in got
     got = _loaded(_ZMU_RUN)
     assert "iwahecke.hecke" in got and "dataclasses" not in got
+
+
+def test_deep_level_names_load_no_dataclasses():
+    got = _loaded("from iwahecke import GF, scholze_phi")
+    assert "iwahecke.deeplevel" in got and "dataclasses" not in got
