@@ -521,15 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "friends, in exact arithmetic.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, mu=True):
+    def common(p):
         p.add_argument("--group", required=True,
                        help="family:rank (GL:3, SL:2, Sp:4, GSp:4) or a "
                             "root-datum config path")
-        if mu:
-            p.add_argument("--mu", required=True,
-                           help="comma-separated dominant coweight; one "
-                                "that starts with a minus sign needs the "
-                                "= form, e.g. --mu=0,0,-1")
+        p.add_argument("--mu", required=True,
+                       help="comma-separated dominant coweight; one "
+                            "that starts with a minus sign needs the "
+                            "= form, e.g. --mu=0,0,-1")
         p.add_argument("--q", type=int, default=None,
                        help="specialize q to an integer (after exact "
                             "computation)")

@@ -112,7 +112,7 @@ class RPolynomials:
             lx = x.length()
             c = q_poly_to_v(self._r(la, x.fin, lx, la, 0, ll))
             terms[x] = -c if (lt + lx) % 2 else c
-        return W.hecke().from_terms(terms)
+        return HeckeElement._make(W.hecke(), terms)
 
 
 def r_polynomial(x: AffineWeylElement, y: AffineWeylElement) -> LaurentPoly:

@@ -17,7 +17,10 @@ LaurentPoly({0: 1})
 
 from __future__ import annotations
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QM1", "accumulate"]
+from .rootdata import _same_datum
+
+__all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QM1", "accumulate",
+           "CoefficientMap"]
 
 
 class LaurentPoly:
@@ -59,6 +62,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes like the int it compares equal to, zero like 0
+        if self.c.keys() <= {0}:
+            return hash(self.c.get(0, 0))
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other):
@@ -222,6 +228,98 @@ def accumulate(out: dict, key, c):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+class CoefficientMap:
+    """Finitely supported map key -> nonzero LaurentPoly on one root datum.
+
+    A value is a `context` (what its keys belong to: a Hecke algebra, or the
+    root datum itself) and its `terms`.  The public constructor applies the
+    coefficient rule: an int becomes a LaurentPoly, zeros are dropped, any
+    other coefficient raises TypeError.  `_make` takes clean terms as they
+    are.  `==`, `+` and `-` raise ValueError on different root data.
+
+    >>> from iwahecke.rootdata import build_root_datum
+    >>> rd = build_root_datum("GL", 2)
+    >>> f = CoefficientMap(rd, {"a": 2, "b": 0})
+    >>> g = CoefficientMap(rd, {"a": LaurentPoly.const(2)})
+    >>> f.terms, f == g, hash(f) == hash(g), bool(f - g)
+    ({'a': LaurentPoly({0: 2})}, True, True, False)
+    >>> CoefficientMap(rd, {"a": 2.5})
+    Traceback (most recent call last):
+    TypeError: coefficient 2.5 is not an int or a LaurentPoly
+    """
+
+    __slots__ = ("context", "terms")
+
+    def __init__(self, context, terms: dict):
+        self.context = context
+        self.terms = out = {}
+        for key, c in terms.items():
+            accumulate(out, self._key(key), _coefficient(c))
+
+    @classmethod
+    def _make(cls, context, terms: dict):
+        self = cls.__new__(cls)
+        self.context, self.terms = context, terms
+        return self
+
+    def _key(self, key):  # a key from outside, checked, in its stored form
+        return key
+
+    def coeff(self, key) -> LaurentPoly:
+        return self.terms.get(self._key(key), LaurentPoly())
+
+    def _datum(self):
+        return self.context
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and _same_datum(other._datum(), self._datum())
+                and other.terms == self.terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        _same_datum(self._datum(), other._datum())
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self._make(self.context, out)
+
+    def __neg__(self):
+        return self._make(self.context, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        """c times this value; a monic monomial v^k shifts exponents."""
+        c = _coefficient(c)
+        if len(c.c) == 1:
+            (k, n), = c.c.items()
+            if n == 1:
+                return self._make(self.context, {
+                    key: p.shift(k) for key, p in self.terms.items()})
+        # Z[v, 1/v] has no zero divisors: only c = 0 makes a product zero
+        return self._make(self.context, {
+            key: c * p for key, p in self.terms.items()} if c else {})
+
+
+def _coefficient(c) -> LaurentPoly:
+    """c as a coefficient of a CoefficientMap: an int becomes a constant."""
+    p = _coerce(c)
+    if p is NotImplemented:
+        raise TypeError(f"coefficient {c!r} is not an int or a LaurentPoly")
+    return p
 
 
 def _coerce(x):

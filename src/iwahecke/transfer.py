@@ -4,7 +4,7 @@ and base change of symmetric functions.
 
 For such inner forms (the D^x-type targets) the target Hecke algebra is the
 group algebra of the Kottwitz quotient Omega, so transferred functions are
-graded by Omega.  Two independent routes are implemented:
+CoefficientMaps keyed by classes in Omega.  Two independent routes:
 
 * :func:`normalized_transfer` works on the invariant-function side: a
   W-invariant f goes to m |-> sum over {la : kappa(la) = m} of
@@ -26,24 +26,24 @@ from .affine import OmegaElement
 from .center import SymmetricFunction
 from .hecke import HeckeElement
 from .intlinalg import dot
-from .laurent import LaurentPoly, accumulate
+from .laurent import CoefficientMap, LaurentPoly, accumulate
 from .rootdata import RootDatumError, _same_datum
 
 __all__ = ["GradedFunction", "normalized_transfer", "kottwitz_fiber_integrate",
            "grassmannian_count", "base_change"]
 
 
-class GradedFunction:
+class GradedFunction(CoefficientMap):
     """Finitely supported map Omega -> Z[v, 1/v], keyed by Kottwitz classes."""
 
-    __slots__ = ("rd", "terms")
+    __slots__ = ()
+    rd = CoefficientMap.context  # the context slot, under its name here
 
-    def __init__(self, rd, terms: dict):
-        self.rd = rd
-        self.terms = {}
-        for om, c in terms.items():
-            rep = om.rep if isinstance(om, OmegaElement) else rd.kappa_reduce(om)
-            accumulate(self.terms, rep, c)
+    def _key(self, om):
+        if isinstance(om, OmegaElement):
+            _same_datum(self.rd, om.group.rd)
+            return om.rep
+        return self.rd.kappa_reduce(om)
 
     def coeff(self, grade) -> LaurentPoly:
         """Coefficient at a class tuple, or at an integer grade when Omega is
@@ -58,7 +58,7 @@ class GradedFunction:
                 if self.rd.omega_grade(rep) == grade:
                     return c
             return LaurentPoly()
-        return self.terms.get(self.rd.kappa_reduce(grade), LaurentPoly())
+        return super().coeff(grade)
 
     def grades(self):
         """Sorted list of (grade-or-rep, coefficient)."""
@@ -68,20 +68,6 @@ class GradedFunction:
             out.append((g if g is not None else rep, c))
         return sorted(out, key=lambda t: (0, t[0]) if isinstance(t[0], int)
                       else (1, t[0]))
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedFunction)
-                and _same_datum(other.rd, self.rd)
-                and other.terms == self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def scale(self, c) -> "GradedFunction":
-        if isinstance(c, int):
-            c = LaurentPoly.const(c)
-        return GradedFunction(self.rd,
-                              {rep: c * p for rep, p in self.terms.items()})
 
     def __repr__(self):
         bits = [f"{g}: {c}" for g, c in self.grades()]
@@ -96,7 +82,7 @@ def normalized_transfer(f: SymmetricFunction) -> GradedFunction:
     for la, c in f.terms.items():
         rep = rd.kappa_reduce(la)
         accumulate(out, rep, c * LaurentPoly.v(dot(la, rd.two_rho)))
-    return GradedFunction(rd, out)
+    return GradedFunction._make(rd, out)
 
 
 def kottwitz_fiber_integrate(z: HeckeElement) -> GradedFunction:
@@ -107,7 +93,7 @@ def kottwitz_fiber_integrate(z: HeckeElement) -> GradedFunction:
     for x, c in z.terms.items():
         rep = rd.kappa_reduce(x.trans)
         accumulate(out, rep, c * LaurentPoly.q(x.length()))
-    return GradedFunction(rd, out)
+    return GradedFunction._make(rd, out)
 
 
 def grassmannian_count(n: int, m: int) -> LaurentPoly:
@@ -140,4 +126,4 @@ def base_change(f: SymmetricFunction, r: int) -> SymmetricFunction:
         return f
     out = {tuple(r * x for x in la): c.subs_v_power(r)
            for la, c in f.terms.items()}
-    return SymmetricFunction(f.rd, out, check=False)
+    return SymmetricFunction._make(f.rd, out)

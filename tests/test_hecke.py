@@ -194,6 +194,18 @@ def test_drinfeld_coefficients(H3):
             assert c == (1 - Q) ** (lt - x.length())
 
 
+def test_int_coefficients_are_laurent_polynomials(H2):
+    # from_terms and t take an int coefficient as the constant polynomial,
+    # so products, centrality and scaling see the same element
+    x = H2.W.translation((1, 0))
+    h = H2.from_terms({x: 1})
+    assert h == H2.t(x) and hash(h) == hash(H2.t(x))
+    assert h * h == H2.t(x) * H2.t(x)
+    assert not H2.is_central(h)
+    assert H2.is_central(H2.from_terms({H2.W.identity: 2}))
+    assert h.scale(2) == H2.t(x, 2) == H2.t(x, LaurentPoly.const(2))
+
+
 def test_is_central(H3):
     assert is_central(H3.unit())
     assert not is_central(H3.t(H3.W.simple_reflection(1)))

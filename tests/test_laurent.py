@@ -84,3 +84,7 @@ def test_hash_consistency():
         a = rand_poly(rng)
         b = LaurentPoly(dict(a.c))
         assert a == b and hash(a) == hash(b)
+    # a constant equals its int, so it hashes like it: one set element
+    for n in (-3, 0, 5):
+        assert len({LaurentPoly.const(n), n}) == 1
+    assert len({ZERO, 0, LaurentPoly()}) == 1

@@ -11,16 +11,21 @@ of four ways:
   CLI's JSON;
 * on Sp(4), another datum of the same rank: the one ValueError;
 * from a coweight of the wrong length: RootDatumError.
+
+A second table builds each coefficient-map type from one coefficient: every
+public constructor takes an int as its constant LaurentPoly, drops zeros
+and refuses any other type.
 """
 
 import pytest
 
 from iwahecke.affine import AffineWeylGroup
-from iwahecke.center import bernstein_iso, monomial_symmetric
+from iwahecke.center import (SymmetricFunction, bernstein_iso,
+                             monomial_symmetric)
 from iwahecke.cli import hecke_json
 from iwahecke.hecke import HeckeElement
 from iwahecke.klpoly import RPolynomials
-from iwahecke.laurent import ONE
+from iwahecke.laurent import ONE, LaurentPoly
 from iwahecke.rootdata import RootDatumError, build_root_datum
 from iwahecke.transfer import GradedFunction
 
@@ -130,6 +135,10 @@ ROWS = {
     "SymmetricFunction.__mul__": (_sym, lambda W, f: _sym(W, LA) * f),
     "SymmetricFunction.__eq__": (_sym, lambda W, f: _sym(W, LA) == f),
     "bernstein_iso.f": (_sym, lambda W, f: bernstein_iso(f, W)),
+    "GradedFunction.__init__": (
+        _omega, lambda W, om: GradedFunction(W.rd, {om: ONE})),
+    "GradedFunction.__add__": (_graded, lambda W, g: _graded(W, LA) + g),
+    "GradedFunction.__sub__": (_graded, lambda W, g: _graded(W, (1, 1)) - g),
     "GradedFunction.__eq__": (_graded, lambda W, g: _graded(W, LA) == g),
 }
 
@@ -174,3 +183,37 @@ def test_two_operand_rule(name, kind, contexts):
         got = op(W, build(equal, LA))
         assert got == want
         assert _canon(got) == _canon(want)
+
+
+# the three coefficient-map types, each from a GL(2) context and one
+# coefficient c, with int coefficients allowed in every public constructor
+VALUES = {
+    "HeckeElement": lambda W, c: HeckeElement(
+        W.hecke(), {W.identity: c, W.translation(LA): c}),
+    "HeckeAlgebra.from_terms": lambda W, c: W.hecke().from_terms(
+        {W.translation(LA): c}),
+    "SymmetricFunction": lambda W, c: SymmetricFunction(
+        W.rd, {LA: c, (0, 1): c}),
+    "SymmetricFunction.from_dominant": lambda W, c:
+        SymmetricFunction.from_dominant(W.rd, {LA: c, (1, 1): 0}),
+    "GradedFunction": lambda W, c: GradedFunction(W.rd, {LA: c, (2, 1): 0}),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_coefficient_rule(name, contexts):
+    """An int coefficient is its constant LaurentPoly, equal and of equal
+    hash; a zero is dropped; any other type is a TypeError."""
+    W = contexts[0]
+    make = VALUES[name]
+    for n in (1, -2):
+        got, want = make(W, n), make(W, LaurentPoly.const(n))
+        assert got == want and hash(got) == hash(want)
+        assert all(type(c) is LaurentPoly for c in got.terms.values())
+        assert got.scale(3) == want.scale(LaurentPoly.const(3))
+    assert not make(W, 0) and make(W, 0) == make(W, LaurentPoly())
+    for bad in (2.5, "x"):
+        with pytest.raises(TypeError, match="not an int or a LaurentPoly"):
+            make(W, bad)
+        with pytest.raises(TypeError, match="not an int or a LaurentPoly"):
+            make(W, 1).scale(bad)
