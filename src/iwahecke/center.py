@@ -10,7 +10,19 @@ mu to the Bernstein function z_mu; it is computed as sum_mu f(mu) z_mu over
 the dominant support, from the algebra's cached z_mu.  The inverse is
 computed by exact triangular elimination: the translation elements in the
 support of a central element are, at each maximal length, reachable only
-from the matching z_mu, whose T_{t_mu} coefficient is exactly v^{-l(t_mu)}.
+from the matching z_mu, whose T_{t_la} coefficient is exactly v^{-l(t_la)}
+for every la in the orbit of mu.
+
+The elimination is its own certificate of centrality.  If the residue
+empties, z = sum_mu f(mu) z_mu, and every z_mu is central (Lusztig 1989);
+so no centrality test runs on an input that inverts.  Subtracting f(mu) z_mu
+clears the translations of the orbit W_0 mu only when z has equal
+coefficients on them, and creates no other translation of their length; a
+dominant mu met a second time is therefore refused (the repeat guard), as a
+non-central z could otherwise cycle.  That, a residue with no translation
+element, or a support height above the bound ends the elimination.  Only
+then is z tested for centrality, so every non-central z raises "element is
+not central", whatever its height, and a central one HeightBoundError.
 """
 
 from __future__ import annotations
@@ -132,7 +144,11 @@ def bernstein_iso(f: SymmetricFunction, W=None) -> HeckeElement:
     out: dict = {}
     for mu in f.dominant_support():
         c = f.terms[mu]
-        for x, p in H.bernstein_function(mu).terms.items():
+        zmu = H.bernstein_function(mu).terms
+        if not out and c == ONE:
+            out = dict(zmu)  # the cached z_mu's terms, not each one times 1
+            continue
+        for x, p in zmu.items():
             accumulate(out, x, c * p)
     return HeckeElement._make(H, out)
 
@@ -143,13 +159,29 @@ def bernstein_iso_inverse(z: HeckeElement,
 
     `height_bound` caps <mu+, 2 rho> over the extracted dominant support;
     exceeding it raises HeightBoundError ("bound too small").  A non-central
-    z raises NotCentralError.
+    z raises NotCentralError("element is not central"), whatever its height.
+
+    The elimination certifies centrality: when the residue empties, z is a
+    sum of central z_mu.  It stops early on a dominant mu met a second time
+    (the translations of W_0 mu carried unequal coefficients, so the
+    elimination could otherwise cycle), on a residue with no translation
+    element, or on the height bound; only then does `is_central` run, to
+    tell NotCentralError from HeightBoundError.
     """
     H = z.algebra
-    W = H.W
-    rd = W.rd
-    if not H.is_central(z):
-        raise NotCentralError("element is not central")
+    try:
+        out = _eliminate(H, z, height_bound)
+    except (NotCentralError, HeightBoundError):
+        if not H.is_central(z):
+            raise NotCentralError("element is not central") from None
+        raise
+    return SymmetricFunction.from_dominant(H.W.rd, out)
+
+
+def _eliminate(H, z: HeckeElement, height_bound: int) -> dict:
+    """{dominant mu: f(mu)} with z = sum_mu f(mu) z_mu, by subtracting
+    f(mu) z_mu for the longest translation left in the residue."""
+    rd = H.W.rd
     work = dict(z.terms)
     out: dict = {}
     while work:
@@ -162,15 +194,19 @@ def bernstein_iso_inverse(z: HeckeElement,
             raise NotCentralError(
                 "support has no translation element; not in the center")
         mu = rd.dominant_rep(best.trans)
+        if mu in out:
+            raise NotCentralError(
+                f"orbit of {mu} met twice; not in the center")
         lt = best.length()
         if lt > height_bound:
             raise HeightBoundError(
                 f"support height {lt} exceeds bound {height_bound}")
         c = work[best].shift(lt)  # strip the v^{-l(t_mu)} of theta_mu
         out[mu] = c
-        for x, p in H.bernstein_function(mu).scale(c).terms.items():
-            accumulate(work, x, -p)
-    return SymmetricFunction.from_dominant(rd, out)
+        neg = -c
+        for x, p in H.bernstein_function(mu).terms.items():
+            accumulate(work, x, neg * p)
+    return out
 
 
 def constant_term(z: HeckeElement, levi_labels) -> HeckeElement:
@@ -190,5 +226,5 @@ def constant_term(z: HeckeElement, levi_labels) -> HeckeElement:
     if levi_labels == list(range(1, rd.n_simple + 1)):
         return bernstein_iso(f, H.W)  # L = G
     lrd = levi_sub_datum(rd, levi_labels)
-    lf = SymmetricFunction(lrd, f.terms)  # W(L)-invariance is inherited
+    lf = SymmetricFunction._make(lrd, f.terms)  # W(L)-invariance is inherited
     return bernstein_iso(lf)

@@ -79,6 +79,8 @@ class HeckeElement(CoefficientMap):
         return self.context.W.rd
 
     def _key(self, x: AffineWeylElement):
+        if x.group is self.context.W:
+            return x
         _same_datum(self._datum(), x.group.rd)
         return x
 
@@ -117,6 +119,7 @@ class HeckeAlgebra:
         self._theta: dict = {}
         self._z: dict = {}
         self._tinv: dict = {}
+        self._cover: dict = {}
 
     # -- construction -------------------------------------------------------
 
@@ -262,7 +265,9 @@ class HeckeAlgebra:
                     c[e] = d
                 p = (p - d) >> b
                 e += stride
-            terms[_element(W, t, w, ln)] = LaurentPoly(c)
+            lp = LaurentPoly.__new__(LaurentPoly)
+            lp.c = c  # nonzero int digits: no constructor check needed
+            terms[_element(W, t, w, ln)] = lp
         return HeckeElement._make(self, terms)
 
     def _omega_fold(self, cur, om, left):
@@ -364,12 +369,19 @@ class HeckeAlgebra:
         """sum of theta_la over la in lams.  One lam2 serves them all:
         <lam2, a_i> >= -<la, a_i> for every la, so the sum is (sum_la
         v^{-<la, 2 rho>} T_{t_{la+lam2}}) T_{t_lam2}^{-1}, one right fold.
-        When every la is dominant lam2 = 0 and nothing is folded."""
+        When every la is dominant lam2 = 0 and nothing is folded.  lam2
+        depends only on `need`, so it is memoized by it: central shifts and
+        orbits of one shape share one cover."""
         rd = self.W.rd
-        need = [max(0, -min(dot(la, a) for la in lams))
-                for a in rd.simple_roots]
+        need = tuple([max(0, -min(dot(la, a) for la in lams))
+                      for a in rd.simple_roots])
         fold = any(need)
-        lam2 = _dominant_cover(rd, need) if fold else (0,) * rd.rank
+        if fold:
+            lam2 = self._cover.get(need)
+            if lam2 is None:
+                lam2 = self._cover[need] = _dominant_cover(rd, need)
+        else:
+            lam2 = (0,) * rd.rank
         h = HeckeElement._make(self, {
             self.W.translation(tuple(map(add, la, lam2))):
             LaurentPoly.v(-dot(la, rd.two_rho)) for la in lams})

@@ -89,7 +89,8 @@ class RPolynomials:
                 out[e + 1] = out.get(e + 1, 0) + n
             for e, n in a.items():
                 out[e] = out.get(e, 0) - n
-            res = LaurentPoly(out)
+            res = LaurentPoly.__new__(LaurentPoly)
+            res.c = {e: n for e, n in out.items() if n}
         self._memo[key] = res
         return res
 

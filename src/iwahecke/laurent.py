@@ -24,15 +24,28 @@ __all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QM1", "accumulate",
 
 
 class LaurentPoly:
-    """Finitely supported map exponent-of-v -> integer, no zero values stored."""
+    """Finitely supported map exponent-of-v -> integer, no zero values stored.
+
+    The constructor takes coefficients that are exactly ints (a bool, a
+    float or a Fraction raises TypeError), and arithmetic takes an exact int
+    or a LaurentPoly as the other operand.  Internal arithmetic whose dicts
+    are already clean sets `c` on a bare instance, unchecked.
+
+    >>> LaurentPoly({0: 2.5})
+    Traceback (most recent call last):
+    TypeError: coefficient 2.5 is not an int
+    """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
+        self.c = {}
         if coeffs:
-            self.c = {e: n for e, n in coeffs.items() if n}
-        else:
-            self.c = {}
+            for e, n in coeffs.items():
+                if type(n) is not int:
+                    raise TypeError(f"coefficient {n!r} is not an int")
+                if n:
+                    self.c[e] = n
 
     # -- constructors ------------------------------------------------------
 
@@ -323,9 +336,11 @@ def _coefficient(c) -> LaurentPoly:
 
 
 def _coerce(x):
+    """x as a LaurentPoly when it is one or exactly an int (not a bool),
+    else NotImplemented, so that a binary operator raises TypeError."""
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return LaurentPoly({0: x})
     return NotImplemented
 

@@ -6,14 +6,15 @@ import pytest
 
 from iwahecke.affine import AffineWeylGroup
 from iwahecke.center import (HeightBoundError, NotCentralError,
-                             SymmetricFunction, bernstein_iso,
+                             SymmetricFunction, _eliminate, bernstein_iso,
                              bernstein_iso_inverse, constant_term,
                              monomial_symmetric)
+from iwahecke.hecke import HeckeAlgebra
 from iwahecke.laurent import ONE, LaurentPoly
 from iwahecke.rootdata import (RootDatum, RootDatumError, build_root_datum,
-                               levi_sub_datum)
+                               levi_sub_datum, weyl_orbit)
 
-from oracles import bernstein_iso_by_theta
+from oracles import bernstein_iso_by_theta, is_central_by_products
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,101 @@ def test_inverse_errors(gl3, H3):
     z = H3.bernstein_function((1, 1, 0))
     with pytest.raises(HeightBoundError):
         bernstein_iso_inverse(z, 1)
+
+
+def _perturbations(W, z, rng):
+    """(what, x) pairs: a support translation, a support non-translation, a
+    random element and an Omega generator, each to add c T_x to z at."""
+    sup = sorted(z.terms, key=W.sort_key)
+    trans = [x for x in sup if x.is_translation()]
+    other = [x for x in sup if not x.is_translation()]
+    rank = W.rd.rank
+    rand = W.element(tuple(rng.randint(-1, 1) for _ in range(rank)),
+                     rng.randrange(len(W.kernel.inv_table)))
+    out = [("translation", rng.choice(trans)), ("random", rand)]
+    if other:
+        out.append(("non-translation", rng.choice(other)))
+    out += [("omega", om) for om in W.hecke().omega_generators()]
+    return out
+
+
+@pytest.mark.parametrize("family,n", [("GL", 2), ("GL", 3), ("Sp", 4),
+                                      ("GSp", 4)], ids=str)
+def test_inverse_decides_centrality_like_the_product_oracle(family, n):
+    """The elimination certifies centrality: on central inputs it returns
+    the function, on every other input it raises the one message."""
+    rd = build_root_datum(family, n)
+    W = AffineWeylGroup(rd)
+    H = W.hecke()
+    mus = dominant_box(rd, -1, 2, height=4)
+    rng = random.Random(f"{family}{n}")
+    kinds = set()
+    for _ in range(5):
+        f = SymmetricFunction(rd, {})
+        for mu in rng.sample(mus, 2):
+            c = LaurentPoly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 2))})
+            f = f + monomial_symmetric(rd, mu).scale(c)
+        z = bernstein_iso(f, W)
+        assert bernstein_iso_inverse(z, 100) == f
+        for what, x in _perturbations(W, z, rng):
+            bumped = z + H.t(x, LaurentPoly({rng.randint(-1, 1): 1}))
+            central = is_central_by_products(H, bumped)
+            kinds.add((what, central))
+            if central:
+                g = bernstein_iso_inverse(bumped, 100)
+                assert bernstein_iso(g, W) == bumped, (what, x)
+            else:
+                with pytest.raises(NotCentralError) as err:
+                    bernstein_iso_inverse(bumped, 100)
+                assert str(err.value) == "element is not central", (what, x)
+    assert {("translation", False), ("random", False)} <= kinds
+
+
+def test_inverse_repeat_guard(gl3, H3):
+    """z_mu with one orbit translation's coefficient bumped: subtracting
+    f(mu) z_mu cannot clear the whole orbit, so mu comes up again."""
+    W = H3.W
+    for mu in [(1, 0, 0), (2, 1, 0)]:
+        z = H3.bernstein_function(mu)
+        for la in sorted(weyl_orbit(gl3, mu)):
+            x = W.translation(la)
+            bumped = z + H3.t(x, LaurentPoly.v(-x.length()))
+            with pytest.raises(NotCentralError, match="met twice"):
+                _eliminate(H3, bumped, 100)
+            with pytest.raises(NotCentralError) as err:
+                bernstein_iso_inverse(bumped, 100)
+            assert str(err.value) == "element is not central"
+
+
+def test_inverse_error_order_below_support_height(gl3, H3):
+    """Below the support height a central input raises HeightBoundError and
+    a non-central one NotCentralError, as centrality is decided first."""
+    z = H3.bernstein_function((1, 1, 0))
+    s1 = H3.t(H3.W.simple_reflection(1))
+    bumped = z + H3.t(H3.W.translation((1, 1, 0)))
+    for bound in (0, 1):
+        with pytest.raises(HeightBoundError,
+                           match="support height 2 exceeds bound"):
+            bernstein_iso_inverse(z, bound)
+        for h in (z + s1, bumped, s1):
+            with pytest.raises(NotCentralError) as err:
+                bernstein_iso_inverse(h, bound)
+            assert str(err.value) == "element is not central"
+
+
+def test_central_inverse_never_tests_centrality(gl3, H3, monkeypatch):
+    def refuse(self, h):
+        raise AssertionError("is_central ran on a central input")
+
+    z = H3.bernstein_function((1, 0, 0)) * H3.bernstein_function((1, 1, 0))
+    levi = constant_term(z, [1])
+    monkeypatch.setattr(HeckeAlgebra, "is_central", refuse)
+    f = bernstein_iso_inverse(z, 8)
+    assert f == (monomial_symmetric(gl3, (1, 0, 0))
+                 * monomial_symmetric(gl3, (1, 1, 0)))
+    assert constant_term(z, [1]) == levi
+    with pytest.raises(AssertionError, match="is_central ran"):
+        bernstein_iso_inverse(z + H3.t(H3.W.simple_reflection(1)), 8)
 
 
 def test_constant_term_examples(gl3, H3):

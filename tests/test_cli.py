@@ -234,8 +234,8 @@ def test_zmu_golden_non_minuscule(tmp_path):
 
 
 def test_zmu_levi_golden(tmp_path):
-    # the constant term of z_mu checks centrality before inverting the
-    # Bernstein isomorphism, so this output runs through is_central
+    # the constant term of z_mu inverts the Bernstein isomorphism, whose
+    # elimination certifies that z_mu is central
     rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "2,1,0",
                    "--levi", "2")
     assert rc == 0
@@ -505,6 +505,10 @@ GOLDEN_RUNS = [
      None),
     (("zmu", "--group", "GL:3", "--mu", "2,1,0", "--levi", "2"),
      "golden_zmu_gl3_210_levi2.json", None),
+    (("zmu", "--group", "GSp:4", "--mu", "1,1,1", "--levi", "1"),
+     "golden_zmu_gsp4_111_levi1.json", None),
+    (("zmu", "--group", "Sp:4", "--mu", "1,1", "--levi", "2"),
+     "golden_zmu_sp4_11_levi2.json", None),
     (("adm", "--group", "Sp:4", "--mu", "1,1"), "golden_adm_sp4_11.json",
      None),
     (("adm", "--group", "GL:3", "--mu", "2,1,0"), "golden_adm_gl3_210.json",
@@ -607,7 +611,7 @@ def test_dumps_refuses_what_json_dumps_refuses():
 
 def test_dumps_matches_json_dumps_on_goldens():
     names = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(names) == 8
+    assert len(names) == 10
     for name in names:
         text = (DATA / name).read_text()
         obj = json.loads(text)

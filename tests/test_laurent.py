@@ -1,4 +1,7 @@
+import operator
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +24,23 @@ def test_no_zero_coefficients_stored():
     p = LaurentPoly({3: 0, 1: 2})
     assert p.c == {1: 2}
     assert (p - p).c == {}
+
+
+def test_coefficients_are_exact_ints():
+    """The constructor refuses a coefficient that is not exactly an int, and
+    arithmetic refuses such an operand, on either side."""
+    for bad in (2.5, True, False, Fraction(1, 2), "x"):
+        msg = re.escape(f"coefficient {bad!r} is not an int")
+        with pytest.raises(TypeError, match=msg):
+            LaurentPoly({0: bad})
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(ONE, bad)
+            with pytest.raises(TypeError):
+                op(bad, ONE)
+    with pytest.raises(TypeError, match="coefficient True is not an int"):
+        LaurentPoly.const(True)
+    assert LaurentPoly({0: 2, 1: 0}) + 3 == LaurentPoly.const(5)
 
 
 def test_ring_axioms_random():

@@ -17,6 +17,8 @@ public constructor takes an int as its constant LaurentPoly, drops zeros
 and refuses any other type.
 """
 
+import re
+
 import pytest
 
 from iwahecke.affine import AffineWeylGroup
@@ -203,7 +205,7 @@ VALUES = {
 @pytest.mark.parametrize("name", VALUES)
 def test_coefficient_rule(name, contexts):
     """An int coefficient is its constant LaurentPoly, equal and of equal
-    hash; a zero is dropped; any other type is a TypeError."""
+    hash; a zero is dropped; any other type, a bool too, is a TypeError."""
     W = contexts[0]
     make = VALUES[name]
     for n in (1, -2):
@@ -212,8 +214,12 @@ def test_coefficient_rule(name, contexts):
         assert all(type(c) is LaurentPoly for c in got.terms.values())
         assert got.scale(3) == want.scale(LaurentPoly.const(3))
     assert not make(W, 0) and make(W, 0) == make(W, LaurentPoly())
-    for bad in (2.5, "x"):
+    for bad in (2.5, "x", True):
         with pytest.raises(TypeError, match="not an int or a LaurentPoly"):
             make(W, bad)
         with pytest.raises(TypeError, match="not an int or a LaurentPoly"):
             make(W, 1).scale(bad)
+        # the rule holds one level down: no LaurentPoly carries a bad value
+        msg = re.escape(f"coefficient {bad!r} is not an int")
+        with pytest.raises(TypeError, match=msg):
+            make(W, LaurentPoly({0: bad}))
