@@ -14,9 +14,16 @@ I. Multiplication", Electron. J. Combin. 9, 2002).
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 __all__ = ["Kernel"]
+
+
+def _compose(table, keys) -> tuple:
+    """(table[k] for k in keys) as a tuple, in one C-level call; `keys` runs
+    over a finite Weyl group with a simple reflection, so has at least two
+    entries (itemgetter of one key would return a bare value)."""
+    return itemgetter(*keys)(table)
 
 
 class Kernel:
@@ -55,24 +62,25 @@ class Kernel:
         self.reflections, self._left, self._right = [], [], []
         self._ldesc, self._rdesc = [], []
         for g, (r, affine) in enumerate(slots):
+            column = list(map(itemgetter(r), images))  # ids of u(alpha_r)
             if affine:
-                fin = weyl.reflection_index(coroots[r], roots[r])
+                fin = weyl.reflection_index(roots[r])
                 self.reflections.append((coroots[r], fin))
-                rrow = range(weyl.size)
+                rrow = tuple(range(weyl.size))
                 for i in weyl.word[fin]:
-                    rrow = list(map(weyl.rrow[i].__getitem__, rrow))
-                rrow = tuple(rrow)
-                lrow = tuple([inv[rrow[u]] for u in inv])  # (u^{-1} s)^{-1}
+                    rrow = _compose(weyl.rrow[i], rrow)
+                lrow = _compose(inv, _compose(rrow, inv))  # (u^{-1} s)^{-1}
                 # (t, u) s = (t + u(theta^vee), u s)
-                wtrans = tuple([coroots[img[r]] for img in images])
+                wtrans = _compose(coroots, column)
             else:
                 self.reflections.append((zero, weyl.gen_index[g]))
                 lrow, rrow, wtrans = weyl.lrow[g], weyl.rrow[g], None
             # an affine slot pairs -theta, whose root ids are shifted by npos
             shift, k = (npos, 1) if affine else (0, 0)
             vec, cvec = roots[r + shift], coroots[r + shift]
-            wvec = tuple([roots[(img[r] + shift) % (2 * npos)]
-                          for img in images])
+            # shifted[k] is roots[(k + shift) % (2 * npos)]
+            shifted = roots[shift:] + roots[:shift]
+            wvec = _compose(shifted, column)
             self._left.append((vec, k, cvec, lrow))
             self._right.append((wtrans, rrow))
             self._ldesc.append((vec, k, r, affine))

@@ -82,13 +82,15 @@ def shared_group(rd: RootDatum) -> "AffineWeylGroup":
 class AffineWeylElement:
     """Element t_trans * w of an extended affine Weyl group."""
 
-    __slots__ = ("group", "trans", "fin", "_len")
+    __slots__ = ("group", "trans", "fin", "_len", "_hash")
 
     def __init__(self, group: "AffineWeylGroup", trans: tuple, fin: int):
         self.group = group
         self.trans = trans
         self.fin = fin
         self._len = None
+        # every element ends up a dict key or set member, often many times
+        self._hash = hash((trans, fin))
 
     @property
     def key(self):
@@ -130,7 +132,7 @@ class AffineWeylElement:
                 and other.trans == self.trans and other.fin == self.fin)
 
     def __hash__(self):
-        return hash((self.trans, self.fin))
+        return self._hash
 
     def __repr__(self):
         w = self.group.weyl.word[self.fin]
@@ -443,19 +445,17 @@ class AffineWeylGroup:
 
     def _reflection_words(self) -> list:
         """A word of simple reflection indices for s_alpha, per positive root
-        alpha in `rd.pos_roots` order: s_alpha = s_i s_{s_i alpha} s_i for a
-        simple a_i with <alpha, a_i^vee> > 0, which lowers the height."""
+        alpha in `rd.pos_roots` order: s_alpha = s_i s_{s_i alpha} s_i for
+        the first simple a_i with <alpha, a_i^vee> > 0, which lowers the
+        height.  Roots are listed by height, so s_i alpha has a word already
+        exactly when s_i lowers alpha."""
         rd = self.rd
         words = {a: (i,) for i, a in enumerate(rd.simple_roots)}
         for a in rd.pos_roots:  # listed by height
             if a not in words:
-                for i, av in enumerate(rd.simple_coroots):
-                    m = sum(map(mul, a, av))
-                    if m > 0:
-                        lower = tuple([x - m * y for x, y
-                                       in zip(a, rd.simple_roots[i])])
-                        words[a] = (i,) + words[lower] + (i,)
-                        break
+                images = rd.root_reflections[a]
+                i = next(i for i, b in enumerate(images) if b in words)
+                words[a] = (i,) + words[images[i]] + (i,)
         return [words[a] for a in rd.pos_roots]
 
     def kottwitz_image(self, x: AffineWeylElement) -> OmegaElement:

@@ -54,6 +54,7 @@ True
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 from operator import add, mul
 
@@ -248,7 +249,9 @@ class HeckeAlgebra:
 
     def _unpack(self, cur, base, stride, b) -> HeckeElement:
         """The element of a packed dict: digit i of each int, in base 2^b
-        with signed digits, is the coefficient of v^(base + stride * i)."""
+        with signed digits, is the coefficient of v^(base + stride * i).
+        The z zero digits below the lowest nonzero one go in one shift: with
+        signed digits they are zero exactly when the low z * b bits are."""
         W = self.W
         full = 1 << b
         half, mask = full >> 1, full - 1
@@ -256,7 +259,9 @@ class HeckeAlgebra:
         for (t, w, ln), p in cur.items():
             if not p:
                 continue
-            c, e = {}, base
+            z = ((p & -p).bit_length() - 1) // b
+            p >>= z * b
+            c, e = {}, base + z * stride
             while p:
                 d = p & mask
                 if d >= half:
@@ -508,21 +513,28 @@ def _dominant_cover(rd, need) -> tuple:
     """A lattice vector lam2 with <lam2, a_i> >= need[i] >= 0 for every simple
     root a_i (so dominant), preferring small <lam2, 2 rho>."""
     # exact fundamental-coweight combination when it is integral
-    sol = solve_underdetermined([list(a) for a in rd.simple_roots], need)
+    sol = solve_underdetermined(rd.simple_roots, need)
     if sol is not None and all(x.denominator == 1 for x in sol):
         return tuple(int(x) for x in sol)
-    # small-rank exhaustive search
+    # small-rank exhaustive search: the first candidate, in product order, of
+    # least <lam2, 2 rho>; one that cannot beat the best so far, or fails a
+    # constraint, is dropped at that test
     if rd.rank <= 4:
         radius = max(need) + 1
+        constraints = tuple(zip(rd.simple_roots, need))
+        two_rho = rd.two_rho
         best, best_h = None, None
-        from itertools import product
         for cand in product(range(-radius, radius + 1), repeat=rd.rank):
-            if all(dot(cand, a) >= c for a, c in zip(rd.simple_roots, need)):
-                hgt = dot(cand, rd.two_rho)
-                if best is None or hgt < best_h:
-                    best, best_h = cand, hgt
+            hgt = sum(map(mul, cand, two_rho))
+            if best is not None and hgt >= best_h:
+                continue
+            for a, c in constraints:
+                if sum(map(mul, cand, a)) < c:
+                    break
+            else:
+                best, best_h = cand, hgt
         if best is not None:
-            return tuple(best)
+            return best
     # always-valid fallback: clear denominators of the rational solution
     if sol is not None:
         d = 1

@@ -79,7 +79,7 @@ class RootDatum:
     def __init__(self, family: str, rank: int = 0, simple_roots: tuple = (),
                  simple_coroots: tuple = (), pos_roots: tuple = (),
                  pos_coroots: tuple = (), two_rho: tuple = (),
-                 pos_root_coords: tuple = ()):
+                 pos_root_coords: tuple = (), root_reflections=None):
         # roots are character vectors, coroots coweight vectors, and
         # pos_root_coords the positive roots' coordinates in the simple roots
         self.__dict__.update(
@@ -87,6 +87,8 @@ class RootDatum:
             simple_coroots=simple_coroots, pos_roots=pos_roots,
             pos_coroots=pos_coroots, two_rho=two_rho,
             pos_root_coords=pos_root_coords)
+        if root_reflections is not None:
+            self.__dict__["root_reflections"] = root_reflections
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a RootDatum")
@@ -142,6 +144,14 @@ class RootDatum:
         """C[i][j] = <a_i^vee, a_j>."""
         return tuple(tuple(dot(av, a) for a in self.simple_roots)
                      for av in self.simple_coroots)
+
+    @cached_property
+    def root_reflections(self):
+        """root -> (s_1(root), ..., s_m(root)) over every root, positive and
+        negative: the root closure's record, passed in by the build
+        functions and recomputed only for a datum constructed without it.
+        A function of the simple (co)roots, so outside the equality key."""
+        return _close_roots(self.simple_roots, self.simple_coroots)[1]
 
     @cached_property
     def components(self):
@@ -242,22 +252,37 @@ class RootDatum:
 
 
 def _close_roots(simple_roots, simple_coroots):
-    """root -> (coroot, simple-root coordinates), closing the simple roots
-    under simple reflections: s_i subtracts <a_i^vee, a> from coordinate i."""
+    """(root -> (coroot, simple-root coordinates), root -> reflections),
+    closing the simple roots under the simple reflections.
+
+    s_i(a) = a - <a_i^vee, a> a_i subtracts <a_i^vee, a> from coordinate i.
+    Every root is on the frontier once, so the closure meets every
+    (root, simple reflection) pair once and records s_i(a) as entry i of
+    the root's reflections: `a` itself, no new tuple, when
+    <a_i^vee, a> = 0.  These are the one source of the Weyl group's action
+    on the roots (:class:`iwahecke.weyl.IndexedWeyl` reads its root
+    permutations from them)."""
     m = len(simple_roots)
+    simple = tuple(zip(range(m), simple_roots, simple_coroots))
     pairs = {a: (av, tuple(int(j == i) for j in range(m)))
-             for i, (a, av) in enumerate(zip(simple_roots, simple_coroots))}
+             for i, a, av in simple}
+    reflections = {}
     frontier = list(pairs)
     while frontier:
         new = []
         for a in frontier:
             av, coords = pairs[a]
-            for i, (ai, avi) in enumerate(zip(simple_roots, simple_coroots)):
+            images = []
+            for i, ai, avi in simple:
                 c = dot(avi, a)
-                ra = tuple(x - c * y for x, y in zip(a, ai))
+                if not c:
+                    images.append(a)
+                    continue
+                ra = tuple([x - c * y for x, y in zip(a, ai)])
+                images.append(ra)
                 if ra not in pairs:
                     d = dot(av, ai)
-                    rav = tuple(x - d * y for x, y in zip(av, avi))
+                    rav = tuple([x - d * y for x, y in zip(av, avi)])
                     rc = coords[:i] + (coords[i] - c,) + coords[i + 1:]
                     pairs[ra] = (rav, rc)
                     new.append(ra)
@@ -265,8 +290,9 @@ def _close_roots(simple_roots, simple_coroots):
                         raise RootDatumError(
                             "root closure exceeds bound; Cartan matrix is "
                             "not of finite type")
+            reflections[a] = tuple(images)
         frontier = new
-    return pairs
+    return pairs, reflections
 
 
 def _validate_and_build(family, rank, simple_roots, simple_coroots):
@@ -295,7 +321,8 @@ def _validate_and_build(family, rank, simple_roots, simple_coroots):
         raise RootDatumError("simple roots are linearly dependent")
 
     pos = []
-    for a, (av, coords) in _close_roots(simple_roots, simple_coroots).items():
+    pairs, reflections = _close_roots(simple_roots, simple_coroots)
+    for a, (av, coords) in pairs.items():
         if all(x >= 0 for x in coords):
             pos.append((sum(coords), a, av, coords))
         elif not all(x <= 0 for x in coords):
@@ -308,7 +335,7 @@ def _validate_and_build(family, rank, simple_roots, simple_coroots):
 
     return RootDatum(family, rank, simple_roots, simple_coroots, pos_roots,
                      tuple(p[2] for p in pos), two_rho,
-                     tuple(p[3] for p in pos))
+                     tuple(p[3] for p in pos), reflections)
 
 
 def _check_root_count(name, count):

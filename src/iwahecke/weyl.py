@@ -11,6 +11,15 @@ and root_image[u], the ids of the roots u(alpha), a negative root's id
 being at least npos.  An element acts on a coweight by folding the simple
 reflections v -> v - <a_i, v> a_i^vee over its word.
 
+Every table comes from the root closure's record of s_i(alpha)
+(`RootDatum.root_reflections`), read once as one permutation of the root
+ids per simple reflection; nothing here pairs a root with a coroot.  The
+enumeration forms the root images of u s_i only for an ascent, as a bytes
+string translated through that permutation, and sets u s_i and (u s_i) s_i
+= u together.  The left rows and the inverses then follow in index order
+from the element one level down, and `reflection_index` unwinds
+s_alpha = s_i s_{s_i alpha} s_i down to a simple root.
+
 >>> from iwahecke.rootdata import build_root_datum
 >>> w = IndexedWeyl(build_root_datum("GL", 3))
 >>> w.size
@@ -51,64 +60,78 @@ class IndexedWeyl:
     """Fully enumerated finite Weyl group with lookup tables."""
 
     def __init__(self, rd: RootDatum):
-        if weyl_order(rd) > _MAX_GROUP:
+        size = weyl_order(rd)
+        if size > _MAX_GROUP:
             raise RootDatumError("finite Weyl group too large")
         self.rd = rd
         m = rd.n_simple
 
         # Root ids: roots[k] (coroots[k]) is the k-th positive root (coroot)
         # for k < npos and the negative of root (coroot) k - npos above.
-        # s_i^T permutes them: alpha -> alpha - <alpha, a_i^vee> a_i.
+        # s_i^T permutes them, alpha -> alpha - <alpha, a_i^vee> a_i, as the
+        # root closure recorded: root_perm[i][k] is the id of s_i(roots[k]).
         self.npos = npos = len(rd.pos_roots)
         self.roots = tuple(rd.pos_roots) + tuple(
             tuple(-x for x in a) for a in rd.pos_roots)
         self.coroots = tuple(rd.pos_coroots) + tuple(
             tuple(-x for x in av) for av in rd.pos_coroots)
-        self.root_id = {a: k for k, a in enumerate(self.roots)}
-        root_perm = [self._root_reflection(av, a)
-                     for av, a in zip(rd.simple_coroots, rd.simple_roots)]
+        self.root_id = root_id = {a: k for k, a in enumerate(self.roots)}
+        reflections = rd.root_reflections
+        self._root_perm = root_perm = tuple(zip(*[
+            [root_id[b] for b in reflections[a]] for a in self.roots]))
 
         # breadth-first enumeration; level order gives the length function.
-        # bfs_word[w] is a reduced word of w, and images[w] lists the ids of
-        # w^{-1}(alpha) = w^T(alpha) over the positive roots alpha: a
-        # faithful key, since the Cartan matrix of finite type is
-        # nondegenerate.  Level order is index order, so rrow[i][w] = w s_i
-        # is appended for w = 0, 1, 2, ... in turn.
-        images = [tuple(range(npos))]
-        self._by_image = by_image = {images[0]: 0}
-        length = [0]
-        rrow = [[] for _ in range(m)]
-        bfs_word = [()]
+        # images[w] lists the ids of w^{-1}(alpha) = w^T(alpha) over the
+        # positive roots alpha: a faithful key, since the Cartan matrix of
+        # finite type is nondegenerate.  It is a bytes string, so that
+        # images[u s_i] is images[u] translated through s_i's permutation in
+        # one call: a group within _MAX_GROUP has fewer than 50 positive
+        # roots, so every id fits in a byte.  Reaching w = u s_i from u sets
+        # rrow[i][u] = w and rrow[i][w] = u, so a row entry still None when
+        # its element leaves the frontier is an ascent, the only case that
+        # forms an image; w records u and i.
+        tables = [bytes(perm) + bytes(256 - 2 * npos) for perm in root_perm]
+        images = [bytes(range(npos))]
+        by_image = {images[0]: 0}
+        length, parent, letter = [0], [0], [0]
+        rrow = [[None] * size for _ in range(m)]
         frontier = [0]
         while frontier:
             new = []
-            for w in frontier:
-                img = images[w]
-                for i in range(m):
-                    p = tuple(map(root_perm[i].__getitem__, img))
-                    j = by_image.get(p)
-                    if j is None:
-                        j = len(images)
-                        by_image[p] = j
+            for u in frontier:
+                img = images[u]
+                for i, row in enumerate(rrow):
+                    if row[u] is not None:
+                        continue
+                    p = img.translate(tables[i])
+                    w = by_image.get(p)
+                    if w is None:
+                        w = by_image[p] = len(images)
                         images.append(p)
-                        length.append(length[w] + 1)
-                        bfs_word.append(bfs_word[w] + (i,))
-                        new.append(j)
-                    rrow[i].append(j)
+                        length.append(length[u] + 1)
+                        parent.append(u)
+                        letter.append(i)
+                        new.append(w)
+                    row[u] = w
+                    row[w] = u
             frontier = new
+        del by_image
 
         self.size = len(images)
         self.length = tuple(length)
         self.rrow = rrow = tuple(map(tuple, rrow))
-        # w^{-1} is the product of the reversed word; s_i w = (w^{-1} s_i)^{-1}
-        inv = []
-        for bw in bfs_word:
-            u = 0
-            for i in reversed(bw):
-                u = rrow[i][u]
-            inv.append(u)
-        self.inv = inv = tuple(inv)
-        self.lrow = lrow = tuple(tuple([inv[r[u]] for u in inv]) for r in rrow)
+        # for w = u s_j: s_i w = (s_i u) s_j and w^{-1} = s_j u^{-1}, both
+        # one level down from w, so reached before it
+        lrow = [[r[0]] * self.size for r in rrow]  # s_i e = e s_i
+        inv = [0] * self.size
+        for w in range(1, self.size):
+            u, j = parent[w], letter[w]
+            rj = rrow[j]
+            for row in lrow:
+                row[w] = rj[row[u]]
+            inv[w] = lrow[j][inv[u]]
+        self.inv = tuple(inv)
+        self.lrow = lrow = tuple(map(tuple, lrow))
         self.gen_index = tuple(r[0] for r in rrow)
         self.longest = max(range(self.size), key=lambda w: self.length[w])
 
@@ -125,17 +148,9 @@ class IndexedWeyl:
 
         # root_image[w][a] = images[w^{-1}][a] is the id of w(alpha_a), a
         # negative root exactly when the id is at least npos
-        self.root_image = tuple(images[u] for u in inv)
-
-    def _root_reflection(self, coroot, root):
-        """Ids of alpha - <alpha, coroot> root over the roots alpha (the
-        closure of the roots guarantees every image is a root)."""
-        ids = []
-        for a in self.roots:
-            p = sum(x * y for x, y in zip(a, coroot))
-            ids.append(self.root_id[tuple(x - p * y
-                                           for x, y in zip(a, root))])
-        return ids
+        for u, img in enumerate(images):
+            images[u] = tuple(img)
+        self.root_image = tuple([images[u] for u in inv])
 
     def apply(self, w: int, vec):
         """w(vec): the simple reflections of w's word, last letter first."""
@@ -150,11 +165,26 @@ class IndexedWeyl:
             w1 = rrow[i][w1]
         return w1
 
-    def reflection_index(self, coroot, root) -> int:
-        """Index of the reflection with the given (co)root pair, keyed (as
-        its own inverse) by its images of the positive roots."""
-        key = self._root_reflection(coroot, root)[:self.npos]
-        return self._by_image[tuple(key)]
+    def reflection_index(self, root) -> int:
+        """Index of the reflection s_alpha of a root alpha (or -alpha): for
+        a simple a_i that lowers alpha's height, s_alpha = s_i s_beta s_i
+        with beta = s_i(alpha), down to a simple root.  Positive roots are
+        listed by height, so s_i lowers alpha exactly when it lowers the
+        id, and sends the simple root a_i alone to its negative."""
+        npos, perms, rrow = self.npos, self._root_perm, self.rrow
+        r = self.root_id[tuple(root)] % npos
+        outer = []
+        while True:
+            for i, perm in enumerate(perms):
+                if perm[r] == r + npos:
+                    w = rrow[i][0]
+                    for j in reversed(outer):
+                        w = self.lrow[j][rrow[j][w]]
+                    return w
+                if perm[r] < r:
+                    outer.append(i)
+                    r = perm[r]
+                    break
 
     def element(self, w: int) -> "FiniteWeylElement":
         if not isinstance(w, int) or not 0 <= w < self.size:

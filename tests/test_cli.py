@@ -227,7 +227,8 @@ def test_zmu_golden(tmp_path):
 def test_zmu_golden_non_minuscule(tmp_path):
     # theta route only: the closed formula does not apply to these mu
     for group, mu, name in (("GL:3", "2,1,0", "golden_zmu_gl3_210.json"),
-                            ("Sp:4", "1,1", "golden_zmu_sp4_11.json")):
+                            ("Sp:4", "1,1", "golden_zmu_sp4_11.json"),
+                            ("GSp:6", "1,1,1,1", "golden_zmu_gsp6_1111.json")):
         rc, data = run(tmp_path, "zmu", "--group", group, "--mu", mu)
         assert rc == 0
         assert data == (DATA / name).read_bytes(), name
@@ -503,6 +504,8 @@ GOLDEN_RUNS = [
      None),
     (("zmu", "--group", "Sp:4", "--mu", "1,1"), "golden_zmu_sp4_11.json",
      None),
+    (("zmu", "--group", "GSp:6", "--mu", "1,1,1,1"),
+     "golden_zmu_gsp6_1111.json", None),
     (("zmu", "--group", "GL:3", "--mu", "2,1,0", "--levi", "2"),
      "golden_zmu_gl3_210_levi2.json", None),
     (("zmu", "--group", "GSp:4", "--mu", "1,1,1", "--levi", "1"),
@@ -611,7 +614,7 @@ def test_dumps_refuses_what_json_dumps_refuses():
 
 def test_dumps_matches_json_dumps_on_goldens():
     names = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(names) == 10
+    assert len(names) == 11
     for name in names:
         text = (DATA / name).read_text()
         obj = json.loads(text)

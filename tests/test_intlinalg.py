@@ -44,3 +44,27 @@ def test_solve_underdetermined():
 
 def test_dot():
     assert dot((1, 2, 3), (4, 5, 6)) == 32
+
+
+def test_solve_underdetermined_matches_fraction_elimination():
+    # random m x n systems, m <= n, against Gauss-Jordan on Fractions; a
+    # third get a last row that repeats a combination of the others with
+    # its target moved off, so they have no solution, and zero rows and
+    # columns come up too
+    from oracles import solve_by_fractions
+    rng = random.Random(7)
+    inconsistent = 0
+    for trial in range(600):
+        m = rng.randint(1, 4)
+        n = rng.randint(m, 5)
+        rows = [[rng.choice((0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n)]
+                for _ in range(m)]
+        target = [rng.randint(-5, 5) for _ in range(m)]
+        if m > 1 and trial % 3 == 0:
+            f = [rng.randint(-2, 2) for _ in range(m - 1)]
+            rows[-1] = [sum(c * r[j] for c, r in zip(f, rows)) for j in range(n)]
+            target[-1] = sum(c * t for c, t in zip(f, target)) + rng.choice((0, 1))
+        want = solve_by_fractions(rows, target)
+        assert solve_underdetermined(rows, target) == want, (rows, target)
+        inconsistent += want is None
+    assert inconsistent > 50

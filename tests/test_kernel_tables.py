@@ -6,7 +6,9 @@ them, checked against plain action-matrix products.
 breadth-first search multiplying full matrices, inverses by iterated powers,
 the per-generator left and right rows by matrix products, root images by
 applying the dual matrices and root signs by applying transposed
-matrices.  The group itself keeps no matrices, so its `apply` is checked on a basis
+matrices.  A datum constructed directly, without the root closure's
+record of the reflections, must give the same tables as a built one.
+The group itself keeps no matrices, so its `apply` is checked on a basis
 against the oracle's, and its reflection lookup against the oracle's
 matrix-keyed index.  The kernel's element operations are checked one by
 one on random elements against the same products and `kernel.length`, with the affine
@@ -21,6 +23,8 @@ of its orbit sum, is checked against the sum of the orbit's theta_la.
 Centrality, one packed commutator per generator, is checked against whole
 products compared, and the product with b packed once against one T_x b
 per term of a.
+The dominant cover behind theta_lam is checked against a Fraction solve
+and a search that tests every constraint at every point of its box.
 Adm(mu), built from inversion sets, is checked against the letter-deletion
 walk, and R-polynomials against the T-basis expansion of (T_{y^{-1}})^{-1}.
 The same walk from other tops is checked as well: from n_mu against letter
@@ -42,14 +46,14 @@ from iwahecke.hecke import _dominant_cover
 from iwahecke.intlinalg import dot
 from iwahecke.klpoly import RPolynomials, q_poly_to_v
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
-from iwahecke.rootdata import (RootDatumError, build_root_datum, is_minuscule,
-                               load_root_datum, weyl_orbit)
+from iwahecke.rootdata import (RootDatum, RootDatumError, build_root_datum,
+                               is_minuscule, load_root_datum, weyl_orbit)
 from iwahecke.weyl import IndexedWeyl
 
 from conftest import DATA
 from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
-                     fold_by_letters, interval_below_by_deletion,
-                     is_central_by_products, multiply_by_t_times,
+                     dominant_cover_by_search, fold_by_letters,
+                     interval_below_by_deletion, is_central_by_products, multiply_by_t_times,
                      parahoric_admissible_set_by_products,
                      parahoric_subgroup_by_products, random_hecke_element,
                      right_descent)
@@ -151,11 +155,13 @@ def oracle_tables(rd):
                 word[w] = (i,) + word[u]
                 break
     pos = set(rd.pos_roots)
-    root_sign = [tuple(1 if _mat_apply(_transpose(mt), a) in pos else -1
-                       for a in rd.pos_roots) for mt in mats]
+    transposed = [_transpose(mt) for mt in mats]
+    root_sign = [tuple(1 if _mat_apply(mt, a) in pos else -1
+                       for a in rd.pos_roots) for mt in transposed]
     # w acts on a character (row vector) by multiplying with w^{-1}
-    root_image = [tuple(root_id[_mat_apply(_transpose(_mat_inverse(mt)), a)]
-                        for a in rd.pos_roots) for mt in mats]
+    dual = [_transpose(_mat_inverse(mt)) for mt in mats]
+    root_image = [tuple(root_id[_mat_apply(mt, a)] for a in rd.pos_roots)
+                  for mt in dual]
     return {
         "mats": mats, "index": index, "length": length,
         "rrow": [tuple(r[i] for r in rmul) for i in range(m)],
@@ -166,7 +172,7 @@ def oracle_tables(rd):
     }
 
 
-@CASES
+@pytest.mark.parametrize("case", GROUPS + CONFIGS + [("GL", 6)], ids=_ids)
 def test_weyl_tables_match_matrix_products(case):
     rd = _datum(case)
     want = oracle_tables(rd)
@@ -183,7 +189,8 @@ def test_weyl_tables_match_matrix_products(case):
     for w, mat in enumerate(want["mats"]):
         assert _transpose([got.apply(w, e) for e in basis]) == mat
     for a, av in zip(rd.pos_roots, rd.pos_coroots):
-        assert (got.reflection_index(av, a)
+        assert (got.reflection_index(a)
+                == got.reflection_index(tuple(-x for x in a))
                 == want["index"][_reflection(av, a)])
     assert tuple(got.gen_index) == want["gen_index"]
     assert got.length[got.longest] == max(want["length"])
@@ -191,6 +198,34 @@ def test_weyl_tables_match_matrix_products(case):
         for w2 in range(0, got.size, max(1, got.size // 7)):
             prod = _mat_mul(want["mats"][w1], want["mats"][w2])
             assert got.mul(w1, w2) == want["index"][prod]
+
+
+@CASES
+def test_datum_built_directly_gets_the_same_tables(case):
+    # a RootDatum constructed without the root closure's record recomputes
+    # it, and the Weyl group tables read from it come out the same
+    rd = _datum(case)
+    bare = RootDatum(rd.family, rd.rank, rd.simple_roots, rd.simple_coroots,
+                     rd.pos_roots, rd.pos_coroots, rd.two_rho,
+                     rd.pos_root_coords)
+    assert "root_reflections" not in vars(bare)
+    assert bare.root_reflections == rd.root_reflections
+    assert len(rd.root_reflections) == 2 * len(rd.pos_roots)
+    got, want = IndexedWeyl(bare), IndexedWeyl(rd)
+    for name in ("size", "length", "rrow", "lrow", "inv", "word",
+                 "root_image", "gen_index", "longest"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@CASES
+def test_dominant_cover_matches_exhaustive_search(case):
+    # every need in {0..3}^m against the Fraction solve and the search that
+    # evaluates every constraint at every point of the box
+    rd = _datum(case)
+    for need in product(range(4), repeat=rd.n_simple):
+        lam2 = _dominant_cover(rd, need)
+        assert lam2 == dominant_cover_by_search(rd, need), need
+        assert all(dot(lam2, a) >= c for a, c in zip(rd.simple_roots, need))
 
 
 @CASES
