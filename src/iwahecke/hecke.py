@@ -54,12 +54,11 @@ True
 
 from __future__ import annotations
 
-from itertools import product
-from math import gcd
+from heapq import heappop, heappush
 from operator import add, mul
 
 from .affine import AffineWeylElement, AffineWeylGroup
-from .intlinalg import dot, solve_underdetermined
+from .intlinalg import dot, hermite_basis, reduce_mod_lattice
 from .laurent import ONE, CoefficientMap, LaurentPoly
 from .rootdata import RootDatumError, _check_rank, _same_datum, weyl_orbit
 
@@ -510,38 +509,42 @@ def _element(W, t, w, ln) -> AffineWeylElement:
 
 
 def _dominant_cover(rd, need) -> tuple:
-    """A lattice vector lam2 with <lam2, a_i> >= need[i] >= 0 for every simple
-    root a_i (so dominant), preferring small <lam2, 2 rho>."""
-    # exact fundamental-coweight combination when it is integral
-    sol = solve_underdetermined(rd.simple_roots, need)
-    if sol is not None and all(x.denominator == 1 for x in sol):
-        return tuple(int(x) for x in sol)
-    # small-rank exhaustive search: the first candidate, in product order, of
-    # least <lam2, 2 rho>; one that cannot beat the best so far, or fails a
-    # constraint, is dropped at that test
-    if rd.rank <= 4:
-        radius = max(need) + 1
-        constraints = tuple(zip(rd.simple_roots, need))
-        two_rho = rd.two_rho
-        best, best_h = None, None
-        for cand in product(range(-radius, radius + 1), repeat=rd.rank):
-            hgt = sum(map(mul, cand, two_rho))
-            if best is not None and hgt >= best_h:
-                continue
-            for a, c in constraints:
-                if sum(map(mul, cand, a)) < c:
-                    break
-            else:
-                best, best_h = cand, hgt
-        if best is not None:
-            return best
-    # always-valid fallback: clear denominators of the rational solution
-    if sol is not None:
-        d = 1
-        for x in sol:
-            d = d * x.denominator // gcd(d, x.denominator)
-        return tuple(int(x * d) for x in sol)
-    raise RootDatumError("no dominant decomposition found")  # pragma: no cover
+    """The dominant lam2 of least <lam2, 2 rho> with <lam2, a_i> >= need[i]
+    for every simple root a_i; of those, the one whose y = (<lam2, a_i>)_i
+    is lexicographically least.
+
+    With 2 rho = sum_i k_i a_i, <lam2, 2 rho> = sum_i k_i y_i, and y runs
+    over the lattice L of all (<lam, a_i>)_i.  The HNF of the rows
+    (<e_j, a_1>, ..., <e_j, a_m>, e_j) reduces (y, 0) to the class of y in
+    Z^m / L in its first m entries, and to (0, -lam2) when y lies in L,
+    lam2 the HNF-reduced lift of y.  So the least y = need + s is a
+    shortest path from the class of need to class 0 with steps e_i of cost
+    k_i: Gomory's group relaxation, exact here since lam2 is unbounded.
+    Z^m / L is trivial for GL, GSp and adjoint data, so there the first
+    reduction ends it.
+
+    >>> from iwahecke.rootdata import build_root_datum
+    >>> _dominant_cover(build_root_datum("Sp", 6), (1, 1, 1))
+    (3, 2, 1)
+    """
+    m, rank = rd.n_simple, rd.rank
+    k = [sum(c[i] for c in rd.pos_root_coords) for i in range(m)]
+    hnf = hermite_basis([col + (0,) * j + (1,) + (0,) * (rank - 1 - j)
+                         for j, col in enumerate(zip(*rd.simple_roots))])
+    pad = (0,) * rank
+    # Dijkstra over the classes, keyed by (height, y): the first y popped
+    # in class 0 is the least
+    heap, seen = [(dot(k, need), tuple(need))], set()
+    while True:
+        hgt, y = heappop(heap)
+        r = reduce_mod_lattice(y + pad, hnf)
+        cls = r[:m]
+        if not any(cls):
+            return tuple(-x for x in r[m:])
+        if cls not in seen:
+            seen.add(cls)
+            for i, ki in enumerate(k):
+                heappush(heap, (hgt + ki, y[:i] + (y[i] + 1,) + y[i + 1:]))
 
 
 # -- operation-name wrappers ----------------------------------------------------

@@ -1,20 +1,16 @@
 """
-Tiny exact linear algebra over Z and Q used by the root-datum layer.
+Tiny exact linear algebra over Z used by the root-datum and Hecke layers.
 
 Everything here operates on tuples of Python ints; matrices are tuples of
-row tuples.  Only the solution of a linear system over Q has Fraction
-entries, each made by one division at the end.  Sizes are the rank of a
-root datum (<= 8ish), so no attention is paid to asymptotics.
+row tuples.  Sizes are the rank of a root datum (<= 8ish), so no attention
+is paid to asymptotics.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from operator import mul
 
-__all__ = ["hermite_basis", "reduce_mod_lattice", "solve_underdetermined",
-           "dot"]
+__all__ = ["hermite_basis", "reduce_mod_lattice", "dot"]
 
 
 def dot(a, b) -> int:
@@ -74,50 +70,3 @@ def reduce_mod_lattice(vec, hnf_rows):
             for j in range(len(v)):
                 v[j] -= f * row[j]
     return tuple(v)
-
-
-def solve_underdetermined(rows, target):
-    """One exact solution x of (rows) @ x = target over Q, or None.
-
-    `rows` has m rows of length n with m <= n; free variables are set to 0.
-    Gauss-Jordan elimination runs over the integers: a row is cleared in a
-    pivot column by scaling it by pivot / g and subtracting entry / g times
-    the pivot row, g = gcd(pivot, entry), so every entry stays an integer.
-    One division per pivot, its row's right-hand side over the pivot,
-    makes the Fraction entries of x.
-
-    >>> solve_underdetermined([[2, 1], [0, 3]], (1, 1))
-    (Fraction(1, 3), Fraction(1, 3))
-    >>> solve_underdetermined([[1, 1], [2, 2]], (1, 3)) is None
-    True
-    """
-    m = len(rows)
-    if m == 0:
-        return ()
-    n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, target)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        prow = aug[r]
-        pv = prow[c]
-        for i, row in enumerate(aug):
-            f = row[c]
-            if i != r and f:
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                aug[i] = [a * x - b * y for x, y in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(row[n] for row in aug[r:]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(aug, pivots):
-        x[c] = Fraction(row[n], row[c])
-    return tuple(x)

@@ -13,9 +13,9 @@ coset sum through full 2x2 products.  The Kottwitz grading reads
 Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
 matrix instead of its Hermite normal form.  The Bernstein isomorphism sums
 one theta_la per coweight of the support instead of one z_mu per orbit.
-A linear system over Q is solved on Fraction entries throughout, and the
-dominant cover of `hecke._dominant_cover` by evaluating every constraint
-at every point of its search box.
+The least dominant cover of `hecke._dominant_cover` comes from a search
+of a box of pairings, each tested for membership in the pairing lattice
+through a Smith normal form instead of an HNF reduction.
 Hecke folds go one letter at a time in Laurent-polynomial arithmetic
 instead of over a whole word on packed integer coefficients; centrality
 compares whole products T_s h and h T_s instead of one packed commutator
@@ -25,7 +25,7 @@ its Omega part by element products, instead of one packing of b.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import prod
 
 from iwahecke.deeplevel import scholze_z
 from iwahecke.rootdata import weyl_orbit
@@ -192,65 +192,6 @@ def bernstein_iso_by_theta(f, W):
         for x, p in H.theta(la).terms.items():
             accumulate(out, x, c * p)
     return HeckeElement(H, out)
-
-
-def solve_by_fractions(rows, target):
-    """One solution x of (rows) @ x = target over Q, free variables 0, or
-    None: Gauss-Jordan elimination on Fraction entries, each pivot row
-    divided through by its pivot before it clears its column."""
-    m = len(rows)
-    if m == 0:
-        return ()
-    n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(rows, target)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][n] for i in range(r, m)):
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return tuple(x)
-
-
-def dominant_cover_by_search(rd, need):
-    """A dominant lam2 with <lam2, a_i> >= need[i]: the integral solution
-    of <lam2, a_i> = need[i] by `solve_by_fractions` when there is one; else,
-    for rank <= 4, the first point of least <lam2, 2 rho> in product order
-    over the box [-r, r]^rank, r = max(need) + 1, with every constraint
-    evaluated at every point; else the rational solution with its
-    denominators cleared."""
-    sol = solve_by_fractions(rd.simple_roots, need)
-    if sol is not None and all(x.denominator == 1 for x in sol):
-        return tuple(int(x) for x in sol)
-    if rd.rank <= 4:
-        radius = max(need) + 1
-        best, best_h = None, None
-        for cand in product(range(-radius, radius + 1), repeat=rd.rank):
-            ok = [sum(x * y for x, y in zip(cand, a)) >= c
-                  for a, c in zip(rd.simple_roots, need)]
-            hgt = sum(x * y for x, y in zip(cand, rd.two_rho))
-            if all(ok) and (best is None or hgt < best_h):
-                best, best_h = cand, hgt
-        if best is not None:
-            return best
-    d = lcm(*[x.denominator for x in sol])
-    return tuple(int(x * d) for x in sol)
 
 
 def right_descent(k, t, w, g):
@@ -515,3 +456,28 @@ def smith_omega_grading(rd):
     col = [row[free_cols[0]] for row in v]
     sign = 1 if next(x for x in col if x) > 0 else -1
     return True, lambda vec: sign * sum(x * y for x, y in zip(vec, col))
+
+
+def least_dominant_cover(rd, need):
+    """(least <lam2, 2 rho>, its y) over coweights lam2 with y_i =
+    <lam2, a_i> >= need[i]; of several y at that height, the
+    lexicographically least.
+
+    y runs over need + [0, N)^m, N = |Z^m / L| for the lattice L of
+    pairings (<lam, a_i>)_i: N kills Z^m / L, so a step s_i >= N could drop
+    N e_i and stay in L at lower height.  Membership in L is read off the
+    Smith form of the rows (<e_j, a_1>, ..., <e_j, a_m>), and the height is
+    sum_i k_i y_i with 2 rho = sum_i k_i a_i."""
+    m = rd.n_simple
+    diag, v = smith_normal_form(list(zip(*rd.simple_roots)), m)
+    assert len(diag) == m  # the simple roots are independent
+    k = [sum(c[i] for c in rd.pos_root_coords) for i in range(m)]
+    best = None
+    for s in product(range(prod(diag)), repeat=m):
+        y = tuple(a + b for a, b in zip(need, s))
+        yv = [sum(y[i] * v[i][t] for i in range(m)) for t in range(m)]
+        if all(x % d == 0 for x, d in zip(yv, diag)):
+            cand = (sum(a * b for a, b in zip(k, y)), y)
+            if best is None or cand < best:
+                best = cand
+    return best

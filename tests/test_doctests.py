@@ -1,19 +1,24 @@
 import doctest
+import importlib
 import re
 from pathlib import Path
 
 import iwahecke
-import iwahecke.affine
-import iwahecke.hecke
-import iwahecke.laurent
-import iwahecke.rootdata
-import iwahecke.series
-import iwahecke.weyl
+
+
+def _modules_with_examples():
+    # every module of the package whose source holds an example
+    for path in sorted(Path(iwahecke.__file__).parent.glob("*.py")):
+        if ">>>" in path.read_text(encoding="utf-8"):
+            name = "iwahecke" if path.stem == "__init__" else \
+                f"iwahecke.{path.stem}"
+            yield importlib.import_module(name)
 
 
 def test_module_doctests():
-    for mod in (iwahecke, iwahecke.laurent, iwahecke.affine, iwahecke.hecke,
-                iwahecke.rootdata, iwahecke.series, iwahecke.weyl):
+    mods = list(_modules_with_examples())
+    assert iwahecke.hecke in mods
+    for mod in mods:
         result = doctest.testmod(mod, verbose=False)
         assert result.failed == 0, mod.__name__
         assert result.attempted > 0, mod.__name__

@@ -23,8 +23,9 @@ of its orbit sum, is checked against the sum of the orbit's theta_la.
 Centrality, one packed commutator per generator, is checked against whole
 products compared, and the product with b packed once against one T_x b
 per term of a.
-The dominant cover behind theta_lam is checked against a Fraction solve
-and a search that tests every constraint at every point of its box.
+The dominant cover behind theta_lam, a shortest path over classes of
+pairings, is checked to have the least height over a box of pairings whose
+lattice membership a Smith normal form decides.
 Adm(mu), built from inversion sets, is checked against the letter-deletion
 walk, and R-polynomials against the T-basis expansion of (T_{y^{-1}})^{-1}.
 The same walk from other tops is checked as well: from n_mu against letter
@@ -36,6 +37,7 @@ against the product set W_J Adm(mu) W_J.
 import random
 import re
 from itertools import combinations, product
+from operator import ge
 
 import pytest
 
@@ -52,8 +54,9 @@ from iwahecke.weyl import IndexedWeyl
 
 from conftest import DATA
 from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
-                     dominant_cover_by_search, fold_by_letters,
-                     interval_below_by_deletion, is_central_by_products, multiply_by_t_times,
+                     fold_by_letters, interval_below_by_deletion,
+                     is_central_by_products, least_dominant_cover,
+                     multiply_by_t_times,
                      parahoric_admissible_set_by_products,
                      parahoric_subgroup_by_products, random_hecke_element,
                      right_descent)
@@ -219,13 +222,73 @@ def test_datum_built_directly_gets_the_same_tables(case):
 
 @CASES
 def test_dominant_cover_matches_exhaustive_search(case):
-    # every need in {0..3}^m against the Fraction solve and the search that
-    # evaluates every constraint at every point of the box
+    # every need in {0..3}^m: the cover meets its constraints, and its
+    # height and pairings are the least over the box that
+    # `least_dominant_cover` searches
     rd = _datum(case)
     for need in product(range(4), repeat=rd.n_simple):
         lam2 = _dominant_cover(rd, need)
-        assert lam2 == dominant_cover_by_search(rd, need), need
-        assert all(dot(lam2, a) >= c for a, c in zip(rd.simple_roots, need))
+        y = tuple(dot(lam2, a) for a in rd.simple_roots)
+        assert all(map(ge, y, need)), need
+        assert (dot(lam2, rd.two_rho), y) == least_dominant_cover(rd, need), need
+
+
+@pytest.mark.parametrize("case, need, height", [
+    (("Sp", 6), (1, 1, 1), 28), (("Sp", 4), (3, 3), 24),
+    (("GSp", 8), (1, 1, 1, 1), 50), (("GSp", 8), (0, 0, 0, 1), 10),
+    (("Sp", 8), (1, 1, 1, 1), 60), (("SL", 6), (1, 1, 1, 1, 1), 44)],
+    ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_dominant_cover_heights(case, need, height):
+    # least heights on data past GROUPS, and on two needs of the box where
+    # a cover once came out up to twice as long
+    rd = build_root_datum(*case)
+    lam2 = _dominant_cover(rd, need)
+    assert dot(lam2, rd.two_rho) == height
+    assert least_dominant_cover(rd, need)[0] == height
+
+
+def _cfg_datum(tmp_path, name, roots, coroots):
+    def block(rows):
+        return "".join(" ".join(map(str, r)) + "\n" for r in rows)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"name {name}\nrank {len(coroots[0])}\nsimple_roots\n"
+                   f"{block(roots)}end\nsimple_coroots\n{block(coroots)}end\n")
+    return load_root_datum(cfg)
+
+
+def test_dominant_cover_tie_break(tmp_path):
+    # the lift of y is the HNF-reduced one, so GL's first coordinate is 0
+    gl3 = build_root_datum("GL", 3)
+    assert _dominant_cover(gl3, (2, 2)) == (0, -2, -4)
+    assert _dominant_cover(build_root_datum("Sp", 6), (1, 1, 1)) == (3, 2, 1)
+    assert _dominant_cover(build_root_datum("GSp", 8), (1, 1, 1, 1)) == (
+        0, -1, -2, -3, -7)
+    # SO(4): y = (2, 0) and (1, 1) both cover need (1, 0) at height 2, and
+    # the lexicographically least y wins
+    so4 = _cfg_datum(tmp_path, "so4", [(1, -1), (1, 1)], [(1, -1), (1, 1)])
+    assert least_dominant_cover(so4, (1, 0)) == (2, (1, 1))
+    assert _dominant_cover(so4, (1, 0)) == (1, 0)
+
+
+def test_dominant_cover_weighs_its_steps(tmp_path):
+    # cocharacters of GL(6) with coordinate sum divisible by 3, in the basis
+    # e1-e2, ..., e5-e6, 3 e6: Z^5 / L is Z/3 with e_i -> i mod 3, and
+    # 2 rho = 5 a1 + 8 a2 + 9 a3 + 8 a4 + 5 a5.  need (0,1,0,0,0) sits in
+    # class 2: one step e_1 (cost 5) or one step e_4 (cost 8) closes it,
+    # so a rule that counted steps, or ranked y alone, would take e_4
+    cartan = [[2 if i == j else -(abs(i - j) == 1) for j in range(5)]
+              for i in range(5)]
+    roots = [row + [0] for row in cartan]
+    roots[4][5] = -3
+    coroots = [[int(i == j) for j in range(6)] for i in range(5)]
+    rd = _cfg_datum(tmp_path, "gl6_sum3", roots, coroots)
+    for need in product(range(2), repeat=5):
+        lam2 = _dominant_cover(rd, need)
+        y = tuple(dot(lam2, a) for a in rd.simple_roots)
+        assert (dot(lam2, rd.two_rho), y) == least_dominant_cover(rd, need)
+    lam2 = _dominant_cover(rd, (0, 1, 0, 0, 0))
+    assert tuple(dot(lam2, a) for a in rd.simple_roots) == (1, 1, 0, 0, 0)
+    assert dot(lam2, rd.two_rho) == 13
 
 
 @CASES

@@ -186,3 +186,14 @@ def test_cross_oracle_gl5_omega2():
     coeffs = set(vz.terms.values())
     powers = {(1 - q) ** k for k in range(lt + 1)}
     assert not coeffs <= powers
+
+
+def test_cross_oracle_gsp8_siegel():
+    # the theta route folds over the least cover of need (1,1,1,1), of
+    # length 50
+    W = build_root_datum("GSp", 8).affine_weyl()
+    mu = (1, 1, 1, 1, 1)
+    lt = W.translation(mu).length()
+    vz = bernstein_function(W, mu).scale(LaurentPoly.v(lt))
+    assert vz == closed_form_bernstein(W, mu)
+    assert len(vz.terms) == 633
