@@ -25,7 +25,10 @@ products (``parahoric_subgroup_by_products``) and the product set
 W_J Adm(mu) W_J (``parahoric_admissible_set_by_products``), all in
 ``tests/oracles.py``.  Bruhat order and the R-polynomials of
 :mod:`iwahecke.klpoly` peel the smallest-labelled left descent off y, read
-from one cache per group, (t, w) -> (slot, s t, s w).
+from one cache per group, (t, w) -> (slot, s t, s w).  Bruhat order needs
+no memo of its own: by the lifting property each query is one loop down
+y's descents.  Reduced words, Hecke words and Omega elements come from one
+strip of smallest-labelled left descents, `AffineWeylGroup._strip`.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> W = build_root_datum("GL", 2).affine_weyl()
@@ -197,9 +200,11 @@ class OmegaElement:
 class AffineWeylGroup:
     """Context object: tables, kernel and memo caches for one root datum.
 
-    All cached values (Bruhat answers, admissible sets, Omega elements) are
-    pure functions of their keys, so concurrent readers under the GIL can at
-    worst redo an idempotent insert; results never depend on cache state.
+    The memos are the descent steps `_steps` and the admissible sets
+    `_adm`.  Their values are pure functions of their keys, so concurrent
+    readers under the GIL can at worst redo an idempotent insert; results
+    never depend on cache state.  Bruhat answers and Omega elements are
+    recomputed on each call.
     """
 
     def __init__(self, rd: RootDatum):
@@ -218,10 +223,8 @@ class AffineWeylGroup:
         zero = (0,) * rd.rank
         self._zero = zero
         self._identity = AffineWeylElement(self, zero, 0)
-        self._bruhat: dict = {}
         self._steps: dict = {}
         self._adm: dict = {}
-        self._omega_cache: dict = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -262,17 +265,22 @@ class AffineWeylGroup:
         descent is stripped.
         """
         _same_datum(self.rd, x.group.rd)
+        slots, t, _ = self._strip(x.trans, x.fin, x.length())
+        labels = self.gen_labels
+        return (tuple([labels[slot] for slot in slots]),
+                OmegaElement(self, self.rd.kappa_reduce(t)))
+
+    def _strip(self, t, w, n):
+        """(slots, t', w'): the slots of the n smallest-labelled left
+        descents stripped off (t, w) in turn, first stripped first, and the
+        element (t', w') left, of length l(t, w) - n."""
         k = self.kernel
-        t, w = x.trans, x.fin
-        word = []
-        for _ in range(x.length()):
+        slots = []
+        for _ in range(n):
             slot = self._first_descent(t, w)
-            word.append(self.gen_labels[slot])
+            slots.append(slot)
             t, w = k.lmul_gen(slot, t, w)
-        om = OmegaElement(self, self.rd.kappa_reduce(t))
-        if om.rep not in self._omega_cache:
-            self._omega_cache[om.rep] = AffineWeylElement(self, t, w)
-        return tuple(word), om
+        return slots, t, w
 
     def _first_descent(self, t, w) -> int:
         """Slot of the smallest-labelled left descent of a positive-length
@@ -285,24 +293,24 @@ class AffineWeylGroup:
             "positive-length element with no descent")
 
     def _omega_element(self, rep: tuple) -> AffineWeylElement:
-        el = self._omega_cache.get(rep)
-        if el is None:
-            # strip t_rep down to its length-zero tail
-            _, om = self.reduced_word(self.translation(rep))
-            el = self._omega_cache[rep]
-            if om.rep != rep:  # pragma: no cover
-                raise AssertionError("Kottwitz reduction is inconsistent")
-        return el
+        """The length-zero tail of t_rep, which lies in the class of rep."""
+        _, t, w = self._strip(rep, 0, self.translation(rep).length())
+        if self.rd.kappa_reduce(t) != rep:  # pragma: no cover
+            raise AssertionError("Kottwitz reduction is inconsistent")
+        return AffineWeylElement(self, t, w)
 
     def omega_of(self, vec) -> OmegaElement:
         return OmegaElement(self, self.rd.kappa_reduce(tuple(vec)))
 
     def _descent_step(self, t, w):
         """(slot, s t, s w) for the smallest-labelled left descent s of the
-        positive-length element (t, w); cached, so that the Bruhat and
-        R-polynomial recursions scan each element for it once per context."""
-        slot = self._first_descent(t, w)
-        step = self._steps[(t, w)] = (slot, *self.kernel.lmul_gen(slot, t, w))
+        positive-length element (t, w); cached, so that Bruhat order and the
+        R-polynomial recursion scan each element for it once per context."""
+        step = self._steps.get((t, w))
+        if step is None:
+            slot = self._first_descent(t, w)
+            step = self._steps[(t, w)] = (slot,
+                                          *self.kernel.lmul_gen(slot, t, w))
         return step
 
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
@@ -313,26 +321,20 @@ class AffineWeylGroup:
                                 y.trans, y.fin, y.length())
 
     def _bruhat_leq(self, tx, wx, lx, ty, wy, ly) -> bool:
-        """x <= y by peeling y's cached first descent s: for sy < y,
-        x <= y iff sx <= sy when sx < x, and x <= sy otherwise."""
-        if tx == ty and wx == wy:
-            return True
-        if lx >= ly:
-            return False
-        key = (tx, wx, ty, wy)
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
+        """x <= y by the lifting property (Bjorner-Brenti, *Combinatorics
+        of Coxeter Groups*, Prop. 2.2.7): for y's first descent s, x <= y
+        iff sx <= sy when sx < x, and x <= sy otherwise.  Each step lowers
+        l(y), so the loop runs at most l(y) times; once l(x) >= l(y),
+        x <= y iff x == y."""
         k = self.kernel
-        slot, sty, swy = (self._steps.get((ty, wy))
-                          or self._descent_step(ty, wy))
-        if k.left_descent(slot, tx, wx):
-            stx, swx = k.lmul_gen(slot, tx, wx)
-            res = self._bruhat_leq(stx, swx, lx - 1, sty, swy, ly - 1)
-        else:
-            res = self._bruhat_leq(tx, wx, lx, sty, swy, ly - 1)
-        self._bruhat[key] = res
-        return res
+        step = self._descent_step
+        while lx < ly:
+            slot, ty, wy = step(ty, wy)
+            if k.left_descent(slot, tx, wx):
+                tx, wx = k.lmul_gen(slot, tx, wx)
+                lx -= 1
+            ly -= 1
+        return tx == ty and wx == wy
 
     def admissible_set(self, mu) -> frozenset:
         """Adm(mu): the downward Bruhat closure of the translations t_la for

@@ -116,9 +116,7 @@ class HeckeAlgebra:
 
     def __init__(self, W: AffineWeylGroup):
         self.W = W
-        self._theta: dict = {}
         self._z: dict = {}
-        self._tinv: dict = {}
         self._cover: dict = {}
 
     # -- construction -------------------------------------------------------
@@ -316,12 +314,13 @@ class HeckeAlgebra:
     def _letters(self, x: AffineWeylElement):
         """(kernel slots of the reduced word of x = s_1...s_k om, last letter
         first; the raw key of om)."""
-        W = self.W
-        word, om = W.reduced_word(x)
-        return [W.label_slot[lab] for lab in reversed(word)], om.element.key
+        slots, t, w = self.W._strip(x.trans, x.fin, x.length())
+        slots.reverse()
+        return slots, (t, w)
 
     def t_times(self, x: AffineWeylElement, h: HeckeElement) -> HeckeElement:
         """T_x * h: T_omega h folded by the reduced word of x in one pass."""
+        _same_datum(self.W.rd, x.group.rd)
         return self._fold(h, True, False, [(*self._letters(x), ONE)])
 
     def multiply(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -333,10 +332,7 @@ class HeckeAlgebra:
     def t_inverse(self, x: AffineWeylElement) -> HeckeElement:
         """The inverse of the basis element T_x."""
         _same_datum(self.W.rd, x.group.rd)
-        cached = self._tinv.get(x.key)
-        if cached is None:
-            cached = self._tinv[x.key] = self._rmul_t_inverse(self.unit(), x)
-        return cached
+        return self._rmul_t_inverse(self.unit(), x)
 
     def _rmul_t_inverse(self, h: HeckeElement, x: AffineWeylElement):
         """h * T_x^{-1}: with x = s_1...s_k * omega reduced, T_x^{-1} =
@@ -352,11 +348,8 @@ class HeckeAlgebra:
         for dominant lam, else theta_{lam1} theta_{lam2}^{-1} for dominant
         lam1 = lam + lam2 and lam2, which does not depend on lam2."""
         lam = tuple(lam)
-        cached = self._theta.get(lam)
-        if cached is None:
-            _check_rank(self.W.rd, lam)
-            cached = self._theta[lam] = self._theta_sum([lam])
-        return cached
+        _check_rank(self.W.rd, lam)
+        return self._theta_sum([lam])
 
     def bernstein_function(self, mu) -> HeckeElement:
         """z_mu = sum of theta_la over the finite Weyl orbit of dominant mu."""

@@ -10,11 +10,11 @@ Omega-classes R vanishes, and for an affine simple s with sy < y,
     R_{x,y} = R_{sx,sy}                       if sx < x,
     R_{x,y} = (q-1) R_{x,sy} + q R_{sx,sy}    if sx > x.
 
-The descent s of y is its smallest-labelled one, read from the group's
-descent-step cache (``AffineWeylGroup._steps``, (t, w) -> (slot, s t, s w)),
-which `bruhat_leq` fills and reads too: each y is scanned for a descent
-once per context, however many x it is paired with.  The memo is keyed on
-the pair (x, y) and shared by every y.  The second line is formed by
+The descent s of y is its smallest-labelled one, from
+``AffineWeylGroup._descent_step``, which owns the group's descent-step
+cache ((t, w) -> (slot, s t, s w)) and serves `bruhat_leq` too: each y is
+scanned for a descent once per context, however many x it is paired
+with.  The memo is keyed on the pair (x, y) and shared by every y.  The second line is formed by
 shifting exponents, not by Laurent-polynomial products.
 
 For minuscule dominant mu the Bernstein function has the closed form
@@ -76,7 +76,7 @@ class RPolynomials:
             return cached
         W = self.W
         k = W.kernel
-        slot, sty, swy = W._steps.get((ty, wy)) or W._descent_step(ty, wy)
+        slot, sty, swy = W._descent_step(ty, wy)
         stx, swx = k.lmul_gen(slot, tx, wx)
         if k.left_descent(slot, tx, wx):
             res = self._r(stx, swx, lx - 1, sty, swy, ly - 1)

@@ -419,12 +419,14 @@ def load_root_datum(path) -> RootDatum:
         end
 
     ``simple_roots`` rows are character vectors, ``simple_coroots`` rows are
-    coweight vectors, both of length ``rank``.  The datum is validated on
-    load (finite-type Cartan matrix, consistent root closure).
+    coweight vectors, both of length ``rank``, a nonnegative int.  Each key
+    and block appears at most once.  The datum is validated on load
+    (finite-type Cartan matrix, consistent root closure).
     """
     name, rank = None, None
     blocks = {"simple_roots": [], "simple_coroots": []}
     current = None
+    seen = set()  # keys and blocks: each may appear once
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -439,19 +441,23 @@ def load_root_datum(path) -> RootDatum:
                     except ValueError:
                         raise RootDatumError(f"bad matrix row {line!r}") from None
                 continue
+            key, _, value = line.partition(" ")
+            if line not in blocks and key not in ("name", "rank"):
+                raise RootDatumError(f"unknown config key {key!r}")
+            if key in seen:
+                raise RootDatumError(f"repeated config key {key!r}")
+            seen.add(key)
             if line in blocks:
                 current = line
-                continue
-            key, _, value = line.partition(" ")
-            if key == "name":
+            elif key == "name":
                 name = value.strip()
-            elif key == "rank":
+            else:
                 try:
                     rank = int(value)
                 except ValueError:
-                    raise RootDatumError(f"bad rank {value!r}") from None
-            else:
-                raise RootDatumError(f"unknown config key {key!r}")
+                    rank = None
+                if rank is None or rank < 0:
+                    raise RootDatumError(f"bad rank {value!r}")
     if current is not None:
         raise RootDatumError(f"unterminated block {current!r}")
     if rank is None:

@@ -125,15 +125,37 @@ def interval_below_by_deletion(W, tops):
     while frontier:
         new = []
         for x in frontier:
-            word, om = W.reduced_word(x)
-            base = om.element
-            for i in range(len(word)):
-                z = W.from_word(word[:i] + word[i + 1:]) * base
+            for z in _deletions(W, x):
                 if z not in seen:
                     seen.add(z)
                     new.append(z)
         frontier = new
     return seen
+
+
+def intervals_below_by_deletion(W, ys):
+    """{y: interval_below_by_deletion(W, [y])} for every y in ys: the
+    interval below y is y and the intervals below its deletions, each
+    interval formed once."""
+    memo = {}
+
+    def below(y):
+        got = memo.get(y)
+        if got is None:
+            got = memo[y] = frozenset([y]).union(
+                *[below(z) for z in _deletions(W, y)])
+        return got
+
+    return {y: below(y) for y in ys}
+
+
+def _deletions(W, x):
+    """The elements that deleting one letter of the reduced word of x
+    gives, each evaluated from its shortened word times the Omega part."""
+    word, om = W.reduced_word(x)
+    base = om.element
+    return {W.from_word(word[:i] + word[i + 1:]) * base
+            for i in range(len(word))}
 
 
 def parahoric_subgroup_by_products(W, labels):

@@ -28,6 +28,10 @@ pairings, is checked to have the least height over a box of pairings whose
 lattice membership a Smith normal form decides.
 Adm(mu), built from inversion sets, is checked against the letter-deletion
 walk, and R-polynomials against the T-basis expansion of (T_{y^{-1}})^{-1}.
+Bruhat order is checked on every pair of admissible elements against the
+intervals letter deletion gives; one descent strip against the words,
+Omega elements and Hecke letters it serves; and the products, words and
+Omega elements against any growth of the context's memos.
 The same walk from other tops is checked as well: from n_mu against letter
 deletion, from the longest element of W_J against the group that products
 x * s_j generate, and from the tops of the double cosets W_J t_la W_J
@@ -55,11 +59,11 @@ from iwahecke.weyl import IndexedWeyl
 from conftest import DATA
 from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
                      fold_by_letters, interval_below_by_deletion,
-                     is_central_by_products, least_dominant_cover,
-                     multiply_by_t_times,
+                     intervals_below_by_deletion, is_central_by_products,
+                     least_dominant_cover, multiply_by_t_times,
                      parahoric_admissible_set_by_products,
-                     parahoric_subgroup_by_products, random_hecke_element,
-                     right_descent)
+                     parahoric_subgroup_by_products, random_element,
+                     random_hecke_element, right_descent)
 
 GROUPS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3), ("Sp", 4),
           ("Sp", 6), ("GSp", 4), ("GSp", 6)]
@@ -533,6 +537,97 @@ def test_r_polynomials_match_t_inverse_expansion(case):
         for x in set(adm) - below:
             assert not W.bruhat_leq(x, y)
             assert not R.r(x, y)
+
+
+@CASES
+def test_bruhat_leq_matches_intervals_by_deletion(case):
+    """x <= y exactly when x lies in the interval below y by letter
+    deletion: for every pair from the admissible sets of both ADM_MUS
+    coweights, and for every pair of one of them and an element of
+    om Adm(mu), mu minuscule, om an Omega generator; pairs across
+    Omega-classes are never comparable."""
+    W = AffineWeylGroup(_datum(case))
+    elements = sorted(set().union(*[W.admissible_set(mu)
+                                    for mu in ADM_MUS[case]]), key=W.sort_key)
+    shifted = [om * x for om in W.hecke().omega_generators()
+               for x in W.admissible_set(ADM_MUS[case][0])]
+    intervals = intervals_below_by_deletion(W, elements + shifted)
+    pairs = [(x, y) for x in elements for y in elements]
+    pairs += [p for x in elements for y in shifted for p in ((x, y), (y, x))]
+    for x, y in pairs:
+        assert W.bruhat_leq(x, y) == (x in intervals[y]), (x, y)
+
+
+@CASES
+def test_one_strip_gives_words_omega_elements_and_hecke_letters(case):
+    """`_strip` behind reduced words, Omega elements and Hecke letters: the
+    word and Omega part evaluate back to x, the Omega element has length 0
+    and lies in its class, and the Hecke letters are the word's slots last
+    letter first with the Omega element's key as tail."""
+    W = AffineWeylGroup(_datum(case))
+    H = W.hecke()
+    rng = random.Random(f"strip-{_ids(case)}")
+    xs = [random_element(W, rng) for _ in range(40)]
+    adm = sorted(W.admissible_set(ADM_MUS[case][1]), key=W.sort_key)
+    xs += rng.sample(adm, min(10, len(adm)))
+    for x in xs:
+        word, om = W.reduced_word(x)
+        assert len(word) == x.length()
+        assert W.from_word(word, om) == x
+        tail = om.element
+        assert tail.length() == 0
+        assert W.kottwitz_image(tail) == om == W.kottwitz_image(x)
+        slots, key = H._letters(x)
+        assert slots == [W.label_slot[lab] for lab in reversed(word)]
+        assert key == tail.key
+
+
+def _dict_sizes(*contexts):
+    return {(type(c).__name__, name): len(v)
+            for c in contexts for name, v in vars(c).items()
+            if isinstance(v, dict)}
+
+
+def _need(rd, lam):
+    """The pairings a dominant cover of lam must reach, as `_theta_sum`
+    computes them for the one-element orbit [lam]."""
+    return tuple(max(0, -dot(lam, a)) for a in rd.simple_roots)
+
+
+@CASES
+def test_products_words_and_omega_elements_keep_no_memo(case):
+    """On a fresh context, theta, t_inverse, t_times, multiply,
+    reduced_word and Omega elements leave every dict of the group and the
+    algebra at its size, once the dominant covers of the theta arguments'
+    needs are memoized; bruhat_leq grows the descent steps only."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    H = W.hecke()
+    rng = random.Random(f"memo-{_ids(case)}")
+    lams = [tuple(rng.randint(-1, 1) for _ in range(rd.rank))
+            for _ in range(20)]
+    for lam in {_need(rd, lam): lam for lam in lams}.values():
+        H.theta(lam)  # fills the cover memo, once per need
+    xs = [random_element(W, rng, coord_span=1) for _ in range(8)]
+    h = random_hecke_element(H, rng, coord_span=1)
+    before = _dict_sizes(W, H)
+    for lam in lams:
+        H.theta(lam)
+    for x in xs:
+        H.t_inverse(x)
+        H.t_times(x, h)
+        W.reduced_word(x)
+        W.kottwitz_image(x).element
+    H.multiply(h, random_hecke_element(H, rng, coord_span=1))
+    for _ in range(10):
+        W.omega_of([rng.randint(-3, 3) for _ in range(rd.rank)]).element
+    assert _dict_sizes(W, H) == before
+    for x in xs:
+        for y in xs:
+            W.bruhat_leq(x, y)
+    grown = {name for name, n in _dict_sizes(W, H).items()
+             if n != before[name]}
+    assert grown <= {("AffineWeylGroup", "_steps")}
 
 
 def _generic_fold(W, label, h, left):

@@ -244,6 +244,28 @@ def test_config_validation(tmp_path):
     # roots close up to just {a_0, -a_0}
     with pytest.raises(RootDatumError, match="linearly dependent"):
         load_root_datum(_cfg(tmp_path, 1, ["1", "-1"], ["2", "-2"]))
+    # a negative rank, and a key or block given twice, which would
+    # overwrite the first value or append to its rows
+    path = tmp_path / "bad.cfg"
+    for text, match in [
+            ("rank -1\n", r"bad rank '-1'"),
+            ("rank -1\nsimple_roots\nend\nsimple_coroots\nend\n",
+             r"bad rank '-1'"),
+            ("rank x\n", r"bad rank 'x'"),
+            ("rank 1\nrank 2\n", r"repeated config key 'rank'"),
+            ("name a\nrank 1\nname b\n", r"repeated config key 'name'"),
+            ("rank 1\nsimple_roots\n2\nend\nsimple_roots\n2\nend\n",
+             r"repeated config key 'simple_roots'"),
+            ("rank 1\nsimple_coroots\nend\nsimple_coroots\nend\n",
+             r"repeated config key 'simple_coroots'"),
+            ("rank 1\nsimple_roots 1\n", r"unknown config key 'simple_roots'"),
+            ("rank 1\nlevel 2\nlevel 3\n", r"unknown config key 'level'")]:
+        path.write_text(text)
+        with pytest.raises(RootDatumError, match=match):
+            load_root_datum(path)
+    # a rank-0 datum, the trivial torus, still loads
+    path.write_text("rank 0\nsimple_roots\nend\nsimple_coroots\nend\n")
+    assert load_root_datum(path).rank == 0
 
 
 def test_levi_sub_datum(gl3):
