@@ -28,7 +28,8 @@ not central", whatever its height, and a central one HeightBoundError.
 from __future__ import annotations
 
 from .hecke import HeckeElement
-from .laurent import ONE, CoefficientMap, LaurentPoly, accumulate
+from .laurent import (ONE, CoefficientMap, LaurentPoly, accumulate,
+                      per_coefficient)
 from .rootdata import (RootDatum, RootDatumError, _check_rank, _same_datum,
                        levi_sub_datum, weyl_orbit)
 
@@ -148,8 +149,9 @@ def bernstein_iso(f: SymmetricFunction, W=None) -> HeckeElement:
         if not out and c == ONE:
             out = dict(zmu)  # the cached z_mu's terms, not each one times 1
             continue
+        times_c = per_coefficient(lambda p: c * p)
         for x, p in zmu.items():
-            accumulate(out, x, c * p)
+            accumulate(out, x, times_c(p))
     return HeckeElement._make(H, out)
 
 
@@ -204,8 +206,9 @@ def _eliminate(H, z: HeckeElement, height_bound: int) -> dict:
         c = work[best].shift(lt)  # strip the v^{-l(t_mu)} of theta_mu
         out[mu] = c
         neg = -c
+        times_neg = per_coefficient(lambda p: neg * p)
         for x, p in H.bernstein_function(mu).terms.items():
-            accumulate(work, x, neg * p)
+            accumulate(work, x, times_neg(p))
     return out
 
 

@@ -41,7 +41,7 @@ from .affine import _gl_size
 from .center import bernstein_iso, constant_term, monomial_symmetric
 from .hecke import HeckeElement
 from .klpoly import closed_form_bernstein
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, per_coefficient
 from .rootdata import build_root_datum, is_minuscule, load_root_datum
 from .weyl import _MAX_GROUP
 
@@ -98,21 +98,36 @@ def element_json(x):
 
 
 def hecke_json(h: HeckeElement, q_value=None):
-    W = h.algebra.W
+    """The terms, each coefficient written once per distinct object (so
+    --q evaluates each distinct polynomial once) and each grade once per
+    translation part."""
+    kappa = _kappas(h.algebra.W)
+    coeff = per_coefficient(lambda c: poly_json(c, q_value))
     terms = []
     for x, c in h.items_sorted():
         terms.append({
             "element": element_json(x),
             "length": x.length(),
-            "kappa": _kappa_json(W.kottwitz_image(x)),
-            "coeff": poly_json(c, q_value),
+            "kappa": kappa(x),
+            "coeff": coeff(c),
         })
     return terms
 
 
-def _kappa_json(om):
-    g = om.grade
-    return g if g is not None else list(om.rep)
+def _kappas(W):
+    """x -> the Kottwitz grade of x in W as JSON, computed once per
+    translation part: kappa(t_la w) is the class of la."""
+    seen = {}
+
+    def kappa(x):
+        g = seen.get(x.trans)
+        if g is None:
+            om = W.kottwitz_image(x)
+            g = seen[x.trans] = (om.grade if om.grade is not None
+                                 else list(om.rep))
+        return g
+
+    return kappa
 
 
 def graded_json(gf, q_value=None):
@@ -244,10 +259,11 @@ def cmd_adm(args) -> int:
         raise PreconditionError(f"{mu} is not dominant")
     W = rd.affine_weyl()
     elements = sorted(W.admissible_set(mu), key=W.sort_key)
+    kappa = _kappas(W)
     rows = [{
         "element": element_json(x),
         "length": x.length(),
-        "kappa": _kappa_json(W.kottwitz_image(x)),
+        "kappa": kappa(x),
     } for x in elements]
     if args.format == "csv":
         buf = io.StringIO()

@@ -14,8 +14,12 @@ The descent s of y is its smallest-labelled one, from
 ``AffineWeylGroup._descent_step``, which owns the group's descent-step
 cache ((t, w) -> (slot, s t, s w)) and serves `bruhat_leq` too: each y is
 scanned for a descent once per context, however many x it is paired
-with.  The memo is keyed on the pair (x, y) and shared by every y.  The second line is formed by
-shifting exponents, not by Laurent-polynomial products.
+with.  The memo is keyed on the pair (x, y) and shared by every y.  The
+second line is formed by shifting exponents, not by Laurent-polynomial
+products, and once per distinct pair of operand objects: the R-sum memo
+keeps each sum with its operands, and one object per distinct sum value,
+so equal R values are one object (for the closed form of GL(6)
+(1,1,0,0,0,0) it holds 15 sums and 13 values against 2,033 pairs).
 
 For minuscule dominant mu the Bernstein function has the closed form
 
@@ -24,11 +28,12 @@ For minuscule dominant mu the Bernstein function has the closed form
 
 where x = t_{la(x)} w is the translation/finite normal form.  This is the
 independent oracle against the theta-sum route in :mod:`iwahecke.hecke`: it
-never folds by T_s^{-1}.  Adm(mu) comes from the inversion sets of its
-elements (:meth:`AffineWeylGroup.admissible_set`), which also carry their
-lengths, and l(t_la) is computed once per translation.  In the Drinfeld
-case GL(n), mu = (1,0^{n-1}) every coefficient collapses to
-(1-q)^{l(t_mu)-l(x)}.
+never folds, by T_s^{-1} or otherwise, and the R-sum memo is its own.
+Adm(mu) comes from the inversion sets of its elements
+(:meth:`AffineWeylGroup.admissible_set`), which also carry their lengths;
+l(t_la) is computed once per translation, and the conversion to v and the
+sign once per distinct R value.  In the Drinfeld case GL(n),
+mu = (1,0^{n-1}) every coefficient collapses to (1-q)^{l(t_mu)-l(x)}.
 
 R-polynomials here are plain :class:`~iwahecke.laurent.LaurentPoly` values in
 the variable q (nonnegative exponents only); converting into the Hecke
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 from .affine import AffineWeylElement, AffineWeylGroup
 from .hecke import HeckeElement
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, per_coefficient
 from .rootdata import RootDatumError, _same_datum, is_minuscule
 
 __all__ = ["RPolynomials", "r_polynomial", "closed_form_bernstein",
@@ -60,6 +65,12 @@ class RPolynomials:
     def __init__(self, W: AffineWeylGroup):
         self.W = W
         self._memo: dict = {}
+        # the R-sum memo: (q-1) A + q B per distinct pair of operand
+        # objects, keyed by their ids, each entry (A, B, sum) keeping both
+        # alive, so an id in a key is never reused; and one object per
+        # distinct sum value, so equal R values are one object
+        self._sums: dict = {}
+        self._values: dict = {_ZERO: _ZERO, _ONE: _ONE}
 
     def r(self, x: AffineWeylElement, y: AffineWeylElement) -> LaurentPoly:
         _same_datum(self.W.rd, x.group.rd, y.group.rd)
@@ -81,17 +92,26 @@ class RPolynomials:
         if k.left_descent(slot, tx, wx):
             res = self._r(stx, swx, lx - 1, sty, swy, ly - 1)
         else:
-            # (q-1) A + q B, by shifting exponents
-            a = self._r(tx, wx, lx, sty, swy, ly - 1).c
-            b = self._r(stx, swx, lx + 1, sty, swy, ly - 1).c
-            out = {e + 1: n for e, n in a.items()}
-            for e, n in b.items():
-                out[e + 1] = out.get(e + 1, 0) + n
-            for e, n in a.items():
-                out[e] = out.get(e, 0) - n
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.c = {e: n for e, n in out.items() if n}
+            res = self._sum(self._r(tx, wx, lx, sty, swy, ly - 1),
+                            self._r(stx, swx, lx + 1, sty, swy, ly - 1))
         self._memo[key] = res
+        return res
+
+    def _sum(self, pa: LaurentPoly, pb: LaurentPoly) -> LaurentPoly:
+        """(q-1) A + q B by shifting exponents, once per pair of objects."""
+        hit = self._sums.get((id(pa), id(pb)))
+        if hit is not None:
+            return hit[2]
+        a, b = pa.c, pb.c
+        out = {e + 1: n for e, n in a.items()}
+        for e, n in b.items():
+            out[e + 1] = out.get(e + 1, 0) + n
+        for e, n in a.items():
+            out[e] = out.get(e, 0) - n
+        res = LaurentPoly.__new__(LaurentPoly)
+        res.c = {e: n for e, n in out.items() if n}
+        res = self._values.setdefault(res, res)
+        self._sums[id(pa), id(pb)] = (pa, pb, res)
         return res
 
     def closed_form_bernstein(self, mu) -> HeckeElement:
@@ -104,6 +124,8 @@ class RPolynomials:
         lt = W.translation(mu).length()
         k = W.kernel
         lengths = {}  # l(t_la) per translation part of Adm(mu)
+        to_v = per_coefficient(q_poly_to_v)  # once per distinct R value
+        neg = per_coefficient(lambda c: -c)
         terms = {}
         for x in W.admissible_set(mu):
             la = x.trans
@@ -111,8 +133,8 @@ class RPolynomials:
             if ll is None:
                 ll = lengths[la] = k.length(la, 0)
             lx = x.length()
-            c = q_poly_to_v(self._r(la, x.fin, lx, la, 0, ll))
-            terms[x] = -c if (lt + lx) % 2 else c
+            c = to_v(self._r(la, x.fin, lx, la, 0, ll))
+            terms[x] = neg(c) if (lt + lx) % 2 else c
         return HeckeElement._make(W.hecke(), terms)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .rootdata import _same_datum
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QM1", "accumulate",
-           "CoefficientMap"]
+           "per_coefficient", "CoefficientMap"]
 
 
 class LaurentPoly:
@@ -243,6 +243,32 @@ def accumulate(out: dict, key, c):
         out.pop(key, None)
 
 
+def per_coefficient(f):
+    """f, computed once per distinct coefficient object it is called on.
+
+    The per-call map is keyed by identity and holds each argument, so no
+    id is reused while the map lives; a LaurentPoly is never mutated after
+    construction, so one result may serve every term that shares the
+    argument.  Bernstein functions have few distinct coefficients (GL(5)
+    (2,1,0,0,0): 21 among 701 terms).
+
+    >>> calls = []
+    >>> neg = per_coefficient(lambda p: calls.append(p) or -p)
+    >>> p = LaurentPoly.v(1)
+    >>> neg(p) is neg(p), len(calls)
+    (True, 1)
+    """
+    seen = {}
+
+    def once(c):
+        hit = seen.get(id(c))
+        if hit is None:
+            hit = seen[id(c)] = (c, f(c))
+        return hit[1]
+
+    return once
+
+
 class CoefficientMap:
     """Finitely supported map key -> nonzero LaurentPoly on one root datum.
 
@@ -307,7 +333,7 @@ class CoefficientMap:
         return self._make(self.context, out)
 
     def __neg__(self):
-        return self._make(self.context, {k: -c for k, c in self.terms.items()})
+        return self._map(lambda p: -p)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -320,11 +346,17 @@ class CoefficientMap:
         if len(c.c) == 1:
             (k, n), = c.c.items()
             if n == 1:
-                return self._make(self.context, {
-                    key: p.shift(k) for key, p in self.terms.items()})
+                return self._map(lambda p: p.shift(k))
         # Z[v, 1/v] has no zero divisors: only c = 0 makes a product zero
-        return self._make(self.context, {
-            key: c * p for key, p in self.terms.items()} if c else {})
+        if not c:
+            return self._make(self.context, {})
+        return self._map(lambda p: c * p)
+
+    def _map(self, f):
+        """f applied to every coefficient, once per distinct object."""
+        f = per_coefficient(f)
+        return self._make(self.context,
+                          {key: f(p) for key, p in self.terms.items()})
 
 
 def _coefficient(c) -> LaurentPoly:

@@ -225,13 +225,23 @@ def test_zmu_golden(tmp_path):
 
 
 def test_zmu_golden_non_minuscule(tmp_path):
-    # theta route only: the closed formula does not apply to these mu
+    # theta route: the closed formula does not apply to the first two mu
     for group, mu, name in (("GL:3", "2,1,0", "golden_zmu_gl3_210.json"),
                             ("Sp:4", "1,1", "golden_zmu_sp4_11.json"),
                             ("GSp:6", "1,1,1,1", "golden_zmu_gsp6_1111.json")):
         rc, data = run(tmp_path, "zmu", "--group", group, "--mu", mu)
         assert rc == 0
         assert data == (DATA / name).read_bytes(), name
+
+
+def test_zmu_closed_route_matches_theta_golden(tmp_path):
+    # GSp(6) (1,1,1,1) is minuscule: the closed route, which never folds,
+    # writes the theta golden's bytes but for its method line
+    rc, data = run(tmp_path, "zmu", "--group", "GSp:6", "--mu", "1,1,1,1",
+                   "--method", "closed")
+    assert rc == 0
+    assert (data.replace(b'"method": "closed"', b'"method": "theta"')
+            == (DATA / "golden_zmu_gsp6_1111.json").read_bytes())
 
 
 def test_zmu_levi_golden(tmp_path):

@@ -36,6 +36,10 @@ The same walk from other tops is checked as well: from n_mu against letter
 deletion, from the longest element of W_J against the group that products
 x * s_j generate, and from the tops of the double cosets W_J t_la W_J
 against the product set W_J Adm(mu) W_J.
+Every step after the fold runs once per distinct coefficient object: equal
+coefficients of z_mu, of its scaling and of the closed form are checked to
+be one object, and scale, negation, packing and the Bernstein isomorphism
+on shared objects against the same operation term by term.
 """
 
 import random
@@ -47,8 +51,9 @@ import pytest
 
 from iwahecke import default_impl
 from iwahecke.affine import AffineWeylElement, AffineWeylGroup
-from iwahecke.center import SymmetricFunction
-from iwahecke.hecke import _dominant_cover
+from iwahecke.center import (SymmetricFunction, bernstein_iso,
+                             bernstein_iso_inverse)
+from iwahecke.hecke import _dominant_cover, _pack, _pack_poly
 from iwahecke.intlinalg import dot
 from iwahecke.klpoly import RPolynomials, q_poly_to_v
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
@@ -870,3 +875,53 @@ def test_packed_centrality_and_product_match_product_routes(case):
         got = H.multiply(a, b)
         assert got.terms == multiply_by_t_times(H, a, b).terms
         _assert_lengths_carried(got)
+
+
+@CASES
+def test_each_distinct_coefficient_is_one_object(case):
+    """z_mu, v^{l(t_mu)} z_mu and, for minuscule mu, the closed form carry
+    one coefficient object per distinct value: the fold decodes each packed
+    int once, scale maps each object once, and the R-sum memo keeps equal
+    R values one object."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    for mu in ADM_MUS[case]:
+        z = W.hecke().bernstein_function(mu)
+        hs = [z, z.scale(LaurentPoly.v(W.translation(mu).length()))]
+        if is_minuscule(rd, mu):
+            hs.append(RPolynomials(W).closed_form_bernstein(mu))
+        for h in hs:
+            cs = list(h.terms.values())
+            assert len({id(c) for c in cs}) == len(set(cs)), mu
+
+
+@CASES
+def test_shared_coefficients_match_per_term_computation(case):
+    """scale, -, _pack and bernstein_iso, which compute once per distinct
+    coefficient object, against the same operation term by term, on
+    elements and symmetric functions whose terms share objects."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    H = W.hecke()
+    rng = random.Random(f"shared-{_ids(case)}")
+    pool = [LaurentPoly({-1: 2, 3: -1}), LaurentPoly({0: 10 ** 30}),
+            LaurentPoly.v(2), LaurentPoly({1: -1, 4: 5})]
+    h = H.from_terms({random_element(W, rng): rng.choice(pool)
+                      for _ in range(16)})
+    assert len({id(c) for c in h.terms.values()}) < len(h.terms)
+    for c in (LaurentPoly.v(-3), LaurentPoly.v(0), QM1,
+              LaurentPoly.const(-2), LaurentPoly()):
+        want = {x: c * p for x, p in h.terms.items() if c}
+        assert h.scale(c).terms == want
+    assert (-h).terms == {x: -p for x, p in h.terms.items()}
+    base = min(e for p in pool for e in p.c)
+    assert _pack(h, base, 1, 110) == {
+        (x.trans, x.fin, x.length()): _pack_poly(p, base, 1, 110)
+        for x, p in h.terms.items()}
+    mu, nu = ADM_MUS[case]
+    f = SymmetricFunction.from_dominant(rd, {mu: pool[0], nu: pool[3]})
+    assert len({id(c) for c in f.terms.values()}) == 2
+    got = bernstein_iso(f, W)
+    assert got.terms == bernstein_iso_by_theta(f, AffineWeylGroup(rd)).terms
+    assert bernstein_iso_inverse(got, max(dot(mu, rd.two_rho),
+                                          dot(nu, rd.two_rho))) == f

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from iwahecke.hecke import bernstein_function
 from iwahecke.klpoly import (RPolynomials, closed_form_bernstein,
                              q_poly_to_v, r_polynomial)
 from iwahecke.laurent import LaurentPoly
-from iwahecke.rootdata import RootDatumError, build_root_datum
+from iwahecke.rootdata import RootDatumError, build_root_datum, weyl_orbit
 
 from oracles import random_element
 
@@ -197,3 +198,24 @@ def test_cross_oracle_gsp8_siegel():
     vz = bernstein_function(W, mu).scale(LaurentPoly.v(lt))
     assert vz == closed_form_bernstein(W, mu)
     assert len(vz.terms) == 633
+
+
+def test_r_sum_memo_keeps_its_operands():
+    """The R-sum memo is keyed by the ids of its operands: after `_memo` is
+    cleared and collected and new polynomials take the freed memory, R
+    values recomputed on the same table equal those of a fresh table."""
+    W = AffineWeylGroup(build_root_datum("GL", 3))
+    table = RPolynomials(W)
+    mu = (2, 1, 0)
+    ys = [W.translation(la) for la in weyl_orbit(W.rd, mu)]
+    pairs = [(x, y) for x in sorted(W.admissible_set(mu), key=W.sort_key)
+             for y in ys]
+    for x, y in pairs:
+        table.r(x, y)
+    assert table._sums
+    table._memo.clear()
+    gc.collect()
+    fresh_polys = [LaurentPoly({e: 1, e + 1: -2}) for e in range(2000)]
+    got = [table.r(x, y) for x, y in pairs]
+    assert got == [RPolynomials(W).r(x, y) for x, y in pairs]
+    assert len(fresh_polys) == 2000
