@@ -8,8 +8,8 @@ sets, R-polynomials, Hecke folds).  A generator acts in O(rank) through
 the tables of :class:`iwahecke.weyl.IndexedWeyl`, which the finite
 generator slots read in place; only the affine reflections get rows of
 their own.  `mul`, `inv` and `apply` fold a finite word one generator at a
-time, with no action matrices (Casselman, "Computation in Coxeter groups
-I. Multiplication", Electron. J. Combin. 9, 2002).
+time through `IndexedWeyl.fold`, with no action matrices, and the affine
+slot of a component takes its s_theta from `IndexedWeyl.reflection_words`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class Kernel:
 
     def __init__(self, weyl):
         rd = weyl.rd
+        self.weyl = weyl
         self.inv_table = inv = weyl.inv
         self.word = weyl.word
         self.roots = rd.pos_roots
@@ -64,11 +65,11 @@ class Kernel:
         for g, (r, affine) in enumerate(slots):
             column = list(map(itemgetter(r), images))  # ids of u(alpha_r)
             if affine:
-                fin = weyl.reflection_index(roots[r])
-                self.reflections.append((coroots[r], fin))
+                # u -> u s_theta, so that rrow[0] is s_theta itself
                 rrow = tuple(range(weyl.size))
-                for i in weyl.word[fin]:
+                for i in weyl.reflection_words[r]:
                     rrow = _compose(weyl.rrow[i], rrow)
+                self.reflections.append((coroots[r], rrow[0]))
                 lrow = _compose(inv, _compose(rrow, inv))  # (u^{-1} s)^{-1}
                 # (t, u) s = (t + u(theta^vee), u s)
                 wtrans = _compose(coroots, column)
@@ -86,31 +87,19 @@ class Kernel:
             self._ldesc.append((vec, k, r, affine))
             self._rdesc.append((wvec, k, r, affine))
 
-    def _fold(self, letters, t, w):
-        """`lmul_gen` for each finite simple reflection in `letters`, in
-        that order (finite reflection i sits in generator slot i)."""
-        left = self._left
-        for i in letters:
-            vec, _, cvec, lrow = left[i]
-            m = sum(map(mul, t, vec))
-            if m:
-                t = tuple([x - m * c for x, c in zip(t, cvec)])
-            w = lrow[w]
-        return t, w
-
     def apply(self, w: int, vec):
         """w(vec) on a coweight."""
-        return self._fold(reversed(self.word[w]), tuple(vec), 0)[0]
+        return self.weyl.fold(reversed(self.word[w]), tuple(vec), 0)[0]
 
     def mul(self, t1, w1, t2, w2):
         """(t1 w1)(t2 w2) = (t1 + w1(t2), w1 w2): w1's word folded onto
         (t2, w2), plus t1."""
-        t, w = self._fold(reversed(self.word[w1]), t2, w2)
+        t, w = self.weyl.fold(reversed(self.word[w1]), t2, w2)
         return tuple(map(add, t1, t)), w
 
     def inv(self, t, w):
         """(t w)^{-1} = (-w^{-1}(t), w^{-1}): w^{-1}'s word is w's reversed."""
-        return self._fold(self.word[w], tuple([-x for x in t]), 0)
+        return self.weyl.fold(self.word[w], tuple([-x for x in t]), 0)
 
     def length(self, t, w) -> int:
         """Iwahori-Matsumoto length of t_t * w: per positive root a,

@@ -19,6 +19,8 @@ the pairings of x's translation with the positive roots.  Adm(mu) is the
 ideal below the translations t_la, la in W_0 mu; a parahoric subgroup W_J
 the ideal below its longest element, reached from the identity by adding
 ascents in J on both sides, as is the top of any double coset W_J x W_J.
+The walk reads the reflections s_alpha from the one word table
+`IndexedWeyl.reflection_words`; elements act through `IndexedWeyl.fold`.
 The test-side oracles are letter deletion from reduced words
 (``interval_below_by_deletion``), breadth-first search over element
 products (``parahoric_subgroup_by_products``) and the product set
@@ -123,6 +125,8 @@ class AffineWeylElement:
     def apply(self, vec) -> tuple:
         """Action on a coweight: x(v) = trans + w(v) affinely; here the
         linear part only (used for conjugating translations)."""
+        vec = tuple(vec)
+        _check_rank(self.group.rd, vec)
         return self.group.kernel.apply(self.fin, vec)
 
     def is_translation(self) -> bool:
@@ -368,8 +372,9 @@ class AffineWeylGroup:
         k = 1..p-1, and k = p when w^{-1} alpha > 0.  Then
         s_beta x = t_{la - c alpha^vee} s_alpha w with c = p + k or p - k, so
         c runs over [p, 0) or [1, p), widened to take in 0 by the sign test.
-        Each candidate costs an O(rank) translation update and a fold of a
-        word of s_alpha; nothing searches for a descent or replays a prefix.
+        Each candidate costs an O(rank) translation update and a fold of
+        s_alpha's word in `IndexedWeyl.reflection_words` through the left
+        rows; nothing searches for a descent or replays a prefix.
         The count of candidates is l(x), stored on every element returned.
         """
         tops = list(tops)
@@ -377,7 +382,7 @@ class AffineWeylGroup:
         weyl = self.weyl
         lrow, inv, images, npos = weyl.lrow, weyl.inv, weyl.root_image, weyl.npos
         pairs = tuple(zip(range(npos), self.rd.pos_roots, self.rd.pos_coroots,
-                          self._reflection_words()))
+                          weyl.reflection_words))
         # (t, w) -> l(t w), None until the element leaves the frontier
         seen = dict.fromkeys(y.key for y in tops)
         frontier = list(seen)
@@ -444,21 +449,6 @@ class AffineWeylGroup:
                     t, w = k.rmul_gen(t, w, g)
                     grown = True
         return t, w
-
-    def _reflection_words(self) -> list:
-        """A word of simple reflection indices for s_alpha, per positive root
-        alpha in `rd.pos_roots` order: s_alpha = s_i s_{s_i alpha} s_i for
-        the first simple a_i with <alpha, a_i^vee> > 0, which lowers the
-        height.  Roots are listed by height, so s_i alpha has a word already
-        exactly when s_i lowers alpha."""
-        rd = self.rd
-        words = {a: (i,) for i, a in enumerate(rd.simple_roots)}
-        for a in rd.pos_roots:  # listed by height
-            if a not in words:
-                images = rd.root_reflections[a]
-                i = next(i for i, b in enumerate(images) if b in words)
-                words[a] = (i,) + words[images[i]] + (i,)
-        return [words[a] for a in rd.pos_roots]
 
     def kottwitz_image(self, x: AffineWeylElement) -> OmegaElement:
         rd = self.rd

@@ -8,8 +8,9 @@ word and its root images; no action matrix is stored.  The group is one set
 of tables keyed by element index: per simple reflection s_i the rows
 lrow[i][u] = s_i u and rrow[i][u] = u s_i, which the kernel reads in place,
 and root_image[u], the ids of the roots u(alpha), a negative root's id
-being at least npos.  An element acts on a coweight by folding the simple
-reflections v -> v - <a_i, v> a_i^vee over its word.
+being at least npos.  `fold`, the one action of a word on a coweight and an
+element (v -> v - <a_i, v> a_i^vee, u -> s_i u per letter; Casselman,
+"Computation in Coxeter groups I", 2002), serves `apply` and the kernel.
 
 Every table comes from the root closure's record of s_i(alpha)
 (`RootDatum.root_reflections`), read once as one permutation of the root
@@ -17,8 +18,9 @@ ids per simple reflection; nothing here pairs a root with a coroot.  The
 enumeration forms the root images of u s_i only for an ascent, as a bytes
 string translated through that permutation, and sets u s_i and (u s_i) s_i
 = u together.  The left rows and the inverses then follow in index order
-from the element one level down, and `reflection_index` unwinds
-s_alpha = s_i s_{s_i alpha} s_i down to a simple root.
+from the element one level down, and `reflection_words`, the one source
+of the reflections s_alpha, unwinds s_alpha = s_i s_{s_i alpha} s_i down
+to a simple root.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> w = IndexedWeyl(build_root_datum("GL", 3))
@@ -36,8 +38,9 @@ from __future__ import annotations
 
 from collections import Counter
 from math import prod
+from operator import mul
 
-from .rootdata import RootDatum, RootDatumError, _same_datum
+from .rootdata import RootDatum, RootDatumError, _check_rank, _same_datum
 
 __all__ = ["IndexedWeyl", "FiniteWeylElement", "weyl_order"]
 
@@ -77,8 +80,23 @@ class IndexedWeyl:
             tuple(-x for x in av) for av in rd.pos_coroots)
         self.root_id = root_id = {a: k for k, a in enumerate(self.roots)}
         reflections = rd.root_reflections
-        self._root_perm = root_perm = tuple(zip(*[
+        root_perm = tuple(zip(*[
             [root_id[b] for b in reflections[a]] for a in self.roots]))
+
+        # a word of s_alpha per positive root alpha, listed by height:
+        # s_alpha = s_i s_{s_i alpha} s_i for the first simple a_i with
+        # <alpha, a_i^vee> > 0, which lowers the height and so the id;
+        # s_i sends the simple root a_i alone to its negative
+        words = []
+        for r in range(npos):
+            for i, perm in enumerate(root_perm):
+                if perm[r] == r + npos:
+                    words.append((i,))
+                    break
+                if perm[r] < r:
+                    words.append((i,) + words[perm[r]] + (i,))
+                    break
+        self.reflection_words = tuple(words)
 
         # breadth-first enumeration; level order gives the length function.
         # images[w] lists the ids of w^{-1}(alpha) = w^T(alpha) over the
@@ -133,6 +151,7 @@ class IndexedWeyl:
         self.inv = tuple(inv)
         self.lrow = lrow = tuple(map(tuple, lrow))
         self.gen_index = tuple(r[0] for r in rrow)
+        self._simple = tuple(zip(rd.simple_roots, rd.simple_coroots, lrow))
         self.longest = max(range(self.size), key=lambda w: self.length[w])
 
         # canonical reduced word: repeatedly strip the smallest left descent
@@ -152,39 +171,30 @@ class IndexedWeyl:
             images[u] = tuple(img)
         self.root_image = tuple([images[u] for u in inv])
 
+    def fold(self, letters, t, w):
+        """s_{i_k} ... s_{i_1} (t, w) for letters i_1, ..., i_k in that
+        order: t -> t - <a_i, t> a_i^vee on the coweight, w -> s_i w on
+        the element.  The caller checks t's length."""
+        simple = self._simple
+        for i in letters:
+            a, av, row = simple[i]
+            m = sum(map(mul, t, a))
+            if m:
+                t = tuple([x - m * c for x, c in zip(t, av)])
+            w = row[w]
+        return t, w
+
     def apply(self, w: int, vec):
         """w(vec): the simple reflections of w's word, last letter first."""
         vec = tuple(vec)
-        for i in reversed(self.word[w]):
-            vec = self.rd.reflect(i, vec)
-        return vec
+        _check_rank(self.rd, vec)
+        return self.fold(reversed(self.word[w]), vec, 0)[0]
 
     def mul(self, w1: int, w2: int) -> int:
         rrow = self.rrow
         for i in self.word[w2]:
             w1 = rrow[i][w1]
         return w1
-
-    def reflection_index(self, root) -> int:
-        """Index of the reflection s_alpha of a root alpha (or -alpha): for
-        a simple a_i that lowers alpha's height, s_alpha = s_i s_beta s_i
-        with beta = s_i(alpha), down to a simple root.  Positive roots are
-        listed by height, so s_i lowers alpha exactly when it lowers the
-        id, and sends the simple root a_i alone to its negative."""
-        npos, perms, rrow = self.npos, self._root_perm, self.rrow
-        r = self.root_id[tuple(root)] % npos
-        outer = []
-        while True:
-            for i, perm in enumerate(perms):
-                if perm[r] == r + npos:
-                    w = rrow[i][0]
-                    for j in reversed(outer):
-                        w = self.lrow[j][rrow[j][w]]
-                    return w
-                if perm[r] < r:
-                    outer.append(i)
-                    r = perm[r]
-                    break
 
     def element(self, w: int) -> "FiniteWeylElement":
         if not isinstance(w, int) or not 0 <= w < self.size:

@@ -9,8 +9,8 @@ applying the dual matrices and root signs by applying transposed
 matrices.  A datum constructed directly, without the root closure's
 record of the reflections, must give the same tables as a built one.
 The group itself keeps no matrices, so its `apply` is checked on a basis
-against the oracle's, and its reflection lookup against the oracle's
-matrix-keyed index.  The kernel's element operations are checked one by
+against the oracle's, and each of its reflection words, folded through the
+left rows, against the oracle's matrix-keyed index.  The kernel's element operations are checked one by
 one on random elements against the same products and `kernel.length`, with the affine
 generators built from the root datum, and the Hecke folds, which read the
 kernel's generator tables and carry lengths, against folds through generic
@@ -200,10 +200,16 @@ def test_weyl_tables_match_matrix_products(case):
     basis = want["mats"][0]  # the identity: its rows are the basis
     for w, mat in enumerate(want["mats"]):
         assert _transpose([got.apply(w, e) for e in basis]) == mat
-    for a, av in zip(rd.pos_roots, rd.pos_coroots):
-        assert (got.reflection_index(a)
-                == got.reflection_index(tuple(-x for x in a))
-                == want["index"][_reflection(av, a)])
+    # one palindromic word of s_alpha per positive root, in rd.pos_roots
+    # order
+    assert len(got.reflection_words) == len(rd.pos_roots)
+    for word, a, av in zip(got.reflection_words, rd.pos_roots,
+                           rd.pos_coroots):
+        assert word == word[::-1]
+        w = 0
+        for i in word:
+            w = got.lrow[i][w]
+        assert w == want["index"][_reflection(av, a)]
     assert tuple(got.gen_index) == want["gen_index"]
     assert got.length[got.longest] == max(want["length"])
     for w1 in range(got.size):

@@ -62,6 +62,17 @@ def test_finite_element_wrapper(gl3):
     assert s.apply((1, 0, 0)) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("vec", [(7,), (1, 2, 3)], ids=["short", "long"])
+def test_apply_refuses_a_coweight_of_the_wrong_length(vec):
+    W = build_root_datum("GL", 2).affine_weyl()
+    elements = [W.identity, W.simple_reflection(1), W.element((0, 0), 1),
+                W.weyl.element(0), W.weyl.element(1)]
+    for x in elements:
+        with pytest.raises(RootDatumError, match="length differs from rank"):
+            x.apply(vec)
+        assert len(x.apply((1, 2))) == 2
+
+
 @pytest.mark.parametrize("bad", [-1, 6, 99, 1.0, "0", None])
 def test_finite_index_out_of_range_refused(gl3, bad):
     w = IndexedWeyl(gl3)
