@@ -29,20 +29,19 @@ def _compose(table, keys) -> tuple:
 class Kernel:
     """Affine Weyl element operations over the finite Weyl group's tables.
 
-    Generator slots: the finite simple reflection s_i sits in slot i and
-    reads the rows ``weyl.lrow[i]`` (s_i u) and ``weyl.rrow[i]`` (u s_i) in
-    place.  After them come the affine reflections t_{theta^vee} s_theta,
-    one per irreducible component in the order of ``rd.highest_roots``, each
-    with rows of its own.  A slot's affine root (vec, k), (a_i, 0) or
-    (-theta, 1), is paired in descent tests, and with its coroot cvec
-    (signed like vec) the generator acts on the left as
-    t -> t - (<t, vec> + k) cvec.  ``reflections[g]`` is the reflection of
-    slot g as a ``(trans, fin)`` group element.  The Hecke fold
-    (:meth:`iwahecke.hecke.HeckeAlgebra._step`) applies a letter to every
-    term of an element at once, so it unpacks slot g's tuples ``_left[g]``
-    and ``_ldesc[g]`` (or ``_right[g]`` and ``_rdesc[g]``) once per letter
-    and inlines `lmul_gen` with `left_descent` (or `rmul_gen` with the
-    right descent test, x^{-1}'s left one, read from ``_rdesc[g]``).
+    Generator slots: a slot is its affine simple reflection's label, laid
+    out here alone.  Slot 0 is t_{theta^vee} s_theta for the first
+    irreducible component, slot i in 1..m the finite s_i, which reads the
+    rows ``weyl.lrow[i - 1]`` (s_i u) and ``weyl.rrow[i - 1]`` (u s_i) in
+    place, and slot m + c the affine reflection of component c > 0;
+    ``components`` lists each component's node labels.  A slot's affine
+    root (vec, k), (a_i, 0) or (-theta, 1), is paired in the descent tests,
+    and with its coroot cvec (signed like vec) the generator acts on the
+    left as t -> t - (<t, vec> + k) cvec.  ``reflections[g]`` is slot g's
+    reflection as a ``(trans, fin)`` group element.  One record per side,
+    ``_left[g]`` or ``_right[g]``, serves a product and its descent test,
+    which the Hecke fold (:meth:`iwahecke.hecke.HeckeAlgebra._step`)
+    inlines, unpacking the record once per letter.
     """
 
     def __init__(self, weyl):
@@ -55,37 +54,38 @@ class Kernel:
         self.npos = npos = weyl.npos
         roots, coroots, root_id = weyl.roots, weyl.coroots, weyl.root_id
         zero = (0,) * rd.rank
-        # per slot, the id r of its positive root a_i or theta; the fields
-        # each operation reads sit in a tuple of their own, so that a call
-        # unpacks only those
-        slots = [(root_id[a], False) for a in rd.simple_roots]
-        slots += [(root_id[theta], True) for theta, _ in rd.highest_roots]
+        # component c's affine node is labelled 0, or m + c for c > 0; per
+        # slot, the id r of its positive root theta or a_i, and the finite
+        # index i of s_{i+1} (None for an affine slot)
+        m = rd.n_simple
+        self.components = tuple((m + c if c else 0, *[i + 1 for i in comp])
+                                for c, comp in enumerate(rd.components))
+        affine = [(root_id[theta], None) for theta, _ in rd.highest_roots]
+        slots = affine[:1] + [
+            (root_id[a], i) for i, a in enumerate(rd.simple_roots)] + affine[1:]
         self.reflections, self._left, self._right = [], [], []
-        self._ldesc, self._rdesc = [], []
-        for g, (r, affine) in enumerate(slots):
+        for r, i in slots:
             column = list(map(itemgetter(r), images))  # ids of u(alpha_r)
-            if affine:
+            if i is None:
                 # u -> u s_theta, so that rrow[0] is s_theta itself
                 rrow = tuple(range(weyl.size))
-                for i in weyl.reflection_words[r]:
-                    rrow = _compose(weyl.rrow[i], rrow)
+                for j in weyl.reflection_words[r]:
+                    rrow = _compose(weyl.rrow[j], rrow)
                 self.reflections.append((coroots[r], rrow[0]))
                 lrow = _compose(inv, _compose(rrow, inv))  # (u^{-1} s)^{-1}
                 # (t, u) s = (t + u(theta^vee), u s)
                 wtrans = _compose(coroots, column)
             else:
-                self.reflections.append((zero, weyl.gen_index[g]))
-                lrow, rrow, wtrans = weyl.lrow[g], weyl.rrow[g], None
+                self.reflections.append((zero, weyl.gen_index[i]))
+                lrow, rrow, wtrans = weyl.lrow[i], weyl.rrow[i], None
             # an affine slot pairs -theta, whose root ids are shifted by npos
-            shift, k = (npos, 1) if affine else (0, 0)
+            shift, k = (npos, 1) if i is None else (0, 0)
             vec, cvec = roots[r + shift], coroots[r + shift]
             # shifted[k] is roots[(k + shift) % (2 * npos)]
             shifted = roots[shift:] + roots[:shift]
             wvec = _compose(shifted, column)
-            self._left.append((vec, k, cvec, lrow))
-            self._right.append((wtrans, rrow))
-            self._ldesc.append((vec, k, r, affine))
-            self._rdesc.append((wvec, k, r, affine))
+            self._left.append((vec, k, cvec, lrow, r, i is None))
+            self._right.append((wtrans, rrow, wvec, k, r, i is None))
 
     def apply(self, w: int, vec):
         """w(vec) on a coweight."""
@@ -116,7 +116,7 @@ class Kernel:
 
     def lmul_gen(self, g: int, t, w):
         """s_g * (t, w) for an affine generator slot g."""
-        vec, k, cvec, lrow = self._left[g]
+        vec, k, cvec, lrow, _, _ = self._left[g]
         m = k + sum(map(mul, t, vec))
         if m:
             t = tuple([x - m * c for x, c in zip(t, cvec)])
@@ -124,15 +124,24 @@ class Kernel:
 
     def rmul_gen(self, t, w, g: int):
         """(t, w) * s_g."""
-        wtrans, rrow = self._right[g]
+        wtrans, rrow, _, _, _, _ = self._right[g]
         if wtrans is not None:
             t = tuple(map(add, t, wtrans[w]))
         return t, rrow[w]
 
     def left_descent(self, g: int, t, w) -> bool:
         """ell(s_g x) < ell(x), via the sign of x^{-1} on the affine root."""
-        vec, k, r, flip = self._ldesc[g]
+        vec, k, _, _, r, flip = self._left[g]
         m = k + sum(map(mul, t, vec))
         if m:
             return m < 0
         return (self.root_image[self.inv_table[w]][r] >= self.npos) != flip
+
+    def right_descent(self, g: int, t, w) -> bool:
+        """ell(x s_g) < ell(x): x^{-1}'s left test, paired as
+        <w^{-1}(t), vec> = <t, w(vec)> through the slot's table of w(vec)."""
+        _, _, wvec, k, r, flip = self._right[g]
+        m = k - sum(map(mul, t, wvec[w]))
+        if m:
+            return m < 0
+        return (self.root_image[w][r] >= self.npos) != flip

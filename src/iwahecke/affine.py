@@ -10,7 +10,8 @@ modulo the coroot lattice via the Kottwitz map.
 Affine generator labels: the finite simple reflections are 1..m (matching
 s_1, s_2, ... of the finite Weyl group); the extra reflection of the first
 irreducible component is 0, and further components (only possible for custom
-reducible data) get labels m+1, m+2, ...
+reducible data) get labels m+1, m+2, ...  A label is its kernel slot; the
+kernel alone lays the slots out and owns both descent tests.
 
 Every Bruhat ideal is one walk, `AffineWeylGroup.lower_closure`, built from
 inversion sets: the elements one letter below x in a reduced word are the
@@ -27,7 +28,7 @@ products (``parahoric_subgroup_by_products``) and the product set
 W_J Adm(mu) W_J (``parahoric_admissible_set_by_products``), all in
 ``tests/oracles.py``.  Bruhat order and the R-polynomials of
 :mod:`iwahecke.klpoly` peel the smallest-labelled left descent off y, read
-from one cache per group, (t, w) -> (slot, s t, s w).  Bruhat order needs
+from one cache per group, (t, w) -> (label, s t, s w).  Bruhat order needs
 no memo of its own: by the lifting property each query is one loop down
 y's descents.  Reduced words, Hecke words and Omega elements come from one
 strip of smallest-labelled left descents, `AffineWeylGroup._strip`.
@@ -67,13 +68,6 @@ __all__ = [
 # or Levi), so tables and caches are built once.  It is only a cache: an
 # element is a datum and a key, and two contexts on equal data interoperate.
 _REGISTRY: dict = {}
-
-
-class _Labels(dict):
-    """Generator slot by label; an unknown label is a RootDatumError."""
-
-    def __missing__(self, label):
-        raise RootDatumError(f"unknown reflection label {label}")
 
 
 def shared_group(rd: RootDatum) -> "AffineWeylGroup":
@@ -215,15 +209,7 @@ class AffineWeylGroup:
         self.rd = rd
         self.weyl = IndexedWeyl(rd)
         self.kernel = Kernel(self.weyl)
-        # slot i is the finite reflection s_{i+1}, then one affine
-        # reflection per irreducible component
-        m = rd.n_simple
-        labels = list(range(1, m + 1)) + [
-            0 if c == 0 else m + c for c in range(len(rd.highest_roots))]
-        self.gen_labels = tuple(labels)
-        self.label_slot = _Labels((lab, s) for s, lab in enumerate(labels))
-        self._gen_order = tuple(sorted(range(len(labels)),
-                                       key=labels.__getitem__))
+        self.gen_labels = tuple(range(len(self.kernel.reflections)))
         zero = (0,) * rd.rank
         self._zero = zero
         self._identity = AffineWeylElement(self, zero, 0)
@@ -246,19 +232,26 @@ class AffineWeylGroup:
 
     def simple_reflection(self, label: int) -> AffineWeylElement:
         """The affine simple reflection with the given label (0..m, ...)."""
-        return AffineWeylElement(
-            self, *self.kernel.reflections[self.label_slot[label]])
+        return AffineWeylElement(self,
+                                 *self.kernel.reflections[self._slot(label)])
 
     def from_word(self, word, omega: "OmegaElement | None" = None):
         """Evaluate an affine word (labels) times an optional Omega part."""
         k = self.kernel
         t, w = self._zero, 0
         for lab in word:
-            t, w = k.rmul_gen(t, w, self.label_slot[lab])
+            t, w = k.rmul_gen(t, w, self._slot(lab))
         x = AffineWeylElement(self, t, w)
         if omega is not None:
             x = x * omega.element
         return x
+
+    def _slot(self, label) -> int:
+        """`label`, checked to be an exact int in `gen_labels`: a label is
+        its kernel slot."""
+        if type(label) is not int or not 0 <= label < len(self.gen_labels):
+            raise RootDatumError(f"unknown reflection label {label!r}")
+        return label
 
     # -- core operations --------------------------------------------------------
 
@@ -269,30 +262,28 @@ class AffineWeylGroup:
         descent is stripped.
         """
         _same_datum(self.rd, x.group.rd)
-        slots, t, _ = self._strip(x.trans, x.fin, x.length())
-        labels = self.gen_labels
-        return (tuple([labels[slot] for slot in slots]),
-                OmegaElement(self, self.rd.kappa_reduce(t)))
+        labels, t, _ = self._strip(x.trans, x.fin, x.length())
+        return tuple(labels), OmegaElement(self, self.rd.kappa_reduce(t))
 
     def _strip(self, t, w, n):
-        """(slots, t', w'): the slots of the n smallest-labelled left
+        """(labels, t', w'): the labels of the n smallest-labelled left
         descents stripped off (t, w) in turn, first stripped first, and the
         element (t', w') left, of length l(t, w) - n."""
         k = self.kernel
-        slots = []
+        labels = []
         for _ in range(n):
-            slot = self._first_descent(t, w)
-            slots.append(slot)
-            t, w = k.lmul_gen(slot, t, w)
-        return slots, t, w
+            label = self._first_descent(t, w)
+            labels.append(label)
+            t, w = k.lmul_gen(label, t, w)
+        return labels, t, w
 
     def _first_descent(self, t, w) -> int:
-        """Slot of the smallest-labelled left descent of a positive-length
+        """Label of the smallest-labelled left descent of a positive-length
         element (t, w)."""
         k = self.kernel
-        for slot in self._gen_order:
-            if k.left_descent(slot, t, w):
-                return slot
+        for label in self.gen_labels:
+            if k.left_descent(label, t, w):
+                return label
         raise AssertionError(  # pragma: no cover
             "positive-length element with no descent")
 
@@ -307,14 +298,14 @@ class AffineWeylGroup:
         return OmegaElement(self, self.rd.kappa_reduce(tuple(vec)))
 
     def _descent_step(self, t, w):
-        """(slot, s t, s w) for the smallest-labelled left descent s of the
+        """(label, s t, s w) for the smallest-labelled left descent s of the
         positive-length element (t, w); cached, so that Bruhat order and the
         R-polynomial recursion scan each element for it once per context."""
         step = self._steps.get((t, w))
         if step is None:
-            slot = self._first_descent(t, w)
-            step = self._steps[(t, w)] = (slot,
-                                          *self.kernel.lmul_gen(slot, t, w))
+            label = self._first_descent(t, w)
+            step = self._steps[(t, w)] = (label,
+                                          *self.kernel.lmul_gen(label, t, w))
         return step
 
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
@@ -333,9 +324,9 @@ class AffineWeylGroup:
         k = self.kernel
         step = self._descent_step
         while lx < ly:
-            slot, ty, wy = step(ty, wy)
-            if k.left_descent(slot, tx, wx):
-                tx, wx = k.lmul_gen(slot, tx, wx)
+            label, ty, wy = step(ty, wy)
+            if k.left_descent(label, tx, wx):
+                tx, wx = k.lmul_gen(label, tx, wx)
                 lx -= 1
             ly -= 1
         return tx == ty and wx == wy
@@ -424,28 +415,24 @@ class AffineWeylGroup:
     def _double_coset_top(self, labels, t, w):
         """The key of the longest element of W_J (t, w) W_J, for J the affine
         simple reflections in `labels`: left and right ascents in J are
-        added until there is none.  The right test is the left one of the
-        inverse.  A J that takes a whole component of the affine diagram
-        is refused, since W_J is then infinite and the ascents never stop;
-        an unknown label is refused first."""
-        labels = sorted(set(labels))
-        slots = [self.label_slot[lab] for lab in labels]
+        added until there is none.  A J that takes a whole component of the
+        affine diagram is refused, since W_J is then infinite and the ascents
+        never stop; an unknown label is refused first."""
+        labels = sorted({self._slot(lab) for lab in labels})
+        k = self.kernel
         # J is finite type iff it omits a node of each affine component
-        m = self.rd.n_simple
-        for c, comp in enumerate(self.rd.components):
-            nodes = {i + 1 for i in comp} | {0 if c == 0 else m + c}
-            if nodes <= set(labels):
+        for nodes in k.components:
+            if set(nodes).issubset(labels):
                 raise RootDatumError(
                     f"J contains the whole affine diagram component {sorted(nodes)}")
-        k = self.kernel
         grown = True
         while grown:
             grown = False
-            for g in slots:
+            for g in labels:
                 if not k.left_descent(g, t, w):
                     t, w = k.lmul_gen(g, t, w)
                     grown = True
-                if not k.left_descent(g, *k.inv(t, w)):
+                if not k.right_descent(g, t, w):
                     t, w = k.rmul_gen(t, w, g)
                     grown = True
         return t, w

@@ -57,6 +57,7 @@ True
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heappop, heappush
 from operator import add, mul
 
@@ -141,12 +142,12 @@ class HeckeAlgebra:
     def lmul_gen(self, label: int, h: HeckeElement) -> HeckeElement:
         """T_s * h for the affine simple reflection with this label."""
         return self._fold(h, True, False,
-                          [((self.W.label_slot[label],), None, ONE)])
+                          [((self.W._slot(label),), None, ONE)])
 
     def rmul_gen(self, h: HeckeElement, label: int) -> HeckeElement:
         """h * T_s."""
         return self._fold(h, False, False,
-                          [((self.W.label_slot[label],), None, ONE)])
+                          [((self.W._slot(label),), None, ONE)])
 
     def _fold(self, h, left, inverse, mults) -> HeckeElement:
         """The sum over the multipliers (slots, om, c) of c T_{s_k} ...
@@ -216,11 +217,9 @@ class HeckeAlgebra:
         images, inv_table, npos = k.root_image, k.inv_table, k.npos
         get = out.get
         if left:
-            vec, k0, cvec, lrow = k._left[slot]
-            r, flip = k._ldesc[slot][2:]
+            vec, k0, cvec, lrow, r, flip = k._left[slot]
         else:
-            wtrans, rrow = k._right[slot]
-            wvecs, k0, r, flip = k._rdesc[slot]
+            wtrans, rrow, wvecs, k0, r, flip = k._right[slot]
         for key, p in cur.items():
             if not p:
                 continue
@@ -430,7 +429,7 @@ class HeckeAlgebra:
         cur = _pack(h, base, stride, b)
         neg = {key: -p for key, p in cur.items()}
         shift = 2 * b // stride
-        for slot in range(len(self.W.gen_labels)):
+        for slot in self.W.gen_labels:
             out = self._step(cur, slot, True, False, shift, {})
             self._step(neg, slot, False, False, shift, out)
             if any(out.values()):
@@ -464,9 +463,7 @@ class HeckeAlgebra:
         """
         wj = self.parahoric_subgroup(labels)
         sum_t = HeckeElement._make(self, {x: ONE for x in wj})
-        poincare = LaurentPoly()
-        for x in wj:
-            poincare = poincare + LaurentPoly({2 * x.length(): 1})
+        poincare = LaurentPoly(Counter([2 * x.length() for x in wj]))
         return self.multiply(h, sum_t), poincare
 
 

@@ -73,6 +73,7 @@ import functools
 import itertools
 import sys
 from array import array
+from operator import add, sub
 
 __all__ = ["TruncatedSeries", "Matrix2", "product_grid"]
 
@@ -183,6 +184,8 @@ class TruncatedSeries:
     def _add(self, other, negate):
         """self + other, or self - other when `negate`: the two coefficient
         windows are aligned and combined slot by slot."""
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check(other)
         f = self.field
         prec = _min_prec(self.prec, other.prec)
@@ -230,6 +233,8 @@ class TruncatedSeries:
         return _series(f, self.val or 0, out, self.prec)
 
     def __mul__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return product_grid((self,), (other,))[0][0]
 
     def scale(self, c: int) -> "TruncatedSeries":
@@ -526,12 +531,14 @@ class Matrix2:
         return Matrix2(a, b, c, d)
 
     def __add__(self, other):
-        return Matrix2(self.a + other.a, self.b + other.b,
-                       self.c + other.c, self.d + other.d)
+        if not isinstance(other, Matrix2):
+            return NotImplemented
+        return Matrix2(*map(add, self.entries, other.entries))
 
     def __sub__(self, other):
-        return Matrix2(self.a - other.a, self.b - other.b,
-                       self.c - other.c, self.d - other.d)
+        if not isinstance(other, Matrix2):
+            return NotImplemented
+        return Matrix2(*map(sub, self.entries, other.entries))
 
     def scale(self, s: TruncatedSeries) -> "Matrix2":
         return Matrix2(*product_grid((s,), self.entries)[0])

@@ -81,7 +81,7 @@ def normalized_transfer(f: SymmetricFunction) -> GradedFunction:
     out: dict = {}
     for la, c in f.terms.items():
         rep = rd.kappa_reduce(la)
-        accumulate(out, rep, c * LaurentPoly.v(dot(la, rd.two_rho)))
+        accumulate(out, rep, c.shift(dot(la, rd.two_rho)))
     return GradedFunction._make(rd, out)
 
 
@@ -92,7 +92,7 @@ def kottwitz_fiber_integrate(z: HeckeElement) -> GradedFunction:
     out: dict = {}
     for x, c in z.terms.items():
         rep = rd.kappa_reduce(x.trans)
-        accumulate(out, rep, c * LaurentPoly.q(x.length()))
+        accumulate(out, rep, c.shift(2 * x.length()))
     return GradedFunction._make(rd, out)
 
 
@@ -111,7 +111,7 @@ def grassmannian_count(n: int, m: int) -> LaurentPoly:
         for mp in range(1, np):
             left = prev[mp - 1]
             right = prev[mp] if mp < len(prev) else LaurentPoly()
-            row.append(left + LaurentPoly.q(mp) * right)
+            row.append(left + right.shift(2 * mp))
         row.append(one)
         prev = row
     return prev[m]

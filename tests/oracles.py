@@ -218,13 +218,8 @@ def bernstein_iso_by_theta(f, W):
 
 def right_descent(k, t, w, g):
     """ell(x s_g) < ell(x) for x = (t, w) and kernel `k`: the left descent
-    test of x^{-1} = (-w^{-1}(t), w^{-1}), paired as <w^{-1}(t), vec> =
-    <t, w(vec)> through the slot's per-element table of w(vec)."""
-    wvec, c, r, flip = k._rdesc[g]
-    m = c - sum(a * b for a, b in zip(t, wvec[w]))
-    if m:
-        return m < 0
-    return (k.root_image[w][r] >= k.npos) != flip
+    test of x^{-1}, so independent of the kernel's right tables."""
+    return k.left_descent(g, *k.inv(t, w))
 
 
 def fold_by_letters(H, h, slots, left, inverse):
@@ -288,7 +283,7 @@ def multiply_by_t_times(H, a, b):
             z._len = y.length()
             moved[z] = p
         tb = fold_by_letters(H, HeckeElement(H, moved),
-                             [W.label_slot[lab] for lab in reversed(word)],
+                             list(reversed(word)),
                              True, False)
         for y, p in tb.terms.items():
             accumulate(out, y, c * p)

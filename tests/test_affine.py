@@ -4,8 +4,9 @@ import pytest
 
 from iwahecke.affine import (AffineWeylGroup, bruhat_leq, critical_indices,
                              kottwitz_image, length, multiply, reduced_word)
-from iwahecke.rootdata import RootDatumError, build_root_datum
+from iwahecke.rootdata import RootDatumError, build_root_datum, load_root_datum
 
+from conftest import DATA
 from oracles import (admissible_set_subwords, all_elements_up_to_length,
                      bruhat_leq_subwords, random_element,
                      shortest_word_length)
@@ -112,6 +113,46 @@ def test_unknown_generator_label_is_a_root_datum_error(W3):
     for call in calls:
         with pytest.raises(RootDatumError, match="unknown reflection label"):
             call()
+    # a label is an exact int: a float, a string or a bool is refused too
+    for bad in (1.5, "1", True):
+        calls = [lambda: W3.simple_reflection(bad),
+                 lambda: W3.from_word([1, bad]),
+                 lambda: H.lmul_gen(bad, H.unit()),
+                 lambda: H.rmul_gen(H.unit(), bad),
+                 lambda: H.parahoric_subgroup([1, bad])]
+        for call in calls:
+            with pytest.raises(RootDatumError,
+                               match="unknown reflection label"):
+                call()
+
+
+def test_canonical_words_on_a_reducible_datum():
+    """GL(2) x GL(2), the one datum here with an affine label m + c (3):
+    pinned canonical words and Omega parts of elements across both
+    factors, and each simple reflection's word of one letter."""
+    W = load_root_datum(DATA / "gl2xgl2.cfg").affine_weyl()
+    s = W.simple_reflection
+    cases = [  # (translation, letters after it, word, Omega element)
+        ((1, 0, 1, 0), (), (0, 3), ((1, 0, 1, 0), (1, 2))),
+        ((2, 0, 0, 1), (), (0, 1, 2), ((1, 1, 1, 0), (2,))),
+        ((2, 0, 0, 1), (1, 2), (0, 2, 3), ((1, 1, 1, 0), (2,))),
+        ((0, 1, 1, 0), (1, 2), (1, 0), ((1, 0, 1, 0), (1, 2))),
+    ]
+    for trans, tail, word, (om_trans, om_tail) in cases:
+        x = W.translation(trans)
+        for lab in tail:
+            x = x * s(lab)
+        om_element = W.translation(om_trans)
+        for lab in om_tail:
+            om_element = om_element * s(lab)
+        got, om = W.reduced_word(x)
+        assert got == word
+        assert om.rep == W.rd.kappa_reduce(om_trans)
+        assert om.element == om_element and om_element.length() == 0
+        assert W.from_word(word, om) == x
+    for lab in (0, 1, 2, 3):
+        word, om = W.reduced_word(s(lab))
+        assert word == (lab,) and om.rep == (0, 0, 0, 0)
 
 
 # -- reduced words ------------------------------------------------------------

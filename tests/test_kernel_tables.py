@@ -317,12 +317,16 @@ def test_affine_generator_rows_match_matrix_products(case):
     # u acts on a character (row vector) by multiplying with u^{-1}
     dual = [_transpose(_mat_inverse(u)) for u in mats]
     for slot, (trans, fin) in enumerate(k.reflections):
-        vec, _, cvec, lrow = k._left[slot]
-        wtrans, rrow = k._right[slot]
-        wvec = k._rdesc[slot][0]
-        if slot < rd.n_simple:
+        vec, k0, cvec, lrow, r, flip = k._left[slot]
+        wtrans, rrow, wvec, rk0, rr, rflip = k._right[slot]
+        assert (rk0, rr, rflip) == (k0, r, flip)
+        # an affine slot pairs -theta at height 1, a finite one a_i at 0
+        assert flip == (wtrans is not None) == (k0 == 1)
+        assert k.roots[r] == (tuple(-x for x in vec) if flip else vec)
+        if 1 <= slot <= rd.n_simple:
             # the finite slots read the finite group's rows in place
-            assert lrow is W.weyl.lrow[slot] and rrow is W.weyl.rrow[slot]
+            assert lrow is W.weyl.lrow[slot - 1]
+            assert rrow is W.weyl.rrow[slot - 1]
         g = mats[fin]
         assert lrow == tuple(index[_mat_mul(g, u)] for u in mats)
         assert rrow == tuple(index[_mat_mul(u, g)] for u in mats)
@@ -334,22 +338,54 @@ def test_affine_generator_rows_match_matrix_products(case):
         assert g == _reflection(cvec, vec)
 
 
+@CASES
+def test_generator_label_is_kernel_slot(case, monkeypatch):
+    """A label is its kernel slot: `gen_labels` is the range of slots, slot
+    l holds `simple_reflection(l)`, the affine node of the first component
+    is 0 and of component c > 0 is m + c, and the top of a double coset
+    W_J x W_J takes no kernel inverse, as both descent tests are the
+    kernel's own."""
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    k = W.kernel
+    assert W.gen_labels == tuple(range(len(k.reflections)))
+    for label in W.gen_labels:
+        assert W.simple_reflection(label).key == k.reflections[label]
+    m = rd.n_simple
+    nodes = [0] + list(range(m + 1, len(W.gen_labels)))
+    assert [k.reflections[g][0] for g in nodes] == [
+        tv for _, tv in rd.highest_roots]
+    assert [set(c) for c in k.components] == [
+        {g} | {i + 1 for i in comp} for g, comp in zip(nodes, rd.components)]
+    rng = random.Random(f"coset-top-{_ids(case)}")
+    xs = [random_element(W, rng).key for _ in range(20)]
+    finite = range(1, m + 1)
+    want = [W._double_coset_top(finite, *x) for x in xs]
+
+    def no_inverse(t, w):
+        raise AssertionError("kernel inverse taken")
+
+    monkeypatch.setattr(k, "inv", no_inverse)
+    assert [W._double_coset_top(finite, *x) for x in xs] == want
+
+
 def _affine_generators(rd, index):
-    """The affine simple reflections (trans, finite index) in slot order,
-    from the root datum: s_i = (0, s_{a_i}), then s_0 = t_{theta^vee}
-    s_theta per irreducible component with highest root theta."""
+    """The affine simple reflections (trans, finite index) in label order,
+    from the root datum: s_0 = t_{theta^vee} s_theta for the first
+    irreducible component with highest root theta, s_i = (0, s_{a_i}) for
+    i = 1..m, then t_{theta^vee} s_theta for each further component."""
     zero = (0,) * rd.rank
-    out = [(zero, index[_reflection(av, a)])
-           for av, a in zip(rd.simple_coroots, rd.simple_roots)]
-    out += [(tv, index[_reflection(tv, th)]) for th, tv in rd.highest_roots]
-    return out
+    finite = [(zero, index[_reflection(av, a)])
+              for av, a in zip(rd.simple_coroots, rd.simple_roots)]
+    affine = [(tv, index[_reflection(tv, th)]) for th, tv in rd.highest_roots]
+    return affine[:1] + finite + affine[1:]
 
 
 @KERNEL_CASES
 def test_kernel_ops_match_matrix_products(case):
-    """lmul_gen, rmul_gen, left_descent, inv and apply on random (t, w, g),
-    and the oracles' right_descent on the kernel's tables, against
-    action-matrix products and kernel.length."""
+    """lmul_gen, rmul_gen, left_descent, right_descent, inv and apply on
+    random (t, w, g), and the oracles' right_descent (x^{-1}'s left test),
+    against action-matrix products and kernel.length."""
     rd = _datum(case)
     W = AffineWeylGroup(rd)
     want = oracle_tables(rd)
@@ -371,6 +407,7 @@ def test_kernel_ops_match_matrix_products(case):
         assert k.lmul_gen(g, t, w) == sx
         assert k.rmul_gen(t, w, g) == xs
         assert k.left_descent(g, t, w) == (k.length(*sx) < lx)
+        assert k.right_descent(g, t, w) == (k.length(*xs) < lx)
         assert right_descent(k, t, w, g) == (k.length(*xs) < lx)
         wi = _mat_inverse(mats[w])
         assert k.inv(t, w) == (tuple(-x for x in _mat_apply(wi, t)),
@@ -589,7 +626,7 @@ def test_one_strip_gives_words_omega_elements_and_hecke_letters(case):
         assert tail.length() == 0
         assert W.kottwitz_image(tail) == om == W.kottwitz_image(x)
         slots, key = H._letters(x)
-        assert slots == [W.label_slot[lab] for lab in reversed(word)]
+        assert slots == list(reversed(word))
         assert key == tail.key
 
 

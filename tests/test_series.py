@@ -4,6 +4,7 @@ import time
 import pytest
 
 from iwahecke.ffield import GF, _Field
+from iwahecke.laurent import LaurentPoly
 from iwahecke.series import Matrix2, TruncatedSeries, _slot, product_grid
 
 from oracles import (series_add, series_mul, series_neg, series_scale,
@@ -225,6 +226,27 @@ def test_matrix_ops():
         a, b, c = rmat(), rmat(), rmat()
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def test_foreign_operands_raise_type_error():
+    """+, - and * of a series or a Matrix2 with an int, a float, None or a
+    LaurentPoly, in either order, raise TypeError (the operand returns
+    NotImplemented); series over two fields keep their ValueError."""
+    f = GF(3)
+    a = TruncatedSeries(f, 0, [1, 2])
+    m = Matrix2.identity(f)
+    ops = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y)
+    for own in (a, m):
+        for other in (1, 2.5, None, LaurentPoly.v(1)):
+            for op in ops:
+                with pytest.raises(TypeError):
+                    op(own, other)
+                with pytest.raises(TypeError):
+                    op(other, own)
+    b = TruncatedSeries(GF(5), 0, [1])
+    for op in ops:
+        with pytest.raises(ValueError, match="different fields"):
+            op(a, b)
 
 
 def test_exact_zero_annihilates():
