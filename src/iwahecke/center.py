@@ -36,7 +36,7 @@ from .rootdata import (RootDatum, RootDatumError, _check_rank, _same_datum,
 __all__ = [
     "SymmetricFunction", "NotCentralError", "HeightBoundError",
     "monomial_symmetric", "bernstein_iso", "bernstein_iso_inverse",
-    "constant_term",
+    "constant_term", "levi_image",
 ]
 
 
@@ -217,17 +217,24 @@ def constant_term(z: HeckeElement, levi_labels) -> HeckeElement:
     G to that of the standard Levi L given by 1-based simple-root labels.
 
     Computed on the invariant-function side: invert the Bernstein isomorphism
-    for G, view the result as a W(L)-invariant function, and apply the
-    Bernstein isomorphism for L.
+    for G and take the Levi image of the result.
     """
     H = z.algebra
-    rd = H.W.rd
-    levi_labels = sorted(set(levi_labels))
     bound = max((x.length() for x in z.terms if x.is_translation()),
                 default=0)
-    f = bernstein_iso_inverse(z, bound)
+    return levi_image(bernstein_iso_inverse(z, bound), levi_labels, H.W)
+
+
+def levi_image(f: SymmetricFunction, levi_labels, W=None) -> HeckeElement:
+    """c^G_L(bernstein_iso(f)) without leaving the invariant-function side:
+    f viewed as a W(L)-invariant function, taken by the Bernstein
+    isomorphism for the standard Levi L given by 1-based simple-root labels.
+    `W` is the group of G, used when L = G.
+    """
+    rd = f.rd
+    levi_labels = sorted(set(levi_labels))
     if levi_labels == list(range(1, rd.n_simple + 1)):
-        return bernstein_iso(f, H.W)  # L = G
+        return bernstein_iso(f, W)  # L = G
     lrd = levi_sub_datum(rd, levi_labels)
     lf = SymmetricFunction._make(lrd, f.terms)  # W(L)-invariance is inherited
     return bernstein_iso(lf)

@@ -20,7 +20,9 @@ word) and JSON keys are sorted.
 ``main(argv)`` returns the exit code and may be called repeatedly in one
 process; each call writes the same bytes to stdout and stderr as the
 ``iwahecke`` console script run with the same arguments.  The argument
-parser is built on the first call and reused by later ones.
+parser is built on the first call and reused by later ones, and so is the
+root datum of a builtin group (``--group GL:3``); a config path is read on
+every call.
 
 Only the algebra layers are imported with this module: ``transfer`` imports
 the transfer layer and ``scholze`` the deep-level layers (``deeplevel``,
@@ -38,8 +40,8 @@ import sys
 from fractions import Fraction
 
 from .affine import _gl_size
-from .center import bernstein_iso, constant_term, monomial_symmetric
-from .hecke import HeckeElement
+from .center import (bernstein_iso, constant_term, levi_image,
+                     monomial_symmetric)
 from .klpoly import closed_form_bernstein
 from .laurent import LaurentPoly, per_coefficient
 from .rootdata import build_root_datum, is_minuscule, load_root_datum
@@ -92,26 +94,61 @@ def _rat_str(x):
     return x
 
 
-def element_json(x):
-    word = tuple(i + 1 for i in x.group.weyl.word[x.fin])
-    return {"translation": list(x.trans), "finite_word": list(word)}
+def _records(W, elements, coeffs=None, q_value=None):
+    """The JSON list of the element records of `elements`, sorted elements
+    of W, with keys "coeff" (the matching entry of `coeffs`; no such key
+    when `coeffs` is None), "element" ("finite_word", "translation"),
+    "kappa" and "length", as `dumps` would write it.
+
+    Every record is one template filled with pre-formatted values: the
+    translation and kappa texts are written once per translation part,
+    the finite word once per finite index and the coefficient once per
+    distinct coefficient object (so --q evaluates each distinct polynomial
+    once), in the order of the elements.
+    """
+    def lay(nl):
+        if not elements:
+            return "[]"
+        i0 = nl + " "
+        i1 = i0 + " "
+        i2 = i1 + " "
+        row = ("{%s" + i1 + '"element": {' + i2 + '"finite_word": %s,' + i2
+               + '"translation": %s' + i1 + "}," + i1 + '"kappa": %s,' + i1
+               + '"length": %d' + i0 + "}")
+        coeff = per_coefficient(lambda c: (
+            i1 + '"coeff": ' + _text(poly_json(c, q_value), i1) + ","))
+        kappa = _kappas(W)
+        word = W.weyl.word
+        parts, words, rows = {}, {}, []
+        for k, x in enumerate(elements):
+            part = parts.get(x.trans)
+            if part is None:
+                part = parts[x.trans] = (_int_list_text(x.trans, i2),
+                                         _text(kappa(x), i1))
+            fw = words.get(x.fin)
+            if fw is None:
+                fw = words[x.fin] = _int_list_text(
+                    [i + 1 for i in word[x.fin]], i2)
+            rows.append(row % ("" if coeffs is None else coeff(coeffs[k]),
+                               fw, part[0], part[1], x.length()))
+        return "[" + i0 + ("," + i0).join(rows) + nl + "]"
+
+    return _Laid(lay)
 
 
-def hecke_json(h: HeckeElement, q_value=None):
-    """The terms, each coefficient written once per distinct object (so
-    --q evaluates each distinct polynomial once) and each grade once per
-    translation part."""
-    kappa = _kappas(h.algebra.W)
-    coeff = per_coefficient(lambda c: poly_json(c, q_value))
-    terms = []
-    for x, c in h.items_sorted():
-        terms.append({
-            "element": element_json(x),
-            "length": x.length(),
-            "kappa": kappa(x),
-            "coeff": coeff(c),
-        })
-    return terms
+def _hecke_records(h, q_value=None):
+    """The term records of the Hecke element h, sorted."""
+    items = h.items_sorted()
+    return _records(h.algebra.W, [x for x, _ in items],
+                    [c for _, c in items], q_value)
+
+
+def _int_list_text(values, nl):
+    """A list of ints as `dumps` writes it on a line indented by `nl`."""
+    if not values:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(map(str, values)) + nl + "]"
 
 
 def _kappas(W):
@@ -138,6 +175,11 @@ def graded_json(gf, q_value=None):
     return out
 
 
+# the builtin root data parse_group has built, keyed by (family, n); the
+# |W_0| guard runs first and admits 29 builtin groups, so this stays small
+_builtin = {}
+
+
 def parse_group(text: str):
     if ":" in text:
         fam, _, n = text.partition(":")
@@ -147,7 +189,11 @@ def parse_group(text: str):
             raise argparse.ArgumentTypeError(
                 f"malformed group {text!r}") from None
         _check_weyl_size(text, fam, n)
-        return build_root_datum(fam, n)
+        key = (fam.upper(), n)
+        rd = _builtin.get(key)
+        if rd is None:
+            rd = _builtin[key] = build_root_datum(fam, n)
+        return rd
     try:
         return load_root_datum(text)
     except OSError as exc:
@@ -204,13 +250,28 @@ def dumps(obj) -> str:
     The C encoder behind ``json.dumps`` cannot indent, so an indented dump
     runs the stdlib's pure-Python encoder.  This writer covers what the
     commands emit: dicts with ``str`` keys, lists and tuples, ``str``
-    (through the same C escaper) and exact ``int``; it hands anything else
-    to ``json.dumps`` and indents the result to its depth.
+    (through the same C escaper), exact ``int`` and the element records
+    that `_records` lays out; it hands anything else to ``json.dumps`` and
+    indents the result to its depth.
     """
+    return _text(obj, "\n") + "\n"
+
+
+def _text(obj, nl):
+    """obj as `dumps` writes it on a line indented by `nl`."""
     parts = []
-    _write_json(obj, "\n", parts.append)
-    parts.append("\n")
+    _write_json(obj, nl, parts.append)
     return "".join(parts)
+
+
+class _Laid:
+    """A value whose JSON text `lay(nl)` writes for the indent `nl` of its
+    own line; `_write_json` emits that text as it is."""
+
+    __slots__ = ("lay",)
+
+    def __init__(self, lay):
+        self.lay = lay
 
 
 def _write_json(obj, nl, out):
@@ -244,6 +305,8 @@ def _write_json(obj, nl, out):
             _write_json(v, inner, out)
             sep = "," + inner
         out(nl + "]")
+    elif t is _Laid:
+        out(obj.lay(nl))
     else:
         # a JSON string holds no raw newline, so every "\n" is a line break
         out(json.dumps(obj, sort_keys=True, indent=1).replace("\n", nl))
@@ -259,28 +322,24 @@ def cmd_adm(args) -> int:
         raise PreconditionError(f"{mu} is not dominant")
     W = rd.affine_weyl()
     elements = sorted(W.admissible_set(mu), key=W.sort_key)
-    kappa = _kappas(W)
-    rows = [{
-        "element": element_json(x),
-        "length": x.length(),
-        "kappa": kappa(x),
-    } for x in elements]
     if args.format == "csv":
+        kappa = _kappas(W)
+        word = W.weyl.word
         buf = io.StringIO()
         wr = csv.writer(buf)
         wr.writerow(["translation", "finite_word", "length", "kappa"])
-        for r in rows:
-            wr.writerow([" ".join(map(str, r["element"]["translation"])),
-                         " ".join(map(str, r["element"]["finite_word"])),
-                         r["length"], r["kappa"]])
+        for x in elements:
+            wr.writerow([" ".join(map(str, x.trans)),
+                         " ".join(str(i + 1) for i in word[x.fin]),
+                         x.length(), kappa(x)])
         emit(args, buf.getvalue())
         return EXIT_OK
     emit(args, dumps({
         "schema": "iwahecke/adm/1",
         "group": rd.family,
         "mu": list(mu),
-        "count": len(rows),
-        "elements": rows,
+        "count": len(elements),
+        "elements": _records(W, elements),
     }))
     return EXIT_OK
 
@@ -293,15 +352,12 @@ def cmd_zmu(args) -> int:
     if args.format == "csv":
         raise PreconditionError("zmu output is JSON only")
     W = rd.affine_weyl()
-    H = W.hecke()
-    lt = W.translation(mu).length()
+    lt = W.translation(tuple(args.r * x for x in mu)).length()
 
     f = monomial_symmetric(rd, mu)
     if args.r > 1:
         from .transfer import base_change
         f = base_change(f, args.r)
-        mu_used = tuple(args.r * x for x in mu)
-        lt = W.translation(mu_used).length()
     if args.method == "closed":
         if args.r > 1:
             raise PreconditionError("--r is a theta-route option")
@@ -309,19 +365,23 @@ def cmd_zmu(args) -> int:
             raise PreconditionError(
                 f"{mu} is not minuscule; the closed formula does not apply")
         vz = closed_form_bernstein(W, mu)
+        if args.levi is not None:
+            # the elimination inside constant_term is what ties the closed
+            # form to the center
+            ct = constant_term(vz.scale(LaurentPoly.v(-lt)), args.levi)
+    elif args.levi is not None:
+        ct = levi_image(f, args.levi)  # c^G_L(z) for z = bernstein_iso(f)
     else:
         vz = bernstein_iso(f, W).scale(LaurentPoly.v(lt))
 
     if args.levi is not None:
-        z = vz.scale(LaurentPoly.v(-lt))
-        ct = constant_term(z, args.levi)
         emit(args, dumps({
             "schema": "iwahecke/hecke-element/1",
             "group": rd.family,
             "levi": args.levi,
             "mu": list(mu),
             "normalization": "c^G_L(z_mu)",
-            "terms": hecke_json(ct, args.q),
+            "terms": _hecke_records(ct, args.q),
         }))
         return EXIT_OK
 
@@ -332,9 +392,10 @@ def cmd_zmu(args) -> int:
         "method": args.method,
         "base_change_r": args.r,
         "normalization": "v^l(t_mu) * z_mu",
-        "terms": hecke_json(vz, args.q),
+        "terms": _hecke_records(vz, args.q),
     }))
     return EXIT_OK
+
 
 
 def cmd_transfer(args) -> int:

@@ -21,12 +21,15 @@ instead of over a whole word on packed integer coefficients; centrality
 compares whole products T_s h and h T_s instead of one packed commutator
 per generator, and a product of two elements is one T_x b per term of a,
 its Omega part by element products, instead of one packing of b.
+The CLI's element records are built as plain objects, one term at a time,
+for `json.dumps` to write, instead of from the CLI's one record template.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
+from iwahecke.cli import poly_json
 from iwahecke.deeplevel import scholze_z
 from iwahecke.rootdata import weyl_orbit
 from iwahecke.series import Matrix2, TruncatedSeries
@@ -498,3 +501,21 @@ def least_dominant_cover(rd, need):
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def element_record(W, x):
+    """The CLI's record of the element x of W, as a plain object."""
+    om = W.kottwitz_image(x)
+    return {
+        "element": {"translation": list(x.trans),
+                    "finite_word": [i + 1 for i in W.weyl.word[x.fin]]},
+        "length": x.length(),
+        "kappa": om.grade if om.grade is not None else list(om.rep),
+    }
+
+
+def hecke_json(h, q_value=None):
+    """The CLI's term records of the Hecke element h, as plain objects."""
+    W = h.algebra.W
+    return [dict(element_record(W, x), coeff=poly_json(c, q_value))
+            for x, c in h.items_sorted()]

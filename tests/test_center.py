@@ -8,13 +8,15 @@ from iwahecke.affine import AffineWeylGroup
 from iwahecke.center import (HeightBoundError, NotCentralError,
                              SymmetricFunction, _eliminate, bernstein_iso,
                              bernstein_iso_inverse, constant_term,
-                             monomial_symmetric)
+                             levi_image, monomial_symmetric)
 from iwahecke.hecke import HeckeAlgebra
 from iwahecke.laurent import ONE, LaurentPoly
 from iwahecke.rootdata import (RootDatum, RootDatumError, build_root_datum,
                                levi_sub_datum, weyl_orbit)
+from iwahecke.transfer import base_change
 
 from oracles import bernstein_iso_by_theta, is_central_by_products
+from test_kernel_tables import ADM_MUS, CONFIGS, GROUPS, _datum, _ids
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +279,28 @@ def test_constant_term_transitivity(gl4):
     z = H4.bernstein_function((1, 0, 0, 0))
     mid = constant_term(z, [1, 3])
     assert constant_term(mid, []) == constant_term(z, [])
+
+
+@pytest.mark.parametrize("case", GROUPS + CONFIGS, ids=_ids)
+def test_levi_image_matches_constant_term(case):
+    # the Levi image of f, taken without the elimination, against the
+    # constant term of bernstein_iso(f), which inverts it first, and against
+    # one theta_la per coweight on the Levi; for every single label, the
+    # torus and L = G
+    rd = _datum(case)
+    W = rd.affine_weyl()
+    labels = [[], list(range(1, rd.n_simple + 1))]
+    labels += [[i] for i in range(1, rd.n_simple + 1)]
+    fs = [monomial_symmetric(rd, mu) for mu in ADM_MUS[case]]
+    fs.append(base_change(fs[0], 2))
+    for f in fs:
+        z = bernstein_iso(f, W)
+        for levi in labels:
+            WL = (W if len(levi) == rd.n_simple
+                  else AffineWeylGroup(levi_sub_datum(rd, levi)))
+            got = levi_image(f, levi)
+            assert got == constant_term(z, levi), (f, levi)
+            assert got == bernstein_iso_by_theta(f, WL), (f, levi)
 
 
 def test_symmetric_function_json_round_trip(gl3):

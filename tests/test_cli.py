@@ -5,9 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from iwahecke.cli import PreconditionError, dumps, main
+import iwahecke.deeplevel as deeplevel
+import iwahecke.transfer as transfer
+from iwahecke.center import bernstein_iso, constant_term, monomial_symmetric
+from iwahecke.cli import PreconditionError, dumps, main, parse_group
+from iwahecke.klpoly import closed_form_bernstein
+from iwahecke.laurent import LaurentPoly
+from iwahecke.rootdata import build_root_datum, load_root_datum
+from iwahecke.transfer import base_change
 
 from conftest import DATA
+from oracles import element_record, hecke_json
 
 CORPUS_Q2 = Path("src/iwahecke/data/scholze_corpus_q2.txt")
 
@@ -400,6 +408,74 @@ def test_scholze_checked_rows_pass(tmp_path, capsys):
     assert report["status"] == "PASS"
 
 
+# -- exit 4: every check that can fail, failed in-process --------------------
+
+
+def test_transfer_route_mismatch_exits_4(tmp_path, monkeypatch):
+    argv = ("transfer", "--group", "GL:3", "--mu", "2,1,0")
+    rc, data = run(tmp_path, *argv)
+    want = json.loads(data)
+    assert rc == 0 and want["routes_match"] == "PASS"
+    assert "grassmannian" not in want
+    fiber_integrate = transfer.kottwitz_fiber_integrate
+
+    def shifted(z):  # one coefficient of the center route times q
+        g = fiber_integrate(z)
+        terms = dict(g.terms)
+        rep = min(terms)
+        terms[rep] = terms[rep].shift(2)
+        return transfer.GradedFunction._make(g.rd, terms)
+    monkeypatch.setattr(transfer, "kottwitz_fiber_integrate", shifted)
+    rc, data = run(tmp_path, *argv)
+    assert rc == 4
+    assert json.loads(data) == dict(want, routes_match="FAIL")
+
+
+def test_transfer_grassmannian_mismatch_exits_4(tmp_path, monkeypatch):
+    argv = ("transfer", "--group", "GL:4", "--mu", "1,1,0,0")
+    rc, data = run(tmp_path, *argv)
+    want = json.loads(data)
+    assert rc == 0 and want["grassmannian"]["match"] == "PASS"
+    count = transfer.grassmannian_count
+    monkeypatch.setattr(transfer, "grassmannian_count",
+                        lambda n, m: count(n, m) + 1)
+    rc, data = run(tmp_path, *argv)
+    assert rc == 4
+    expected = dict(want["grassmannian"]["expected"])
+    expected["0"] += 1
+    assert json.loads(data) == dict(want, grassmannian=dict(
+        want["grassmannian"], expected=expected, match="FAIL"))
+
+
+@pytest.mark.parametrize("check", ["invariance", "compatibility"])
+def test_scholze_failed_check_exits_4(tmp_path, capsys, monkeypatch, check):
+    argv = ("scholze", "--n", "1", "--q", "2", "--count", "4", "--compat")
+    rc, rows = run(tmp_path, *argv)
+    want = json.loads(capsys.readouterr().out)
+    assert rc == 0 and want["status"] == "PASS"
+    assert want["invariance"]["checked"] and want["compatibility"]["checked"]
+    if check == "invariance":
+        corpus = []
+        build, phi = deeplevel.build_reference_corpus, deeplevel.scholze_phi
+
+        def recorded(field, count):
+            corpus.extend(build(field, count=count))
+            return list(corpus)
+
+        def off_by_one_on_products(n, g):  # u g u' is no corpus matrix
+            value = phi(n, g)
+            return value if any(g is h for h in corpus) else value + 1
+        monkeypatch.setattr(deeplevel, "build_reference_corpus", recorded)
+        monkeypatch.setattr(deeplevel, "scholze_phi", off_by_one_on_products)
+    else:
+        monkeypatch.setattr(deeplevel, "level_compatibility_check",
+                            lambda n, g: False)
+    rc, got_rows = run(tmp_path, *argv)
+    assert rc == 4 and got_rows == rows
+    assert json.loads(capsys.readouterr().out) == dict(
+        want, status="FAIL", **{check: dict(want[check], passed=0)})
+
+
 def test_scholze_precision_zero_truncates_generated_corpus(tmp_path, capsys):
     # O(t^0) decides nothing: every row is undecided, so nothing passes
     rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
@@ -504,6 +580,20 @@ def test_weyl_size_guard_boundary(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == f"error: built {group}\n"
 
 
+def test_parse_group_reuses_builtin_datum_only(tmp_path):
+    # a builtin group is built once per family and rank, whatever its case;
+    # a config file is read again on every call
+    gl3 = parse_group("GL:3")
+    assert parse_group("GL:3") is gl3 and parse_group("gl:3") is gl3
+    assert parse_group("SL:3") is not gl3 and parse_group("GL:4") is not gl3
+    assert parse_group("SL:3").family == "SL(3)"
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text((DATA / "pgl2.cfg").read_text())
+    first = parse_group(str(cfg))
+    cfg.write_text((DATA / "gsp4.cfg").read_text())
+    assert parse_group(str(cfg)).rank == 3 and first.rank == 1
+
+
 # -- repeated in-process calls ------------------------------------------------
 
 # (argv, stdout golden, stderr golden) of every golden in tests/data; without
@@ -526,6 +616,14 @@ GOLDEN_RUNS = [
      None),
     (("adm", "--group", "GL:3", "--mu", "2,1,0"), "golden_adm_gl3_210.json",
      None),
+    # a product datum, whose kappa is a list
+    (("adm", "--group", str(DATA / "gl2xgl2.cfg"), "--mu", "1,0,1,0"),
+     "golden_adm_gl2xgl2_1010.json", None),
+    # the Levi image of a base-changed function
+    (("zmu", "--group", "GL:3", "--mu", "2,1,0", "--levi", "1", "--r", "2"),
+     "golden_zmu_gl3_210_levi1_r2.json", None),
+    (("zmu", "--group", "GL:3", "--mu", "1,0,0", "--levi", "2", "--q", "3"),
+     "golden_zmu_gl3_100_levi2_q3.json", None),
     (("scholze", "--n", "1", "--q", "2", "--corpus", str(CORPUS_Q2),
       "--precision", "12", "--pairs", "1"), "golden_scholze_q2_n1.csv", None),
     (("scholze", "--n", "2", "--q", "3", "--precision", "2", "--compat"),
@@ -624,34 +722,82 @@ def test_dumps_refuses_what_json_dumps_refuses():
 
 def test_dumps_matches_json_dumps_on_goldens():
     names = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(names) == 11
+    assert len(names) == 14
     for name in names:
         text = (DATA / name).read_text()
         obj = json.loads(text)
         assert dumps(obj) == _reference_dumps(obj) == text, name
 
 
-def test_dumps_matches_json_dumps_on_command_outputs(tmp_path, monkeypatch):
-    written = []
+def _plain_report(argv):
+    """The report of an adm or zmu run as plain objects, each record built
+    by the oracle, for json.dumps to write."""
+    command, opts = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    family, _, n = opts["--group"].partition(":")
+    rd = build_root_datum(family, int(n)) if n else load_root_datum(family)
+    W = rd.affine_weyl()
+    mu = tuple(int(t) for t in opts["--mu"].split(","))
+    if command == "adm":
+        elements = sorted(W.admissible_set(mu), key=W.sort_key)
+        return {"schema": "iwahecke/adm/1", "group": rd.family,
+                "mu": list(mu), "count": len(elements),
+                "elements": [element_record(W, x) for x in elements]}
+    q = int(opts["--q"]) if "--q" in opts else None
+    r = int(opts.get("--r", 1))
+    method = opts.get("--method", "theta")
+    f = base_change(monomial_symmetric(rd, mu), r)
+    if method == "closed":
+        vz = closed_form_bernstein(W, mu)
+    else:
+        lt = W.translation(tuple(r * x for x in mu)).length()
+        vz = bernstein_iso(f, W).scale(LaurentPoly.v(lt))
+    if "--levi" in opts:
+        levi = [int(t) for t in opts["--levi"].split(",")]
+        return {"schema": "iwahecke/hecke-element/1", "group": rd.family,
+                "levi": levi, "mu": list(mu),
+                "normalization": "c^G_L(z_mu)",
+                "terms": hecke_json(constant_term(bernstein_iso(f, W), levi),
+                                    q)}
+    return {"schema": "iwahecke/hecke-element/1", "group": rd.family,
+            "mu": list(mu), "method": method, "base_change_r": r,
+            "normalization": "v^l(t_mu) * z_mu", "terms": hecke_json(vz, q)}
 
-    def spy(obj):
-        written.append(obj)
-        return _reference_dumps(obj)
-    monkeypatch.setattr("iwahecke.cli.dumps", spy)
-    for argv in (
-            ("adm", "--group", "GL:3", "--mu", "2,1,0"),
+
+def test_dumps_matches_json_dumps_on_command_outputs(tmp_path, monkeypatch):
+    # adm and zmu write their records from one template: their bytes must
+    # be what json.dumps writes for the same report built as plain objects,
+    # on every JSON golden and the --q forms; transfer and scholze hand
+    # dumps plain objects
+    for argv in [a for a, _, _ in GOLDEN_RUNS if a[0] != "scholze"] + [
             ("adm", "--group", str(DATA / "pgl2.cfg"), "--mu", "1"),
             ("zmu", "--group", "GSp:4", "--mu", "1,1,1"),
             ("zmu", "--group", "GL:3", "--mu", "2,1,0", "--levi", "1"),
-            ("zmu", "--group", "GL:3", "--mu", "1,0,0", "--levi", "2",
-             "--q", "3"),
             ("zmu", "--group", "GL:2", "--mu", "1,0", "--q", "5"),
+            ("zmu", "--group", "Sp:4", "--mu", "1,1", "--q", "3"),
+            ("zmu", "--group", "GL:2", "--mu", "1,0", "--r", "3", "--q", "2"),
+            ("zmu", "--group", "GL:3", "--mu", "1,0,0", "--levi", "1",
+             "--method", "closed", "--q", "4"),
+            ("zmu", "--group", str(DATA / "gl2xgl2.cfg"), "--mu", "1,0,1,0",
+             "--levi", "1,2", "--q", "2")]:
+        rc, data = run(tmp_path, *argv)
+        assert rc == 0, argv
+        assert data.decode() == _reference_dumps(_plain_report(argv)), argv
+
+    written = []
+
+    def spy(obj):
+        text = dumps(obj)
+        written.append((obj, text))
+        return text
+    monkeypatch.setattr("iwahecke.cli.dumps", spy)
+    for argv in (
             ("transfer", "--group", "GL:4", "--mu", "1,1,0,0"),
+            ("transfer", "--group", "GL:3", "--mu", "1,0,0", "--q", "2"),
             ("transfer", "--group", str(DATA / "gl2xgl2.cfg"),
              "--mu", "1,0,0,0"),
             ("scholze", "--n", "1", "--q", "2", "--count", "3",
              "--compat")):
         assert main(list(argv) + ["--out", str(tmp_path / "out")]) == 0, argv
-    assert len(written) == 9
-    for obj in written:
-        assert dumps(obj) == _reference_dumps(obj)
+    assert len(written) == 4
+    for obj, text in written:
+        assert text == _reference_dumps(obj)

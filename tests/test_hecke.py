@@ -4,14 +4,13 @@ import random
 import pytest
 
 from iwahecke.affine import AffineWeylGroup
-from iwahecke.cli import hecke_json
 from iwahecke.hecke import (bernstein_function, is_central, parahoric_descent,
                             t_inverse, t_multiply, theta)
 from iwahecke.laurent import ONE, Q, QM1, LaurentPoly
 from iwahecke.rootdata import (RootDatumError, build_root_datum,
                                pair_two_rho)
 
-from oracles import random_element, random_hecke_element
+from oracles import hecke_json, random_element, random_hecke_element
 
 
 @pytest.fixture(scope="module")

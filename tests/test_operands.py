@@ -24,12 +24,13 @@ import pytest
 from iwahecke.affine import AffineWeylGroup
 from iwahecke.center import (SymmetricFunction, bernstein_iso,
                              monomial_symmetric)
-from iwahecke.cli import hecke_json
 from iwahecke.hecke import HeckeElement
 from iwahecke.klpoly import RPolynomials
 from iwahecke.laurent import ONE, LaurentPoly
 from iwahecke.rootdata import RootDatumError, build_root_datum
 from iwahecke.transfer import GradedFunction
+
+from oracles import hecke_json
 
 LA = (1, 0)  # dominant on GL(2) and on Sp(4)
 
