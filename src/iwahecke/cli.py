@@ -429,8 +429,7 @@ def cmd_transfer(args) -> int:
     n = _gl_size(rd)
     m = sum(mu)
     if (n is not None and 0 < m < n
-            and sorted(mu, reverse=True) == [1] * m + [0] * (n - m)
-            and tuple(sorted(mu, reverse=True)) == mu):
+            and list(mu) == [1] * m + [0] * (n - m)):
         binom = grassmannian_count(n, m)
         got = via_center.coeff(m)
         report["grassmannian"] = {
@@ -541,7 +540,7 @@ def cmd_scholze(args) -> int:
     wr = csv.writer(buf)
     wr.writerow(["index", "matrix", "phi", "z", "flag"])
     rng = random.Random(_INVARIANCE_SEED)
-    inv_checked = inv_passed = 0
+    inv_checked = inv_passed = inv_vacuous = 0
     compat_checked = compat_passed = 0
     for i, g in enumerate(mats):
         try:
@@ -554,9 +553,13 @@ def cmd_scholze(args) -> int:
         for _ in range(args.pairs):
             u = random_kn_element(field, n, rng, depth=6)
             up = random_kn_element(field, n, rng, depth=6)
+            h = u * g * up
+            if h == g:  # the same matrix tests nothing
+                inv_vacuous += 1
+                continue
             inv_checked += 1
             try:
-                if scholze_phi(n, u * g * up) == phi:
+                if scholze_phi(n, h) == phi:
                     inv_passed += 1
             except IndeterminatePrecisionError:
                 pass
@@ -573,7 +576,8 @@ def cmd_scholze(args) -> int:
         "schema": "iwahecke/scholze-report/1",
         "n": n, "q": field.q,
         "rows": len(mats),
-        "invariance": {"checked": inv_checked, "passed": inv_passed},
+        "invariance": {"checked": inv_checked, "passed": inv_passed,
+                       "vacuous": inv_vacuous},
         "compatibility": {"checked": compat_checked, "passed": compat_passed},
     }
     ok = inv_passed == inv_checked and compat_passed == compat_checked

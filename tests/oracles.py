@@ -256,10 +256,11 @@ def fold_by_letters(H, h, slots, left, inverse):
 
 
 def is_central_by_products(H, h):
-    """`H.is_central(h)` as whole products compared: T_s h against h T_s
-    through `lmul_gen` and `rmul_gen` for every affine simple reflection,
-    T_om h against h T_om through `lmul_omega` and `rmul_omega` for every
-    generator of Omega."""
+    """`H.is_central(h)` by the definition, whole products compared: T_s h
+    against h T_s through `lmul_gen` and `rmul_gen` for every affine simple
+    reflection, and T_om h against h T_om through `lmul_omega` and
+    `rmul_omega` for every generator of Omega, which `is_central` leaves
+    out as implied."""
     for label in H.W.gen_labels:
         if H.lmul_gen(label, h) != H.rmul_gen(h, label):
             return False

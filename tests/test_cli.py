@@ -383,7 +383,7 @@ def test_scholze_nothing_checked_is_not_pass(tmp_path, capsys):
                    "--count", "3", "--pairs", "0")
     assert rc == 0 and len(data.decode().strip().splitlines()) == 4
     report = json.loads(capsys.readouterr().out)
-    assert report["invariance"] == {"checked": 0, "passed": 0}
+    assert report["invariance"] == {"checked": 0, "passed": 0, "vacuous": 0}
     assert report["compatibility"] == {"checked": 0, "passed": 0}
     assert report["status"] == "UNCHECKED"
 
@@ -397,6 +397,18 @@ def test_scholze_all_rows_indeterminate_is_not_pass(tmp_path, capsys):
     rows = data.decode().strip().splitlines()[1:]
     assert len(rows) == 2 and all(r.endswith("INDETERMINATE") for r in rows)
     report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "UNCHECKED"
+
+
+def test_scholze_all_pairs_vacuous_is_not_pass(tmp_path, capsys):
+    # at O(t^2) every sampled u g u' over F_2 at level 3 is g itself, so
+    # no pair tests bi-invariance
+    rc, data = run(tmp_path, "scholze", "--n", "3", "--q", "2", "--count",
+                   "60", "--precision", "2", "--pairs", "3")
+    assert rc == 0 and len(data.decode().strip().splitlines()) == 61
+    report = json.loads(capsys.readouterr().out)
+    assert report["invariance"] == {"checked": 0, "passed": 0, "vacuous": 84}
+    assert report["compatibility"] == {"checked": 0, "passed": 0}
     assert report["status"] == "UNCHECKED"
 
 

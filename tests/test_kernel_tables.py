@@ -870,12 +870,14 @@ def test_bernstein_function_is_the_orbit_theta_sum(case):
 
 @KERNEL_CASES
 def test_packed_centrality_and_product_match_product_routes(case):
-    """is_central (one packed commutator per generator, Omega generators as
-    key maps) against whole products compared, and multiply (b packed once)
-    against one T_x b per term of a, on central z_mu and z_mu z_nu, random
-    elements, z_mu plus one T_x at a finite, an affine and an Omega
-    generator, and T_e + T_s + T_s' and T_om + T_s om + T_s' om (every
-    coefficient 1); coefficients reach 10^30 and exponents mix parities."""
+    """is_central (one packed commutator per affine generator) against
+    whole products compared, and multiply (b packed once) against one T_x b
+    per term of a, on central z_mu and z_mu z_nu, T_om z_mu and
+    T_om z_mu + z_mu T_om, per generator s a sum of T_w that commutes with
+    every other generator, random elements, z_mu plus one T_x at a finite,
+    an affine and an Omega generator, and T_e + T_s + T_s' and
+    T_om + T_s om + T_s' om (every coefficient 1); coefficients reach 10^30
+    and exponents mix parities."""
     rd = _datum(case)
     W = AffineWeylGroup(rd)
     H = W.hecke()
@@ -896,7 +898,22 @@ def test_packed_centrality_and_product_match_product_routes(case):
         assert H.is_central(h) and is_central_by_products(H, h)
     for h in with_t[:2]:
         assert not H.is_central(h) and not is_central_by_products(H, h)
-    for h in with_t[2:] + randoms:
+    # per generator s, e = sum of T_w over W_J, J the other generators of
+    # the affine diagram component of s: T_t e = e T_t for every t but s
+    # (q e for t in J), so s alone shows that e is not central
+    gens = {s: W.simple_reflection(s) for s in W.gen_labels}
+    for s in W.gen_labels:
+        comp, todo = {s}, [s]
+        while todo:
+            t = todo.pop()
+            linked = {u for u, y in gens.items()
+                      if gens[t] * y != y * gens[t]}
+            todo.extend(linked - comp)
+            comp |= linked
+        e = H.from_terms({x: ONE for x in H.parahoric_subgroup(comp - {s})})
+        assert not H.is_central(e) and not is_central_by_products(H, e)
+    om_z = H.lmul_omega(om, z_mu)
+    for h in with_t[2:] + randoms + [om_z, om_z + H.rmul_omega(z_mu, om)]:
         assert H.is_central(h) == is_central_by_products(H, h)
     # T_om h and h T_om as key maps against element products
     for h in randoms:
@@ -918,6 +935,22 @@ def test_packed_centrality_and_product_match_product_routes(case):
         got = H.multiply(a, b)
         assert got.terms == multiply_by_t_times(H, a, b).terms
         _assert_lengths_carried(got)
+
+
+def test_centrality_without_roots(tmp_path):
+    """A datum with no roots: no affine generators, every element has
+    length zero and the algebra is commutative, so every element is
+    central."""
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text("name torus\nrank 1\nsimple_roots\nend\n"
+                   "simple_coroots\nend\n")
+    H = AffineWeylGroup(load_root_datum(cfg)).hecke()
+    assert H.W.gen_labels == ()
+    rng = random.Random("central-torus")
+    for _ in range(20):
+        h = random_hecke_element(H, rng)
+        assert all(x.length() == 0 for x in h.terms)
+        assert H.is_central(h) and is_central_by_products(H, h)
 
 
 @CASES
