@@ -315,11 +315,18 @@ def _write_json(obj, nl, out):
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_adm(args) -> int:
+def _group_and_mu(args):
+    """The datum of ``--group`` and the coweight of ``--mu``: a bad group
+    is refused first, then a bad coweight, then one that is not dominant."""
     rd = parse_group(args.group)
     mu = parse_mu(args.mu, rd)
     if not rd.is_dominant(mu):
         raise PreconditionError(f"{mu} is not dominant")
+    return rd, mu
+
+
+def cmd_adm(args) -> int:
+    rd, mu = _group_and_mu(args)
     W = rd.affine_weyl()
     elements = sorted(W.admissible_set(mu), key=W.sort_key)
     if args.format == "csv":
@@ -345,22 +352,19 @@ def cmd_adm(args) -> int:
 
 
 def cmd_zmu(args) -> int:
-    rd = parse_group(args.group)
-    mu = parse_mu(args.mu, rd)
-    if not rd.is_dominant(mu):
-        raise PreconditionError(f"{mu} is not dominant")
+    rd, mu = _group_and_mu(args)
     if args.format == "csv":
         raise PreconditionError("zmu output is JSON only")
     W = rd.affine_weyl()
     lt = W.translation(tuple(args.r * x for x in mu)).length()
+    if args.method == "closed" and args.r > 1:
+        raise PreconditionError("--r is a theta-route option")
 
     f = monomial_symmetric(rd, mu)
     if args.r > 1:
         from .transfer import base_change
         f = base_change(f, args.r)
     if args.method == "closed":
-        if args.r > 1:
-            raise PreconditionError("--r is a theta-route option")
         if not is_minuscule(rd, mu):
             raise PreconditionError(
                 f"{mu} is not minuscule; the closed formula does not apply")
@@ -401,10 +405,7 @@ def cmd_zmu(args) -> int:
 def cmd_transfer(args) -> int:
     from .transfer import (grassmannian_count, kottwitz_fiber_integrate,
                            normalized_transfer)
-    rd = parse_group(args.group)
-    mu = parse_mu(args.mu, rd)
-    if not rd.is_dominant(mu):
-        raise PreconditionError(f"{mu} is not dominant")
+    rd, mu = _group_and_mu(args)
     if args.format == "csv":
         raise PreconditionError("transfer output is JSON only")
     W = rd.affine_weyl()

@@ -17,7 +17,13 @@ Builtin families:
   valuation.
 
 Custom data come from a small key/value config file, see
-:func:`load_root_datum`.
+:func:`load_root_datum`.  Builtin, custom and Levi data alike are built by
+the one constructor ``RootDatum(family, rank, simple_roots,
+simple_coroots)``, which validates the four defining fields and derives
+every other fact from one closure of the roots:
+
+>>> RootDatum("pgl2", 1, [(1,)], [(2,)]).pos_coroots
+((2,),)
 
 Dominance convention everywhere: la is dominant iff <la, a_i> >= 0 for all
 simple roots a_i (upper-triangular Borel for GL(n)).
@@ -67,7 +73,15 @@ class RootDatumError(ValueError):
 
 
 class RootDatum:
-    """Immutable based root datum; construct via build/load functions.
+    """Immutable based root datum, built from its four defining fields.
+
+    ``RootDatum(family, rank, simple_roots, simple_coroots)`` validates the
+    simple (co)roots (lengths, a finite-type Cartan matrix, independent
+    simple roots) and closes them under the simple reflections.  Every
+    derived field is read off that one closure and stored: ``pos_roots``
+    by height with their ``pos_coroots`` and ``pos_root_coords``,
+    ``two_rho``, ``root_reflections`` and the ``cartan_matrix``
+    C[i][j] = <a_i^vee, a_j>.
 
     Equality and hash are structural (rank + simple roots + simple
     coroots); the family string is a display name only.  Assigning an
@@ -76,19 +90,52 @@ class RootDatum:
     instance dict directly.
     """
 
-    def __init__(self, family: str, rank: int = 0, simple_roots: tuple = (),
-                 simple_coroots: tuple = (), pos_roots: tuple = (),
-                 pos_coroots: tuple = (), two_rho: tuple = (),
-                 pos_root_coords: tuple = (), root_reflections=None):
-        # roots are character vectors, coroots coweight vectors, and
-        # pos_root_coords the positive roots' coordinates in the simple roots
+    def __init__(self, family: str, rank: int, simple_roots, simple_coroots):
+        # roots are character vectors, coroots coweight vectors
+        simple_roots = tuple(tuple(a) for a in simple_roots)
+        simple_coroots = tuple(tuple(av) for av in simple_coroots)
+        if len(simple_roots) != len(simple_coroots):
+            raise RootDatumError("need equally many simple roots and coroots")
+        for v in simple_roots + simple_coroots:
+            if len(v) != rank:
+                raise RootDatumError("root/coroot length differs from rank")
+
+        cartan = tuple(tuple(dot(av, a) for a in simple_roots)
+                       for av in simple_coroots)
+        for i, row in enumerate(cartan):
+            if row[i] != 2:
+                raise RootDatumError(f"<a_{i}^vee, a_{i}> = {row[i]} != 2")
+            for j, c in enumerate(row):
+                if i != j:
+                    if c > 0:
+                        raise RootDatumError("positive off-diagonal Cartan entry")
+                    if (c == 0) != (cartan[j][i] == 0):
+                        raise RootDatumError(
+                            "asymmetric zero pattern in Cartan matrix")
+        # independent simple roots make the closure's coordinates unique
+        if len(hermite_basis(simple_roots)) < len(simple_roots):
+            raise RootDatumError("simple roots are linearly dependent")
+
+        pairs, reflections = _close_roots(simple_roots, simple_coroots)
+        pos = []
+        for a, (av, coords) in pairs.items():
+            if all(x >= 0 for x in coords):
+                pos.append((sum(coords), a, av, coords))
+            elif not all(x <= 0 for x in coords):
+                raise RootDatumError(f"root {a} is neither positive nor negative")
+        pos.sort()  # by height, then root vector
+        pos_roots = tuple(p[1] for p in pos)
+        two_rho = tuple(sum(col) for col in zip(*pos_roots)) if pos_roots \
+            else (0,) * rank
+        # pos_root_coords are the positive roots' coordinates in the simple
+        # roots; root_reflections maps every root, positive and negative, to
+        # (s_1(root), ..., s_m(root)), outside the equality key
         self.__dict__.update(
             family=family, rank=rank, simple_roots=simple_roots,
-            simple_coroots=simple_coroots, pos_roots=pos_roots,
-            pos_coroots=pos_coroots, two_rho=two_rho,
-            pos_root_coords=pos_root_coords)
-        if root_reflections is not None:
-            self.__dict__["root_reflections"] = root_reflections
+            simple_coroots=simple_coroots, cartan_matrix=cartan,
+            pos_roots=pos_roots, pos_coroots=tuple(p[2] for p in pos),
+            two_rho=two_rho, pos_root_coords=tuple(p[3] for p in pos),
+            root_reflections=reflections)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a RootDatum")
@@ -138,20 +185,6 @@ class RootDatum:
                 return la
 
     # -- derived structure (computed once, cached on the instance) -----------
-
-    @property
-    def cartan_matrix(self):
-        """C[i][j] = <a_i^vee, a_j>."""
-        return tuple(tuple(dot(av, a) for a in self.simple_roots)
-                     for av in self.simple_coroots)
-
-    @cached_property
-    def root_reflections(self):
-        """root -> (s_1(root), ..., s_m(root)) over every root, positive and
-        negative: the root closure's record, passed in by the build
-        functions and recomputed only for a datum constructed without it.
-        A function of the simple (co)roots, so outside the equality key."""
-        return _close_roots(self.simple_roots, self.simple_coroots)[1]
 
     @cached_property
     def components(self):
@@ -295,49 +328,6 @@ def _close_roots(simple_roots, simple_coroots):
     return pairs, reflections
 
 
-def _validate_and_build(family, rank, simple_roots, simple_coroots):
-    simple_roots = tuple(tuple(a) for a in simple_roots)
-    simple_coroots = tuple(tuple(av) for av in simple_coroots)
-    if len(simple_roots) != len(simple_coroots):
-        raise RootDatumError("need equally many simple roots and coroots")
-    for v in simple_roots + simple_coroots:
-        if len(v) != rank:
-            raise RootDatumError("root/coroot length differs from rank")
-
-    m = len(simple_roots)
-    cartan = [[dot(simple_coroots[i], simple_roots[j]) for j in range(m)]
-              for i in range(m)]
-    for i in range(m):
-        if cartan[i][i] != 2:
-            raise RootDatumError(f"<a_{i}^vee, a_{i}> = {cartan[i][i]} != 2")
-        for j in range(m):
-            if i != j:
-                if cartan[i][j] > 0:
-                    raise RootDatumError("positive off-diagonal Cartan entry")
-                if (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                    raise RootDatumError("asymmetric zero pattern in Cartan matrix")
-    # independent simple roots make the closure's coordinates unique
-    if len(hermite_basis(simple_roots)) < m:
-        raise RootDatumError("simple roots are linearly dependent")
-
-    pos = []
-    pairs, reflections = _close_roots(simple_roots, simple_coroots)
-    for a, (av, coords) in pairs.items():
-        if all(x >= 0 for x in coords):
-            pos.append((sum(coords), a, av, coords))
-        elif not all(x <= 0 for x in coords):
-            raise RootDatumError(f"root {a} is neither positive nor negative")
-    pos.sort()  # by height, then root vector
-    pos_roots = tuple(p[1] for p in pos)
-
-    two_rho = tuple(sum(col) for col in zip(*pos_roots)) if pos_roots \
-        else (0,) * rank
-
-    return RootDatum(family, rank, simple_roots, simple_coroots, pos_roots,
-                     tuple(p[2] for p in pos), two_rho,
-                     tuple(p[3] for p in pos), reflections)
-
-
 def _check_root_count(name, count):
     if count > _MAX_ROOTS:
         raise RootDatumError(
@@ -365,7 +355,7 @@ def build_root_datum(family: str, n: int) -> RootDatum:
         e = lambda i: tuple(1 if j == i else 0 for j in range(n))
         diff = [tuple(a - b for a, b in zip(e(i), e(i + 1)))
                 for i in range(n - 1)]
-        return _validate_and_build(f"GL({n})", n, diff, diff)
+        return RootDatum(f"GL({n})", n, diff, diff)
 
     if family == "SL":
         if n < 2:
@@ -377,13 +367,14 @@ def build_root_datum(family: str, n: int) -> RootDatum:
         roots = [tuple(cartan[i][j] for i in range(rank)) for j in range(rank)]
         coroots = [tuple(1 if i == j else 0 for i in range(rank))
                    for j in range(rank)]
-        return _validate_and_build(f"SL({n})", rank, roots, coroots)
+        return RootDatum(f"SL({n})", rank, roots, coroots)
 
     if family in ("SP", "GSP"):
+        name = "Sp" if family == "SP" else "GSp"
         if n < 2 or n % 2:
-            raise RootDatumError(f"{family}(n) needs even n >= 2")
+            raise RootDatumError(f"{name}(n) needs even n >= 2")
         k = n // 2
-        name = f"{'Sp' if family == 'SP' else 'GSp'}({n})"
+        name = f"{name}({n})"
         _check_root_count(name, 2 * k * k)
         rank = k if family == "SP" else k + 1
         pad = () if family == "SP" else (0,)
@@ -399,7 +390,7 @@ def build_root_datum(family: str, n: int) -> RootDatum:
         long_root = tuple(2 if j == k - 1 else 0 for j in range(k))
         roots.append(long_root + ((-1,) if family == "GSP" else ()))
         coroots.append(e(k - 1) + pad)
-        return _validate_and_build(name, rank, roots, coroots)
+        return RootDatum(name, rank, roots, coroots)
 
     raise RootDatumError(f"unsupported family {family!r}")
 
@@ -420,8 +411,9 @@ def load_root_datum(path) -> RootDatum:
 
     ``simple_roots`` rows are character vectors, ``simple_coroots`` rows are
     coweight vectors, both of length ``rank``, a nonnegative int.  Each key
-    and block appears at most once.  The datum is validated on load
-    (finite-type Cartan matrix, consistent root closure).
+    and block appears at most once.  The :class:`RootDatum` constructor
+    validates the datum (finite-type Cartan matrix, consistent root
+    closure) as it loads.
     """
     name, rank = None, None
     blocks = {"simple_roots": [], "simple_coroots": []}
@@ -462,8 +454,8 @@ def load_root_datum(path) -> RootDatum:
         raise RootDatumError(f"unterminated block {current!r}")
     if rank is None:
         raise RootDatumError("config is missing 'rank'")
-    return _validate_and_build(name or "custom", rank,
-                               blocks["simple_roots"], blocks["simple_coroots"])
+    return RootDatum(name or "custom", rank, blocks["simple_roots"],
+                     blocks["simple_coroots"])
 
 
 def levi_sub_datum(rd: RootDatum, labels) -> RootDatum:
@@ -478,7 +470,7 @@ def levi_sub_datum(rd: RootDatum, labels) -> RootDatum:
         if not 1 <= lab <= rd.n_simple:
             raise RootDatumError(f"not a simple root label: {lab}")
     idx = [lab - 1 for lab in labels]
-    return _validate_and_build(
+    return RootDatum(
         f"{rd.family}|levi{labels}", rd.rank,
         [rd.simple_roots[i] for i in idx],
         [rd.simple_coroots[i] for i in idx])

@@ -63,8 +63,7 @@ def test_sums_across_root_data_rejected(gl2, gl3):
             op(f2, f3)
     # an equal datum that is another object still adds and multiplies
     same = RootDatum("GL(2) copy", gl2.rank, gl2.simple_roots,
-                     gl2.simple_coroots, gl2.pos_roots, gl2.pos_coroots,
-                     gl2.two_rho, gl2.pos_root_coords)
+                     gl2.simple_coroots)
     assert same is not gl2 and same == gl2
     assert f2 + monomial_symmetric(same, (1, 0)) == f2.scale(2)
     assert f2 * monomial_symmetric(same, (1, 0)) == f2 * f2

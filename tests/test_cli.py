@@ -57,6 +57,26 @@ def test_malformed_group_rank_is_a_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_odd_symplectic_size_names_the_family(tmp_path, capsys):
+    # the message spells the family as the datum names do
+    for group, family in (("GSp:3", "GSp"), ("Sp:5", "Sp"), ("gsp:1", "GSp")):
+        rc, data = run(tmp_path, "adm", "--group", group, "--mu", "1")
+        assert rc == 3 and data == b"", group
+        assert capsys.readouterr().err == (
+            f"error: {family}(n) needs even n >= 2\n"), group
+
+
+def test_zmu_closed_base_change_refused_before_the_center(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_center(*args):
+        raise AssertionError("the symmetric function was formed")
+    monkeypatch.setattr("iwahecke.cli.monomial_symmetric", no_center)
+    rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "1,0,0",
+                   "--method", "closed", "--r", "2")
+    assert rc == 3 and data == b""
+    assert capsys.readouterr().err == "error: --r is a theta-route option\n"
+
+
 def test_leading_minus_in_mu_needs_the_equals_form(tmp_path, capsys):
     # argparse takes "-1,1,0" after a space for an option, not a value
     rc, data = run(tmp_path, "adm", "--group", "GL:3", "--mu", "-1,1,0")

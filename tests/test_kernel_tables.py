@@ -6,8 +6,8 @@ them, checked against plain action-matrix products.
 breadth-first search multiplying full matrices, inverses by iterated powers,
 the per-generator left and right rows by matrix products, root images by
 applying the dual matrices and root signs by applying transposed
-matrices.  A datum constructed directly, without the root closure's
-record of the reflections, must give the same tables as a built one.
+matrices.  A datum constructed directly from its four defining fields
+must store the same fields as a built one and give the same tables.
 The group itself keeps no matrices, so its `apply` is checked on a basis
 against the oracle's, and each of its reflection words, folded through the
 left rows, against the oracle's matrix-keyed index.  The kernel's element operations are checked one by
@@ -220,14 +220,17 @@ def test_weyl_tables_match_matrix_products(case):
 
 @CASES
 def test_datum_built_directly_gets_the_same_tables(case):
-    # a RootDatum constructed without the root closure's record recomputes
-    # it, and the Weyl group tables read from it come out the same
+    # a RootDatum constructed from its four defining fields stores the
+    # builder's derived fields, and the Weyl group tables read from it come
+    # out the same
     rd = _datum(case)
-    bare = RootDatum(rd.family, rd.rank, rd.simple_roots, rd.simple_coroots,
-                     rd.pos_roots, rd.pos_coroots, rd.two_rho,
-                     rd.pos_root_coords)
-    assert "root_reflections" not in vars(bare)
-    assert bare.root_reflections == rd.root_reflections
+    bare = RootDatum(rd.family, rd.rank, rd.simple_roots, rd.simple_coroots)
+    stored = {"family", "rank", "simple_roots", "simple_coroots",
+              "cartan_matrix", "pos_roots", "pos_coroots", "two_rho",
+              "pos_root_coords", "root_reflections"}
+    assert set(vars(bare)) == stored
+    for name in stored:
+        assert getattr(bare, name) == getattr(rd, name), name
     assert len(rd.root_reflections) == 2 * len(rd.pos_roots)
     got, want = IndexedWeyl(bare), IndexedWeyl(rd)
     for name in ("size", "length", "rrow", "lrow", "inv", "word",
@@ -874,8 +877,8 @@ def test_packed_centrality_and_product_match_product_routes(case):
     whole products compared, and multiply (b packed once) against one T_x b
     per term of a, on central z_mu and z_mu z_nu, T_om z_mu and
     T_om z_mu + z_mu T_om, per generator s a sum of T_w that commutes with
-    every other generator, random elements, z_mu plus one T_x at a finite,
-    an affine and an Omega generator, and T_e + T_s + T_s' and
+    every other generator, (4 - q) T_s, random elements, z_mu plus one T_x
+    at a finite, an affine and an Omega generator, and T_e + T_s + T_s' and
     T_om + T_s om + T_s' om (every coefficient 1); coefficients reach 10^30
     and exponents mix parities."""
     rd = _datum(case)
@@ -898,6 +901,10 @@ def test_packed_centrality_and_product_match_product_routes(case):
         assert H.is_central(h) and is_central_by_products(H, h)
     for h in with_t[:2]:
         assert not H.is_central(h) and not is_central_by_products(H, h)
+    # (4 - q) T_s: its commutators carry the digits 4 and -1, which pack to
+    # 0 in base 2^2, so a 2-bit digit width would call it central
+    h = H.t(finite, LaurentPoly({0: 4, 2: -1}))
+    assert not H.is_central(h) and not is_central_by_products(H, h)
     # per generator s, e = sum of T_w over W_J, J the other generators of
     # the affine diagram component of s: T_t e = e T_t for every t but s
     # (q e for t in J), so s alone shows that e is not central

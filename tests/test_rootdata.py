@@ -56,12 +56,16 @@ def test_oversized_family_refused_before_root_closure(monkeypatch, family, n,
 
 def test_root_count_guard_boundary(monkeypatch):
     # GL(100) has 9,900 roots and Sp(140) 9,800: both reach the closure
-    built = []
-    monkeypatch.setattr("iwahecke.rootdata._validate_and_build",
-                        lambda name, *args: built.append(name))
-    for family, n in (("GL", 100), ("SL", 100), ("Sp", 140), ("GSp", 140)):
-        build_root_datum(family, n)
+    closed = []
+
+    def no_roots(simple_roots, simple_coroots):
+        closed.append((len(simple_roots), len(simple_coroots[0])))
+        return {}, {}
+    monkeypatch.setattr("iwahecke.rootdata._close_roots", no_roots)
+    built = [build_root_datum(family, n).family for family, n in (
+        ("GL", 100), ("SL", 100), ("Sp", 140), ("GSp", 140))]
     assert built == ["GL(100)", "SL(100)", "Sp(140)", "GSp(140)"]
+    assert closed == [(99, 100), (99, 99), (70, 70), (70, 71)]
 
 
 def test_positive_roots_are_nonneg_combinations():
@@ -207,6 +211,32 @@ def test_datum_is_an_immutable_value():
         del rd.rank
     assert rd.components == ((0, 1),) and "components" in vars(rd)
     assert rd.rank == 3 and rd.affine_weyl() is rd.affine_weyl()
+
+
+def test_datum_from_four_fields_builds_a_working_group(monkeypatch):
+    """The four defining fields are the whole datum: a GL(3) built from
+    them has its positive roots and, in an empty group registry, builds the
+    group that GL(3) then shares, with the 25 elements of Adm((2, 1, 0))."""
+    monkeypatch.setattr("iwahecke.affine._REGISTRY", {})
+    gl3 = build_root_datum("GL", 3)
+    copy = RootDatum("GL(3) copy", 3, gl3.simple_roots, gl3.simple_coroots)
+    W = copy.affine_weyl()
+    assert W.rd is copy and gl3.affine_weyl() is W
+    assert len(W.admissible_set((2, 1, 0))) == 25
+    assert copy.pos_roots == gl3.pos_roots
+
+
+def test_derived_fields_are_not_arguments():
+    # a derived field passed in could disagree with the equality key, and
+    # the group registry keys on that
+    gl3 = build_root_datum("GL", 3)
+    fields = (gl3.family, gl3.rank, gl3.simple_roots, gl3.simple_coroots)
+    with pytest.raises(TypeError):
+        RootDatum(*fields, gl3.pos_roots[::-1])
+    for name in ("pos_roots", "pos_coroots", "two_rho", "pos_root_coords",
+                 "root_reflections", "cartan_matrix"):
+        with pytest.raises(TypeError):
+            RootDatum(*fields, **{name: getattr(gl3, name)})
 
 
 def test_custom_config_matches_builtin(gsp4):
