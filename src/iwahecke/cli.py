@@ -357,14 +357,10 @@ def cmd_zmu(args) -> int:
         raise PreconditionError("zmu output is JSON only")
     W = rd.affine_weyl()
     lt = W.translation(tuple(args.r * x for x in mu)).length()
-    if args.method == "closed" and args.r > 1:
-        raise PreconditionError("--r is a theta-route option")
 
-    f = monomial_symmetric(rd, mu)
-    if args.r > 1:
-        from .transfer import base_change
-        f = base_change(f, args.r)
     if args.method == "closed":
+        if args.r > 1:
+            raise PreconditionError("--r is a theta-route option")
         if not is_minuscule(rd, mu):
             raise PreconditionError(
                 f"{mu} is not minuscule; the closed formula does not apply")
@@ -373,10 +369,15 @@ def cmd_zmu(args) -> int:
             # the elimination inside constant_term is what ties the closed
             # form to the center
             ct = constant_term(vz.scale(LaurentPoly.v(-lt)), args.levi)
-    elif args.levi is not None:
-        ct = levi_image(f, args.levi)  # c^G_L(z) for z = bernstein_iso(f)
     else:
-        vz = bernstein_iso(f, W).scale(LaurentPoly.v(lt))
+        f = monomial_symmetric(rd, mu)
+        if args.r > 1:
+            from .transfer import base_change
+            f = base_change(f, args.r)
+        if args.levi is not None:
+            ct = levi_image(f, args.levi)  # c^G_L(z) for z = bernstein_iso(f)
+        else:
+            vz = bernstein_iso(f, W).scale(LaurentPoly.v(lt))
 
     if args.levi is not None:
         emit(args, dumps({
@@ -603,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "friends, in exact arithmetic.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, q=True):
         p.add_argument("--group", required=True,
                        help="family:rank (GL:3, SL:2, Sp:4, GSp:4) or a "
                             "root-datum config path")
@@ -611,14 +612,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated dominant coweight; one "
                             "that starts with a minus sign needs the "
                             "= form, e.g. --mu=0,0,-1")
-        p.add_argument("--q", type=int, default=None,
-                       help="specialize q to an integer (after exact "
-                            "computation)")
+        if q:
+            p.add_argument("--q", type=int, default=None,
+                           help="specialize q to an integer (after exact "
+                                "computation)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("adm", help="mu-admissible set")
-    common(p)
+    common(p, q=False)
 
     p = sub.add_parser("zmu", help="Bernstein function v^l(t_mu) z_mu")
     common(p)

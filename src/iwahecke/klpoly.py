@@ -44,14 +44,11 @@ from __future__ import annotations
 
 from .affine import AffineWeylElement, AffineWeylGroup
 from .hecke import HeckeElement
-from .laurent import LaurentPoly, per_coefficient
+from .laurent import ONE, ZERO, LaurentPoly, per_coefficient
 from .rootdata import RootDatumError, _same_datum, is_minuscule
 
 __all__ = ["RPolynomials", "r_polynomial", "closed_form_bernstein",
            "q_poly_to_v"]
-
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly({0: 1})
 
 
 def q_poly_to_v(p: LaurentPoly) -> LaurentPoly:
@@ -70,7 +67,7 @@ class RPolynomials:
         # alive, so an id in a key is never reused; and one object per
         # distinct sum value, so equal R values are one object
         self._sums: dict = {}
-        self._values: dict = {_ZERO: _ZERO, _ONE: _ONE}
+        self._values: dict = {ZERO: ZERO, ONE: ONE}
 
     def r(self, x: AffineWeylElement, y: AffineWeylElement) -> LaurentPoly:
         _same_datum(self.W.rd, x.group.rd, y.group.rd)
@@ -78,9 +75,9 @@ class RPolynomials:
 
     def _r(self, tx, wx, lx, ty, wy, ly) -> LaurentPoly:
         if tx == ty and wx == wy:
-            return _ONE
+            return ONE
         if lx >= ly:
-            return _ZERO
+            return ZERO
         key = (tx, wx, ty, wy)
         cached = self._memo.get(key)
         if cached is not None:

@@ -19,8 +19,9 @@ Builtin families:
 Custom data come from a small key/value config file, see
 :func:`load_root_datum`.  Builtin, custom and Levi data alike are built by
 the one constructor ``RootDatum(family, rank, simple_roots,
-simple_coroots)``, which validates the four defining fields and derives
-every other fact from one closure of the roots:
+simple_coroots)``, which validates the four defining fields and reads
+every root-system fact off one closure of the positive roots; only the
+coroot lattice's Hermite basis and the Omega grade form stay lazy:
 
 >>> RootDatum("pgl2", 1, [(1,)], [(2,)]).pos_coroots
 ((2,),)
@@ -30,7 +31,8 @@ simple roots a_i (upper-triangular Borel for GL(n)).
 
 Positive roots are listed by height, with their integer coordinates in the
 simple roots, both read off the closure of the simple roots under the
-simple reflections:
+simple reflections, and so are the Dynkin components with their highest
+roots:
 
 >>> sp4 = build_root_datum("Sp", 4)
 >>> sp4.simple_roots
@@ -39,8 +41,8 @@ simple reflections:
 ((0, 2), (1, -1), (1, 1), (2, 0))
 >>> sp4.pos_root_coords
 ((0, 1), (1, 0), (1, 1), (2, 1))
->>> sp4.highest_roots   # (root, coroot) per simple factor
-(((2, 0), (1, 0)),)
+>>> sp4.components, sp4.highest_roots   # (root, coroot) per simple factor
+(((0, 1),), (((2, 0), (1, 0)),))
 
 The Kottwitz quotient Omega = X_* / (coroot lattice) is Z for GL(n), graded
 by the coordinate sum, and trivial for Sp(n):
@@ -77,11 +79,14 @@ class RootDatum:
 
     ``RootDatum(family, rank, simple_roots, simple_coroots)`` validates the
     simple (co)roots (lengths, a finite-type Cartan matrix, independent
-    simple roots) and closes them under the simple reflections.  Every
-    derived field is read off that one closure and stored: ``pos_roots``
-    by height with their ``pos_coroots`` and ``pos_root_coords``,
-    ``two_rho``, ``root_reflections`` and the ``cartan_matrix``
-    C[i][j] = <a_i^vee, a_j>.
+    simple roots) and closes them under the simple reflections, over the
+    positive roots alone.  Every root-system field is read off that closure
+    in one pass by height and stored: ``pos_roots`` with their
+    ``pos_coroots`` and ``pos_root_coords``, ``two_rho``,
+    ``root_reflections``, the Dynkin ``components`` with their
+    ``highest_roots`` (root, coroot), and the ``cartan_matrix``
+    C[i][j] = <a_i^vee, a_j>.  ``coroot_hnf`` and ``_grade_form``, which
+    no cold group context reads, stay lazy.
 
     Equality and hash are structural (rank + simple roots + simple
     coroots); the family string is a display name only.  Assigning an
@@ -116,26 +121,34 @@ class RootDatum:
         if len(hermite_basis(simple_roots)) < len(simple_roots):
             raise RootDatumError("simple roots are linearly dependent")
 
+        # positive roots by height, then root vector.  Read from the top,
+        # a root whose support lies in no earlier support starts a new
+        # Dynkin component and is its highest root, whose support is the
+        # whole component
         pairs, reflections = _close_roots(simple_roots, simple_coroots)
-        pos = []
-        for a, (av, coords) in pairs.items():
-            if all(x >= 0 for x in coords):
-                pos.append((sum(coords), a, av, coords))
-            elif not all(x <= 0 for x in coords):
-                raise RootDatumError(f"root {a} is neither positive nor negative")
-        pos.sort()  # by height, then root vector
+        pos = sorted((sum(coords), a, av, coords)
+                     for a, (av, coords) in pairs.items())
+        covered, tops = set(), []
+        for _, a, av, coords in reversed(pos):
+            support = tuple(i for i, x in enumerate(coords) if x)
+            if support[0] not in covered:
+                covered.update(support)
+                tops.append((support, (a, av)))
+        tops.sort()
         pos_roots = tuple(p[1] for p in pos)
         two_rho = tuple(sum(col) for col in zip(*pos_roots)) if pos_roots \
             else (0,) * rank
         # pos_root_coords are the positive roots' coordinates in the simple
-        # roots; root_reflections maps every root, positive and negative, to
+        # roots; root_reflections maps every positive root to
         # (s_1(root), ..., s_m(root)), outside the equality key
         self.__dict__.update(
             family=family, rank=rank, simple_roots=simple_roots,
             simple_coroots=simple_coroots, cartan_matrix=cartan,
             pos_roots=pos_roots, pos_coroots=tuple(p[2] for p in pos),
             two_rho=two_rho, pos_root_coords=tuple(p[3] for p in pos),
-            root_reflections=reflections)
+            root_reflections=reflections,
+            components=tuple(t[0] for t in tops),
+            highest_roots=tuple(t[1] for t in tops))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a RootDatum")
@@ -184,43 +197,7 @@ class RootDatum:
             else:
                 return la
 
-    # -- derived structure (computed once, cached on the instance) -----------
-
-    @cached_property
-    def components(self):
-        """Connected components of the Dynkin diagram, as index lists."""
-        m = self.n_simple
-        cm = self.cartan_matrix
-        seen, comps = set(), []
-        for start in range(m):
-            if start in seen:
-                continue
-            comp, todo = [], [start]
-            while todo:
-                i = todo.pop()
-                if i in seen:
-                    continue
-                seen.add(i)
-                comp.append(i)
-                todo.extend(j for j in range(m) if j not in seen and cm[i][j])
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    @cached_property
-    def highest_roots(self):
-        """Per component: (root char vector, its coroot), the highest root."""
-        out = []
-        for comp in self.components:
-            best, best_h = None, -1
-            for a, av, coeffs in zip(self.pos_roots, self.pos_coroots,
-                                     self.pos_root_coords):
-                if any(coeffs[i] and i not in comp for i in range(self.n_simple)):
-                    continue
-                h = sum(coeffs)
-                if h > best_h:
-                    best, best_h = (a, av), h
-            out.append(best)
-        return tuple(out)
+    # -- lazy structure (computed once, cached on the instance) -------------
 
     @cached_property
     def coroot_hnf(self):
@@ -285,16 +262,21 @@ class RootDatum:
 
 
 def _close_roots(simple_roots, simple_coroots):
-    """(root -> (coroot, simple-root coordinates), root -> reflections),
-    closing the simple roots under the simple reflections.
+    """(root -> (coroot, simple-root coordinates), root -> reflections)
+    over the positive roots, closing the simple roots under the simple
+    reflections.
 
-    s_i(a) = a - <a_i^vee, a> a_i subtracts <a_i^vee, a> from coordinate i.
-    Every root is on the frontier once, so the closure meets every
+    s_i(a) = a - <a_i^vee, a> a_i subtracts <a_i^vee, a> from coordinate i
+    alone, so s_i permutes the positive roots other than a_i and sends a_i
+    to -a_i (Humphreys, Lie algebras, 10.2 Lemma B): a positive root whose
+    image has a negative coordinate is neither positive nor negative.
+    Every positive root is on the frontier once, so the closure meets every
     (root, simple reflection) pair once and records s_i(a) as entry i of
     the root's reflections: `a` itself, no new tuple, when
-    <a_i^vee, a> = 0.  These are the one source of the Weyl group's action
-    on the roots (:class:`iwahecke.weyl.IndexedWeyl` reads its root
-    permutations from them)."""
+    <a_i^vee, a> = 0, and None for s_i(a_i) = -a_i.  These are the one
+    source of the Weyl group's action on the roots
+    (:class:`iwahecke.weyl.IndexedWeyl` reads its root permutations from
+    them, the negative roots by s_i(-a) = -s_i(a))."""
     m = len(simple_roots)
     simple = tuple(zip(range(m), simple_roots, simple_coroots))
     pairs = {a: (av, tuple(int(j == i) for j in range(m)))
@@ -308,21 +290,24 @@ def _close_roots(simple_roots, simple_coroots):
             images = []
             for i, ai, avi in simple:
                 c = dot(avi, a)
-                if not c:
-                    images.append(a)
-                    continue
-                ra = tuple([x - c * y for x, y in zip(a, ai)])
-                images.append(ra)
-                if ra not in pairs:
+                ra = tuple([x - c * y for x, y in zip(a, ai)]) if c else a
+                if coords[i] < c:
+                    if a != ai:
+                        raise RootDatumError(
+                            f"root {ra} is neither positive nor negative")
+                    ra = None
+                elif ra not in pairs:
                     d = dot(av, ai)
                     rav = tuple([x - d * y for x, y in zip(av, avi)])
                     rc = coords[:i] + (coords[i] - c,) + coords[i + 1:]
                     pairs[ra] = (rav, rc)
                     new.append(ra)
-                    if len(pairs) > _MAX_ROOTS:
+                    # both signs count toward the bound on roots
+                    if 2 * len(pairs) > _MAX_ROOTS:
                         raise RootDatumError(
                             "root closure exceeds bound; Cartan matrix is "
                             "not of finite type")
+                images.append(ra)
             reflections[a] = tuple(images)
         frontier = new
     return pairs, reflections

@@ -12,9 +12,10 @@ being at least npos.  `fold`, the one action of a word on a coweight and an
 element (v -> v - <a_i, v> a_i^vee, u -> s_i u per letter; Casselman,
 "Computation in Coxeter groups I", 2002), serves `apply` and the kernel.
 
-Every table comes from the root closure's record of s_i(alpha)
-(`RootDatum.root_reflections`), read once as one permutation of the root
-ids per simple reflection; nothing here pairs a root with a coroot.  The
+Every table comes from the root closure's record of s_i(alpha) over the
+positive roots (`RootDatum.root_reflections`), read once as one
+permutation of the root ids per simple reflection, whose negative half
+is s_i(-alpha) = -s_i(alpha); nothing here pairs a root with a coroot.  The
 enumeration forms the root images of u s_i only for an ascent, as a bytes
 string translated through that permutation, and sets u s_i and (u s_i) s_i
 = u together.  The left rows and the inverses then follow in index order
@@ -71,8 +72,9 @@ class IndexedWeyl:
 
         # Root ids: roots[k] (coroots[k]) is the k-th positive root (coroot)
         # for k < npos and the negative of root (coroot) k - npos above.
-        # s_i^T permutes them, alpha -> alpha - <alpha, a_i^vee> a_i, as the
-        # root closure recorded: root_perm[i][k] is the id of s_i(roots[k]).
+        # s_i^T permutes them, alpha -> alpha - <alpha, a_i^vee> a_i:
+        # root_perm[i][k] is the id of s_i(roots[k]), as the root closure
+        # recorded it (None for -a_i), and s_i(-alpha) = -s_i(alpha).
         self.npos = npos = len(rd.pos_roots)
         self.roots = tuple(rd.pos_roots) + tuple(
             tuple(-x for x in a) for a in rd.pos_roots)
@@ -80,8 +82,11 @@ class IndexedWeyl:
             tuple(-x for x in av) for av in rd.pos_coroots)
         self.root_id = root_id = {a: k for k, a in enumerate(self.roots)}
         reflections = rd.root_reflections
-        root_perm = tuple(zip(*[
-            [root_id[b] for b in reflections[a]] for a in self.roots]))
+        root_perm = []
+        for images in zip(*[reflections[a] for a in rd.pos_roots]):
+            half = [k + npos if b is None else root_id[b]
+                    for k, b in enumerate(images)]
+            root_perm.append(half + [(k + npos) % (2 * npos) for k in half])
 
         # a word of s_alpha per positive root alpha, listed by height:
         # s_alpha = s_i s_{s_i alpha} s_i for the first simple a_i with
@@ -152,7 +157,8 @@ class IndexedWeyl:
         self.lrow = lrow = tuple(map(tuple, lrow))
         self.gen_index = tuple(r[0] for r in rrow)
         self._simple = tuple(zip(rd.simple_roots, rd.simple_coroots, lrow))
-        self.longest = max(range(self.size), key=lambda w: self.length[w])
+        # w_0 is the one element of maximal length, so last in level order
+        self.longest = self.size - 1
 
         # canonical reduced word: repeatedly strip the smallest left descent
         # (indices are in level order, so s_i w was reached before w)

@@ -44,6 +44,17 @@ def test_adm_malformed_mu(tmp_path, capsys):
     assert main(["adm", "--group", "GL:2", "--mu", "x,y"]) == 2
 
 
+def test_adm_takes_no_q(tmp_path, capsys):
+    # Adm(mu) has no coefficients to specialize, so --q is a usage error
+    for q in ("3", "0"):
+        rc, data = run(tmp_path, "adm", "--group", "GL:2", "--mu", "1,0",
+                       "--q", q)
+        assert rc == 2 and data == b"", q
+        assert capsys.readouterr().err.splitlines() == [
+            "usage: iwahecke [-h] {adm,zmu,transfer,scholze} ...",
+            f"iwahecke: error: unrecognized arguments: --q {q}"]
+
+
 def test_malformed_group_rank_is_a_parse_error(tmp_path, capsys):
     for cmd, group in (("zmu", "GL:abc"), ("adm", "GL:")):
         rc, data = run(tmp_path, cmd, "--group", group, "--mu", "1")

@@ -59,7 +59,7 @@ from iwahecke.klpoly import RPolynomials, q_poly_to_v
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
 from iwahecke.rootdata import (RootDatum, RootDatumError, build_root_datum,
                                is_minuscule, load_root_datum, weyl_orbit)
-from iwahecke.weyl import IndexedWeyl
+from iwahecke.weyl import IndexedWeyl, weyl_order
 
 from conftest import DATA
 from oracles import (admissible_set_by_deletion, bernstein_iso_by_theta,
@@ -227,15 +227,80 @@ def test_datum_built_directly_gets_the_same_tables(case):
     bare = RootDatum(rd.family, rd.rank, rd.simple_roots, rd.simple_coroots)
     stored = {"family", "rank", "simple_roots", "simple_coroots",
               "cartan_matrix", "pos_roots", "pos_coroots", "two_rho",
-              "pos_root_coords", "root_reflections"}
+              "pos_root_coords", "root_reflections", "components",
+              "highest_roots"}
     assert set(vars(bare)) == stored
     for name in stored:
         assert getattr(bare, name) == getattr(rd, name), name
-    assert len(rd.root_reflections) == 2 * len(rd.pos_roots)
+    assert len(rd.root_reflections) == len(rd.pos_roots)
     got, want = IndexedWeyl(bare), IndexedWeyl(rd)
     for name in ("size", "length", "rrow", "lrow", "inv", "word",
                  "root_image", "gen_index", "longest"):
         assert getattr(got, name) == getattr(want, name), name
+
+
+# adjoint data past types A and C, with X^* the root lattice: the simple
+# roots are the identity rows and the simple coroots the Cartan rows
+# C[i][j] = <a_i^vee, a_j> (Bourbaki numbering, so B3's a_3 and G2's a_1
+# are short); then their positive-root counts and |W_0|.  A1 x G2 is
+# reducible, with a triple bond in its second component.
+ADJOINT = {
+    "G2": ([[2, -3], [-1, 2]], 6, 12),
+    "B3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 9, 48),
+    "PGL3": ([[2, -1], [-1, 2]], 3, 6),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+            [0, -1, 0, 2]], 12, 192),
+    "A1xG2": ([[2, 0, 0], [0, 2, -3], [0, -1, 2]], 7, 24),
+}
+
+
+def _components_by_walk(cartan):
+    """The connected components of the Cartan matrix's graph, each sorted,
+    listed by least node."""
+    m = len(cartan)
+    seen, comps = set(), []
+    for start in range(m):
+        if start in seen:
+            continue
+        comp, todo = set(), [start]
+        while todo:
+            i = todo.pop()
+            if i not in comp:
+                comp.add(i)
+                todo.extend(j for j in range(m) if cartan[i][j])
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+@pytest.mark.parametrize("name", ADJOINT)
+def test_root_closure_past_types_a_and_c(tmp_path, name):
+    # the positive roots, the Dynkin components and their highest roots
+    # read off the closure, and the Weyl group tables read from it, against
+    # the Cartan matrix's graph, the greatest height and matrix products
+    cartan, npos, order = ADJOINT[name]
+    m = len(cartan)
+    rd = _cfg_datum(tmp_path, name, [[int(i == j) for j in range(m)]
+                                     for i in range(m)], cartan)
+    assert rd.cartan_matrix == tuple(map(tuple, cartan))
+    assert len(rd.pos_roots) == npos and len(set(rd.pos_roots)) == npos
+    assert weyl_order(rd) == order
+    comps = _components_by_walk(cartan)
+    assert rd.components == comps
+    assert len(rd.highest_roots) == len(comps)
+    for comp, top in zip(comps, rd.highest_roots):
+        inside = [(sum(c), a, av) for a, av, c in zip(
+            rd.pos_roots, rd.pos_coroots, rd.pos_root_coords)
+            if all(i in comp for i, x in enumerate(c) if x)]
+        height = max(h for h, _, _ in inside)
+        assert [(a, av) for h, a, av in inside if h == height] == [top]
+    want = oracle_tables(rd)
+    got = IndexedWeyl(rd)
+    assert got.size == len(want["mats"]) == order
+    for field in ("length", "rrow", "lrow", "inv", "word", "root_image",
+                  "gen_index"):
+        assert list(getattr(got, field)) == list(want[field]), field
+    assert got.length[got.longest] == max(want["length"])
 
 
 @CASES

@@ -89,7 +89,12 @@ def test_finite_index_out_of_range_refused(gl3, bad):
 def test_weyl_order_from_root_heights(case):
     rd = (load_root_datum(DATA / case) if isinstance(case, str)
           else build_root_datum(*case))
-    assert weyl_order(rd) == IndexedWeyl(rd).size
+    w = IndexedWeyl(rd)
+    assert weyl_order(rd) == w.size
+    # indices are in breadth-first level order, and w_0, the last, is the
+    # one element of maximal length
+    top = w.length[w.longest]
+    assert [u for u in range(w.size) if w.length[u] >= top] == [w.size - 1]
 
 
 def test_oversized_weyl_group_refused_before_enumeration(monkeypatch,
