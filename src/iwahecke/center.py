@@ -217,24 +217,21 @@ def constant_term(z: HeckeElement, levi_labels) -> HeckeElement:
     G to that of the standard Levi L given by 1-based simple-root labels.
 
     Computed on the invariant-function side: invert the Bernstein isomorphism
-    for G and take the Levi image of the result.
+    for G and take the Levi image of the result.  No context is passed on;
+    for L = G the image lies in the algebra of G's datum, as for any Levi.
     """
-    H = z.algebra
     bound = max((x.length() for x in z.terms if x.is_translation()),
                 default=0)
-    return levi_image(bernstein_iso_inverse(z, bound), levi_labels, H.W)
+    return levi_image(bernstein_iso_inverse(z, bound), levi_labels)
 
 
-def levi_image(f: SymmetricFunction, levi_labels, W=None) -> HeckeElement:
+def levi_image(f: SymmetricFunction, levi_labels) -> HeckeElement:
     """c^G_L(bernstein_iso(f)) without leaving the invariant-function side:
     f viewed as a W(L)-invariant function, taken by the Bernstein
-    isomorphism for the standard Levi L given by 1-based simple-root labels.
-    `W` is the group of G, used when L = G.
+    isomorphism for the standard Levi L given by 1-based simple-root labels
+    (sorted and deduplicated by levi_sub_datum).  L = G is no special case:
+    all labels give a datum equal to G's, whose shared context is G's.
     """
-    rd = f.rd
-    levi_labels = sorted(set(levi_labels))
-    if levi_labels == list(range(1, rd.n_simple + 1)):
-        return bernstein_iso(f, W)  # L = G
-    lrd = levi_sub_datum(rd, levi_labels)
+    lrd = levi_sub_datum(f.rd, levi_labels)
     lf = SymmetricFunction._make(lrd, f.terms)  # W(L)-invariance is inherited
     return bernstein_iso(lf)

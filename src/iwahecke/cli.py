@@ -24,10 +24,11 @@ parser is built on the first call and reused by later ones, and so is the
 root datum of a builtin group (``--group GL:3``); a config path is read on
 every call.
 
-Only the algebra layers are imported with this module: ``transfer`` imports
-the transfer layer and ``scholze`` the deep-level layers (``deeplevel``,
-``series``, ``ffield``) on their first call, so an ``adm`` or ``zmu`` run
-never loads them.
+Only the algebra layers are imported with this module: ``transfer`` and
+``zmu --r N`` import the transfer layer (the latter for ``base_change``) and
+``scholze`` the deep-level layers (``deeplevel``, ``series``, ``ffield``) on
+their first call, so an ``adm`` run or a ``zmu`` run without ``--r`` loads
+none of them.
 """
 
 from __future__ import annotations
@@ -364,43 +365,33 @@ def cmd_zmu(args) -> int:
         if not is_minuscule(rd, mu):
             raise PreconditionError(
                 f"{mu} is not minuscule; the closed formula does not apply")
-        vz = closed_form_bernstein(W, mu)
+        h = closed_form_bernstein(W, mu)
         if args.levi is not None:
             # the elimination inside constant_term is what ties the closed
             # form to the center
-            ct = constant_term(vz.scale(LaurentPoly.v(-lt)), args.levi)
+            h = constant_term(h.scale(LaurentPoly.v(-lt)), args.levi)
     else:
         f = monomial_symmetric(rd, mu)
         if args.r > 1:
             from .transfer import base_change
             f = base_change(f, args.r)
         if args.levi is not None:
-            ct = levi_image(f, args.levi)  # c^G_L(z) for z = bernstein_iso(f)
+            h = levi_image(f, args.levi)  # c^G_L(z) for z = bernstein_iso(f)
         else:
-            vz = bernstein_iso(f, W).scale(LaurentPoly.v(lt))
+            h = bernstein_iso(f, W).scale(LaurentPoly.v(lt))
 
-    if args.levi is not None:
-        emit(args, dumps({
-            "schema": "iwahecke/hecke-element/1",
-            "group": rd.family,
-            "levi": args.levi,
-            "mu": list(mu),
-            "normalization": "c^G_L(z_mu)",
-            "terms": _hecke_records(ct, args.q),
-        }))
-        return EXIT_OK
-
-    emit(args, dumps({
-        "schema": "iwahecke/hecke-element/1",
-        "group": rd.family,
-        "mu": list(mu),
-        "method": args.method,
-        "base_change_r": args.r,
-        "normalization": "v^l(t_mu) * z_mu",
-        "terms": _hecke_records(vz, args.q),
-    }))
+    report = {"schema": "iwahecke/hecke-element/1", "group": rd.family,
+              "mu": list(mu)}
+    if args.levi is None:
+        report.update(method=args.method, base_change_r=args.r,
+                      normalization="v^l(t_mu) * z_mu")
+    else:
+        # the Levi the computation used: its labels sorted, without repeats
+        report.update(levi=sorted(set(args.levi)),
+                      normalization="c^G_L(z_mu)")
+    report["terms"] = _hecke_records(h, args.q)
+    emit(args, dumps(report))
     return EXIT_OK
-
 
 
 def cmd_transfer(args) -> int:

@@ -281,26 +281,17 @@ class HeckeAlgebra:
 
     def _omega_fold(self, cur, om, left):
         """cur with every raw key (t, w, length) multiplied by the raw
-        length-zero om = (t, w) on the left or the right, values kept:
-        l(om y) = l(y om) = l(y), so the length is unchanged."""
+        length-zero om = (t, w) on the left or the right, one kernel product
+        per key, values kept: l(om y) = l(y om) = l(y), so the length is
+        unchanged."""
         ot, ow = om
         if not ow and not any(ot):
             return cur
         kmul = self.W.kernel.mul
-        out = {}
         if left:
-            for (t, w, ln), c in cur.items():
-                out[(*kmul(ot, ow, t, w), ln)] = c
-            return out
-        # (t, w) om = (t + w(ot), w ow): one kernel product per finite part
-        by_fin: dict = {}
-        zero = self.W._zero
-        for (t, w, ln), c in cur.items():
-            img = by_fin.get(w)
-            if img is None:
-                img = by_fin[w] = kmul(zero, w, ot, ow)
-            out[(tuple(map(add, t, img[0])), img[1], ln)] = c
-        return out
+            return {(*kmul(ot, ow, t, w), ln): c
+                    for (t, w, ln), c in cur.items()}
+        return {(*kmul(t, w, ot, ow), ln): c for (t, w, ln), c in cur.items()}
 
     def lmul_omega(self, om: AffineWeylElement, h: HeckeElement):
         """T_om * h for om of length zero."""

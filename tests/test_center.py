@@ -302,6 +302,22 @@ def test_levi_image_matches_constant_term(case):
             assert got == bernstein_iso_by_theta(f, WL), (f, levi)
 
 
+@pytest.mark.parametrize("case", [("GL", 3), ("GSp", 4), "gl2xgl2.cfg",
+                                  "pgl2.cfg"], ids=_ids)
+def test_levi_of_all_labels_from_a_private_context(case):
+    # L = G is reached through its datum, as any Levi is: z and f live on a
+    # private context, not the shared one, and all labels give back z and
+    # bernstein_iso(f) on that context
+    rd = _datum(case)
+    W = AffineWeylGroup(rd)
+    labels = list(range(1, rd.n_simple + 1))
+    for mu in ADM_MUS[case]:
+        f = monomial_symmetric(rd, mu)
+        z = bernstein_iso(f, W)
+        assert constant_term(z, labels) == z, mu
+        assert levi_image(f, labels) == bernstein_iso(f, W), mu
+
+
 def test_symmetric_function_json_round_trip(gl3):
     f = (monomial_symmetric(gl3, (1, 1, 0)).scale(LaurentPoly({-1: 2}))
          + monomial_symmetric(gl3, (1, 0, 0)))

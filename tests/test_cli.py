@@ -161,6 +161,17 @@ def test_zmu_levi(tmp_path):
     assert len(doc["terms"]) == 4  # z^L_{(1,0,0)} (3 terms) + z^L_{(0,0,1)}
 
 
+def test_zmu_levi_reports_its_labels_sorted_without_repeats(tmp_path):
+    # the Levi is a set of labels: every spelling of it prints the same bytes
+    outs = {}
+    for levi in ("1,2", "2,1", "1,1,2"):
+        rc, outs[levi] = run(tmp_path, "zmu", "--group", "GL:3", "--mu",
+                             "1,0,0", "--levi", levi, name=levi)
+        assert rc == 0, levi
+    assert json.loads(outs["1,2"])["levi"] == [1, 2]
+    assert outs["2,1"] == outs["1,2"] and outs["1,1,2"] == outs["1,2"]
+
+
 def test_zmu_base_change(tmp_path):
     rc, data = run(tmp_path, "zmu", "--group", "GL:2", "--mu", "1,0",
                    "--r", "2")
