@@ -202,7 +202,8 @@ class AffineWeylGroup:
     `_adm`.  Their values are pure functions of their keys, so concurrent
     readers under the GIL can at worst redo an idempotent insert; results
     never depend on cache state.  Bruhat answers and Omega elements are
-    recomputed on each call.
+    recomputed on each call.  The Hecke algebra and R-polynomial table are
+    built on first use.
     """
 
     def __init__(self, rd: RootDatum):
@@ -461,6 +462,13 @@ class AffineWeylGroup:
             from .hecke import HeckeAlgebra
             self._hecke = HeckeAlgebra(self)
         return self._hecke
+
+    def _rpolynomials(self):
+        """The R-polynomial table over this group (cached)."""
+        if not hasattr(self, "_rpoly"):
+            from .klpoly import RPolynomials
+            self._rpoly = RPolynomials(self)
+        return self._rpoly
 
     # -- display ----------------------------------------------------------------
 

@@ -8,10 +8,11 @@ to Z[v, 1/v]; the monomial basis is indexed by dominant coweights.
 The forward isomorphism sends e^la to theta_la, so the monomial function of
 mu to the Bernstein function z_mu; it is computed as sum_mu f(mu) z_mu over
 the dominant support, from the algebra's cached z_mu.  The inverse is
-computed by exact triangular elimination: the translation elements in the
-support of a central element are, at each maximal length, reachable only
-from the matching z_mu, whose T_{t_la} coefficient is exactly v^{-l(t_la)}
-for every la in the orbit of mu.
+computed by exact triangular elimination, subtracting f(mu) z_mu: the
+translation elements in the support of a central element are, at each
+maximal length, reachable only from the matching z_mu, whose T_{t_la}
+coefficient is exactly v^{-l(t_la)} for every la in the orbit of mu.  One
+step, adding c z_mu, serves both directions.
 
 The elimination is its own certificate of centrality.  If the residue
 empties, z = sum_mu f(mu) z_mu, and every z_mu is central (Lusztig 1989);
@@ -125,10 +126,7 @@ class SymmetricFunction(CoefficientMap):
 
 def monomial_symmetric(rd: RootDatum, mu) -> SymmetricFunction:
     """The orbit-indicator sum of the dominant coweight mu."""
-    mu = tuple(mu)
-    if not rd.is_dominant(mu):
-        raise RootDatumError(f"{mu} is not dominant")
-    return SymmetricFunction._make(rd, {la: ONE for la in weyl_orbit(rd, mu)})
+    return SymmetricFunction.from_dominant(rd, {tuple(mu): ONE})
 
 
 def bernstein_iso(f: SymmetricFunction, W=None) -> HeckeElement:
@@ -144,15 +142,20 @@ def bernstein_iso(f: SymmetricFunction, W=None) -> HeckeElement:
     H = W.hecke()
     out: dict = {}
     for mu in f.dominant_support():
-        c = f.terms[mu]
-        zmu = H.bernstein_function(mu).terms
-        if not out and c == ONE:
-            out = dict(zmu)  # the cached z_mu's terms, not each one times 1
-            continue
-        times_c = per_coefficient(lambda p: c * p)
-        for x, p in zmu.items():
-            accumulate(out, x, times_c(p))
+        _add_zmu(out, H, mu, f.terms[mu])
     return HeckeElement._make(H, out)
+
+
+def _add_zmu(out: dict, H, mu, c):
+    """out += c z_mu, z_mu from H's memo, one product per distinct
+    coefficient; 1 z_mu into an empty out copies the cached terms."""
+    zmu = H.bernstein_function(mu).terms
+    if not out and c == ONE:
+        out.update(zmu)
+        return
+    times_c = per_coefficient(lambda p: c * p)
+    for x, p in zmu.items():
+        accumulate(out, x, times_c(p))
 
 
 def bernstein_iso_inverse(z: HeckeElement,
@@ -205,10 +208,7 @@ def _eliminate(H, z: HeckeElement, height_bound: int) -> dict:
                 f"support height {lt} exceeds bound {height_bound}")
         c = work[best].shift(lt)  # strip the v^{-l(t_mu)} of theta_mu
         out[mu] = c
-        neg = -c
-        times_neg = per_coefficient(lambda p: neg * p)
-        for x, p in H.bernstein_function(mu).terms.items():
-            accumulate(work, x, times_neg(p))
+        _add_zmu(work, H, mu, -c)
     return out
 
 

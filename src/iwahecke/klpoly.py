@@ -15,11 +15,11 @@ The descent s of y is its smallest-labelled one, from
 cache ((t, w) -> (slot, s t, s w)) and serves `bruhat_leq` too: each y is
 scanned for a descent once per context, however many x it is paired
 with.  The memo is keyed on the pair (x, y) and shared by every y.  The
-second line is formed by shifting exponents, not by Laurent-polynomial
-products, and once per distinct pair of operand objects: the R-sum memo
-keeps each sum with its operands, and one object per distinct sum value,
-so equal R values are one object (for the closed form of GL(6)
-(1,1,0,0,0,0) it holds 15 sums and 13 values against 2,033 pairs).
+second line is q (A + B) - A, formed once per distinct pair of operand
+objects: the R-sum memo keeps each sum with its operands, and one object
+per distinct sum value, so equal R values are one object (for the closed
+form of GL(6) (1,1,0,0,0,0) it holds 15 sums and 13 values against 2,033
+pairs).  Each group owns one table, as it owns its Hecke algebra.
 
 For minuscule dominant mu the Bernstein function has the closed form
 
@@ -95,18 +95,11 @@ class RPolynomials:
         return res
 
     def _sum(self, pa: LaurentPoly, pb: LaurentPoly) -> LaurentPoly:
-        """(q-1) A + q B by shifting exponents, once per pair of objects."""
+        """(q-1) A + q B = q (A + B) - A, once per pair of objects."""
         hit = self._sums.get((id(pa), id(pb)))
         if hit is not None:
             return hit[2]
-        a, b = pa.c, pb.c
-        out = {e + 1: n for e, n in a.items()}
-        for e, n in b.items():
-            out[e + 1] = out.get(e + 1, 0) + n
-        for e, n in a.items():
-            out[e] = out.get(e, 0) - n
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.c = {e: n for e, n in out.items() if n}
+        res = (pa + pb).shift(1) - pa
         res = self._values.setdefault(res, res)
         self._sums[id(pa), id(pb)] = (pa, pb, res)
         return res
@@ -137,14 +130,8 @@ class RPolynomials:
 
 def r_polynomial(x: AffineWeylElement, y: AffineWeylElement) -> LaurentPoly:
     """R_{x,y} as a polynomial in q (module-level convenience wrapper)."""
-    return _table(x.group).r(x, y)
+    return x.group._rpolynomials().r(x, y)
 
 
 def closed_form_bernstein(W: AffineWeylGroup, mu) -> HeckeElement:
-    return _table(W).closed_form_bernstein(mu)
-
-
-def _table(W: AffineWeylGroup) -> RPolynomials:
-    if not hasattr(W, "_rpoly"):
-        W._rpoly = RPolynomials(W)
-    return W._rpoly
+    return W._rpolynomials().closed_form_bernstein(mu)

@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 # closure cap: a builtin family with more roots is refused before its
-# closure runs; a config that exceeds it is not of finite type
+# closure runs; a config that exceeds it is refused by the closure
 _MAX_ROOTS = 10_000
 
 
@@ -78,7 +78,7 @@ class RootDatum:
     """Immutable based root datum, built from its four defining fields.
 
     ``RootDatum(family, rank, simple_roots, simple_coroots)`` validates the
-    simple (co)roots (lengths, a finite-type Cartan matrix, independent
+    simple (co)roots (lengths, a generalized Cartan matrix, independent
     simple roots) and closes them under the simple reflections, over the
     positive roots alone.  Every root-system field is read off that closure
     in one pass by height and stored: ``pos_roots`` with their
@@ -268,8 +268,10 @@ def _close_roots(simple_roots, simple_coroots):
 
     s_i(a) = a - <a_i^vee, a> a_i subtracts <a_i^vee, a> from coordinate i
     alone, so s_i permutes the positive roots other than a_i and sends a_i
-    to -a_i (Humphreys, Lie algebras, 10.2 Lemma B): a positive root whose
-    image has a negative coordinate is neither positive nor negative.
+    to -a_i (Humphreys, Lie algebras, 10.2 Lemma B); no root has mixed
+    signs, of finite type or not (Kac, Infinite dimensional Lie algebras,
+    Lemma 3.7).  Past `_MAX_ROOTS` roots of both signs the closure is
+    refused: it cannot tell an infinite closure from a large finite one.
     Every positive root is on the frontier once, so the closure meets every
     (root, simple reflection) pair once and records s_i(a) as entry i of
     the root's reflections: `a` itself, no new tuple, when
@@ -291,10 +293,7 @@ def _close_roots(simple_roots, simple_coroots):
             for i, ai, avi in simple:
                 c = dot(avi, a)
                 ra = tuple([x - c * y for x, y in zip(a, ai)]) if c else a
-                if coords[i] < c:
-                    if a != ai:
-                        raise RootDatumError(
-                            f"root {ra} is neither positive nor negative")
+                if a == ai:
                     ra = None
                 elif ra not in pairs:
                     d = dot(av, ai)
@@ -305,8 +304,9 @@ def _close_roots(simple_roots, simple_coroots):
                     # both signs count toward the bound on roots
                     if 2 * len(pairs) > _MAX_ROOTS:
                         raise RootDatumError(
-                            "root closure exceeds bound; Cartan matrix is "
-                            "not of finite type")
+                            f"root closure exceeds {_MAX_ROOTS} roots: the "
+                            "Cartan matrix is not of finite type, or its "
+                            "root system is larger than the package allows")
                 images.append(ra)
             reflections[a] = tuple(images)
         frontier = new
@@ -397,8 +397,8 @@ def load_root_datum(path) -> RootDatum:
     ``simple_roots`` rows are character vectors, ``simple_coroots`` rows are
     coweight vectors, both of length ``rank``, a nonnegative int.  Each key
     and block appears at most once.  The :class:`RootDatum` constructor
-    validates the datum (finite-type Cartan matrix, consistent root
-    closure) as it loads.
+    validates the datum (a generalized Cartan matrix whose root closure
+    stays under the cap) as it loads.
     """
     name, rank = None, None
     blocks = {"simple_roots": [], "simple_coroots": []}

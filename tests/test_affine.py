@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from iwahecke.affine import (AffineWeylGroup, bruhat_leq, critical_indices,
-                             kottwitz_image, length, multiply, reduced_word)
+from iwahecke.affine import (AffineWeylGroup, admissible_set, bruhat_leq,
+                             critical_indices, kottwitz_image, length,
+                             multiply, reduced_word)
 from iwahecke.rootdata import RootDatumError, build_root_datum, load_root_datum
 
 from conftest import DATA
@@ -237,6 +238,7 @@ def test_admissible_examples(W2, W3):
     assert all(kottwitz_image(x) == kottwitz_image(W3.translation((1, 0, 0)))
                for x in adm3)
     assert W3.admissible_set((0, 0, 0)) == {W3.identity}
+    assert admissible_set(W3.rd, (1, 0, 0)) == adm3
 
 
 def test_admissible_matches_subword_closure(W2, W3, gsp4):

@@ -69,6 +69,13 @@ def test_sums_across_root_data_rejected(gl2, gl3):
     assert f2 * monomial_symmetric(same, (1, 0)) == f2 * f2
 
 
+def test_scalar_product_is_scale(gl2):
+    f = monomial_symmetric(gl2, [1, 0])  # any sequence names a coweight
+    v = LaurentPoly.v(1)
+    assert f * 2 == 2 * f == f.scale(2)
+    assert f * v == v * f == f.scale(v)
+
+
 def test_iso_sends_monomial_to_bernstein(gl3, H3):
     f = monomial_symmetric(gl3, (1, 1, 0))
     assert bernstein_iso(f) == H3.bernstein_function((1, 1, 0))

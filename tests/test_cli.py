@@ -309,16 +309,21 @@ def test_transfer_report_embeds_function(tmp_path):
     assert doc["input_function"] == [{"coweight": [1, 0], "coeff": {"0": 1}}]
 
 
-def test_unsupported_formats_exit_3(tmp_path):
-    rc, _ = run(tmp_path, "zmu", "--group", "GL:2", "--mu", "1,0",
-                "--format", "csv")
-    assert rc == 3
-    rc, _ = run(tmp_path, "transfer", "--group", "GL:2", "--mu", "1,0",
-                "--format", "csv")
-    assert rc == 3
-    rc, _ = run(tmp_path, "scholze", "--n", "1", "--q", "2",
-                "--format", "json")
-    assert rc == 3
+def test_unsupported_formats_exit_2(tmp_path, capsys):
+    # each subcommand's --format takes only the formats it writes, so any
+    # other is an argument error, refused before the command runs
+    for argv, fmt in [(("zmu", "--group", "GL:2", "--mu", "1,0"), "csv"),
+                      (("transfer", "--group", "GL:2", "--mu", "1,0"), "csv"),
+                      (("scholze", "--n", "1", "--q", "2"), "json")]:
+        rc, data = run(tmp_path, *argv, "--format", fmt)
+        assert rc == 2 and data == b"", argv
+        assert (f"argument --format: invalid choice: '{fmt}'"
+                in capsys.readouterr().err), argv
+        # the one format a subcommand writes may still be named
+        ok = {"csv": "json", "json": "csv"}[fmt]
+        assert (run(tmp_path, *argv, "--format", ok, name="named")
+                == run(tmp_path, *argv, name="default")), argv
+        capsys.readouterr()
 
 
 def test_scholze_rejects_non_prime_power(tmp_path):
@@ -704,7 +709,7 @@ INTERLEAVED = [
     (("--help",), 0),
     (("zmu", "--help"), 0),
     (("zmu", "--group", "Sp:4", "--mu", "1,1", "--method", "closed",
-      "--r", "2", "--format", "csv"), 3),
+      "--r", "2", "--format", "csv"), 2),
     (("scholze", "--n", "2", "--q", "2", "--count", "2", "--pairs", "0",
       "--precision", "1"), 0),
     (("zmu", "--group", "GL:2", "--mu", "1,0", "--r", "2", "--q", "3"), 0),

@@ -75,6 +75,13 @@ def test_scale_by_monomial_shifts_exponents(H3):
         assert all(x._len is not None for x in got.terms)
 
 
+def test_scalar_product_is_scale(H3):
+    z = bernstein_function(H3.W, (1, 0, 0))
+    v = LaurentPoly.v(1)
+    assert z * 2 == 2 * z == z.scale(2)
+    assert z * v == v * z == z.scale(v)
+
+
 def test_translation_product(H2):
     # non length-additive translation product: two independent derivations
     W = H2.W

@@ -146,3 +146,24 @@ def test_root_datum_and_zmu_run_load_no_dataclasses():
 def test_deep_level_names_load_no_dataclasses():
     got = _loaded("from iwahecke import GF, scholze_phi")
     assert "iwahecke.deeplevel" in got and "dataclasses" not in got
+
+
+# the benchmark's per-layer tracer, which patches methods and functions of
+# every layer by name
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_tracer_patches_and_restores_every_name():
+    # a deleted or renamed name that the tracer patches fails install() with
+    # a KeyError or an AttributeError; a fresh interpreter keeps the import
+    # checks above on clean module state
+    _loaded(f"""
+sys.path.insert(0, {str(_PERFBENCH)!r})
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+patched = list(tracer._patches)
+assert patched and all(vars(o)[a] is not f for o, a, f in patched)
+tracer.uninstall()
+assert all(vars(o)[a] is f for o, a, f in patched)
+""")

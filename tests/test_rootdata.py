@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import iwahecke.rootdata as rootdata
 from iwahecke.intlinalg import dot
 from iwahecke.rootdata import (RootDatum, RootDatumError, build_root_datum,
                                is_minuscule, levi_sub_datum, load_root_datum,
@@ -261,6 +262,21 @@ def _cfg(tmp_path, rank, roots, coroots):
     return path
 
 
+def test_closure_cap_refusal_names_both_reasons(tmp_path, monkeypatch):
+    # A_3 is of finite type, with 12 roots: under a cap of 10 the closure
+    # cannot tell it from an infinite one, and its refusal says so
+    monkeypatch.setattr(rootdata, "_MAX_ROOTS", 10)
+    path = _cfg(tmp_path, 3, ["1 0 0", "0 1 0", "0 0 1"],
+                ["2 -1 0", "-1 2 -1", "0 -1 2"])
+    with pytest.raises(RootDatumError) as info:
+        load_root_datum(path)
+    assert str(info.value) == (
+        "root closure exceeds 10 roots: the Cartan matrix is not of finite "
+        "type, or its root system is larger than the package allows")
+    monkeypatch.undo()
+    assert len(load_root_datum(path).pos_roots) == 6
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(RootDatumError, match=r"<a_0\^vee, a_0> = 1 != 2"):
         load_root_datum(_cfg(tmp_path, 1, ["1"], ["1"]))
@@ -270,6 +286,9 @@ def test_config_validation(tmp_path):
     # affine A_1^(1): Cartan matrix ((2, -2), (-2, 2)), an infinite closure
     with pytest.raises(RootDatumError, match="not of finite type"):
         load_root_datum(_cfg(tmp_path, 2, ["1 0", "0 1"], ["2 -2", "-2 2"]))
+    # <a_0^vee, a_1> = 0 but <a_1^vee, a_0> = -1
+    with pytest.raises(RootDatumError, match="asymmetric zero pattern"):
+        load_root_datum(_cfg(tmp_path, 2, ["1 0", "0 1"], ["2 0", "-1 2"]))
     # a_1 = -a_0: the same affine Cartan matrix, but the dependent simple
     # roots close up to just {a_0, -a_0}
     with pytest.raises(RootDatumError, match="linearly dependent"):

@@ -226,6 +226,9 @@ def test_matrix_ops():
         a, b, c = rmat(), rmat(), rmat()
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert (a + b) - b == a
+        assert (a - b).entries == tuple(
+            x - y for x, y in zip(a.entries, b.entries))
 
 
 def test_foreign_operands_raise_type_error():
