@@ -534,12 +534,13 @@ def cmd_scholze(args) -> int:
             if h == g:  # the same matrix tests nothing
                 inv_vacuous += 1
                 continue
-            inv_checked += 1
             try:
-                if scholze_phi(n, h) == phi:
-                    inv_passed += 1
+                same = scholze_phi(n, h) == phi
             except IndeterminatePrecisionError:
-                pass
+                continue  # undecided: neither checked nor passed
+            inv_checked += 1
+            if same:
+                inv_passed += 1
         if args.compat:
             compat_checked += 1
             try:

@@ -64,7 +64,7 @@ from operator import add, mul
 from .affine import AffineWeylElement, AffineWeylGroup
 from .intlinalg import dot, hermite_basis, reduce_mod_lattice
 from .laurent import ONE, CoefficientMap, LaurentPoly, per_coefficient
-from .rootdata import RootDatumError, _check_rank, _same_datum, weyl_orbit
+from .rootdata import _check_rank, _same_datum, weyl_orbit
 
 __all__ = [
     "HeckeAlgebra", "HeckeElement",
@@ -350,15 +350,21 @@ class HeckeAlgebra:
         return self._theta_sum([lam])
 
     def bernstein_function(self, mu) -> HeckeElement:
-        """z_mu = sum of theta_la over the finite Weyl orbit of dominant mu."""
-        mu = tuple(mu)
-        rd = self.W.rd
-        if not rd.is_dominant(mu):
-            raise RootDatumError(f"{mu} is not dominant")
-        cached = self._z.get(mu)
-        if cached is None:
-            cached = self._z[mu] = self._theta_sum(sorted(weyl_orbit(rd, mu)))
-        return cached
+        """z_mu = sum of theta_la over the finite Weyl orbit of dominant mu.
+
+        The memo holds one z per class of mu modulo central coweights c,
+        keyed by (<mu, a_i>)_i over the simple roots (`AffineWeylGroup.
+        _by_class`): that of the first mu met in the class.  Any other
+        member is z_{rep+c} = T_{t_c} z_rep, each T_{t_la w} of z_rep moved
+        to T_{t_{la+c} w} with its coefficient, as t_c is central of length
+        0."""
+        W = self.W
+        c, z = W._by_class(self._z, mu, lambda rep: self._theta_sum(
+            sorted(weyl_orbit(W.rd, rep))))
+        if c is None:
+            return z
+        return HeckeElement._make(self, dict(zip(W._translate(z.terms, c),
+                                                 z.terms.values())))
 
     def _theta_sum(self, lams) -> HeckeElement:
         """sum of theta_la over la in lams.  One lam2 serves them all:

@@ -32,7 +32,12 @@ never folds, by T_s^{-1} or otherwise, and the R-sum memo is its own.
 Adm(mu) comes from the inversion sets of its elements
 (:meth:`AffineWeylGroup.admissible_set`), which also carry their lengths;
 l(t_la) is computed once per translation, and the conversion to v and the
-sign once per distinct R value.  In the Drinfeld case GL(n),
+sign once per distinct R value.  The group's Adm memo holds one entry per
+class of mu modulo central coweights c, keyed by (<mu, a_i>)_i over the
+simple roots: that of the first mu met in the class, rep.  The sum runs
+over Adm(rep), so for mu = rep + c the R memo hits, and is translated:
+t_c is central of length 0, so R_{t_c x, t_c y} = R_{x,y}, l(t_mu) =
+l(t_rep) and z_{rep+c} = T_{t_c} z_rep.  In the Drinfeld case GL(n),
 mu = (1,0^{n-1}) every coefficient collapses to (1-q)^{l(t_mu)-l(x)}.
 
 R-polynomials here are plain :class:`~iwahecke.laurent.LaurentPoly` values in
@@ -106,18 +111,21 @@ class RPolynomials:
 
     def closed_form_bernstein(self, mu) -> HeckeElement:
         """The right-hand side of the minuscule closed formula, equal to
-        v^{l(t_mu)} z_mu; raises unless mu is dominant and minuscule."""
+        v^{l(t_mu)} z_mu; raises unless mu is dominant and minuscule.  It
+        is summed over Adm(rep) for the rep of mu's class in the Adm memo,
+        then translated by mu - rep."""
         W = self.W
         mu = tuple(mu)
         if not is_minuscule(W.rd, mu):
             raise RootDatumError(f"{mu} is not minuscule")
         lt = W.translation(mu).length()
         k = W.kernel
-        lengths = {}  # l(t_la) per translation part of Adm(mu)
+        lengths = {}  # l(t_la) per translation part of Adm(rep)
         to_v = per_coefficient(q_poly_to_v)  # once per distinct R value
         neg = per_coefficient(lambda c: -c)
         terms = {}
-        for x in W.admissible_set(mu):
+        shift, adm = W._adm_class(mu)
+        for x in adm:
             la = x.trans
             ll = lengths.get(la)
             if ll is None:
@@ -125,6 +133,8 @@ class RPolynomials:
             lx = x.length()
             c = to_v(self._r(la, x.fin, lx, la, 0, ll))
             terms[x] = neg(c) if (lt + lx) % 2 else c
+        if shift is not None:
+            terms = dict(zip(W._translate(terms, shift), terms.values()))
         return HeckeElement._make(W.hecke(), terms)
 
 

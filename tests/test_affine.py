@@ -5,12 +5,15 @@ import pytest
 from iwahecke.affine import (AffineWeylGroup, admissible_set, bruhat_leq,
                              critical_indices, kottwitz_image, length,
                              multiply, reduced_word)
+from iwahecke.intlinalg import dot
 from iwahecke.rootdata import RootDatumError, build_root_datum, load_root_datum
 
 from conftest import DATA
 from oracles import (admissible_set_subwords, all_elements_up_to_length,
                      bruhat_leq_subwords, random_element,
                      shortest_word_length)
+from test_kernel_tables import (CENTRAL_CASES, central_case, central_ids,
+                                central_shifts, class_memo_refusals)
 
 
 @pytest.fixture(scope="module")
@@ -309,3 +312,33 @@ def test_critical_indices_adm_membership(W3):
     elements = all_elements_up_to_length(W3, 2, omega_grades=(1,))
     for x in elements:
         assert (len(critical_indices(x)) > 0) == (x in adm)
+
+
+# -- the Adm memo, one entry per class modulo central coweights --------------
+
+
+@pytest.mark.parametrize("case", CENTRAL_CASES, ids=central_ids)
+def test_admissible_set_of_a_central_shift_is_translated(case):
+    """Adm(mu + c) = t_c Adm(mu) for central c, served off mu's memo entry:
+    equal to a fresh context's, every element carrying the kernel's length;
+    one memo entry per class modulo central coweights, however many
+    shifts; refusals keep their type and message."""
+    rd, mus, basis = central_case(case)
+    W = AffineWeylGroup(rd)
+    k = W.kernel
+    for mu in mus:
+        W.admissible_set(mu)
+        for nu in central_shifts(mu, basis):
+            adm = W.admissible_set(nu)
+            assert adm == AffineWeylGroup(rd).admissible_set(nu), nu
+            assert all(x._len == k.length(x.trans, x.fin) for x in adm)
+        one = AffineWeylGroup(rd)
+        for nu in central_shifts(mu, basis[:1], range(11)):
+            one.admissible_set(nu)
+        assert len(one._adm) == 1
+    classes = {tuple(dot(mu, a) for a in rd.simple_roots) for mu in mus}
+    assert len(W._adm) == len(classes)
+    for bad, msg in class_memo_refusals(rd, mus):
+        with pytest.raises(RootDatumError) as err:
+            W.admissible_set(bad)
+        assert type(err.value) is RootDatumError and str(err.value) == msg

@@ -535,6 +535,37 @@ def test_scholze_failed_check_exits_4(tmp_path, capsys, monkeypatch, check):
         want, status="FAIL", **{check: dict(want[check], passed=0)})
 
 
+@pytest.mark.parametrize("compat", [True, False])
+def test_scholze_undecided_pair_is_not_checked(tmp_path, capsys, monkeypatch,
+                                               compat):
+    """A bi-invariance pair whose phi(u g u') the precision cannot decide
+    is neither checked nor passed: it cannot turn the report into FAIL."""
+    argv = ("scholze", "--n", "1", "--q", "2", "--count", "4",
+            *(("--compat",) if compat else ()))
+    rc, rows = run(tmp_path, *argv)
+    want = json.loads(capsys.readouterr().out)
+    assert rc == 0 and want["status"] == "PASS"
+    assert want["invariance"]["checked"]
+    corpus = []
+    build, phi = deeplevel.build_reference_corpus, deeplevel.scholze_phi
+
+    def recorded(field, count):
+        corpus.extend(build(field, count=count))
+        return list(corpus)
+
+    def undecided_on_products(n, g):  # u g u' is no corpus matrix
+        if any(g is h for h in corpus):
+            return phi(n, g)
+        raise deeplevel.IndeterminatePrecisionError("injected")
+    monkeypatch.setattr(deeplevel, "build_reference_corpus", recorded)
+    monkeypatch.setattr(deeplevel, "scholze_phi", undecided_on_products)
+    rc, got_rows = run(tmp_path, *argv)
+    assert rc == 0 and got_rows == rows
+    assert json.loads(capsys.readouterr().out) == dict(
+        want, status="PASS" if compat else "UNCHECKED",
+        invariance=dict(want["invariance"], checked=0, passed=0))
+
+
 def test_scholze_precision_zero_truncates_generated_corpus(tmp_path, capsys):
     # O(t^0) decides nothing: every row is undecided, so nothing passes
     rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",

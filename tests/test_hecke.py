@@ -4,13 +4,16 @@ import random
 import pytest
 
 from iwahecke.affine import AffineWeylGroup
-from iwahecke.hecke import (bernstein_function, is_central, parahoric_descent,
-                            t_inverse, t_multiply, theta)
+from iwahecke.hecke import (HeckeAlgebra, bernstein_function, is_central,
+                            parahoric_descent, t_inverse, t_multiply, theta)
+from iwahecke.intlinalg import dot
 from iwahecke.laurent import ONE, Q, QM1, LaurentPoly
 from iwahecke.rootdata import (RootDatumError, build_root_datum,
                                pair_two_rho)
 
 from oracles import hecke_json, random_element, random_hecke_element
+from test_kernel_tables import (CENTRAL_CASES, central_case, central_ids,
+                                central_shifts, class_memo_refusals)
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +255,34 @@ def test_sp4_descent_poincare(sp4):
     _, p = parahoric_descent(H.unit(), [1, 2])
     # W(C_2) has Poincare polynomial (1+q)^2 (1+q^2)
     assert p == (1 + Q) * (1 + Q) * (1 + Q * Q)
+
+
+# -- the z_mu memo, one entry per class modulo central coweights ------------
+
+
+@pytest.mark.parametrize("case", CENTRAL_CASES, ids=central_ids)
+def test_bernstein_function_of_a_central_shift_is_translated(case):
+    """z_{mu+c} = T_{t_c} z_mu for central c, served off mu's memo entry:
+    equal to a fresh context's fold, every element carrying the kernel's
+    length; one memo entry per class modulo central coweights, however
+    many shifts; refusals keep their type and message."""
+    rd, mus, basis = central_case(case)
+    H = HeckeAlgebra(AffineWeylGroup(rd))
+    k = H.W.kernel
+    for mu in mus:
+        H.bernstein_function(mu)
+        for nu in central_shifts(mu, basis):
+            z = H.bernstein_function(nu)
+            fresh = HeckeAlgebra(AffineWeylGroup(rd)).bernstein_function(nu)
+            assert z == fresh, nu
+            assert all(x._len == k.length(x.trans, x.fin) for x in z.terms)
+        one = HeckeAlgebra(AffineWeylGroup(rd))
+        for nu in central_shifts(mu, basis[:1], range(11)):
+            one.bernstein_function(nu)
+        assert len(one._z) == 1
+    classes = {tuple(dot(mu, a) for a in rd.simple_roots) for mu in mus}
+    assert len(H._z) == len(classes)
+    for bad, msg in class_memo_refusals(rd, mus):
+        with pytest.raises(RootDatumError) as err:
+            H.bernstein_function(bad)
+        assert type(err.value) is RootDatumError and str(err.value) == msg

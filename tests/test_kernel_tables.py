@@ -54,11 +54,12 @@ from iwahecke.affine import AffineWeylElement, AffineWeylGroup
 from iwahecke.center import (SymmetricFunction, bernstein_iso,
                              bernstein_iso_inverse)
 from iwahecke.hecke import _dominant_cover, _pack, _pack_poly
-from iwahecke.intlinalg import dot
+from iwahecke.intlinalg import dot, hermite_basis
 from iwahecke.klpoly import RPolynomials, q_poly_to_v
 from iwahecke.laurent import ONE, QM1, LaurentPoly, accumulate
 from iwahecke.rootdata import (RootDatum, RootDatumError, build_root_datum,
-                               is_minuscule, load_root_datum, weyl_orbit)
+                               is_minuscule, levi_sub_datum, load_root_datum,
+                               weyl_orbit)
 from iwahecke.weyl import IndexedWeyl, weyl_order
 
 from conftest import DATA
@@ -517,6 +518,61 @@ ADM_MUS = {
     "gl2xgl2.cfg": [(1, 0, 0, 0), (2, 0, 1, 0)],
     "pgl2.cfg": [(1,), (2,)],
 }
+
+
+def central_basis(rd):
+    """A basis of the central coweights c, <c, a_i> = 0 for every simple
+    root: the rows of the Hermite form of the rows (<e_j, a_i>)_i | e_j
+    whose pairing part is zero, with that part cut off."""
+    m = rd.n_simple
+    rows = hermite_basis([tuple(a[j] for a in rd.simple_roots)
+                          + tuple(int(i == j) for i in range(rd.rank))
+                          for j in range(rd.rank)])
+    return [r[m:] for r in rows if not any(r[:m])]
+
+
+# the data whose central lattice is nonzero, for the memos that hold one
+# entry per class of mu modulo it: those of GROUPS + CONFIGS, the GL(3)
+# Levi of the label 1 and the torus of GL(3), whose class key is ()
+CENTRAL_CASES = ([c for c in GROUPS + CONFIGS if central_basis(_datum(c))]
+                 + [("GL", 3, (1,)), ("GL", 3, ())])
+
+
+def central_case(case):
+    """(datum, ADM_MUS coweights, central basis) of a CENTRAL_CASES case;
+    a Levi of GL(3) takes GL(3)'s coweights, dominant for it too."""
+    if _is_levi(case):
+        rd = levi_sub_datum(build_root_datum(*case[:2]), case[2])
+        mus = ADM_MUS[case[:2]]
+    else:
+        rd, mus = _datum(case), ADM_MUS[case]
+    return rd, mus, central_basis(rd)
+
+
+def central_ids(case):
+    if _is_levi(case):
+        return f"{_ids(case[:2])}-levi{list(case[2])}"
+    return _ids(case)
+
+
+def _is_levi(case):
+    return isinstance(case, tuple) and len(case) == 3
+
+
+def central_shifts(mu, basis, ks=(1, -3, 500)):
+    """mu + k c for each c in basis and k in ks."""
+    return [tuple(m + k * x for m, x in zip(mu, c)) for c in basis
+            for k in ks]
+
+
+def class_memo_refusals(rd, mus):
+    """(coweight, message) of the refusals a warm class memo keeps: a
+    non-dominant member of an orbit of mus, passed as a list, when there is
+    one (a torus has none), and a coweight one entry too long."""
+    bad = [(list(la), f"{la} is not dominant") for mu in mus
+           for la in sorted(weyl_orbit(rd, mu)) if not rd.is_dominant(la)]
+    wrong_rank = (list(mus[0]) + [0], "coweight length differs from rank")
+    return bad[:1] + [wrong_rank]
 
 
 # coweights whose Adm(mu) is checked as well, one with 1,701 elements

@@ -8,9 +8,12 @@ from iwahecke.hecke import bernstein_function
 from iwahecke.klpoly import (RPolynomials, closed_form_bernstein,
                              q_poly_to_v, r_polynomial)
 from iwahecke.laurent import LaurentPoly
-from iwahecke.rootdata import RootDatumError, build_root_datum, weyl_orbit
+from iwahecke.rootdata import (RootDatumError, build_root_datum,
+                               is_minuscule, weyl_orbit)
 
 from oracles import random_element
+from test_kernel_tables import (CENTRAL_CASES, central_case, central_ids,
+                                central_shifts, class_memo_refusals)
 
 Q = LaurentPoly({1: 1})  # the variable q of R-polynomials
 
@@ -219,3 +222,33 @@ def test_r_sum_memo_keeps_its_operands():
     got = [table.r(x, y) for x, y in pairs]
     assert got == [RPolynomials(W).r(x, y) for x, y in pairs]
     assert len(fresh_polys) == 2000
+
+
+@pytest.mark.parametrize("case", CENTRAL_CASES, ids=central_ids)
+def test_closed_form_of_a_central_shift_is_translated(case):
+    """For minuscule mu and central c, the closed form at mu + c is summed
+    over Adm(mu) off the group's memo entry, so the R memo hits, then
+    translated: equal to a fresh context's, every element carrying the
+    kernel's length; one Adm entry per class modulo central coweights,
+    however many shifts; refusals keep their type and message."""
+    rd, mus, basis = central_case(case)
+    W = AffineWeylGroup(rd)
+    table = RPolynomials(W)
+    k = W.kernel
+    for mu in [mu for mu in mus if is_minuscule(rd, mu)]:
+        table.closed_form_bernstein(mu)
+        pairs = len(table._memo)
+        for nu in central_shifts(mu, basis):
+            h = table.closed_form_bernstein(nu)
+            fresh = RPolynomials(AffineWeylGroup(rd))
+            assert h == fresh.closed_form_bernstein(nu), nu
+            assert all(x._len == k.length(x.trans, x.fin) for x in h.terms)
+        assert len(table._memo) == pairs
+        one = RPolynomials(AffineWeylGroup(rd))
+        for nu in central_shifts(mu, basis[:1], range(11)):
+            one.closed_form_bernstein(nu)
+        assert len(one.W._adm) == 1
+    for bad, msg in class_memo_refusals(rd, mus):
+        with pytest.raises(RootDatumError) as err:
+            table.closed_form_bernstein(bad)
+        assert type(err.value) is RootDatumError and str(err.value) == msg
