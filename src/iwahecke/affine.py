@@ -31,7 +31,8 @@ W_J Adm(mu) W_J (``parahoric_admissible_set_by_products``), all in
 from one cache per group, (t, w) -> (label, s t, s w).  Bruhat order needs
 no memo of its own: by the lifting property each query is one loop down
 y's descents.  Reduced words, Hecke words and Omega elements come from one
-strip of smallest-labelled left descents, `AffineWeylGroup._strip`.
+strip of smallest-labelled left descents, `AffineWeylGroup._strip`.  The
+strip and the cache take each step from one place, `AffineWeylGroup._step`.
 
 >>> from iwahecke.rootdata import build_root_datum
 >>> W = build_root_datum("GL", 2).affine_weyl()
@@ -277,21 +278,20 @@ class AffineWeylGroup:
         """(labels, t', w'): the labels of the n smallest-labelled left
         descents stripped off (t, w) in turn, first stripped first, and the
         element (t', w') left, of length l(t, w) - n."""
-        k = self.kernel
         labels = []
         for _ in range(n):
-            label = self._first_descent(t, w)
+            label, t, w = self._step(t, w)
             labels.append(label)
-            t, w = k.lmul_gen(label, t, w)
         return labels, t, w
 
-    def _first_descent(self, t, w) -> int:
-        """Label of the smallest-labelled left descent of a positive-length
-        element (t, w)."""
+    def _step(self, t, w):
+        """(label, s t, s w) for the smallest-labelled left descent s of the
+        positive-length element (t, w): the one descent step, which `_strip`
+        repeats and `_descent_step` caches."""
         k = self.kernel
         for label in self.gen_labels:
             if k.left_descent(label, t, w):
-                return label
+                return (label, *k.lmul_gen(label, t, w))
         raise AssertionError(  # pragma: no cover
             "positive-length element with no descent")
 
@@ -306,14 +306,11 @@ class AffineWeylGroup:
         return OmegaElement(self, self.rd.kappa_reduce(tuple(vec)))
 
     def _descent_step(self, t, w):
-        """(label, s t, s w) for the smallest-labelled left descent s of the
-        positive-length element (t, w); cached, so that Bruhat order and the
-        R-polynomial recursion scan each element for it once per context."""
+        """`_step`, cached, so that Bruhat order and the R-polynomial
+        recursion scan each element for its descent once per context."""
         step = self._steps.get((t, w))
         if step is None:
-            label = self._first_descent(t, w)
-            step = self._steps[(t, w)] = (label,
-                                          *self.kernel.lmul_gen(label, t, w))
+            step = self._steps[(t, w)] = self._step(t, w)
         return step
 
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:

@@ -28,8 +28,10 @@ not central", whatever its height, and a central one HeightBoundError.
 
 from __future__ import annotations
 
+from operator import add
+
 from .hecke import HeckeElement
-from .laurent import (ONE, CoefficientMap, LaurentPoly, accumulate,
+from .laurent import (ONE, CoefficientMap, LaurentPoly, _convolve, accumulate,
                       per_coefficient)
 from .rootdata import (RootDatum, RootDatumError, _check_rank, _same_datum,
                        levi_sub_datum, weyl_orbit)
@@ -92,11 +94,8 @@ class SymmetricFunction(CoefficientMap):
         if not isinstance(other, SymmetricFunction):
             return NotImplemented
         _same_datum(self.rd, other.rd)
-        out: dict = {}
-        for la, c in self.terms.items():
-            for nu, d in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(la, nu)), c * d)
-        return SymmetricFunction._make(self.rd, out)
+        return SymmetricFunction._make(self.rd, _convolve(
+            self.terms, other.terms, lambda la, nu: tuple(map(add, la, nu))))
 
     __rmul__ = __mul__
 

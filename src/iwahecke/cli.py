@@ -449,28 +449,6 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"malformed label list {text!r}")
 
 
-def _parse_q(q: int):
-    from .ffield import _MAX_Q, GF
-    # trial division takes time linear in q, so refuse a q outside the
-    # supported range before it
-    if not 2 <= q <= _MAX_Q:
-        raise PreconditionError(
-            f"q = {q} is out of supported range 2..{_MAX_Q}")
-    p, r = q, 1
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1:
-                raise PreconditionError(f"{q} is not a prime power")
-            break
-    return GF(p, r)
-
-
 def _check_level_size(n: int, q: int):
     """Refuse a level whose rows could not be printed.
 
@@ -492,12 +470,12 @@ def _check_level_size(n: int, q: int):
 def cmd_scholze(args) -> int:
     import random
 
-    from .deeplevel import (IndeterminatePrecisionError,
-                            build_reference_corpus, gl2_level_index,
-                            level_compatibility_check, load_corpus,
-                            matrix_column_text, random_kn_element,
-                            scholze_phi)
-    field = _parse_q(args.q)
+    from .deeplevel import (IndeterminatePrecisionError, _z_n,
+                            build_reference_corpus, level_compatibility_check,
+                            load_corpus, matrix_column_text,
+                            random_kn_element, scholze_phi)
+    from .ffield import _field_of_size
+    field = _field_of_size(args.q)
     n = args.n
     _check_level_size(n, field.q)
     if args.compat and field.q ** 4 > _MAX_COMPAT_COSETS:
@@ -522,7 +500,7 @@ def cmd_scholze(args) -> int:
     for i, g in enumerate(mats):
         try:
             phi = scholze_phi(n, g)
-            z = Fraction(field.q - 1, gl2_level_index(n, field.q)) * phi
+            z = _z_n(n, field.q, phi)
             wr.writerow([i, matrix_column_text(g), phi, str(z), ""])
         except IndeterminatePrecisionError:
             wr.writerow([i, matrix_column_text(g), "", "", "INDETERMINATE"])

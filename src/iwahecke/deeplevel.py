@@ -60,7 +60,7 @@ class IndeterminatePrecisionError(ValueError):
 def ell_invariant(g: Matrix2):
     """val det(1 - g); 'inf' (with exactness certificate) when 1 - g is
     exactly singular.  Raises when precision cannot resolve the valuation."""
-    d = _one_minus(g).det()
+    d = _det_one_minus([g.a], [g.c], [-g.b], [g.d])[0][0]
     v = d.valuation()
     if v is None:
         raise IndeterminatePrecisionError(
@@ -88,12 +88,16 @@ def _k_of_entries(entries) -> int:
     return k
 
 
-def _one_minus(g: Matrix2) -> Matrix2:
-    """1 - g, entry by entry.  Its determinant is taken as a product, never
-    as 1 - tr g + det g: for a = d = 1 + O(t^2), b = c = 0 the product
-    keeps O(t^4) where that identity keeps only O(t^2)."""
-    one = TruncatedSeries.one(g.field)
-    return Matrix2(one - g.a, -g.b, -g.c, one - g.d)
+def _det_one_minus(ga, gc, minus_gb, gd) -> list:
+    """det(1 - g) = (1 - a)(1 - d) + c (-b) for g = [[a, b], [c, d]], at
+    every pair of a first column (a, c) from ga, gc and a second column
+    (b, d) from minus_gb, gd: one `product_grid`, cell (i, j) for the
+    columns i and j.  The determinant is a product, never 1 - tr g +
+    det g: for a = d = 1 + O(t^2), b = c = 0 the product keeps O(t^4)
+    where that identity keeps only O(t^2)."""
+    one = TruncatedSeries.one(ga[0].field)
+    return product_grid([one - x for x in ga], [one - x for x in gd],
+                        gc, minus_gb)
 
 
 # -- the GL_2 family -----------------------------------------------------------
@@ -104,7 +108,7 @@ def scholze_phi(n: int, g: Matrix2) -> int:
     if n < 1:
         raise ValueError("level n must be >= 1")
     return _phi(n, g.field.q, g.entries, g.det(), g.trace,
-                lambda: _one_minus(g).det())
+                lambda: _det_one_minus([g.a], [g.c], [-g.b], [g.d])[0][0])
 
 
 def _phi(n: int, q: int, entries, det, trace, det_one_minus) -> int:
@@ -168,8 +172,14 @@ def gl2_level_index(n: int, q: int) -> int:
 
 def scholze_z(n: int, g: Matrix2) -> Fraction:
     """z_n = (q-1)/[K:K_n] * phi_n, as an exact rational."""
-    q = g.field.q
-    return Fraction(q - 1, gl2_level_index(n, q)) * scholze_phi(n, g)
+    return _z_n(n, g.field.q, scholze_phi(n, g))
+
+
+def _z_n(n: int, q: int, phi: int) -> Fraction:
+    """(q-1)/[K:K_n] * phi: z_n from a value phi of phi_n, or from a sum
+    of such values.  The one normalization of z_n, for `scholze_z`, the
+    coset sum and the CLI's rows."""
+    return Fraction(q - 1, gl2_level_index(n, q)) * phi
 
 
 def kn_coset_reps(field, n: int):
@@ -204,7 +214,7 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
 
     the last two formed only when some coset reaches them, so the coset
     loop does no series arithmetic.  det(1 - g k) is a product, never
-    1 - tr + det (see `_one_minus`).  The cosets are visited in
+    1 - tr + det (see `_det_one_minus`).  The cosets are visited in
     `kn_coset_reps` order, and the integer phi_{n+1} values are summed.
     """
     if n < 1:
@@ -223,8 +233,7 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
     ga, gb = top[:len(cols)], top[len(cols):]
     gc, gd = bottom[:len(cols)], bottom[len(cols):]
     minus_gb = [-x for x in gb]
-    one = TruncatedSeries.one(field)
-    ones = [one] * len(cols)
+    ones = [TruncatedSeries.one(field)] * len(cols)
     det = product_grid(ga, gd, gc, minus_gb)
 
     @functools.cache  # formed once, when the first coset needs it
@@ -233,8 +242,7 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
 
     @functools.cache
     def one_minus_grid():
-        return product_grid([one - x for x in ga], [one - x for x in gd],
-                            gc, minus_gb)
+        return _det_one_minus(ga, gc, minus_gb, gd)
 
     # the two deferred parts of phi_{n+1}, at the coset (i, j) of the loop
     def trace():
@@ -248,8 +256,7 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
         i, j = m11 * q + m21, m12 * q + m22  # the columns of g k
         total += _phi(n + 1, q, (ga[i], gb[j], gc[i], gd[j]), det[i][j],
                       trace, det_one_minus)
-    return (Fraction(q - 1, gl2_level_index(n + 1, q)) * total
-            == scholze_z(n, g))
+    return _z_n(n + 1, q, total) == scholze_z(n, g)
 
 
 def random_kn_element(field, n: int, rng, depth: int = 8) -> Matrix2:

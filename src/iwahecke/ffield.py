@@ -36,6 +36,20 @@ def GF(p: int, r: int = 1) -> "_Field":
     return _Field(p, r)
 
 
+def _field_of_size(q: int) -> "_Field":
+    """GF(p, r) for q = p^r.  The range is checked first, as trial
+    division takes time linear in q."""
+    if not 2 <= q <= _MAX_Q:
+        raise ValueError(f"q = {q} is out of supported range 2..{_MAX_Q}")
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # least, so prime
+    m, r = q, 0
+    while m % p == 0:
+        m, r = m // p, r + 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return GF(p, r)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -121,7 +121,6 @@ class HeckeAlgebra:
     def __init__(self, W: AffineWeylGroup):
         self.W = W
         self._z: dict = {}
-        self._cover: dict = {}
 
     # -- construction -------------------------------------------------------
 
@@ -370,19 +369,14 @@ class HeckeAlgebra:
         """sum of theta_la over la in lams.  One lam2 serves them all:
         <lam2, a_i> >= -<la, a_i> for every la, so the sum is (sum_la
         v^{-<la, 2 rho>} T_{t_{la+lam2}}) T_{t_lam2}^{-1}, one right fold.
-        When every la is dominant lam2 = 0 and nothing is folded.  lam2
-        depends only on `need`, so it is memoized by it: central shifts and
-        orbits of one shape share one cover."""
+        When every la is dominant lam2 = 0 and nothing is folded.  lam2 is
+        not memoized: the z_mu memo serves a whole class modulo the center,
+        so a fold, and its one cover search, runs only on a class miss."""
         rd = self.W.rd
-        need = tuple([max(0, -min(dot(la, a) for la in lams))
-                      for a in rd.simple_roots])
+        need = [max(0, -min(dot(la, a) for la in lams))
+                for a in rd.simple_roots]
         fold = any(need)
-        if fold:
-            lam2 = self._cover.get(need)
-            if lam2 is None:
-                lam2 = self._cover[need] = _dominant_cover(rd, need)
-        else:
-            lam2 = (0,) * rd.rank
+        lam2 = _dominant_cover(rd, need) if fold else (0,) * rd.rank
         exps = [-dot(la, rd.two_rho) for la in lams]
         vs = {e: LaurentPoly.v(e) for e in set(exps)}  # one per distinct value
         h = HeckeElement._make(self, {

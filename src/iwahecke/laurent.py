@@ -17,6 +17,8 @@ LaurentPoly({0: 1})
 
 from __future__ import annotations
 
+from operator import add
+
 from .rootdata import _same_datum
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QM1", "accumulate",
@@ -84,15 +86,8 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.c)
-        for e, n in other.c.items():
-            m = out.get(e, 0) + n
-            if m:
-                out[e] = m
-            else:
-                out.pop(e, None)
         res = LaurentPoly.__new__(LaurentPoly)
-        res.c = out
+        res.c = _merge(self.c, other.c)
         return res
 
     __radd__ = __add__
@@ -118,17 +113,8 @@ class LaurentPoly:
         a, b = self.c, other.c
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for e1, n1 in a.items():
-            for e2, n2 in b.items():
-                e = e1 + e2
-                m = out.get(e, 0) + n1 * n2
-                if m:
-                    out[e] = m
-                else:
-                    del out[e]
         res = LaurentPoly.__new__(LaurentPoly)
-        res.c = out
+        res.c = _convolve(a, b, add)
         return res
 
     __rmul__ = __mul__
@@ -229,6 +215,11 @@ class LaurentPoly:
 def accumulate(out: dict, key, c):
     """out[key] += c in a sparse dict: absent means zero, zeros are dropped.
 
+    The one rule for sparse sums: `_merge` and `_convolve` (the sums and
+    products of `LaurentPoly`, `CoefficientMap` and `SymmetricFunction`)
+    and the coefficient sums of `center` and `transfer` go through it, so
+    no cancelled coefficient is ever stored.
+
     >>> d = {}
     >>> accumulate(d, "x", LaurentPoly.v(1))
     >>> accumulate(d, "x", -LaurentPoly.v(1))
@@ -241,6 +232,30 @@ def accumulate(out: dict, key, c):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def _merge(a: dict, b: dict) -> dict:
+    """The sparse sum of a and b: a copied, then b accumulated into it.
+    `LaurentPoly` and `CoefficientMap` add through it."""
+    out = dict(a)
+    for key, c in b.items():
+        accumulate(out, key, c)
+    return out
+
+
+def _convolve(a: dict, b: dict, plus) -> dict:
+    """The sparse product of a and b: a[k] * b[l] accumulated at
+    plus(k, l), a the outer loop.  `LaurentPoly` multiplies through it
+    (exponents add) and `SymmetricFunction` (coweights add).
+
+    >>> _convolve({1: 1, 0: 1}, {1: 1, 0: -1}, add)
+    {2: 1, 0: -1}
+    """
+    out: dict = {}
+    for k, c in a.items():
+        for l, d in b.items():
+            accumulate(out, plus(k, l), c * d)
+    return out
 
 
 def per_coefficient(f):
@@ -327,10 +342,7 @@ class CoefficientMap:
         if not isinstance(other, type(self)):
             return NotImplemented
         _same_datum(self._datum(), other._datum())
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(out, key, c)
-        return self._make(self.context, out)
+        return self._make(self.context, _merge(self.terms, other.terms))
 
     def __neg__(self):
         return self._map(lambda p: -p)

@@ -182,6 +182,30 @@ def test_reduced_word_round_trip(W2, W3):
             assert W.from_word(word, om) == x
 
 
+def test_one_descent_step_behind_strip_and_cache(gl3, gsp4):
+    """`_step` takes the smallest-labelled left descent s and gives
+    (label, s t, s w); the strip repeats it, the cache returns it, and a
+    reduced word starts with its label.  Private contexts, as the cache
+    grows."""
+    rng = random.Random(5)
+    for W in (AffineWeylGroup(gl3), AffineWeylGroup(gsp4)):
+        k = W.kernel
+        for _ in range(40):
+            x = random_element(W, rng)
+            if not x.length():
+                continue
+            t, w = x.trans, x.fin
+            step = W._step(t, w)
+            label = min(lab for lab in W.gen_labels
+                        if k.left_descent(lab, t, w))
+            assert step == (label, *k.lmul_gen(label, t, w))
+            assert W.simple_reflection(label) * x == W.element(*step[1:])
+            assert W._strip(t, w, 1) == ([label], *step[1:])
+            assert W._descent_step(t, w) == step
+            assert W._steps[(t, w)] == step
+            assert W.reduced_word(x)[0][0] == label
+
+
 def test_omega_element_properties(W3):
     om1 = W3.omega_of((1, 0, 0))
     om2 = W3.omega_of((0, 1, 0))

@@ -69,6 +69,18 @@ def test_sums_across_root_data_rejected(gl2, gl3):
     assert f2 * monomial_symmetric(same, (1, 0)) == f2 * f2
 
 
+def test_symmetric_product_stores_no_cancelled_term(gl2):
+    # x = e^(1,0), y = e^(0,1): (1 + x + y)(x + y - 2 x y) has x y
+    # coefficient -2 + 1 + 1, so no (1, 1) key is stored
+    f = SymmetricFunction.from_dominant(gl2, {(0, 0): 1, (1, 0): 1})
+    g = SymmetricFunction.from_dominant(gl2, {(1, 0): 1, (1, 1): -2})
+    expect = SymmetricFunction.from_dominant(
+        gl2, {(1, 0): 1, (2, 0): 1, (2, 1): -2})
+    for prod in (f * g, g * f):
+        assert prod.terms == expect.terms
+        assert (1, 1) not in prod.terms
+
+
 def test_scalar_product_is_scale(gl2):
     f = monomial_symmetric(gl2, [1, 0])  # any sequence names a coweight
     v = LaurentPoly.v(1)

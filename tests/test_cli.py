@@ -326,9 +326,11 @@ def test_unsupported_formats_exit_2(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_scholze_rejects_non_prime_power(tmp_path):
-    rc, _ = run(tmp_path, "scholze", "--n", "1", "--q", "6")
-    assert rc == 3
+def test_scholze_rejects_non_prime_power(tmp_path, capsys):
+    for q in ("6", "12"):
+        rc, data = run(tmp_path, "scholze", "--n", "1", "--q", q)
+        assert rc == 3 and data == b"", q
+        assert capsys.readouterr().err == f"error: {q} is not a prime power\n"
 
 
 def test_scholze_q_out_of_range_exits_3_before_trial_division(tmp_path,
@@ -339,7 +341,8 @@ def test_scholze_q_out_of_range_exits_3_before_trial_division(tmp_path,
         rc, data = run(tmp_path, "scholze", "--n", "1", "--q", q)
         assert time.perf_counter() - start < 2, q
         assert rc == 3 and data == b"", q
-        assert "out of supported range" in capsys.readouterr().err, q
+        assert capsys.readouterr().err == (
+            f"error: q = {q} is out of supported range 2..4096\n"), q
 
 
 def test_scholze_table_field_too_large_exits_3(tmp_path, capsys,
@@ -715,7 +718,8 @@ GOLDEN_RUNS = [
     (("zmu", "--group", "GL:3", "--mu", "1,0,0", "--levi", "2", "--q", "3"),
      "golden_zmu_gl3_100_levi2_q3.json", None),
     (("scholze", "--n", "1", "--q", "2", "--corpus", str(CORPUS_Q2),
-      "--precision", "12", "--pairs", "1"), "golden_scholze_q2_n1.csv", None),
+      "--precision", "12", "--pairs", "1"), "golden_scholze_q2_n1.csv",
+     "golden_scholze_q2_n1.json"),
     (("scholze", "--n", "2", "--q", "3", "--precision", "2", "--compat"),
      "golden_scholze_compat_q3_n2_p2.csv",
      "golden_scholze_compat_q3_n2_p2.json"),
@@ -764,8 +768,9 @@ def test_main_is_reentrant(capsys):
             assert rc == 0, argv
             # read as bytes: the CSV goldens end their lines in \r\n
             assert out == (DATA / out_name).read_bytes().decode(), argv
-            if err_name:
-                assert err == (DATA / err_name).read_bytes().decode(), argv
+            # a run with no stderr golden writes nothing there
+            assert err == ((DATA / err_name).read_bytes().decode()
+                           if err_name else ""), argv
     for argv, results in seen.items():
         assert len(results) == 2 and results[0] == results[1], argv
 
@@ -812,7 +817,7 @@ def test_dumps_refuses_what_json_dumps_refuses():
 
 def test_dumps_matches_json_dumps_on_goldens():
     names = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(names) == 14
+    assert len(names) == 15
     for name in names:
         text = (DATA / name).read_text()
         obj = json.loads(text)

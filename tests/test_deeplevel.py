@@ -15,7 +15,7 @@ from iwahecke.deeplevel import (DiagonalTorusPoint,
                                 matrix_from_text,
                                 random_kn_element, save_corpus, scholze_phi,
                                 scholze_z)
-from iwahecke.ffield import GF
+from iwahecke.ffield import GF, _field_of_size
 from iwahecke.rootdata import build_root_datum
 from iwahecke.series import Matrix2, TruncatedSeries
 
@@ -58,6 +58,12 @@ def test_ell_indeterminate():
     g = diag(F2, mono(F2, 1).truncate(1), mono(F2, 0).truncate(1))
     with pytest.raises(IndeterminatePrecisionError):
         ell_invariant(g)
+
+
+def test_field_of_size_is_gf_of_its_prime_power():
+    for q, p, r in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (8, 2, 3), (9, 3, 2),
+                    (25, 5, 2), (4093, 4093, 1)):
+        assert _field_of_size(q) is GF(p, r), q
 
 
 def test_k_examples():

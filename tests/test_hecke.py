@@ -62,6 +62,14 @@ def test_sums_across_root_data_rejected(H2, H3, gl3):
         assert hecke_json(mixed) == hecke_json(single)
 
 
+def test_sum_with_negative_is_empty(H2, H3):
+    rng = random.Random(9)
+    for H in (H2, H3):
+        for _ in range(10):
+            h = random_hecke_element(H, rng)
+            assert (h + (-h)).terms == {} and (h - h).terms == {}
+
+
 def test_scale_by_monomial_shifts_exponents(H3):
     # a monic v^k shifts every exponent; any other scalar multiplies; both
     # give the product's terms in its order, lengths carried

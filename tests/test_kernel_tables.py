@@ -760,26 +760,17 @@ def _dict_sizes(*contexts):
             if isinstance(v, dict)}
 
 
-def _need(rd, lam):
-    """The pairings a dominant cover of lam must reach, as `_theta_sum`
-    computes them for the one-element orbit [lam]."""
-    return tuple(max(0, -dot(lam, a)) for a in rd.simple_roots)
-
-
 @CASES
 def test_products_words_and_omega_elements_keep_no_memo(case):
     """On a fresh context, theta, t_inverse, t_times, multiply,
     reduced_word and Omega elements leave every dict of the group and the
-    algebra at its size, once the dominant covers of the theta arguments'
-    needs are memoized; bruhat_leq grows the descent steps only."""
+    algebra at its size; bruhat_leq grows the descent steps only."""
     rd = _datum(case)
     W = AffineWeylGroup(rd)
     H = W.hecke()
     rng = random.Random(f"memo-{_ids(case)}")
     lams = [tuple(rng.randint(-1, 1) for _ in range(rd.rank))
             for _ in range(20)]
-    for lam in {_need(rd, lam): lam for lam in lams}.values():
-        H.theta(lam)  # fills the cover memo, once per need
     xs = [random_element(W, rng, coord_span=1) for _ in range(8)]
     h = random_hecke_element(H, rng, coord_span=1)
     before = _dict_sizes(W, H)

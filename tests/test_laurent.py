@@ -24,6 +24,12 @@ def test_no_zero_coefficients_stored():
     p = LaurentPoly({3: 0, 1: 2})
     assert p.c == {1: 2}
     assert (p - p).c == {}
+    # a coefficient that cancels in a sum or a product leaves no key
+    v = LaurentPoly.v()
+    assert ((v + 1) + (-v)).c == {0: 1}
+    for prod in ((v + 1) * (v - 1), (v - 1) * (v + 1)):
+        assert prod.c == {2: 1, 0: -1}  # v^1: 1 - 1
+    assert ((v + 1) * (v * v - v + 1)).c == {3: 1, 0: 1}
 
 
 def test_coefficients_are_exact_ints():
