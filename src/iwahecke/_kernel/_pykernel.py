@@ -7,9 +7,10 @@ are the innermost loops of everything downstream (Bruhat order, admissible
 sets, R-polynomials, Hecke folds).  A generator acts in O(rank) through
 the tables of :class:`iwahecke.weyl.IndexedWeyl`, which the finite
 generator slots read in place; only the affine reflections get rows of
-their own.  `mul`, `inv` and `apply` fold a finite word one generator at a
-time through `IndexedWeyl.fold`, with no action matrices, and the affine
-slot of a component takes its s_theta from `IndexedWeyl.reflection_words`.
+their own.  `mul` and `inv` fold a finite word one generator at a time
+through `IndexedWeyl.fold`, with no action matrices, `apply` is
+`IndexedWeyl.apply`, and the affine slot of a component takes its s_theta
+from `IndexedWeyl.reflection_words`.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ class Kernel:
             self._right.append((wtrans, rrow, wvec, k, r, i is None))
 
     def apply(self, w: int, vec):
-        """w(vec) on a coweight."""
-        return self.weyl.fold(reversed(self.word[w]), tuple(vec), 0)[0]
+        """w(vec) on a coweight: `IndexedWeyl.apply`, which refuses a
+        coweight of the wrong rank."""
+        return self.weyl.apply(w, vec)
 
     def mul(self, t1, w1, t2, w2):
         """(t1 w1)(t2 w2) = (t1 + w1(t2), w1 w2): w1's word folded onto

@@ -93,6 +93,15 @@ class AffineWeylElement:
         # every element ends up a dict key or set member, often many times
         self._hash = hash((trans, fin))
 
+    @classmethod
+    def _of_length(cls, group, trans: tuple, fin: int, length: int):
+        """t_trans * w whose length is already known, carried so that
+        `length()` never asks the kernel: the one writer of a carried
+        length, for the walks, translations and folds that compute it."""
+        x = cls(group, trans, fin)
+        x._len = length
+        return x
+
     @property
     def key(self):
         return (self.trans, self.fin)
@@ -120,9 +129,8 @@ class AffineWeylElement:
 
     def apply(self, vec) -> tuple:
         """Action on a coweight: x(v) = trans + w(v) affinely; here the
-        linear part only (used for conjugating translations)."""
-        vec = tuple(vec)
-        _check_rank(self.group.rd, vec)
+        linear part only (used for conjugating translations).  A coweight
+        of the wrong rank is refused by `IndexedWeyl.apply`."""
         return self.group.kernel.apply(self.fin, vec)
 
     def is_translation(self) -> bool:
@@ -379,13 +387,12 @@ class AffineWeylGroup:
         Each distinct la is moved once (z_mu for GL(5) (2,1,0,0,0) has 701
         terms over 30 translation parts)."""
         moved = {}
+        make = AffineWeylElement._of_length
         for x in xs:
             t = moved.get(x.trans)
             if t is None:
                 t = moved[x.trans] = tuple(map(add, x.trans, c))
-            y = AffineWeylElement(self, t, x.fin)
-            y._len = x.length()
-            yield y
+            yield make(self, t, x.fin, x.length())
 
     def lower_closure(self, tops) -> frozenset:
         """{x : x <= y for some y in tops}, the Bruhat ideal generated by
@@ -446,12 +453,8 @@ class AffineWeylGroup:
                             new.append(z)
                 seen[key] = n
             frontier = new
-        elements = []
-        for (t, w), n in seen.items():
-            x = AffineWeylElement(self, t, w)
-            x._len = n
-            elements.append(x)
-        return frozenset(elements)
+        make = AffineWeylElement._of_length
+        return frozenset([make(self, t, w, n) for (t, w), n in seen.items()])
 
     def _double_coset_top(self, labels, t, w):
         """The key of the longest element of W_J (t, w) W_J, for J the affine

@@ -229,7 +229,7 @@ def levi_image(f: SymmetricFunction, levi_labels) -> HeckeElement:
     f viewed as a W(L)-invariant function, taken by the Bernstein
     isomorphism for the standard Levi L given by 1-based simple-root labels
     (sorted and deduplicated by levi_sub_datum).  L = G is no special case:
-    all labels give a datum equal to G's, whose shared context is G's.
+    all labels give G's datum itself, whose shared context is G's.
     """
     lrd = levi_sub_datum(f.rd, levi_labels)
     lf = SymmetricFunction._make(lrd, f.terms)  # W(L)-invariance is inherited

@@ -154,7 +154,8 @@ def _int_list_text(values, nl):
 def _kappa(W, x):
     """The Kottwitz grade of x = t_la w in W as JSON: the class of la."""
     om = W.kottwitz_image(x)
-    return om.grade if om.grade is not None else list(om.rep)
+    grade = om.grade
+    return grade if grade is not None else list(om.rep)
 
 
 def graded_json(gf, q_value=None):

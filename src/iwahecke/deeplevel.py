@@ -74,15 +74,20 @@ def k_invariant(g: Matrix2) -> int:
 
 
 def _k_of_entries(entries) -> int:
+    """k(g), the least valuation of the entries.  Precision is asked only
+    through `exact` and `val_ge`.  With no known-nonzero entry, g is the
+    zero matrix only if every entry is exact.  Otherwise k, the least
+    known valuation, stands only if every entry answers `val_ge(k)`; an
+    unknown zero O(t^p) with p < k cannot."""
     known = [e.val for e in entries if e.val is not None]
-    bounds = [e.prec for e in entries
-              if e.val is None and e.prec is not None]
     if not known:
-        if bounds:
+        if not all(e.exact for e in entries):
             raise IndeterminatePrecisionError("all entries vanish at precision")
         raise ValueError("k(g) is undefined for the zero matrix")
     k = min(known)
-    if bounds and min(bounds) < k:
+    # an entry of known valuation answers val_ge(k) with True
+    if len(known) < len(entries) and any(
+            e.val_ge(k) is None for e in entries):
         raise IndeterminatePrecisionError(
             "an unresolved entry could have smaller valuation")
     return k
@@ -152,15 +157,16 @@ def _phi(n: int, q: int, entries, det, trace, det_one_minus) -> int:
     if t0 == 0:
         return -1 - q
 
-    # unit trace: compare l(g) with n + k(g)
-    res = det_one_minus().resolve_val_below(n + k)
-    if res is None:
+    # unit trace: compare l(g) with n + k(g); when l(g) < n + k(g), val_ge
+    # has pinned l(g) as the series' .val
+    dom = det_one_minus()
+    ge = dom.val_ge(n + k)
+    if ge is None:
         raise IndeterminatePrecisionError(
             f"val det(1-g) unresolved below {n + k}")
-    if res == "ge":
+    if ge:
         return 1 + q ** (2 * (n + k) - 1)
-    _, ell = res
-    return 1 - q ** (2 * ell)
+    return 1 - q ** (2 * dom.val)
 
 
 def gl2_level_index(n: int, q: int) -> int:

@@ -4,10 +4,11 @@ Small finite fields GF(p^r).
 Elements are ints in [0, q).  A prime field GF(p) computes with them
 directly, `% p`, and has no tables.  For r > 1 an element encodes its
 polynomial coefficients base p (little-endian) over GF(p), modulo a monic
-irreducible found by search, and every operation is a lookup in q x q
-tables built with the field; so such q are capped where that build still
-takes well under a second.  The deep-level evaluators need q in
-{2, 3, 4, 9} and similar.
+irreducible found by search; add and mul are lookups in q x q tables and
+neg in a table of q entries, all built with the field, so such q are
+capped where that build still takes well under a second.  Both kinds of
+field share one `sub`, a + (-b), and one `inv`, a^(q-2).  The deep-level
+evaluators need q in {2, 3, 4, 9} and similar.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _is_prime(p: int) -> bool:
 
 
 class _Field:
-    """GF(p^r), r > 1, by add, mul, neg and inv tables."""
+    """GF(p^r), r > 1, by add, mul and neg tables."""
 
     def __init__(self, p: int, r: int):
         self.p = p
@@ -147,13 +148,9 @@ class _Field:
                 self.add_table[a][b] = self.add_table[b][a] = s
                 m = self._encode(self._poly_mul_mod(pa, pb))
                 self.mul_table[a][b] = self.mul_table[b][a] = m
-        self.neg_table = [0] * q
-        self.inv_table = [0] * q
-        for a in range(q):
-            pa = self._decode(a)
-            self.neg_table[a] = self._encode([(-x) % self.p for x in pa])
-        for a in range(1, q):
-            self.inv_table[a] = self.pow(a, q - 2)
+        p = self.p
+        self.neg_table = [self._encode([-x % p for x in self._decode(a)])
+                          for a in range(q)]
 
     # -- public ops ---------------------------------------------------------
 
@@ -161,7 +158,7 @@ class _Field:
         return self.add_table[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         return self.neg_table[a]
@@ -170,9 +167,11 @@ class _Field:
         return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
+        """a^(q-2), which is a^(-1) as a^(q-1) = 1 for a != 0; 0 has no
+        inverse."""
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self.inv_table[a]
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -215,19 +214,11 @@ class _PrimeField(_Field):
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def neg(self, a: int) -> int:
         return -a % self.p
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:

@@ -257,6 +257,7 @@ class HeckeAlgebra:
         full = 1 << b
         half, mask = full >> 1, full - 1
         terms, polys = {}, {}
+        make = AffineWeylElement._of_length
         for (t, w, ln), p in cur.items():
             if not p:
                 continue
@@ -275,7 +276,7 @@ class HeckeAlgebra:
                     e += stride
                 lp = polys[p] = LaurentPoly.__new__(LaurentPoly)
                 lp.c = c  # nonzero int digits: no constructor check needed
-            terms[_element(W, t, w, ln)] = lp
+            terms[make(W, t, w, ln)] = lp
         return HeckeElement._make(self, terms)
 
     def _omega_fold(self, cur, om, left):
@@ -483,13 +484,6 @@ def _pack(h, base, stride, b) -> dict:
     coefficient object packed once."""
     pack = per_coefficient(lambda c: _pack_poly(c, base, stride, b))
     return {(y.trans, y.fin, y.length()): pack(c) for y, c in h.terms.items()}
-
-
-def _element(W, t, w, ln) -> AffineWeylElement:
-    """The element of W for a raw key, carrying its length."""
-    x = AffineWeylElement(W, t, w)
-    x._len = ln
-    return x
 
 
 # -- decomposition helper -------------------------------------------------------

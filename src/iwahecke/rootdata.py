@@ -448,12 +448,15 @@ def levi_sub_datum(rd: RootDatum, labels) -> RootDatum:
 
     `labels` are 1-based simple-root labels (matching reflection labels
     s_1..s_m).  The cocharacter lattice is unchanged; only the root system
-    shrinks.
+    shrinks.  Labels that cover every simple root give `rd` itself, so
+    L = G shares G's context under G's own name.
     """
     labels = sorted(set(labels))
     for lab in labels:
         if not 1 <= lab <= rd.n_simple:
             raise RootDatumError(f"not a simple root label: {lab}")
+    if len(labels) == rd.n_simple:
+        return rd
     idx = [lab - 1 for lab in labels]
     return RootDatum(
         f"{rd.family}|levi{labels}", rd.rank,

@@ -22,7 +22,9 @@ coefficients being elements and their exponents ints by construction.
 A sum aligns the two coefficient windows and combines them slot by slot:
 over a prime field GF(p) (`field.r == 1`), whose elements are the ints
 0..p-1, as ints reduced mod p once, and over GF(p^r) with r > 1 through
-the field's `add_table`.  A sum is known below the smaller precision.
+the field's `add_table`.  A difference first negates the second window
+by `_negated`, the one negation rule, which `-` uses too.  A sum is known
+below the smaller precision.
 
 Every product is a cell of `product_grid(xs, ys, xs2, ys2)`, which gives
 the two-term bilinear form x * y + x2 * y2 at every pair of indices at
@@ -134,8 +136,8 @@ class TruncatedSeries:
 
     def truncate(self, prec: int) -> "TruncatedSeries":
         _check_exponent(prec)
-        newp = prec if self.prec is None else min(self.prec, prec)
-        return _series(self.field, self.val or 0, self.coeffs, newp)
+        return _series(self.field, self.val or 0, self.coeffs,
+                       _min_prec(self.prec, prec))
 
     # -- queries -------------------------------------------------------------
 
@@ -150,21 +152,15 @@ class TruncatedSeries:
         return self.coeffs[k - self.val]
 
     def val_ge(self, k: int):
-        """Is val >= k?  True/False, or None when undecidable at precision."""
+        """Is val >= k?  The one precision question of the deep level.
+        True or False when precision decides it; a False answer pins the
+        valuation, `.val`, below k.  None only for an unknown zero O(t^p)
+        with p < k, whose valuation could lie on either side of k."""
         if self.val is not None:
             return self.val >= k
         if self.prec is None:
             return True  # exact zero
         return True if self.prec >= k else None
-
-    def resolve_val_below(self, bound: int):
-        """('lt', v) when the valuation v < bound is pinned; 'ge' when
-        val >= bound is certain; None when precision cannot decide."""
-        if self.val is not None:
-            return ("lt", self.val) if self.val < bound else "ge"
-        if self.prec is None or self.prec >= bound:
-            return "ge"
-        return None
 
     def valuation(self):
         """Exact valuation: int, 'inf' for the exact zero, None undecidable."""
@@ -197,15 +193,14 @@ class TruncatedSeries:
             vb = va  # an empty window may sit anywhere
         elif va is None:
             va = vb
-        prime = f.r == 1
-        if negate:  # over GF(p), p - y is reduced with the sum below
-            b = [f.p - y for y in b] if prime else [f.neg_table[y] for y in b]
+        if negate:
+            b = _negated(f, b)
         if vb < va:
             a, va, b, vb = b, vb, a, va
         out = list(a)
         off = vb - va
         out += [0] * (off + len(b) - len(out))
-        if prime:
+        if f.r == 1:
             for k, y in enumerate(b, off):
                 out[k] += y
             p = f.p
@@ -223,14 +218,8 @@ class TruncatedSeries:
         return self._add(other, True)
 
     def __neg__(self):
-        f = self.field
-        if f.r == 1:
-            p = f.p
-            out = [-c % p for c in self.coeffs]
-        else:
-            neg = f.neg_table
-            out = [neg[c] for c in self.coeffs]
-        return _series(f, self.val or 0, out, self.prec)
+        return _series(self.field, self.val or 0,
+                       _negated(self.field, self.coeffs), self.prec)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -266,6 +255,16 @@ def _series(field, val, coeffs, prec=None) -> TruncatedSeries:
     s = object.__new__(TruncatedSeries)
     s._fill(field, val, tuple(coeffs), prec)
     return s
+
+
+def _negated(field, coeffs) -> list:
+    """-c for each coefficient c: -c % p over GF(p), the field's
+    `neg_table` over GF(p^r)."""
+    if field.r == 1:
+        p = field.p
+        return [-c % p for c in coeffs]
+    neg = field.neg_table
+    return [neg[c] for c in coeffs]
 
 
 def _check_elements(field, coeffs) -> None:

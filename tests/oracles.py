@@ -240,12 +240,13 @@ def fold_by_letters(H, h, slots, left, inverse):
         out = {}
         for y, c in h.terms.items():
             if left:
-                sy = AffineWeylElement(W, *k.lmul_gen(slot, y.trans, y.fin))
+                st, sw = k.lmul_gen(slot, y.trans, y.fin)
                 down = k.left_descent(slot, y.trans, y.fin)
             else:
-                sy = AffineWeylElement(W, *k.rmul_gen(y.trans, y.fin, slot))
+                st, sw = k.rmul_gen(y.trans, y.fin, slot)
                 down = right_descent(k, y.trans, y.fin, slot)
-            sy._len = y.length() - 1 if down else y.length() + 1
+            sy = AffineWeylElement._of_length(
+                W, st, sw, y.length() - 1 if down else y.length() + 1)
             if down == inverse:
                 accumulate(out, sy, c)
             else:
@@ -275,6 +276,7 @@ def multiply_by_t_times(H, a, b):
     with x = s_1...s_k om reduced, T_om b from element products om * y,
     then T_{s_1}...T_{s_k} folded on it one letter at a time; the
     coefficients multiplied and summed in Laurent-polynomial arithmetic."""
+    from iwahecke.affine import AffineWeylElement
     from iwahecke.hecke import HeckeElement
     from iwahecke.laurent import accumulate
     W = H.W
@@ -284,8 +286,8 @@ def multiply_by_t_times(H, a, b):
         moved = {}
         for y, p in b.terms.items():
             z = om.element * y
-            z._len = y.length()
-            moved[z] = p
+            moved[AffineWeylElement._of_length(W, z.trans, z.fin,
+                                               y.length())] = p
         tb = fold_by_letters(H, HeckeElement(H, moved),
                              list(reversed(word)),
                              True, False)

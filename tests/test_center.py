@@ -337,6 +337,20 @@ def test_levi_of_all_labels_from_a_private_context(case):
         assert levi_image(f, labels) == bernstein_iso(f, W), mu
 
 
+def test_levi_of_all_labels_leaves_g_its_own_name(monkeypatch):
+    # a Levi of all labels registered first must not lend its name to G's
+    # shared context: levi_sub_datum gives back G's datum itself
+    import iwahecke.affine as affine
+    monkeypatch.setattr(affine, "_REGISTRY", {})
+    rd = build_root_datum("GL", 3)
+    f = monomial_symmetric(rd, (1, 0, 0))
+    image = levi_image(f, [1, 2])
+    W = build_root_datum("GL", 3).affine_weyl()
+    assert repr(W) == "AffineWeylGroup(GL(3))" and W.rd.family == "GL(3)"
+    assert levi_sub_datum(rd, [2, 1, 2]) is rd
+    assert image == bernstein_iso(f)
+
+
 def test_symmetric_function_json_round_trip(gl3):
     f = (monomial_symmetric(gl3, (1, 1, 0)).scale(LaurentPoly({-1: 2}))
          + monomial_symmetric(gl3, (1, 0, 0)))

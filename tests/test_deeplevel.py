@@ -74,6 +74,29 @@ def test_k_examples():
         k_invariant(Matrix2(zero(F2), zero(F2), zero(F2), zero(F2)))
 
 
+def test_k_refuses_an_unknown_zero_below_the_known_entries():
+    # g = [[t, 0], [O(t^-1), 1]]: the known entries give k = 0, but c may
+    # have valuation -1.  Its exact completions disagree on phi_2 (c = t^-1
+    # gives k = -1 and 3, c = 0 gives k = 0 and 9), so both refuse.
+    f = F2
+    c = TruncatedSeries.zero(f, prec=-1)
+    g = Matrix2(mono(f, 1), zero(f), c, mono(f, 0))
+    msg = "an unresolved entry could have smaller valuation"
+    with pytest.raises(IndeterminatePrecisionError, match=msg):
+        k_invariant(g)
+    with pytest.raises(IndeterminatePrecisionError, match=msg):
+        scholze_phi(2, g)
+    assert scholze_phi(2, Matrix2(g.a, g.b, mono(f, -1), g.d)) == 3
+    assert scholze_phi(2, Matrix2(g.a, g.b, zero(f), g.d)) == 9
+
+
+def test_k_of_unknown_zeros_is_indeterminate_not_the_zero_matrix():
+    o3 = TruncatedSeries.zero(F2, prec=3)
+    with pytest.raises(IndeterminatePrecisionError,
+                       match="all entries vanish at precision"):
+        k_invariant(Matrix2(o3, o3, o3, o3))
+
+
 def test_k_unit_invariance():
     rng = random.Random(0)
     g = antidiag(F3, mono(F3, 1), mono(F3, 0, 2))
@@ -302,6 +325,13 @@ def test_corpus_round_trip(tmp_path):
     assert back == mats
     trunc = load_corpus(path, F3, precision=5)
     assert all((not m.a.exact) and m.a.prec == 5 for m in trunc)
+
+
+@pytest.mark.parametrize("q", sorted(CORPUS))
+def test_bundled_corpus_regenerates_byte_for_byte(q, tmp_path):
+    path = tmp_path / f"scholze_corpus_q{q}.txt"
+    save_corpus(path, build_reference_corpus(GF(q)))
+    assert path.read_bytes() == CORPUS[q].read_bytes()
 
 
 def test_corpus_text_errors():

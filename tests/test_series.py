@@ -193,10 +193,10 @@ def test_val_queries():
     zp = TruncatedSeries(f, 0, [], prec=2)
     assert zp.valuation() is None
     assert zp.val_ge(2) and zp.val_ge(3) is None
-    assert s.resolve_val_below(5) == ("lt", 3)
-    assert s.resolve_val_below(2) == "ge"
-    assert zp.resolve_val_below(2) == "ge"
-    assert zp.resolve_val_below(3) is None
+    assert s.val_ge(5) is False and s.val == 3
+    assert s.val_ge(2) is True
+    assert zp.val_ge(2) is True
+    assert zp.val_ge(3) is None
 
 
 def test_truncate():
