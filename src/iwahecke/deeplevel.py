@@ -20,11 +20,13 @@ is compatible with change of level:
 which :func:`level_compatibility_check` verifies pointwise.  The finite
 sum runs over q^4 cosets, but g k has one of q^2 first columns and one of
 q^2 second columns.  The columns are one `series.product_grid` of g
-against the columns of k, and det(g k), tr(g k) and det(1 - g k) are each
-one two-term grid over a first-column and a second-column table, so the
-coset loop does no series arithmetic; the integer values phi_{n+1}(g k)
-are summed exactly.  scholze_phi and the coset sum share one body of the
-formula.
+against the columns of k, and tr(g k) and det(1 - g k) are each one
+two-term grid over a first-column and a second-column table, while
+det(g k) answers support condition 1 as det g does, so every coset takes
+det g.  The coset loop does no series arithmetic, and the integer
+values phi_{n+1}(g k) are summed exactly.  scholze_phi, the coset sum and
+its right-hand side z_n(g), read at the identity coset, share one body of
+the formula.
 
 Every evaluator is precision-honest: when the tracked precision of the input
 cannot decide a case split, IndeterminatePrecisionError is raised rather
@@ -211,17 +213,28 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
     depends only on the first column (m11, m21) of M, its second only on
     (m12, m22).  So the entries a, b, c, d of g k come from one
     `product_grid` of g against the q^2 first and q^2 second columns of
-    k, and the three series the formula reads are each one two-term
+    k, and tr(g k) and det(1 - g k) are each one two-term
     `product_grid` over a first-column table and a second-column table:
 
-        det(g k)     = a d + c (-b),
         tr(g k)      = a 1 + 1 d,
         det(1 - g k) = (1-a)(1-d) + c (-b),
 
-    the last two formed only when some coset reaches them, so the coset
-    loop does no series arithmetic.  det(1 - g k) is a product, never
-    1 - tr + det (see `_det_one_minus`).  The cosets are visited in
-    `kn_coset_reps` order, and the integer phi_{n+1} values are summed.
+    each formed only when some coset reaches it, so the coset loop does no
+    series arithmetic.  det(1 - g k) is a product, never 1 - tr + det (see
+    `_det_one_minus`).  The cosets are visited in `kn_coset_reps` order,
+    and the integer phi_{n+1} values are summed.
+
+    Every coset takes det g as its determinant.  For every completion g'
+    of g, det(g' k) = det g' det k with det k in 1 + t^n O, n >= 1, so the
+    two agree through order 1 when val det g' >= 1 and have the same
+    valuation otherwise.  Support condition 1 reads nothing else, so what
+    det g decides there holds at every coset.  A det(g k) formed from
+    truncated entries can decide less than det g, so for a truncated g
+    the sum can be decided where a product per coset is not.
+
+    The right-hand side z_n(g) is phi_n at the identity coset, index 0
+    of both column tables, after the loop: its cells are a, b, c, d, tr g
+    and det(1 - g), in value and in precision.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
@@ -240,7 +253,9 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
     gc, gd = bottom[:len(cols)], bottom[len(cols):]
     minus_gb = [-x for x in gb]
     ones = [TruncatedSeries.one(field)] * len(cols)
-    det = product_grid(ga, gd, gc, minus_gb)
+    # det(g k) = det g det k, det k in 1 + t^n O: the two answer support
+    # condition 1, which reads no more, alike
+    det = g.det()
 
     @functools.cache  # formed once, when the first coset needs it
     def trace_grid():
@@ -260,9 +275,13 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
     total = 0
     for m11, m12, m21, m22 in itertools.product(field.elements(), repeat=4):
         i, j = m11 * q + m21, m12 * q + m22  # the columns of g k
-        total += _phi(n + 1, q, (ga[i], gb[j], gc[i], gd[j]), det[i][j],
-                      trace, det_one_minus)
-    return _z_n(n + 1, q, total) == scholze_z(n, g)
+        total += _phi(n + 1, q, (ga[i], gb[j], gc[i], gd[j]), det, trace,
+                      det_one_minus)
+    # z_n(g) at the identity coset, whose cells are g's own series
+    i = j = 0
+    phi = _phi(n, q, (ga[i], gb[j], gc[i], gd[j]), det, trace,
+               det_one_minus)
+    return _z_n(n + 1, q, total) == _z_n(n, q, phi)
 
 
 def random_kn_element(field, n: int, rng, depth: int = 8) -> Matrix2:

@@ -18,6 +18,7 @@ from conftest import DATA
 from oracles import element_record, hecke_json
 
 CORPUS_Q2 = Path("src/iwahecke/data/scholze_corpus_q2.txt")
+CORPUS_Q3 = Path("src/iwahecke/data/scholze_corpus_q3.txt")
 
 
 def run(tmp_path, *argv, name="out"):
@@ -725,6 +726,10 @@ GOLDEN_RUNS = [
      "golden_scholze_compat_q3_n2_p2.json"),
     (("scholze", "--n", "1", "--q", "4", "--count", "60", "--compat"),
      "golden_scholze_compat_q4_n1.csv", "golden_scholze_compat_q4_n1.json"),
+    # exact prime-field rows, each with its change-of-level check
+    (("scholze", "--n", "1", "--q", "3", "--corpus", str(CORPUS_Q3),
+      "--compat", "--pairs", "1"), "golden_scholze_compat_q3_n1.csv",
+     "golden_scholze_compat_q3_n1.json"),
 ]
 
 # Calls run between the golden ones, each with its exit code.  Those that
@@ -817,7 +822,7 @@ def test_dumps_refuses_what_json_dumps_refuses():
 
 def test_dumps_matches_json_dumps_on_goldens():
     names = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(names) == 15
+    assert len(names) == 16
     for name in names:
         text = (DATA / name).read_text()
         obj = json.loads(text)

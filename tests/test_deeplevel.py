@@ -16,6 +16,8 @@ from iwahecke.deeplevel import (DiagonalTorusPoint,
                                 random_kn_element, save_corpus, scholze_phi,
                                 scholze_z)
 from iwahecke.ffield import GF, _field_of_size
+from iwahecke.hecke import bernstein_function
+from iwahecke.laurent import LaurentPoly
 from iwahecke.rootdata import build_root_datum
 from iwahecke.series import Matrix2, TruncatedSeries
 
@@ -243,6 +245,19 @@ def _corpus(q, precision):
             for g in build_reference_corpus(field)]
 
 
+def _shapes_off_the_corpora(f):
+    """Exact g the corpora lack: det g exactly 0 (twice), val det g = 0,
+    val det g = -1, val det g = 2 (a zero t^1 coefficient), and an entry
+    of valuation -3, below -n for n = 1, 2."""
+    u = f.q - 1
+    return [Matrix2(mono(f, 0), mono(f, 0), mono(f, 0), mono(f, 0)),
+            diag(f, mono(f, 1), zero(f)),
+            Matrix2(mono(f, 0), mono(f, 1), zero(f), mono(f, 0, u)),
+            Matrix2(mono(f, -1), zero(f), mono(f, 2), mono(f, 0)),
+            diag(f, mono(f, 1), mono(f, 1, u)),
+            Matrix2(mono(f, 1), mono(f, -3), zero(f), mono(f, 0, u))]
+
+
 # every 4th matrix of the q=2 corpus, every 10th of the q=3 one, every 20th
 # and 40th of generated q=4, 5 ones: the full-product oracle is q^4
 # products per check
@@ -253,6 +268,8 @@ def _corpus(q, precision):
     for precision in (None, 2)])
 def test_level_compatibility_matches_full_products(q, stride, precision):
     mats = _corpus(q, precision)[::stride]
+    if precision is None:
+        mats += _shapes_off_the_corpora(mats[0].field)
     seen = set()
     for g in mats:
         for n in (1, 2):
@@ -261,6 +278,55 @@ def test_level_compatibility_matches_full_products(q, stride, precision):
             seen.add(type(got))
     # truncation to O(t^2) leaves some rows undecided, and the rest decided
     assert seen == ({bool, str} if precision == 2 else {bool})
+
+
+def test_exact_det_gk_agrees_with_det_g_through_order_1():
+    # the coset sum gives every coset the determinant det g: det(g k) =
+    # det g det k with det k in 1 + t^n O, so support condition 1 reads
+    # the same answers from both.  Below order 1 only the valuations agree
+    # (val det g = 0, n = 1 moves the t^1 coefficient), and condition 1
+    # reads no coefficient there
+    for q in (2, 3, 4, 5):
+        f = GF(2, 2) if q == 4 else GF(q)
+        for g in _shapes_off_the_corpora(f):
+            det = g.det()
+            for n in (1, 2):
+                for k in kn_coset_reps(f, n):
+                    dk = (g * k).det()
+                    assert dk.val_ge(1) == det.val_ge(1)
+                    if det.val_ge(1):
+                        assert dk.coeff_at(1) == det.coeff_at(1)
+                    else:
+                        assert dk.val == det.val
+
+
+def _completion(e, rng, depth=4):
+    """An exact series that agrees with `e` below its precision."""
+    lo = e.prec if e.val is None else e.val
+    return TruncatedSeries(e.field, lo, [e.coeff_at(k)
+                                         for k in range(lo, e.prec)]
+                           + [rng.randrange(e.field.q) for _ in range(depth)])
+
+
+def test_level_compatibility_decides_truncated_g_by_det_g():
+    # g = [[O(t^2), t^-3 + O(t^-2)], [t^3 + t^4 + O(t^6), t^-1 + O(t^0)]]:
+    # det g = 1 + O(t) fails support condition 1, so does det(g' k) for
+    # every completion g' of g and every k in K_n, and the sum is True.
+    # Some det(g k) formed from the truncated entries is O(t^0), so the
+    # product per coset cannot decide it
+    g = Matrix2(TruncatedSeries(F2, 0, [], 2), TruncatedSeries(F2, -3, [1], -2),
+                TruncatedSeries(F2, 3, [1, 1], 6),
+                TruncatedSeries(F2, -1, [1], 0))
+    rng = random.Random(5)
+    completions = [Matrix2(*(_completion(e, rng) for e in g.entries))
+                   for _ in range(8)]
+    for n in (1, 2):
+        assert level_compatibility_check(n, g) is True
+        assert (_outcome(level_compatibility_by_products, n, g)
+                == "det(g) valuation unresolved")
+        for h in completions:
+            assert level_compatibility_check(n, h) is True
+            assert level_compatibility_by_products(n, h) is True
 
 
 def _entry_states(entries):
@@ -283,7 +349,8 @@ def test_coset_sum_visits_kn_coset_reps_in_order(monkeypatch):
         for n in (1, 2):
             seen.clear()
             level_compatibility_check(n, g)
-            # the q^4 cosets, then z_n(g) itself
+            # the q^4 cosets, then z_n(g) at the identity coset, whose
+            # cells are g's own entries
             assert seen == [_entry_states((g * k).entries)
                             for k in kn_coset_reps(F3, n)] + [
                 _entry_states(g.entries)]
@@ -392,6 +459,27 @@ def test_drinfeld_closed_expression_all_cases():
                     assert val == expected
                 else:
                     assert val == 0
+
+
+def test_propp_pushforward_to_iwahori_is_z_mu():
+    # pushed forward from the pro-p Iwahori to the Iwahori level, the
+    # Drinfeld function of mu = (1, 0^(n-1)) is v^l(t_mu) z_mu at v^2 = q:
+    # at each w of its support, sum over t in T(F_q) is w's coefficient
+    checked = 0
+    for n, p, r in [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 1),
+                    (3, 2, 2), (3, 3, 1), (3, 3, 2), (4, 2, 1), (4, 3, 1)]:
+        field = GF(p, r)
+        W = build_root_datum("GL", n).affine_weyl()
+        mu = (1,) + (0,) * (n - 1)
+        vz = bernstein_function(W, mu).scale(
+            LaurentPoly.v(W.translation(mu).length()))
+        torus = [DiagonalTorusPoint(field, e)
+                 for e in product(field.units(), repeat=n)]
+        for w, coeff in vz.terms.items():
+            pushed = sum(drinfeld_propp_value(n, p, r, t, w) for t in torus)
+            assert pushed == coeff.eval_q(p ** r), (n, p, r, w)
+            checked += 1
+    assert checked == 70
 
 
 def test_drinfeld_custom_predicate():
