@@ -28,9 +28,7 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "_kernel": ("default_impl",),
-    "affine": ("AffineWeylElement", "AffineWeylGroup", "OmegaElement",
-               "admissible_set", "bruhat_leq", "critical_indices",
-               "kottwitz_image"),
+    "affine": ("AffineWeylElement", "AffineWeylGroup", "OmegaElement"),
     "center": ("HeightBoundError", "NotCentralError", "SymmetricFunction",
                "bernstein_iso", "bernstein_iso_inverse", "constant_term",
                "monomial_symmetric"),
@@ -39,8 +37,7 @@ _EXPORTS = {
                   "k_invariant", "level_compatibility_check", "scholze_phi",
                   "scholze_z"),
     "ffield": ("GF",),
-    "hecke": ("HeckeAlgebra", "HeckeElement", "bernstein_function",
-              "is_central"),
+    "hecke": ("HeckeAlgebra", "HeckeElement"),
     "intlinalg": (),
     "klpoly": ("RPolynomials", "closed_form_bernstein", "r_polynomial"),
     "laurent": ("LaurentPoly",),

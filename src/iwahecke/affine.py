@@ -60,11 +60,7 @@ from .rootdata import (RootDatum, RootDatumError, _check_rank, _same_datum,
                        weyl_orbit)
 from .weyl import FiniteWeylElement, IndexedWeyl
 
-__all__ = [
-    "AffineWeylGroup", "AffineWeylElement", "OmegaElement",
-    "length", "multiply", "reduced_word", "bruhat_leq",
-    "admissible_set", "kottwitz_image", "critical_indices",
-]
+__all__ = ["AffineWeylGroup", "AffineWeylElement", "OmegaElement"]
 
 # rd.affine_weyl() shares one context per datum value (builtin, config file
 # or Levi), so tables and caches are built once.  It is only a cache: an
@@ -538,32 +534,6 @@ def _gl_size(rd: RootDatum):
     return None
 
 
-# -- operation-name wrappers ----------------------------------------------------
-
-
-def length(x: AffineWeylElement) -> int:
-    return x.length()
-
-
-def multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
-    return x * y
-
-
-def reduced_word(x: AffineWeylElement):
-    return x.group.reduced_word(x)
-
-
+# perfbench/session_mixed.py calls this module function by name
 def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
     return x.group.bruhat_leq(x, y)
-
-
-def admissible_set(rd: RootDatum, mu) -> frozenset:
-    return rd.affine_weyl().admissible_set(mu)
-
-
-def kottwitz_image(x: AffineWeylElement) -> OmegaElement:
-    return x.group.kottwitz_image(x)
-
-
-def critical_indices(w: AffineWeylElement) -> frozenset:
-    return w.group.critical_indices(w)

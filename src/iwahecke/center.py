@@ -109,15 +109,6 @@ class SymmetricFunction(CoefficientMap):
                         "coeff": {str(e): c for e, c in sorted(coeff.c.items())}})
         return out
 
-    @staticmethod
-    def from_json_obj(rd: RootDatum, obj) -> "SymmetricFunction":
-        terms = {}
-        for entry in obj:
-            coeff = LaurentPoly({int(e): c
-                                 for e, c in entry["coeff"].items()})
-            terms[tuple(entry["coweight"])] = coeff
-        return SymmetricFunction.from_dominant(rd, terms)
-
     def __repr__(self):
         bits = [f"({c})*e{list(la)}" for la, c in sorted(self.terms.items())]
         return "SymmetricFunction(" + (" + ".join(bits) or "0") + ")"

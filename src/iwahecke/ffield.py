@@ -23,8 +23,15 @@ _MAX_Q = 4096
 _MAX_TABLE_Q = 256
 
 
-@lru_cache(maxsize=None)
 def GF(p: int, r: int = 1) -> "_Field":
+    """The field of p^r elements, one object per field: GF(p), GF(p, 1)
+    and GF(p=p) are the same object, so two fields are equal only when
+    they are identical."""
+    return _field(p, r)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, r: int) -> "_Field":
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1 or p ** r > _MAX_Q:
@@ -196,12 +203,6 @@ class _Field:
 
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
-
-    def __hash__(self):
-        return hash((self.p, self.r))
-
-    def __eq__(self, other):
-        return isinstance(other, _Field) and (other.p, other.r) == (self.p, self.r)
 
 
 class _PrimeField(_Field):

@@ -66,11 +66,7 @@ from .intlinalg import dot, hermite_basis, reduce_mod_lattice
 from .laurent import ONE, CoefficientMap, LaurentPoly, per_coefficient
 from .rootdata import _check_rank, _same_datum, weyl_orbit
 
-__all__ = [
-    "HeckeAlgebra", "HeckeElement",
-    "t_multiply", "t_inverse", "theta", "bernstein_function",
-    "is_central", "parahoric_descent",
-]
+__all__ = ["HeckeAlgebra", "HeckeElement"]
 
 
 class HeckeElement(CoefficientMap):
@@ -526,36 +522,3 @@ def _dominant_cover(rd, need) -> tuple:
             seen.add(cls)
             for i, ki in enumerate(k):
                 heappush(heap, (hgt + ki, y[:i] + (y[i] + 1,) + y[i + 1:]))
-
-
-# -- operation-name wrappers ----------------------------------------------------
-
-
-def t_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    return a * b
-
-
-def t_inverse(x: AffineWeylElement) -> HeckeElement:
-    return x.group.hecke().t_inverse(x)
-
-
-def theta(W, lam) -> HeckeElement:
-    return _algebra(W).theta(lam)
-
-
-def bernstein_function(W, mu) -> HeckeElement:
-    return _algebra(W).bernstein_function(mu)
-
-
-def is_central(h: HeckeElement) -> bool:
-    return h.algebra.is_central(h)
-
-
-def parahoric_descent(h: HeckeElement, labels):
-    return h.algebra.parahoric_descent(h, labels)
-
-
-def _algebra(W) -> HeckeAlgebra:
-    if isinstance(W, HeckeAlgebra):
-        return W
-    return W.hecke()

@@ -168,9 +168,6 @@ class TruncatedSeries:
             return self.val
         return "inf" if self.prec is None else None
 
-    def is_known_zero(self) -> bool:
-        return self.val is None and self.prec is None
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):

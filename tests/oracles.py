@@ -357,7 +357,7 @@ def series_mul(a, b):
     below min(val a + prec b, val b + prec a), an unknown zero O(t^k)
     counting k as its valuation, and an exact zero annihilates."""
     f = a.field
-    if a.is_known_zero() or b.is_known_zero():
+    if a.valuation() == "inf" or b.valuation() == "inf":
         return TruncatedSeries(f, 0, ())
 
     def eff_val(s):

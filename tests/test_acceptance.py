@@ -25,7 +25,6 @@ from iwahecke.deeplevel import (build_reference_corpus,
                                 level_compatibility_check, load_corpus,
                                 random_kn_element, scholze_phi)
 from iwahecke.ffield import GF
-from iwahecke.hecke import bernstein_function, is_central
 from iwahecke.klpoly import RPolynomials, closed_form_bernstein
 from iwahecke.laurent import LaurentPoly, Q
 from iwahecke.rootdata import build_root_datum, levi_sub_datum
@@ -54,7 +53,8 @@ def test_criterion_1_cross_oracle_bernstein():
         W = rd.affine_weyl()
         for mu in dominant_minuscule_in_box(rd):
             lt = W.translation(mu).length()
-            theta_route = bernstein_function(W, mu).scale(LaurentPoly.v(lt))
+            theta_route = W.hecke().bernstein_function(mu).scale(
+                LaurentPoly.v(lt))
             closed_route = closed_form_bernstein(W, mu)
             assert theta_route == closed_route, (fam, n, mu)
             checked += 1
@@ -70,7 +70,7 @@ def test_criterion_2_drinfeld_coefficients():
         W = rd.affine_weyl()
         mu = (1,) + (0,) * (n - 1)
         lt = n - 1
-        vz = bernstein_function(W, mu).scale(LaurentPoly.v(lt))
+        vz = W.hecke().bernstein_function(mu).scale(LaurentPoly.v(lt))
         adm = W.admissible_set(mu)
         assert vz.support() == adm
         for x, c in vz.terms.items():
@@ -86,7 +86,7 @@ def test_criterion_3_support_equals_admissible_set():
         rd = build_root_datum(fam, n)
         W = rd.affine_weyl()
         for mu in dominant_minuscule_in_box(rd):
-            z = bernstein_function(W, mu)
+            z = W.hecke().bernstein_function(mu)
             assert z.support() == W.admissible_set(mu), (fam, n, mu)
             checked += 1
     report(3, f"support(z_mu) = Adm(mu) on {checked} minuscule cases "
@@ -106,10 +106,10 @@ def test_criterion_4_centrality():
                if rd.is_dominant(mu) and mu[-1] == 0
                and sum(a * b for a, b in zip(mu, rd.two_rho)) <= 6]
         for mu in mus:
-            assert is_central(bernstein_function(H, mu)), mu
+            assert H.is_central(H.bernstein_function(mu)), mu
             checked += 1
         for mu in [(2, 1) if n == 2 else (2, 1, 1)]:
-            assert is_central(bernstein_function(H, mu))
+            assert H.is_central(H.bernstein_function(mu))
             checked += 1
     report(4, f"z_mu commutes with every T_s and T_omega for {checked} "
               "dominant mu with <mu,2rho> <= 6 in GL(2), GL(3)", t0)
@@ -123,7 +123,7 @@ def test_criterion_5_grassmannian_identity():
         for m in range(1, n):
             mu = (1,) * m + (0,) * (n - m)
             lt = W.translation(mu).length()
-            vz = bernstein_function(W, mu).scale(LaurentPoly.v(lt))
+            vz = W.hecke().bernstein_function(mu).scale(LaurentPoly.v(lt))
             integral = kottwitz_fiber_integrate(vz)
             expected = grassmannian_count(n, m)
             assert integral.coeff(m) == expected, (n, m)

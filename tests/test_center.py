@@ -354,10 +354,11 @@ def test_levi_of_all_labels_leaves_g_its_own_name(monkeypatch):
 def test_symmetric_function_json_round_trip(gl3):
     f = (monomial_symmetric(gl3, (1, 1, 0)).scale(LaurentPoly({-1: 2}))
          + monomial_symmetric(gl3, (1, 0, 0)))
-    obj = f.to_json_obj()
-    assert all(gl3.is_dominant(e["coweight"]) for e in obj)
-    back = SymmetricFunction.from_json_obj(gl3, obj)
-    assert back == f
+    # one entry per dominant coweight, sorted, exponents as strings
+    assert f.to_json_obj() == [
+        {"coweight": [1, 0, 0], "coeff": {"0": 1}},
+        {"coweight": [1, 1, 0], "coeff": {"-1": 2}},
+    ]
 
 
 def test_central_and_torus_bernstein_functions_need_no_fold(gl3, H3):

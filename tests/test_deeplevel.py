@@ -16,7 +16,6 @@ from iwahecke.deeplevel import (DiagonalTorusPoint,
                                 random_kn_element, save_corpus, scholze_phi,
                                 scholze_z)
 from iwahecke.ffield import GF, _field_of_size
-from iwahecke.hecke import bernstein_function
 from iwahecke.laurent import LaurentPoly
 from iwahecke.rootdata import build_root_datum
 from iwahecke.series import Matrix2, TruncatedSeries
@@ -471,7 +470,7 @@ def test_propp_pushforward_to_iwahori_is_z_mu():
         field = GF(p, r)
         W = build_root_datum("GL", n).affine_weyl()
         mu = (1,) + (0,) * (n - 1)
-        vz = bernstein_function(W, mu).scale(
+        vz = W.hecke().bernstein_function(mu).scale(
             LaurentPoly.v(W.translation(mu).length()))
         torus = [DiagonalTorusPoint(field, e)
                  for e in product(field.units(), repeat=n)]

@@ -8,7 +8,6 @@ import random
 from itertools import product
 
 from iwahecke.center import bernstein_iso, monomial_symmetric
-from iwahecke.hecke import bernstein_function, is_central, parahoric_descent
 from iwahecke.laurent import ONE, LaurentPoly
 from iwahecke.rootdata import build_root_datum, load_root_datum
 from iwahecke.transfer import kottwitz_fiber_integrate, normalized_transfer
@@ -50,7 +49,7 @@ def test_centrality_gl4_sp4_height6():
            and sum(a * b for a, b in zip(mu, rd.two_rho)) <= 6]
     assert len(mus) >= 5
     for mu in mus:
-        assert is_central(bernstein_function(H, mu)), mu
+        assert H.is_central(H.bernstein_function(mu)), mu
 
     sp4 = build_root_datum("Sp", 4)
     Hs = sp4.affine_weyl().hecke()
@@ -59,14 +58,14 @@ def test_centrality_gl4_sp4_height6():
            and sum(a * b for a, b in zip(mu, sp4.two_rho)) <= 6]
     assert (1, 1) in mus and (1, 0) in mus
     for mu in mus:
-        assert is_central(bernstein_function(Hs, mu)), mu
+        assert Hs.is_central(Hs.bernstein_function(mu)), mu
 
 
 def test_descent_central_projector_identity_gl3(gl3):
     H = gl3.affine_weyl().hecke()
     z = H.bernstein_function((1, 0, 0))
     for labels in ([1], [2], [1, 2], [0, 2]):
-        hz, pj = parahoric_descent(z, labels)
+        hz, pj = H.parahoric_descent(z, labels)
         wj = H.parahoric_subgroup(labels)
         sum_t = H.from_terms({x: ONE for x in wj})
         assert sum_t * hz == hz.scale(pj)
@@ -166,7 +165,7 @@ def test_reducible_product_datum():
     # cross-oracle Bernstein function on the product
     from iwahecke.klpoly import closed_form_bernstein
     H = W.hecke()
-    vz = bernstein_function(H, mu).scale(LaurentPoly.v(2))
+    vz = H.bernstein_function(mu).scale(LaurentPoly.v(2))
     assert vz == closed_form_bernstein(W, mu)
     assert vz.support() == adm
     # coefficients factor as products of the GL(2) Drinfeld coefficients
@@ -199,7 +198,7 @@ def test_hyperspecial_descent_gives_double_coset_indicator():
         lt = W.translation(mu).length()
         vz = H.bernstein_function(mu).scale(LaurentPoly.v(lt))
         finite = list(range(1, rd.n_simple + 1))
-        desc, _ = parahoric_descent(vz, finite)
+        desc, _ = H.parahoric_descent(vz, finite)
         wj = H.parahoric_subgroup(finite)
         coset = {u * W.translation(mu) * v for u in wj for v in wj}
         assert desc.support() == coset, (fam, n, mu)

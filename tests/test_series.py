@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from iwahecke.ffield import GF, _Field
+from iwahecke.ffield import GF, _Field, _field, _field_of_size
 from iwahecke.laurent import LaurentPoly
 from iwahecke.series import Matrix2, TruncatedSeries, _slot, product_grid
 
@@ -71,12 +71,25 @@ def test_table_field_size_cap(monkeypatch):
     built = []
     monkeypatch.setattr(_Field, "_build_tables",
                         lambda self: built.append(self.q))
-    make = GF.__wrapped__  # past the cache: these fields have no tables
+    make = _field.__wrapped__  # past the cache: these fields have no tables
     assert make(2, 8).q == 256 and built == [256]
     for p, r in ((2, 9), (17, 2), (3, 6), (2, 12)):
         with pytest.raises(ValueError, match="too large"):
             make(p, r)
     assert built == [256]
+
+
+def test_one_object_per_field():
+    # every spelling of a field gives one object, so series built over any
+    # of them combine: fields are equal only when identical
+    for q, (p, r) in ((2, (2, 1)), (3, (3, 1)), (4, (2, 2)), (9, (3, 2))):
+        f = GF(p, r)
+        assert f is _field_of_size(q) is GF(p=p, r=r)
+        if r == 1:
+            assert f is GF(p) is GF(p=p)
+    assert GF(2) is not GF(2, 2) and GF(2) != GF(3)
+    two = TruncatedSeries.one(GF(2)) + TruncatedSeries.one(_field_of_size(2))
+    assert two.field is GF(2, 1) and two.valuation() == "inf"
 
 
 def test_gf_norm():
@@ -154,8 +167,8 @@ def test_series_add_mul_exact():
     t = mono(f, 1)
     s = one + t
     assert (s * s).coeffs == (1, 0, 1)  # 1 + t^2 over F_2
-    assert (s - s).is_known_zero()
-    assert (t * TruncatedSeries.zero(f)).is_known_zero()
+    assert (s - s).valuation() == "inf"
+    assert (t * TruncatedSeries.zero(f)).valuation() == "inf"
 
 
 def test_series_precision_rules():
@@ -257,9 +270,9 @@ def test_exact_zero_annihilates():
     f = GF(2)
     zero = TruncatedSeries.zero(f)
     fuzzy = TruncatedSeries(f, 0, [1, 1], prec=2)
-    assert (zero * fuzzy).is_known_zero()
-    assert (fuzzy * zero).is_known_zero()
-    assert fuzzy.scale(0).is_known_zero()
+    assert (zero * fuzzy).valuation() == "inf"
+    assert (fuzzy * zero).valuation() == "inf"
+    assert fuzzy.scale(0).valuation() == "inf"
 
 
 def _random_series(f, rng):
