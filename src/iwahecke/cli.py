@@ -17,12 +17,20 @@ Exit codes: 0 success, 2 argument/parse error, 3 precondition violation,
 deterministic: element lists are sorted by (length, translation, finite
 word) and JSON keys are sorted.
 
-``main(argv)`` returns the exit code and may be called repeatedly in one
-process; each call writes the same bytes to stdout and stderr as the
-``iwahecke`` console script run with the same arguments.  The argument
-parser is built on the first call and reused by later ones, and so is the
-root datum of a builtin group (``--group GL:3``); a config path is read on
-every call.
+A run takes three steps.  ``parse(argv)`` returns the request, argparse's
+``Namespace`` with the root datum of ``--group`` and the coweight tuple of
+``--mu`` in place of their texts, and the ``--out`` path apart from it.
+``run(request)`` computes the `Report` ``(text, status, note)`` and writes
+to no stream; ``note`` is scholze's JSON report, empty for the other
+commands.  ``write(report, out)`` writes ``text`` to ``--out`` or stdout
+and ``note`` to stdout with ``--out``, else to stderr.
+
+``main(argv)`` runs the three, maps refusals to exit codes and returns the
+exit code.  It may be called repeatedly in one process; each call writes
+the same bytes to stdout and stderr as the ``iwahecke`` console script run
+with the same arguments.  The argument parser is built on the first call
+and reused by later ones, and so is the root datum of a builtin group
+(``--group GL:3``); a config path is read on every call.
 
 Only the algebra layers are imported with this module: ``transfer`` and
 ``zmu --r N`` import the transfer layer (the latter for ``base_change``) and
@@ -34,7 +42,9 @@ none of them.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
+import functools
 import io
 import json
 import sys
@@ -138,13 +148,6 @@ def _records(W, elements, coeffs=None, q_value=None):
     return _Laid(lay)
 
 
-def _hecke_records(h, q_value=None):
-    """The term records of the Hecke element h, sorted."""
-    items = h.items_sorted()
-    return _records(h.algebra.W, [x for x, _ in items],
-                    [c for _, c in items], q_value)
-
-
 def _int_list_text(values, nl):
     """A list of ints as `dumps` writes it on a line indented by `nl`."""
     if not values:
@@ -226,17 +229,6 @@ def parse_mu(text: str, rd):
     return mu
 
 
-def emit(args, text: str):
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise PreconditionError(f"cannot write output: {exc}") from None
-    else:
-        sys.stdout.write(text)
-
-
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, in one pass.
 
@@ -308,21 +300,16 @@ def _write_json(obj, nl, out):
 # -- commands ---------------------------------------------------------------------
 
 
-def _group_and_mu(args):
-    """The datum of ``--group`` and the coweight of ``--mu``: a bad group
-    is refused first, then a bad coweight, then one that is not dominant."""
-    rd = parse_group(args.group)
-    mu = parse_mu(args.mu, rd)
-    if not rd.is_dominant(mu):
-        raise PreconditionError(f"{mu} is not dominant")
-    return rd, mu
+# what every command returns: its output, its exit status and scholze's
+# JSON report (empty for the other commands)
+Report = collections.namedtuple("Report", "text status note", defaults=("",))
 
 
-def cmd_adm(args) -> int:
-    rd, mu = _group_and_mu(args)
+def cmd_adm(request) -> Report:
+    rd, mu = request.group, request.mu
     W = rd.affine_weyl()
     elements = sorted(W.admissible_set(mu), key=W.sort_key)
-    if args.format == "csv":
+    if request.format == "csv":
         word = W.weyl.word
         kappa = {x.trans: x for x in elements}  # one per translation part
         kappa = {t: _kappa(W, x) for t, x in kappa.items()}
@@ -333,62 +320,60 @@ def cmd_adm(args) -> int:
             wr.writerow([" ".join(map(str, x.trans)),
                          " ".join(str(i + 1) for i in word[x.fin]),
                          x.length(), kappa[x.trans]])
-        emit(args, buf.getvalue())
-        return EXIT_OK
-    emit(args, dumps({
+        return Report(buf.getvalue(), EXIT_OK)
+    return Report(dumps({
         "schema": "iwahecke/adm/1",
         "group": rd.family,
         "mu": list(mu),
         "count": len(elements),
         "elements": _records(W, elements),
-    }))
-    return EXIT_OK
+    }), EXIT_OK)
 
 
-def cmd_zmu(args) -> int:
-    rd, mu = _group_and_mu(args)
+def cmd_zmu(request) -> Report:
+    rd, mu, levi, r = request.group, request.mu, request.levi, request.r
     W = rd.affine_weyl()
-    lt = W.translation(tuple(args.r * x for x in mu)).length()
+    lt = W.translation(tuple(r * x for x in mu)).length()
 
-    if args.method == "closed":
-        if args.r > 1:
+    if request.method == "closed":
+        if r > 1:
             raise PreconditionError("--r is a theta-route option")
         if not is_minuscule(rd, mu):
             raise PreconditionError(
                 f"{mu} is not minuscule; the closed formula does not apply")
         h = closed_form_bernstein(W, mu)
-        if args.levi is not None:
+        if levi is not None:
             # the elimination inside constant_term is what ties the closed
             # form to the center
-            h = constant_term(h.scale(LaurentPoly.v(-lt)), args.levi)
+            h = constant_term(h.scale(LaurentPoly.v(-lt)), levi)
     else:
         f = monomial_symmetric(rd, mu)
-        if args.r > 1:
+        if r > 1:
             from .transfer import base_change
-            f = base_change(f, args.r)
-        if args.levi is not None:
-            h = levi_image(f, args.levi)  # c^G_L(z) for z = bernstein_iso(f)
+            f = base_change(f, r)
+        if levi is not None:
+            h = levi_image(f, levi)  # c^G_L(z) for z = bernstein_iso(f)
         else:
             h = bernstein_iso(f, W).scale(LaurentPoly.v(lt))
 
     report = {"schema": "iwahecke/hecke-element/1", "group": rd.family,
               "mu": list(mu)}
-    if args.levi is None:
-        report.update(method=args.method, base_change_r=args.r,
+    if levi is None:
+        report.update(method=request.method, base_change_r=r,
                       normalization="v^l(t_mu) * z_mu")
     else:
-        # the Levi the computation used: its labels sorted, without repeats
-        report.update(levi=sorted(set(args.levi)),
-                      normalization="c^G_L(z_mu)")
-    report["terms"] = _hecke_records(h, args.q)
-    emit(args, dumps(report))
-    return EXIT_OK
+        report.update(levi=levi, normalization="c^G_L(z_mu)")
+    items = h.items_sorted()
+    # a Levi image's W is the Levi's group, not G's
+    report["terms"] = _records(h.algebra.W, [x for x, _ in items],
+                               [c for _, c in items], request.q)
+    return Report(dumps(report), EXIT_OK)
 
 
-def cmd_transfer(args) -> int:
+def cmd_transfer(request) -> Report:
     from .transfer import (grassmannian_count, kottwitz_fiber_integrate,
                            normalized_transfer)
-    rd, mu = _group_and_mu(args)
+    rd, mu, q = request.group, request.mu, request.q
     W = rd.affine_weyl()
     lt = W.translation(mu).length()
     f = monomial_symmetric(rd, mu)
@@ -404,7 +389,7 @@ def cmd_transfer(args) -> int:
         "mu": list(mu),
         "input_function": f.to_json_obj(),
         "normalization": "v^l(t_mu) scaled",
-        "graded": graded_json(direct, args.q),
+        "graded": graded_json(direct, q),
         "routes_match": "PASS" if routes_match else "FAIL",
     }
 
@@ -416,15 +401,14 @@ def cmd_transfer(args) -> int:
         got = via_center.coeff(m)
         report["grassmannian"] = {
             "n": n, "m": m,
-            "expected": poly_json(binom, args.q),
-            "grade_m_coefficient": poly_json(got, args.q),
+            "expected": poly_json(binom, q),
+            "grade_m_coefficient": poly_json(got, q),
             "match": "PASS" if got == binom else "FAIL",
         }
         if got != binom:
             routes_match = False
 
-    emit(args, dumps(report))
-    return EXIT_OK if routes_match else EXIT_MISMATCH
+    return Report(dumps(report), EXIT_OK if routes_match else EXIT_MISMATCH)
 
 
 def _int_at_least(text: str, lo: int) -> int:
@@ -445,9 +429,11 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _int_list(text: str) -> list:
+def _int_list(text: str) -> tuple:
+    """Comma-separated labels as a sorted tuple without repeats: the Levi
+    they name, spelled one way."""
     try:
-        return [int(t) for t in text.split(",")] if text else []
+        return tuple(sorted({int(t) for t in text.split(",")})) if text else ()
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed label list {text!r}")
 
@@ -470,7 +456,7 @@ def _check_level_size(n: int, q: int):
             f"than {_MAX_VALUE_DIGITS} decimal digits")
 
 
-def cmd_scholze(args) -> int:
+def cmd_scholze(request) -> Report:
     import random
 
     from .deeplevel import (IndeterminatePrecisionError, _z_n,
@@ -478,21 +464,21 @@ def cmd_scholze(args) -> int:
                             load_corpus, matrix_column_text,
                             random_kn_element, scholze_phi)
     from .ffield import _field_of_size
-    field = _field_of_size(args.q)
-    n = args.n
+    field = _field_of_size(request.q)
+    n, precision = request.n, request.precision
     _check_level_size(n, field.q)
-    if args.compat and field.q ** 4 > _MAX_COMPAT_COSETS:
+    if request.compat and field.q ** 4 > _MAX_COMPAT_COSETS:
         raise PreconditionError(
             f"--compat needs q^4 = {field.q ** 4} cosets a row for q = "
             f"{field.q}, more than {_MAX_COMPAT_COSETS}")
-    if args.corpus:
+    if request.corpus:
         try:
-            mats = load_corpus(args.corpus, field, precision=args.precision)
+            mats = load_corpus(request.corpus, field, precision=precision)
         except OSError as exc:
             raise PreconditionError(f"cannot read corpus: {exc}") from None
     else:
-        mats = [g if args.precision is None else g.truncate(args.precision)
-                for g in build_reference_corpus(field, count=args.count)]
+        mats = [g if precision is None else g.truncate(precision)
+                for g in build_reference_corpus(field, count=request.count)]
 
     buf = io.StringIO()
     wr = csv.writer(buf)
@@ -508,7 +494,7 @@ def cmd_scholze(args) -> int:
         except IndeterminatePrecisionError:
             wr.writerow([i, matrix_column_text(g), "", "", "INDETERMINATE"])
             continue
-        for _ in range(args.pairs):
+        for _ in range(request.pairs):
             u = random_kn_element(field, n, rng, depth=6)
             up = random_kn_element(field, n, rng, depth=6)
             h = u * g * up
@@ -522,15 +508,15 @@ def cmd_scholze(args) -> int:
             inv_checked += 1
             if same:
                 inv_passed += 1
-        if args.compat:
-            compat_checked += 1
+        if request.compat:
             try:
-                if level_compatibility_check(n, g):
-                    compat_passed += 1
+                compatible = level_compatibility_check(n, g)
             except IndeterminatePrecisionError:
-                compat_checked -= 1
+                continue  # undecided: neither checked nor passed
+            compat_checked += 1
+            if compatible:
+                compat_passed += 1
 
-    emit(args, buf.getvalue())
     report = {
         "schema": "iwahecke/scholze-report/1",
         "n": n, "q": field.q,
@@ -546,9 +532,8 @@ def cmd_scholze(args) -> int:
         report["status"] = "PASS"
     else:  # nothing was checked, so nothing passed
         report["status"] = "UNCHECKED"
-    stream = sys.stdout if args.out else sys.stderr
-    stream.write(dumps(report))
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return Report(buf.getvalue(), EXIT_OK if ok else EXIT_MISMATCH,
+                  dumps(report))
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -618,27 +603,63 @@ _COMMANDS = {
 }
 
 
-# main's parser, built on its first call: argparse keeps no state between
+# parse's parser, built on its first call: argparse keeps no state between
 # parse_args calls, and building the tree costs more than a cached command
-_parser = None
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
+def parse(argv=None):
+    """The request and the --out path of `argv` (``sys.argv[1:]`` when None).
+
+    The request is the parsed ``Namespace`` without ``out``; for the root
+    datum commands, ``group`` is the datum and ``mu`` the coweight tuple.  A
+    bad group is refused first, then a bad coweight, then one that is not
+    dominant.  argparse's own refusals raise ``SystemExit``.
+    """
+    request = _parser().parse_args(argv)
+    out = vars(request).pop("out")
+    if request.command != "scholze":
+        rd = request.group = parse_group(request.group)
+        mu = request.mu = parse_mu(request.mu, rd)
+        if not rd.is_dominant(mu):
+            raise PreconditionError(f"{mu} is not dominant")
+    return request, out
+
+
+def run(request) -> Report:
+    """The report of a parsed request; writes to no stream."""
+    return _COMMANDS[request.command](request)
+
+
+def write(report: Report, out):
+    """Write `report`: its text to the file `out`, or to stdout without
+    one, then its note to stdout with `out`, else to stderr."""
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(report.text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write output: {exc}") from None
+        sys.stdout.write(report.note)
+    else:
+        sys.stdout.write(report.text)
+        sys.stderr.write(report.note)
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        request, out = parse(argv)
+        report = run(request)
+        write(report, out)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARSE
-    try:
-        return _COMMANDS[args.command](args)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    return report.status
 
 
 if __name__ == "__main__":

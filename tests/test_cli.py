@@ -8,7 +8,8 @@ import pytest
 import iwahecke.deeplevel as deeplevel
 import iwahecke.transfer as transfer
 from iwahecke.center import bernstein_iso, constant_term, monomial_symmetric
-from iwahecke.cli import PreconditionError, dumps, main, parse_group
+from iwahecke.cli import (PreconditionError, dumps, main, parse,
+                          parse_group, run as run_request)
 from iwahecke.klpoly import closed_form_bernstein
 from iwahecke.laurent import LaurentPoly
 from iwahecke.rootdata import build_root_datum, load_root_datum
@@ -396,10 +397,18 @@ def test_zmu_levi_q0_is_a_precondition_error(tmp_path, capsys):
 
 
 def test_out_into_missing_directory(tmp_path, capsys):
-    out = tmp_path / "no-such-dir" / "out.json"
-    rc = main(["adm", "--group", "GL:2", "--mu", "1,0", "--out", str(out)])
-    assert rc == 3 and not out.exists()
-    assert "cannot write output" in capsys.readouterr().err
+    # the one error line, and no report: scholze's goes to stdout only once
+    # its CSV is written
+    out = tmp_path / "no-such-dir" / "out.csv"
+    for argv in (("adm", "--group", "GL:2", "--mu", "1,0"),
+                 ("scholze", "--n", "1", "--q", "2", "--count", "3")):
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 3 and not out.exists(), argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        err = captured.err.splitlines()
+        assert len(err) == 1, argv
+        assert err[0].startswith("error: cannot write output: "), argv
 
 
 def test_scholze_negative_precision_rejected(tmp_path, capsys):
@@ -778,6 +787,34 @@ def test_main_is_reentrant(capsys):
                            if err_name else ""), argv
     for argv, results in seen.items():
         assert len(results) == 2 and results[0] == results[1], argv
+
+
+def test_run_writes_no_stream(capsys):
+    # parse and run compute the report; only write and main touch a stream
+    for argv, out_name, err_name in GOLDEN_RUNS:
+        report = run_request(parse(list(argv))[0])
+        assert capsys.readouterr() == ("", ""), argv
+        assert report.status == 0, argv
+        assert report.text == (DATA / out_name).read_bytes().decode(), argv
+        assert report.note == ((DATA / err_name).read_bytes().decode()
+                               if err_name else ""), argv
+
+
+def test_spellings_of_one_request_parse_equal(tmp_path):
+    def request(*argv):
+        return parse(list(argv))[0]
+    zmu = ("zmu", "--group", "GL:3", "--mu", "1,0,0")
+    assert request(*zmu, "--levi", "2,1,2") == request(*zmu, "--levi", "1,2")
+    assert request(*zmu, "--levi", "1,2").levi == (1, 2)
+    assert (request("adm", "--group", "GL:3", "--mu=1,0,0")
+            == request("adm", "--group", "GL:3", "--mu", "1,0,0"))
+    assert (request("adm", "--group", "gl:3", "--mu", "1,0,0")
+            == request("adm", "--group", "GL:3", "--mu", "1,0,0"))
+    a, out_a = parse([*zmu, "--out", str(tmp_path / "a")])
+    b, out_b = parse([*zmu, "--out", str(tmp_path / "b")])
+    assert a == b and out_a != out_b
+    assert a == request(*zmu) and not hasattr(a, "out")
+    assert a.mu == (1, 0, 0) and a.group is parse_group("GL:3")
 
 
 # -- the JSON writer against json.dumps ----------------------------------------
