@@ -22,15 +22,21 @@ A run takes three steps.  ``parse(argv)`` returns the request, argparse's
 ``--mu`` in place of their texts, and the ``--out`` path apart from it.
 ``run(request)`` computes the `Report` ``(text, status, note)`` and writes
 to no stream; ``note`` is scholze's JSON report, empty for the other
-commands.  ``write(report, out)`` writes ``text`` to ``--out`` or stdout
-and ``note`` to stdout with ``--out``, else to stderr.
+commands.  A request seen among the last 32 is answered from memory: the
+key is every field of the request plus the display name of its datum
+(``group.family``, which datum equality ignores), so two spellings of one
+request share an entry.  A ``scholze --corpus`` request is computed on
+every call, as its file may change, and a refusal raises and is never
+stored.  ``write(report, out)`` writes ``text`` to ``--out`` or stdout and
+``note`` to stdout with ``--out``, else to stderr.
 
 ``main(argv)`` runs the three, maps refusals to exit codes and returns the
 exit code.  It may be called repeatedly in one process; each call writes
 the same bytes to stdout and stderr as the ``iwahecke`` console script run
-with the same arguments.  The argument parser is built on the first call
-and reused by later ones, and so is the root datum of a builtin group
-(``--group GL:3``); a config path is read on every call.
+with the same arguments, whether its report is computed or remembered.
+The argument parser is built on the first call and reused by later ones,
+and so is the root datum of a builtin group (``--group GL:3``); a config
+path is read on every call, and keys the memo by the datum it holds.
 
 Only the algebra layers are imported with this module: ``transfer`` and
 ``zmu --r N`` import the transfer layer (the latter for ``base_change``) and
@@ -626,9 +632,35 @@ def parse(argv=None):
     return request, out
 
 
-def run(request) -> Report:
-    """The report of a parsed request; writes to no stream."""
+# how many reports run keeps: session-mixed (seed 1) asks for a scholze
+# report again after at most 21 other distinct requests, and the largest
+# report measured (adm --group GL:7 --mu 1,1,0,0,0,0,0) has 381 KB, so 32
+# hold at most about 12 MB
+_MAX_REPORTS = 32
+
+
+@functools.lru_cache(maxsize=_MAX_REPORTS)
+def _report(key):
+    """The report of the request whose fields `key` holds."""
+    fields, _family = key
+    request = argparse.Namespace(**dict(fields))
     return _COMMANDS[request.command](request)
+
+
+def run(request) -> Report:
+    """The report of a parsed request; writes to no stream.
+
+    A request seen among the last 32 is answered from memory.  The key is
+    every field of the request plus the display name of its datum, which
+    datum equality ignores; a scholze --corpus file may change between
+    calls, so such a request is always computed again.  A refusal raises
+    and is not stored.
+    """
+    if getattr(request, "corpus", None):
+        return cmd_scholze(request)
+    group = getattr(request, "group", None)
+    return _report((tuple(sorted(vars(request).items())),
+                    getattr(group, "family", None)))
 
 
 def write(report: Report, out):

@@ -5,9 +5,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from iwahecke import cli
 from iwahecke.rootdata import build_root_datum
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def _fresh_reports():
+    # cli.run keeps the last reports it computed: no test sees a report
+    # that another test's call left behind
+    cli._report.cache_clear()
 
 
 @pytest.fixture(scope="session")

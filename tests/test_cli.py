@@ -8,7 +8,7 @@ import pytest
 import iwahecke.deeplevel as deeplevel
 import iwahecke.transfer as transfer
 from iwahecke.center import bernstein_iso, constant_term, monomial_symmetric
-from iwahecke.cli import (PreconditionError, dumps, main, parse,
+from iwahecke.cli import (PreconditionError, _report, dumps, main, parse,
                           parse_group, run as run_request)
 from iwahecke.klpoly import closed_form_bernstein
 from iwahecke.laurent import LaurentPoly
@@ -498,6 +498,7 @@ def test_transfer_route_mismatch_exits_4(tmp_path, monkeypatch):
         terms[rep] = terms[rep].shift(2)
         return transfer.GradedFunction._make(g.rd, terms)
     monkeypatch.setattr(transfer, "kottwitz_fiber_integrate", shifted)
+    _report.cache_clear()  # else the second run reads the first's report
     rc, data = run(tmp_path, *argv)
     assert rc == 4
     assert json.loads(data) == dict(want, routes_match="FAIL")
@@ -511,6 +512,7 @@ def test_transfer_grassmannian_mismatch_exits_4(tmp_path, monkeypatch):
     count = transfer.grassmannian_count
     monkeypatch.setattr(transfer, "grassmannian_count",
                         lambda n, m: count(n, m) + 1)
+    _report.cache_clear()  # else the second run reads the first's report
     rc, data = run(tmp_path, *argv)
     assert rc == 4
     expected = dict(want["grassmannian"]["expected"])
@@ -542,6 +544,7 @@ def test_scholze_failed_check_exits_4(tmp_path, capsys, monkeypatch, check):
     else:
         monkeypatch.setattr(deeplevel, "level_compatibility_check",
                             lambda n, g: False)
+    _report.cache_clear()  # else the second run reads the first's report
     rc, got_rows = run(tmp_path, *argv)
     assert rc == 4 and got_rows == rows
     assert json.loads(capsys.readouterr().out) == dict(
@@ -572,6 +575,7 @@ def test_scholze_undecided_pair_is_not_checked(tmp_path, capsys, monkeypatch,
         raise deeplevel.IndeterminatePrecisionError("injected")
     monkeypatch.setattr(deeplevel, "build_reference_corpus", recorded)
     monkeypatch.setattr(deeplevel, "scholze_phi", undecided_on_products)
+    _report.cache_clear()  # else the second run reads the first's report
     rc, got_rows = run(tmp_path, *argv)
     assert rc == 0 and got_rows == rows
     assert json.loads(capsys.readouterr().out) == dict(
@@ -815,6 +819,87 @@ def test_spellings_of_one_request_parse_equal(tmp_path):
     assert a == b and out_a != out_b
     assert a == request(*zmu) and not hasattr(a, "out")
     assert a.mu == (1, 0, 0) and a.group is parse_group("GL:3")
+
+
+# -- the report memo -------------------------------------------------------------
+
+
+def test_repeated_and_respelled_requests_are_memo_hits(capsys):
+    zmu = ("zmu", "--group", "GL:3", "--mu", "1,0,0")
+    scholze = ("scholze", "--n", "1", "--q", "4", "--count", "3")
+    for first, again in (
+            (zmu, zmu),
+            (("adm", "--group", "GL:3", "--mu=2,1,0"),
+             ("adm", "--group", "GL:3", "--mu", "2,1,0")),
+            ((*zmu, "--levi", "2,1,2"), (*zmu, "--levi", "1,2")),
+            (scholze, scholze)):
+        _report.cache_clear()
+        rc = main(list(first))
+        want = rc, *capsys.readouterr()
+        assert rc == 0 and _report.cache_info()[:2] == (0, 1), first
+        rc = main(list(again))
+        assert (rc, *capsys.readouterr()) == want, again
+        assert _report.cache_info()[:2] == (1, 1), again  # (hits, misses)
+
+
+def test_memo_keeps_the_last_32_reports(capsys):
+    # a central coweight's Adm is one element, so each request is cheap
+    def adm(k):
+        assert main(["adm", "--group", "GL:2", f"--mu={k},{k}"]) == 0
+    for k in range(33):
+        adm(k)
+    assert _report.cache_info().currsize == 32
+    adm(32)
+    assert _report.cache_info().hits == 1
+    adm(0)  # the oldest, dropped
+    assert _report.cache_info()[:2] == (1, 34)
+    assert _report.cache_info().currsize == 32
+    capsys.readouterr()
+
+
+def test_memo_keeps_equal_data_under_two_names_apart(tmp_path, capsys):
+    # RootDatum equality ignores the name, but every report prints it
+    gl3 = ("rank 3\nsimple_roots\n1 -1 0\n0 1 -1\nend\n"
+           "simple_coroots\n1 -1 0\n0 1 -1\nend\n")
+    configs = []
+    for name in ("gl3_one", "gl3_two"):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"name {name}\n{gl3}")
+        configs.append((name, str(path)))
+    assert load_root_datum(configs[0][1]) == load_root_datum(configs[1][1])
+    for _ in range(2):
+        for name, path in configs:
+            for argv in (("adm", "--mu", "1,0,0"), ("zmu", "--mu", "1,0,0")):
+                assert main([*argv, "--group", path]) == 0
+                assert json.loads(capsys.readouterr().out)["group"] == name
+    assert _report.cache_info()[:2] == (4, 4)
+
+
+def test_memo_rereads_a_corpus_on_every_call(tmp_path, capsys):
+    lines = CORPUS_Q2.read_text().splitlines()
+    corpus = tmp_path / "corpus.txt"
+    argv = ["scholze", "--n", "1", "--q", "2", "--corpus", str(corpus),
+            "--precision", "12", "--pairs", "1"]
+    rows = []
+    for chunk in (lines[:3], lines[3:6]):
+        corpus.write_text("\n".join(chunk) + "\n")
+        assert main(argv) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1:])
+    assert len(rows[0]) == len(rows[1]) == 3 and rows[0] != rows[1]
+    assert _report.cache_info().currsize == 0
+
+
+def test_memo_stores_no_refusal(capsys):
+    assert main(["zmu", "--group", "GL:3", "--mu", "2,1,0"]) == 0
+    capsys.readouterr()
+    for _ in range(3):
+        rc = main(["zmu", "--group", "GL:3", "--mu", "1,0,0", "--levi", "1",
+                   "--q", "0"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err.startswith("error: cannot specialize q to 0")
+        assert err.count("\n") == 1
+        assert _report.cache_info().currsize == 1
 
 
 # -- the JSON writer against json.dumps ----------------------------------------
