@@ -633,9 +633,10 @@ def parse(argv=None):
 
 
 # how many reports run keeps: session-mixed (seed 1) asks for a scholze
-# report again after at most 21 other distinct requests, and the largest
-# report measured (adm --group GL:7 --mu 1,1,0,0,0,0,0) has 381 KB, so 32
-# hold at most about 12 MB
+# report again after at most 21 other distinct requests.  This bounds the
+# count of reports, not their size: the largest measured (adm --group GL:7
+# --mu 1,1,0,0,0,0,0) has 381 KB, but adm's output grows with mu and
+# scholze's with --count, so no size is bounded
 _MAX_REPORTS = 32
 
 
@@ -643,7 +644,9 @@ _MAX_REPORTS = 32
 def _report(key):
     """The report of the request whose fields `key` holds."""
     fields, _family = key
-    request = argparse.Namespace(**dict(fields))
+    # filled in place, in under half the time Namespace(**fields) takes
+    request = argparse.Namespace()
+    vars(request).update(fields)
     return _COMMANDS[request.command](request)
 
 

@@ -771,14 +771,24 @@ INTERLEAVED = [
 
 def test_main_is_reentrant(capsys):
     seen = {}
+    stored = []
 
     def call(argv):
         rc = main(list(argv))
         out, err = capsys.readouterr()
         seen.setdefault(argv, []).append((rc, out, err))
+        # a report run returns is kept unless its request reads a corpus
+        if rc == 0 and "--help" not in argv and "--corpus" not in argv:
+            stored.append(argv)
         return rc, out, err
 
-    for _ in range(2):
+    # the first pass fills the per-group memos, the second computes every
+    # report again from them, and the third reads each report from cli.run's
+    for n in range(3):
+        if n == 1:
+            _report.cache_clear()
+        stored.clear()
+        hits = _report.cache_info().hits
         for i, (argv, out_name, err_name) in enumerate(GOLDEN_RUNS):
             for extra, code in INTERLEAVED[i::len(GOLDEN_RUNS)]:
                 assert call(extra)[0] == code, extra
@@ -789,8 +799,10 @@ def test_main_is_reentrant(capsys):
             # a run with no stderr golden writes nothing there
             assert err == ((DATA / err_name).read_bytes().decode()
                            if err_name else ""), argv
+        assert _report.cache_info().hits - hits == (len(stored) if n == 2
+                                                    else 0)
     for argv, results in seen.items():
-        assert len(results) == 2 and results[0] == results[1], argv
+        assert len(results) == 3 and results.count(results[0]) == 3, argv
 
 
 def test_run_writes_no_stream(capsys):
