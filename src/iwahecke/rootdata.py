@@ -68,6 +68,10 @@ __all__ = [
 # closure cap: a builtin family with more roots is refused before its
 # closure runs; a config that exceeds it is refused by the closure
 _MAX_ROOTS = 10_000
+# rank cap, checked before anything of length rank is built: Linux caps
+# one argument at 128 KiB, so a --mu for a rank near 65,536 cannot even be
+# passed, and a config rank of 10^11 would otherwise ask for 800 GB
+_MAX_RANK = 10_000
 
 
 class RootDatumError(ValueError):
@@ -78,9 +82,9 @@ class RootDatum:
     """Immutable based root datum, built from its four defining fields.
 
     ``RootDatum(family, rank, simple_roots, simple_coroots)`` validates the
-    simple (co)roots (lengths, a generalized Cartan matrix, independent
-    simple roots) and closes them under the simple reflections, over the
-    positive roots alone.  Every root-system field is read off that closure
+    rank (an int in 0..10,000) and the simple (co)roots (lengths, a
+    generalized Cartan matrix, independent simple roots) and closes them
+    under the simple reflections, over the positive roots alone.  Every root-system field is read off that closure
     in one pass by height and stored: ``pos_roots`` with their
     ``pos_coroots`` and ``pos_root_coords``, ``two_rho``,
     ``root_reflections``, the Dynkin ``components`` with their
@@ -96,6 +100,9 @@ class RootDatum:
     """
 
     def __init__(self, family: str, rank: int, simple_roots, simple_coroots):
+        if not isinstance(rank, int) or not 0 <= rank <= _MAX_RANK:
+            raise RootDatumError(
+                f"rank must be an int in 0..{_MAX_RANK}, got {rank!r}")
         # roots are character vectors, coroots coweight vectors
         simple_roots = tuple(tuple(a) for a in simple_roots)
         simple_coroots = tuple(tuple(av) for av in simple_coroots)
@@ -397,8 +404,8 @@ def load_root_datum(path) -> RootDatum:
     ``simple_roots`` rows are character vectors, ``simple_coroots`` rows are
     coweight vectors, both of length ``rank``, a nonnegative int.  Each key
     and block appears at most once.  The :class:`RootDatum` constructor
-    validates the datum (a generalized Cartan matrix whose root closure
-    stays under the cap) as it loads.
+    validates the datum (a rank of at most 10,000, a generalized Cartan
+    matrix whose root closure stays under the cap) as it loads.
     """
     name, rank = None, None
     blocks = {"simple_roots": [], "simple_coroots": []}
