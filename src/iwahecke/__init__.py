@@ -43,11 +43,11 @@ _EXPORTS = {
     "laurent": ("LaurentPoly",),
     "rootdata": ("RootDatum", "RootDatumError", "build_root_datum",
                  "is_minuscule", "levi_sub_datum", "load_root_datum",
-                 "pair_two_rho", "weyl_orbit"),
+                 "weyl_orbit"),
     "series": ("Matrix2", "TruncatedSeries"),
     "transfer": ("GradedFunction", "base_change", "grassmannian_count",
                  "kottwitz_fiber_integrate", "normalized_transfer"),
-    "weyl": ("FiniteWeylElement", "IndexedWeyl"),
+    "weyl": ("IndexedWeyl",),
 }
 _OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(mod for mod in _EXPORTS if not mod.startswith("_"))

@@ -58,7 +58,7 @@ from ._kernel._pykernel import Kernel
 from .intlinalg import dot
 from .rootdata import (RootDatum, RootDatumError, _check_rank, _same_datum,
                        weyl_orbit)
-from .weyl import FiniteWeylElement, IndexedWeyl
+from .weyl import IndexedWeyl
 
 __all__ = ["AffineWeylGroup", "AffineWeylElement", "OmegaElement"]
 
@@ -101,10 +101,6 @@ class AffineWeylElement:
     @property
     def key(self):
         return (self.trans, self.fin)
-
-    @property
-    def finite(self) -> FiniteWeylElement:
-        return FiniteWeylElement(self.group.weyl, self.fin)
 
     def length(self) -> int:
         if self._len is None:
@@ -238,7 +234,11 @@ class AffineWeylGroup:
     def element(self, trans, fin: int = 0) -> AffineWeylElement:
         trans = tuple(trans)
         _check_rank(self.rd, trans)
-        return AffineWeylElement(self, trans, self.weyl.element(fin).idx)
+        size = self.weyl.size
+        if not isinstance(fin, int) or not 0 <= fin < size:
+            raise ValueError(f"finite Weyl group index {fin!r} is not in "
+                             f"range({size})")
+        return AffineWeylElement(self, trans, fin)
 
     def translation(self, la) -> AffineWeylElement:
         return self.element(la, 0)

@@ -477,7 +477,7 @@ def cmd_scholze(request) -> Report:
         raise PreconditionError(
             f"--compat needs q^4 = {field.q ** 4} cosets a row for q = "
             f"{field.q}, more than {_MAX_COMPAT_COSETS}")
-    if request.corpus:
+    if request.corpus is not None:
         try:
             mats = load_corpus(request.corpus, field, precision=precision)
         except OSError as exc:
@@ -659,7 +659,7 @@ def run(request) -> Report:
     calls, so such a request is always computed again.  A refusal raises
     and is not stored.
     """
-    if getattr(request, "corpus", None):
+    if getattr(request, "corpus", None) is not None:
         return cmd_scholze(request)
     group = getattr(request, "group", None)
     return _report((tuple(sorted(vars(request).items())),
@@ -669,7 +669,7 @@ def run(request) -> Report:
 def write(report: Report, out):
     """Write `report`: its text to the file `out`, or to stdout without
     one, then its note to stdout with `out`, else to stderr."""
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(report.text)

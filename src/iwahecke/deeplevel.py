@@ -48,7 +48,7 @@ __all__ = [
     "random_kn_element", "build_reference_corpus",
     "load_corpus", "save_corpus", "matrix_to_text", "matrix_from_text",
     "matrix_column_text",
-    "drinfeld_propp_value", "default_subtorus_predicate",
+    "drinfeld_propp_value",
 ]
 
 
@@ -455,39 +455,29 @@ class DiagonalTorusPoint:
         return tuple(self.field.norm_to_prime(e) for e in self.entries)
 
 
-def default_subtorus_predicate(norms, critical) -> bool:
-    """N_r(t) in T_S(F_p) with T_S = {diag : t_j = 1 for j not in S}."""
-    return all(norms[j - 1] == 1 for j in range(1, len(norms) + 1)
-               if j not in critical)
-
-
-def drinfeld_propp_value(n: int, p: int, r: int, t: DiagonalTorusPoint,
-                         w: AffineWeylElement,
-                         subtorus_predicate=default_subtorus_predicate
+def drinfeld_propp_value(t: DiagonalTorusPoint, w: AffineWeylElement
                          ) -> Fraction:
     """The pro-p Iwahori test function of GL_n, mu = (1, 0^(n-1)), at the
-    double coset indexed by (t, w); an exact rational.
+    double coset indexed by (t, w); an exact rational.  n is the rank of
+    t, and q = p^r the size of its field.
 
-    The subtorus membership test N_r(t) in T_{S(w)}(F_p) is configurable:
-    `subtorus_predicate(norms, critical_indices)` receives the componentwise
-    norms and the critical set S(w).  The default pins T_S as the diagonal
-    subtorus with free coordinates exactly at S.
+    The value vanishes off Adm(mu) and unless N_r(t) lies in T_S(F_p), the
+    diagonal subtorus with free coordinates exactly at the critical set
+    S = S(w): every norm off S is 1.
     """
-    field = t.field
-    if (field.p, field.r) != (p, r):
-        raise ValueError("torus point lives over the wrong field")
-    if len(t.entries) != n:
-        raise ValueError("torus point has wrong rank")
     from .affine import _gl_size
+    n = len(t.entries)
     W = w.group
     if _gl_size(W.rd) != n:
-        raise ValueError(f"w must lie in the affine Weyl group of GL({n})")
-    q = p ** r
+        raise ValueError(
+            f"w must lie in the affine Weyl group of GL({n}), the torus "
+            f"point's rank, not of {W.rd.family} (rank {W.rd.rank})")
+    p, q = t.field.p, t.field.q
 
     critical = W.critical_indices(w)
     if not critical:  # w outside Adm((1, 0^{n-1}))
         return Fraction(0)
-    if not subtorus_predicate(t.norms(), critical):
+    if any(x != 1 for j, x in enumerate(t.norms(), 1) if j not in critical):
         return Fraction(0)
     s = len(critical)
     return Fraction((-1) ** n * (p - 1) ** (n - s), (1 - q) ** (n + 1 - s))

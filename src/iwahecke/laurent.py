@@ -143,9 +143,6 @@ class LaurentPoly:
         """Largest exponent of v (None for the zero polynomial)."""
         return max(self.c) if self.c else None
 
-    def valuation(self):
-        return min(self.c) if self.c else None
-
     def coeff(self, exp: int) -> int:
         return self.c.get(exp, 0)
 

@@ -62,7 +62,7 @@ from .intlinalg import dot, hermite_basis, reduce_mod_lattice
 
 __all__ = [
     "RootDatum", "RootDatumError", "build_root_datum", "load_root_datum",
-    "levi_sub_datum", "weyl_orbit", "pair_two_rho", "is_minuscule",
+    "levi_sub_datum", "weyl_orbit", "is_minuscule",
 ]
 
 # closure cap: a builtin family with more roots is refused before its
@@ -504,12 +504,6 @@ def weyl_orbit(rd: RootDatum, mu) -> frozenset:
                     new.append(r)
         frontier = new
     return frozenset(seen)
-
-
-def pair_two_rho(rd: RootDatum, la) -> int:
-    """<la, 2*rho>, the pairing against the sum of the positive roots."""
-    _check_rank(rd, la)
-    return dot(la, rd.two_rho)
 
 
 def is_minuscule(rd: RootDatum, mu) -> bool:

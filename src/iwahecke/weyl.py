@@ -41,9 +41,9 @@ from collections import Counter
 from math import prod
 from operator import mul
 
-from .rootdata import RootDatum, RootDatumError, _check_rank, _same_datum
+from .rootdata import RootDatum, RootDatumError, _check_rank
 
-__all__ = ["IndexedWeyl", "FiniteWeylElement", "weyl_order"]
+__all__ = ["IndexedWeyl", "weyl_order"]
 
 _MAX_GROUP = 500_000
 
@@ -195,57 +195,3 @@ class IndexedWeyl:
         vec = tuple(vec)
         _check_rank(self.rd, vec)
         return self.fold(reversed(self.word[w]), vec, 0)[0]
-
-    def mul(self, w1: int, w2: int) -> int:
-        rrow = self.rrow
-        for i in self.word[w2]:
-            w1 = rrow[i][w1]
-        return w1
-
-    def element(self, w: int) -> "FiniteWeylElement":
-        if not isinstance(w, int) or not 0 <= w < self.size:
-            raise ValueError(f"finite Weyl group index {w!r} is not in "
-                             f"range({self.size})")
-        return FiniteWeylElement(self, w)
-
-
-class FiniteWeylElement:
-    """A finite Weyl group element: an index plus its lookup context."""
-
-    __slots__ = ("group", "idx")
-
-    def __init__(self, group: IndexedWeyl, idx: int):
-        self.group = group
-        self.idx = idx
-
-    @property
-    def word(self):
-        """Canonical reduced word, 0-based simple reflection indices."""
-        return self.group.word[self.idx]
-
-    def length(self) -> int:
-        return self.group.length[self.idx]
-
-    def apply(self, vec):
-        return self.group.apply(self.idx, vec)
-
-    def __mul__(self, other):
-        if not isinstance(other, FiniteWeylElement):
-            return NotImplemented
-        _same_datum(self.group.rd, other.group.rd)
-        return FiniteWeylElement(self.group, self.group.mul(self.idx, other.idx))
-
-    def inverse(self):
-        return FiniteWeylElement(self.group, self.group.inv[self.idx])
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteWeylElement)
-                and (other.group is self.group
-                     or _same_datum(other.group.rd, self.group.rd))
-                and other.idx == self.idx)
-
-    def __hash__(self):
-        return hash(self.idx)
-
-    def __repr__(self):
-        return f"FiniteWeylElement({'*'.join(f's{i + 1}' for i in self.word) or 'e'})"

@@ -20,7 +20,6 @@ from pathlib import Path
 from iwahecke.center import (bernstein_iso, bernstein_iso_inverse,
                              constant_term, monomial_symmetric)
 from iwahecke.deeplevel import (build_reference_corpus,
-                                default_subtorus_predicate,
                                 DiagonalTorusPoint, drinfeld_propp_value,
                                 level_compatibility_check, load_corpus,
                                 random_kn_element, scholze_phi)
@@ -246,15 +245,17 @@ def test_criterion_10_pro_p_drinfeld():
                         for e in product(field.units(), repeat=n)]
         for x in outside:
             for t in torus_points[:5]:
-                assert drinfeld_propp_value(n, p, r, t, x) == 0
+                assert drinfeld_propp_value(t, x) == 0
         for w in adm:
             crit = W.critical_indices(w)
             s = len(crit)
             case3 = Fraction((-1) ** n * (p - 1) ** (n - s),
                              (1 - q) ** (n + 1 - s))
             for t in torus_points:
-                val = drinfeld_propp_value(n, p, r, t, w)
-                if default_subtorus_predicate(t.norms(), crit):
+                val = drinfeld_propp_value(t, w)
+                # N_r(t) in the diagonal subtorus T_S: every norm off S is 1
+                if all(x == 1 for j, x in enumerate(t.norms(), 1)
+                       if j not in crit):
                     assert val == case3, (n, p, r, w)
                 else:
                     assert val == 0

@@ -138,6 +138,15 @@ def test_transfer_pass(tmp_path):
         {"0": 1, "2": 1, "4": 2, "6": 1, "8": 1}
 
 
+def test_transfer_without_gl_size_checks_no_grassmannian(tmp_path):
+    # GSp(4) is not the standard GL(n) datum, so no Grassmannian count
+    # applies and the report has no such block
+    rc, data = run(tmp_path, "transfer", "--group", "GSp:4", "--mu", "1,1,1")
+    doc = json.loads(data)
+    assert rc == 0 and doc["routes_match"] == "PASS"
+    assert "grassmannian" not in doc
+
+
 def test_transfer_trivial_grade(tmp_path):
     rc, data = run(tmp_path, "transfer", "--group", "GL:3", "--mu", "0,0,0")
     doc = json.loads(data)
@@ -620,6 +629,9 @@ _REFUSALS = """
   :: error: cannot write output: [Errno 2]...
 3 scholze --n 1 --q 2 --count 3 --out DATA/no-such-dir/out.csv
   :: error: cannot write output: [Errno 2]...
+3 adm --group GL:2 --mu 1,1 --out= :: error: cannot write output: [Errno 2]...
+3 scholze --n=1 --q=2 --count=3 --pairs=1 --corpus=
+  :: error: cannot read corpus: [Errno 2]...
 3 scholze --n 1 --q 2 --corpus DATA/no-such-dir/x :: error: cannot read corpus: [Errno 2]...
 3 scholze --n 1 --q 2 --corpus DATA :: error: cannot read corpus: [Errno 21]...
 3 scholze --n 1 --q 6 :: error: 6 is not a prime power
@@ -723,6 +735,10 @@ def refusal_faults(row, rc, out, err, seconds):
     *usage, last = err.splitlines() or [""]
     prog = last.split("error:")[0][:-2]  # argparse's, which writes usage
     prefix = line.removesuffix("...")
+    # --out PATH and --out=PATH; an empty PATH names no file, as Path("")
+    # is the working directory
+    outs = [argv[i + 1] for i, a in enumerate(argv) if a == "--out"]
+    outs += [a.removeprefix("--out=") for a in argv if a.startswith("--out=")]
     return [fault for fault, bad in (
         (f"exit code {rc}", rc != code),
         (f"error line {last!r}", not last.startswith(prefix) or (
@@ -730,8 +746,7 @@ def refusal_faults(row, rc, out, err, seconds):
         ("other stderr", bool(usage) != bool(prog) or any(
             not u.startswith((f"usage: {prog} [", " ")) for u in usage)),
         ("output on stdout", out != ""),
-        ("a file at --out", any(Path(argv[i + 1]).exists()
-                                for i, a in enumerate(argv) if a == "--out")),
+        ("a file at --out", any(Path(path).exists() for path in outs if path)),
         (f"{seconds:.2f} s", seconds >= 2)) if bad]
 
 
@@ -749,6 +764,19 @@ def test_refusal(row, capsys):
     else:
         result = main(list(row[0])), *capsys.readouterr()
     assert refusal_faults(row, *result, time.perf_counter() - start) == []
+
+
+def test_refusal_faults_reads_both_spellings_of_out(tmp_path):
+    # a file left at --out is a fault in either spelling of the flag, and
+    # an empty path names no file
+    path = tmp_path / "out.json"
+    path.write_text("")
+    err = "error: cannot write output: x\n"
+    for argv in (("adm", "--out", str(path)), ("adm", f"--out={path}"),
+                 ("adm", "--out=")):
+        row = (argv, 3, "error: cannot write output: ...")
+        assert refusal_faults(row, 3, "", err, 0) == (
+            [] if argv[-1] == "--out=" else ["a file at --out"]), argv
 
 
 def test_run_writes_no_stream(capsys):

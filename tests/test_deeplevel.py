@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,7 +9,6 @@ import pytest
 from iwahecke.deeplevel import (DiagonalTorusPoint,
                                 IndeterminatePrecisionError,
                                 build_reference_corpus,
-                                default_subtorus_predicate,
                                 drinfeld_propp_value, ell_invariant,
                                 gl2_level_index, k_invariant, kn_coset_reps,
                                 level_compatibility_check, load_corpus,
@@ -172,6 +172,28 @@ def test_phi_precision_policy():
     for g in build_reference_corpus(f, 40):
         scholze_phi(1, g.truncate(12))
         scholze_phi(2, g.truncate(12))
+
+
+def _o(k):
+    """O(t^k) over F_3: an unknown zero known to precision k."""
+    return TruncatedSeries.zero(F3, prec=k)
+
+
+@pytest.mark.parametrize("n,g,message", [
+    # det g = t + O(t^2), but tr g = O(t^-1) may not be integral
+    (1, Matrix2(_o(-1), mono(F3, 1), mono(F3, 0, 2), mono(F3, 3)),
+     "tr(g) valuation unresolved"),
+    # det g = t and tr g = 1 + t, but b = O(t^-2) may lie outside B_{1-n}
+    (2, Matrix2(mono(F3, 1), _o(-2), zero(F3), mono(F3, 0)),
+     "entry valuation unresolved"),
+    # det g = t + O(t^2) and tr g = O(t^0) is integral, but may be a unit
+    (1, Matrix2(_o(0), mono(F3, 1), mono(F3, 0, 2), mono(F3, 2)),
+     "tr(g) unresolved at order 0"),
+], ids=["trace-valuation", "entry-valuation", "trace-order-0"])
+def test_phi_refuses_each_unresolved_case_split(n, g, message):
+    with pytest.raises(IndeterminatePrecisionError,
+                       match=f"^{re.escape(message)}$"):
+        scholze_phi(n, g)
 
 
 def test_level_index_values():
@@ -414,12 +436,12 @@ def test_drinfeld_reference_cases():
     W2 = build_root_datum("GL", 2).affine_weyl()
     om = W2.translation((1, 0)) * W2.simple_reflection(1)
     t = DiagonalTorusPoint(F3, (1, 1))
-    assert drinfeld_propp_value(2, 3, 1, t, om) == Fraction(1, 1 - 3)
+    assert drinfeld_propp_value(t, om) == Fraction(1, 1 - 3)
     t_e1 = W2.translation((1, 0))
     t_bad = DiagonalTorusPoint(F3, (1, 2))
-    assert drinfeld_propp_value(2, 3, 1, t_bad, t_e1) == 0
+    assert drinfeld_propp_value(t_bad, t_e1) == 0
     s1 = W2.simple_reflection(1)
-    assert drinfeld_propp_value(2, 3, 1, t, s1) == 0  # off Adm
+    assert drinfeld_propp_value(t, s1) == 0  # off Adm
 
 
 def test_drinfeld_support_is_admissible_set():
@@ -427,7 +449,7 @@ def test_drinfeld_support_is_admissible_set():
     adm = W.admissible_set((1, 0, 0))
     t = DiagonalTorusPoint(F2, (1, 1, 1))
     for x in all_elements_up_to_length(W, 2, omega_grades=(1,)):
-        val = drinfeld_propp_value(3, 2, 1, t, x)
+        val = drinfeld_propp_value(t, x)
         assert (val != 0) == (x in adm)
 
 
@@ -451,8 +473,10 @@ def test_drinfeld_closed_expression_all_cases():
             s = len(crit)
             for entries in product(field.units(), repeat=n):
                 t = DiagonalTorusPoint(field, entries)
-                val = drinfeld_propp_value(n, p, r, t, w)
-                if default_subtorus_predicate(t.norms(), crit):
+                val = drinfeld_propp_value(t, w)
+                # N_r(t) in the diagonal subtorus T_S: every norm off S is 1
+                if all(x == 1 for j, x in enumerate(t.norms(), 1)
+                       if j not in crit):
                     expected = Fraction((-1) ** n * (p - 1) ** (n - s),
                                         (1 - q) ** (n + 1 - s))
                     assert val == expected
@@ -475,30 +499,22 @@ def test_propp_pushforward_to_iwahori_is_z_mu():
         torus = [DiagonalTorusPoint(field, e)
                  for e in product(field.units(), repeat=n)]
         for w, coeff in vz.terms.items():
-            pushed = sum(drinfeld_propp_value(n, p, r, t, w) for t in torus)
+            pushed = sum(drinfeld_propp_value(t, w) for t in torus)
             assert pushed == coeff.eval_q(p ** r), (n, p, r, w)
             checked += 1
     assert checked == 70
 
 
-def test_drinfeld_custom_predicate():
-    W2 = build_root_datum("GL", 2).affine_weyl()
-    t_e1 = W2.translation((1, 0))
-    t = DiagonalTorusPoint(F3, (1, 2))
-    assert drinfeld_propp_value(2, 3, 1, t, t_e1) == 0
-    always = lambda norms, crit: True
-    assert drinfeld_propp_value(2, 3, 1, t, t_e1,
-                                subtorus_predicate=always) != 0
-
-
 def test_drinfeld_validation():
-    W2 = build_root_datum("GL", 2).affine_weyl()
+    # n, p and r are read off t; w must lie in GL(n) for n = t's rank
     t = DiagonalTorusPoint(F3, (1, 1))
-    with pytest.raises(ValueError):
-        drinfeld_propp_value(2, 2, 1, t, W2.identity)  # wrong field
+    W3 = build_root_datum("GL", 3).affine_weyl()
+    with pytest.raises(ValueError, match=r"GL\(2\), the torus point's "
+                                         r"rank, not of GL\(3\) \(rank 3\)"):
+        drinfeld_propp_value(t, W3.identity)
     W_sp = build_root_datum("Sp", 4).affine_weyl()
-    with pytest.raises(ValueError):
-        drinfeld_propp_value(2, 3, 1, t, W_sp.identity)
+    with pytest.raises(ValueError, match=r"not of Sp\(4\) \(rank 2\)"):
+        drinfeld_propp_value(t, W_sp.identity)
     with pytest.raises(ValueError):
         DiagonalTorusPoint(F3, (1, 0))
 

@@ -7,8 +7,7 @@ from iwahecke.affine import AffineWeylGroup
 from iwahecke.hecke import HeckeAlgebra
 from iwahecke.intlinalg import dot
 from iwahecke.laurent import ONE, Q, QM1, LaurentPoly
-from iwahecke.rootdata import (RootDatumError, build_root_datum,
-                               pair_two_rho)
+from iwahecke.rootdata import RootDatumError, build_root_datum
 
 from oracles import hecke_json, random_element, random_hecke_element
 from test_kernel_tables import (CENTRAL_CASES, central_case, central_ids,
@@ -169,7 +168,7 @@ def test_theta_independent_of_decomposition(H3):
     # each v^{-<la, 2 rho>} T_{t_lam1} T_{t_lam2}^{-1} from public products
     W = H3.W
     la = (0, 1, -1)
-    vpow = LaurentPoly.v(-pair_two_rho(W.rd, la))
+    vpow = LaurentPoly.v(-dot(la, W.rd.two_rho))
 
     def by_cover(lam2):
         lam1 = tuple(a + b for a, b in zip(la, lam2))

@@ -63,6 +63,7 @@ H = W.hecke()
 # (id, the error, its message, the call)
 REFUSED = [
     ("GF(2^13)", ValueError, "out of supported range", lambda: GF(2, 13)),
+    ("GF(1)", ValueError, "1 is not prime", lambda: GF(1)),
     ("base change r=0", RootDatumError, "base change degree must be >= 1",
      lambda: base_change(monomial_symmetric(W.rd, (1, 0)), 0)),
     ("subs_v_power(0)", ValueError, "r must be >= 1",
@@ -76,8 +77,8 @@ REFUSED = [
     ("matrix_to_text truncated", ValueError, "corpus entries must be exact",
      lambda: matrix_to_text(ONE.truncate(3))),
     ("drinfeld_propp_value rank-1 torus point", ValueError,
-     "torus point has wrong rank", lambda: drinfeld_propp_value(
-         2, 2, 1, DiagonalTorusPoint(F2, (1,)), W.identity)),
+     r"GL\(1\), the torus point's rank, not of GL\(2\) \(rank 2\)",
+     lambda: drinfeld_propp_value(DiagonalTorusPoint(F2, (1,)), W.identity)),
     ("lmul_omega s1", ValueError, "does not have length zero",
      lambda: H.lmul_omega(W.simple_reflection(1),
                           H.from_terms({W.identity: 1}))),
@@ -92,3 +93,11 @@ REFUSED = [
 def test_library_refusal(error, message, call):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_library_edge_values():
+    F4 = GF(2, 2)
+    assert F4.pow(2, -1) == F4.inv(2) == 3  # a negative power inverts first
+    # 2 v^-2 + 1 at q = 2: a value in Z[q, 1/q] that is an integer is an int
+    value = LaurentPoly({-2: 2, 0: 1}).eval_q(2)
+    assert value == 2 and type(value) is int

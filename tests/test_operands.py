@@ -55,10 +55,6 @@ def _omega_element(W, la):
     return W.omega_of(la).element
 
 
-def _finite(W, la):
-    return W.element(la, 1).finite
-
-
 def _z(W, la):
     return W.hecke().bernstein_function(la)
 
@@ -94,8 +90,6 @@ ROWS = {
         _omega_element, lambda W, x: W.bruhat_leq(x, W.translation(LA))),
     "bruhat_leq.y": (
         _translation, lambda W, y: W.bruhat_leq(_omega_element(W, LA), y)),
-    "FiniteWeylElement.__mul__": (_finite, lambda W, y: _finite(W, LA) * y),
-    "FiniteWeylElement.__eq__": (_finite, lambda W, y: _finite(W, LA) == y),
     "RPolynomials.r.x": (
         _omega_element, lambda W, x: RPolynomials(W).r(x, W.translation(LA))),
     "RPolynomials.r.y": (

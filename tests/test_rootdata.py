@@ -7,7 +7,7 @@ import iwahecke.rootdata as rootdata
 from iwahecke.intlinalg import dot
 from iwahecke.rootdata import (RootDatum, RootDatumError, build_root_datum,
                                is_minuscule, levi_sub_datum, load_root_datum,
-                               pair_two_rho, weyl_orbit)
+                               weyl_orbit)
 
 from conftest import DATA
 from oracles import smith_omega_grading
@@ -112,9 +112,10 @@ def test_weyl_orbit_closed_under_reflections(gl3, sp4):
 
 
 def test_pair_two_rho_examples(gl2, gl3):
-    assert pair_two_rho(gl2, (1, 0)) == 1
-    assert pair_two_rho(gl3, (1, 0, 0)) == 2
-    assert pair_two_rho(gl3, (0, 0, 0)) == 0
+    # <la, 2 rho> is dot(la, rd.two_rho)
+    assert dot((1, 0), gl2.two_rho) == 1
+    assert dot((1, 0, 0), gl3.two_rho) == 2
+    assert dot((0, 0, 0), gl3.two_rho) == 0
 
 
 def test_pair_two_rho_linear(gl4):
@@ -123,7 +124,8 @@ def test_pair_two_rho_linear(gl4):
         a = tuple(rng.randint(-3, 3) for _ in range(4))
         b = tuple(rng.randint(-3, 3) for _ in range(4))
         s = tuple(x + y for x, y in zip(a, b))
-        assert pair_two_rho(gl4, s) == pair_two_rho(gl4, a) + pair_two_rho(gl4, b)
+        two_rho = gl4.two_rho
+        assert dot(s, two_rho) == dot(a, two_rho) + dot(b, two_rho)
 
 
 def test_is_minuscule(gl2, gl3, gl4):
@@ -147,7 +149,6 @@ def test_coweight_of_wrong_length_refused(gl3):
 
 
 WRONG_LENGTH_CALLS = {
-    "pair_two_rho": lambda rd, la: pair_two_rho(rd, la),
     "reflect": lambda rd, la: rd.reflect(0, la),
     "omega_grade": lambda rd, la: rd.omega_grade(la),
     "kappa_reduce": lambda rd, la: rd.kappa_reduce(la),
@@ -184,7 +185,7 @@ def test_gsp4_structure(gsp4):
     assert gsp4.rank == 3
     assert len(gsp4.pos_roots) == 4
     assert is_minuscule(gsp4, (1, 1, 1))
-    assert pair_two_rho(gsp4, (1, 1, 1)) == 3
+    assert dot((1, 1, 1), gsp4.two_rho) == 3
     assert gsp4.omega_grade((1, 1, 1)) == 1  # similitude valuation
 
 

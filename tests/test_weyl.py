@@ -1,3 +1,6 @@
+import re
+from functools import partial
+
 import pytest
 
 from iwahecke.cli import main
@@ -31,14 +34,15 @@ def test_words_are_reduced_and_consistent(gl4):
         assert len(word) == w.length[idx]
         acc = 0
         for i in word:
-            acc = w.mul(acc, w.gen_index[i])
+            acc = w.rrow[i][acc]
         assert acc == idx
 
 
 def test_inverse_table(sp4):
-    w = IndexedWeyl(sp4)
+    W = sp4.affine_weyl()
+    w, zero = W.weyl, W.identity.trans
     for idx in range(w.size):
-        assert w.mul(idx, w.inv[idx]) == 0
+        assert W.kernel.mul(zero, idx, zero, w.inv[idx]) == (zero, 0)
         assert w.length[w.inv[idx]] == w.length[idx]
 
 
@@ -51,34 +55,27 @@ def test_root_sign_counts_inversions(gl3):
                 == w.length[idx])
 
 
-def test_finite_element_wrapper(gl3):
-    w = IndexedWeyl(gl3)
-    e = w.element(0)
-    s = w.element(w.gen_index[0])
-    assert (s * s) == e
-    assert s.inverse() == s
-    assert s.length() == 1
-    assert s.word == (0,)
-    assert s.apply((1, 0, 0)) == (0, 1, 0)
-
-
 @pytest.mark.parametrize("vec", [(7,), (1, 2, 3)], ids=["short", "long"])
 def test_apply_refuses_a_coweight_of_the_wrong_length(vec):
     W = build_root_datum("GL", 2).affine_weyl()
-    elements = [W.identity, W.simple_reflection(1), W.element((0, 0), 1),
-                W.weyl.element(0), W.weyl.element(1)]
-    for x in elements:
+    actions = [x.apply for x in (W.identity, W.simple_reflection(1),
+                                 W.element((0, 0), 1))]
+    actions += [partial(W.weyl.apply, u) for u in range(W.weyl.size)]
+    for apply in actions:
         with pytest.raises(RootDatumError, match="length differs from rank"):
-            x.apply(vec)
-        assert len(x.apply((1, 2))) == 2
+            apply(vec)
+        assert len(apply((1, 2))) == 2
 
 
 @pytest.mark.parametrize("bad", [-1, 6, 99, 1.0, "0", None])
 def test_finite_index_out_of_range_refused(gl3, bad):
-    w = IndexedWeyl(gl3)
-    with pytest.raises(ValueError, match="not in range"):
-        w.element(bad)
-    assert w.element(5).length() == w.length[5]
+    # AffineWeylGroup.element is the one owner of the finite-index check
+    W = gl3.affine_weyl()
+    with pytest.raises(ValueError, match=rf"finite Weyl group index "
+                                         rf"{re.escape(repr(bad))} is not in "
+                                         rf"range\(6\)"):
+        W.element((0, 0, 0), bad)
+    assert W.element((0, 0, 0), 5).length() == W.weyl.length[5]
 
 
 @pytest.mark.parametrize("case", [
