@@ -75,10 +75,11 @@ _INVARIANCE_SEED = 271828
 _MAX_VALUE_DIGITS = 4300
 _MAX_VALUE_BITS = (10 ** _MAX_VALUE_DIGITS).bit_length()
 # --compat sums over the q^4 cosets of K_n/K_{n+1} for every row.  Over
-# generated n = 1 rows, exact: q = 13 (28,561 cosets) takes 0.21-0.24 s a
-# row on average and 0.45-0.49 s at most (16 rows), q = 16 1.0-1.3 s and
-# 2.5-3.2 s (8 rows); truncated by --precision 3: q = 13 0.19 s and 0.31 s,
-# q = 16 0.5-0.6 s and 0.92 s (2-core x86-64 VM, Python 3.11)
+# generated n = 1 rows, exact: q = 13 (28,561 cosets) takes 0.13-0.18 s a
+# row on average and 0.27-0.32 s at most (16 rows), q = 16 0.64-0.95 s and
+# 1.7-2.6 s (8 rows); truncated by --precision 3: q = 13 0.09-0.17 s and
+# 0.14-0.25 s, q = 16 0.31-0.46 s and 0.47-0.71 s (three runs, 2-core
+# x86-64 VM, Python 3.11)
 _MAX_COMPAT_COSETS = 30_000
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -18,15 +18,19 @@ is compatible with change of level:
     sum over K_n/K_{n+1} cosets of z_{n+1}(g k)  =  z_n(g),
 
 which :func:`level_compatibility_check` verifies pointwise.  The finite
-sum runs over q^4 cosets, but g k has one of q^2 first columns and one of
-q^2 second columns.  The columns are one `series.product_grid` of g
-against the columns of k, and tr(g k) and det(1 - g k) are each one
-two-term grid over a first-column and a second-column table, while
-det(g k) answers support condition 1 as det g does, so every coset takes
-det g.  The coset loop does no series arithmetic, and the integer
-values phi_{n+1}(g k) are summed exactly.  scholze_phi, the coset sum and
-its right-hand side z_n(g), read at the identity coset, share one body of
-the formula.
+sum runs over q^4 cosets, and each question of the formula is asked
+once, of what it depends on.  Support condition 1 is asked once per
+determinant: det(g k) answers it as det g does, so det g decides it for
+every coset, and off the support the sum is 0 = 0.  The entry questions
+are asked once per column: g k has one of q^2 first columns and one of
+q^2 second columns, one `series.product_grid` of g against the columns
+of k, and each column's `val_ge` answers and valuations are read once.
+Only tr(g k) and det(1 - g k) are read per coset, each a cell of one
+two-term grid over a first-column and a second-column table, so the
+coset loop does no series arithmetic, and the integer values
+phi_{n+1}(g k) are summed exactly.  scholze_phi, the coset sum and its
+right-hand side z_n(g), read at the identity coset, share one body of
+the formula, and k_invariant reads k(g) as that body does.
 
 Every evaluator is precision-honest: when the tracked precision of the input
 cannot decide a case split, IndeterminatePrecisionError is raised rather
@@ -38,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import inf
 
 from .series import Matrix2, TruncatedSeries, product_grid
 
@@ -72,24 +77,36 @@ def ell_invariant(g: Matrix2):
 
 def k_invariant(g: Matrix2) -> int:
     """The unique k with g in t^k M_2(O) \\ t^(k+1) M_2(O) (min entry val)."""
-    return _k_of_entries(g.entries)
+    return _k(_column(g.a, g.c, 0), _column(g.b, g.d, 0))
 
 
-def _k_of_entries(entries) -> int:
-    """k(g), the least valuation of the entries.  Precision is asked only
-    through `exact` and `val_ge`.  With no known-nonzero entry, g is the
-    zero matrix only if every entry is exact.  Otherwise k, the least
-    known valuation, stands only if every entry answers `val_ge(k)`; an
-    unknown zero O(t^p) with p < k cannot."""
-    known = [e.val for e in entries if e.val is not None]
-    if not known:
-        if not all(e.exact for e in entries):
+def _column(x, y, lo) -> tuple:
+    """What phi_n and k(g) read of one column (x, y) of g, at lo = 1 - n:
+    x.val_ge(lo), y.val_ge(lo), the least known valuation of the two and
+    the least precision p of an unknown zero O(t^p) among them (inf where
+    there is none).  k(g) reads only the last two."""
+    least = zero = inf
+    for e in (x, y):
+        if e.val is not None:
+            least = min(least, e.val)
+        elif e.prec is not None:
+            zero = min(zero, e.prec)
+    return x.val_ge(lo), y.val_ge(lo), least, zero
+
+
+def _k(first, second) -> int:
+    """k(g), the least valuation of the entries, from the `_column` facts
+    of g's two columns.  With no known-nonzero entry, g is the zero matrix
+    only if no entry is an unknown zero.  Otherwise k, the least known
+    valuation, stands only if every entry answers `val_ge(k)`; an unknown
+    zero O(t^p) with p < k cannot."""
+    k = min(first[2], second[2])
+    zero = min(first[3], second[3])
+    if k == inf:
+        if zero != inf:
             raise IndeterminatePrecisionError("all entries vanish at precision")
         raise ValueError("k(g) is undefined for the zero matrix")
-    k = min(known)
-    # an entry of known valuation answers val_ge(k) with True
-    if len(known) < len(entries) and any(
-            e.val_ge(k) is None for e in entries):
+    if zero < k:
         raise IndeterminatePrecisionError(
             "an unresolved entry could have smaller valuation")
     return k
@@ -114,44 +131,48 @@ def scholze_phi(n: int, g: Matrix2) -> int:
     """phi_n(g) by the three-case formula; 0 off the support."""
     if n < 1:
         raise ValueError("level n must be >= 1")
-    return _phi(n, g.field.q, g.entries, g.det(), g.trace,
+    if not _det_support(g.det()):
+        return 0
+    return _phi(n, g.field.q, _column(g.a, g.c, 1 - n),
+                _column(g.b, g.d, 1 - n), g.trace(),
                 lambda: _det_one_minus([g.a], [g.c], [-g.b], [g.d])[0][0])
 
 
-def _phi(n: int, q: int, entries, det, trace, det_one_minus) -> int:
-    """phi_n at the g with these entries (a, b, c, d) and det g = `det`.
-    `trace()` and `det_one_minus()` give tr g and det(1 - g), and are
-    called only when the case split reaches them."""
-    # support condition 1: val det(g) = 1 (entries may have negative val,
-    # so "below order 1" really does mean every order, not just 0)
+def _det_support(det) -> bool:
+    """Support condition 1 of phi_n, val det g = 1, read from det = det g.
+    Entries may have negative valuation, so "below order 1" means every
+    order, not just 0."""
     ge1 = det.val_ge(1)
     if ge1 is None:
         raise IndeterminatePrecisionError("det(g) valuation unresolved")
     if not ge1:
-        return 0
+        return False
     d1 = det.coeff_at(1)
     if d1 is None:
         raise IndeterminatePrecisionError("det(g) unresolved at order 1")
-    if d1 == 0:
-        return 0
+    return d1 != 0
 
+
+def _phi(n: int, q: int, first, second, tr, det_one_minus) -> int:
+    """phi_n at a g on support condition 1 (see `_det_support`), from the
+    `_column` facts of its first column (a, c) and second column (b, d)
+    at lo = 1 - n, tr = tr g, and `det_one_minus()`, which gives
+    det(1 - g) and is called only when the case split reaches it."""
     # support condition 2: tr(g) integral
-    tr = trace()
     tr_int = tr.val_ge(0)
     if tr_int is None:
         raise IndeterminatePrecisionError("tr(g) valuation unresolved")
     if not tr_int:
         return 0
 
-    # support condition 3: g in B_{1-n}
-    for e in entries:
-        ok = e.val_ge(1 - n)
+    # support condition 3: g in B_{1-n}, asked of a, b, c, d in turn
+    for ok in (first[0], second[0], first[1], second[1]):
         if ok is None:
             raise IndeterminatePrecisionError("entry valuation unresolved")
         if not ok:
             return 0
 
-    k = _k_of_entries(entries)
+    k = _k(first, second)
 
     t0 = tr.coeff_at(0)
     if t0 is None:
@@ -209,35 +230,48 @@ def _kn_entries(field, n: int):
 def level_compatibility_check(n: int, g: Matrix2) -> bool:
     """Does sum over K_n/K_{n+1} of z_{n+1}(g k) equal z_n(g) at this g?
 
-    For k = 1 + t^n M the product is g k = g + t^n (g M): its first column
-    depends only on the first column (m11, m21) of M, its second only on
-    (m12, m22).  So the entries a, b, c, d of g k come from one
-    `product_grid` of g against the q^2 first and q^2 second columns of
-    k, and tr(g k) and det(1 - g k) are each one two-term
-    `product_grid` over a first-column table and a second-column table:
+    Each question of the formula is asked once, of what it depends on.
+
+    Per determinant: support condition 1 is decided once, from det g.
+    For every completion g' of g, det(g' k) = det g' det k with det k in
+    1 + t^n O, n >= 1, so the two agree through order 1 when
+    val det g' >= 1 and have the same valuation otherwise; condition 1
+    reads nothing else, so what det g decides there holds at every
+    coset.  Off the support every phi_{n+1}(g k) and phi_n(g) is 0 and
+    the answer is True; no grid is formed.  A det(g k) formed from
+    truncated entries can decide less than det g, so for a truncated g
+    the sum can be decided where a product per coset is not.
+
+    Per column: for k = 1 + t^n M the product is g k = g + t^n (g M).
+    Its first column depends only on the first column (m11, m21) of M,
+    its second only on (m12, m22), so the entries a, b, c, d of g k come
+    from one `product_grid` of g against the q^2 first and q^2 second
+    columns of k.  The `_column` facts of each of those 2 q^2 columns,
+    the two val_ge(-n) answers of condition 3 and what k(g k) reads, are
+    read once.
+
+    Per coset: tr(g k) and det(1 - g k) are each one two-term
+    `product_grid` over a first-column and a second-column table,
 
         tr(g k)      = a 1 + 1 d,
         det(1 - g k) = (1-a)(1-d) + c (-b),
 
-    each formed only when some coset reaches it, so the coset loop does no
-    series arithmetic.  det(1 - g k) is a product, never 1 - tr + det (see
-    `_det_one_minus`).  The cosets are visited in `kn_coset_reps` order,
-    and the integer phi_{n+1} values are summed.
-
-    Every coset takes det g as its determinant.  For every completion g'
-    of g, det(g' k) = det g' det k with det k in 1 + t^n O, n >= 1, so the
-    two agree through order 1 when val det g' >= 1 and have the same
-    valuation otherwise.  Support condition 1 reads nothing else, so what
-    det g decides there holds at every coset.  A det(g k) formed from
-    truncated entries can decide less than det g, so for a truncated g
-    the sum can be decided where a product per coset is not.
+    the trace grid formed at once, the other when some coset first
+    reaches it (det(1 - g k) is a product, never 1 - tr + det; see
+    `_det_one_minus`).  A coset reads only its own cells of the two, and
+    the loop does no series arithmetic.  The cosets are visited in
+    `kn_coset_reps` order, so the first undecided one raises, and the
+    integer phi_{n+1} values are summed.
 
     The right-hand side z_n(g) is phi_n at the identity coset, index 0
     of both column tables, after the loop: its cells are a, b, c, d, tr g
-    and det(1 - g), in value and in precision.
+    and det(1 - g), in value and in precision, and its column facts are
+    read at lo = 1 - n.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
+    if not _det_support(g.det()):
+        return True
     field = g.field
     q = field.q
     a, b, c, d = g.entries
@@ -251,36 +285,27 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
                                [b, d], [v for _, v in ks])
     ga, gb = top[:len(cols)], top[len(cols):]
     gc, gd = bottom[:len(cols)], bottom[len(cols):]
-    minus_gb = [-x for x in gb]
+    firsts = [_column(x, y, -n) for x, y in zip(ga, gc)]
+    seconds = [_column(x, y, -n) for x, y in zip(gb, gd)]
     ones = [TruncatedSeries.one(field)] * len(cols)
-    # det(g k) = det g det k, det k in 1 + t^n O: the two answer support
-    # condition 1, which reads no more, alike
-    det = g.det()
+    trace = product_grid(ga, ones, ones, gd)
 
     @functools.cache  # formed once, when the first coset needs it
-    def trace_grid():
-        return product_grid(ga, ones, ones, gd)
-
-    @functools.cache
     def one_minus_grid():
-        return _det_one_minus(ga, gc, minus_gb, gd)
+        return _det_one_minus(ga, gc, [-x for x in gb], gd)
 
-    # the two deferred parts of phi_{n+1}, at the coset (i, j) of the loop
-    def trace():
-        return trace_grid()[i][j]
-
-    def det_one_minus():
+    def det_one_minus():  # at the coset (i, j) of the loop
         return one_minus_grid()[i][j]
 
     total = 0
     for m11, m12, m21, m22 in itertools.product(field.elements(), repeat=4):
         i, j = m11 * q + m21, m12 * q + m22  # the columns of g k
-        total += _phi(n + 1, q, (ga[i], gb[j], gc[i], gd[j]), det, trace,
+        total += _phi(n + 1, q, firsts[i], seconds[j], trace[i][j],
                       det_one_minus)
     # z_n(g) at the identity coset, whose cells are g's own series
     i = j = 0
-    phi = _phi(n, q, (ga[i], gb[j], gc[i], gd[j]), det, trace,
-               det_one_minus)
+    phi = _phi(n, q, _column(a, c, 1 - n), _column(b, d, 1 - n),
+               trace[i][j], det_one_minus)
     return _z_n(n + 1, q, total) == _z_n(n, q, phi)
 
 

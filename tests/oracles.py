@@ -9,7 +9,8 @@ from evaluated words (as are Bruhat intervals below an element), parahoric
 subgroups W_J by breadth-first search over products x * s_j and
 W_J Adm(mu) W_J as the set of products a x b; truncated-series arithmetic goes one
 coefficient at a time through the field's tables, and the change-of-level
-coset sum through full 2x2 products.  The Kottwitz grading reads
+coset sum through full 2x2 products, or through one full product g k and
+one reading of the three-case formula from its four entries per coset.  The Kottwitz grading reads
 Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
 matrix instead of its Hermite normal form.  The Bernstein isomorphism sums
 one theta_la per coweight of the support instead of one z_mu per orbit.
@@ -30,7 +31,8 @@ from itertools import combinations, product
 from math import prod
 
 from iwahecke.cli import poly_json
-from iwahecke.deeplevel import scholze_z
+from iwahecke.deeplevel import (IndeterminatePrecisionError, gl2_level_index,
+                                kn_coset_reps, scholze_z)
 from iwahecke.rootdata import weyl_orbit
 from iwahecke.series import Matrix2, TruncatedSeries
 
@@ -384,6 +386,79 @@ def level_compatibility_by_products(n, g):
                       else TruncatedSeries.zero(f) for c in quad))
         total += scholze_z(n + 1, g * (Matrix2.identity(f) + m))
     return total == scholze_z(n, g)
+
+
+def k_by_entries(entries):
+    """k(g), the least valuation of the four entries, each entry asked on
+    its own: with no known-nonzero entry, g is the zero matrix only if
+    every entry is exact; otherwise the least known valuation k stands
+    only if every entry answers `val_ge(k)`."""
+    known = [e.val for e in entries if e.val is not None]
+    if not known:
+        if not all(e.exact for e in entries):
+            raise IndeterminatePrecisionError("all entries vanish at precision")
+        raise ValueError("k(g) is undefined for the zero matrix")
+    k = min(known)
+    if len(known) < len(entries) and any(
+            e.val_ge(k) is None for e in entries):
+        raise IndeterminatePrecisionError(
+            "an unresolved entry could have smaller valuation")
+    return k
+
+
+def phi_by_entries(n, g, det):
+    """phi_n(g) by the three-case formula read from g's four entries, with
+    `det` standing for det g in support condition 1: the support
+    conditions in turn, then k(g), then the trace and det(1 - g), each
+    formed from g when the case split reaches it."""
+    q = g.field.q
+    ge1 = det.val_ge(1)
+    if ge1 is None:
+        raise IndeterminatePrecisionError("det(g) valuation unresolved")
+    if not ge1:
+        return 0
+    d1 = det.coeff_at(1)
+    if d1 is None:
+        raise IndeterminatePrecisionError("det(g) unresolved at order 1")
+    if d1 == 0:
+        return 0
+    tr = g.trace()
+    tr_int = tr.val_ge(0)
+    if tr_int is None:
+        raise IndeterminatePrecisionError("tr(g) valuation unresolved")
+    if not tr_int:
+        return 0
+    for e in g.entries:
+        ok = e.val_ge(1 - n)
+        if ok is None:
+            raise IndeterminatePrecisionError("entry valuation unresolved")
+        if not ok:
+            return 0
+    k = k_by_entries(g.entries)
+    t0 = tr.coeff_at(0)
+    if t0 is None:
+        raise IndeterminatePrecisionError("tr(g) unresolved at order 0")
+    if t0 == 0:
+        return -1 - q
+    dom = (Matrix2.identity(g.field) - g).det()
+    ge = dom.val_ge(n + k)
+    if ge is None:
+        raise IndeterminatePrecisionError(
+            f"val det(1-g) unresolved below {n + k}")
+    if ge:
+        return 1 + q ** (2 * (n + k) - 1)
+    return 1 - q ** (2 * dom.val)
+
+
+def level_compatibility_by_cosets(n, g):
+    """sum over K_n/K_{n+1} of z_{n+1}(g k) == z_n(g), with one full
+    product g k per representative of `kn_coset_reps`, in its order, and
+    `phi_by_entries` at each g k with det g as its determinant."""
+    q, det = g.field.q, g.det()
+    total = sum(phi_by_entries(n + 1, g * k, det)
+                for k in kn_coset_reps(g.field, n))
+    return (Fraction(total, gl2_level_index(n + 1, q))
+            == Fraction(phi_by_entries(n, g, det), gl2_level_index(n, q)))
 
 
 def random_kn_element_by_sum(field, n, rng, depth=8):

@@ -21,7 +21,8 @@ from iwahecke.rootdata import build_root_datum
 from iwahecke.series import Matrix2, TruncatedSeries
 
 from oracles import (all_elements_up_to_length, bruhat_leq_subwords,
-                     level_compatibility_by_products,
+                     k_by_entries, level_compatibility_by_cosets,
+                     level_compatibility_by_products, phi_by_entries,
                      random_kn_element_by_sum)
 
 F2 = GF(2)
@@ -179,7 +180,8 @@ def _o(k):
     return TruncatedSeries.zero(F3, prec=k)
 
 
-@pytest.mark.parametrize("n,g,message", [
+# inputs that reach each undecided case split past support condition 1
+UNRESOLVED_SPLITS = [
     # det g = t + O(t^2), but tr g = O(t^-1) may not be integral
     (1, Matrix2(_o(-1), mono(F3, 1), mono(F3, 0, 2), mono(F3, 3)),
      "tr(g) valuation unresolved"),
@@ -189,7 +191,12 @@ def _o(k):
     # det g = t + O(t^2) and tr g = O(t^0) is integral, but may be a unit
     (1, Matrix2(_o(0), mono(F3, 1), mono(F3, 0, 2), mono(F3, 2)),
      "tr(g) unresolved at order 0"),
-], ids=["trace-valuation", "entry-valuation", "trace-order-0"])
+]
+
+
+@pytest.mark.parametrize("n,g,message", UNRESOLVED_SPLITS,
+                         ids=["trace-valuation", "entry-valuation",
+                              "trace-order-0"])
 def test_phi_refuses_each_unresolved_case_split(n, g, message):
     with pytest.raises(IndeterminatePrecisionError,
                        match=f"^{re.escape(message)}$"):
@@ -350,31 +357,64 @@ def test_level_compatibility_decides_truncated_g_by_det_g():
             assert level_compatibility_by_products(n, h) is True
 
 
-def _entry_states(entries):
-    return tuple((e.val, e.coeffs, e.prec) for e in entries)
+def _value_or_error(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
-def test_coset_sum_visits_kn_coset_reps_in_order(monkeypatch):
-    # the coset sum evaluates phi_{n+1} at each g k in `kn_coset_reps`
-    # order, so the first undecided coset, whose message is raised, is the
-    # same as with a loop over the representatives
-    import iwahecke.deeplevel as deeplevel
-    seen = []
-    real_phi = deeplevel._phi
+def _reference_inputs(q, stride):
+    """Every `stride`-th matrix of the q corpus at precision None and 0..4,
+    from a different offset at each precision, then the shapes off the
+    corpora and the undecided case splits over the same field."""
+    mats = []
+    for offset, precision in enumerate((None, 0, 1, 2, 3, 4)):
+        mats += _corpus(q, precision)[offset::stride]
+    f = mats[0].field
+    unknown_zero_c = Matrix2(mono(F2, 1), zero(F2),
+                             TruncatedSeries.zero(F2, prec=-1), mono(F2, 0))
+    return mats + _shapes_off_the_corpora(f) + [
+        g for g in [h for _, h, _ in UNRESOLVED_SPLITS] + [unknown_zero_c]
+        if g.field is f]
 
-    def recording_phi(n, q, entries, *rest):
-        seen.append(_entry_states(entries))
-        return real_phi(n, q, entries, *rest)
-    monkeypatch.setattr(deeplevel, "_phi", recording_phi)
-    for g in load_corpus(CORPUS[3], F3)[:3]:
-        for n in (1, 2):
-            seen.clear()
-            level_compatibility_check(n, g)
-            # the q^4 cosets, then z_n(g) at the identity coset, whose
-            # cells are g's own entries
-            assert seen == [_entry_states((g * k).entries)
-                            for k in kn_coset_reps(F3, n)] + [
-                _entry_states(g.entries)]
+
+# the coset sum against one full product g k per representative: q^4
+# products a check, so the larger fields take sparser strides
+@pytest.mark.parametrize("q,stride", [(2, 12), (3, 30), (4, 100), (5, 200)])
+def test_level_compatibility_matches_coset_by_coset_reference(q, stride):
+    # the reference visits `kn_coset_reps` in order and reads phi_{n+1}
+    # from each g k's entries, so where a coset is undecided both raise
+    # the message of the first undecided coset
+    seen = set()
+    for g in _reference_inputs(q, stride):
+        for n in (1, 2, 3):
+            got = _value_or_error(level_compatibility_check, n, g)
+            assert got == _value_or_error(level_compatibility_by_cosets, n,
+                                          g), (n, g)
+            seen.add(got if type(got) is tuple else type(got))
+    assert bool in seen and any(type(x) is tuple for x in seen)
+
+
+@pytest.mark.parametrize("q,stride", [(2, 2), (3, 3), (4, 4), (5, 5)])
+def test_phi_and_k_match_the_per_entry_reference(q, stride):
+    f = GF(2, 2) if q == 4 else GF(q)
+    o3 = TruncatedSeries.zero(f, prec=3)
+    mats = _reference_inputs(q, stride) + [
+        Matrix2(zero(f), zero(f), zero(f), zero(f)),
+        Matrix2(o3, o3, o3, o3)]
+    seen = set()
+    for g in mats:
+        got = _value_or_error(k_invariant, g)
+        assert got == _value_or_error(k_by_entries, g.entries), g
+        seen.add(got if type(got) is tuple else int)
+        for n in (1, 2, 3):
+            assert (_value_or_error(scholze_phi, n, g)
+                    == _value_or_error(phi_by_entries, n, g, g.det())), (n, g)
+    assert {(ValueError, "k(g) is undefined for the zero matrix"),
+            (IndeterminatePrecisionError, "all entries vanish at precision"),
+            int} <= seen
 
 
 def test_det_one_minus_g_keeps_product_precision():
