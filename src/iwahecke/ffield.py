@@ -198,9 +198,6 @@ class _Field:
     def elements(self):
         return range(self.q)
 
-    def units(self):
-        return range(1, self.q)
-
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
 

@@ -139,10 +139,6 @@ class LaurentPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def degree(self):
-        """Largest exponent of v (None for the zero polynomial)."""
-        return max(self.c) if self.c else None
-
     def coeff(self, exp: int) -> int:
         return self.c.get(exp, 0)
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import iwahecke.affine as affine
+import iwahecke.cli as cli
 import iwahecke.deeplevel as deeplevel
 import iwahecke.transfer as transfer
 from iwahecke.center import bernstein_iso, constant_term, monomial_symmetric
@@ -31,6 +33,14 @@ def run(tmp_path, *argv, name="out"):
     out = tmp_path / name
     rc = main(list(argv) + ["--out", str(out)])
     return rc, out.read_bytes() if out.exists() else b""
+
+
+@pytest.fixture
+def call(capsys):
+    """main in this process, as (exit code, stdout, stderr)."""
+    def call(argv):
+        return main(list(argv)), *capsys.readouterr()
+    return call
 
 
 def test_adm_gl2(tmp_path):
@@ -71,16 +81,6 @@ def test_adm_csv(tmp_path):
     assert len(lines) == 4
 
 
-def test_zmu_methods_identical(tmp_path):
-    rc1, d1 = run(tmp_path, "zmu", "--group", "GL:4", "--mu", "1,1,0,0",
-                  "--method", "theta", name="a")
-    rc2, d2 = run(tmp_path, "zmu", "--group", "GL:4", "--mu", "1,1,0,0",
-                  "--method", "closed", name="b")
-    assert rc1 == rc2 == 0
-    a, b = json.loads(d1), json.loads(d2)
-    assert a["terms"] == b["terms"]  # identical modulo the method tag
-
-
 def test_zmu_trivial(tmp_path):
     rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "0,0,0")
     doc = json.loads(data)
@@ -105,17 +105,6 @@ def test_zmu_levi(tmp_path):
     assert rc == 0
     assert doc["normalization"] == "c^G_L(z_mu)"
     assert len(doc["terms"]) == 4  # z^L_{(1,0,0)} (3 terms) + z^L_{(0,0,1)}
-
-
-def test_zmu_levi_reports_its_labels_sorted_without_repeats(tmp_path):
-    # the Levi is a set of labels: every spelling of it prints the same bytes
-    outs = {}
-    for levi in ("1,2", "2,1", "1,1,2"):
-        rc, outs[levi] = run(tmp_path, "zmu", "--group", "GL:3", "--mu",
-                             "1,0,0", "--levi", levi, name=levi)
-        assert rc == 0, levi
-    assert json.loads(outs["1,2"])["levi"] == [1, 2]
-    assert outs["2,1"] == outs["1,2"] and outs["1,1,2"] == outs["1,2"]
 
 
 def test_zmu_base_change(tmp_path):
@@ -160,94 +149,6 @@ def test_custom_group_config(tmp_path):
     assert json.loads(data)["count"] == 13
 
 
-def test_determinism(tmp_path):
-    rc1, d1 = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "1,1,0", name="a")
-    rc2, d2 = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "1,1,0", name="b")
-    assert rc1 == rc2 == 0 and d1 == d2
-    rc3, d3 = run(tmp_path, "scholze", "--n", "1", "--q", "2", "--corpus",
-                  str(CORPUS_Q2), "--precision", "12", "--pairs", "1", name="c")
-    rc4, d4 = run(tmp_path, "scholze", "--n", "1", "--q", "2", "--corpus",
-                  str(CORPUS_Q2), "--precision", "12", "--pairs", "1", name="d")
-    assert rc3 == rc4 == 0 and d3 == d4
-
-
-def test_scholze_empty_corpus(tmp_path):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# nothing here\n")
-    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
-                   "--corpus", str(empty))
-    assert rc == 0
-    assert data.decode().strip() == "index,matrix,phi,z,flag"
-
-
-def test_scholze_precision_starved_row(tmp_path):
-    corpus = tmp_path / "c.txt"
-    corpus.write_text("1:1 | z | z | 0:1\n")
-    rc, data = run(tmp_path, "scholze", "--n", "3", "--q", "2",
-                   "--corpus", str(corpus), "--precision", "2", "--pairs", "0")
-    assert rc == 0
-    rows = data.decode().strip().splitlines()
-    assert rows[1].endswith("INDETERMINATE")
-
-
-def test_scholze_golden(tmp_path):
-    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
-                   "--corpus", str(CORPUS_Q2), "--precision", "12",
-                   "--pairs", "1")
-    assert rc == 0
-    golden = (DATA / "golden_scholze_q2_n1.csv").read_bytes()
-    assert data == golden
-
-
-@pytest.mark.parametrize("argv,name", [
-    # rows and change-of-level checks left INDETERMINATE at O(t^2)
-    (("--n", "2", "--q", "3", "--precision", "2"),
-     "golden_scholze_compat_q3_n2_p2"),
-    (("--n", "1", "--q", "4", "--count", "60"), "golden_scholze_compat_q4_n1"),
-])
-def test_scholze_compat_golden(tmp_path, capsys, argv, name):
-    rc, data = run(tmp_path, "scholze", *argv, "--compat")
-    assert rc == 0
-    assert data == (DATA / f"{name}.csv").read_bytes()
-    assert capsys.readouterr().out == (DATA / f"{name}.json").read_text()
-
-
-def test_zmu_golden(tmp_path):
-    rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "1,0,0")
-    assert rc == 0
-    golden = (DATA / "golden_zmu_gl3.json").read_bytes()
-    assert data == golden
-
-
-def test_zmu_golden_non_minuscule(tmp_path):
-    # theta route: the closed formula does not apply to the first two mu
-    for group, mu, name in (("GL:3", "2,1,0", "golden_zmu_gl3_210.json"),
-                            ("Sp:4", "1,1", "golden_zmu_sp4_11.json"),
-                            ("GSp:6", "1,1,1,1", "golden_zmu_gsp6_1111.json")):
-        rc, data = run(tmp_path, "zmu", "--group", group, "--mu", mu)
-        assert rc == 0
-        assert data == (DATA / name).read_bytes(), name
-
-
-def test_zmu_closed_route_matches_theta_golden(tmp_path):
-    # GSp(6) (1,1,1,1) is minuscule: the closed route, which never folds,
-    # writes the theta golden's bytes but for its method line
-    rc, data = run(tmp_path, "zmu", "--group", "GSp:6", "--mu", "1,1,1,1",
-                   "--method", "closed")
-    assert rc == 0
-    assert (data.replace(b'"method": "closed"', b'"method": "theta"')
-            == (DATA / "golden_zmu_gsp6_1111.json").read_bytes())
-
-
-def test_zmu_levi_golden(tmp_path):
-    # the constant term of z_mu inverts the Bernstein isomorphism, whose
-    # elimination certifies that z_mu is central
-    rc, data = run(tmp_path, "zmu", "--group", "GL:3", "--mu", "2,1,0",
-                   "--levi", "2")
-    assert rc == 0
-    assert data == (DATA / "golden_zmu_gl3_210_levi2.json").read_bytes()
-
-
 def test_transfer_report_embeds_function(tmp_path):
     rc, data = run(tmp_path, "transfer", "--group", "GL:2", "--mu", "1,0")
     doc = json.loads(data)
@@ -286,55 +187,6 @@ def test_scholze_compat_size_guard_boundary(tmp_path, capsys, monkeypatch):
     rc, _ = run(tmp_path, "scholze", "--n", "1", "--q", "16", "--count", "1",
                 "--pairs", "0")
     assert rc == 0
-
-
-def test_scholze_generated_corpus_gf9(tmp_path):
-    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "9",
-                   "--count", "5", "--pairs", "1")
-    assert rc == 0
-    assert len(data.decode().strip().splitlines()) == 6
-
-
-def test_scholze_nothing_checked_is_not_pass(tmp_path, capsys):
-    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
-                   "--count", "3", "--pairs", "0")
-    assert rc == 0 and len(data.decode().strip().splitlines()) == 4
-    report = json.loads(capsys.readouterr().out)
-    assert report["invariance"] == {"checked": 0, "passed": 0, "vacuous": 0}
-    assert report["compatibility"] == {"checked": 0, "passed": 0}
-    assert report["status"] == "UNCHECKED"
-
-
-def test_scholze_all_rows_indeterminate_is_not_pass(tmp_path, capsys):
-    corpus = tmp_path / "c.txt"
-    corpus.write_text("1:1 | z | z | 0:1\n1:1 | 0 | z | 0:1\n")
-    rc, data = run(tmp_path, "scholze", "--n", "3", "--q", "2",
-                   "--corpus", str(corpus), "--precision", "2", "--compat")
-    assert rc == 0
-    rows = data.decode().strip().splitlines()[1:]
-    assert len(rows) == 2 and all(r.endswith("INDETERMINATE") for r in rows)
-    report = json.loads(capsys.readouterr().out)
-    assert report["status"] == "UNCHECKED"
-
-
-def test_scholze_all_pairs_vacuous_is_not_pass(tmp_path, capsys):
-    # at O(t^2) every sampled u g u' over F_2 at level 3 is g itself, so
-    # no pair tests bi-invariance
-    rc, data = run(tmp_path, "scholze", "--n", "3", "--q", "2", "--count",
-                   "60", "--precision", "2", "--pairs", "3")
-    assert rc == 0 and len(data.decode().strip().splitlines()) == 61
-    report = json.loads(capsys.readouterr().out)
-    assert report["invariance"] == {"checked": 0, "passed": 0, "vacuous": 84}
-    assert report["compatibility"] == {"checked": 0, "passed": 0}
-    assert report["status"] == "UNCHECKED"
-
-
-def test_scholze_checked_rows_pass(tmp_path, capsys):
-    rc, _ = run(tmp_path, "scholze", "--n", "1", "--q", "2",
-                "--count", "3", "--pairs", "1")
-    report = json.loads(capsys.readouterr().out)
-    assert rc == 0 and report["invariance"]["checked"] == 3
-    assert report["status"] == "PASS"
 
 
 # -- exit 4: every check that can fail, failed in-process --------------------
@@ -440,16 +292,6 @@ def test_scholze_undecided_pair_is_not_checked(tmp_path, capsys, monkeypatch,
         invariance=dict(want["invariance"], checked=0, passed=0))
 
 
-def test_scholze_precision_zero_truncates_generated_corpus(tmp_path, capsys):
-    # O(t^0) decides nothing: every row is undecided, so nothing passes
-    rc, data = run(tmp_path, "scholze", "--n", "1", "--q", "2",
-                   "--count", "3", "--precision", "0")
-    assert rc == 0
-    rows = data.decode().strip().splitlines()[1:]
-    assert len(rows) == 3 and all(r.endswith("INDETERMINATE") for r in rows)
-    assert json.loads(capsys.readouterr().out)["status"] == "UNCHECKED"
-
-
 def _largest_printable_level(q):
     # [K:K_n] = q^(4(n-1)) (q^2-1)(q^2-q) must print in at most 4300 digits
     n = 1
@@ -528,10 +370,13 @@ def test_parse_group_reuses_builtin_datum_only(tmp_path):
     assert parse_group(str(cfg)).rank == 3 and first.rank == 1
 
 
-# -- repeated in-process calls ------------------------------------------------
+# -- the CLI contract as tables -----------------------------------------------
+# Each table is run through main by its test here, and through the installed
+# console script by CI with the same checking function.
 
-# (argv, stdout golden, stderr golden) of every golden in tests/data; without
-# --out, scholze writes its CSV to stdout and its report to stderr
+# (argv, stdout golden, stderr golden) of every golden in tests/data but
+# SAME_BYTES' Levi one; without --out, scholze writes its CSV to stdout and
+# its report to stderr
 GOLDEN_RUNS = [
     (("zmu", "--group", "GL:3", "--mu", "1,0,0"), "golden_zmu_gl3.json", None),
     (("zmu", "--group", "GL:3", "--mu", "2,1,0"), "golden_zmu_gl3_210.json",
@@ -658,13 +503,22 @@ _REFUSALS = """
 """
 
 
+def _lines(table):
+    """A text table's rows, each continuation line joined to its row."""
+    return re.sub(r"\n\s+", " ", table.strip()).splitlines()
+
+
+def _argv(text):
+    """The argv a table spells, DATA standing for tests/data."""
+    return tuple(arg.replace("DATA", str(DATA), 1) for arg in text.split())
+
+
 def _rows(table):
     rows = []
-    for row in re.sub(r"\n\s+", " ", table.strip()).splitlines():
+    for row in _lines(table):
         head, line = row.split(" :: ")
-        code, *argv = head.split()
-        rows.append((tuple(arg.replace("DATA", str(DATA), 1) for arg in argv),
-                     int(code), line))
+        code, _, argv = head.partition(" ")
+        rows.append((_argv(argv), int(code), line))
     return rows
 
 
@@ -672,6 +526,64 @@ REFUSALS = _rows(_REFUSALS)
 # rows whose guard, were it to regress, would allocate without bound: each
 # runs in a child process whose address space is capped
 CAPPED = [row for row in REFUSALS if row[2].startswith("error: rank must")]
+
+# Groups of runs that print the same bytes once "method": "closed" reads
+# "method": "theta", their members, a golden or an argv that exits 0 with
+# an empty stderr, separated by " = ".  The closed route never folds, so
+# on a minuscule mu it writes the theta route's report; a Levi report has
+# no method line, and prints its labels sorted and without repeats.
+SAME_BYTES = [row.split(" = ") for row in _lines("""
+golden_zmu_gl3.json = zmu --group GL:3 --mu 1,0,0 --method closed
+zmu --group GL:4 --mu 1,1,0,0 = zmu --group GL:4 --mu 1,1,0,0 --method closed
+zmu --group GSp:4 --mu 1,1,1 = zmu --group GSp:4 --mu 1,1,1 --method closed
+golden_zmu_gsp6_1111.json = zmu --group GSp:6 --mu 1,1,1,1 --method closed
+golden_zmu_gl3_100_levi2_q3.json
+  = zmu --group GL:3 --mu 1,0,0 --levi 2 --q 3 --method closed
+golden_zmu_gl3_100_levi12.json = zmu --group GL:3 --mu 1,0,0 --levi 1,2
+  = zmu --group GL:3 --mu 1,0,0 --levi 2,1
+  = zmu --group GL:3 --mu 1,0,0 --levi 1,1,2
+  = zmu --group GL:3 --mu 1,0,0 --levi 2,1,2
+  = zmu --group GL:3 --mu 1,0,0 --levi 1,2 --method closed
+""")]
+
+# scholze runs, each exiting 0 with a headed CSV: "<CSV rows> <rows
+# INDETERMINATE> <status> <invariance checked/passed/vacuous>
+# <compatibility checked/passed> :: <argv after scholze>".  A run that
+# checked nothing (u g u' = g checks nothing) is UNCHECKED, never PASS.
+REPORTS = [row.split(" :: ") for row in _lines("""
+0 0 UNCHECKED 0/0/0 0/0 :: --n 1 --q 2 --corpus DATA/corpus_empty.txt
+2 2 UNCHECKED 0/0/0 0/0
+  :: --n 3 --q 2 --corpus DATA/corpus_starved.txt --precision 2 --pairs 0
+2 2 UNCHECKED 0/0/0 0/0
+  :: --n 3 --q 2 --corpus DATA/corpus_starved.txt --precision 2 --compat
+3 0 UNCHECKED 0/0/0 0/0 :: --n 1 --q 2 --count 3 --pairs 0
+3 3 UNCHECKED 0/0/0 0/0 :: --n 1 --q 2 --count 3 --precision 0
+60 32 UNCHECKED 0/0/84 0/0 :: --n 3 --q 2 --count 60 --precision 2 --pairs 3
+3 0 PASS 3/3/0 0/0 :: --n 1 --q 2 --count 3 --pairs 1
+5 0 PASS 5/5/0 0/0 :: --n 1 --q 9 --count 5 --pairs 1
+3 0 PASS 6/6/0 3/3 :: --n 2 --q 3 --count 3 --compat
+6 0 PASS 12/12/0 6/6 :: --n 1 --q 4 --count 6 --compat
+6 0 PASS 12/12/0 6/6 :: --n 2 --q 5 --count 6 --compat
+""")]
+
+# Runs that, each run twice (the second a report-memo hit) in one process
+# in this order, print what fresh contexts print.  The z_mu and Adm memos
+# answer a central shift (here by 1000 (1,1,1)) of a seen class by
+# translating; the two configs hold GL(3)'s roots under two names.
+SHIFTED_RUNS = _lines("""
+zmu --group GL:3 --mu 2,1,0
+zmu --group GL:3 --mu=1002,1001,1000
+zmu --group GL:3 --mu 1,1,0 --method closed
+zmu --group GL:3 --mu=1001,1001,1000 --method closed
+adm --group GL:3 --mu 2,1,0
+adm --group GL:3 --mu=1002,1001,1000
+zmu --group GL:3 --mu 2,1,0 --levi 1
+zmu --group GL:3 --mu=1002,1001,1000 --levi 1
+adm --group DATA/gl3_one.cfg --mu 2,1,0
+adm --group DATA/gl3_two.cfg --mu 2,1,0
+zmu --group DATA/gl3_one.cfg --mu 1,0,0
+zmu --group DATA/gl3_two.cfg --mu 1,0,0
+""")
 
 # Calls that succeed, run between the golden ones: each sets options the
 # golden calls leave at their defaults, so a value that outlived its call
@@ -752,7 +664,7 @@ def refusal_faults(row, rc, out, err, seconds):
 
 @pytest.mark.parametrize("row", REFUSALS, ids=[
     " ".join(argv).replace(str(DATA), "DATA") for argv, _, _ in REFUSALS])
-def test_refusal(row, capsys):
+def test_refusal(row, call):
     start = time.perf_counter()
     if row in CAPPED:  # python -m iwahecke, its address space capped
         proc = subprocess.run(
@@ -762,7 +674,7 @@ def test_refusal(row, capsys):
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
         result = proc.returncode, proc.stdout, proc.stderr
     else:
-        result = main(list(row[0])), *capsys.readouterr()
+        result = call(row[0])
     assert refusal_faults(row, *result, time.perf_counter() - start) == []
 
 
@@ -777,6 +689,86 @@ def test_refusal_faults_reads_both_spellings_of_out(tmp_path):
         row = (argv, 3, "error: cannot write output: ...")
         assert refusal_faults(row, 3, "", err, 0) == (
             [] if argv[-1] == "--out=" else ["a file at --out"]), argv
+
+
+def golden_faults(row, call, out):
+    """How a GOLDEN_RUNS row, run by `call(argv) -> (exit code, stdout,
+    stderr)` as it is and with --out `out` (no file yet), broke the
+    contract: empty if it kept it."""
+    argv, out_name, err_name = row
+    text = (DATA / out_name).read_bytes().decode()
+    note = (DATA / err_name).read_bytes().decode() if err_name else ""
+    return [fault for fault, bad in (
+        ("without --out", call(argv) != (0, text, note)),
+        ("with --out", call([*argv, "--out", str(out)]) != (0, note, "")
+         or out.read_bytes().decode() != text)) if bad]
+
+
+def same_bytes_faults(group, call):
+    """The members of a SAME_BYTES group whose bytes differ from its
+    first's, or that do not exit 0 with an empty stderr."""
+    def text(member):
+        if member.startswith("golden_"):
+            return (DATA / member).read_bytes().decode()
+        rc, out, err = call(_argv(member))
+        return None if rc or err else out.replace('"method": "closed"',
+                                                  '"method": "theta"')
+    texts = [text(member) for member in group]
+    return [m for m, t in zip(group, texts) if t is None or t != texts[0]]
+
+
+def report_summary(call, argv):
+    """What the REPORTS run `argv` reports, as its row writes it."""
+    rc, out, err = call(("scholze", *_argv(argv)))
+    header, *rows = out.splitlines() or [""]
+    if rc or header != "index,matrix,phi,z,flag":
+        return f"exit code {rc}, CSV header {header!r}"
+    report = json.loads(err)
+    inv, compat = report["invariance"], report["compatibility"]
+    flagged = sum(row.endswith(",INDETERMINATE") for row in rows)
+    return (f"{len(rows)} {flagged} {report['status']} {inv['checked']}/"
+            f"{inv['passed']}/{inv['vacuous']} "
+            f"{compat['checked']}/{compat['passed']}")
+
+
+def shifted_faults(call, fresh):
+    """The SHIFTED_RUNS rows that, run twice each by `call`, all in order,
+    do not exit 0 or print other bytes than one run by `fresh`."""
+    runs = [(row, call(_argv(row)), call(_argv(row))) for row in SHIFTED_RUNS]
+    return [row for row, first, second in runs
+            if first[0] or not first == second == fresh(_argv(row))]
+
+
+@pytest.mark.parametrize("row", GOLDEN_RUNS, ids=[r[1] for r in GOLDEN_RUNS])
+def test_golden(row, call, tmp_path):
+    assert golden_faults(row, call, tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("group", SAME_BYTES, ids=[g[0] for g in SAME_BYTES])
+def test_same_bytes(group, call):
+    assert same_bytes_faults(group, call) == []
+
+
+@pytest.mark.parametrize("want,argv", REPORTS, ids=[a for _, a in REPORTS])
+def test_report(want, argv, call):
+    assert report_summary(call, argv) == want
+
+
+def test_shifted_runs_print_what_fresh_contexts_print(call, monkeypatch):
+    hits = []
+
+    def in_process(argv):
+        hits.append(_report.cache_info().hits)
+        return call(argv)
+
+    def fresh(argv):
+        _report.cache_clear()
+        monkeypatch.setattr(affine, "_REGISTRY", {})
+        monkeypatch.setattr(cli, "_builtin", {})
+        return call(argv)
+    assert shifted_faults(in_process, fresh) == []
+    # every second run, and no first, is a report-memo hit
+    assert hits == [k // 2 for k in range(2 * len(SHIFTED_RUNS))]
 
 
 def test_run_writes_no_stream(capsys):
@@ -847,15 +839,10 @@ def test_memo_keeps_the_last_32_reports(capsys):
     capsys.readouterr()
 
 
-def test_memo_keeps_equal_data_under_two_names_apart(tmp_path, capsys):
+def test_memo_keeps_equal_data_under_two_names_apart(capsys):
     # RootDatum equality ignores the name, but every report prints it
-    gl3 = ("rank 3\nsimple_roots\n1 -1 0\n0 1 -1\nend\n"
-           "simple_coroots\n1 -1 0\n0 1 -1\nend\n")
-    configs = []
-    for name in ("gl3_one", "gl3_two"):
-        path = tmp_path / f"{name}.cfg"
-        path.write_text(f"name {name}\n{gl3}")
-        configs.append((name, str(path)))
+    configs = [(name, str(DATA / f"{name}.cfg"))
+               for name in ("gl3_one", "gl3_two")]
     assert load_root_datum(configs[0][1]) == load_root_datum(configs[1][1])
     for _ in range(2):
         for name, path in configs:
@@ -934,7 +921,7 @@ def test_dumps_refuses_what_json_dumps_refuses():
 
 def test_dumps_matches_json_dumps_on_goldens():
     names = sorted(p.name for p in DATA.glob("*.json"))
-    assert len(names) == 16
+    assert len(names) == 17  # GOLDEN_RUNS' and SAME_BYTES' JSON goldens
     for name in names:
         text = (DATA / name).read_text()
         obj = json.loads(text)

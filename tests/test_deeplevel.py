@@ -511,7 +511,7 @@ def test_drinfeld_closed_expression_all_cases():
                                               for i in range(n)))))
             assert crit == W.critical_indices(w)
             s = len(crit)
-            for entries in product(field.units(), repeat=n):
+            for entries in product(range(1, field.q), repeat=n):
                 t = DiagonalTorusPoint(field, entries)
                 val = drinfeld_propp_value(t, w)
                 # N_r(t) in the diagonal subtorus T_S: every norm off S is 1
@@ -537,7 +537,7 @@ def test_propp_pushforward_to_iwahori_is_z_mu():
         vz = W.hecke().bernstein_function(mu).scale(
             LaurentPoly.v(W.translation(mu).length()))
         torus = [DiagonalTorusPoint(field, e)
-                 for e in product(field.units(), repeat=n)]
+                 for e in product(range(1, field.q), repeat=n)]
         for w, coeff in vz.terms.items():
             pushed = sum(drinfeld_propp_value(t, w) for t in torus)
             assert pushed == coeff.eval_q(p ** r), (n, p, r, w)

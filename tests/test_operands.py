@@ -12,9 +12,12 @@ of four ways:
 * on Sp(4), another datum of the same rank: the one ValueError;
 * from a coweight of the wrong length: RootDatumError.
 
+An arithmetic operator of the table answers an operand of a foreign type
+with NotImplemented, so that Python raises TypeError.
+
 A second table builds each coefficient-map type from one coefficient: every
 public constructor takes an int as its constant LaurentPoly, drops zeros
-and refuses any other type.
+and refuses any other type.  A third pins what each value type prints.
 """
 
 import re
@@ -24,12 +27,16 @@ import pytest
 from iwahecke.affine import AffineWeylGroup
 from iwahecke.center import (SymmetricFunction, bernstein_iso,
                              monomial_symmetric)
+from iwahecke.deeplevel import DiagonalTorusPoint
+from iwahecke.ffield import GF
 from iwahecke.hecke import HeckeElement
 from iwahecke.klpoly import RPolynomials
 from iwahecke.laurent import ONE, LaurentPoly
-from iwahecke.rootdata import RootDatumError, build_root_datum
+from iwahecke.rootdata import RootDatumError, build_root_datum, load_root_datum
+from iwahecke.series import Matrix2, TruncatedSeries
 from iwahecke.transfer import GradedFunction
 
+from conftest import DATA
 from oracles import hecke_json
 
 LA = (1, 0)  # dominant on GL(2) and on Sp(4)
@@ -141,6 +148,10 @@ ROWS = {
 
 KINDS = ("same-context", "equal-datum", "different-datum", "wrong-length")
 
+# the rows whose operator takes its right operand as it is
+ARITHMETIC = [name for name in ROWS if name.rsplit(".", 1)[-1] in (
+    "__add__", "__sub__", "__mul__")]
+
 
 @pytest.fixture(scope="module")
 def contexts():
@@ -182,6 +193,12 @@ def test_two_operand_rule(name, kind, contexts):
         assert _canon(got) == _canon(want)
 
 
+@pytest.mark.parametrize("name", ARITHMETIC)
+def test_foreign_operand_is_a_type_error(name, contexts):
+    with pytest.raises(TypeError, match="operand type"):
+        ROWS[name][1](contexts[0], object())
+
+
 # the three coefficient-map types, each from a GL(2) context and one
 # coefficient c, with int coefficients allowed in every public constructor
 VALUES = {
@@ -218,3 +235,49 @@ def test_coefficient_rule(name, contexts):
         msg = re.escape(f"coefficient {bad!r} is not an int")
         with pytest.raises(TypeError, match=msg):
             make(W, LaurentPoly({0: bad}))
+
+
+def _pgl2():
+    return load_root_datum(str(DATA / "pgl2.cfg"))
+
+
+# what each value type prints, a zero value too, by type -> (value from the
+# GL(2) context W, its repr); Omega is Z on GL(2) and Z/2 on PGL(2), whose
+# classes print as their representatives
+REPRS = {
+    "OmegaElement": (lambda W: W.omega_of(LA), "Omega[1]"),
+    "OmegaElement.pgl2": (lambda W: _pgl2().affine_weyl().omega_of((1,)),
+                          "Omega[(1,)]"),
+    "SymmetricFunction": (
+        lambda W: _sym(W, LA), "SymmetricFunction((1)*e[0, 1] + (1)*e[1, 0])"),
+    "SymmetricFunction.zero": (
+        lambda W: _sym(W, LA) - _sym(W, LA), "SymmetricFunction(0)"),
+    "HeckeElement.zero": (
+        lambda W: HeckeElement(W.hecke(), {}), "HeckeElement(0)"),
+    "DiagonalTorusPoint": (
+        lambda W: DiagonalTorusPoint(GF(2, 2), (1, 3)),
+        "DiagonalTorusPoint(field=GF(2^2), entries=(1, 3))"),
+    "RootDatum": (lambda W: W.rd, "RootDatum(GL(2), rank=2)"),
+    "RootDatum.pgl2": (lambda W: _pgl2(), "RootDatum(pgl2, rank=1)"),
+    "Matrix2": (lambda W: Matrix2.identity(GF(3)),
+                "Matrix2[<1*t^0>, <0>; <0>, <1*t^0>]"),
+    "GradedFunction": (
+        lambda W: GradedFunction(W.rd, {LA: ONE, (0, 0): LaurentPoly({1: 2})}),
+        "GradedFunction{0: 2*v, 1: 1}"),
+    "GradedFunction.pgl2": (lambda W: GradedFunction(_pgl2(), {(1,): ONE}),
+                            "GradedFunction{(1,): 1}"),
+    "TruncatedSeries.zero": (
+        lambda W: TruncatedSeries.zero(GF(2), 3), "<0 + O(t^3)>"),
+}
+
+
+@pytest.mark.parametrize("name", REPRS)
+def test_repr(name, contexts):
+    build, text = REPRS[name]
+    assert repr(build(contexts[0])) == text
+
+
+def test_equal_matrices_are_one_key():
+    a, b, c = (Matrix2.identity(GF(2), prec) for prec in (3, 3, 2))
+    assert a is not b and a == b and hash(a) == hash(b) and a != c
+    assert len({a, b, c}) == 2

@@ -27,7 +27,7 @@ def test_gf_basic():
             if a:
                 assert F.mul(a, F.inv(a)) == 1
         # multiplicative group has order q - 1
-        for a in F.units():
+        for a in range(1, F.q):
             assert F.pow(a, F.q - 1) == 1
 
 
@@ -94,16 +94,17 @@ def test_one_object_per_field():
 
 def test_gf_norm():
     for F in (GF(2, 2), GF(3, 2)):
-        for a in F.units():
+        for a in range(1, F.q):
             n = F.norm_to_prime(a)
             assert 1 <= n < F.p  # lands in the prime field, nonzero
         # norm is multiplicative
-        for a in F.units():
-            for b in F.units():
+        for a in range(1, F.q):
+            for b in range(1, F.q):
                 assert F.norm_to_prime(F.mul(a, b)) == \
                     (F.norm_to_prime(a) * F.norm_to_prime(b)) % F.p
         # norm is surjective onto F_p^x
-        assert {F.norm_to_prime(a) for a in F.units()} == set(range(1, F.p))
+        assert ({F.norm_to_prime(a) for a in range(1, F.q)}
+                == set(range(1, F.p)))
 
 
 def test_series_normalization():
