@@ -99,16 +99,6 @@ class SymmetricFunction(CoefficientMap):
 
     __rmul__ = __mul__
 
-    def to_json_obj(self):
-        """Dominant-representative serialization: a sorted list of
-        {"coweight": [...], "coeff": {v-exponent: int}} entries."""
-        out = []
-        for la in self.dominant_support():
-            coeff = self.terms[la]
-            out.append({"coweight": list(la),
-                        "coeff": {str(e): c for e, c in sorted(coeff.c.items())}})
-        return out
-
     def __repr__(self):
         bits = [f"({c})*e{list(la)}" for la, c in sorted(self.terms.items())]
         return "SymmetricFunction(" + (" + ".join(bits) or "0") + ")"

@@ -118,7 +118,12 @@ def _records(W, elements, coeffs=None, q_value=None):
     """The JSON list of the element records of `elements`, sorted elements
     of W, with keys "coeff" (the matching entry of `coeffs`; no such key
     when `coeffs` is None), "element" ("finite_word", "translation"),
-    "kappa" and "length", as `dumps` would write it.
+    "kappa" and "length", as ``json.dumps(report, sort_keys=True,
+    indent=1)`` writes it at a top-level key of a report; `dumps` splices
+    it in there.  A report's headers go through ``json.dumps``, but its
+    records stay on this template: through the stdlib's indenting encoder,
+    which is pure Python, they would double the cost of a fresh adm or zmu
+    request.
 
     Every record is one template filled with pre-formatted values: the
     translation and kappa texts are written once per translation part,
@@ -126,33 +131,32 @@ def _records(W, elements, coeffs=None, q_value=None):
     distinct coefficient object (so --q evaluates each distinct polynomial
     once), in the order of the elements.
     """
-    def lay(nl):
-        if not elements:
-            return "[]"
-        i0 = nl + " "
-        i1 = i0 + " "
-        i2 = i1 + " "
-        row = ("{%s" + i1 + '"element": {' + i2 + '"finite_word": %s,' + i2
-               + '"translation": %s' + i1 + "}," + i1 + '"kappa": %s,' + i1
-               + '"length": %d' + i0 + "}")
-        coeff = per_coefficient(lambda c: (
-            i1 + '"coeff": ' + _text(poly_json(c, q_value), i1) + ","))
-        word = W.weyl.word
-        parts, words, rows = {}, {}, []
-        for k, x in enumerate(elements):
-            part = parts.get(x.trans)
-            if part is None:
-                part = parts[x.trans] = (_int_list_text(x.trans, i2),
-                                         _text(_kappa(W, x), i1))
-            fw = words.get(x.fin)
-            if fw is None:
-                fw = words[x.fin] = _int_list_text(
-                    [i + 1 for i in word[x.fin]], i2)
-            rows.append(row % ("" if coeffs is None else coeff(coeffs[k]),
-                               fw, part[0], part[1], x.length()))
-        return "[" + i0 + ("," + i0).join(rows) + nl + "]"
-
-    return _Laid(lay)
+    if not elements:
+        return "[]"
+    # the newline and indent of a record, of its keys and of its element's
+    i0, i1, i2 = "\n  ", "\n   ", "\n    "
+    row = ("{%s" + i1 + '"element": {' + i2 + '"finite_word": %s,' + i2
+           + '"translation": %s' + i1 + "}," + i1 + '"kappa": %s,' + i1
+           + '"length": %d' + i0 + "}")
+    coeff = per_coefficient(lambda c: (
+        i1 + '"coeff": ' + _flat_dict_text(poly_json(c, q_value), i1) + ","))
+    word = W.weyl.word
+    parts, words, rows = {}, {}, []
+    for k, x in enumerate(elements):
+        part = parts.get(x.trans)
+        if part is None:
+            kappa = _kappa(W, x)
+            part = parts[x.trans] = (
+                _int_list_text(x.trans, i2),
+                _int_list_text(kappa, i1) if type(kappa) is list
+                else str(kappa))
+        fw = words.get(x.fin)
+        if fw is None:
+            fw = words[x.fin] = _int_list_text(
+                [i + 1 for i in word[x.fin]], i2)
+        rows.append(row % ("" if coeffs is None else coeff(coeffs[k]),
+                           fw, part[0], part[1], x.length()))
+    return "[" + i0 + ("," + i0).join(rows) + "\n ]"
 
 
 def _int_list_text(values, nl):
@@ -161,6 +165,17 @@ def _int_list_text(values, nl):
         return "[]"
     inner = nl + " "
     return "[" + inner + ("," + inner).join(map(str, values)) + nl + "]"
+
+
+def _flat_dict_text(d, nl):
+    """A dict of str keys and int or str values, `poly_json`'s, as `dumps`
+    writes it on a line indented by `nl`."""
+    if not d:
+        return "{}"
+    inner = nl + " "
+    return "{" + inner + ("," + inner).join(
+        _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else str(v))
+        for k, v in sorted(d.items())) + nl + "}"
 
 
 def _kappa(W, x):
@@ -236,72 +251,21 @@ def parse_mu(text: str, rd):
     return mu
 
 
-def dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, in one pass.
+def dumps(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=1) + "\\n"``, where an
+    adm or zmu report holds at its "elements" or "terms" key the text that
+    `_records` laid out.
 
-    The C encoder behind ``json.dumps`` cannot indent, so an indented dump
-    runs the stdlib's pure-Python encoder.  This writer covers what the
-    commands emit: dicts with ``str`` keys, lists and tuples, ``str``
-    (through the same C escaper), exact ``int`` and the element records
-    that `_records` lays out; it hands anything else to ``json.dumps`` and
-    indents the result to its depth.
+    ``json.dumps`` writes the report with null at that key, and the records
+    text takes null's place.  A JSON string holds no raw newline, so the
+    key's own line is the one place ``'\\n "terms": null'`` can occur.
     """
-    return _text(obj, "\n") + "\n"
-
-
-def _text(obj, nl):
-    """obj as `dumps` writes it on a line indented by `nl`."""
-    parts = []
-    _write_json(obj, nl, parts.append)
-    return "".join(parts)
-
-
-class _Laid:
-    """A value whose JSON text `lay(nl)` writes for the indent `nl` of its
-    own line; `_write_json` emits that text as it is."""
-
-    __slots__ = ("lay",)
-
-    def __init__(self, lay):
-        self.lay = lay
-
-
-def _write_json(obj, nl, out):
-    # nl is the newline plus the indent of obj's own line
-    t = type(obj)
-    if t is str:
-        out(_encode_str(obj))
-    elif t is int:
-        out(int.__repr__(obj))
-    elif t is dict and all(type(k) is str for k in obj):
-        if not obj:
-            out("{}")
-            return
-        inner = nl + " "
-        sep = "{" + inner
-        for k in sorted(obj):
-            out(sep)
-            out(_encode_str(k))
-            out(": ")
-            _write_json(obj[k], inner, out)
-            sep = "," + inner
-        out(nl + "}")
-    elif t is list or t is tuple:
-        if not obj:
-            out("[]")
-            return
-        inner = nl + " "
-        sep = "[" + inner
-        for v in obj:
-            out(sep)
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out(nl + "]")
-    elif t is _Laid:
-        out(obj.lay(nl))
-    else:
-        # a JSON string holds no raw newline, so every "\n" is a line break
-        out(json.dumps(obj, sort_keys=True, indent=1).replace("\n", nl))
+    for key in ("elements", "terms"):
+        if key in report:
+            text = json.dumps({**report, key: None}, sort_keys=True, indent=1)
+            return text.replace(f'\n "{key}": null',
+                                f'\n "{key}": ' + report[key], 1) + "\n"
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
 # -- commands ---------------------------------------------------------------------
@@ -394,7 +358,9 @@ def cmd_transfer(request) -> Report:
         "schema": "iwahecke/transfer/1",
         "group": rd.family,
         "mu": list(mu),
-        "input_function": f.to_json_obj(),
+        "input_function": [
+            {"coweight": list(la), "coeff": poly_json(f.terms[la])}
+            for la in f.dominant_support()],
         "normalization": "v^l(t_mu) scaled",
         "graded": graded_json(direct, q),
         "routes_match": "PASS" if routes_match else "FAIL",

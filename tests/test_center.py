@@ -351,16 +351,6 @@ def test_levi_of_all_labels_leaves_g_its_own_name(monkeypatch):
     assert image == bernstein_iso(f)
 
 
-def test_symmetric_function_json_round_trip(gl3):
-    f = (monomial_symmetric(gl3, (1, 1, 0)).scale(LaurentPoly({-1: 2}))
-         + monomial_symmetric(gl3, (1, 0, 0)))
-    # one entry per dominant coweight, sorted, exponents as strings
-    assert f.to_json_obj() == [
-        {"coweight": [1, 0, 0], "coeff": {"0": 1}},
-        {"coweight": [1, 1, 0], "coeff": {"-1": 2}},
-    ]
-
-
 def test_central_and_torus_bernstein_functions_need_no_fold(gl3, H3):
     # every orbit element dominant: z_mu is the single theta_mu
     W = H3.W
