@@ -19,11 +19,13 @@ word) and JSON keys are sorted.
 
 A run takes three steps.  ``parse(argv)`` returns the request, argparse's
 ``Namespace`` with the root datum of ``--group`` and the coweight tuple of
-``--mu`` in place of their texts, and the ``--out`` path apart from it.
-``run(request)`` computes the `Report` ``(text, status, note)`` and writes
-to no stream; ``note`` is scholze's JSON report, empty for the other
-commands.  A request seen among the last 32 is answered from memory: the
-key is every field of the request plus the display name of its datum
+``--mu`` in place of their texts, and the ``--out`` path apart from it; it
+reads an argv in canonical form from the options the parser declares, and
+leaves every other argv, so every usage, help and refusal text, to
+argparse.  ``run(request)`` computes the `Report` ``(text, status, note)``
+and writes to no stream; ``note`` is scholze's JSON report, empty for the
+other commands.  A request seen among the last 32 is answered from memory:
+the key is every field of the request plus the display name of its datum
 (``group.family``, which datum equality ignores), so two spellings of one
 request share an entry.  A ``scholze --corpus`` request is computed on
 every call, as its file may change, and a refusal raises and is never
@@ -512,60 +514,67 @@ def cmd_scholze(request) -> Report:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argument parser, and for each subcommand the actions that
+    ``add_argument`` returned for its options, in order."""
     ap = argparse.ArgumentParser(
         prog="iwahecke",
         description="Bernstein functions of Iwahori-Hecke algebras and "
                     "friends, in exact arithmetic.")
     sub = ap.add_subparsers(dest="command", required=True)
+    declared = {}
 
-    def common(p, q=True, formats=("json",)):
-        p.add_argument("--group", required=True,
-                       help="family:rank (GL:3, SL:2, Sp:4, GSp:4) or a "
-                            "root-datum config path")
-        p.add_argument("--mu", required=True,
-                       help="comma-separated dominant coweight; one "
-                            "that starts with a minus sign needs the "
-                            "= form, e.g. --mu=0,0,-1")
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        actions = declared[name] = []
+        return lambda *flags, **kwargs: actions.append(
+            p.add_argument(*flags, **kwargs))
+
+    def common(option, q=True, formats=("json",)):
+        option("--group", required=True,
+               help="family:rank (GL:3, SL:2, Sp:4, GSp:4) or a "
+                    "root-datum config path")
+        option("--mu", required=True,
+               help="comma-separated dominant coweight; one that starts "
+                    "with a minus sign needs the = form, e.g. "
+                    "--mu=0,0,-1")
         if q:
-            p.add_argument("--q", type=int, default=None,
-                           help="specialize q to an integer (after exact "
-                                "computation)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=formats, default="json")
+            option("--q", type=int, default=None,
+                   help="specialize q to an integer (after exact "
+                        "computation)")
+        option("--out", default=None, help="output path (default stdout)")
+        option("--format", choices=formats, default="json")
 
-    p = sub.add_parser("adm", help="mu-admissible set")
-    common(p, q=False, formats=("json", "csv"))
+    common(command("adm", help="mu-admissible set"), q=False,
+           formats=("json", "csv"))
 
-    p = sub.add_parser("zmu", help="Bernstein function v^l(t_mu) z_mu")
-    common(p)
-    p.add_argument("--method", choices=["theta", "closed"], default="theta")
-    p.add_argument("--levi", type=_int_list, default=None,
-                   help="comma-separated simple-root labels; output the "
-                        "constant term c^G_L(z_mu) instead")
-    p.add_argument("--r", type=_positive_int, default=1,
-                   help="base-change degree applied to the monomial function")
+    option = command("zmu", help="Bernstein function v^l(t_mu) z_mu")
+    common(option)
+    option("--method", choices=["theta", "closed"], default="theta")
+    option("--levi", type=_int_list, default=None,
+           help="comma-separated simple-root labels; output the constant "
+                "term c^G_L(z_mu) instead")
+    option("--r", type=_positive_int, default=1,
+           help="base-change degree applied to the monomial function")
 
-    p = sub.add_parser("transfer",
-                       help="transfer to the anisotropic inner form, two routes")
-    common(p)
+    common(command("transfer",
+                   help="transfer to the anisotropic inner form, two routes"))
 
-    p = sub.add_parser("scholze", help="GL_2 deep-level family phi_n / z_n")
-    p.add_argument("--n", type=_positive_int, required=True,
-                   help="congruence level")
-    p.add_argument("--q", type=int, required=True, help="residue field size")
-    p.add_argument("--corpus", default=None, help="corpus file path")
-    p.add_argument("--count", type=_nonnegative_int, default=200,
-                   help="corpus size when generating (no --corpus)")
-    p.add_argument("--precision", type=_nonnegative_int, default=None,
-                   help="truncate corpus entries to this absolute precision")
-    p.add_argument("--pairs", type=_nonnegative_int, default=2,
-                   help="bi-invariance sample pairs per corpus point")
-    p.add_argument("--compat", action="store_true",
-                   help="run the change-of-level coset-sum check per point")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv"], default="csv")
-    return ap
+    option = command("scholze", help="GL_2 deep-level family phi_n / z_n")
+    option("--n", type=_positive_int, required=True, help="congruence level")
+    option("--q", type=int, required=True, help="residue field size")
+    option("--corpus", default=None, help="corpus file path")
+    option("--count", type=_nonnegative_int, default=200,
+           help="corpus size when generating (no --corpus)")
+    option("--precision", type=_nonnegative_int, default=None,
+           help="truncate corpus entries to this absolute precision")
+    option("--pairs", type=_nonnegative_int, default=2,
+           help="bi-invariance sample pairs per corpus point")
+    option("--compat", action="store_true",
+           help="run the change-of-level coset-sum check per point")
+    option("--out", default=None)
+    option("--format", choices=["csv"], default="csv")
+    return ap, declared
 
 
 _COMMANDS = {
@@ -576,20 +585,96 @@ _COMMANDS = {
 }
 
 
-# parse's parser, built on its first call: argparse keeps no state between
-# parse_args calls, and building the tree costs more than a cached command
-_parser = functools.lru_cache(maxsize=None)(build_parser)
+@functools.lru_cache(maxsize=None)
+def _grammar():
+    """parse's parser and the reader's table, built on the first call:
+    argparse keeps no state between parse_args calls, and building the tree
+    costs more than a cached command.
+
+    The table holds, for each subcommand, the fields of its request before
+    any option is read (``command`` and every default), its actions by
+    option string and the fields it requires.  Only actions that take one
+    value or none (``store_true``) are in it.
+    """
+    ap, declared = build_parser()
+    table = {}
+    for name, actions in declared.items():
+        table[name] = (
+            {"command": name, **{a.dest: a.default for a in actions}},
+            {flag: a for a in actions if a.nargs in (None, 0)
+             for flag in a.option_strings},
+            {a.dest for a in actions if a.required})
+    return ap, table
+
+
+def _read(argv):
+    """The ``Namespace`` argparse parses from `argv`, read from the table
+    without it, or None where `argv` is not in the one form the reader
+    takes: a subcommand, then each of its options once, under its full
+    name, as ``--opt value`` (a value that does not start with "-") or
+    ``--opt=value``, with no empty value and every required option given,
+    each value passing its type and choices.  argparse parses every other
+    argv, and so writes every usage, help and refusal text.
+    """
+    entry = _grammar()[1].get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    defaults, options, required = entry
+    fields = {}
+    i, end = 1, len(argv)
+    while i < end:
+        flag, eq, value = argv[i].partition("=")
+        action = options.get(flag)
+        i += 1
+        if action is None or action.dest in fields:
+            return None  # an unknown or abbreviated option, or a repeat
+        if action.nargs == 0:
+            if eq:
+                return None
+            fields[action.dest] = action.const
+            continue
+        if not eq:
+            if i == end:
+                return None
+            value = argv[i]
+            i += 1
+            if value.startswith("-"):
+                return None
+        # argparse drops a value "--" on Python 3.10 and 3.11, not later
+        if not value or value == "--":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        fields[action.dest] = value
+    if not required <= fields.keys():
+        return None
+    request = argparse.Namespace()
+    vars(request).update(defaults, **fields)
+    return request
 
 
 def parse(argv=None):
     """The request and the --out path of `argv` (``sys.argv[1:]`` when None).
 
     The request is the parsed ``Namespace`` without ``out``; for the root
-    datum commands, ``group`` is the datum and ``mu`` the coweight tuple.  A
-    bad group is refused first, then a bad coweight, then one that is not
+    datum commands, ``group`` is the datum and ``mu`` the coweight tuple.
+    An argv in the reader's form (`_read`: each option once under its full
+    name, ``--opt value`` or ``--opt=value``, no empty value) is read from
+    the actions `build_parser` declares; argparse parses every other one,
+    with the same result, and writes every usage, ``--help`` and refusal.
+    A bad group is refused first, then a bad coweight, then one that is not
     dominant.  argparse's own refusals raise ``SystemExit``.
     """
-    request = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    request = _read(argv)
+    if request is None:
+        request = _grammar()[0].parse_args(argv)
     out = vars(request).pop("out")
     if request.command != "scholze":
         rd = request.group = parse_group(request.group)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -5,6 +6,8 @@ import resource
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from iwahecke.transfer import base_change
 
 from conftest import DATA
 from oracles import element_record, hecke_json
+from test_inputs import SWEEP
 
 CORPUS_Q2 = Path("src/iwahecke/data/scholze_corpus_q2.txt")
 CORPUS_Q3 = Path("src/iwahecke/data/scholze_corpus_q3.txt")
@@ -806,6 +810,81 @@ def test_spellings_of_one_request_parse_equal(tmp_path):
     assert a == b and out_a != out_b
     assert a == request(*zmu) and not hasattr(a, "out")
     assert a.mu == (1, 0, 0) and a.group is parse_group("GL:3")
+
+
+# -- the reader against argparse ----------------------------------------------
+
+# argv that parse leaves to argparse.  argparse reads an abbreviation, a
+# repeat (keeping the last), a value that starts with "-" given apart, a
+# value "--" (which 3.10 and 3.11 drop) and empty values; it refuses a
+# store_true given a value, "--" before an option, an unknown option, one
+# missing its value and a missing required option, and answers -h with help
+DECLINED = [_argv(row) for row in _lines("""
+adm --gr GL:3 --mu 1,0,0
+adm --group GL:3 --mu 1,0,0 --mu 2,1,0
+zmu --group GL:3 --mu=1,0,0 --method closed --method=theta
+zmu --group GL:3 --mu 1,0,0 --q -1
+adm --group GL:3 --mu=--
+adm --group GL:3 --mu=
+scholze --n 1 --q 2 --corpus=
+scholze --n 1 --q 2 --compat=1
+adm --group GL:3 --mu 1,0,0 -h
+adm --group GL:3 -- --mu 1,0,0
+adm --group GL:3 --mu 1,0,0 --levi 1
+adm --group GL:3 --mu
+adm --group GL:3
+""")] + [("adm", "--group", "", "--mu", "1,0,0")]
+
+# every argv of the tables that exit 0, all of which parse reads itself
+READ = ([argv for argv, _, _ in GOLDEN_RUNS]
+        + [_argv(m) for group in SAME_BYTES for m in group
+           if not m.startswith("golden_")]
+        + [("scholze", *_argv(argv)) for _, argv in REPORTS]
+        + [_argv(row) for row in SHIFTED_RUNS])
+
+
+def reader_faults(argv):
+    """How parse's reader answered `argv` other than argparse: empty if it
+    declined or read argparse's ``Namespace``, field by field."""
+    read = cli._read(list(argv))
+    if read is None:
+        return []
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            parsed = cli._grammar()[0].parse_args(list(argv))
+    except SystemExit:
+        return ["read what argparse refuses"]
+    read, parsed = vars(read), vars(parsed)
+    return [f"{key}: {read.get(key)!r}, argparse {parsed.get(key)!r}"
+            for key in sorted(read.keys() | parsed.keys())
+            if key not in read or key not in parsed
+            or (type(read[key]), read[key])
+            != (type(parsed[key]), parsed[key])]
+
+
+def test_reader_reads_what_argparse_reads():
+    tables = READ + [argv for argv, _, _ in REFUSALS] + SWEEP + DECLINED
+    assert [(argv, faults) for argv in tables
+            if (faults := reader_faults(argv))] == []
+    assert [argv for argv in READ if cli._read(list(argv)) is None] == []
+    assert [argv for argv in DECLINED
+            if cli._read(list(argv)) is not None] == []
+
+
+def test_main_and_parse_read_sys_argv(monkeypatch, capsys):
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError("argparse parsed a canonical argv")
+    # one argv the reader reads, one argparse refuses, one argparse reads
+    for argv in (("zmu", "--group", "GL:3", "--mu", "2,1,0", "--levi", "2"),
+                 ("adm", "--group", "GL:3", "--mu", "-1,1,0"),
+                 ("adm", "--group", "GL:3", "--mu", "1,0,0", "--mu", "2,1,0")):
+        want = main(list(argv)), *capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "argv", ["iwahecke", *argv])
+            if argv[0] == "zmu":
+                patch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+                assert parse(None) == parse(list(argv))
+            assert (main(None), *capsys.readouterr()) == want, argv
 
 
 # -- the report memo -------------------------------------------------------------

@@ -33,26 +33,32 @@ REQUESTS = (
 VALUES = ("", "x", "0", "-1", "1,", ",", "0,0,0", "-1,0,0", "1.5", " ")
 
 
-def test_every_flag_swept_over_malformed_values(tmp_path, monkeypatch,
-                                                capsys):
-    monkeypatch.chdir(tmp_path)  # where --out=0 and the like write
-    swept = 0
+def _sweep():
     for request in REQUESTS:
         command, *flags = request.split()
         flags = dict(flag.partition("=")[::2] for flag in flags)
         for flag, value in itertools.product(flags, VALUES):
             # the = form, as a value may start with a minus sign
-            argv = [command] + [f"{f}={value if f == flag else given}"
-                                for f, given in flags.items()
-                                if given or f == flag]
-            rc = main(argv)
-            out, err = capsys.readouterr()
-            swept += 1
-            assert rc in (0, 2, 3, 4) and "Traceback" not in err, argv
-            assert sum("error:" in line for line in err.splitlines()) <= 1, \
-                argv
-            assert rc not in (2, 3) or out == "", argv
-    assert swept == 250
+            yield [command] + [f"{f}={value if f == flag else given}"
+                               for f, given in flags.items()
+                               if given or f == flag]
+
+
+# every flag of every request given every value in turn
+SWEEP = list(_sweep())
+
+
+def test_every_flag_swept_over_malformed_values(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)  # where --out=0 and the like write
+    for argv in SWEEP:
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc in (0, 2, 3, 4) and "Traceback" not in err, argv
+        assert sum("error:" in line for line in err.splitlines()) <= 1, \
+            argv
+        assert rc not in (2, 3) or out == "", argv
+    assert len(SWEEP) == 250
 
 
 F2 = GF(2)

@@ -9,9 +9,11 @@ process has long since imported every layer.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -59,6 +61,20 @@ def test_star_import_names():
             assert getattr(iwahecke, name) is ns[name], name
     for mod in SUBMODULES:
         assert ns[mod] is importlib.import_module(f"iwahecke.{mod}"), mod
+
+
+def test_readme_states_the_star_import_names():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    count, submodules = re.search(
+        r"`from iwahecke\s+import \*` gives (\d+) names, the (\w+) "
+        r"submodules included", readme).groups()
+    ns = {}
+    exec("from iwahecke import *", ns)
+    del ns["__builtins__"]
+    assert int(count) == len(ns)
+    assert (submodules, sum(isinstance(v, ModuleType) for v in ns.values())
+            ) == ("twelve", 12)
 
 
 def test_dir_lists_every_public_name():
