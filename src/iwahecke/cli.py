@@ -515,8 +515,8 @@ def cmd_scholze(request) -> Report:
 
 
 def build_parser():
-    """The argument parser, and for each subcommand the actions that
-    ``add_argument`` returned for its options, in order."""
+    """The argument parser, and for each subcommand its parser and the
+    actions that ``add_argument`` returned for its options, in order."""
     ap = argparse.ArgumentParser(
         prog="iwahecke",
         description="Bernstein functions of Iwahori-Hecke algebras and "
@@ -526,7 +526,8 @@ def build_parser():
 
     def command(name, help):
         p = sub.add_parser(name, help=help)
-        actions = declared[name] = []
+        actions = []
+        declared[name] = p, actions
         return lambda *flags, **kwargs: actions.append(
             p.add_argument(*flags, **kwargs))
 
@@ -593,17 +594,17 @@ def _grammar():
 
     The table holds, for each subcommand, the fields of its request before
     any option is read (``command`` and every default), its actions by
-    option string and the fields it requires.  Only actions that take one
-    value or none (``store_true``) are in it.
+    option string, the fields it requires and its parser.  Only actions
+    that take one value or none (``store_true``) are in it.
     """
     ap, declared = build_parser()
     table = {}
-    for name, actions in declared.items():
+    for name, (parser, actions) in declared.items():
         table[name] = (
             {"command": name, **{a.dest: a.default for a in actions}},
             {flag: a for a in actions if a.nargs in (None, 0)
              for flag in a.option_strings},
-            {a.dest for a in actions if a.required})
+            {a.dest for a in actions if a.required}, parser)
     return ap, table
 
 
@@ -619,7 +620,7 @@ def _read(argv):
     entry = _grammar()[1].get(argv[0]) if argv else None
     if entry is None:
         return None
-    defaults, options, required = entry
+    defaults, options, required, _ = entry
     fields = {}
     i, end = 1, len(argv)
     while i < end:
@@ -675,6 +676,7 @@ def parse(argv=None):
     request = _read(argv)
     if request is None:
         request = _grammar()[0].parse_args(argv)
+        _read_dashes(request)
     out = vars(request).pop("out")
     if request.command != "scholze":
         rd = request.group = parse_group(request.group)
@@ -682,6 +684,21 @@ def parse(argv=None):
         if not rd.is_dominant(mu):
             raise PreconditionError(f"{mu} is not dominant")
     return request, out
+
+
+def _read_dashes(request):
+    """Read the value ``--`` of ``--opt=--`` as Python 3.13's argparse
+    does, through the option's type and choices, refused with its error:
+    earlier versions drop that value and store []."""
+    _, options, _, parser = _grammar()[1][request.command]
+    for action in options.values():
+        if getattr(request, action.dest) == []:
+            try:
+                value = parser._get_value(action, "--")
+                parser._check_value(action, value)
+            except argparse.ArgumentError as err:
+                parser.error(str(err))
+            setattr(request, action.dest, value)
 
 
 # how many reports run keeps: session-mixed (seed 1) asks for a scholze

@@ -44,7 +44,8 @@ import itertools
 from fractions import Fraction
 from math import inf
 
-from .series import Matrix2, TruncatedSeries, product_grid
+from .series import (Matrix2, TruncatedSeries, _check_elements,
+                     product_grid)
 
 __all__ = [
     "IndeterminatePrecisionError", "DiagonalTorusPoint",
@@ -449,10 +450,9 @@ class DiagonalTorusPoint:
     """
 
     def __init__(self, field, entries: tuple):
-        if any(e == 0 for e in entries):
+        _check_elements(field, entries)
+        if 0 in entries:
             raise ValueError("torus point entries must be nonzero")
-        if any(not 0 <= e < field.q for e in entries):
-            raise ValueError("entry out of field range")
         self.__dict__.update(field=field, entries=entries)
 
     def __setattr__(self, name, value):

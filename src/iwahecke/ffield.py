@@ -2,13 +2,16 @@
 Small finite fields GF(p^r).
 
 Elements are ints in [0, q).  A prime field GF(p) computes with them
-directly, `% p`, and has no tables.  For r > 1 an element encodes its
-polynomial coefficients base p (little-endian) over GF(p), modulo a monic
-irreducible found by search; add and mul are lookups in q x q tables and
-neg in a table of q entries, all built with the field, so such q are
-capped where that build still takes well under a second.  Both kinds of
-field share one `sub`, a + (-b), and one `inv`, a^(q-2).  The deep-level
-evaluators need q in {2, 3, 4, 9} and similar.
+directly, `% p`, and has no tables.  For r > 1 an element's base-p digits
+(little-endian) are its polynomial's coefficients over GF(p), and add and
+mul are lookups in q x q tables, neg in a table of q entries.  add goes
+digit by digit, and neg is read off it.  mul fills each row from the
+products by powers of x, modulo the first monic x^r + low whose
+multiplication table has no zero divisor, as GF(p)[x] / (m) is a field
+exactly when m is irreducible.  The tables are built with the field, so
+such q are capped where that build still takes well under a second.  Both
+kinds of field share one `sub`, a + (-b), and one `inv`, a^(q-2).  The
+deep-level evaluators need q in {2, 3, 4, 9} and similar.
 """
 
 from __future__ import annotations
@@ -19,14 +22,17 @@ __all__ = ["GF"]
 
 _MAX_Q = 4096
 # the largest q = p^r, r > 1, whose tables GF builds: GF(2^8) takes about
-# 0.4 s on a 2-core x86-64 VM (Python 3.11), GF(2^10) 9 s
+# 0.1 s on a 2-core x86-64 VM (Python 3.11), GF(2^10) 2.8 s
 _MAX_TABLE_Q = 256
 
 
 def GF(p: int, r: int = 1) -> "_Field":
     """The field of p^r elements, one object per field: GF(p), GF(p, 1)
     and GF(p=p) are the same object, so two fields are equal only when
-    they are identical."""
+    they are identical.  p and r must be ints, not bools or floats that
+    equal one: the cache would take GF(2.0) for GF(2)."""
+    if type(p) is not int or type(r) is not int:
+        raise ValueError(f"GF needs int p and r, got {p!r} and {r!r}")
     return _field(p, r)
 
 
@@ -70,94 +76,55 @@ def _is_prime(p: int) -> bool:
 
 
 class _Field:
-    """GF(p^r), r > 1, by add, mul and neg tables."""
+    """GF(p^r), r > 1, by add, mul and neg tables.
+
+    An element's base-p digits, little-endian, are the coefficients of a
+    polynomial of degree < r over GF(p), taken modulo the monic `modulus`
+    x^r + low(x); the attribute holds low's r coefficients.
+    """
 
     def __init__(self, p: int, r: int):
         self.p = p
         self.r = r
         self.q = p ** r
-        self.modulus = self._find_irreducible()
         self._build_tables()
 
-    # polynomials over GF(p) as little-endian coefficient tuples
-    def _poly_mul_mod(self, a, b):
-        p, r = self.p, self.r
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        # reduce modulo the monic irreducible
-        m = self.modulus
-        for i in range(len(out) - 1, r - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(r):
-                    out[i - r + j] = (out[i - r + j] - c * m[j]) % p
-        return tuple(out[:r]) + (0,) * (r - len(out[:r]))
-
-    def _find_irreducible(self):
-        p, r = self.p, self.r
-        # monic x^r + lower; irreducible iff no monic factor of degree <= r/2
-        def polys(deg):
-            for n in range(p ** deg):
-                coeffs = []
-                m = n
-                for _ in range(deg):
-                    coeffs.append(m % p)
-                    m //= p
-                yield tuple(coeffs) + (1,)
-
-        def divides(d, f):
-            f = list(f)
-            while len(f) >= len(d) and any(f):
-                while f and f[-1] == 0:
-                    f.pop()
-                if len(f) < len(d):
-                    break
-                c = f[-1]
-                shift = len(f) - len(d)
-                for i, x in enumerate(d):
-                    f[shift + i] = (f[shift + i] - c * x) % p
-            return not any(f)
-
-        for cand in polys(r):
-            if cand[0] == 0:
-                continue  # divisible by x
-            if all(not divides(d, cand)
-                   for deg in range(1, r // 2 + 1) for d in polys(deg)):
-                return cand[:r]  # store the low coefficients of the monic
-        raise AssertionError("no irreducible polynomial found")
-
-    def _encode(self, coeffs) -> int:
-        n = 0
-        for c in reversed(coeffs):
-            n = n * self.p + (c % self.p)
-        return n
-
-    def _decode(self, n: int):
-        out = []
-        for _ in range(self.r):
-            out.append(n % self.p)
-            n //= self.p
-        return tuple(out)
-
     def _build_tables(self):
-        q = self.q
-        self.add_table = [[0] * q for _ in range(q)]
-        self.mul_table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            pa = self._decode(a)
-            for b in range(a, q):
-                pb = self._decode(b)
-                s = self._encode([(x + y) % self.p for x, y in zip(pa, pb)])
-                self.add_table[a][b] = self.add_table[b][a] = s
-                m = self._encode(self._poly_mul_mod(pa, pb))
-                self.mul_table[a][b] = self.mul_table[b][a] = m
-        p = self.p
-        self.neg_table = [self._encode([-x % p for x in self._decode(a)])
-                          for a in range(q)]
+        """add digit by digit, neg off it, then mul row by row, for the first
+        low, in the order of the int its digits spell, whose quotient
+        GF(p)[x] / (x^r + low) has no zero divisor, and so is a field: a
+        reducible modulus f g has a factor f of degree <= r/2, whose row
+        holds the zero f g off column 0."""
+        p, r, q = self.p, self.r, self.q
+        digit = [p ** i for i in range(r)]
+        add = self.add_table = [
+            [sum((a // w + b // w) % p * w for w in digit) for b in range(q)]
+            for a in range(q)]
+        neg = self.neg_table = [row.index(0) for row in add]
+        lowest = [0] * q  # the place of b's lowest nonzero digit
+        for b in range(p, q):
+            lowest[b] = lowest[b // p] + 1 if b % p == 0 else 0
+
+        def row(a, low):
+            # a x^k for k < r: a shifted up one digit, its top digit c
+            # folded back as -c low, as x^r = -low
+            shifts = [a]
+            for _ in range(1, r):
+                c, v = divmod(shifts[-1], digit[-1])
+                v *= p
+                for _ in range(c):
+                    v = add[v][neg[low]]
+                shifts.append(v)
+            out = [0] * q  # a b = a (b - p^k) + a x^k, k = lowest[b]
+            for b in range(1, q):
+                k = lowest[b]
+                out[b] = add[out[b - digit[k]]][shifts[k]]
+            return out
+
+        low = next(low for low in range(q) if all(
+            row(a, low).count(0) == 1 for a in range(1, p ** (r // 2 + 1))))
+        self.modulus = tuple(low // w % p for w in digit)
+        self.mul_table = [row(a, low) for a in range(q)]
 
     # -- public ops ---------------------------------------------------------
 

@@ -264,15 +264,15 @@ def _negated(field, coeffs) -> list:
     return [neg[c] for c in coeffs]
 
 
-def _check_elements(field, coeffs) -> None:
-    """ValueError unless every coefficient is an element of `field`, an
-    int in range(q): a larger one would overflow its Kronecker slot into
-    the next coefficient, and a negative one cannot be packed at all."""
+def _check_elements(field, values) -> None:
+    """ValueError unless every value, a coefficient, a scalar or a torus
+    entry, is an element of `field`, an int in range(q): a larger one would
+    overflow its Kronecker slot into the next coefficient, a negative one
+    cannot be packed at all, and a float or str is no element."""
     q = field.q
-    for c in coeffs:
+    for c in values:
         if type(c) is not int or not 0 <= c < q:
-            raise ValueError(f"coefficient {c!r} is not an element of "
-                             f"{field}")
+            raise ValueError(f"{c!r} is not an element of {field}")
 
 
 def _check_exponent(k) -> None:

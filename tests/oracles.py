@@ -24,6 +24,9 @@ per generator, and a product of two elements is one T_x b per term of a,
 its Omega part by element products, instead of one packing of b.
 The CLI's element records are built as plain objects, one term at a time,
 for `json.dumps` to write, instead of from the CLI's one record template.
+The tables of GF(p^r) come from polynomials over GF(p), the modulus by
+trial division and each product schoolbook, instead of from zero divisors
+in a multiplication table filled row by row from products by x^k.
 """
 
 from fractions import Fraction
@@ -315,6 +318,58 @@ def random_hecke_element(H, rng, size=3, coord_span=2):
         c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) or 1})
         terms[x] = terms.get(x, LaurentPoly()) + c
     return H.from_terms(terms)
+
+
+# -- GF(p^r), by polynomials over GF(p) --------------------------------------
+
+
+def _divides(d, f, p):
+    """Whether the monic d divides f over GF(p), by long division;
+    coefficient tuples, little-endian."""
+    f = list(f)
+    for shift in range(len(f) - len(d), -1, -1):
+        c = f[shift + len(d) - 1]
+        for i, x in enumerate(d):
+            f[shift + i] = (f[shift + i] - c * x) % p
+    return not any(f)
+
+
+def field_tables_by_schoolbook(p, r):
+    """(modulus, add, mul, neg) of GF(p^r), r > 1, the element n standing
+    for the polynomial whose coefficients are n's base-p digits.  The
+    modulus is the first monic irreducible x^r + low, low in the order of
+    the int its digits spell, by trial division by every monic polynomial
+    of degree 1..r/2; each product is a schoolbook product of polynomials,
+    reduced modulo it one leading term at a time."""
+    q = p ** r
+    weight = [p ** i for i in range(r)]
+    poly = [tuple(n // w % p for w in weight) for n in range(q)]
+    low = next(m for m in poly if not any(
+        _divides(d[:k] + (1,), m + (1,), p)
+        for k in range(1, r // 2 + 1) for d in poly[:p ** k]))
+
+    def number(coeffs):
+        return sum(c % p * w for c, w in zip(coeffs, weight))
+
+    def times(a, b):
+        out = [0] * (2 * r - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for top in range(2 * r - 2, r - 1, -1):  # x^r = -low
+            c = out[top] % p
+            if c:
+                for i, m in enumerate(low):
+                    out[top - r + i] -= c * m
+        return number(out)
+
+    add = [[number([x + y for x, y in zip(a, b)]) for b in poly] for a in poly]
+    mul = [[0] * q for _ in poly]
+    for a in range(q):  # a schoolbook product commutes: each pair once
+        for b in range(a, q):
+            mul[a][b] = mul[b][a] = times(poly[a], poly[b])
+    return low, add, mul, [number([-x for x in a]) for a in poly]
 
 
 # -- truncated series, one coefficient at a time ------------------------------

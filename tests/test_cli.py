@@ -454,6 +454,12 @@ _REFUSALS = """
   :: iwahecke zmu: error: argument --levi: malformed label list 'abc'
 2 zmu --group GL:3 --mu 2,1,0 --levi 1,,2
   :: iwahecke zmu: error: argument --levi: malformed label list '1,,2'
+2 zmu --group GL:3 --mu 2,1,0 --levi=--
+  :: iwahecke zmu: error: argument --levi: malformed label list '--'
+2 zmu --group GL:2 --mu 1,0 --q=-- :: iwahecke zmu: error: argument --q: invalid int value: '--'
+2 adm --group GL:3 --mu 1,0,0 --format=--
+  :: iwahecke adm: error: argument --format: invalid choice: '--'...
+2 scholze --n=-- --q 2 :: iwahecke scholze: error: argument --n: invalid int value: '--'
 2 scholze --n 0 --q 2 :: iwahecke scholze: error: argument --n: must be >= 1, got 0
 2 scholze --n -3 --q 2 :: iwahecke scholze: error: argument --n: must be >= 1, got -3
 2 scholze --n 1 --q abc :: iwahecke scholze: error: argument --q: invalid int value: 'abc'
@@ -462,6 +468,7 @@ _REFUSALS = """
   :: iwahecke scholze: error: argument --precision: must be >= 0, got -5
 2 scholze --n 1 --q 2 --pairs -1 :: iwahecke scholze: error: argument --pairs: must be >= 0, got -1
 2 adm --group GL:3 --mu a,b,c :: error: malformed coweight 'a,b,c'
+2 adm --group GL:3 --mu=-- :: error: malformed coweight '--'
 2 zmu --group GL:abc --mu 1 :: error: malformed group 'GL:abc'
 2 adm --group GL: --mu 1 :: error: malformed group 'GL:'
 3 adm --group GL:0 --mu 1 :: error: GL(n) needs n >= 1
@@ -497,6 +504,7 @@ _REFUSALS = """
 3 scholze --n 1 --q -4 :: error: q = -4 is out of supported range 2..4096
 3 adm --group DATA/no-such.cfg --mu 0 :: error: cannot read group config: [Errno 2]...
 3 adm --group DATA --mu 0 :: error: cannot read group config: [Errno 21]...
+3 adm --group=-- --mu 1,0,0 :: error: cannot read group config: [Errno 2]...
 3 adm --group DATA/rank_negative.cfg --mu 0 :: error: bad rank '-1'
 3 adm --group DATA/bad_row.cfg --mu 0 :: error: bad matrix row '1 x'
 3 adm --group DATA/unterminated.cfg --mu 0 :: error: unterminated block 'simple_roots'

@@ -82,6 +82,15 @@ REFUSED = [
      lambda: level_compatibility_check(0, ONE)),
     ("matrix_to_text truncated", ValueError, "corpus entries must be exact",
      lambda: matrix_to_text(ONE.truncate(3))),
+    ("DiagonalTorusPoint float entry", ValueError,
+     r"1\.0 is not an element of GF\(5\)",
+     lambda: DiagonalTorusPoint(GF(5), (1.0, 2))),
+    ("DiagonalTorusPoint fractional entry", ValueError,
+     r"2\.5 is not an element of GF\(5\)",
+     lambda: DiagonalTorusPoint(GF(5), (2.5, 1))),
+    ("DiagonalTorusPoint str entry", ValueError,
+     r"'1' is not an element of GF\(5\)",
+     lambda: DiagonalTorusPoint(GF(5), ('1', 2))),
     ("drinfeld_propp_value rank-1 torus point", ValueError,
      r"GL\(1\), the torus point's rank, not of GL\(2\) \(rank 2\)",
      lambda: drinfeld_propp_value(DiagonalTorusPoint(F2, (1,)), W.identity)),

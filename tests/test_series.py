@@ -1,14 +1,16 @@
 import random
 import time
+from functools import lru_cache
 
 import pytest
 
+from iwahecke import ffield
 from iwahecke.ffield import GF, _Field, _field, _field_of_size
 from iwahecke.laurent import LaurentPoly
 from iwahecke.series import Matrix2, TruncatedSeries, _slot, product_grid
 
-from oracles import (series_add, series_mul, series_neg, series_scale,
-                     series_sub)
+from oracles import (field_tables_by_schoolbook, series_add, series_mul,
+                     series_neg, series_scale, series_sub)
 
 
 def mono(f, k, c=1, prec=None):
@@ -67,7 +69,8 @@ def test_gf_prime_field_without_tables():
 
 def test_table_field_size_cap(monkeypatch):
     # fields with r > 1 stop at q = 256, and a larger q is refused before
-    # any table is built (GF(2^10) took 9 s, GF(2^12) over a minute)
+    # any table is built (GF(2^10) takes 2.8 s; GF(2^12) has 16 times the
+    # entries, and its two q x q tables would hold over 1 GB)
     built = []
     monkeypatch.setattr(_Field, "_build_tables",
                         lambda self: built.append(self.q))
@@ -77,6 +80,31 @@ def test_table_field_size_cap(monkeypatch):
         with pytest.raises(ValueError, match="too large"):
             make(p, r)
     assert built == [256]
+
+
+def test_field_tables_match_polynomial_arithmetic():
+    # every field with tables: its modulus is the first monic irreducible
+    # by trial division, and each table entry the polynomial sum, product
+    # or negative, the product schoolbook, modulo it
+    fields = [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in range(2, 9)
+              if p ** r <= 256]
+    assert len(fields) == 16
+    assert [(p, r) for p, r in fields if field_tables_by_schoolbook(p, r) != (
+        GF(p, r).modulus, GF(p, r).add_table, GF(p, r).mul_table,
+        GF(p, r).neg_table)] == []
+
+
+def test_gf_refuses_a_p_or_r_that_is_not_an_int(monkeypatch):
+    # GF(2.0) and GF(2) are one cache key, so an accepted GF(2.0) would
+    # answer every later GF(2) with q == 2.0: it is refused before the
+    # cache, here a fresh one, is read
+    monkeypatch.setattr(ffield, "_field",
+                        lru_cache(maxsize=None)(_field.__wrapped__))
+    for args in ((2.0,), (3, 2.0), (True,), (2, True)):
+        with pytest.raises(ValueError, match="GF needs int p and r"):
+            GF(*args)
+    F = GF(2)
+    assert F.q == 2 and type(F.q) is int and _field_of_size(2) is F
 
 
 def test_one_object_per_field():
