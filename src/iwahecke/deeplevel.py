@@ -25,12 +25,14 @@ every coset, and off the support the sum is 0 = 0.  The entry questions
 are asked once per column: g k has one of q^2 first columns and one of
 q^2 second columns, one `series.product_grid` of g against the columns
 of k, and each column's `val_ge` answers and valuations are read once.
-Only tr(g k) and det(1 - g k) are read per coset, each a cell of one
-two-term grid over a first-column and a second-column table, so the
-coset loop does no series arithmetic, and the integer values
-phi_{n+1}(g k) are summed exactly.  scholze_phi, the coset sum and its
-right-hand side z_n(g), read at the identity coset, share one body of
-the formula, and k_invariant reads k(g) as that body does.
+Only tr(g k) and det(1 - g k) are read per coset.  The formula reads the
+trace below order 1 only, so it is one sum per distinct pair of column
+entries a, d cut at precision 1; det(1 - g k) is a cell of one two-term
+grid over a first-column and a second-column table.  So the coset loop
+does no series arithmetic, and the integer values phi_{n+1}(g k) are
+summed exactly.  scholze_phi, the coset sum and its right-hand side
+z_n(g), read at the identity coset, share one body of the formula, and
+k_invariant reads k(g) as that body does.
 
 Every evaluator is precision-honest: when the tracked precision of the input
 cannot decide a case split, IndeterminatePrecisionError is raised rather
@@ -128,10 +130,18 @@ def _det_one_minus(ga, gc, minus_gb, gd) -> list:
 # -- the GL_2 family -----------------------------------------------------------
 
 
-def scholze_phi(n: int, g: Matrix2) -> int:
-    """phi_n(g) by the three-case formula; 0 off the support."""
+def _check_level(n) -> None:
+    """ValueError unless the level n is an int >= 1: a float such as 2.0
+    or a bool is no level, even where its arithmetic would run."""
+    if type(n) is not int:
+        raise ValueError(f"level n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("level n must be >= 1")
+
+
+def scholze_phi(n: int, g: Matrix2) -> int:
+    """phi_n(g) by the three-case formula; 0 off the support."""
+    _check_level(n)
     if not _det_support(g.det()):
         return 0
     return _phi(n, g.field.q, _column(g.a, g.c, 1 - n),
@@ -195,8 +205,7 @@ def _phi(n: int, q: int, first, second, tr, det_one_minus) -> int:
 
 def gl2_level_index(n: int, q: int) -> int:
     """[K : K_n] = q^(4(n-1)) (q^2-1)(q^2-q)."""
-    if n < 1:
-        raise ValueError("level n must be >= 1")
+    _check_level(n)
     return q ** (4 * (n - 1)) * (q * q - 1) * (q * q - q)
 
 
@@ -213,10 +222,13 @@ def _z_n(n: int, q: int, phi: int) -> Fraction:
 
 
 def kn_coset_reps(field, n: int):
-    """Representatives 1 + t^n * lift(M), M over M_2(F_q), of K_n/K_{n+1}."""
+    """Representatives 1 + t^n * lift(M), M over M_2(F_q), of K_n/K_{n+1},
+    as an iterator; the level n is checked at the call."""
+    _check_level(n)
     one_plus, mono = _kn_entries(field, n)
-    for m11, m12, m21, m22 in itertools.product(field.elements(), repeat=4):
-        yield Matrix2(one_plus[m11], mono[m12], mono[m21], one_plus[m22])
+    return (Matrix2(one_plus[m11], mono[m12], mono[m21], one_plus[m22])
+            for m11, m12, m21, m22
+            in itertools.product(field.elements(), repeat=4))
 
 
 def _kn_entries(field, n: int):
@@ -251,26 +263,35 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
     the two val_ge(-n) answers of condition 3 and what k(g k) reads, are
     read once.
 
-    Per coset: tr(g k) and det(1 - g k) are each one two-term
-    `product_grid` over a first-column and a second-column table,
+    Per coset: the formula asks tr(g k) two questions, val_ge(0) and
+    coeff_at(0).  For a series s known below P both read only the
+    coefficients of s below min(P, 1) and whether P <= 0, and the cut
+    s.truncate(1), known below min(P, 1), has the same coefficients
+    there and the same answer, so it answers both as s does, None
+    included.  A sum cut at 1 is the sum of its terms cut at 1, so
+    tr(g k) is read from the column entries a and d cut at precision 1:
+    the q^2 entries a take few distinct cuts, and so do the d, since a
+    t^n M term reaches below order 1 only from an entry of g of
+    valuation below 1 - n.  The trace is one sum per pair of distinct
+    cuts (`_cut_classes`), and a coset reads the sum of its pair.
+    det(1 - g k) is one two-term `product_grid` over a first-column and
+    a second-column table,
 
-        tr(g k)      = a 1 + 1 d,
         det(1 - g k) = (1-a)(1-d) + c (-b),
 
-    the trace grid formed at once, the other when some coset first
-    reaches it (det(1 - g k) is a product, never 1 - tr + det; see
-    `_det_one_minus`).  A coset reads only its own cells of the two, and
-    the loop does no series arithmetic.  The cosets are visited in
-    `kn_coset_reps` order, so the first undecided one raises, and the
-    integer phi_{n+1} values are summed.
+    formed when some coset first reaches it (a product, never
+    1 - tr + det; see `_det_one_minus`).  A coset reads only its own
+    cells, and the loop does no series arithmetic.  The cosets are
+    visited in `kn_coset_reps` order, so the first undecided one raises,
+    and the integer phi_{n+1} values are summed.
 
     The right-hand side z_n(g) is phi_n at the identity coset, index 0
-    of both column tables, after the loop: its cells are a, b, c, d, tr g
-    and det(1 - g), in value and in precision, and its column facts are
-    read at lo = 1 - n.
+    of both column tables, after the loop: its cells are a, b, c, d and
+    det(1 - g) in value and in precision, its trace is tr g cut at
+    precision 1, which answers phi_n's two questions as tr g does, and
+    its column facts are read at lo = 1 - n.
     """
-    if n < 1:
-        raise ValueError("level n must be >= 1")
+    _check_level(n)
     if not _det_support(g.det()):
         return True
     field = g.field
@@ -288,8 +309,10 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
     gc, gd = bottom[:len(cols)], bottom[len(cols):]
     firsts = [_column(x, y, -n) for x, y in zip(ga, gc)]
     seconds = [_column(x, y, -n) for x, y in zip(gb, gd)]
-    ones = [TruncatedSeries.one(field)] * len(cols)
-    trace = product_grid(ga, ones, ones, gd)
+    # tr(g k) = a + d, read below order 1 only: one sum per pair of cuts
+    cut_a, at_a = _cut_classes(ga)
+    cut_d, at_d = _cut_classes(gd)
+    trace = [[x + y for y in cut_d] for x in cut_a]
 
     @functools.cache  # formed once, when the first coset needs it
     def one_minus_grid():
@@ -301,13 +324,22 @@ def level_compatibility_check(n: int, g: Matrix2) -> bool:
     total = 0
     for m11, m12, m21, m22 in itertools.product(field.elements(), repeat=4):
         i, j = m11 * q + m21, m12 * q + m22  # the columns of g k
-        total += _phi(n + 1, q, firsts[i], seconds[j], trace[i][j],
-                      det_one_minus)
+        total += _phi(n + 1, q, firsts[i], seconds[j],
+                      trace[at_a[i]][at_d[j]], det_one_minus)
     # z_n(g) at the identity coset, whose cells are g's own series
     i = j = 0
     phi = _phi(n, q, _column(a, c, 1 - n), _column(b, d, 1 - n),
-               trace[i][j], det_one_minus)
+               trace[at_a[i]][at_d[j]], det_one_minus)
     return _z_n(n + 1, q, total) == _z_n(n, q, phi)
+
+
+def _cut_classes(entries) -> tuple:
+    """The distinct cuts e.truncate(1) of `entries`, the parts a trace
+    question reads, in order of first occurrence, and the index of each
+    entry's cut among them."""
+    index = {}
+    at = [index.setdefault(e.truncate(1), len(index)) for e in entries]
+    return list(index), at
 
 
 def random_kn_element(field, n: int, rng, depth: int = 8) -> Matrix2:

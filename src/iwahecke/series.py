@@ -72,7 +72,6 @@ True
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 from array import array
 from operator import add, sub
@@ -314,54 +313,57 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     min(len x, len y) (p-1)^2 from each product, so twice that for the
     pair, and the slots are reduced mod p once.  Over GF(p^r), r > 1,
     `_table_slots` convolves each x * y through the field's tables into
-    the same slots.
+    the same slots.  Without xs2 and ys2 there is one product, not a
+    second one against zeros.
 
     A cell's precision is the smaller of its two products' precisions,
     each min(val x + prec y, val y + prec x) with an unknown zero O(t^k)
     counting k as its valuation (an exact-zero factor makes its product
     exact; a row and a column of exact factors make an exact cell), and
-    its window is the slots its factors can reach, cut at that precision.
-    With 1-byte GF(p) slots the reduced slots are one `bytes` object: a
-    window is a slice of it whose zero slots are stripped from both ends,
-    and the cell is assigned without the constructor's scan.  Otherwise
-    the slots are a list, and the constructor's scan trims each window.
+    its window is the exponents its factors can reach, cut at that
+    precision.  With 1-byte GF(p) slots the reduced slots are one `bytes`
+    object: a window is a slice of it whose zero slots are stripped from
+    both ends, and the cell is filled in place, with no call and no
+    constructor scan.  Otherwise the slots are a list, and the
+    constructor's scan trims each window.
     """
     if not xs or not ys:
         return [[] for _ in xs]
     f = xs[0].field
-    if xs2 is None and ys2 is None:  # x * y + 0 * 0
-        zero = _series(f, 0, ())
-        xs2, ys2 = [zero] * len(xs), [zero] * len(ys)
+    if xs2 is None and ys2 is None:  # x * y alone
+        pairs = ((xs, ys),)
     elif xs2 is None or ys2 is None or len(xs2) != len(xs) \
             or len(ys2) != len(ys):
         raise ValueError("the two product grids differ in shape")
-    base_x, rows, top_x, lx, lx2 = _side(f, xs, xs2)
-    base_y, cols, top_y, ly, ly2 = _side(f, ys, ys2)
+    else:
+        pairs = ((xs, ys), (xs2, ys2))
+    base_x, rows, top_x, lx = _side(f, xs, xs2)
+    base_y, cols, top_y, ly = _side(f, ys, ys2)
     block = max(0, top_x + top_y - 1)
     stride = len(xs) * block
+    one_byte = False
     if f.r > 1:
-        slots = _table_slots(f, ((xs, ys), (xs2, ys2)), base_x, block,
-                             base_y, stride, len(ys) * stride)
-        cell = _series
+        slots = _table_slots(f, pairs, base_x, block, base_y, stride,
+                             len(ys) * stride)
     else:
         p = f.p
-        m, m2 = min(lx, ly), min(lx2, ly2)
-        width, code = _slot((m + m2) * (p - 1) ** 2)
+        ms = [min(a, b) for a, b in zip(lx, ly)]
+        width, code = _slot(sum(ms) * (p - 1) ** 2)
         total = 0
-        for xs_, ys_, m_ in ((xs, ys, m), (xs2, ys2, m2)):
-            if m_:  # else a side has no known coefficient: the product is 0
+        for (xs_, ys_), m in zip(pairs, ms):
+            if m:  # else a side has no known coefficient: the product is 0
                 total += _packed(xs_, base_x, block, width, code) * \
                     _packed(ys_, base_y, stride, width, code)
         raw = total.to_bytes(width * len(ys) * stride, _ORDER)
         if width == 1:
-            slots, cell = raw.translate(_residues(p)), _from_slots
+            slots, one_byte = raw.translate(_residues(p)), True
         else:
-            slots, cell = [c % p for c in array(code, raw)], _series
-    base = base_x + base_y
+            slots = [c % p for c in array(code, raw)]
+    new = object.__new__
     grid = []
     for i, (lo_x, hi_x, v, r, v2, r2, ex) in enumerate(rows):
         row = []
-        at = i * block
+        at = i * block - base_x - base_y  # slot at + e holds t^e of cell j
         for lo_y, hi_y, w, s, w2, s2, ey in cols:
             lo, hi = lo_x + lo_y, hi_x + hi_y - 1
             if ex and ey:
@@ -370,11 +372,23 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
                 prec = min(v + s, w + r, v2 + s2, w2 + r2)
                 if prec == _INF:
                     prec = None
-                elif prec - base < hi:  # the window ends at the precision
-                    hi = prec - base
+                elif prec < hi:  # the window ends at the precision
+                    hi = prec
             if hi < lo:  # no slot: a negative end would count from the end
                 hi = lo
-            row.append(cell(f, base + lo, slots[at + lo:at + hi], prec))
+            if one_byte:
+                cell = new(TruncatedSeries)
+                cell.field, cell.prec = f, prec
+                tail = slots[at + lo:at + hi].rstrip(b"\0")
+                if tail:
+                    head = tail.lstrip(b"\0")
+                    cell.val = lo + len(tail) - len(head)
+                    cell.coeffs = tuple(head)
+                else:
+                    cell.val, cell.coeffs = None, ()
+            else:
+                cell = _series(f, lo, slots[at + lo:at + hi], prec)
+            row.append(cell)
             at += stride
         grid.append(row)
     return grid
@@ -405,63 +419,55 @@ def _table_slots(field, pairs, base_x, block, base_y, stride, size) -> list:
     return out
 
 
-def _from_slots(field, val, window: bytes, prec) -> TruncatedSeries:
-    """The series with coefficients `window` from t^val on, known below
-    `prec`, for a window of reduced 1-byte slots that already ends at
-    `prec`: the constructor's scan is two strips of zero bytes."""
-    s = object.__new__(TruncatedSeries)
-    s.field, s.prec = field, prec
-    tail = window.rstrip(b"\0")
-    if tail:
-        head = tail.lstrip(b"\0")
-        s.val, s.coeffs = val + len(tail) - len(head), tuple(head)
-    else:
-        s.val, s.coeffs = None, ()
-    return s
-
-
 def _side(field, side, side2):
-    """One side of a grid, in one pass over its indices after the
-    smallest known valuation `base`: at each index the slots [lo, hi)
-    its two factors take when packed at their offsets val - base
-    ((0, 0) when neither has a known coefficient), the valuation and
-    precision of each for the precision rule (an unknown zero O(t^k)
-    counting k as its valuation, inf for an exact precision) and whether
-    both are exact; the largest hi; and the longest factor of each list.
-    A factor over another field is a ValueError."""
-    vals = [s.val for s in itertools.chain(side, side2) if s.val is not None]
-    base = min(vals) if vals else 0
+    """One side of a grid, in one pass over its indices: at each index
+    the exponents [lo, hi) its factors' known coefficients reach
+    ([_FAR, -_FAR) when neither has one, so that every window of the
+    index is empty), the valuation and precision of each factor for the
+    precision rule (an unknown zero O(t^k) counting k as its valuation,
+    inf for an exact precision and for a missing second factor) and
+    whether both are exact; the smallest known valuation `base` (0 when
+    there is none); the largest hi - base; and the longest factor of
+    each list.  A factor over another field is a ValueError."""
     out = []
-    top = long = long2 = 0
-    for s, s2 in zip(side, side2):
-        if s.field is not field or s2.field is not field:
+    base, top, long, long2 = _FAR, -_FAR, 0, 0
+    for k, s in enumerate(side):
+        if s.field is not field:
             raise ValueError("series over different fields")
-        v, n, r = s.val, len(s.coeffs), s.prec
-        v2, n2, r2 = s2.val, len(s2.coeffs), s2.prec
+        v, r, n = s.val, s.prec, len(s.coeffs)
         if r is None:
             r = _INF
-        if r2 is None:
-            r2 = _INF
         if v is None:  # an unknown zero O(t^r) counts r as its valuation
-            v = r
-            lo, hi = (0, 0) if v2 is None else (v2 - base, v2 - base + n2)
+            v, lo, hi = r, _FAR, -_FAR
         else:
-            lo, hi = v - base, v - base + n
-            if v2 is not None:
-                if v2 - base < lo:
-                    lo = v2 - base
-                if v2 - base + n2 > hi:
-                    hi = v2 - base + n2
-        if v2 is None:
-            v2 = r2
+            lo, hi = v, v + n
+        v2 = r2 = _INF
+        if side2 is not None:
+            s2 = side2[k]
+            if s2.field is not field:
+                raise ValueError("series over different fields")
+            v2, r2, n2 = s2.val, s2.prec, len(s2.coeffs)
+            if r2 is None:
+                r2 = _INF
+            if v2 is None:
+                v2 = r2
+            else:
+                if v2 < lo:
+                    lo = v2
+                if v2 + n2 > hi:
+                    hi = v2 + n2
+                if n2 > long2:
+                    long2 = n2
         out.append((lo, hi, v, r, v2, r2, r == r2 == _INF))
+        if lo < base:
+            base = lo
         if hi > top:
             top = hi
         if n > long:
             long = n
-        if n2 > long2:
-            long2 = n2
-    return base, out, top, long, long2
+    if base == _FAR:
+        return 0, out, 0, (long, long2)
+    return base, out, top - base, (long, long2)
 
 
 def _packed(series, base, step, width, code) -> int:
@@ -495,6 +501,7 @@ def _min_prec(a, b):
 
 
 _INF = float("inf")
+_FAR = sys.maxsize  # past every exponent: an empty index's [lo, hi)
 
 
 class Matrix2:

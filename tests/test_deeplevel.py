@@ -397,6 +397,62 @@ def test_level_compatibility_matches_coset_by_coset_reference(q, stride):
     assert bool in seen and any(type(x) is tuple for x in seen)
 
 
+def _trace_classes(g, n):
+    """How many distinct parts below order 1 the entries a and d of g k
+    take over the representatives k of K_n/K_{n+1}, from full products."""
+    gks = [g * k for k in kn_coset_reps(g.field, n)]
+    return (len({gk.a.truncate(1) for gk in gks}),
+            len({gk.d.truncate(1) for gk in gks}))
+
+
+@pytest.mark.parametrize("f", [F2, F3, GF(2, 2)], ids=["F2", "F3", "GF4"])
+def test_level_compatibility_at_the_trace_class_boundaries(f):
+    # tr(g k) = a + d + t^n (a m11 + b m21 + c m12 + d m22): an entry b
+    # (or c) of valuation -n moves the part of a (or d) below order 1
+    # with m21 (or m12), so those parts take q values, and both entries
+    # moved take q x q.  A truncated b = t^-n + O(t^(1-n)) keeps every
+    # trace known below order 1, exactly; b = O(t^-n) leaves the traces
+    # with m21 != 0 unknown at order 0, and b = O(t^(-n-1)) their
+    # valuation.  The first coset, k = 1, has a known trace in each, so
+    # an undecided sum raises the first undecided coset's message, which
+    # for b = O(t^-n) is its k(g), not a later coset's trace
+    q, u = f.q, f.q - 1
+    seen = set()
+    for n in (1, 2):
+        b_exact, c_exact = mono(f, -n), mono(f, -n)
+        b_cut = TruncatedSeries(f, -n, [1], prec=1 - n)
+        o_n, o_n1 = (TruncatedSeries.zero(f, prec=-n),
+                     TruncatedSeries.zero(f, prec=-n - 1))
+        cases = [  # (g, classes of a and d or None, every trace known)
+            (Matrix2(mono(f, 1, u), b_exact, zero(f), mono(f, 0)),
+             (q, 1), True),
+            (Matrix2(mono(f, 0), zero(f), c_exact, mono(f, 1, u)),
+             (1, q), True),
+            (Matrix2(mono(f, -n), b_exact, c_exact,
+                     mono(f, -n) + mono(f, n + 1)), (q, q), True),
+            (Matrix2(mono(f, 1, u), b_cut, zero(f), mono(f, 0)), None, True),
+            (Matrix2(mono(f, 0), zero(f), b_cut, mono(f, 1, u)), None, True),
+            (Matrix2(mono(f, 1, u), o_n, zero(f), mono(f, 0)), None, False),
+            (Matrix2(mono(f, 0), zero(f), o_n, mono(f, 1, u)), None, False),
+            (Matrix2(mono(f, -1), o_n1, zero(f), mono(f, 2)), None, False)]
+        for g, classes, all_known in cases:
+            if classes is not None:
+                assert _trace_classes(g, n) == classes
+            known = [t.val_ge(0) is False or t.coeff_at(0) is not None
+                     for t in ((g * k).trace()
+                               for k in kn_coset_reps(f, n))]
+            assert known[0] and all(known) == all_known, (n, g)
+            got = _value_or_error(level_compatibility_check, n, g)
+            assert got == _value_or_error(level_compatibility_by_cosets, n,
+                                          g), (n, g)
+            seen.add(got if type(got) is tuple else type(got))
+    assert seen == {bool,
+                    (IndeterminatePrecisionError,
+                     "an unresolved entry could have smaller valuation"),
+                    (IndeterminatePrecisionError,
+                     "tr(g) valuation unresolved")}
+
+
 @pytest.mark.parametrize("q,stride", [(2, 2), (3, 3), (4, 4), (5, 5)])
 def test_phi_and_k_match_the_per_entry_reference(q, stride):
     f = GF(2, 2) if q == 4 else GF(q)

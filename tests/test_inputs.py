@@ -13,8 +13,9 @@ import pytest
 from iwahecke.center import monomial_symmetric
 from iwahecke.cli import main
 from iwahecke.deeplevel import (DiagonalTorusPoint, drinfeld_propp_value,
-                                gl2_level_index, level_compatibility_check,
-                                matrix_to_text, scholze_phi)
+                                gl2_level_index, kn_coset_reps,
+                                level_compatibility_check, matrix_to_text,
+                                scholze_phi, scholze_z)
 from iwahecke.ffield import GF
 from iwahecke.laurent import LaurentPoly
 from iwahecke.rootdata import RootDatum, RootDatumError, build_root_datum
@@ -80,6 +81,22 @@ REFUSED = [
      lambda: gl2_level_index(0, 2)),
     ("level_compatibility_check n=0", ValueError, "level n must be >= 1",
      lambda: level_compatibility_check(0, ONE)),
+    # a level that is not exactly an int, which arithmetic would accept
+    ("scholze_phi n=2.0", ValueError, r"level n must be an int, got 2\.0",
+     lambda: scholze_phi(2.0, ONE)),
+    ("scholze_phi n=True", ValueError, "level n must be an int, got True",
+     lambda: scholze_phi(True, ONE)),
+    ("scholze_z n=2.0", ValueError, r"level n must be an int, got 2\.0",
+     lambda: scholze_z(2.0, ONE)),
+    ("gl2_level_index n=1.5", ValueError,
+     r"level n must be an int, got 1\.5", lambda: gl2_level_index(1.5, 2)),
+    ("level_compatibility_check n=2.0", ValueError,
+     r"level n must be an int, got 2\.0",
+     lambda: level_compatibility_check(2.0, ONE)),
+    ("kn_coset_reps n=0", ValueError, "level n must be >= 1",
+     lambda: kn_coset_reps(F2, 0)),
+    ("kn_coset_reps n=True", ValueError, "level n must be an int, got True",
+     lambda: kn_coset_reps(F2, True)),
     ("matrix_to_text truncated", ValueError, "corpus entries must be exact",
      lambda: matrix_to_text(ONE.truncate(3))),
     ("DiagonalTorusPoint float entry", ValueError,

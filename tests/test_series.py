@@ -441,6 +441,21 @@ def test_product_grid_sums_match_series_ops(p, r):
         product_grid(xs, ys, xs2)
 
 
+@FIELDS
+def test_product_grid_one_term_matches_a_zero_second_term(p, r):
+    # without xs2 and ys2 the grid forms one product, not a second one
+    # against exact zeros; each cell equals the two-term cell x y + 0 0
+    f = GF(p, r)
+    rng = random.Random(500 * p + r)
+    for _ in range(60):
+        xs = [_random_series(f, rng) for _ in range(rng.randrange(1, 6))]
+        ys = [_random_series(f, rng) for _ in range(rng.randrange(1, 6))]
+        zero = TruncatedSeries.zero(f)
+        assert _grid_states(xs, ys) == [
+            [_state(c) for c in row] for row in product_grid(
+                xs, ys, [zero] * len(xs), [zero] * len(ys))]
+
+
 def test_product_grid_sum_slot_width():
     # all-(p-1) factors make each product's raw coefficient reach
     # min(len) (p-1)^2, which fits one byte here, but the two products of
