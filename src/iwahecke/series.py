@@ -21,10 +21,10 @@ coefficients being elements and their exponents ints by construction.
 
 A sum aligns the two coefficient windows and combines them slot by slot:
 over a prime field GF(p) (`field.r == 1`), whose elements are the ints
-0..p-1, as ints reduced mod p once, and over GF(p^r) with r > 1 through
-the field's `add_table`.  A difference first negates the second window
-by `_negated`, the one negation rule, which `-` uses too.  A sum is known
-below the smaller precision.
+0..p-1, as ints reduced mod p once, and over GF(p^r) with r > 1 by the
+field's `add`, coefficient by coefficient.  A difference first negates
+the second window by `_negated`, the one negation rule, which `-` uses
+too.  A sum is known below the smaller precision.
 
 Every product is a cell of `product_grid(xs, ys, xs2, ys2)`, which gives
 the two-term bilinear form x * y + x2 * y2 at every pair of indices at
@@ -42,12 +42,17 @@ for any product, the ys sit at strides of len(xs) blocks, so block
 i + j len(xs) of the big product holds cell (i, j); the factors of both
 products sit at their offsets from the smallest valuation of their side,
 so the two big products add slot by slot.  Over GF(p) the slots are one
-big-int multiply per product, reduced mod p once; over GF(p^r) a table
-convolution writes each x * y into the same slots.  A cell is a window of
-the slots cut at its precision.  When a GF(p) slot fits in one byte, the
-reduced slots are one `bytes` object, and a cell is a slice of it with
-its zero bytes stripped from both ends; only the pairing of a row with a
-column, the precision rule and the cell object itself are left to Python.
+big-int multiply per product, reduced mod p once.  Over GF(p^r) each
+side splits into r digit planes over GF(p), the base-p digits of its
+elements, and the 2r - 1 product planes sum_{i+j=s} X_i Y_j are r^2
+big-int multiplies per product, each plane reduced mod p as the GF(p)
+slots are, then folded by x^r = -low and recombined into one element a
+byte (`ffield._Field._fold`).  A cell is a window of the slots cut at
+its precision.  When a slot fits in one byte, as a GF(p^r) element
+always does, the reduced slots are one `bytes` object, and a cell is a
+slice of it with its zero bytes stripped from both ends; only the
+pairing of a row with a column, the precision rule and the cell object
+itself are left to Python.
 
 >>> from iwahecke.ffield import GF
 >>> f = GF(3)
@@ -63,7 +68,7 @@ True
 True
 >>> product_grid([a], [b], [b], [a]) == [[a * b + b * a]]
 True
->>> f4 = GF(2, 2)                                   # table-filled slots
+>>> f4 = GF(2, 2)                                   # two digit planes
 >>> c = TruncatedSeries(f4, 0, [1, 2])              # 1 + x t, x^2 = x + 1
 >>> c * c
 <1*t^0 + 3*t^2>
@@ -71,10 +76,11 @@ True
 
 from __future__ import annotations
 
-import functools
 import sys
 from array import array
 from operator import add, sub
+
+from .ffield import _ORDER, _mod, _residues
 
 __all__ = ["TruncatedSeries", "Matrix2", "product_grid"]
 
@@ -202,9 +208,7 @@ class TruncatedSeries:
             p = f.p
             out = [c % p for c in out]
         else:
-            add_t = f.add_table
-            for k, y in enumerate(b, off):
-                out[k] = add_t[out[k]][y]
+            out[off:off + len(b)] = map(f.add, out[off:off + len(b)], b)
         return _series(f, va, out, prec)
 
     def __add__(self, other):
@@ -254,13 +258,12 @@ def _series(field, val, coeffs, prec=None) -> TruncatedSeries:
 
 
 def _negated(field, coeffs) -> list:
-    """-c for each coefficient c: -c % p over GF(p), the field's
-    `neg_table` over GF(p^r)."""
+    """-c for each coefficient c: -c % p over GF(p), the field's `neg`
+    over GF(p^r)."""
     if field.r == 1:
         p = field.p
         return [-c % p for c in coeffs]
-    neg = field.neg_table
-    return [neg[c] for c in coeffs]
+    return list(map(field.neg, coeffs))
 
 
 def _check_elements(field, values) -> None:
@@ -280,7 +283,6 @@ def _check_exponent(k) -> None:
         raise ValueError(f"exponent {k!r} is not an int")
 
 
-_ORDER = sys.byteorder
 # (exclusive bound, width in bytes, array typecode) for each slot width
 _SLOTS = sorted((1 << 8 * array(code).itemsize, array(code).itemsize, code)
                 for code in "BHIQ")
@@ -312,20 +314,24 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     zeroed buffer of slots and read as one int, a slot holds at most
     min(len x, len y) (p-1)^2 from each product, so twice that for the
     pair, and the slots are reduced mod p once.  Over GF(p^r), r > 1,
-    `_table_slots` convolves each x * y through the field's tables into
-    the same slots.  Without xs2 and ys2 there is one product, not a
-    second one against zeros.
+    the same buffers split by `translate` into r digit planes each, and
+    r^2 big-int multiplies per product give the 2r - 1 product planes;
+    a slot of one holds at most r min(len x, len y) (p-1)^2 from each
+    product.  Each plane is reduced mod p, and the field's `_fold` folds
+    the planes above x^(r-1) by x^r = -low and recombines the digits into
+    the elements, one byte a slot.  Without xs2 and ys2 there is one
+    product, not a second one against zeros.
 
     A cell's precision is the smaller of its two products' precisions,
     each min(val x + prec y, val y + prec x) with an unknown zero O(t^k)
     counting k as its valuation (an exact-zero factor makes its product
     exact; a row and a column of exact factors make an exact cell), and
     its window is the exponents its factors can reach, cut at that
-    precision.  With 1-byte GF(p) slots the reduced slots are one `bytes`
-    object: a window is a slice of it whose zero slots are stripped from
-    both ends, and the cell is filled in place, with no call and no
-    constructor scan.  Otherwise the slots are a list, and the
-    constructor's scan trims each window.
+    precision.  With 1-byte slots, as GF(p^r)'s always are, the reduced
+    slots are one `bytes` object: a window is a slice of it whose zero
+    slots are stripped from both ends, and the cell is filled in place,
+    with no call and no constructor scan.  Otherwise the slots are a
+    list, and the constructor's scan trims each window.
     """
     if not xs or not ys:
         return [[] for _ in xs]
@@ -341,24 +347,38 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     base_y, cols, top_y, ly = _side(f, ys, ys2)
     block = max(0, top_x + top_y - 1)
     stride = len(xs) * block
-    one_byte = False
-    if f.r > 1:
-        slots = _table_slots(f, pairs, base_x, block, base_y, stride,
-                             len(ys) * stride)
-    else:
-        p = f.p
-        ms = [min(a, b) for a, b in zip(lx, ly)]
-        width, code = _slot(sum(ms) * (p - 1) ** 2)
+    p, n = f.p, len(ys) * stride
+    ms = [min(a, b) for a, b in zip(lx, ly)]
+    # a slot sums at most min(len x, len y) (p-1)^2 from each product, and
+    # a digit plane over GF(p^r) r times that
+    width, code = _slot(sum(ms) * f.r * (p - 1) ** 2)
+    one_byte = True
+    if f.r == 1:
         total = 0
         for (xs_, ys_), m in zip(pairs, ms):
             if m:  # else a side has no known coefficient: the product is 0
-                total += _packed(xs_, base_x, block, width, code) * \
-                    _packed(ys_, base_y, stride, width, code)
-        raw = total.to_bytes(width * len(ys) * stride, _ORDER)
+                total += int.from_bytes(
+                    _packed(xs_, base_x, block, width, code), _ORDER) * \
+                    int.from_bytes(
+                        _packed(ys_, base_y, stride, width, code), _ORDER)
+        raw = total.to_bytes(width * n, _ORDER)
         if width == 1:
-            slots, one_byte = raw.translate(_residues(p)), True
+            slots = raw.translate(_residues(p))
         else:
-            slots = [c % p for c in array(code, raw)]
+            slots, one_byte = [c % p for c in array(code, raw)], False
+    else:  # the 2r - 1 digit planes of the product, each reduced mod p
+        planes = [0] * (2 * f.r - 1)
+        for (xs_, ys_), m in zip(pairs, ms):
+            if m:
+                xb = _packed(xs_, base_x, block, width, code)
+                yb = _packed(ys_, base_y, stride, width, code)
+                yd = [int.from_bytes(yb.translate(t), _ORDER)
+                      for t in f.digits]
+                for i, t in enumerate(f.digits):
+                    x = int.from_bytes(xb.translate(t), _ORDER)
+                    for j, y in enumerate(yd, i):
+                        planes[j] += x * y
+        slots = f._fold([_reduced(s, p, width, code, n) for s in planes], n)
     new = object.__new__
     grid = []
     for i, (lo_x, hi_x, v, r, v2, r2, ex) in enumerate(rows):
@@ -392,31 +412,6 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
             at += stride
         grid.append(row)
     return grid
-
-
-def _table_slots(field, pairs, base_x, block, base_y, stride, size) -> list:
-    """The grid's `size` slots over GF(p^r), r > 1: for each pair of
-    sides (xs, ys), each product xs[i] * ys[j] convolved through the
-    field's `add_table` and `mul_table` into the slots from
-    i block + (val x - base_x) + j stride + (val y - base_y) on, the
-    slots its Kronecker product would fill."""
-    out = [0] * size
-    add_t, mul_t = field.add_table, field.mul_table
-    for xs, ys in pairs:
-        for i, x in enumerate(xs):
-            if x.val is None:
-                continue
-            at_x = i * block + x.val - base_x - base_y
-            for j, y in enumerate(ys):
-                if y.val is None:
-                    continue
-                b = y.coeffs
-                for k, c in enumerate(x.coeffs, at_x + j * stride + y.val):
-                    if c:
-                        row = mul_t[c]
-                        for m, d in enumerate(b, k):
-                            out[m] = add_t[out[m]][row[d]]
-    return out
 
 
 def _side(field, side, side2):
@@ -470,10 +465,13 @@ def _side(field, side, side2):
     return base, out, top - base, (long, long2)
 
 
-def _packed(series, base, step, width, code) -> int:
-    """One int holding the coefficients of series[k] from slot
-    k step + (val - base) on, in slots of `width` bytes (array typecode
-    `code`), written into one zeroed buffer of len(series) steps."""
+def _packed(series, base, step, width, code) -> bytearray:
+    """One zeroed buffer of len(series) steps of slots of `width` bytes
+    (array typecode `code`) holding the coefficients of series[k] from
+    slot k step + (val - base) on.  A GF(p^r) element, below 256, fills
+    the low byte of its slot and leaves the others zero, so `translate`
+    by one of the field's `digits` tables takes every slot to that digit
+    of its element."""
     buf = bytearray(width * step * len(series))
     slots = buf if width == 1 else memoryview(buf).cast(code)
     at = -base
@@ -483,13 +481,16 @@ def _packed(series, base, step, width, code) -> int:
             c = s.coeffs
             slots[at + v:at + v + len(c)] = c if width == 1 else array(code, c)
         at += step
-    return int.from_bytes(buf, _ORDER)
+    return buf
 
 
-@functools.cache
-def _residues(p: int) -> bytes:
-    """The table taking a byte to its residue mod p, for bytes.translate."""
-    return bytes(c % p for c in range(256))
+def _reduced(plane, p, width, code, n) -> int:
+    """The int of n 1-byte slots holding the n slots of `width` bytes of
+    the int `plane`, each reduced mod p below 256."""
+    if width == 1:
+        return _mod(plane, p, n)
+    raw = array(code, plane.to_bytes(width * n, _ORDER))
+    return int.from_bytes(bytes(c % p for c in raw), _ORDER)
 
 
 def _min_prec(a, b):

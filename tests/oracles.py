@@ -8,7 +8,7 @@ closure of the maximal translations or by deleting one letter at a time
 from evaluated words (as are Bruhat intervals below an element), parahoric
 subgroups W_J by breadth-first search over products x * s_j and
 W_J Adm(mu) W_J as the set of products a x b; truncated-series arithmetic goes one
-coefficient at a time through the field's tables, and the change-of-level
+coefficient at a time through the field's add and mul, and the change-of-level
 coset sum through full 2x2 products, or through one full product g k and
 one reading of the three-case formula from its four entries per coset.  The Kottwitz grading reads
 Omega = X_* / (coroot lattice) off a Smith normal form of the coroot
@@ -24,9 +24,10 @@ per generator, and a product of two elements is one T_x b per term of a,
 its Omega part by element products, instead of one packing of b.
 The CLI's element records are built as plain objects, one term at a time,
 for `json.dumps` to write, instead of from the CLI's one record template.
-The tables of GF(p^r) come from polynomials over GF(p), the modulus by
-trial division and each product schoolbook, instead of from zero divisors
-in a multiplication table filled row by row from products by x^k.
+The arithmetic of GF(p^r) comes from polynomials over GF(p), the modulus
+by trial division and each product schoolbook, instead of from zero
+divisors in rows of products folded from digit planes, and from log, exp
+and Zech-log lists.
 """
 
 from fractions import Fraction

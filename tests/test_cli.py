@@ -160,7 +160,8 @@ def test_transfer_report_embeds_function(tmp_path):
 
 def test_scholze_table_field_too_large_exits_3(tmp_path, capsys,
                                               monkeypatch):
-    # 4096 = 2^12 is in range, but its q x q tables would take minutes
+    # 4096 = 2^12 is in range, but an element of GF(2^12) would not fit
+    # the one byte slot that product_grid gives it
     def no_tables(self):
         raise AssertionError("field tables were built")
     monkeypatch.setattr("iwahecke.ffield._Field._build_tables", no_tables)
@@ -420,6 +421,14 @@ GOLDEN_RUNS = [
      "golden_scholze_compat_q3_n2_p2.json"),
     (("scholze", "--n", "1", "--q", "4", "--count", "60", "--compat"),
      "golden_scholze_compat_q4_n1.csv", "golden_scholze_compat_q4_n1.json"),
+    # extension fields beyond GF(4): GF(2^3) with its change-of-level
+    # check, GF(13^2), whose digit planes reach 2-byte slots, and GF(2^8)
+    (("scholze", "--n", "1", "--q", "8", "--count", "4", "--compat"),
+     "golden_scholze_compat_q8_n1.csv", "golden_scholze_compat_q8_n1.json"),
+    (("scholze", "--n", "2", "--q", "169", "--count", "4"),
+     "golden_scholze_q169_n2.csv", "golden_scholze_q169_n2.json"),
+    (("scholze", "--n", "1", "--q", "256", "--count", "4"),
+     "golden_scholze_q256_n1.csv", "golden_scholze_q256_n1.json"),
     # exact prime-field rows, each with its change-of-level check
     (("scholze", "--n", "1", "--q", "3", "--corpus", str(CORPUS_Q3),
       "--compat", "--pairs", "1"), "golden_scholze_compat_q3_n1.csv",
@@ -495,6 +504,8 @@ _REFUSALS = """
   :: error: cannot read corpus: [Errno 2]...
 3 scholze --n 1 --q 2 --corpus DATA/no-such-dir/x :: error: cannot read corpus: [Errno 2]...
 3 scholze --n 1 --q 2 --corpus DATA :: error: cannot read corpus: [Errno 21]...
+3 scholze --n 1 --q 512 :: error: GF(2^9) is too large: for r > 1 an element is one byte
+  slot, so q stops at 256
 3 scholze --n 1 --q 6 :: error: 6 is not a prime power
 3 scholze --n 1 --q 12 :: error: 12 is not a prime power
 3 scholze --n 1 --q 1000000007 :: error: q = 1000000007 is out of supported range 2..4096

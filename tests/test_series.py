@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -43,38 +44,51 @@ def test_gf_associativity_distributivity():
 
 
 def test_gf_prime_field_without_tables():
-    # GF(p) computes mod p and builds no q x q tables, so the largest
-    # prime below the range limit comes at once
+    # GF(p) computes mod p and builds no tables, so the largest prime below
+    # the range limit comes at once.  A field with r > 1 keeps O(q) data
+    # and no q x q table: GF(2^8), fresh past the cache, holds a few KiB
+    # once built (its q x q tables held over 1 MiB)
     start = time.perf_counter()
     F = GF(4093)
     assert time.perf_counter() - start < 0.5
-    assert not hasattr(F, "add_table") and not hasattr(F, "mul_table")
-    rng = random.Random(4093)
-    for _ in range(300):
-        a, b, c = (rng.randrange(F.q) for _ in range(3))
-        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        assert F.add(F.sub(a, b), b) == a and F.add(a, F.neg(a)) == 0
-        for x in (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b),
-                  F.pow(a, b)):
-            assert 0 <= x < F.q
-        if a:
-            assert F.mul(a, F.inv(a)) == 1
-            assert F.pow(a, F.q - 1) == 1
-            assert F.mul(F.pow(a, -3), F.pow(a, 3)) == 1
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        F256 = _field.__wrapped__(2, 8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert F256.q == 256 and held < 64 << 10
+    fields = [F] + [GF(p, r) for p in (2, 3, 5, 7, 11, 13)
+                    for r in range(2, 9) if p ** r <= 256]
+    for F in fields:
+        assert [name for name in vars(F) if name.endswith("_table")] == []
+        rng = random.Random(F.q)
+        for _ in range(300):
+            a, b, c = (rng.randrange(F.q) for _ in range(3))
+            assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+            assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+            assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+            assert F.add(F.sub(a, b), b) == a and F.add(a, F.neg(a)) == 0
+            for x in (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b),
+                      F.pow(a, b)):
+                assert 0 <= x < F.q
+            if a:
+                assert F.mul(a, F.inv(a)) == 1
+                assert F.pow(a, F.q - 1) == 1
+                assert F.mul(F.pow(a, -3), F.pow(a, 3)) == 1
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
 
 
 def test_table_field_size_cap(monkeypatch):
-    # fields with r > 1 stop at q = 256, and a larger q is refused before
-    # any table is built (GF(2^10) takes 2.8 s; GF(2^12) has 16 times the
-    # entries, and its two q x q tables would hold over 1 GB)
+    # fields with r > 1 stop at q = 256, as product_grid holds each of
+    # their elements in one byte slot, and a larger q is refused before
+    # any of its data is built
     built = []
     monkeypatch.setattr(_Field, "_build_tables",
                         lambda self: built.append(self.q))
-    make = _field.__wrapped__  # past the cache: these fields have no tables
+    make = _field.__wrapped__  # past the cache: these fields have no data
     assert make(2, 8).q == 256 and built == [256]
     for p, r in ((2, 9), (17, 2), (3, 6), (2, 12)):
         with pytest.raises(ValueError, match="too large"):
@@ -83,15 +97,22 @@ def test_table_field_size_cap(monkeypatch):
 
 
 def test_field_tables_match_polynomial_arithmetic():
-    # every field with tables: its modulus is the first monic irreducible
-    # by trial division, and each table entry the polynomial sum, product
-    # or negative, the product schoolbook, modulo it
+    # every field with r > 1: its modulus is the first monic irreducible
+    # by trial division, and add, mul and neg of every pair the polynomial
+    # sum, product or negative, the product schoolbook, modulo it
     fields = [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in range(2, 9)
               if p ** r <= 256]
     assert len(fields) == 16
-    assert [(p, r) for p, r in fields if field_tables_by_schoolbook(p, r) != (
-        GF(p, r).modulus, GF(p, r).add_table, GF(p, r).mul_table,
-        GF(p, r).neg_table)] == []
+    bad = []
+    for p, r in fields:
+        F = GF(p, r)
+        low, add, mul, neg = field_tables_by_schoolbook(p, r)
+        if F.modulus != low or [F.neg(a) for a in F.elements()] != neg or \
+                any([F.add(a, b) for b in F.elements()] != add[a]
+                    or [F.mul(a, b) for b in F.elements()] != mul[a]
+                    for a in F.elements()):
+            bad.append((p, r))
+    assert bad == []
 
 
 def test_gf_refuses_a_p_or_r_that_is_not_an_int(monkeypatch):
@@ -321,10 +342,12 @@ def _state(s):
     return s.val, s.coeffs, s.prec
 
 
-@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2),
+                                 (2, 3), (13, 2), (2, 8)])
 def test_dense_arithmetic_matches_table_oracle(p, r):
-    # the prime-field windows and Kronecker product, and the GF(p^r)
-    # table loops, against one coefficient at a time through the tables
+    # the prime-field windows and Kronecker product, and the GF(p^r) sums
+    # and digit planes, against one coefficient at a time through the
+    # field's add and mul
     f = GF(p, r)
     rng = random.Random(100 * p + r)
     kinds = set()
@@ -363,9 +386,10 @@ def _grid_states(xs, ys):
     return [[_state(xy) for xy in row] for row in product_grid(xs, ys)]
 
 
-@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2),
+                                 (2, 3), (13, 2), (2, 8)])
 def test_product_grid_matches_products(p, r):
-    # every cell of the one-multiply grid against `*` and the table oracle:
+    # every cell of the grid against `*` and the coefficient-wise oracle:
     # exact zeros, unknown zeros O(t^k), negative valuations and mixed
     # precisions in one grid
     f = GF(p, r)
@@ -388,33 +412,37 @@ def test_product_grid_matches_products(p, r):
 
 def test_product_grid_slot_widths():
     # all-(p-1) factors make the largest raw coefficients, min(maxlen)
-    # (p-1)^2; these grids use 1-, 2-, 4- and 8-byte slots
-    widths = set()
-    for p, n in [(2, 200), (2, 256), (17, 1), (257, 2), (4093, 300)]:
-        f = GF(p)
-        xs = [TruncatedSeries(f, -2, [p - 1] * n),
-              TruncatedSeries(f, 1, [p - 1], prec=n),
+    # (p-1)^2; these grids use 1-, 2-, 4- and 8-byte slots.  Over GF(p^r)
+    # the element q - 1 has every digit p - 1, and a digit plane sums r
+    # such products: GF(13^2) reaches 2-byte slots from one coefficient
+    # pair, 2 * 12^2 = 288
+    widths = []
+    for p, r, n in [(2, 1, 200), (2, 1, 256), (17, 1, 1), (257, 1, 2),
+                    (4093, 1, 300), (13, 2, 1)]:
+        f, top = GF(p, r), p ** r - 1
+        xs = [TruncatedSeries(f, -2, [top] * n),
+              TruncatedSeries(f, 1, [top], prec=n),
               TruncatedSeries.zero(f, prec=3)]
-        ys = [TruncatedSeries(f, 0, [p - 1] * (n + 3), prec=n + 1),
-              TruncatedSeries(f, 5, [1, 0, p - 1])]
-        widths.add(_slot(n * (p - 1) ** 2)[0])
+        ys = [TruncatedSeries(f, 0, [top] * (n + 3), prec=n + 1),
+              TruncatedSeries(f, 5, [1, 0, top])]
+        widths.append(_slot(n * r * (p - 1) ** 2)[0])
         assert _grid_states(xs, ys) == [[_state(series_mul(x, y))
                                          for y in ys] for x in xs], p
-    assert widths == {1, 2, 4, 8}
+    assert widths == [1, 2, 2, 4, 8, 2]
 
 
 FIELDS = pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2),
-                                         (3, 2)],
+                                         (3, 2), (2, 3), (13, 2), (2, 8)],
                                  ids=["GF(2)", "GF(3)", "GF(5)", "GF(4)",
-                                      "GF(9)"])
+                                      "GF(9)", "GF(8)", "GF(169)", "GF(256)"])
 
 
 @FIELDS
 def test_product_grid_sums_match_series_ops(p, r):
     # every cell of the two-term grid against x * y + x2 * y2, by `*` and
-    # `+` and by the table oracle: exact zeros, unknown zeros O(t^k),
-    # negative valuations and mixed precisions in one grid, and cells whose
-    # two products start at different valuations
+    # `+` and by the coefficient-wise oracle: exact zeros, unknown zeros
+    # O(t^k), negative valuations and mixed precisions in one grid, and
+    # cells whose two products start at different valuations
     f = GF(p, r)
     rng = random.Random(300 * p + r)
     kinds, staggered = set(), 0
@@ -475,8 +503,8 @@ def test_product_grid_sum_slot_width():
 
 @FIELDS
 def test_matrix2_product_matches_entrywise(p, r):
-    # g * h is one two-term grid; each entry against the table oracle's
-    # x * y + x2 * y2 over the same random entries as above
+    # g * h is one two-term grid; each entry against the coefficient-wise
+    # oracle's x * y + x2 * y2 over the same random entries as above
     f = GF(p, r)
     rng = random.Random(400 * p + r)
 
@@ -514,8 +542,9 @@ def test_product_grid_cell_edges(p, r, n, width):
     # cut by precision in the middle and at their first slot, with
     # unknown-zero factors O(t^k); every factor is multiplied by the exact
     # L = -(1 + ... + t^(n-1)), which keeps each of these shapes and, over
-    # GF(p), widens the slots to `width` bytes (GF(p^r) fills its slots
-    # from the field's tables, and p - 1 is -1 there too)
+    # GF(p), widens the slots to `width` bytes (over GF(p^r) the slots hold
+    # digit planes, whose width is not checked here, and p - 1 is -1 there
+    # too)
     f = GF(p, r)
     T, e = TruncatedSeries, p - 1  # e = -1
     L = T(f, 0, [e] * n)
