@@ -344,6 +344,8 @@ def _cut_classes(entries) -> tuple:
 
 def random_kn_element(field, n: int, rng, depth: int = 8) -> Matrix2:
     """A random element of K_n = 1 + t^n M_2(O), with exact entries."""
+    _check_level(n)
+
     def entry():
         coeffs = [rng.randrange(field.q) for _ in range(depth)]
         return TruncatedSeries(field, n, coeffs)
@@ -477,11 +479,13 @@ def load_corpus(path, field, precision=None):
 class DiagonalTorusPoint:
     """A point of the diagonal torus T(F_{p^r}): n nonzero field elements.
 
-    An immutable value: equality and hash on (field, entries), and
-    assigning an attribute raises AttributeError.
+    An immutable value: the entries, from any iterable, are kept as a
+    tuple, equality and hash are on (field, entries), and assigning an
+    attribute raises AttributeError.
     """
 
-    def __init__(self, field, entries: tuple):
+    def __init__(self, field, entries):
+        entries = tuple(entries)  # a list would be unhashable and mutable
         _check_elements(field, entries)
         if 0 in entries:
             raise ValueError("torus point entries must be nonzero")

@@ -8,10 +8,11 @@ first monic x^r + low whose quotient has no zero divisor, as GF(p)[x] / (m)
 is a field exactly when m is irreducible.  Such a field keeps O(q) data:
 the byte tables that split an element into its digits, the digits of x^s
 for r <= s < 2r - 1, and the log, exp and Zech-log lists of one generator
-of its units.  A product of digit planes, the q elements at once or the
-slots of a `series.product_grid`, is folded by x^r = -low in one place,
-`_fold`; the field's own add, neg, mul and pow are a few list lookups.  An
-element fills one byte slot of those planes, so q stops at 256 for r > 1.
+of its units.  The 2r - 1 digit planes of a product, of the q elements
+at once or of the sub-slots of one `series.product_grid` multiply, are
+folded by x^r = -low in one place, `_fold`; the field's own add, neg, mul
+and pow are a few list lookups.  An element fills one byte slot of the
+folded planes, so q stops at 256 for r > 1.
 Both kinds of field share one `sub`, a + (-b), and one `inv`, a^(q-2).
 The deep-level evaluators need q in {2, 3, 4, 9} and similar.
 """
@@ -46,6 +47,10 @@ def GF(p: int, r: int = 1) -> "_Field":
 
 @lru_cache(maxsize=None)
 def _field(p: int, r: int) -> "_Field":
+    # the bounds first, as trial division takes time in sqrt(p) and p ** r
+    # time and memory in r; r >= _MAX_Q.bit_length() gives p^r > _MAX_Q
+    if p > _MAX_Q or r >= _MAX_Q.bit_length():
+        raise ValueError(f"GF({p}^{r}) is out of supported range")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1 or p ** r > _MAX_Q:

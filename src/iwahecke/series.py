@@ -41,13 +41,14 @@ Symb. Comp. 2009): each x sits in its own block of slots, wide enough
 for any product, the ys sit at strides of len(xs) blocks, so block
 i + j len(xs) of the big product holds cell (i, j); the factors of both
 products sit at their offsets from the smallest valuation of their side,
-so the two big products add slot by slot.  Over GF(p) the slots are one
-big-int multiply per product, reduced mod p once.  Over GF(p^r) each
-side splits into r digit planes over GF(p), the base-p digits of its
-elements, and the 2r - 1 product planes sum_{i+j=s} X_i Y_j are r^2
-big-int multiplies per product, each plane reduced mod p as the GF(p)
-slots are, then folded by x^r = -low and recombined into one element a
-byte (`ffield._Field._fold`).  A cell is a window of the slots cut at
+so the two big products add slot by slot.  Over every field the slots
+are one big-int multiply per product, reduced mod p once.  Over GF(p^r)
+the substitution nests: each slot is 2r - 1 sub-slots, digit d of its
+element, a base-p digit, in sub-slot d, so the one multiply leaves the
+product plane sum_{i+j=s} X_i Y_j of the digit planes in sub-slot s,
+and the planes, read back as every (2r - 1)-th sub-slot, are folded by
+x^r = -low and recombined into one element a byte
+(`ffield._Field._fold`).  A cell is a window of the slots cut at
 its precision.  When a slot fits in one byte, as a GF(p^r) element
 always does, the reduced slots are one `bytes` object, and a cell is a
 slice of it with its zero bytes stripped from both ends; only the
@@ -68,7 +69,7 @@ True
 True
 >>> product_grid([a], [b], [b], [a]) == [[a * b + b * a]]
 True
->>> f4 = GF(2, 2)                                   # two digit planes
+>>> f4 = GF(2, 2)                                   # three sub-slots
 >>> c = TruncatedSeries(f4, 0, [1, 2])              # 1 + x t, x^2 = x + 1
 >>> c * c
 <1*t^0 + 3*t^2>
@@ -80,7 +81,7 @@ import sys
 from array import array
 from operator import add, sub
 
-from .ffield import _ORDER, _mod, _residues
+from .ffield import _ORDER, _residues
 
 __all__ = ["TruncatedSeries", "Matrix2", "product_grid"]
 
@@ -309,17 +310,19 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     products of a cell land in the same slots and add.  Each x takes its
     own block of slots, wide enough for any product, and the ys sit at
     strides of len(xs) blocks, so block i + j len(xs) holds cell (i, j)
-    and no two cells meet in a slot.  Over GF(p) one big-int multiply per
-    product fills the slots: each list of factors is written into one
-    zeroed buffer of slots and read as one int, a slot holds at most
-    min(len x, len y) (p-1)^2 from each product, so twice that for the
-    pair, and the slots are reduced mod p once.  Over GF(p^r), r > 1,
-    the same buffers split by `translate` into r digit planes each, and
-    r^2 big-int multiplies per product give the 2r - 1 product planes;
-    a slot of one holds at most r min(len x, len y) (p-1)^2 from each
-    product.  Each plane is reduced mod p, and the field's `_fold` folds
-    the planes above x^(r-1) by x^r = -low and recombines the digits into
-    the elements, one byte a slot.  Without xs2 and ys2 there is one
+    and no two cells meet in a slot.  One big-int multiply per product
+    fills the slots, over every field: each list of factors is written
+    into one zeroed buffer of slots and read as one int.  Over GF(p^r),
+    r > 1, `_packed` spreads each slot into 2r - 1 sub-slots, digit d of
+    its element in sub-slot d, so the substitution nests: sub-slot s of
+    a product slot holds the product plane sum_{i+j=s} X_i Y_j of the
+    digit planes X_i, Y_j, and no two planes meet.  Over GF(p) a slot is
+    its one sub-slot.  A sub-slot holds at most r min(len x, len y)
+    (p-1)^2 from each product, so twice that for the pair, and the
+    sub-slots are reduced mod p once.  Over GF(p^r) the planes are read
+    back as every (2r - 1)-th sub-slot, and the field's `_fold` folds
+    those above x^(r-1) by x^r = -low and recombines the digits into the
+    elements, one byte a slot.  Without xs2 and ys2 there is one
     product, not a second one against zeros.
 
     A cell's precision is the smaller of its two products' precisions,
@@ -348,37 +351,25 @@ def product_grid(xs, ys, xs2=None, ys2=None) -> list:
     block = max(0, top_x + top_y - 1)
     stride = len(xs) * block
     p, n = f.p, len(ys) * stride
+    k = 2 * f.r - 1  # sub-slots per slot; sub-slot s holds product plane s
     ms = [min(a, b) for a, b in zip(lx, ly)]
-    # a slot sums at most min(len x, len y) (p-1)^2 from each product, and
-    # a digit plane over GF(p^r) r times that
+    # a sub-slot sums at most r min(len x, len y) (p-1)^2 from each product
     width, code = _slot(sum(ms) * f.r * (p - 1) ** 2)
-    one_byte = True
-    if f.r == 1:
-        total = 0
-        for (xs_, ys_), m in zip(pairs, ms):
-            if m:  # else a side has no known coefficient: the product is 0
-                total += int.from_bytes(
-                    _packed(xs_, base_x, block, width, code), _ORDER) * \
-                    int.from_bytes(
-                        _packed(ys_, base_y, stride, width, code), _ORDER)
-        raw = total.to_bytes(width * n, _ORDER)
-        if width == 1:
-            slots = raw.translate(_residues(p))
-        else:
-            slots, one_byte = [c % p for c in array(code, raw)], False
-    else:  # the 2r - 1 digit planes of the product, each reduced mod p
-        planes = [0] * (2 * f.r - 1)
-        for (xs_, ys_), m in zip(pairs, ms):
-            if m:
-                xb = _packed(xs_, base_x, block, width, code)
-                yb = _packed(ys_, base_y, stride, width, code)
-                yd = [int.from_bytes(yb.translate(t), _ORDER)
-                      for t in f.digits]
-                for i, t in enumerate(f.digits):
-                    x = int.from_bytes(xb.translate(t), _ORDER)
-                    for j, y in enumerate(yd, i):
-                        planes[j] += x * y
-        slots = f._fold([_reduced(s, p, width, code, n) for s in planes], n)
+    total = 0
+    for (xs_, ys_), m in zip(pairs, ms):
+        if m:  # else a side has no known coefficient: the product is 0
+            total += int.from_bytes(
+                _packed(f, xs_, base_x, block, width, code), _ORDER) * \
+                int.from_bytes(
+                    _packed(f, ys_, base_y, stride, width, code), _ORDER)
+    raw = total.to_bytes(width * k * n, _ORDER)
+    if width == 1:
+        slots, one_byte = raw.translate(_residues(p)), True
+    else:
+        slots, one_byte = [c % p for c in array(code, raw)], False
+    if k > 1:
+        slots, one_byte = f._fold([int.from_bytes(slots[s::k], _ORDER)
+                                   for s in range(k)], n), True
     new = object.__new__
     grid = []
     for i, (lo_x, hi_x, v, r, v2, r2, ex) in enumerate(rows):
@@ -465,32 +456,32 @@ def _side(field, side, side2):
     return base, out, top - base, (long, long2)
 
 
-def _packed(series, base, step, width, code) -> bytearray:
+def _packed(field, series, base, step, width, code) -> bytearray:
     """One zeroed buffer of len(series) steps of slots of `width` bytes
     (array typecode `code`) holding the coefficients of series[k] from
-    slot k step + (val - base) on.  A GF(p^r) element, below 256, fills
-    the low byte of its slot and leaves the others zero, so `translate`
-    by one of the field's `digits` tables takes every slot to that digit
-    of its element."""
-    buf = bytearray(width * step * len(series))
-    slots = buf if width == 1 else memoryview(buf).cast(code)
+    slot k step + (val - base) on.  Over GF(p^r), r > 1, each slot is
+    2r - 1 sub-slots of `width` bytes, digit d of its element in the low
+    byte of sub-slot d and zeros elsewhere: the elements, below 256, are
+    written one byte a slot, and for each d one `translate` by the
+    field's `digits[d]` and one strided slice assignment place digit d
+    of every element."""
+    k = 2 * field.r - 1
+    one = width == 1 or k > 1  # one byte a slot, before the spread
+    buf = bytearray((1 if one else width) * step * len(series))
+    slots = buf if one else memoryview(buf).cast(code)
     at = -base
     for s in series:
         v = s.val
         if v is not None:
             c = s.coeffs
-            slots[at + v:at + v + len(c)] = c if width == 1 else array(code, c)
+            slots[at + v:at + v + len(c)] = c if one else array(code, c)
         at += step
-    return buf
-
-
-def _reduced(plane, p, width, code, n) -> int:
-    """The int of n 1-byte slots holding the n slots of `width` bytes of
-    the int `plane`, each reduced mod p below 256."""
-    if width == 1:
-        return _mod(plane, p, n)
-    raw = array(code, plane.to_bytes(width * n, _ORDER))
-    return int.from_bytes(bytes(c % p for c in raw), _ORDER)
+    if k == 1:
+        return buf
+    out = bytearray(width * k * len(buf))
+    for d, t in enumerate(field.digits):  # a sub-slot's low byte is first
+        out[d * width::k * width] = buf.translate(t)
+    return out
 
 
 def _min_prec(a, b):

@@ -633,6 +633,22 @@ def test_torus_point_is_an_immutable_value():
     with pytest.raises(ValueError):
         DiagonalTorusPoint(F3, (1, 3))  # out of field range
 
+
+def test_torus_point_keeps_its_entries_as_a_tuple():
+    """A list or a generator of entries gives the point the tuple gives,
+    with its hash; a generator's zero is still refused, and the entries
+    cannot be appended to."""
+    F4 = GF(2, 2)
+    t = DiagonalTorusPoint(F4, (1, 2))
+    for entries in ([1, 2], (e for e in (1, 2))):
+        u = DiagonalTorusPoint(F4, entries)
+        assert u == t and hash(u) == hash(t) and u.entries == (1, 2)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        DiagonalTorusPoint(F4, (e for e in (1, 0)))
+    with pytest.raises(AttributeError):
+        DiagonalTorusPoint(F4, [1, 2]).entries.append(0)
+
+
 def test_phi_over_gf4():
     # q = 4 (non-prime prime power): the evaluators are generic in the field
     f4 = GF(2, 2)

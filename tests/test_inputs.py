@@ -7,6 +7,7 @@ their domain raise a `ValueError`, which the CLI maps to exit 3.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from iwahecke.cli import main
 from iwahecke.deeplevel import (DiagonalTorusPoint, drinfeld_propp_value,
                                 gl2_level_index, kn_coset_reps,
                                 level_compatibility_check, matrix_to_text,
-                                scholze_phi, scholze_z)
+                                random_kn_element, scholze_phi, scholze_z)
 from iwahecke.ffield import GF
 from iwahecke.laurent import LaurentPoly
 from iwahecke.rootdata import RootDatum, RootDatumError, build_root_datum
@@ -71,6 +72,11 @@ H = W.hecke()
 REFUSED = [
     ("GF(2^13)", ValueError, "out of supported range", lambda: GF(2, 13)),
     ("GF(1)", ValueError, "1 is not prime", lambda: GF(1)),
+    # refused before trial division up to sqrt(p), or before forming p^r
+    ("GF(2**61 - 1)", ValueError, "out of supported range",
+     lambda: GF(2**61 - 1)),
+    ("GF(2, 10**9)", ValueError, "out of supported range",
+     lambda: GF(2, 10**9)),
     ("base change r=0", RootDatumError, "base change degree must be >= 1",
      lambda: base_change(monomial_symmetric(W.rd, (1, 0)), 0)),
     ("subs_v_power(0)", ValueError, "r must be >= 1",
@@ -97,6 +103,11 @@ REFUSED = [
      lambda: kn_coset_reps(F2, 0)),
     ("kn_coset_reps n=True", ValueError, "level n must be an int, got True",
      lambda: kn_coset_reps(F2, True)),
+    ("random_kn_element n=0", ValueError, "level n must be >= 1",
+     lambda: random_kn_element(F2, 0, random.Random(0))),
+    ("random_kn_element n=1.0", ValueError,
+     r"level n must be an int, got 1\.0",
+     lambda: random_kn_element(F2, 1.0, random.Random(0))),
     ("matrix_to_text truncated", ValueError, "corpus entries must be exact",
      lambda: matrix_to_text(ONE.truncate(3))),
     ("DiagonalTorusPoint float entry", ValueError,

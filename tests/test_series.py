@@ -346,7 +346,7 @@ def _state(s):
                                  (2, 3), (13, 2), (2, 8)])
 def test_dense_arithmetic_matches_table_oracle(p, r):
     # the prime-field windows and Kronecker product, and the GF(p^r) sums
-    # and digit planes, against one coefficient at a time through the
+    # and sub-slot products, against one coefficient at a time through the
     # field's add and mul
     f = GF(p, r)
     rng = random.Random(100 * p + r)
@@ -413,12 +413,15 @@ def test_product_grid_matches_products(p, r):
 def test_product_grid_slot_widths():
     # all-(p-1) factors make the largest raw coefficients, min(maxlen)
     # (p-1)^2; these grids use 1-, 2-, 4- and 8-byte slots.  Over GF(p^r)
-    # the element q - 1 has every digit p - 1, and a digit plane sums r
-    # such products: GF(13^2) reaches 2-byte slots from one coefficient
-    # pair, 2 * 12^2 = 288
+    # the element q - 1 has every digit p - 1, and the sub-slot of a
+    # product plane sums up to r such products: GF(13^2) reaches 2-byte
+    # slots from one coefficient pair, 2 * 12^2 = 288, and 4-byte slots at
+    # 2 * 12^2 * 228 = 65,664; GF(2^8) fills 1-byte slots at 8 * 31 = 248
+    # and passes them at 8 * 32 = 256
     widths = []
     for p, r, n in [(2, 1, 200), (2, 1, 256), (17, 1, 1), (257, 1, 2),
-                    (4093, 1, 300), (13, 2, 1)]:
+                    (4093, 1, 300), (13, 2, 1), (2, 8, 31), (2, 8, 32),
+                    (13, 2, 228)]:
         f, top = GF(p, r), p ** r - 1
         xs = [TruncatedSeries(f, -2, [top] * n),
               TruncatedSeries(f, 1, [top], prec=n),
@@ -428,7 +431,7 @@ def test_product_grid_slot_widths():
         widths.append(_slot(n * r * (p - 1) ** 2)[0])
         assert _grid_states(xs, ys) == [[_state(series_mul(x, y))
                                          for y in ys] for x in xs], p
-    assert widths == [1, 2, 2, 4, 8, 2]
+    assert widths == [1, 2, 2, 4, 8, 2, 1, 2, 4]
 
 
 FIELDS = pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2),
